@@ -26,7 +26,6 @@
 //! for the CI replication-divergence job.
 
 use selftune_cluster::prelude::*;
-use selftune_cluster::runner::plan_fleet_pinned;
 use selftune_distrib::prelude::*;
 use selftune_journal::Journal;
 use selftune_simcore::metrics::Metrics;
@@ -141,18 +140,23 @@ fn drill(
     // Cold-restart baseline: same crash instant, no replica — the
     // restarted controller replays nothing and is blind (no migrations)
     // for the outage window while it rebuilds feedback state.
-    let replica = standby.journal().expect("standby holds a replica");
-    let plan = plan_fleet_pinned(spec, args.seed, &replica.pinned_plan());
-    let mut moves = replica.pinned_moves(Some(crash_epoch + 1));
-    for slot in moves
-        .epochs
-        .iter_mut()
-        .skip(crash_epoch + 1)
-        .take(COLD_OUTAGE_EPOCHS)
-    {
-        *slot = Some(EpochDecision::default());
+    let mut replica = standby.journal().expect("standby holds a replica");
+    let blind = crash_epoch + 1..crash_epoch + 1 + COLD_OUTAGE_EPOCHS;
+    let ends = ClusterRunner::epoch_ends(spec);
+    // Its journal for the window is a run of empty rebalance passes (all
+    // later than anything the replica holds, so the order stays canonical).
+    for epoch in blind.clone().filter(|&e| e < epochs) {
+        replica.records.push(FleetEvent::Rebalance {
+            at: ends[epoch],
+            epoch,
+            snapshot: Vec::new(),
+            moves: 0,
+            failed: 0,
+        });
     }
-    let cold = ClusterRunner::new(2).run_pinned(spec, args.seed, &plan, &moves);
+    let cold = replica
+        .reexecute(2, None, Some(blind.end), None)
+        .expect("a run to the horizon has no cursor to reject");
     if strict {
         assert!(
             cold.miss_ratio() > promoted.miss_ratio(),

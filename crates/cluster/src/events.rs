@@ -6,10 +6,13 @@
 //! (admissions and churn kills), the barrier leader (per-epoch
 //! compressions, rebalance passes and migrations) and the nodes
 //! themselves (executed elastic share re-grants) — and merges them into
-//! one deterministic stream via [`sort_events`]. `selftune-journal`
-//! converts the stream into its on-disk records; keeping the event type
-//! here (and free of journal types) is what breaks the dependency cycle
-//! between the two crates.
+//! one deterministic stream via [`sort_events`]. [`FleetEvent`] is the
+//! workspace's only decision type: `selftune-journal` writes these very
+//! values to disk and `selftune-distrib` to the wire (its `DecisionRecord`
+//! is this enum re-exported), so the schema, its canonical order and the
+//! pin-table extraction (`PinnedPlan::from_events`,
+//! `PinnedMoves::from_events`) live in this crate and the text form in
+//! `selftune_journal::codec` — a new field is an edit here and there.
 
 use selftune_core::share::ClampReason;
 use selftune_simcore::time::Time;

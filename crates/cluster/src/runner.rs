@@ -121,6 +121,39 @@ pub struct PinnedPlan {
     pub vm_nodes: Vec<Option<usize>>,
 }
 
+impl PinnedPlan {
+    /// The admission pin table of a logged run: every task's and VM's
+    /// recorded destination out of its admission events, plus the recorded
+    /// admission statistics.
+    pub fn from_events(
+        spec: &ScenarioSpec,
+        admission: AdmissionStats,
+        events: &[FleetEvent],
+    ) -> PinnedPlan {
+        let mut task_nodes = vec![None; spec.flat_tasks()];
+        let mut vm_nodes = vec![None; spec.vms.len()];
+        for e in events {
+            let (slot, node) = match e {
+                FleetEvent::TaskAdmission { fleet_id, node, .. } => {
+                    (task_nodes.get_mut(*fleet_id), node)
+                }
+                FleetEvent::VmAdmission {
+                    fleet_vm_id, node, ..
+                } => (vm_nodes.get_mut(*fleet_vm_id), node),
+                _ => continue,
+            };
+            if let Some(slot) = slot {
+                *slot = *node;
+            }
+        }
+        PinnedPlan {
+            admission,
+            task_nodes,
+            vm_nodes,
+        }
+    }
+}
+
 /// One journalled rebalance epoch: the decisions the leader published.
 #[derive(Clone, Debug, Default)]
 pub struct EpochDecision {
@@ -137,6 +170,61 @@ pub struct EpochDecision {
 pub struct PinnedMoves {
     /// The pinned epochs.
     pub epochs: Vec<Option<EpochDecision>>,
+}
+
+impl PinnedMoves {
+    /// The per-epoch migration pin table of a logged run, out of its
+    /// rebalance and migration events (canonical order, so each epoch's
+    /// moves arrive in `seq` order). `up_to_epoch = None` pins every
+    /// recorded epoch (exact replay); `Some(cut)` pins epochs `< cut` and
+    /// leaves the rest to be decided live (the what-if cut point).
+    pub fn from_events(
+        spec: &ScenarioSpec,
+        events: &[FleetEvent],
+        up_to_epoch: Option<usize>,
+    ) -> PinnedMoves {
+        let recorded = ClusterRunner::epoch_ends(spec).len() - 1;
+        let pinned = up_to_epoch.map_or(recorded, |cut| cut.min(recorded));
+        let mut epochs: Vec<Option<EpochDecision>> = vec![None; pinned];
+        for e in events {
+            match e {
+                FleetEvent::Rebalance { epoch, failed, .. } => {
+                    if let Some(slot) = epochs.get_mut(*epoch) {
+                        slot.get_or_insert_with(EpochDecision::default).failed = *failed;
+                    }
+                }
+                FleetEvent::Migration {
+                    epoch,
+                    fleet_id,
+                    vm,
+                    from,
+                    to,
+                    demand,
+                    dest_reserved_after,
+                    warm,
+                    guest_warm,
+                    ..
+                } => {
+                    if let Some(slot) = epochs.get_mut(*epoch) {
+                        slot.get_or_insert_with(EpochDecision::default)
+                            .moves
+                            .push(Migration {
+                                fleet_id: *fleet_id,
+                                vm: *vm,
+                                from: *from,
+                                to: *to,
+                                demand: *demand,
+                                dest_reserved_after: *dest_reserved_after,
+                                warm: *warm,
+                                guest_warm: guest_warm.clone(),
+                            });
+                    }
+                }
+                _ => {}
+            }
+        }
+        PinnedMoves { epochs }
+    }
 }
 
 /// What was drawn for one fleet task before placement. Splitting the
@@ -1599,50 +1687,6 @@ mod tests {
         }
     }
 
-    /// Per-epoch decisions reconstructed from a logged event stream (the
-    /// same extraction `selftune-journal` performs).
-    fn moves_from_events(spec: &ScenarioSpec, events: &[FleetEvent]) -> PinnedMoves {
-        let n_epochs = ClusterRunner::epoch_ends(spec).len() - 1;
-        let mut epochs: Vec<Option<EpochDecision>> = vec![None; n_epochs];
-        for e in events {
-            match e {
-                FleetEvent::Rebalance { epoch, failed, .. } => {
-                    epochs[*epoch]
-                        .get_or_insert_with(EpochDecision::default)
-                        .failed = *failed;
-                }
-                FleetEvent::Migration {
-                    epoch,
-                    fleet_id,
-                    vm,
-                    from,
-                    to,
-                    demand,
-                    dest_reserved_after,
-                    warm,
-                    guest_warm,
-                    ..
-                } => {
-                    epochs[*epoch]
-                        .get_or_insert_with(EpochDecision::default)
-                        .moves
-                        .push(Migration {
-                            fleet_id: *fleet_id,
-                            vm: *vm,
-                            from: *from,
-                            to: *to,
-                            demand: *demand,
-                            dest_reserved_after: *dest_reserved_after,
-                            warm: *warm,
-                            guest_warm: guest_warm.clone(),
-                        });
-                }
-                _ => {}
-            }
-        }
-        PinnedMoves { epochs }
-    }
-
     #[test]
     fn streamed_batches_and_checkpoints_match_the_buffered_run() {
         let mut spec = ScenarioSpec::diurnal_demo(4, 8)
@@ -1679,7 +1723,7 @@ mod tests {
             "diurnal grid should checkpoint several times at interval 2"
         );
         let plan = plan_fleet(&spec, 42);
-        let moves = moves_from_events(&spec, &events);
+        let moves = PinnedMoves::from_events(&spec, &events, None);
         for (cursor, summary) in &sink.checkpoints {
             let mirror = ClusterRunner::new(3).run_pinned_prefix(&spec, 42, &plan, &moves, *cursor);
             assert_eq!(
@@ -1714,47 +1758,12 @@ mod tests {
         let spec = ScenarioSpec::skewed_overload_demo(4, 12)
             .with_rebalance(ScenarioSpec::demo_rebalance());
         let (live, events) = ClusterRunner::new(2).run_logged(&spec, 42);
-        // Rebuild the per-epoch decisions from the event stream.
-        let n_epochs = ClusterRunner::epoch_ends(&spec).len() - 1;
-        let mut epochs: Vec<Option<EpochDecision>> = vec![None; n_epochs];
-        for e in &events {
-            match e {
-                FleetEvent::Rebalance { epoch, failed, .. } => {
-                    epochs[*epoch]
-                        .get_or_insert_with(EpochDecision::default)
-                        .failed = *failed;
-                }
-                FleetEvent::Migration {
-                    epoch,
-                    fleet_id,
-                    vm,
-                    from,
-                    to,
-                    demand,
-                    dest_reserved_after,
-                    warm,
-                    guest_warm,
-                    ..
-                } => {
-                    epochs[*epoch]
-                        .get_or_insert_with(EpochDecision::default)
-                        .moves
-                        .push(Migration {
-                            fleet_id: *fleet_id,
-                            vm: *vm,
-                            from: *from,
-                            to: *to,
-                            demand: *demand,
-                            dest_reserved_after: *dest_reserved_after,
-                            warm: *warm,
-                            guest_warm: guest_warm.clone(),
-                        });
-                }
-                _ => {}
-            }
-        }
-        let plan = plan_fleet(&spec, 42);
-        let replay = ClusterRunner::new(2).run_pinned(&spec, 42, &plan, &PinnedMoves { epochs });
+        // Pin both the plan and the per-epoch decisions to the event
+        // stream, through the same extraction the journal uses.
+        let pinned = PinnedPlan::from_events(&spec, live.admission, &events);
+        let plan = plan_fleet_pinned(&spec, 42, &pinned);
+        let moves = PinnedMoves::from_events(&spec, &events, None);
+        let replay = ClusterRunner::new(2).run_pinned(&spec, 42, &plan, &moves);
         assert_eq!(live.summary_csv(), replay.summary_csv());
     }
 }

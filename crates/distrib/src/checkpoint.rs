@@ -9,8 +9,8 @@
 //! and byte-compares, so a corrupted or stale checkpoint is caught
 //! before a follower trusts it.
 
-use selftune_cluster::runner::plan_fleet_pinned;
-use selftune_cluster::{AggregateMetrics, ClusterRunner};
+use selftune_cluster::AggregateMetrics;
+use selftune_journal::codec::{self, Entry};
 use selftune_journal::record::Journal;
 use selftune_simcore::time::Time;
 
@@ -18,6 +18,52 @@ use crate::frame::fnv1a64;
 
 /// Version of the checkpoint text format this crate writes and reads.
 pub const CHECKPOINT_VERSION: u32 = 1;
+
+/// The `cursor` / `at` / `hash` header lines a Checkpoint frame and a
+/// checkpoint file both carry: where the checkpoint stands and what its
+/// interim summary hashes to.
+#[derive(Default)]
+pub(crate) struct Mark {
+    cursor: Option<usize>,
+    at: Option<Time>,
+    hash: Option<u64>,
+}
+
+impl Mark {
+    /// Appends the three header lines (`hash` is the interim summary's).
+    pub(crate) fn push(out: &mut String, cursor: usize, at: Time, hash: u64) {
+        out.push_str(&format!(
+            "cursor = {cursor}\nat = {}\nhash = {hash:016x}\n",
+            at.as_ns()
+        ));
+    }
+
+    /// Consumes `key = value` when it is one of the three lines; `false`
+    /// leaves it to the caller.
+    pub(crate) fn take(&mut self, key: &str, value: &str) -> Result<bool, String> {
+        match key {
+            "cursor" => self.cursor = Some(codec::parse_int(value, "cursor")?),
+            "at" => self.at = Some(codec::parse_at(value)?),
+            "hash" => {
+                self.hash = Some(
+                    u64::from_str_radix(value, 16)
+                        .map_err(|_| format!("bad hash (want hex): {value:?}"))?,
+                )
+            }
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
+
+    /// `(cursor, at, hash)`, or the first of them that never arrived.
+    pub(crate) fn finish(self) -> Result<(usize, Time, u64), String> {
+        Ok((
+            self.cursor.ok_or("missing required key `cursor`")?,
+            self.at.ok_or("missing required key `at`")?,
+            self.hash.ok_or("missing required key `hash`")?,
+        ))
+    }
+}
 
 /// A verified point on the replication stream: the follower's state at
 /// epoch boundary `cursor`, durable as text.
@@ -40,16 +86,11 @@ pub struct Checkpoint {
 impl Checkpoint {
     /// Serialises the checkpoint (journal prefix embedded verbatim).
     pub fn to_text(&self) -> String {
-        let mut out = String::new();
-        out.push_str("# selftune replication checkpoint\n");
-        out.push_str(&format!("version = {CHECKPOINT_VERSION}\n"));
-        out.push_str(&format!("cursor = {}\n", self.cursor));
-        out.push_str(&format!("at = {}\n", self.at.as_ns()));
-        out.push_str(&format!("hash = {:016x}\n", self.hash));
+        let mut out =
+            format!("# selftune replication checkpoint\nversion = {CHECKPOINT_VERSION}\n");
+        Mark::push(&mut out, self.cursor, self.at, self.hash);
         out.push_str(&format!("next_seq = {}\n", self.next_seq));
-        out.push_str("journal_begin\n");
-        out.push_str(&self.journal.to_text());
-        out.push_str("journal_end\n");
+        codec::push_block(&mut out, "journal", &self.journal.to_text());
         out
     }
 
@@ -60,89 +101,25 @@ impl Checkpoint {
     /// Names the first offence — missing headers, malformed values, an
     /// unterminated or invalid embedded journal — rather than defaulting.
     pub fn from_text(text: &str) -> Result<Checkpoint, String> {
-        let mut cursor: Option<usize> = None;
-        let mut at: Option<Time> = None;
-        let mut hash: Option<u64> = None;
-        let mut next_seq: Option<u64> = None;
-        let mut journal: Option<Journal> = None;
-        let mut version_seen = false;
-
-        let mut lines = text.lines();
-        while let Some(raw) = lines.next() {
-            let line = raw.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            if line == "journal_begin" {
-                let mut block = String::new();
-                let mut closed = false;
-                for inner in lines.by_ref() {
-                    if inner.trim() == "journal_end" {
-                        closed = true;
-                        break;
-                    }
-                    block.push_str(inner);
-                    block.push('\n');
+        let mut mark = Mark::default();
+        let (mut version, mut next_seq, mut journal) = (None, None, None);
+        for entry in codec::entries(text) {
+            match entry? {
+                Entry::Block("journal", body) => journal = Some(Journal::from_text(&body)?),
+                Entry::Pair(key, value, _) if mark.take(key, value)? => {}
+                Entry::Pair("version", v, _) => {
+                    version = Some(codec::parse_version(v, "checkpoint", CHECKPOINT_VERSION)?)
                 }
-                if !closed {
-                    return Err("unterminated journal block (missing `journal_end`)".into());
-                }
-                journal = Some(Journal::from_text(&block)?);
-                continue;
-            }
-            let (key, value) = line
-                .split_once('=')
-                .ok_or_else(|| format!("expected `key = value`, got {line:?}"))?;
-            let (key, value) = (key.trim(), value.trim());
-            match key {
-                "version" => {
-                    let v: u32 = value
-                        .parse()
-                        .map_err(|_| format!("bad checkpoint version: {value:?}"))?;
-                    if v != CHECKPOINT_VERSION {
-                        return Err(format!(
-                            "unsupported checkpoint version {v} (this build reads {CHECKPOINT_VERSION})"
-                        ));
-                    }
-                    version_seen = true;
-                }
-                "cursor" => {
-                    cursor = Some(
-                        value
-                            .parse()
-                            .map_err(|_| format!("bad cursor: {value:?}"))?,
-                    )
-                }
-                "at" => {
-                    at = Some(Time::from_ns(
-                        value
-                            .parse()
-                            .map_err(|_| format!("bad instant (ns): {value:?}"))?,
-                    ))
-                }
-                "hash" => {
-                    hash = Some(
-                        u64::from_str_radix(value, 16)
-                            .map_err(|_| format!("bad hash (want hex): {value:?}"))?,
-                    )
-                }
-                "next_seq" => {
-                    next_seq = Some(
-                        value
-                            .parse()
-                            .map_err(|_| format!("bad next_seq: {value:?}"))?,
-                    )
-                }
-                other => return Err(format!("unknown checkpoint key: {other:?}")),
+                Entry::Pair("next_seq", v, _) => next_seq = Some(codec::parse_int(v, "next_seq")?),
+                other => return Err(other.unexpected("checkpoint")),
             }
         }
-        if !version_seen {
-            return Err("missing required key `version`".into());
-        }
+        version.ok_or("missing required key `version`")?;
+        let (cursor, at, hash) = mark.finish()?;
         Ok(Checkpoint {
-            cursor: cursor.ok_or("missing required key `cursor`")?,
-            at: at.ok_or("missing required key `at`")?,
-            hash: hash.ok_or("missing required key `hash`")?,
+            cursor,
+            at,
+            hash,
             next_seq: next_seq.ok_or("missing required key `next_seq`")?,
             journal: journal.ok_or("missing journal block")?,
         })
@@ -154,46 +131,16 @@ impl Checkpoint {
     ///
     /// # Errors
     ///
-    /// Names the first differing summary line, or the hash mismatch.
+    /// Names the hash mismatch, a cursor past the scenario's epoch grid,
+    /// or the first differing summary line.
     pub fn verify(&self, threads: usize) -> Result<AggregateMetrics, String> {
-        let journal = &self.journal;
-        if fnv1a64(journal.summary.as_bytes()) != self.hash {
+        let hashed = fnv1a64(self.journal.summary.as_bytes());
+        if hashed != self.hash {
             return Err(format!(
-                "checkpoint hash mismatch: header {:016x}, embedded summary hashes to {:016x}",
-                self.hash,
-                fnv1a64(journal.summary.as_bytes())
+                "checkpoint hash mismatch: header {:016x}, embedded summary hashes to {hashed:016x}",
+                self.hash
             ));
         }
-        let plan = plan_fleet_pinned(&journal.scenario, journal.seed, &journal.pinned_plan());
-        let mirror = ClusterRunner::new(threads).run_pinned_prefix(
-            &journal.scenario,
-            journal.seed,
-            &plan,
-            &journal.pinned_moves(None),
-            self.cursor,
-        );
-        let ours = mirror.summary_csv();
-        if ours == journal.summary {
-            return Ok(mirror);
-        }
-        let diverged = journal
-            .summary
-            .lines()
-            .zip(ours.lines())
-            .enumerate()
-            .find(|(_, (a, b))| a != b);
-        Err(match diverged {
-            Some((i, (rec, rep))) => format!(
-                "checkpoint {} diverged at summary line {}: stored {rec:?}, mirrored {rep:?}",
-                self.cursor,
-                i + 1
-            ),
-            None => format!(
-                "checkpoint {} diverged in summary length: stored {} lines, mirrored {}",
-                self.cursor,
-                journal.summary.lines().count(),
-                ours.lines().count()
-            ),
-        })
+        self.journal.verify(threads, Some(self.cursor))
     }
 }

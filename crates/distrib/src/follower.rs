@@ -19,16 +19,14 @@
 
 use std::fmt;
 
-use selftune_cluster::runner::plan_fleet_pinned;
-use selftune_cluster::{AdmissionStats, AggregateMetrics, ClusterRunner, ScenarioSpec};
-use selftune_journal::codec::record_from_line;
-use selftune_journal::record::{sort_records, DecisionRecord, Journal};
-use selftune_journal::replay::Replayer;
+use selftune_cluster::{sort_events, AdmissionStats, AggregateMetrics, FleetEvent, ScenarioSpec};
+use selftune_journal::codec::{self, Entry, IdBounds};
+use selftune_journal::record::Journal;
 use selftune_simcore::metrics::{LazyKey, Metrics};
 use selftune_simcore::time::Time;
 
-use crate::checkpoint::Checkpoint;
-use crate::frame::{fnv1a64, Frame, FrameError, FrameKind};
+use crate::checkpoint::{Checkpoint, Mark};
+use crate::frame::{Frame, FrameError, FrameKind};
 use crate::ship::ShipperProgress;
 use crate::WIRE_VERSION;
 
@@ -146,9 +144,8 @@ pub struct Follower {
     scenario: Option<ScenarioSpec>,
     seed: u64,
     leader_threads: usize,
-    checkpoint_every: Option<usize>,
     admission: Option<AdmissionStats>,
-    records: Vec<DecisionRecord>,
+    records: Vec<FleetEvent>,
     next_epoch: usize,
     last_checkpoint: Option<Checkpoint>,
     finale: Option<AggregateMetrics>,
@@ -172,7 +169,6 @@ impl Follower {
             scenario: None,
             seed: 0,
             leader_threads: 0,
-            checkpoint_every: None,
             admission: None,
             records: Vec::new(),
             next_epoch: 0,
@@ -313,17 +309,18 @@ impl Follower {
     /// If promotion is attempted before the Hello and Plan frames have
     /// been applied (the follower has nothing to continue from).
     pub fn promote(&self) -> Result<AggregateMetrics, String> {
-        let spec = self
-            .scenario
-            .as_ref()
-            .ok_or("cannot promote: no Hello frame applied (scenario unknown)")?;
+        if self.scenario.is_none() {
+            return Err("cannot promote: no Hello frame applied (scenario unknown)".into());
+        }
         if self.admission.is_none() {
             return Err("cannot promote: no Plan frame applied (placements unknown)".into());
         }
-        let journal = self.replica_journal(String::new());
-        let plan = plan_fleet_pinned(spec, self.seed, &journal.pinned_plan());
-        let moves = journal.pinned_moves(Some(self.next_epoch));
-        Ok(ClusterRunner::new(self.threads).run_pinned(spec, self.seed, &plan, &moves))
+        self.replica_journal(String::new()).reexecute(
+            self.threads,
+            None,
+            Some(self.next_epoch),
+            None,
+        )
     }
 
     /// The replica's journal: scenario, seed, admission statistics and
@@ -348,7 +345,7 @@ impl Follower {
     /// summary there; promotion does not need one).
     fn replica_journal(&self, summary: String) -> Journal {
         let mut records = self.records.clone();
-        sort_records(&mut records);
+        sort_events(&mut records);
         Journal {
             scenario: self.scenario.clone().expect("scenario known"),
             seed: self.seed,
@@ -365,189 +362,137 @@ impl Follower {
     }
 
     fn apply(&mut self, frame: &Frame) -> Result<Applied, StreamError> {
-        match frame.kind {
+        // The protocol state machine: one Hello, then one Plan, then the rest.
+        let kind = frame.kind;
+        let (attached, planned) = (self.scenario.is_some(), self.admission.is_some());
+        let fault = match kind {
+            FrameKind::Hello if attached => Some("second Hello on an attached stream".to_owned()),
+            FrameKind::Plan if !attached => Some("Plan before Hello".to_owned()),
+            FrameKind::Plan if planned => Some("second Plan on an attached stream".to_owned()),
+            FrameKind::Hello | FrameKind::Plan => None,
+            _ if !planned => Some(format!("{kind:?} before Plan")),
+            _ => None,
+        };
+        if let Some(fault) = fault {
+            return Err(self.protocol(fault));
+        }
+        let applied = match kind {
             FrameKind::Hello => self.apply_hello(&frame.payload),
             FrameKind::Plan => self.apply_plan(&frame.payload),
             FrameKind::Records => self.apply_records(&frame.payload),
-            FrameKind::Checkpoint => self.apply_checkpoint(frame),
-            FrameKind::Finish => self.apply_finish(&frame.payload),
-        }
+            FrameKind::Checkpoint => return self.apply_checkpoint(frame),
+            FrameKind::Finish => return self.apply_finish(&frame.payload),
+        };
+        applied.map_err(|e| self.protocol(format!("{kind:?}: {e}")))
     }
 
-    fn apply_hello(&mut self, payload: &str) -> Result<Applied, StreamError> {
-        if self.scenario.is_some() {
-            return Err(self.protocol("second Hello on an attached stream".into()));
-        }
-        let mut seed = None;
-        let mut threads = None;
-        let mut every = None;
-        let mut scenario = None;
-        let mut version_ok = false;
-        let mut lines = payload.lines();
-        while let Some(raw) = lines.next() {
-            let line = raw.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            if line == "scenario_begin" {
-                let mut block = String::new();
-                let mut closed = false;
-                for inner in lines.by_ref() {
-                    if inner.trim() == "scenario_end" {
-                        closed = true;
-                        break;
+    fn apply_hello(&mut self, payload: &str) -> Result<Applied, String> {
+        let (mut version, mut seed, mut threads, mut scenario) = (None, None, None, None);
+        let mut cadence = false;
+        for entry in codec::entries(payload) {
+            match entry? {
+                Entry::Block("scenario", body) => {
+                    let spec = ScenarioSpec::from_text(&body);
+                    scenario = Some(spec.map_err(|e| format!("bad scenario: {e}"))?);
+                }
+                Entry::Pair("version", v, _) => {
+                    version = Some(codec::parse_version(v, "wire", WIRE_VERSION)?)
+                }
+                Entry::Pair("seed", v, _) => seed = Some(codec::parse_int(v, "seed")?),
+                Entry::Pair("threads", v, _) => threads = Some(codec::parse_int(v, "threads")?),
+                // The cadence is the leader's business; the header must
+                // still carry a well-formed one.
+                Entry::Pair("checkpoint_every", v, _) => {
+                    if v != "-" {
+                        codec::parse_int::<usize>(v, "checkpoint_every")?;
                     }
-                    block.push_str(inner);
-                    block.push('\n');
+                    cadence = true;
                 }
-                if !closed {
-                    return Err(self.protocol("Hello: unterminated scenario block".into()));
-                }
-                match ScenarioSpec::from_text(&block) {
-                    Ok(s) => scenario = Some(s),
-                    Err(e) => return Err(self.protocol(format!("Hello: bad scenario: {e}"))),
-                }
-                continue;
-            }
-            let Some((key, value)) = line.split_once('=') else {
-                return Err(self.protocol(format!("Hello: expected `key = value`, got {line:?}")));
-            };
-            let (key, value) = (key.trim(), value.trim());
-            match key {
-                "version" => match value.parse::<u32>() {
-                    Ok(v) if v == WIRE_VERSION => version_ok = true,
-                    Ok(v) => {
-                        return Err(self.protocol(format!(
-                            "Hello: wire version {v} unsupported (this build speaks {WIRE_VERSION})"
-                        )))
-                    }
-                    Err(_) => return Err(self.protocol(format!("Hello: bad version: {value:?}"))),
-                },
-                "seed" => match value.parse() {
-                    Ok(v) => seed = Some(v),
-                    Err(_) => return Err(self.protocol(format!("Hello: bad seed: {value:?}"))),
-                },
-                "threads" => match value.parse() {
-                    Ok(v) => threads = Some(v),
-                    Err(_) => return Err(self.protocol(format!("Hello: bad threads: {value:?}"))),
-                },
-                "checkpoint_every" => {
-                    every = if value == "-" {
-                        Some(None)
-                    } else {
-                        match value.parse() {
-                            Ok(v) => Some(Some(v)),
-                            Err(_) => {
-                                return Err(self
-                                    .protocol(format!("Hello: bad checkpoint_every: {value:?}")))
-                            }
-                        }
-                    }
-                }
-                other => return Err(self.protocol(format!("Hello: unknown key {other:?}"))),
+                other => return Err(other.unexpected("Hello")),
             }
         }
-        if !version_ok {
-            return Err(self.protocol("Hello: missing version".into()));
-        }
-        let (Some(seed), Some(threads), Some(every), Some(scenario)) =
-            (seed, threads, every, scenario)
+        version.ok_or("missing version")?;
+        let (Some(seed), Some(threads), true, Some(scenario)) = (seed, threads, cadence, scenario)
         else {
-            return Err(
-                self.protocol("Hello: missing seed/threads/checkpoint_every/scenario".into())
-            );
+            return Err("missing seed/threads/checkpoint_every/scenario".into());
         };
         self.seed = seed;
         self.leader_threads = threads;
-        self.checkpoint_every = every;
         self.scenario = Some(scenario);
         Ok(Applied::Hello)
     }
 
-    fn apply_plan(&mut self, payload: &str) -> Result<Applied, StreamError> {
-        if self.scenario.is_none() {
-            return Err(self.protocol("Plan before Hello".into()));
-        }
-        if self.admission.is_some() {
-            return Err(self.protocol("second Plan on an attached stream".into()));
-        }
-        let mut admission = None;
-        let mut records = Vec::new();
-        for raw in payload.lines() {
-            let line = raw.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            if let Some(value) = line.strip_prefix("admission =") {
-                match parse_admission(value.trim()) {
-                    Ok(a) => admission = Some(a),
-                    Err(e) => return Err(self.protocol(format!("Plan: {e}"))),
-                }
-                continue;
-            }
-            match record_from_line(line) {
-                Ok(r) => records.push(r),
-                Err(e) => return Err(self.protocol(format!("Plan: {e}"))),
-            }
-        }
-        let Some(admission) = admission else {
-            return Err(self.protocol("Plan: missing admission line".into()));
-        };
-        let n = records.len();
-        self.admission = Some(admission);
-        self.stats.records += n as u64;
-        self.records.extend(records);
-        Ok(Applied::Plan { records: n })
+    /// The id ranges a record of the attached stream may name.
+    fn id_bounds(&self) -> IdBounds {
+        IdBounds::of(self.scenario.as_ref().expect("scenario known"))
     }
 
-    fn apply_records(&mut self, payload: &str) -> Result<Applied, StreamError> {
-        if self.admission.is_none() {
-            return Err(self.protocol("Records before Plan".into()));
+    fn apply_plan(&mut self, payload: &str) -> Result<Applied, String> {
+        let ids = self.id_bounds();
+        let mut admission = None;
+        let mut records = Vec::new();
+        for entry in codec::entries(payload) {
+            match entry? {
+                Entry::Pair("admission", v, _) => admission = Some(codec::parse_admission(v)?),
+                Entry::Pair(_, _, line) => records.push(codec::record_from_line(line, &ids)?),
+                other => return Err(other.unexpected("Plan")),
+            }
         }
-        let mut lines = payload.lines();
-        let epoch = match lines.next().and_then(|l| l.strip_prefix("epoch =")) {
-            Some(v) => match v.trim().parse::<usize>() {
-                Ok(e) => e,
-                Err(_) => return Err(self.protocol(format!("Records: bad epoch: {v:?}"))),
-            },
-            None => return Err(self.protocol("Records: missing epoch header".into())),
+        self.admission = Some(admission.ok_or("missing admission line")?);
+        Ok(Applied::Plan {
+            records: self.adopt(records),
+        })
+    }
+
+    fn apply_records(&mut self, payload: &str) -> Result<Applied, String> {
+        let ids = self.id_bounds();
+        let mut entries = codec::entries(payload);
+        let epoch: usize = match entries.next().transpose()? {
+            Some(Entry::Pair("epoch", v, _)) => codec::parse_int(v, "epoch")?,
+            _ => return Err("missing epoch header".into()),
         };
-        if lines.next().and_then(|l| l.strip_prefix("at =")).is_none() {
-            return Err(self.protocol("Records: missing at header".into()));
+        if !matches!(entries.next().transpose()?, Some(Entry::Pair("at", ..))) {
+            return Err("missing at header".into());
         }
         if epoch != self.next_epoch {
-            return Err(self.protocol(format!(
-                "Records: epoch {epoch} arrived while the replica expects epoch {}",
+            return Err(format!(
+                "epoch {epoch} arrived while the replica expects epoch {}",
                 self.next_epoch
-            )));
+            ));
+        }
+        // The horizon boundary carries the last batch; nothing lies past it.
+        if epoch >= ids.boundaries() {
+            return Err(format!(
+                "epoch {epoch} is past the scenario's epoch grid ({} boundaries)",
+                ids.boundaries()
+            ));
         }
         let mut records = Vec::new();
-        for raw in lines {
-            let line = raw.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            match record_from_line(line) {
-                Ok(r) => records.push(r),
-                Err(e) => return Err(self.protocol(format!("Records: {e}"))),
+        for entry in entries {
+            match entry? {
+                Entry::Pair(_, _, line) => records.push(codec::record_from_line(line, &ids)?),
+                other => return Err(other.unexpected("Records")),
             }
         }
-        let n = records.len();
-        self.records.extend(records);
         self.next_epoch += 1;
         self.stats.epochs += 1;
+        Ok(Applied::Epoch {
+            epoch,
+            records: self.adopt(records),
+        })
+    }
+
+    /// Appends one frame's decoded records to the replica.
+    fn adopt(&mut self, records: Vec<FleetEvent>) -> usize {
+        let n = records.len();
         self.stats.records += n as u64;
-        Ok(Applied::Epoch { epoch, records: n })
+        self.records.extend(records);
+        n
     }
 
     fn apply_checkpoint(&mut self, frame: &Frame) -> Result<Applied, StreamError> {
-        if self.admission.is_none() {
-            return Err(self.protocol("Checkpoint before Plan".into()));
-        }
-        let (cursor, at, hash, summary) = match parse_checkpoint_payload(&frame.payload) {
-            Ok(parts) => parts,
-            Err(e) => return Err(self.protocol(format!("Checkpoint: {e}"))),
-        };
+        let (cursor, at, hash, summary) = parse_checkpoint_payload(&frame.payload)
+            .map_err(|e| self.protocol(format!("Checkpoint: {e}")))?;
         if cursor != self.next_epoch {
             return Err(self.protocol(format!(
                 "Checkpoint: cursor {cursor} arrived while the replica stands at epoch {}",
@@ -556,57 +501,26 @@ impl Follower {
         }
         // Mirror: re-execute the prefix on our own thread count and
         // demand byte identity with the leader's interim summary.
-        let journal = self.replica_journal(summary.clone());
-        let plan = plan_fleet_pinned(&journal.scenario, journal.seed, &journal.pinned_plan());
-        let mirror = ClusterRunner::new(self.threads).run_pinned_prefix(
-            &journal.scenario,
-            journal.seed,
-            &plan,
-            &journal.pinned_moves(None),
-            cursor,
-        );
-        let ours = mirror.summary_csv();
-        if fnv1a64(ours.as_bytes()) != hash || ours != summary {
-            self.stats.divergences += 1;
-            let msg = match summary
-                .lines()
-                .zip(ours.lines())
-                .enumerate()
-                .find(|(_, (a, b))| a != b)
-            {
-                Some((i, (leader, follower))) => format!(
-                    "checkpoint {cursor} at summary line {}: leader {leader:?}, follower {follower:?}",
-                    i + 1
-                ),
-                None => format!(
-                    "checkpoint {cursor}: summary length differs (leader {} lines, follower {})",
-                    summary.lines().count(),
-                    ours.lines().count()
-                ),
-            };
-            return Err(StreamError::Divergence(msg));
-        }
-        self.last_checkpoint = Some(Checkpoint {
+        let ckpt = Checkpoint {
             cursor,
             at,
             hash,
             next_seq: frame.seq + 1,
-            journal,
-        });
+            journal: self.replica_journal(summary),
+        };
+        if let Err(e) = ckpt.verify(self.threads) {
+            self.stats.divergences += 1;
+            return Err(StreamError::Divergence(e));
+        }
+        self.last_checkpoint = Some(ckpt);
         self.stats.checkpoints += 1;
         Ok(Applied::Checkpoint { cursor })
     }
 
     fn apply_finish(&mut self, payload: &str) -> Result<Applied, StreamError> {
-        if self.admission.is_none() {
-            return Err(self.protocol("Finish before Plan".into()));
-        }
-        let summary = match parse_summary_block(payload) {
-            Ok(s) => s,
-            Err(e) => return Err(self.protocol(format!("Finish: {e}"))),
-        };
-        let journal = self.replica_journal(summary);
-        match Replayer::new(self.threads).verify(&journal) {
+        let summary =
+            parse_summary_block(payload).map_err(|e| self.protocol(format!("Finish: {e}")))?;
+        match self.replica_journal(summary).verify(self.threads, None) {
             Ok(metrics) => {
                 self.finale = Some(metrics);
                 Ok(Applied::Finish)
@@ -619,81 +533,30 @@ impl Follower {
     }
 }
 
-fn parse_admission(value: &str) -> Result<AdmissionStats, String> {
-    let parts: Vec<&str> = value.split_whitespace().collect();
-    let [adm, rej, be, mig, vadm, vrej] = parts.as_slice() else {
-        return Err(format!("admission needs 6 fields: {value:?}"));
-    };
-    let field = |s: &str, what: &str| -> Result<u64, String> {
-        s.parse().map_err(|_| format!("bad {what}: {s:?}"))
-    };
-    Ok(AdmissionStats {
-        admitted: field(adm, "admitted")?,
-        rejected: field(rej, "rejected")?,
-        best_effort: field(be, "best_effort")?,
-        migrations: field(mig, "migrations")?,
-        vms_admitted: field(vadm, "vms_admitted")?,
-        vms_rejected: field(vrej, "vms_rejected")?,
-    })
-}
-
+/// The Finish payload: one summary block and nothing else.
 fn parse_summary_block(payload: &str) -> Result<String, String> {
-    let mut lines = payload.lines();
-    for raw in lines.by_ref() {
-        if raw.trim() == "summary_begin" {
-            let mut block = String::new();
-            for inner in lines.by_ref() {
-                if inner.trim() == "summary_end" {
-                    return Ok(block);
-                }
-                block.push_str(inner);
-                block.push('\n');
-            }
-            return Err("unterminated summary block".into());
+    let mut summary = None;
+    for entry in codec::entries(payload) {
+        match entry? {
+            Entry::Block("summary", body) => summary = Some(body),
+            other => return Err(other.unexpected("Finish")),
         }
     }
-    Err("missing summary block".into())
+    summary.ok_or_else(|| "missing summary block".into())
 }
 
+/// The Checkpoint payload: the `cursor`/`at`/`hash` mark, then the
+/// leader's interim summary block.
 fn parse_checkpoint_payload(payload: &str) -> Result<(usize, Time, u64, String), String> {
-    let mut cursor = None;
-    let mut at = None;
-    let mut hash = None;
-    for raw in payload.lines() {
-        let line = raw.trim();
-        if line == "summary_begin" {
-            break;
-        }
-        let Some((key, value)) = line.split_once('=') else {
-            return Err(format!("expected `key = value`, got {line:?}"));
-        };
-        let (key, value) = (key.trim(), value.trim());
-        match key {
-            "cursor" => {
-                cursor = Some(
-                    value
-                        .parse()
-                        .map_err(|_| format!("bad cursor: {value:?}"))?,
-                )
-            }
-            "at" => {
-                at = Some(Time::from_ns(
-                    value.parse().map_err(|_| format!("bad at: {value:?}"))?,
-                ))
-            }
-            "hash" => {
-                hash = Some(
-                    u64::from_str_radix(value, 16).map_err(|_| format!("bad hash: {value:?}"))?,
-                )
-            }
-            other => return Err(format!("unknown checkpoint key {other:?}")),
+    let mut mark = Mark::default();
+    let mut summary = None;
+    for entry in codec::entries(payload) {
+        match entry? {
+            Entry::Block("summary", body) => summary = Some(body),
+            Entry::Pair(key, value, _) if mark.take(key, value)? => {}
+            other => return Err(other.unexpected("checkpoint")),
         }
     }
-    let summary = parse_summary_block(payload)?;
-    Ok((
-        cursor.ok_or("missing cursor")?,
-        at.ok_or("missing at")?,
-        hash.ok_or("missing hash")?,
-        summary,
-    ))
+    let (cursor, at, hash) = mark.finish()?;
+    Ok((cursor, at, hash, summary.ok_or("missing summary block")?))
 }

@@ -19,11 +19,17 @@
 //!        └─ retained frames ──► frames_from(seq)  (retransmission)
 //!
 //!   follower at Checkpoint(cursor):
-//!     run_pinned_prefix(records so far, cursor) ══ leader interim bytes
+//!     Journal::verify(records so far, to cursor) ══ leader interim bytes
 //!   follower at leader death:
-//!     promote() = received epochs pinned + live beyond
+//!     promote() = Journal::reexecute(received epochs pinned, live beyond)
 //!               ══ the uninterrupted run, byte for byte
 //! ```
+//!
+//! The stream is the journal, chunked: every payload and checkpoint
+//! file is written and parsed by `selftune_journal::codec`, and every
+//! mirror, late-join check, end-of-stream check and promotion is
+//! `Journal::verify` / `Journal::reexecute`. This crate adds framing,
+//! sequencing and the protocol state machine — no second codec or replay.
 //!
 //! * [`frame`] — the wire format: length-prefixed, CRC-checked chunks
 //!   with journal-codec text payloads; truncation and corruption are
@@ -319,5 +325,101 @@ mod tests {
             leader.summary_csv(),
             "late joiner diverged from the leader"
         );
+    }
+
+    #[test]
+    fn follower_journal_is_the_recorded_journal_byte_for_byte() {
+        // Wire and disk are one codec: what the follower decoded off the
+        // frames re-encodes to exactly the file `Journal::record` writes.
+        let spec = composed_spec();
+        let (_, _, chunks) = ship_run(&spec, 42, 2, Some(2));
+        let mut follower = Follower::new(1);
+        for chunk in &chunks {
+            follower.feed(chunk).expect("clean stream");
+        }
+        let (_, recorded) = selftune_journal::Journal::record(2, &spec, 42);
+        let replica = follower.journal().expect("finished replica");
+        assert_eq!(replica.to_text(), recorded.to_text());
+    }
+
+    #[test]
+    fn out_of_grid_checkpoint_cursor_is_a_named_error() {
+        let spec = composed_spec();
+        let (_, _, chunks) = ship_run(&spec, 42, 2, Some(2));
+        let mut follower = Follower::new(2);
+        for chunk in &chunks {
+            follower.feed(chunk).expect("clean stream");
+        }
+        let good = follower.last_checkpoint().expect("stored").to_text();
+        let cursor_line = good
+            .lines()
+            .find(|l| l.starts_with("cursor = "))
+            .expect("cursor header");
+        let bad = good.replacen(cursor_line, "cursor = 9999", 1);
+        // Well-formed, so it loads — and then must be refused, not run.
+        let ckpt = crate::checkpoint::Checkpoint::from_text(&bad).expect("parses");
+        for threads in [1usize, 2] {
+            let err = ckpt.verify(threads).expect_err("cursor past the grid");
+            assert!(err.contains("epoch grid"), "unnamed error: {err}");
+            assert!(Follower::from_checkpoint(&ckpt, threads).is_err());
+        }
+    }
+
+    #[test]
+    fn frames_past_the_grid_or_naming_unknown_ids_are_protocol_errors() {
+        let spec = composed_spec();
+        let (_, _, chunks) = ship_run(&spec, 42, 2, None);
+        let boundaries = ClusterRunner::epoch_ends(&spec).len();
+        let (finish, stream) = chunks.split_last().expect("non-empty stream");
+        let finish_seq = Frame::decode(finish).expect("clean chunk").seq;
+
+        // Every boundary's batch applied; one more Records frame has no
+        // epoch left to belong to.
+        let mut follower = Follower::new(1);
+        for chunk in stream {
+            follower.feed(chunk).expect("clean stream");
+        }
+        assert_eq!(follower.epochs_applied(), boundaries);
+        let extra = Frame {
+            seq: finish_seq,
+            kind: FrameKind::Records,
+            payload: format!("epoch = {boundaries}\nat = 0\n"),
+        };
+        match follower.feed(&extra.encode()) {
+            Err(StreamError::Protocol(msg)) => assert!(msg.contains("epoch grid"), "{msg}"),
+            other => panic!("expected a protocol error, got {other:?}"),
+        }
+        // The refusal left the replica intact: the real Finish verifies.
+        assert_eq!(follower.feed(finish), Ok(Applied::Finish));
+
+        // A record naming a node the scenario does not have never reaches
+        // the replica (and so never reaches the runner).
+        let mut follower = Follower::new(1);
+        let mut refused = false;
+        for chunk in stream {
+            let frame = Frame::decode(chunk).expect("clean chunk");
+            if !refused && frame.payload.contains(" from=") {
+                let at = frame.payload.find(" from=").expect("checked") + " from=".len();
+                let digits = frame.payload[at..]
+                    .bytes()
+                    .take_while(u8::is_ascii_digit)
+                    .count();
+                let mut payload = frame.payload.clone();
+                payload.replace_range(at..at + digits, "99");
+                let bad = Frame { payload, ..frame }.encode();
+                match follower.feed(&bad) {
+                    Err(StreamError::Protocol(msg)) => {
+                        assert!(
+                            msg.contains("out of range") && msg.contains("from=99"),
+                            "{msg}"
+                        )
+                    }
+                    other => panic!("expected a protocol error, got {other:?}"),
+                }
+                refused = true;
+            }
+            follower.feed(chunk).expect("clean retransmission applies");
+        }
+        assert!(refused, "composed run should migrate at least once");
     }
 }

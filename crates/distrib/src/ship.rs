@@ -6,10 +6,11 @@
 //! epoch barrier with that epoch's decision batch (already in canonical
 //! order within the batch), at every checkpoint boundary with the
 //! interim aggregates, and once at the end with the finale. Each
-//! callback becomes exactly one frame, so the wire stream *is* the
-//! journal, chunked: a follower that concatenates the record payloads
-//! and re-sorts holds the same bytes `Journal::record` would have
-//! written.
+//! callback becomes exactly one frame whose payload
+//! `selftune_journal::codec` writes straight from the borrowed events,
+//! so the wire stream *is* the journal, chunked: a follower that
+//! concatenates the record payloads and re-sorts holds the same bytes
+//! `Journal::record` would have written.
 //!
 //! Sent frames are retained in order. After a follower reconnects from
 //! a checkpoint it asks for [`Shipper::frames_from`] and replays the
@@ -17,10 +18,10 @@
 
 use selftune_cluster::events::JournalSink;
 use selftune_cluster::{AdmissionStats, AggregateMetrics, FleetEvent, ScenarioSpec};
-use selftune_journal::codec::record_line;
-use selftune_journal::record::DecisionRecord;
+use selftune_journal::codec;
 use selftune_simcore::time::Time;
 
+use crate::checkpoint::Mark;
 use crate::frame::{fnv1a64, Frame, FrameKind};
 use crate::transport::Transport;
 use crate::WIRE_VERSION;
@@ -61,20 +62,14 @@ impl<T: Transport> Shipper<T> {
         threads: usize,
         checkpoint_every: Option<usize>,
     ) -> Shipper<T> {
-        let mut hello = String::new();
-        hello.push_str(&format!("version = {WIRE_VERSION}\n"));
-        hello.push_str(&format!("seed = {seed}\n"));
-        hello.push_str(&format!("threads = {threads}\n"));
-        hello.push_str(&format!(
-            "checkpoint_every = {}\n",
+        let mut hello = format!(
+            "version = {WIRE_VERSION}\nseed = {seed}\nthreads = {threads}\ncheckpoint_every = {}\n",
             match checkpoint_every {
                 Some(n) => n.to_string(),
                 None => "-".to_owned(),
             }
-        ));
-        hello.push_str("scenario_begin\n");
-        hello.push_str(&spec.to_text());
-        hello.push_str("scenario_end\n");
+        );
+        codec::push_block(&mut hello, "scenario", &spec.to_text());
         let mut shipper = Shipper {
             transport,
             checkpoint_every,
@@ -112,15 +107,6 @@ impl<T: Transport> Shipper<T> {
         self.transport.send(chunk);
         self.progress.frames += 1;
     }
-
-    fn record_lines(events: &[FleetEvent]) -> String {
-        let mut out = String::new();
-        for e in events {
-            out.push_str(&record_line(&DecisionRecord::from(e.clone())));
-            out.push('\n');
-        }
-        out
-    }
 }
 
 impl<T: Transport> JournalSink for Shipper<T> {
@@ -129,52 +115,33 @@ impl<T: Transport> JournalSink for Shipper<T> {
     }
 
     fn on_plan(&mut self, admission: &AdmissionStats, events: &[FleetEvent]) {
-        let mut payload = format!(
-            "admission = {} {} {} {} {} {}\n",
-            admission.admitted,
-            admission.rejected,
-            admission.best_effort,
-            admission.migrations,
-            admission.vms_admitted,
-            admission.vms_rejected,
-        );
-        payload.push_str(&Self::record_lines(events));
+        let mut payload = String::new();
+        codec::push_admission(&mut payload, admission);
+        codec::push_records(&mut payload, events);
         self.progress.records += events.len() as u64;
         self.ship(FrameKind::Plan, payload);
     }
 
     fn on_checkpoint(&mut self, cursor: usize, at: Time, interim: &AggregateMetrics) {
         let summary = interim.summary_csv();
-        let mut payload = format!("cursor = {cursor}\n");
-        payload.push_str(&format!("at = {}\n", at.as_ns()));
-        payload.push_str(&format!("hash = {:016x}\n", fnv1a64(summary.as_bytes())));
-        payload.push_str("summary_begin\n");
-        payload.push_str(&summary);
-        if !summary.ends_with('\n') {
-            payload.push('\n');
-        }
-        payload.push_str("summary_end\n");
+        let mut payload = String::new();
+        Mark::push(&mut payload, cursor, at, fnv1a64(summary.as_bytes()));
+        codec::push_block(&mut payload, "summary", &summary);
         self.progress.checkpoints += 1;
         self.ship(FrameKind::Checkpoint, payload);
     }
 
     fn on_epoch(&mut self, epoch: usize, at: Time, events: &[FleetEvent]) {
-        let mut payload = format!("epoch = {epoch}\n");
-        payload.push_str(&format!("at = {}\n", at.as_ns()));
-        payload.push_str(&Self::record_lines(events));
+        let mut payload = format!("epoch = {epoch}\nat = {}\n", at.as_ns());
+        codec::push_records(&mut payload, events);
         self.progress.records += events.len() as u64;
         self.progress.epochs += 1;
         self.ship(FrameKind::Records, payload);
     }
 
     fn on_finish(&mut self, finale: &AggregateMetrics) {
-        let summary = finale.summary_csv();
-        let mut payload = String::from("summary_begin\n");
-        payload.push_str(&summary);
-        if !summary.ends_with('\n') {
-            payload.push('\n');
-        }
-        payload.push_str("summary_end\n");
+        let mut payload = String::new();
+        codec::push_block(&mut payload, "summary", &finale.summary_csv());
         self.progress.finished = true;
         self.ship(FrameKind::Finish, payload);
     }

@@ -1,0 +1,143 @@
+//! Load-then-verify never panics.
+//!
+//! The journal files and checkpoint files are the program's outside
+//! input: whatever one field of one line says, or wherever the file
+//! stops, loading and re-executing it must come back `Ok` or a named
+//! `Err` — never a panic, which between two barrier waits would strand
+//! the runner's sibling workers.
+//!
+//! The corpus is the three checked-in fixtures plus a checkpoint recorded
+//! off a composed stream. A case replaces one integer field of one header
+//! or record line with an arbitrary `u64` (the embedded scenario and
+//! summary blocks are left alone: the scenario loader has its own error
+//! tests, and a summary edit is just a divergence), or truncates the text
+//! at an arbitrary line.
+
+use std::ops::Range;
+use std::sync::OnceLock;
+
+use proptest::prelude::*;
+use selftune_cluster::prelude::*;
+use selftune_distrib::prelude::*;
+use selftune_journal::prelude::*;
+
+fn fixture(name: &str) -> String {
+    let path = format!("{}/../../examples/{name}", env!("CARGO_MANIFEST_DIR"));
+    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("fixture {path}: {e}"))
+}
+
+/// A checkpoint file recorded off the composed diurnal stream.
+fn recorded_checkpoint() -> String {
+    let mut spec = ScenarioSpec::diurnal_demo(3, 6)
+        .with_rebalance(ScenarioSpec::diurnal_rebalance())
+        .with_node_share(ScenarioSpec::diurnal_node_share());
+    for vm in &mut spec.vms {
+        vm.elastic = true;
+    }
+    let (tx, mut rx) = ChannelTransport::pair();
+    let mut shipper = Shipper::new(tx, &spec, 42, 2, Some(2));
+    ClusterRunner::new(2).run_logged_with(&spec, 42, &mut shipper);
+    let mut follower = Follower::new(2);
+    while let Some(chunk) = rx.recv() {
+        follower.feed(&chunk).expect("clean stream");
+    }
+    follower.last_checkpoint().expect("checkpointed").to_text()
+}
+
+/// `(is a checkpoint, text)` for every file under mutation.
+fn corpus() -> &'static [(bool, String)] {
+    static CORPUS: OnceLock<Vec<(bool, String)>> = OnceLock::new();
+    CORPUS.get_or_init(|| {
+        vec![
+            (false, fixture("diurnal.journal")),
+            (false, fixture("megafleet.journal")),
+            (false, fixture("milliontask.journal")),
+            (true, recorded_checkpoint()),
+        ]
+    })
+}
+
+/// Byte ranges of the whole-integer fields of one line: `key = 7`,
+/// `admission = 1 2 3`, `… epoch=3 from=2 …`.
+fn int_fields(line: &str) -> Vec<Range<usize>> {
+    let mut fields = Vec::new();
+    let mut pos = 0;
+    for tok in line.split(' ') {
+        let start = pos + tok.rfind('=').map_or(0, |i| i + 1);
+        let end = pos + tok.len();
+        if start < end && line[start..end].bytes().all(|b| b.is_ascii_digit()) {
+            fields.push(start..end);
+        }
+        pos = end + 1;
+    }
+    fields
+}
+
+/// `text` with the `field_pick`-th integer field of its `line_pick`-th
+/// header/record line replaced by `value`.
+fn mutate_field(text: &str, line_pick: usize, field_pick: usize, value: u64) -> String {
+    let mut lines: Vec<String> = text.lines().map(str::to_owned).collect();
+    let mut block = false;
+    let candidates: Vec<usize> = (0..lines.len())
+        .filter(|&i| {
+            let line = lines[i].trim();
+            if matches!(line, "scenario_begin" | "summary_begin") {
+                block = true;
+            } else if matches!(line, "scenario_end" | "summary_end") {
+                block = false;
+            }
+            !block && !int_fields(&lines[i]).is_empty()
+        })
+        .collect();
+    let target = candidates[line_pick % candidates.len()];
+    let fields = int_fields(&lines[target]);
+    let field = fields[field_pick % fields.len()].clone();
+    lines[target].replace_range(field, &value.to_string());
+    lines.iter().map(|l| format!("{l}\n")).collect()
+}
+
+fn truncate_at(text: &str, line_pick: usize) -> String {
+    let lines: Vec<&str> = text.lines().collect();
+    let keep = line_pick % lines.len();
+    lines[..keep].iter().map(|l| format!("{l}\n")).collect()
+}
+
+fn load_then_verify(checkpoint: bool, text: &str, threads: usize) -> Result<(), String> {
+    if checkpoint {
+        let ckpt = Checkpoint::from_text(text)?;
+        Follower::from_checkpoint(&ckpt, threads).map(|_| ())
+    } else {
+        let journal = Journal::from_text(text)?;
+        Replayer::new(threads).verify(&journal).map(|_| ())
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(40))]
+
+    #[test]
+    fn load_then_verify_never_panics(
+        which in 0usize..4,
+        line_pick in 0usize..1_000_000,
+        field_pick in 0usize..16,
+        raw in 0u64..u64::MAX,
+        // Small values land inside the scenario's id ranges, large ones
+        // far outside: both sides of every bounds check get exercised.
+        shift in 0u32..64,
+        truncate in 0u8..4,
+        threads in 1usize..3,
+    ) {
+        let (checkpoint, text) = &corpus()[which];
+        let mutated = if truncate == 0 {
+            truncate_at(text, line_pick)
+        } else {
+            mutate_field(text, line_pick, field_pick, raw >> shift)
+        };
+        // Reaching the match at all is the property; an unchanged text
+        // must additionally still verify.
+        match load_then_verify(*checkpoint, &mutated, threads) {
+            Ok(()) => {}
+            Err(e) => prop_assert!(mutated != *text, "pristine input refused: {}", e),
+        }
+    }
+}

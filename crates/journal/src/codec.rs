@@ -1,5 +1,9 @@
-//! Line-oriented journal text I/O, in the same `key = value` style as
-//! [`ScenarioSpec::to_text`].
+//! The decision stream's one text form, in the `key = value` style of
+//! [`ScenarioSpec::to_text`]. The grammar ([`entries`], [`push_block`],
+//! [`push_admission`], [`push_records`]) is shared by the journal file
+//! below and `selftune-distrib`'s frames and checkpoint files, and
+//! [`record_from_line`] is the one place a decision is decoded and its
+//! ids checked against the scenario.
 //!
 //! ```text
 //! # selftune decision journal
@@ -32,60 +36,186 @@
 //! everything round-trips exactly: `to_text(from_text(t)) == t` for any
 //! `t` produced by [`Journal::to_text`] — a property test enforces it.
 
+use std::str::FromStr;
+
 use selftune_cluster::node::WarmStart;
-use selftune_cluster::{NodeSnap, ScenarioSpec};
+use selftune_cluster::{AdmissionStats, ClusterRunner, FleetEvent, NodeSnap, ScenarioSpec};
 use selftune_core::share::ClampReason;
 use selftune_simcore::time::{Dur, Time};
 
-use crate::record::{DecisionRecord, Journal};
+use crate::record::Journal;
 
 /// The journal format version this crate writes and understands.
 pub const FORMAT_VERSION: u32 = 1;
 
-fn opt_node(n: Option<usize>) -> String {
-    match n {
-        Some(n) => n.to_string(),
-        None => "-".to_owned(),
+/// One entry of the line grammar the journal, the replication frames and
+/// the checkpoint files share (see [`entries`]).
+pub enum Entry<'a> {
+    /// A `<name>_begin` … `<name>_end` block: its name (`scenario`,
+    /// `summary`, `journal`) and every line between the delimiters,
+    /// verbatim and newline-terminated.
+    Block(&'a str, String),
+    /// A `key = value` line: the trimmed key, the trimmed value, and the
+    /// whole trimmed line (a record line parses from that).
+    Pair(&'a str, &'a str, &'a str),
+}
+
+impl Entry<'_> {
+    /// The error for an entry the `format` being parsed has no use for.
+    pub fn unexpected(&self, format: &str) -> String {
+        match self {
+            Entry::Block(name, _) => format!("unknown {format} block: {name:?}"),
+            Entry::Pair(key, ..) => format!("unknown {format} key: {key:?}"),
+        }
     }
+}
+
+/// Walks `text` entry by entry, skipping blank lines and `#` comments.
+/// Anything that is neither a `key = value` line nor a terminated block
+/// is the iterator's (named) error.
+pub fn entries(text: &str) -> impl Iterator<Item = Result<Entry<'_>, String>> {
+    let mut lines = text.lines();
+    std::iter::from_fn(move || loop {
+        let line = lines.next()?.trim();
+        if line.is_empty() || line.starts_with('#') {
+            continue;
+        }
+        if let Some((key, value)) = line.split_once('=') {
+            return Some(Ok(Entry::Pair(key.trim(), value.trim(), line)));
+        }
+        let Some(name) = line.strip_suffix("_begin") else {
+            return Some(Err(format!("expected `key = value`, got {line:?}")));
+        };
+        let end = format!("{name}_end");
+        let mut body = String::new();
+        for inner in lines.by_ref() {
+            if inner.trim() == end {
+                return Some(Ok(Entry::Block(name, body)));
+            }
+            body.push_str(inner);
+            body.push('\n');
+        }
+        return Some(Err(format!("unterminated {name} block (missing `{end}`)")));
+    })
+}
+
+/// Appends `body` as a `<name>_begin` … `<name>_end` block.
+pub fn push_block(out: &mut String, name: &str, body: &str) {
+    out.push_str(name);
+    out.push_str("_begin\n");
+    out.push_str(body);
+    if !body.ends_with('\n') {
+        out.push('\n');
+    }
+    out.push_str(name);
+    out.push_str("_end\n");
+}
+
+/// Appends the `admission = …` header line (six counters).
+pub fn push_admission(out: &mut String, a: &AdmissionStats) {
+    out.push_str(&format!(
+        "admission = {} {} {} {} {} {}\n",
+        a.admitted, a.rejected, a.best_effort, a.migrations, a.vms_admitted, a.vms_rejected,
+    ));
+}
+
+/// Parses the value of an `admission = …` line, naming a wrong field
+/// count or the first malformed counter.
+pub fn parse_admission(value: &str) -> Result<AdmissionStats, String> {
+    let parts: Vec<&str> = value.split_whitespace().collect();
+    let [adm, rej, be, mig, vadm, vrej] = parts.as_slice() else {
+        return Err(format!("admission needs 6 fields: {value:?}"));
+    };
+    Ok(AdmissionStats {
+        admitted: parse_int(adm, "admitted")?,
+        rejected: parse_int(rej, "rejected")?,
+        best_effort: parse_int(be, "best_effort")?,
+        migrations: parse_int(mig, "migrations")?,
+        vms_admitted: parse_int(vadm, "vms_admitted")?,
+        vms_rejected: parse_int(vrej, "vms_rejected")?,
+    })
+}
+
+/// Appends one [`record_line`] per decision.
+pub fn push_records(out: &mut String, records: &[FleetEvent]) {
+    for r in records {
+        out.push_str(&record_line(r));
+        out.push('\n');
+    }
+}
+
+/// Parses an integer header or field value (`bad <what>: "<s>"` if not).
+pub fn parse_int<T: FromStr>(s: &str, what: &str) -> Result<T, String> {
+    s.parse().map_err(|_| format!("bad {what}: {s:?}"))
+}
+
+/// Parses a `version = N` value and demands the one version this build
+/// reads (`what` names the format: journal, wire, checkpoint).
+pub fn parse_version(value: &str, what: &str, supported: u32) -> Result<(), String> {
+    match parse_int::<u32>(value, &format!("{what} version"))? {
+        v if v == supported => Ok(()),
+        v => Err(format!(
+            "unsupported {what} version {v} (this build reads {supported})"
+        )),
+    }
+}
+
+/// Parses an instant written as whole nanoseconds.
+pub fn parse_at(s: &str) -> Result<Time, String> {
+    Ok(Time::from_ns(parse_int(s, "instant (ns)")?))
+}
+
+/// `-` for an absent value, `show` of it otherwise (see [`parse_opt`]).
+fn opt<T>(v: &Option<T>, show: impl FnOnce(&T) -> String) -> String {
+    v.as_ref().map_or_else(|| "-".to_owned(), show)
+}
+
+/// `-` for an empty list, its `show`n items joined by `sep` otherwise.
+fn list<T>(items: &[T], sep: &str, show: impl Fn(&T) -> String) -> String {
+    if items.is_empty() {
+        return "-".to_owned();
+    }
+    items.iter().map(show).collect::<Vec<_>>().join(sep)
 }
 
 fn warm_body(w: &WarmStart) -> String {
     format!("{}:{}", w.budget.as_ns(), w.period.as_ns())
 }
 
-/// Serialises one decision record to its single-line text form — the same
-/// line [`Journal::to_text`] writes. Public so the log-shipping layer can
-/// frame individual records without materialising a whole journal.
-pub fn record_line(r: &DecisionRecord) -> String {
+/// Serialises one decision to its single-line text form — the line the
+/// journal file, the replication frames and the checkpoint files all
+/// carry.
+pub fn record_line(r: &FleetEvent) -> String {
     match r {
-        DecisionRecord::TaskAdmission {
+        FleetEvent::TaskAdmission {
             at,
-            fleet_id,
+            fleet_id: id,
+            demand,
+            node,
+            retries,
+            best_spare,
+        }
+        | FleetEvent::VmAdmission {
+            at,
+            fleet_vm_id: id,
             demand,
             node,
             retries,
             best_spare,
         } => format!(
-            "task_admission = at={} id={fleet_id} demand={demand} node={} retries={retries} spare={best_spare}",
+            "{} = at={} id={id} demand={demand} node={} retries={retries} spare={best_spare}",
+            if matches!(r, FleetEvent::VmAdmission { .. }) {
+                "vm_admission"
+            } else {
+                "task_admission"
+            },
             at.as_ns(),
-            opt_node(*node),
+            opt(node, usize::to_string),
         ),
-        DecisionRecord::VmAdmission {
-            at,
-            fleet_vm_id,
-            demand,
-            node,
-            retries,
-            best_spare,
-        } => format!(
-            "vm_admission = at={} id={fleet_vm_id} demand={demand} node={} retries={retries} spare={best_spare}",
-            at.as_ns(),
-            opt_node(*node),
-        ),
-        DecisionRecord::Kill { at, node, fleet_id } => {
+        FleetEvent::Kill { at, node, fleet_id } => {
             format!("kill = at={} node={node} id={fleet_id}", at.as_ns())
         }
-        DecisionRecord::ShareGrant {
+        FleetEvent::ShareGrant {
             at,
             node,
             fleet_vm_id,
@@ -102,12 +232,9 @@ pub fn record_line(r: &DecisionRecord) -> String {
             at.as_ns(),
             u8::from(*compressed),
             clamp.name(),
-            match pending {
-                Some((share, count)) => format!("{share}:{count}"),
-                None => "-".to_owned(),
-            },
+            opt(pending, |(share, count)| format!("{share}:{count}")),
         ),
-        DecisionRecord::NodeRebound {
+        FleetEvent::NodeRebound {
             at,
             epoch,
             node,
@@ -122,7 +249,7 @@ pub fn record_line(r: &DecisionRecord) -> String {
              demand={demand} reserved={reserved} miss_rate={miss_rate} compressions={compressions}",
             at.as_ns()
         ),
-        DecisionRecord::Compression {
+        FleetEvent::Compression {
             at,
             epoch,
             node,
@@ -131,28 +258,21 @@ pub fn record_line(r: &DecisionRecord) -> String {
             "compression = at={} epoch={epoch} node={node} count={count}",
             at.as_ns()
         ),
-        DecisionRecord::Rebalance {
+        FleetEvent::Rebalance {
             at,
             epoch,
             snapshot,
             moves,
             failed,
-        } => {
-            let snap = if snapshot.is_empty() {
-                "-".to_owned()
-            } else {
-                snapshot
-                    .iter()
-                    .map(|s| format!("{}:{}:{}", s.node, s.pressure, s.utilisation))
-                    .collect::<Vec<_>>()
-                    .join(",")
-            };
-            format!(
-                "rebalance = at={} epoch={epoch} moves={moves} failed={failed} snap={snap}",
-                at.as_ns()
-            )
-        }
-        DecisionRecord::Migration {
+        } => format!(
+            "rebalance = at={} epoch={epoch} moves={moves} failed={failed} snap={}",
+            at.as_ns(),
+            list(snapshot, ",", |s| format!(
+                "{}:{}:{}",
+                s.node, s.pressure, s.utilisation
+            )),
+        ),
+        FleetEvent::Migration {
             at,
             epoch,
             seq,
@@ -164,47 +284,72 @@ pub fn record_line(r: &DecisionRecord) -> String {
             dest_reserved_after,
             warm,
             guest_warm,
-        } => {
-            let gw = if guest_warm.is_empty() {
-                "-".to_owned()
-            } else {
-                guest_warm
-                    .iter()
-                    .map(|(id, w)| format!("{id}:{}", warm_body(w)))
-                    .collect::<Vec<_>>()
-                    .join(";")
-            };
-            format!(
-                "migration = at={} epoch={epoch} seq={seq} id={fleet_id} vm={} from={from} to={to} \
-                 demand={demand} dest={dest_reserved_after} warm={} guest_warm={gw}",
-                at.as_ns(),
-                u8::from(*vm),
-                match warm {
-                    Some(w) => warm_body(w),
-                    None => "-".to_owned(),
-                },
-            )
+        } => format!(
+            "migration = at={} epoch={epoch} seq={seq} id={fleet_id} vm={} from={from} to={to} \
+             demand={demand} dest={dest_reserved_after} warm={} guest_warm={}",
+            at.as_ns(),
+            u8::from(*vm),
+            opt(warm, warm_body),
+            list(guest_warm, ";", |(id, w)| format!("{id}:{}", warm_body(w))),
+        ),
+    }
+}
+
+/// The id ranges of one scenario: what a decoded record may name. A
+/// record pointing outside them would index past the runner's node, plan
+/// or epoch tables on replay, so decoding rejects it instead.
+#[derive(Clone, Copy, Debug)]
+pub struct IdBounds {
+    nodes: usize,
+    tasks: usize,
+    vms: usize,
+    epochs: usize,
+}
+
+impl IdBounds {
+    /// The ranges `spec` admits: node ids, flat fleet task ids, fleet VM
+    /// ids and decision-epoch indices.
+    pub fn of(spec: &ScenarioSpec) -> IdBounds {
+        IdBounds {
+            nodes: spec.nodes,
+            tasks: spec.flat_tasks(),
+            vms: spec.vms.len(),
+            epochs: ClusterRunner::epoch_ends(spec).len() - 1,
         }
+    }
+
+    /// Epoch boundaries of the scenario's grid, the horizon included: one
+    /// more than its decision epochs.
+    pub fn boundaries(&self) -> usize {
+        self.epochs + 1
+    }
+}
+
+fn bounded(s: &str, what: &str, limit: usize) -> Result<usize, String> {
+    match parse_int(s, what)? {
+        v if v < limit => Ok(v),
+        v => Err(format!(
+            "{what} {v} out of range (the scenario has {limit})"
+        )),
     }
 }
 
 /// Field accessor over one record line's `k=v` tokens: every field must
 /// be consumed exactly once and in any order.
 struct Fields<'a> {
-    line: &'a str,
     pairs: Vec<(&'a str, &'a str)>,
 }
 
 impl<'a> Fields<'a> {
-    fn parse(line: &'a str, body: &'a str) -> Result<Fields<'a>, String> {
+    fn parse(body: &'a str) -> Result<Fields<'a>, String> {
         let mut pairs = Vec::new();
         for tok in body.split_whitespace() {
             let (k, v) = tok
                 .split_once('=')
-                .ok_or_else(|| format!("expected `field=value`, got {tok:?} in {line:?}"))?;
+                .ok_or_else(|| format!("expected `field=value`, got {tok:?}"))?;
             pairs.push((k, v));
         }
-        Ok(Fields { line, pairs })
+        Ok(Fields { pairs })
     }
 
     fn take(&mut self, key: &str) -> Result<&'a str, String> {
@@ -212,43 +357,34 @@ impl<'a> Fields<'a> {
             .pairs
             .iter()
             .position(|&(k, _)| k == key)
-            .ok_or_else(|| format!("missing field `{key}` in {:?}", self.line))?;
+            .ok_or_else(|| format!("missing field `{key}`"))?;
         Ok(self.pairs.swap_remove(i).1)
     }
 
     fn finish(self) -> Result<(), String> {
         match self.pairs.first() {
             None => Ok(()),
-            Some((k, _)) => Err(format!("unknown field `{k}` in {:?}", self.line)),
+            Some((k, _)) => Err(format!("unknown field `{k}`")),
         }
     }
 }
 
-fn parse_u64(s: &str, what: &str) -> Result<u64, String> {
-    s.parse().map_err(|_| format!("bad {what}: {s:?}"))
-}
-
-fn parse_usize(s: &str, what: &str) -> Result<usize, String> {
-    s.parse().map_err(|_| format!("bad {what}: {s:?}"))
-}
-
 fn parse_f64(s: &str, what: &str) -> Result<f64, String> {
-    let v: f64 = s.parse().map_err(|_| format!("bad {what}: {s:?}"))?;
-    if !v.is_finite() {
-        return Err(format!("bad {what}: {s:?}"));
+    match s.parse::<f64>() {
+        Ok(v) if v.is_finite() => Ok(v),
+        _ => Err(format!("bad {what}: {s:?}")),
     }
-    Ok(v)
 }
 
-fn parse_at(s: &str) -> Result<Time, String> {
-    Ok(Time::from_ns(parse_u64(s, "instant (ns)")?))
-}
-
-fn parse_opt_node(s: &str) -> Result<Option<usize>, String> {
+/// `-` for absent, anything else through `parse`.
+fn parse_opt<T>(
+    s: &str,
+    parse: impl FnOnce(&str) -> Result<T, String>,
+) -> Result<Option<T>, String> {
     if s == "-" {
         Ok(None)
     } else {
-        Ok(Some(parse_usize(s, "node")?))
+        parse(s).map(Some)
     }
 }
 
@@ -265,56 +401,66 @@ fn parse_warm_body(s: &str) -> Result<WarmStart, String> {
         .split_once(':')
         .ok_or_else(|| format!("bad warm grant (want budget_ns:period_ns): {s:?}"))?;
     Ok(WarmStart {
-        budget: Dur::ns(parse_u64(b, "warm budget (ns)")?),
-        period: Dur::ns(parse_u64(p, "warm period (ns)")?),
+        budget: Dur::ns(parse_int(b, "warm budget (ns)")?),
+        period: Dur::ns(parse_int(p, "warm period (ns)")?),
     })
 }
 
-/// Parses one decision record from its single-line text form (the inverse
-/// of [`record_line`]).
+/// Parses one decision from its single-line text form (the inverse of
+/// [`record_line`]) and checks every node, task, VM and epoch it names
+/// against `ids` — the one decode path of journal files, replication
+/// frames and checkpoint files.
 ///
 /// # Errors
 ///
-/// Names the first offence: unknown kinds, missing/duplicate/extra
-/// fields, malformed values — nothing is silently defaulted.
-pub fn record_from_line(line: &str) -> Result<DecisionRecord, String> {
-    let (kind, body) = line
-        .split_once('=')
-        .ok_or_else(|| format!("expected `key = value`, got {line:?}"))?;
-    let (kind, body) = (kind.trim(), body.trim());
-    let mut f = Fields::parse(line, body)?;
-    let rec = match kind {
-        "task_admission" => DecisionRecord::TaskAdmission {
-            at: parse_at(f.take("at")?)?,
-            fleet_id: parse_usize(f.take("id")?, "task id")?,
-            demand: parse_f64(f.take("demand")?, "demand")?,
-            node: parse_opt_node(f.take("node")?)?,
-            retries: f
-                .take("retries")?
-                .parse()
-                .map_err(|_| format!("bad retries in {line:?}"))?,
-            best_spare: parse_f64(f.take("spare")?, "spare")?,
+/// Names the first offence and quotes the line: unknown kinds,
+/// missing/duplicate/extra fields, malformed values, ids outside the
+/// scenario — nothing is silently defaulted.
+pub fn record_from_line(line: &str, ids: &IdBounds) -> Result<FleetEvent, String> {
+    decode(line, ids).map_err(|e| format!("{e} in {line:?}"))
+}
+
+fn decode(line: &str, ids: &IdBounds) -> Result<FleetEvent, String> {
+    let (kind, body) = line.split_once('=').ok_or("expected `key = value`")?;
+    let mut f = Fields::parse(body)?;
+    let at = parse_at(f.take("at")?)?;
+    let rec = match kind.trim() {
+        kind @ ("task_admission" | "vm_admission") => {
+            let vm = kind == "vm_admission";
+            let id = f.take("id")?;
+            let demand = parse_f64(f.take("demand")?, "demand")?;
+            let node = parse_opt(f.take("node")?, |s| bounded(s, "node", ids.nodes))?;
+            let retries = parse_int(f.take("retries")?, "retries")?;
+            let best_spare = parse_f64(f.take("spare")?, "spare")?;
+            if vm {
+                FleetEvent::VmAdmission {
+                    at,
+                    fleet_vm_id: bounded(id, "vm id", ids.vms)?,
+                    demand,
+                    node,
+                    retries,
+                    best_spare,
+                }
+            } else {
+                FleetEvent::TaskAdmission {
+                    at,
+                    fleet_id: bounded(id, "task id", ids.tasks)?,
+                    demand,
+                    node,
+                    retries,
+                    best_spare,
+                }
+            }
+        }
+        "kill" => FleetEvent::Kill {
+            at,
+            node: bounded(f.take("node")?, "node", ids.nodes)?,
+            fleet_id: bounded(f.take("id")?, "task id", ids.tasks)?,
         },
-        "vm_admission" => DecisionRecord::VmAdmission {
-            at: parse_at(f.take("at")?)?,
-            fleet_vm_id: parse_usize(f.take("id")?, "vm id")?,
-            demand: parse_f64(f.take("demand")?, "demand")?,
-            node: parse_opt_node(f.take("node")?)?,
-            retries: f
-                .take("retries")?
-                .parse()
-                .map_err(|_| format!("bad retries in {line:?}"))?,
-            best_spare: parse_f64(f.take("spare")?, "spare")?,
-        },
-        "kill" => DecisionRecord::Kill {
-            at: parse_at(f.take("at")?)?,
-            node: parse_usize(f.take("node")?, "node")?,
-            fleet_id: parse_usize(f.take("id")?, "task id")?,
-        },
-        "share_grant" => DecisionRecord::ShareGrant {
-            at: parse_at(f.take("at")?)?,
-            node: parse_usize(f.take("node")?, "node")?,
-            fleet_vm_id: parse_usize(f.take("vm")?, "vm id")?,
+        "share_grant" => FleetEvent::ShareGrant {
+            at,
+            node: bounded(f.take("node")?, "node", ids.nodes)?,
+            fleet_vm_id: bounded(f.take("vm")?, "vm id", ids.vms)?,
             demand: parse_f64(f.take("demand")?, "demand")?,
             target: parse_f64(f.take("target")?, "target")?,
             granted: parse_f64(f.take("granted")?, "granted")?,
@@ -323,106 +469,88 @@ pub fn record_from_line(line: &str) -> Result<DecisionRecord, String> {
                 let s = f.take("clamp")?;
                 ClampReason::from_name(s).ok_or_else(|| format!("unknown clamp reason: {s:?}"))?
             },
-            pending: {
-                let s = f.take("pending")?;
-                if s == "-" {
-                    None
-                } else {
-                    let (share, count) = s
-                        .split_once(':')
-                        .ok_or_else(|| format!("bad pending (want share:count): {s:?}"))?;
-                    Some((
-                        parse_f64(share, "pending share")?,
-                        count
-                            .parse()
-                            .map_err(|_| format!("bad pending count: {count:?}"))?,
-                    ))
-                }
-            },
+            pending: parse_opt(f.take("pending")?, |s| {
+                let (share, count) = s
+                    .split_once(':')
+                    .ok_or_else(|| format!("bad pending (want share:count): {s:?}"))?;
+                Ok((
+                    parse_f64(share, "pending share")?,
+                    parse_int(count, "pending count")?,
+                ))
+            })?,
             available: parse_f64(f.take("avail")?, "avail")?,
         },
-        "node_rebound" => DecisionRecord::NodeRebound {
-            at: parse_at(f.take("at")?)?,
-            epoch: parse_usize(f.take("epoch")?, "epoch")?,
-            node: parse_usize(f.take("node")?, "node")?,
+        "node_rebound" => FleetEvent::NodeRebound {
+            at,
+            epoch: bounded(f.take("epoch")?, "epoch", ids.epochs)?,
+            node: bounded(f.take("node")?, "node", ids.nodes)?,
             prev: parse_f64(f.take("prev")?, "prev bound")?,
             bound: parse_f64(f.take("bound")?, "bound")?,
             demand: parse_f64(f.take("demand")?, "demand")?,
             reserved: parse_f64(f.take("reserved")?, "reserved")?,
             miss_rate: parse_f64(f.take("miss_rate")?, "miss rate")?,
-            compressions: parse_u64(f.take("compressions")?, "compressions")?,
+            compressions: parse_int(f.take("compressions")?, "compressions")?,
         },
-        "compression" => DecisionRecord::Compression {
-            at: parse_at(f.take("at")?)?,
-            epoch: parse_usize(f.take("epoch")?, "epoch")?,
-            node: parse_usize(f.take("node")?, "node")?,
-            count: parse_u64(f.take("count")?, "count")?,
+        "compression" => FleetEvent::Compression {
+            at,
+            epoch: bounded(f.take("epoch")?, "epoch", ids.epochs)?,
+            node: bounded(f.take("node")?, "node", ids.nodes)?,
+            count: parse_int(f.take("count")?, "count")?,
         },
-        "rebalance" => DecisionRecord::Rebalance {
-            at: parse_at(f.take("at")?)?,
-            epoch: parse_usize(f.take("epoch")?, "epoch")?,
-            moves: parse_u64(f.take("moves")?, "moves")?,
-            failed: parse_u64(f.take("failed")?, "failed")?,
-            snapshot: {
-                let s = f.take("snap")?;
-                if s == "-" {
-                    Vec::new()
-                } else {
-                    s.split(',')
-                        .map(|entry| {
-                            let parts: Vec<&str> = entry.split(':').collect();
-                            let [node, pressure, utilisation] = parts.as_slice() else {
-                                return Err(format!(
-                                    "bad snapshot entry (want node:pressure:util): {entry:?}"
-                                ));
-                            };
-                            Ok(NodeSnap {
-                                node: parse_usize(node, "snapshot node")?,
-                                pressure: parse_f64(pressure, "snapshot pressure")?,
-                                utilisation: parse_f64(utilisation, "snapshot utilisation")?,
-                            })
+        "rebalance" => FleetEvent::Rebalance {
+            at,
+            epoch: bounded(f.take("epoch")?, "epoch", ids.epochs)?,
+            moves: parse_int(f.take("moves")?, "moves")?,
+            failed: parse_int(f.take("failed")?, "failed")?,
+            snapshot: parse_opt(f.take("snap")?, |s| {
+                s.split(',')
+                    .map(|entry| {
+                        let parts: Vec<&str> = entry.split(':').collect();
+                        let [node, pressure, utilisation] = parts.as_slice() else {
+                            return Err(format!(
+                                "bad snapshot entry (want node:pressure:util): {entry:?}"
+                            ));
+                        };
+                        Ok(NodeSnap {
+                            node: bounded(node, "snapshot node", ids.nodes)?,
+                            pressure: parse_f64(pressure, "snapshot pressure")?,
+                            utilisation: parse_f64(utilisation, "snapshot utilisation")?,
                         })
-                        .collect::<Result<Vec<_>, String>>()?
-                }
-            },
+                    })
+                    .collect()
+            })?
+            .unwrap_or_default(),
         },
-        "migration" => DecisionRecord::Migration {
-            at: parse_at(f.take("at")?)?,
-            epoch: parse_usize(f.take("epoch")?, "epoch")?,
-            seq: f
-                .take("seq")?
-                .parse()
-                .map_err(|_| format!("bad seq in {line:?}"))?,
-            fleet_id: parse_usize(f.take("id")?, "unit id")?,
-            vm: parse_bool01(f.take("vm")?, "vm flag")?,
-            from: parse_usize(f.take("from")?, "source node")?,
-            to: parse_usize(f.take("to")?, "destination node")?,
-            demand: parse_f64(f.take("demand")?, "demand")?,
-            dest_reserved_after: parse_f64(f.take("dest")?, "dest booking")?,
-            warm: {
-                let s = f.take("warm")?;
-                if s == "-" {
-                    None
+        "migration" => {
+            let vm = parse_bool01(f.take("vm")?, "vm flag")?;
+            FleetEvent::Migration {
+                at,
+                epoch: bounded(f.take("epoch")?, "epoch", ids.epochs)?,
+                seq: parse_int(f.take("seq")?, "seq")?,
+                fleet_id: if vm {
+                    bounded(f.take("id")?, "vm id", ids.vms)?
                 } else {
-                    Some(parse_warm_body(s)?)
-                }
-            },
-            guest_warm: {
-                let s = f.take("guest_warm")?;
-                if s == "-" {
-                    Vec::new()
-                } else {
+                    bounded(f.take("id")?, "task id", ids.tasks)?
+                },
+                vm,
+                from: bounded(f.take("from")?, "source node", ids.nodes)?,
+                to: bounded(f.take("to")?, "destination node", ids.nodes)?,
+                demand: parse_f64(f.take("demand")?, "demand")?,
+                dest_reserved_after: parse_f64(f.take("dest")?, "dest booking")?,
+                warm: parse_opt(f.take("warm")?, parse_warm_body)?,
+                guest_warm: parse_opt(f.take("guest_warm")?, |s| {
                     s.split(';')
                         .map(|entry| {
                             let (id, grant) = entry.split_once(':').ok_or_else(|| {
                                 format!("bad guest warm entry (want id:budget:period): {entry:?}")
                             })?;
-                            Ok((parse_usize(id, "guest id")?, parse_warm_body(grant)?))
+                            Ok((parse_int(id, "guest id")?, parse_warm_body(grant)?))
                         })
-                        .collect::<Result<Vec<_>, String>>()?
-                }
-            },
-        },
+                        .collect()
+                })?
+                .unwrap_or_default(),
+            }
+        }
         other => return Err(format!("unknown record kind: {other:?}")),
     };
     f.finish()?;
@@ -432,33 +560,14 @@ pub fn record_from_line(line: &str) -> Result<DecisionRecord, String> {
 impl Journal {
     /// Serialises the journal to the line-oriented text format.
     pub fn to_text(&self) -> String {
-        let mut out = String::new();
-        out.push_str("# selftune decision journal\n");
-        out.push_str(&format!("version = {FORMAT_VERSION}\n"));
-        out.push_str(&format!("seed = {}\n", self.seed));
-        out.push_str(&format!("threads = {}\n", self.threads));
-        out.push_str(&format!(
-            "admission = {} {} {} {} {} {}\n",
-            self.admission.admitted,
-            self.admission.rejected,
-            self.admission.best_effort,
-            self.admission.migrations,
-            self.admission.vms_admitted,
-            self.admission.vms_rejected,
-        ));
-        out.push_str("scenario_begin\n");
-        out.push_str(&self.scenario.to_text());
-        out.push_str("scenario_end\n");
-        out.push_str("summary_begin\n");
-        out.push_str(&self.summary);
-        if !self.summary.ends_with('\n') {
-            out.push('\n');
-        }
-        out.push_str("summary_end\n");
-        for r in &self.records {
-            out.push_str(&record_line(r));
-            out.push('\n');
-        }
+        let mut out = format!(
+            "# selftune decision journal\nversion = {FORMAT_VERSION}\nseed = {}\nthreads = {}\n",
+            self.seed, self.threads
+        );
+        push_admission(&mut out, &self.admission);
+        push_block(&mut out, "scenario", &self.scenario.to_text());
+        push_block(&mut out, "summary", &self.summary);
+        push_records(&mut out, &self.records);
         out
     }
 
@@ -467,103 +576,41 @@ impl Journal {
     /// # Errors
     ///
     /// Returns a human-readable description of the first offending line:
-    /// unknown keys or record kinds, malformed fields, unterminated
+    /// unknown keys or record kinds, malformed fields, records naming a
+    /// node, task, VM or epoch the scenario does not have, unterminated
     /// scenario/summary blocks, and missing required headers are all
     /// rejected rather than silently defaulted — a truncated journal must
-    /// never replay as if it were complete.
+    /// never replay as if it were complete, and a corrupt one must never
+    /// reach the runner.
     pub fn from_text(text: &str) -> Result<Journal, String> {
-        let mut seed: Option<u64> = None;
-        let mut threads: Option<usize> = None;
-        let mut admission: Option<selftune_cluster::AdmissionStats> = None;
-        let mut scenario: Option<ScenarioSpec> = None;
-        let mut summary: Option<String> = None;
-        let mut records: Vec<DecisionRecord> = Vec::new();
-        let mut version_seen = false;
-
-        let mut lines = text.lines();
-        while let Some(raw) = lines.next() {
-            let line = raw.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            match line {
-                "scenario_begin" => {
-                    let mut block = String::new();
-                    let mut closed = false;
-                    for inner in lines.by_ref() {
-                        if inner.trim() == "scenario_end" {
-                            closed = true;
-                            break;
-                        }
-                        block.push_str(inner);
-                        block.push('\n');
-                    }
-                    if !closed {
-                        return Err("unterminated scenario block (missing `scenario_end`)".into());
-                    }
-                    scenario = Some(ScenarioSpec::from_text(&block)?);
-                    continue;
+        let (mut version, mut seed, mut threads, mut admission) = (None, None, None, None);
+        let (mut scenario, mut summary) = (None, None);
+        let mut record_lines = Vec::new();
+        for entry in entries(text) {
+            match entry? {
+                Entry::Block("scenario", body) => scenario = Some(ScenarioSpec::from_text(&body)?),
+                Entry::Block("summary", body) => summary = Some(body),
+                Entry::Pair("version", v, _) => {
+                    version = Some(parse_version(v, "journal", FORMAT_VERSION)?)
                 }
-                "summary_begin" => {
-                    let mut block = String::new();
-                    let mut closed = false;
-                    for inner in lines.by_ref() {
-                        if inner.trim() == "summary_end" {
-                            closed = true;
-                            break;
-                        }
-                        block.push_str(inner);
-                        block.push('\n');
-                    }
-                    if !closed {
-                        return Err("unterminated summary block (missing `summary_end`)".into());
-                    }
-                    summary = Some(block);
-                    continue;
-                }
-                _ => {}
-            }
-            let (key, value) = line
-                .split_once('=')
-                .ok_or_else(|| format!("expected `key = value`, got {line:?}"))?;
-            let (key, value) = (key.trim(), value.trim());
-            match key {
-                "version" => {
-                    let v: u32 = value
-                        .parse()
-                        .map_err(|_| format!("bad version: {value:?}"))?;
-                    if v != FORMAT_VERSION {
-                        return Err(format!(
-                            "unsupported journal version {v} (this build reads {FORMAT_VERSION})"
-                        ));
-                    }
-                    version_seen = true;
-                }
-                "seed" => seed = Some(parse_u64(value, "seed")?),
-                "threads" => threads = Some(parse_usize(value, "threads")?),
-                "admission" => {
-                    let parts: Vec<&str> = value.split_whitespace().collect();
-                    let [adm, rej, be, mig, vadm, vrej] = parts.as_slice() else {
-                        return Err(format!("admission needs 6 fields: {value:?}"));
-                    };
-                    admission = Some(selftune_cluster::AdmissionStats {
-                        admitted: parse_u64(adm, "admitted")?,
-                        rejected: parse_u64(rej, "rejected")?,
-                        best_effort: parse_u64(be, "best_effort")?,
-                        migrations: parse_u64(mig, "migrations")?,
-                        vms_admitted: parse_u64(vadm, "vms_admitted")?,
-                        vms_rejected: parse_u64(vrej, "vms_rejected")?,
-                    });
-                }
-                _ => records.push(record_from_line(line)?),
+                Entry::Pair("seed", v, _) => seed = Some(parse_int(v, "seed")?),
+                Entry::Pair("threads", v, _) => threads = Some(parse_int(v, "threads")?),
+                Entry::Pair("admission", v, _) => admission = Some(parse_admission(v)?),
+                Entry::Pair(_, _, line) => record_lines.push(line),
+                block => return Err(block.unexpected("journal")),
             }
         }
-
-        if !version_seen {
-            return Err("missing required key `version`".into());
-        }
+        version.ok_or("missing required key `version`")?;
+        let scenario = scenario.ok_or("missing scenario block")?;
+        // Records decode last: their ids are checked against the scenario,
+        // wherever in the file its block stood.
+        let ids = IdBounds::of(&scenario);
+        let records = record_lines
+            .into_iter()
+            .map(|line| record_from_line(line, &ids))
+            .collect::<Result<_, _>>()?;
         Ok(Journal {
-            scenario: scenario.ok_or("missing scenario block")?,
+            scenario,
             seed: seed.ok_or("missing required key `seed`")?,
             threads: threads.ok_or("missing required key `threads`")?,
             admission: admission.ok_or("missing required key `admission`")?,

@@ -14,31 +14,34 @@
 //!         rebalance passes,                          journal file
 //!         migrations)                                     │
 //!                                                         ▼
-//!   Replayer::verify ◄── plan_fleet_pinned + run_pinned ◄─┘
+//!   Journal::verify ◄──────── Journal::reexecute ◄────────┘
 //!        │                (placements + per-epoch moves
-//!        │                 substituted from the journal)
-//!        ▼
+//!        │                 substituted from the journal;
+//!        │                 full run or to a cursor, optional
+//!        ▼                 scenario override and cut epoch)
 //!   byte-identical summary_csv at any thread count — or a named
 //!   divergence; run_whatif swaps ONE policy from a cut epoch instead
 //!   and diffs the counterfactual against the exact replay.
 //! ```
 //!
-//! * [`record`] — [`DecisionRecord`] (admissions with minbudget inputs,
-//!   share grants with demand signal / hysteresis state / clamp reason,
-//!   compressions, rebalance passes with their feedback snapshot and
-//!   booking math, migrations, kills) and [`Journal`]: record a run,
-//!   extract the pin tables replay feeds back into the runner.
-//! * [`codec`] — line-oriented text I/O in the `ScenarioSpec::to_text`
-//!   style: `key = value` headers, verbatim scenario and summary blocks,
-//!   one record per line with nanosecond-exact instants. Round-trips
-//!   exactly; truncated or corrupt input is rejected with a line-level
-//!   error.
-//! * [`replay`] — [`Replayer`]: re-execute pinned to the journal and
-//!   byte-compare aggregates. Divergence detection is a CI property: the
-//!   journal is thread-count invariant, so is its replay.
+//! One module owns each concern, and nothing is mirrored:
+//!
+//! * [`record`] — [`Journal`]: record a run, extract the pin tables
+//!   replay feeds back into the runner. [`DecisionRecord`] is the runner's
+//!   own [`FleetEvent`](selftune_cluster::FleetEvent) re-exported: the
+//!   schema and its canonical order live in `selftune_cluster::events`.
+//! * [`codec`] — the *text form*: `key = value` headers, delimited
+//!   blocks, the `admission =` line, one record per line. Journal files,
+//!   `selftune-distrib`'s frame payloads and its checkpoint files are all
+//!   written and parsed here. Round-trips exactly; truncated or corrupt
+//!   input — including a well-formed record naming a node, task, VM or
+//!   epoch the scenario lacks — is an error quoting the line.
+//! * [`replay`] — *re-execution*: [`Journal::reexecute`] and
+//!   [`Journal::verify`] (byte-compare, name the first differing summary
+//!   line), fronted by [`Replayer`]. The journal is thread-count
+//!   invariant, so is its replay — a CI property.
 //! * [`whatif`] — [`run_whatif`]: pin history up to a cut epoch, swap one
-//!   policy ([`PolicySwap`]: disable rebalancing, change placement,
-//!   freeze elastic shares) and quantify the outcome delta.
+//!   policy ([`PolicySwap`]) and quantify the outcome delta.
 //!
 //! ## Why a journal
 //!
@@ -82,15 +85,15 @@ pub mod record;
 pub mod replay;
 pub mod whatif;
 
-pub use codec::{record_from_line, record_line, FORMAT_VERSION};
-pub use record::{sort_records, DecisionRecord, Journal};
+pub use codec::{record_from_line, record_line, IdBounds, FORMAT_VERSION};
+pub use record::{DecisionRecord, Journal};
 pub use replay::Replayer;
 pub use whatif::{run_whatif, variant_spec, PolicySwap, WhatIf, WhatIfReport};
 
 /// One-stop imports for journal recording, replay and what-if queries.
 pub mod prelude {
-    pub use crate::codec::{record_from_line, record_line, FORMAT_VERSION};
-    pub use crate::record::{sort_records, DecisionRecord, Journal};
+    pub use crate::codec::{record_from_line, record_line, IdBounds, FORMAT_VERSION};
+    pub use crate::record::{DecisionRecord, Journal};
     pub use crate::replay::Replayer;
     pub use crate::whatif::{run_whatif, variant_spec, PolicySwap, WhatIf, WhatIfReport};
 }

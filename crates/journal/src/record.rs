@@ -1,351 +1,15 @@
-//! The journal itself: decision records, recording, and the pin tables
+//! The journal itself: a recorded run's decisions and the pin tables
 //! replay feeds back into the runner.
 
-use selftune_cluster::events::FleetEvent;
-use selftune_cluster::node::WarmStart;
-use selftune_cluster::placer::Migration;
-use selftune_cluster::runner::{EpochDecision, PinnedMoves, PinnedPlan};
-use selftune_cluster::{AdmissionStats, AggregateMetrics, ClusterRunner, NodeSnap, ScenarioSpec};
-use selftune_core::share::ClampReason;
-use selftune_simcore::time::Time;
+use selftune_cluster::runner::{PinnedMoves, PinnedPlan};
+use selftune_cluster::{AdmissionStats, AggregateMetrics, ClusterRunner, ScenarioSpec};
 
-/// One journalled fleet decision, with the inputs that pinned it.
-///
-/// Mirrors [`FleetEvent`] field for field — the journal keeps its own
-/// enum so the on-disk schema is owned here, decoupled from the runner's
-/// in-memory event type.
-#[derive(Clone, Debug, PartialEq)]
-pub enum DecisionRecord {
-    /// A real-time task's admission decision (accept/reject) with the
-    /// minbudget inputs.
-    TaskAdmission {
-        /// Arrival instant the booking is dated at.
-        at: Time,
-        /// Fleet task id.
-        fleet_id: usize,
-        /// The minbudget demand booked (headroom included).
-        demand: f64,
-        /// Destination node; `None` = rejected.
-        node: Option<usize>,
-        /// Release-retry passes the placement needed.
-        retries: u32,
-        /// Largest spare any node could offer (rejection witness).
-        best_spare: f64,
-    },
-    /// A virtual platform's admission decision.
-    VmAdmission {
-        /// Admission instant (t = 0).
-        at: Time,
-        /// Fleet VM id.
-        fleet_vm_id: usize,
-        /// The share booked.
-        demand: f64,
-        /// Destination node; `None` = rejected.
-        node: Option<usize>,
-        /// Release-retry passes the placement needed.
-        retries: u32,
-        /// Largest spare any node could offer.
-        best_spare: f64,
-    },
-    /// A churned task's lease expiry.
-    Kill {
-        /// Departure instant.
-        at: Time,
-        /// Node the task was placed on.
-        node: usize,
-        /// Fleet task id.
-        fleet_id: usize,
-    },
-    /// One executed elastic share re-grant: demand signal, hysteresis
-    /// state, clamp reason and the host supervisor's arithmetic.
-    ShareGrant {
-        /// When the control step ran.
-        at: Time,
-        /// Node hosting the VM.
-        node: usize,
-        /// Fleet VM id.
-        fleet_vm_id: usize,
-        /// Smoothed demand estimate behind the request.
-        demand: f64,
-        /// The hysteresis-adopted target requested.
-        target: f64,
-        /// The share the host supervisor granted.
-        granted: f64,
-        /// Whether the supervisor curbed the request.
-        compressed: bool,
-        /// Which controller bound clipped the candidate.
-        clamp: ClampReason,
-        /// Unconfirmed hysteresis change after the step, if any.
-        pending: Option<(f64, u32)>,
-        /// Host bandwidth the request competed for.
-        available: f64,
-    },
-    /// One node-level supervisor re-bound decided from fleet feedback.
-    NodeRebound {
-        /// Epoch boundary the decision ran at.
-        at: Time,
-        /// Rebalance epoch index.
-        epoch: usize,
-        /// The re-bounded node.
-        node: usize,
-        /// The bound in force before.
-        prev: f64,
-        /// The bound now in force.
-        bound: f64,
-        /// The controller's smoothed demand estimate.
-        demand: f64,
-        /// Host bandwidth the node's reservations held at the snapshot.
-        reserved: f64,
-        /// The node's deadline-miss rate over the epoch.
-        miss_rate: f64,
-        /// Supervisor compressions on the node over the epoch.
-        compressions: u64,
-    },
-    /// One node's supervisor compressions over one epoch.
-    Compression {
-        /// Epoch boundary the count was sampled at.
-        at: Time,
-        /// Rebalance epoch index.
-        epoch: usize,
-        /// The node.
-        node: usize,
-        /// Compressions during the epoch.
-        count: u64,
-    },
-    /// One rebalance decision pass with its feedback snapshot.
-    Rebalance {
-        /// Epoch boundary the pass ran at.
-        at: Time,
-        /// Rebalance epoch index.
-        epoch: usize,
-        /// Smoothed pressure / utilisation per node, node-id order.
-        snapshot: Vec<NodeSnap>,
-        /// Moves planned.
-        moves: u64,
-        /// Victims with no admissible destination.
-        failed: u64,
-    },
-    /// One planned migration, with the destination booking math.
-    Migration {
-        /// Epoch boundary the move executes at.
-        at: Time,
-        /// Rebalance epoch index.
-        epoch: usize,
-        /// Position in the epoch's decision order.
-        seq: u32,
-        /// Fleet task id (or fleet VM id when `vm`).
-        fleet_id: usize,
-        /// Whether a whole virtual platform moved.
-        vm: bool,
-        /// Source node.
-        from: usize,
-        /// Destination node.
-        to: usize,
-        /// What the pass booked on the destination.
-        demand: f64,
-        /// Destination booking right after this move.
-        dest_reserved_after: f64,
-        /// Warm-start hand-over for a task victim.
-        warm: Option<WarmStart>,
-        /// Warm-start hand-overs for a VM victim's guests, by fleet id.
-        guest_warm: Vec<(usize, WarmStart)>,
-    },
-}
-
-impl DecisionRecord {
-    /// The instant the decision is dated at.
-    pub fn at(&self) -> Time {
-        match self {
-            DecisionRecord::TaskAdmission { at, .. }
-            | DecisionRecord::VmAdmission { at, .. }
-            | DecisionRecord::Kill { at, .. }
-            | DecisionRecord::ShareGrant { at, .. }
-            | DecisionRecord::NodeRebound { at, .. }
-            | DecisionRecord::Compression { at, .. }
-            | DecisionRecord::Rebalance { at, .. }
-            | DecisionRecord::Migration { at, .. } => *at,
-        }
-    }
-
-    /// Class rank at equal instants — mirrors `FleetEvent`'s canonical
-    /// class order exactly (admissions, kills, epoch bookkeeping, grants).
-    fn class(&self) -> u8 {
-        match self {
-            DecisionRecord::VmAdmission { .. } => 0,
-            DecisionRecord::TaskAdmission { .. } => 1,
-            DecisionRecord::Kill { .. } => 2,
-            DecisionRecord::Compression { .. } => 3,
-            DecisionRecord::NodeRebound { .. } => 4,
-            DecisionRecord::Rebalance { .. } => 5,
-            DecisionRecord::Migration { .. } => 6,
-            DecisionRecord::ShareGrant { .. } => 7,
-        }
-    }
-
-    /// Tie-break inside one class at one instant — mirrors `FleetEvent`.
-    fn tie(&self) -> (usize, usize) {
-        match self {
-            DecisionRecord::TaskAdmission { fleet_id, node, .. } => {
-                (node.unwrap_or(usize::MAX), *fleet_id)
-            }
-            DecisionRecord::VmAdmission {
-                fleet_vm_id, node, ..
-            } => (node.unwrap_or(usize::MAX), *fleet_vm_id),
-            DecisionRecord::Kill { node, fleet_id, .. } => (*node, *fleet_id),
-            DecisionRecord::ShareGrant {
-                node, fleet_vm_id, ..
-            } => (*node, *fleet_vm_id),
-            DecisionRecord::Compression { node, .. } => (*node, 0),
-            DecisionRecord::NodeRebound { node, .. } => (*node, 0),
-            DecisionRecord::Rebalance { epoch, .. } => (*epoch, 0),
-            DecisionRecord::Migration { epoch, seq, .. } => (*epoch, *seq as usize),
-        }
-    }
-}
-
-/// Sorts records into the journal's canonical `(instant, class, tie)`
-/// order — the record-side mirror of `selftune_cluster::sort_events`. A
-/// follower that accumulates per-epoch record batches re-sorts through
-/// this before comparing bytes against the leader's journal, so batch
-/// concatenation order can never masquerade as divergence.
-pub fn sort_records(records: &mut [DecisionRecord]) {
-    records.sort_by(|a, b| {
-        (a.at(), a.class(), a.tie())
-            .partial_cmp(&(b.at(), b.class(), b.tie()))
-            .expect("total record order")
-    });
-}
-
-impl From<FleetEvent> for DecisionRecord {
-    fn from(e: FleetEvent) -> DecisionRecord {
-        match e {
-            FleetEvent::TaskAdmission {
-                at,
-                fleet_id,
-                demand,
-                node,
-                retries,
-                best_spare,
-            } => DecisionRecord::TaskAdmission {
-                at,
-                fleet_id,
-                demand,
-                node,
-                retries,
-                best_spare,
-            },
-            FleetEvent::VmAdmission {
-                at,
-                fleet_vm_id,
-                demand,
-                node,
-                retries,
-                best_spare,
-            } => DecisionRecord::VmAdmission {
-                at,
-                fleet_vm_id,
-                demand,
-                node,
-                retries,
-                best_spare,
-            },
-            FleetEvent::Kill { at, node, fleet_id } => DecisionRecord::Kill { at, node, fleet_id },
-            FleetEvent::ShareGrant {
-                at,
-                node,
-                fleet_vm_id,
-                demand,
-                target,
-                granted,
-                compressed,
-                clamp,
-                pending,
-                available,
-            } => DecisionRecord::ShareGrant {
-                at,
-                node,
-                fleet_vm_id,
-                demand,
-                target,
-                granted,
-                compressed,
-                clamp,
-                pending,
-                available,
-            },
-            FleetEvent::NodeRebound {
-                at,
-                epoch,
-                node,
-                prev,
-                bound,
-                demand,
-                reserved,
-                miss_rate,
-                compressions,
-            } => DecisionRecord::NodeRebound {
-                at,
-                epoch,
-                node,
-                prev,
-                bound,
-                demand,
-                reserved,
-                miss_rate,
-                compressions,
-            },
-            FleetEvent::Compression {
-                at,
-                epoch,
-                node,
-                count,
-            } => DecisionRecord::Compression {
-                at,
-                epoch,
-                node,
-                count,
-            },
-            FleetEvent::Rebalance {
-                at,
-                epoch,
-                snapshot,
-                moves,
-                failed,
-            } => DecisionRecord::Rebalance {
-                at,
-                epoch,
-                snapshot,
-                moves,
-                failed,
-            },
-            FleetEvent::Migration {
-                at,
-                epoch,
-                seq,
-                fleet_id,
-                vm,
-                from,
-                to,
-                demand,
-                dest_reserved_after,
-                warm,
-                guest_warm,
-            } => DecisionRecord::Migration {
-                at,
-                epoch,
-                seq,
-                fleet_id,
-                vm,
-                from,
-                to,
-                demand,
-                dest_reserved_after,
-                warm,
-                guest_warm,
-            },
-        }
-    }
-}
+/// One journalled fleet decision, with the inputs that pinned it: the
+/// runner's [`FleetEvent`](selftune_cluster::FleetEvent) itself, under the
+/// name the journal has always used for it. The schema and its canonical
+/// order are owned by `selftune_cluster::events`, the text form by
+/// [`codec`](crate::codec).
+pub use selftune_cluster::events::FleetEvent as DecisionRecord;
 
 /// A recorded fleet run: the scenario, the seed, the live aggregates and
 /// every decision taken — enough to re-execute the run pinned to its own
@@ -372,14 +36,14 @@ impl Journal {
     /// Runs `spec` on `threads` workers while recording every decision,
     /// returning the live aggregates and the journal.
     pub fn record(threads: usize, spec: &ScenarioSpec, seed: u64) -> (AggregateMetrics, Journal) {
-        let (metrics, events) = ClusterRunner::new(threads).run_logged(spec, seed);
+        let (metrics, records) = ClusterRunner::new(threads).run_logged(spec, seed);
         let journal = Journal {
             scenario: spec.clone(),
             seed,
             threads,
             admission: metrics.admission,
             summary: metrics.summary_csv(),
-            records: events.into_iter().map(DecisionRecord::from).collect(),
+            records,
         };
         (metrics, journal)
     }
@@ -393,81 +57,13 @@ impl Journal {
     /// The admission pin table: every task's and VM's recorded
     /// destination, plus the recorded admission statistics.
     pub fn pinned_plan(&self) -> PinnedPlan {
-        let mut task_nodes = vec![None; self.scenario.flat_tasks()];
-        let mut vm_nodes = vec![None; self.scenario.vms.len()];
-        for r in &self.records {
-            match r {
-                DecisionRecord::TaskAdmission { fleet_id, node, .. } => {
-                    if let Some(slot) = task_nodes.get_mut(*fleet_id) {
-                        *slot = *node;
-                    }
-                }
-                DecisionRecord::VmAdmission {
-                    fleet_vm_id, node, ..
-                } => {
-                    if let Some(slot) = vm_nodes.get_mut(*fleet_vm_id) {
-                        *slot = *node;
-                    }
-                }
-                _ => {}
-            }
-        }
-        PinnedPlan {
-            admission: self.admission,
-            task_nodes,
-            vm_nodes,
-        }
+        PinnedPlan::from_events(&self.scenario, self.admission, &self.records)
     }
 
     /// The per-epoch migration pin table. `up_to_epoch = None` pins every
     /// recorded epoch (exact replay); `Some(cut)` pins epochs `< cut` and
     /// leaves the rest to be decided live (the what-if cut point).
     pub fn pinned_moves(&self, up_to_epoch: Option<usize>) -> PinnedMoves {
-        let mut epochs: Vec<Option<EpochDecision>> = vec![None; self.epochs()];
-        for r in &self.records {
-            match r {
-                DecisionRecord::Rebalance { epoch, failed, .. } => {
-                    if let Some(slot) = epochs.get_mut(*epoch) {
-                        slot.get_or_insert_with(EpochDecision::default).failed = *failed;
-                    }
-                }
-                DecisionRecord::Migration {
-                    epoch,
-                    fleet_id,
-                    vm,
-                    from,
-                    to,
-                    demand,
-                    dest_reserved_after,
-                    warm,
-                    guest_warm,
-                    ..
-                } => {
-                    // Records are in canonical order, so each epoch's moves
-                    // arrive in `seq` order and push preserves it.
-                    if let Some(slot) = epochs.get_mut(*epoch) {
-                        slot.get_or_insert_with(EpochDecision::default)
-                            .moves
-                            .push(Migration {
-                                fleet_id: *fleet_id,
-                                vm: *vm,
-                                from: *from,
-                                to: *to,
-                                demand: *demand,
-                                dest_reserved_after: *dest_reserved_after,
-                                warm: *warm,
-                                guest_warm: guest_warm.clone(),
-                            });
-                    }
-                }
-                _ => {}
-            }
-        }
-        if let Some(cut) = up_to_epoch {
-            for slot in epochs.iter_mut().skip(cut) {
-                *slot = None;
-            }
-        }
-        PinnedMoves { epochs }
+        PinnedMoves::from_events(&self.scenario, &self.records, up_to_epoch)
     }
 }

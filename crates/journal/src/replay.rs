@@ -1,10 +1,92 @@
-//! Exact journal replay: re-execute a recorded run pinned to its own
-//! decisions and assert the aggregates come back byte for byte.
+//! Re-execution: run a recorded journal again pinned to its own
+//! decisions and assert the aggregates come back byte for byte. Exact
+//! replay ([`Replayer`]), what-if, checkpoint mirroring, end-of-stream
+//! verification and failover promotion are all [`Journal::reexecute`]
+//! with different arguments; every divergence report is
+//! [`Journal::verify`]'s.
 
 use selftune_cluster::runner::plan_fleet_pinned;
-use selftune_cluster::{AggregateMetrics, ClusterRunner};
+use selftune_cluster::{AggregateMetrics, ClusterRunner, ScenarioSpec};
 
 use crate::record::Journal;
+
+impl Journal {
+    /// Re-executes the journalled run on `threads` workers with its
+    /// placements pinned and its per-epoch migration decisions pinned for
+    /// epochs `< cut` (`None` pins every recorded epoch; later epochs are
+    /// decided live — the what-if and promotion cut point). `spec`
+    /// substitutes a scenario for the recorded one (a what-if's swapped
+    /// policy), and `cursor` stops the run exactly at that epoch boundary
+    /// with the decisions of epochs `< cursor` applied — the state a
+    /// logged run's interim checkpoint reported there.
+    ///
+    /// # Errors
+    ///
+    /// When `cursor` is not an epoch boundary of the scenario.
+    pub fn reexecute(
+        &self,
+        threads: usize,
+        spec: Option<&ScenarioSpec>,
+        cut: Option<usize>,
+        cursor: Option<usize>,
+    ) -> Result<AggregateMetrics, String> {
+        let spec = spec.unwrap_or(&self.scenario);
+        let boundaries = ClusterRunner::epoch_ends(spec).len();
+        if let Some(cursor) = cursor.filter(|&c| c >= boundaries) {
+            return Err(format!(
+                "cursor {cursor} is past the scenario's epoch grid ({boundaries} boundaries)"
+            ));
+        }
+        let plan = plan_fleet_pinned(spec, self.seed, &self.pinned_plan());
+        let moves = self.pinned_moves(cut);
+        let runner = ClusterRunner::new(threads);
+        Ok(match cursor {
+            Some(cursor) => runner.run_pinned_prefix(spec, self.seed, &plan, &moves, cursor),
+            None => runner.run_pinned(spec, self.seed, &plan, &moves),
+        })
+    }
+
+    /// Re-executes fully pinned (to `cursor`, or to the horizon) and
+    /// byte-compares the aggregates against the recorded summary.
+    ///
+    /// # Errors
+    ///
+    /// An out-of-grid cursor, or the first differing summary line — the
+    /// contract is byte identity, so *any* difference is a corrupt journal
+    /// or a determinism bug.
+    pub fn verify(
+        &self,
+        threads: usize,
+        cursor: Option<usize>,
+    ) -> Result<AggregateMetrics, String> {
+        let metrics = self.reexecute(threads, None, None, cursor)?;
+        let ours = metrics.summary_csv();
+        if ours == self.summary {
+            return Ok(metrics);
+        }
+        let what = match cursor {
+            Some(c) => format!("checkpoint {c}"),
+            None => "replay".to_owned(),
+        };
+        let differing = self
+            .summary
+            .lines()
+            .zip(ours.lines())
+            .enumerate()
+            .find(|(_, (a, b))| a != b);
+        Err(match differing {
+            Some((i, (recorded, replayed))) => format!(
+                "{what} diverged at summary line {}: recorded {recorded:?}, replayed {replayed:?}",
+                i + 1
+            ),
+            None => format!(
+                "{what} diverged in summary length: recorded {} lines, replayed {}",
+                self.summary.lines().count(),
+                ours.lines().count()
+            ),
+        })
+    }
+}
 
 /// Re-executes journalled runs with every decision pinned to the record.
 ///
@@ -27,13 +109,9 @@ impl Replayer {
     /// Re-executes the journalled scenario pinned to the journal's
     /// placements and per-epoch migration decisions.
     pub fn replay(&self, journal: &Journal) -> AggregateMetrics {
-        let plan = plan_fleet_pinned(&journal.scenario, journal.seed, &journal.pinned_plan());
-        ClusterRunner::new(self.threads).run_pinned(
-            &journal.scenario,
-            journal.seed,
-            &plan,
-            &journal.pinned_moves(None),
-        )
+        journal
+            .reexecute(self.threads, None, None, None)
+            .expect("a run to the horizon has no cursor to reject")
     }
 
     /// Replays and byte-compares the aggregates against the recorded
@@ -41,31 +119,8 @@ impl Replayer {
     ///
     /// # Errors
     ///
-    /// On divergence, names the first differing summary line — the replay
-    /// contract is byte identity, so *any* difference is a bug in either
-    /// the journal or the simulation's determinism.
+    /// On divergence, names the first differing summary line.
     pub fn verify(&self, journal: &Journal) -> Result<AggregateMetrics, String> {
-        let metrics = self.replay(journal);
-        let replayed = metrics.summary_csv();
-        if replayed == journal.summary {
-            return Ok(metrics);
-        }
-        let diverged = journal
-            .summary
-            .lines()
-            .zip(replayed.lines())
-            .enumerate()
-            .find(|(_, (a, b))| a != b);
-        Err(match diverged {
-            Some((i, (rec, rep))) => format!(
-                "replay diverged at summary line {}: recorded {rec:?}, replayed {rep:?}",
-                i + 1
-            ),
-            None => format!(
-                "replay diverged in summary length: recorded {} lines, replayed {}",
-                journal.summary.lines().count(),
-                replayed.lines().count()
-            ),
-        })
+        journal.verify(self.threads, None)
     }
 }

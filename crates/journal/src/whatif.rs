@@ -2,7 +2,6 @@
 //! from an arbitrary cut point, history pinned before the cut, the
 //! swapped policy deciding after it — then diff the outcomes.
 
-use selftune_cluster::runner::{plan_fleet, plan_fleet_pinned};
 use selftune_cluster::{AggregateMetrics, ClusterRunner, PolicyKind, ScenarioSpec};
 
 use crate::record::Journal;
@@ -114,14 +113,15 @@ pub fn variant_spec(journal: &Journal, whatif: &WhatIf) -> ScenarioSpec {
 pub fn run_whatif(journal: &Journal, whatif: &WhatIf, threads: usize) -> WhatIfReport {
     let baseline = Replayer::new(threads).replay(journal);
     let spec = variant_spec(journal, whatif);
-    // A placement swap from epoch 0 re-decides admission itself; every
-    // other swap happened *after* the recorded initial placement, which
-    // therefore stays pinned.
-    let plan = match (whatif.swap, whatif.cut_epoch) {
-        (PolicySwap::Placement(_), 0) => plan_fleet(&spec, journal.seed),
-        _ => plan_fleet_pinned(&spec, journal.seed, &journal.pinned_plan()),
+    let variant = match (whatif.swap, whatif.cut_epoch) {
+        // A placement swap from epoch 0 re-decides admission itself, so
+        // nothing of the recorded run stays pinned: a live run.
+        (PolicySwap::Placement(_), 0) => ClusterRunner::new(threads).run(&spec, journal.seed),
+        // Every other swap happened *after* the recorded initial
+        // placement, which therefore stays pinned with the pre-cut epochs.
+        _ => journal
+            .reexecute(threads, Some(&spec), Some(whatif.cut_epoch), None)
+            .expect("a run to the horizon has no cursor to reject"),
     };
-    let moves = journal.pinned_moves(Some(whatif.cut_epoch));
-    let variant = ClusterRunner::new(threads).run_pinned(&spec, journal.seed, &plan, &moves);
     WhatIfReport { baseline, variant }
 }

@@ -5,7 +5,6 @@
 //! crash in deadline misses.
 
 use selftune::cluster::prelude::*;
-use selftune::cluster::runner::plan_fleet_pinned;
 use selftune::distrib::prelude::*;
 
 /// The composed diurnal fleet (all three control levels closed), as in
@@ -80,13 +79,22 @@ fn promotion_after_mid_crowd_crash_loses_zero_decisions() {
 
     // The no-replica alternative: a restarted controller is blind (no
     // migrations) for an outage window right as the crowd needs moving.
-    let replica = standby.journal().expect("replica journal");
-    let plan = plan_fleet_pinned(&spec, 42, &replica.pinned_plan());
-    let mut moves = replica.pinned_moves(Some(crash_epoch + 1));
-    for slot in moves.epochs.iter_mut().skip(crash_epoch + 1).take(3) {
-        *slot = Some(EpochDecision::default());
+    // Its journal for the window is a run of empty rebalance passes.
+    let mut replica = standby.journal().expect("replica journal");
+    let blind = crash_epoch + 1..crash_epoch + 4;
+    let ends = ClusterRunner::epoch_ends(&spec);
+    for epoch in blind.clone() {
+        replica.records.push(FleetEvent::Rebalance {
+            at: ends[epoch],
+            epoch,
+            snapshot: Vec::new(),
+            moves: 0,
+            failed: 0,
+        });
     }
-    let cold = ClusterRunner::new(2).run_pinned(&spec, 42, &plan, &moves);
+    let cold = replica
+        .reexecute(2, None, Some(blind.end), None)
+        .expect("full re-execution");
     assert!(
         cold.miss_ratio() > promoted.miss_ratio(),
         "cold restart must cost misses: {:.4} vs {:.4}",

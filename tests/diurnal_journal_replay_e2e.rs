@@ -70,3 +70,32 @@ fn diurnal_fixture_answers_node_share_whatif() {
     // full-horizon run (reduced at the same instant as the baseline).
     assert!(report.variant.miss_ratio().is_finite());
 }
+
+#[test]
+fn records_naming_unknown_nodes_or_tasks_are_load_errors_not_panics() {
+    // Well-formed lines that point outside the 6-node fleet: before the
+    // codec checked ids against the scenario these parsed fine and then
+    // indexed past the epoch leader's node table / the worker's plan.
+    let text = fixture_text();
+    let migration = text
+        .lines()
+        .find(|l| l.starts_with("migration = ") && l.contains(" vm=0 "))
+        .expect("fixture migrates a task");
+    for (field, bad) in [("from", "from=99"), ("id", "id=999999")] {
+        let good = migration
+            .split(' ')
+            .find(|tok| tok.starts_with(&format!("{field}=")))
+            .expect("field present");
+        let corrupt = text.replacen(migration, &migration.replacen(good, bad, 1), 1);
+        assert_ne!(corrupt, text);
+        for threads in [1usize, 2] {
+            let err = Journal::from_text(&corrupt)
+                .and_then(|journal| Replayer::new(threads).verify(&journal))
+                .expect_err("corrupt record must be refused");
+            assert!(
+                err.contains("out of range") && err.contains(bad),
+                "error should name the offending line: {err}"
+            );
+        }
+    }
+}
