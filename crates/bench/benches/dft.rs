@@ -3,6 +3,7 @@
 //! Equation (3): cost ∝ bins × events. The groups sweep each factor.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use selftune_bench::setups::WindowedFeed;
 use selftune_spectrum::{amplitude_spectrum, synthetic_burst_train, SpectrumConfig, WindowedDft};
 use std::hint::black_box;
 
@@ -44,10 +45,30 @@ fn bench_incremental_push(c: &mut Criterion) {
     });
 }
 
+/// The manager's feed: a batch per 500 ms sampling period into a full 2 s
+/// window (`incremental_push` above is one event per call, i.e. only the
+/// one-at-a-time tail of the block kernel).
+fn bench_windowed_feed(c: &mut Criterion) {
+    let mut g = c.benchmark_group("dft/windowed_feed");
+    for &per_batch in &[2usize, 16, 256] {
+        g.throughput(Throughput::Elements(per_batch as u64));
+        g.bench_with_input(
+            BenchmarkId::from_parameter(per_batch),
+            &per_batch,
+            |b, &n| {
+                let mut feed = WindowedFeed::new(n);
+                b.iter(|| feed.feed_next());
+            },
+        );
+    }
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_batch_events,
     bench_batch_bins,
-    bench_incremental_push
+    bench_incremental_push,
+    bench_windowed_feed
 );
 criterion_main!(benches);

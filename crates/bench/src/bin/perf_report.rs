@@ -18,6 +18,7 @@ use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use selftune_apps::PeriodicRt;
+use selftune_bench::setups::WindowedFeed;
 use selftune_cluster::churn_mem_report;
 use selftune_cluster::prelude::*;
 use selftune_sched::{EdfScheduler, Place, ReservationScheduler, ServerConfig};
@@ -367,6 +368,46 @@ fn kernel_report(out: &Path, smoke: bool) {
         after,
         note: None,
     });
+
+    // The manager's spectrum feed (PR 13): history rows, not a toggled
+    // path — the one-at-a-time evaluator survives only as a test oracle.
+    // One op is one complex exponentiation (Equation (3)): a feed of n
+    // events into a full window is 2n window operations × 821 bins.
+    let feed_iters = if smoke { 20 } else { 400 };
+    for (per_batch, note) in [
+        (
+            2usize,
+            "W = 1 tail only; parent ad2bf66 measured 2.7 ns/op on this machine",
+        ),
+        (
+            16,
+            "four full blocks; parent ad2bf66 measured 2.7 ns/op on this machine",
+        ),
+        (
+            256,
+            "64 full blocks; parent ad2bf66 measured 2.7 ns/op on this machine",
+        ),
+    ] {
+        let mut feed = WindowedFeed::new(per_batch);
+        let before = feed.ops();
+        feed.feed_next();
+        let ops_per_feed = (feed.ops() - before) as f64;
+        let ns = median_ns_per_op(samples, feed_iters, |n| {
+            for _ in 0..n {
+                feed.feed_next();
+            }
+        }) / ops_per_feed;
+        println!(
+            "spectrum/windowed_feed/{per_batch}: {ns:.2} ns/op ({ops_per_feed:.0} ops per feed)"
+        );
+        entries.push(Entry {
+            name: format!("spectrum/windowed_feed/{per_batch}"),
+            metric: "ns_per_op",
+            before: None,
+            after: ns,
+            note: Some(note),
+        });
+    }
 
     write_report(
         &out.join("BENCH_kernel.json"),

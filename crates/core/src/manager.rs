@@ -18,7 +18,7 @@ use selftune_simcore::metrics::{MetricKey, Metrics};
 use selftune_simcore::scheduler::Scheduler;
 use selftune_simcore::task::TaskId;
 use selftune_simcore::time::{Dur, Time};
-use selftune_tracer::{entry_times_into, TraceReader};
+use selftune_tracer::{EntryDemux, TraceReader};
 
 /// Manager configuration.
 #[derive(Clone, Debug)]
@@ -88,9 +88,13 @@ pub struct SelfTuningManager {
     tasks: Vec<ManagedTask>,
     /// Reused event batch: one allocation serves every sampling step.
     scratch: Vec<selftune_tracer::TraceEvent>,
-    /// Reused entry-time buffer: the per-task event train is extracted into
-    /// this instead of a fresh `Vec<f64>` per task per step.
-    ev_scratch: Vec<f64>,
+    /// The batch split into one entry-time train per managed task, once
+    /// per step.
+    demux: EntryDemux,
+    /// Reused request batch of one step, and for each request the index
+    /// in `tasks` of the task that made it.
+    requests: Vec<BwRequest>,
+    requesters: Vec<usize>,
     /// Grants the supervisor curbed below their request, cumulatively —
     /// the node-level saturation signal the fleet layer feeds back on.
     compressed_grants: u64,
@@ -104,7 +108,9 @@ impl SelfTuningManager {
             reader,
             tasks: Vec::new(),
             scratch: Vec::new(),
-            ev_scratch: Vec::new(),
+            demux: EntryDemux::default(),
+            requests: Vec::new(),
+            requesters: Vec::new(),
             compressed_grants: 0,
         }
     }
@@ -299,13 +305,15 @@ impl SelfTuningManager {
         // One batch buffer serves every step (disjoint field borrows let
         // the task loop read it directly).
         self.reader.drain_into(&mut self.scratch);
-        let mut requests: Vec<BwRequest> = Vec::new();
-        for mt in &mut self.tasks {
+        self.demux
+            .split(&self.scratch, self.tasks.iter().map(|t| t.task));
+        self.requests.clear();
+        self.requesters.clear();
+        for (index, mt) in self.tasks.iter_mut().enumerate() {
             if k.task_state(mt.task) == TaskState::Exited {
                 continue;
             }
             let keys = mt.keys(k.metrics_mut());
-            entry_times_into(&self.scratch, mt.task, &mut self.ev_scratch);
             let consumed = k.thread_time(mt.task);
             let exhausted = mt
                 .server
@@ -321,7 +329,7 @@ impl SelfTuningManager {
             }
             let decision = mt.ctl.step(&ControllerInput {
                 now,
-                events_secs: &self.ev_scratch,
+                events_secs: self.demux.entries(mt.task),
                 consumed,
                 elapsed,
                 exhausted,
@@ -354,31 +362,40 @@ impl SelfTuningManager {
                     }
                     mt.server = Some(sid);
                     k.metrics_mut().mark_k(keys.attached, now);
-                    requests.push(BwRequest {
+                    self.requests.push(BwRequest {
                         server: sid,
                         budget: req.budget,
                         period: req.period,
                     });
+                    self.requesters.push(index);
                 }
                 Decision::Adjust(req) => {
                     let sid = mt.server.expect("Adjust implies an attached server");
-                    requests.push(BwRequest {
+                    self.requests.push(BwRequest {
                         server: sid,
                         budget: req.budget,
                         period: req.period,
                     });
+                    self.requesters.push(index);
                 }
             }
         }
-        let grants = self.cfg.supervisor.apply(res(k.sched_mut()), &requests);
+        let grants = self
+            .cfg
+            .supervisor
+            .apply(res(k.sched_mut()), &self.requests);
+        // The supervisor answers requests in order and at most drops
+        // some, so the grants are an in-order subsequence of the requests.
+        let mut asked = self.requests.iter().zip(&self.requesters);
         for g in &grants {
             if g.compressed {
                 self.compressed_grants += 1;
             }
-            if let Some(mt) = self.tasks.iter().find(|t| t.server == Some(g.server)) {
-                let keys = mt.keys.expect("granted task has stepped");
-                k.metrics_mut().record_k(keys.bw, now, g.bandwidth());
-            }
+            let (_, &index) = asked
+                .find(|(r, _)| r.server == g.server)
+                .expect("every grant answers a request");
+            let keys = self.tasks[index].keys.expect("granted task has stepped");
+            k.metrics_mut().record_k(keys.bw, now, g.bandwidth());
         }
     }
 
@@ -410,10 +427,13 @@ impl SelfTuningManager {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use selftune_apps::{MediaConfig, MediaPlayer};
+    use selftune_apps::{Aperiodic, MediaConfig, MediaPlayer, PeriodicRt};
     use selftune_simcore::rng::Rng;
     use selftune_simcore::stats::mean_std_of;
-    use selftune_tracer::{Tracer, TracerConfig};
+    use selftune_simcore::syscall::SyscallNr;
+    use selftune_simcore::task::{Action, Script};
+    use selftune_spectrum::PeriodAnalyser;
+    use selftune_tracer::{entry_times_secs, Tracer, TracerConfig};
 
     /// End-to-end: an unmanaged mplayer is detected, attached to a
     /// reservation, and its budget converges to demand + spread.
@@ -520,6 +540,100 @@ mod tests {
         let half = k.metrics().marks("mplayer.frame").len() / 2;
         let (m, _) = mean_std_of(k.metrics().inter_mark_iter("mplayer.frame").skip(half));
         assert!((m - 40.0).abs() < 2.0, "steady IFT mean {m}");
+    }
+
+    /// Forwards every edge to two tracers: the manager drains one ring,
+    /// the test the other.
+    struct Tee(selftune_tracer::TracerHook, selftune_tracer::TracerHook);
+
+    impl selftune_simcore::kernel::SyscallHook for Tee {
+        fn on_enter(&mut self, task: TaskId, nr: SyscallNr, now: Time) -> Dur {
+            self.1.on_enter(task, nr, now);
+            self.0.on_enter(task, nr, now)
+        }
+        fn on_exit(&mut self, task: TaskId, nr: SyscallNr, now: Time) -> Dur {
+            self.1.on_exit(task, nr, now);
+            self.0.on_exit(task, nr, now)
+        }
+        fn on_wake(&mut self, task: TaskId, now: Time) -> Dur {
+            self.1.on_wake(task, now);
+            self.0.on_wake(task, now)
+        }
+    }
+
+    /// The one-pass demux hands every controller the train a per-task
+    /// scan of the batch would: mirror analysers fed
+    /// `entry_times_secs(&batch, task)` from a second ring end up with the
+    /// same spectrum, to the bit, as the managed ones — across an
+    /// interleaved batch with wake edges, an unmanaged task's events, a
+    /// task that exits mid-run and a zero-`elapsed` step.
+    #[test]
+    fn step_feeds_each_task_what_a_per_task_scan_of_the_batch_would() {
+        let traced = || TracerConfig {
+            trace_sched_events: true,
+            ..TracerConfig::default()
+        };
+        let (hook, reader) = Tracer::create(traced());
+        let (mirror_hook, mirror) = Tracer::create(traced());
+        let mut k = Kernel::new(ReservationScheduler::new());
+        k.install_hook(Box::new(Tee(hook, mirror_hook)));
+
+        let mut rng = Rng::new(11);
+        let video = MediaPlayer::new(MediaConfig::mplayer_video_25fps(), rng.fork());
+        let periodic = PeriodicRt::new("rt", Dur::ms(2), Dur::ms(50), 0.1, rng.fork());
+        let noise = Aperiodic::new(Dur::ms(15), Dur::from_ms_f64(1.5), 2, rng.fork());
+        // Forty reads 20 ms apart, then gone: exited from the third step.
+        let mut burst = Vec::new();
+        for _ in 0..40 {
+            burst.push(Action::syscall(SyscallNr::Read));
+            burst.push(Action::SleepFor(Dur::ms(20)));
+        }
+        burst.push(Action::Exit);
+        let managed = [
+            k.spawn("video", Box::new(video)),
+            k.spawn("rt", Box::new(periodic)),
+            k.spawn("short", Box::new(Script::once(burst))),
+        ];
+        k.spawn("noise", Box::new(noise));
+
+        let mut mgr = SelfTuningManager::new(ManagerConfig::default(), reader);
+        let ctl_cfg = ControllerConfig::default();
+        let mut mirrors = Vec::new();
+        for (i, &tid) in managed.iter().enumerate() {
+            mgr.manage(tid, &format!("t{i}"), ctl_cfg.clone());
+            mirrors.push(PeriodAnalyser::new(ctl_cfg.analyser));
+        }
+
+        let mut batch = Vec::new();
+        let mut mirror_step = |k: &Kernel<ReservationScheduler>, zero_elapsed: bool| {
+            mirror.drain_into(&mut batch);
+            for (&tid, analyser) in managed.iter().zip(&mut mirrors) {
+                if k.task_state(tid) != TaskState::Exited && !zero_elapsed {
+                    analyser.feed(&entry_times_secs(&batch, tid));
+                }
+            }
+        };
+        for step in 1..=8 {
+            k.run_until(Time::ZERO + Dur::ms(500 * step));
+            mgr.step(&mut k);
+            mirror_step(&k, false);
+            if step == 4 {
+                // Same instant again: every task sees a zero `elapsed`.
+                mgr.step(&mut k);
+                mirror_step(&k, true);
+            }
+        }
+
+        assert_eq!(k.task_state(managed[2]), TaskState::Exited);
+        for (&tid, analyser) in managed.iter().zip(&mirrors) {
+            let ours = mgr.controller_of(tid).unwrap().analyser().spectrum();
+            let theirs = analyser.spectrum();
+            assert!(theirs.events > 0, "{tid} was never fed");
+            assert_eq!(ours.events, theirs.events, "{tid}");
+            assert_eq!(ours.ops, theirs.ops, "{tid}");
+            let bits = |s: &[f64]| s.iter().map(|a| a.to_bits()).collect::<Vec<u64>>();
+            assert_eq!(bits(&ours.amplitudes), bits(&theirs.amplitudes), "{tid}");
+        }
     }
 
     #[test]

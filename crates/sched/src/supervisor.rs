@@ -148,11 +148,15 @@ impl Supervisor {
         if reqs.is_empty() {
             return (Vec::new(), ApplyReport::default());
         }
-        // Bandwidth pinned by servers that did not submit a request.
+        // Bandwidth pinned by servers that did not submit a request,
+        // summed in server-id order.
+        let mut requesting = vec![false; sched.server_count()];
+        for r in reqs {
+            requesting[r.server.index()] = true;
+        }
         let fixed: f64 = (0..sched.server_count())
-            .map(|i| ServerId(i as u32))
-            .filter(|sid| reqs.iter().all(|r| r.server != *sid))
-            .map(|sid| sched.server(sid).config().bandwidth())
+            .filter(|&i| !requesting[i])
+            .map(|i| sched.server(ServerId(i as u32)).config().bandwidth())
             .sum();
         let available = (self.ulub - fixed).max(0.0);
         let requested: f64 = reqs.iter().map(|r| r.budget.ratio(r.period)).sum();
@@ -372,6 +376,28 @@ mod tests {
         // Empty batch: all-zero report.
         let (_, empty) = sup.apply_detailed(&mut s, &[]);
         assert_eq!(empty, ApplyReport::default());
+    }
+
+    #[test]
+    fn fixed_is_summed_in_server_id_order_to_the_bit() {
+        // Bandwidths whose sum depends on the order of addition.
+        let servers: Vec<(u64, u64)> = (0..200).map(|i| (1 + i % 7, 300 + 13 * i)).collect();
+        let (mut s, ids) = sched_with(&servers);
+        let reqs: Vec<BwRequest> = [150usize, 3, 77, 4]
+            .iter()
+            .map(|&i| BwRequest {
+                server: ids[i],
+                budget: Dur::ms(1),
+                period: Dur::ms(400),
+            })
+            .collect();
+        let expected: f64 = ids
+            .iter()
+            .filter(|sid| reqs.iter().all(|r| r.server != **sid))
+            .map(|&sid| s.server(sid).config().bandwidth())
+            .sum();
+        let (_, report) = Supervisor::new(0.9).apply_detailed(&mut s, &reqs);
+        assert_eq!(report.fixed.to_bits(), expected.to_bits());
     }
 
     #[test]

@@ -7,6 +7,21 @@
 
 use crate::dft::{Spectrum, SpectrumConfig, WindowedDft};
 use crate::peaks::{detect, Detection, PeakConfig};
+use std::cell::RefCell;
+
+thread_local! {
+    /// The spectrum [`PeriodAnalyser::estimate`] runs the heuristic on,
+    /// overwritten in full by every call. One per thread rather than one
+    /// per analyser: a node steps thousands of analysers in turn, and a
+    /// private `bins × 8` byte buffer each would add a quarter to a dense
+    /// fleet's resident memory to save one allocation per estimate.
+    static ESTIMATE_SPECTRUM: RefCell<Spectrum> = RefCell::new(Spectrum {
+        config: SpectrumConfig::default(),
+        amplitudes: Vec::new(),
+        events: 0,
+        ops: 0,
+    });
+}
 
 /// Full analyser configuration.
 #[derive(Copy, Clone, Debug, Default)]
@@ -77,9 +92,7 @@ impl PeriodAnalyser {
 
     /// Feeds a batch of event timestamps (seconds, time-ordered).
     pub fn feed(&mut self, events_secs: &[f64]) {
-        for &t in events_secs {
-            self.dft.push(t);
-        }
+        self.dft.extend(events_secs);
     }
 
     /// Number of events currently in the window.
@@ -96,10 +109,12 @@ impl PeriodAnalyser {
         if self.dft.is_empty() {
             return None;
         }
-        let spectrum = self.dft.spectrum();
-        let analysis = detect(&spectrum, &self.cfg.peaks);
+        let detection = ESTIMATE_SPECTRUM.with_borrow_mut(|spectrum| {
+            self.dft.spectrum_into(spectrum);
+            detect(spectrum, &self.cfg.peaks).detection
+        });
         self.estimates += 1;
-        match analysis.detection {
+        match detection {
             Detection::Periodic {
                 frequency, score, ..
             } => {
@@ -107,7 +122,7 @@ impl PeriodAnalyser {
                     frequency,
                     period: 1.0 / frequency,
                     score,
-                    events: spectrum.events,
+                    events: self.dft.len(),
                 };
                 self.last = Some(est);
                 Some(est)

@@ -61,19 +61,6 @@ pub fn entry_times_secs(events: &[TraceEvent], task: TaskId) -> Vec<f64> {
         .collect()
 }
 
-/// Like [`entry_times_secs`], but appends into a caller-owned buffer after
-/// clearing it, so a sampling loop (the manager steps once per task per
-/// period) reuses one allocation instead of growing a fresh `Vec` each time.
-pub fn entry_times_into(events: &[TraceEvent], task: TaskId, out: &mut Vec<f64>) {
-    out.clear();
-    out.extend(
-        events
-            .iter()
-            .filter(|e| e.task == task && e.edge == Edge::Enter)
-            .map(|e| e.at.as_secs_f64()),
-    );
-}
-
 /// Extracts the wake-edge timestamps (seconds) for a given task — the
 /// scheduler-event train (paper Section 6 alternative source).
 pub fn wake_times_secs(events: &[TraceEvent], task: TaskId) -> Vec<f64> {
@@ -128,25 +115,5 @@ mod tests {
     fn empty_input_gives_empty_outputs() {
         assert!(counts_by_call(&[]).is_empty());
         assert!(entry_times_secs(&[], TaskId(0)).is_empty());
-    }
-
-    #[test]
-    fn entry_times_into_matches_and_reuses_capacity() {
-        let events = vec![
-            ev(1, SyscallNr::Read, Edge::Enter, 10),
-            ev(2, SyscallNr::Read, Edge::Enter, 20),
-            ev(1, SyscallNr::Write, Edge::Enter, 40),
-        ];
-        let mut buf = Vec::new();
-        entry_times_into(&events, TaskId(1), &mut buf);
-        assert_eq!(buf, entry_times_secs(&events, TaskId(1)));
-        // A second, smaller extraction reuses the buffer: same backing
-        // allocation, no growth.
-        let cap = buf.capacity();
-        let ptr = buf.as_ptr();
-        entry_times_into(&events, TaskId(2), &mut buf);
-        assert_eq!(buf.len(), 1);
-        assert_eq!(buf.capacity(), cap);
-        assert_eq!(buf.as_ptr(), ptr);
     }
 }

@@ -8,17 +8,18 @@
 //!
 //! * [`ring`] — the statically-sized circular buffer.
 //! * [`event`] — trace records and per-call statistics (Figure 4).
+//! * [`demux`] — one-pass split of a batch into per-task entry trains.
 //! * [`overhead`] — per-edge overhead models (Table 1).
 //! * [`hook`] — the kernel hook + user-space reader pair.
 
+pub mod demux;
 pub mod event;
 pub mod hook;
 pub mod overhead;
 pub mod ring;
 
-pub use event::{
-    counts_by_call, entry_times_into, entry_times_secs, wake_times_secs, Edge, TraceEvent,
-};
+pub use demux::EntryDemux;
+pub use event::{counts_by_call, entry_times_secs, wake_times_secs, Edge, TraceEvent};
 pub use hook::{TraceFilter, TraceReader, Tracer, TracerConfig, TracerHook};
 pub use overhead::{OverheadParams, TracerKind};
 pub use ring::RingBuffer;
