@@ -107,16 +107,6 @@ impl NodeSketches {
         self.vm_attach.merge(&other.vm_attach);
     }
 
-    /// Resets all four sketches to empty, keeping their bin allocations —
-    /// how a worker's partial-merge buffer is recycled across epoch
-    /// barriers (one allocation per worker for the whole run).
-    pub fn clear(&mut self) {
-        self.gaps.clear();
-        self.post_migration.clear();
-        self.attach.clear();
-        self.vm_attach.clear();
-    }
-
     /// Reduces the per-node sketches of `nodes` (sorted by node id) with a
     /// balanced binary tree over fixed node-id ranges, byte-identical to
     /// the historical serial node-order fold. `None` iff no node reported

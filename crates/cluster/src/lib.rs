@@ -16,8 +16,8 @@
 //!        │             lifetimes)    migration on rejection)
 //!        ▼
 //!   ClusterRunner ──► worker threads ──► Node = Kernel + Tracer
-//!        │            (work-stealing       + SelfTuningManager
-//!        │             node claim)         run epoch by epoch
+//!        │            (plan-weighted       + SelfTuningManager
+//!        │             node deal)          run epoch by epoch
 //!        │   ▲                                   │
 //!        │   │  migrations                       │ NodeFeedback
 //!        │   └───── Placer::rebalance ◄──────────┘ (measured util,

@@ -7,26 +7,35 @@
 //! threads therefore never race on anything observable: running the same
 //! spec and seed on 1 or N threads yields byte-identical aggregates.
 //!
-//! Scheduling: workers pull node ids in chunks from a shared atomic
-//! counter (chunked work-stealing) instead of a static round-robin deal,
-//! so a fleet with skewed per-node costs no longer serialises on the
-//! slowest thread — a worker that drew cheap nodes just steals the next
-//! chunk. Which thread simulates a node affects wall-clock only; reports
-//! are reassembled in node-id order.
+//! Scheduling: nodes are dealt to workers once, before the first epoch,
+//! by `deal_nodes` — a longest-processing-time deal over the weights
+//! the plan already states (a node's planned flat tasks and planned VM
+//! guests, plus one). First-fit packs the whole load onto a few low ids;
+//! dealing by weight hands every worker its share of those deep nodes,
+//! where a blind deal of consecutive ids gave one worker all of them. The
+//! empty nodes (weight 1) then level what difference is left and
+//! alternate once it is gone. What the plan cannot state — which empty
+//! nodes a later drain fills — the deal does not see: nodes are not
+//! re-dealt between epochs. The deal is a pure function of the plan and
+//! the worker count, and which thread simulates a node affects wall-clock
+//! only; reports are reassembled in node-id order.
 //!
 //! Feedback re-placement: when [`ScenarioSpec::rebalance`] is enabled the
-//! run is cut into barrier-synchronised *epochs*. Nodes are claimed once
-//! (work-stealing) in the first epoch and stay thread-bound afterwards
-//! (their tracer state is `Rc`-shared). At every epoch boundary all
-//! workers park on a barrier, each node having published a plain-data
-//! [`NodeFeedback`] snapshot; exactly one thread then runs the
-//! deterministic rebalance pass over the snapshots (sorted in node-id
-//! order) and publishes the migration commands; after a second barrier
-//! every worker applies the commands to the nodes it owns — extraction on
-//! the source, re-admission on the destination — and simulation resumes.
-//! Both the decisions and their application depend only on `(spec, seed)`
-//! and virtual time, so aggregates stay byte-identical at any thread
-//! count.
+//! run is cut into barrier-synchronised *epochs*. A node stays with the
+//! worker it was dealt to for the whole run (its tracer state is
+//! `Rc`-shared). At every epoch boundary each worker computes a
+//! plain-data [`NodeFeedback`] snapshot per owned node — and, at a
+//! checkpoint boundary, an interim report — *outside* any lock, stores
+//! the finished values into per-node slots, and parks on a barrier;
+//! exactly one thread then takes the snapshots (in node-id order), runs
+//! the deterministic rebalance pass and publishes the epoch's orders
+//! (migrations and node re-bounds) behind an `Arc`; after a second
+//! barrier every worker snapshots that `Arc` and applies the orders to
+//! the nodes it owns — extraction on the source, re-admission on the
+//! destination — with no lock held, and simulation resumes. A mutex here
+//! is only ever held to move a finished value in or out. Both the
+//! decisions and their application depend only on `(spec, seed)` and
+//! virtual time, so aggregates stay byte-identical at any thread count.
 //!
 //! Decision journalling and replay: [`ClusterRunner::run_logged`] runs a
 //! scenario while emitting the merged, canonically ordered
@@ -39,8 +48,7 @@
 //! what-if replay can pin history up to a cut epoch and let a *swapped*
 //! policy decide from there.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Barrier, Mutex};
+use std::sync::{Arc, Barrier, Mutex};
 use std::thread;
 
 use selftune_analysis::PeriodicTask;
@@ -481,7 +489,6 @@ fn plan_fleet_impl(
 #[derive(Clone, Debug)]
 pub struct ClusterRunner {
     threads: usize,
-    chunk: Option<usize>,
     scan_placement: bool,
     sketch: bool,
     recycle: bool,
@@ -492,7 +499,6 @@ impl ClusterRunner {
     pub fn new(threads: usize) -> ClusterRunner {
         ClusterRunner {
             threads: threads.max(1),
-            chunk: None,
             scan_placement: false,
             sketch: false,
             recycle: true,
@@ -531,17 +537,6 @@ impl ClusterRunner {
         self
     }
 
-    /// Overrides the work-stealing chunk size (nodes claimed per steal).
-    ///
-    /// The default balances steal overhead against skew tolerance. Setting
-    /// the chunk to ≥ the per-thread node share reproduces the old static
-    /// partition (useful for before/after benchmarking); `0` restores the
-    /// default.
-    pub fn with_chunk(mut self, chunk: usize) -> ClusterRunner {
-        self.chunk = if chunk == 0 { None } else { Some(chunk) };
-        self
-    }
-
     /// A runner using all available hardware parallelism.
     pub fn available_parallelism() -> ClusterRunner {
         ClusterRunner::new(
@@ -558,11 +553,10 @@ impl ClusterRunner {
 
     /// Plans and runs the scenario, reducing to fleet aggregates.
     ///
-    /// Workers claim node ids in chunks from a shared atomic counter and
-    /// build each claimed node locally (kernels are thread-bound), so a
-    /// thread finishing its cheap nodes steals the remaining expensive
-    /// ones. Reports are reassembled in node-id order, so thread count and
-    /// chunk size affect wall-clock time only.
+    /// Nodes are dealt to workers by planned weight (`deal_nodes`) and
+    /// each worker builds its nodes locally (kernels are thread-bound).
+    /// Reports are reassembled in node-id order, so the thread count
+    /// affects wall-clock time only.
     pub fn run(&self, spec: &ScenarioSpec, seed: u64) -> AggregateMetrics {
         let plan = plan_fleet_impl(spec, seed, None, self.scan_placement);
         self.run_planned(spec, seed, &plan)
@@ -643,16 +637,6 @@ impl ClusterRunner {
         self.run_inner(spec, seed, plan, Some(moves), None, Some(cursor))
     }
 
-    /// The effective steal-chunk size for an `nodes`-node fleet.
-    fn chunk_for(&self, nodes: usize, workers: usize) -> usize {
-        match self.chunk {
-            Some(c) => c,
-            // Quarter-share chunks: coarse enough that steal traffic is
-            // negligible, fine enough to absorb ~4x per-node cost skew.
-            None => (nodes / (workers * 4)).max(1),
-        }
-    }
-
     /// The epoch boundaries of a run: rebalance instants, then the horizon.
     ///
     /// With rebalance disabled (or a period at/after the horizon) there is
@@ -723,7 +707,21 @@ impl ClusterRunner {
         }
 
         let workers = self.threads.min(spec.nodes).max(1);
-        let chunk = self.chunk_for(spec.nodes, workers);
+        // Which worker simulates which node, decided here from what the
+        // plan puts on each node; `home[n]` is node `n`'s worker and its
+        // position in that worker's list.
+        let weights: Vec<usize> = per_node
+            .iter()
+            .zip(&per_node_vms)
+            .map(|(ids, vms)| ids.len() + vms.iter().map(|vm| vm.guests.len()).sum::<usize>() + 1)
+            .collect();
+        let deal = deal_nodes(&weights, workers);
+        let mut home = vec![(0usize, 0usize); spec.nodes];
+        for (w, mine) in deal.iter().enumerate() {
+            for (i, &n) in mine.iter().enumerate() {
+                home[n] = (w, i);
+            }
+        }
         let scan_placement = self.scan_placement;
         let sketch = self.sketch;
         let recycle = self.recycle;
@@ -768,62 +766,55 @@ impl ClusterRunner {
                 .on_plan(&plan.admission, &events);
         }
 
-        let next = AtomicUsize::new(0);
         let barrier = Barrier::new(workers);
-        // Feedback snapshots, one slot per node, refilled every epoch.
+        // Feedback snapshots, one slot per node: every worker stores its
+        // nodes' finished snapshots, the barrier leader takes them all.
         let feedback: Mutex<Vec<Option<NodeFeedback>>> = Mutex::new(vec![None; spec.nodes]);
-        // Rebalance decisions of the current epoch, cumulative stats and
-        // the cross-epoch EWMA pressure state; written by the barrier
-        // leader, read by every worker.
-        let shared: Mutex<(Vec<Migration>, RebalanceStats, Vec<f64>)> =
-            Mutex::new((Vec::new(), RebalanceStats::default(), vec![0.0; spec.nodes]));
-        // Node-level share state: one controller per node, the bound each
-        // node currently runs under, and the re-bounds of the current
-        // epoch (leader-written, applied by every worker to the nodes it
-        // owns). Empty controllers when the plane is off.
-        type NodeShareState = (Vec<ShareController>, Vec<f64>, Vec<(usize, f64)>);
-        let node_share: Mutex<NodeShareState> = Mutex::new((
-            if spec.node_share.enabled {
+        // What only the barrier leader touches (a different thread each
+        // epoch, hence the mutex), and what it publishes for every worker
+        // to apply after the second barrier.
+        let leader: Mutex<LeaderState> = Mutex::new(LeaderState {
+            stats: RebalanceStats::default(),
+            smoothed: vec![0.0; spec.nodes],
+            ctls: if spec.node_share.enabled {
                 (0..spec.nodes)
                     .map(|_| ShareController::new(node_share_config(spec)))
                     .collect()
             } else {
                 Vec::new()
             },
-            vec![spec.ulub; spec.nodes],
-            Vec::new(),
-        ));
+            bounds: vec![spec.ulub; spec.nodes],
+        });
+        let orders: Mutex<Arc<EpochOrders>> = Mutex::new(Arc::default());
         // Share-grant events drained by every worker at the barrier; the
         // leader merges them with its own decisions into the epoch batch.
         let batch_grants: Mutex<Vec<FleetEvent>> = Mutex::new(Vec::new());
         // Interim per-node reports, published at checkpoint barriers only.
         let ckpt_reports: Mutex<Vec<Option<NodeReport>>> = Mutex::new(vec![None; spec.nodes]);
-        // Sketch-mode partial reduction, one reusable buffer per worker:
-        // each worker pre-merges the sketches of the nodes it owns before
-        // the leader's final combine, so the epoch-barrier reduction is a
-        // balanced tree (worker partials over fixed node ranges, then one
-        // top-level merge) instead of a serial node-id-order fold. Sketch
-        // counts merge exactly under any grouping; the one order-sensitive
-        // piece — the float sums — is re-serialised against node-id order
-        // inside `AggregateMetrics::new_premerged`, so output bytes are
-        // identical at any thread count. The flag marks a buffer that saw
-        // at least one report this round; `clear()` keeps the bin
-        // allocations, making this one allocation per worker per run.
-        let ckpt_partials: Mutex<Vec<(bool, NodeSketches)>> =
-            Mutex::new((0..workers).map(|_| (false, NodeSketches::new())).collect());
+        // Sketch-mode partial reduction, one slot per worker: each worker
+        // pre-merges the sketches of the nodes it owns before the leader's
+        // final combine, so the epoch-barrier reduction is a two-level
+        // tree (worker partials, then one top-level merge) instead of a
+        // serial node-id-order fold. Sketch counts merge exactly under any
+        // grouping; the one order-sensitive piece — the float sums — is
+        // re-serialised against node-id order inside
+        // `AggregateMetrics::new_premerged`, so output bytes are identical
+        // at any thread count and under any deal.
+        let ckpt_partials: Mutex<Vec<Option<NodeSketches>>> = Mutex::new(vec![None; workers]);
+        let mut final_partials: Vec<NodeSketches> = Vec::new();
 
         thread::scope(|scope| {
             let mut handles = Vec::with_capacity(workers);
-            for w in 0..workers {
+            for (w, mine) in deal.iter().enumerate() {
                 let spec_ref = &*spec;
                 let plan_ref = &*plan;
                 let per_node = &per_node;
                 let per_node_vms = &per_node_vms;
-                let next = &next;
+                let home = &home;
                 let barrier = &barrier;
                 let feedback = &feedback;
-                let shared = &shared;
-                let node_share = &node_share;
+                let leader = &leader;
+                let orders = &orders;
                 let batch_grants = &batch_grants;
                 let ckpt_reports = &ckpt_reports;
                 let ckpt_partials = &ckpt_partials;
@@ -831,11 +822,16 @@ impl ClusterRunner {
                 let sink = sink.as_ref();
                 let ends = &ends;
                 handles.push(scope.spawn(move || {
-                    // Epoch 0: claim node chunks (work-stealing), build
-                    // each node locally and run it to the first boundary.
-                    // Ownership is fixed afterwards — a node's tracer state
-                    // is thread-bound.
-                    let mut owned: Vec<Node> = Vec::new();
+                    // Epoch 0: build each dealt node locally and run it
+                    // to the first boundary. Ownership is fixed for the
+                    // run — a node's tracer state is thread-bound.
+                    let mut owned: Vec<Node> = Vec::with_capacity(mine.len());
+                    // Position in `owned` of node `n`, if it is this
+                    // worker's.
+                    let local = |n: usize| {
+                        home.get(n)
+                            .and_then(|&(owner, i)| (owner == w).then_some(i))
+                    };
                     // Arrival cursor per owned node: how many of its
                     // planned tasks have been admitted into the kernel.
                     // With a single epoch everything is admitted up front
@@ -843,39 +839,33 @@ impl ClusterRunner {
                     // arrivals are batched into the epoch they start in,
                     // so a node is not paying manager-step costs for tasks
                     // that arrive seconds later.
-                    let mut cursors: Vec<usize> = Vec::new();
-                    loop {
-                        let base = next.fetch_add(chunk, Ordering::Relaxed);
-                        if base >= spec_ref.nodes {
-                            break;
+                    let mut cursors: Vec<usize> = Vec::with_capacity(mine.len());
+                    for &node_id in mine {
+                        let ids = &per_node[node_id];
+                        let mut node = Node::new(node_id, spec_ref);
+                        node.set_recycle(recycle);
+                        for vm in &per_node_vms[node_id] {
+                            node.add_vm(vm.clone());
                         }
-                        let end = (base + chunk).min(spec_ref.nodes);
-                        for (node_id, ids) in per_node.iter().enumerate().take(end).skip(base) {
-                            let mut node = Node::new(node_id, spec_ref);
-                            node.set_recycle(recycle);
-                            for vm in &per_node_vms[node_id] {
-                                node.add_vm(vm.clone());
+                        let mut cursor = 0;
+                        while cursor < ids.len() {
+                            let t = &plan_ref.tasks[ids[cursor] as usize].task;
+                            // A single-epoch *prefix* run must still gate
+                            // arrivals at the boundary; only a full
+                            // single-epoch run admits everything up front
+                            // (the historical behaviour).
+                            if (ends.len() > 1 || !flush) && t.arrival > ends[0] {
+                                break;
                             }
-                            let mut cursor = 0;
-                            while cursor < ids.len() {
-                                let t = &plan_ref.tasks[ids[cursor] as usize].task;
-                                // A single-epoch *prefix* run must still
-                                // gate arrivals at the boundary; only a
-                                // full single-epoch run admits everything
-                                // up front (the historical behaviour).
-                                if (ends.len() > 1 || !flush) && t.arrival > ends[0] {
-                                    break;
-                                }
-                                node.add_task(t.clone());
-                                cursor += 1;
-                            }
-                            for w in &spec_ref.overload {
-                                node.inject_overload(w);
-                            }
-                            node.run_to_horizon(ends[0]);
-                            owned.push(node);
-                            cursors.push(cursor);
+                            node.add_task(t.clone());
+                            cursor += 1;
                         }
+                        for w in &spec_ref.overload {
+                            node.inject_overload(w);
+                        }
+                        node.run_to_horizon(ends[0]);
+                        owned.push(node);
+                        cursors.push(cursor);
                     }
 
                     for (ei, &t_end) in ends.iter().enumerate() {
@@ -920,29 +910,19 @@ impl ClusterRunner {
                         // interim per-node report (a `&self` reduction —
                         // the simulation state is untouched).
                         if ckpt_at[ei] {
+                            let reps: Vec<NodeReport> = owned
+                                .iter()
+                                .map(|node| node.report_mode(t_end, !sketch))
+                                .collect();
+                            // Pre-merge this worker's nodes — the leader's
+                            // combine below then touches one partial per
+                            // worker, not one per node.
+                            let partial =
+                                merged_sketches(reps.iter().filter_map(|r| r.sketches.as_ref()));
+                            ckpt_partials.lock().expect("checkpoint partial lock")[w] = partial;
                             let mut slots = ckpt_reports.lock().expect("checkpoint report lock");
-                            if sketch {
-                                // Pre-merge this worker's node range into
-                                // its reusable partial buffer — the
-                                // leader's combine below then touches one
-                                // buffer per worker, not one per node.
-                                let mut partials =
-                                    ckpt_partials.lock().expect("checkpoint partial lock");
-                                let (saw, buf) = &mut partials[w];
-                                buf.clear();
-                                *saw = false;
-                                for node in &owned {
-                                    let rep = node.report_mode(t_end, false);
-                                    if let Some(k) = &rep.sketches {
-                                        buf.merge(k);
-                                        *saw = true;
-                                    }
-                                    slots[node.id()] = Some(rep);
-                                }
-                            } else {
-                                for node in &owned {
-                                    slots[node.id()] = Some(node.report_mode(t_end, true));
-                                }
+                            for (&n, rep) in mine.iter().zip(reps) {
+                                slots[n] = Some(rep);
                             }
                         }
                         if ei == ends.len() - 1 {
@@ -951,24 +931,39 @@ impl ClusterRunner {
 
                         // Publish this worker's snapshots, then let exactly
                         // one thread decide for the whole fleet.
+                        let snaps: Vec<NodeFeedback> =
+                            owned.iter_mut().map(|node| node.feedback(t_end)).collect();
                         {
                             let mut slots = feedback.lock().expect("feedback lock");
-                            for node in &mut owned {
-                                let id = node.id();
-                                slots[id] = Some(node.feedback(t_end));
+                            for (&n, snap) in mine.iter().zip(snaps) {
+                                slots[n] = Some(snap);
                             }
                         }
                         if barrier.wait().is_leader() {
-                            let slots = feedback.lock().expect("feedback lock");
+                            // Taken, not cloned: a slot left empty by a
+                            // node that failed to publish this epoch is a
+                            // named panic, never last epoch's snapshot.
                             let mut view = FeedbackView {
-                                nodes: slots
-                                    .iter()
-                                    .map(|s| s.clone().expect("missing node feedback"))
+                                nodes: feedback
+                                    .lock()
+                                    .expect("feedback lock")
+                                    .iter_mut()
+                                    .enumerate()
+                                    .map(|(n, s)| {
+                                        s.take().unwrap_or_else(|| {
+                                            panic!("node {n} published no feedback")
+                                        })
+                                    })
                                     .collect(),
                                 smoothed: None,
                             };
-                            drop(slots);
-                            let mut sh = shared.lock().expect("rebalance lock");
+                            let mut guard = leader.lock().expect("leader state lock");
+                            let LeaderState {
+                                stats,
+                                smoothed,
+                                ctls,
+                                bounds,
+                            } = &mut *guard;
                             // Interim checkpoint: reduce the published
                             // per-node reports against the *pre-update*
                             // rebalance stats — exactly the state a pinned
@@ -991,21 +986,13 @@ impl ClusterRunner {
                                 // worker partials (worker-index order —
                                 // deterministic, and exact because sums
                                 // are re-serialised inside).
-                                let premerged = if sketch {
-                                    let partials =
-                                        ckpt_partials.lock().expect("checkpoint partial lock");
-                                    let mut combined = NodeSketches::new();
-                                    let mut any = false;
-                                    for (saw, buf) in partials.iter() {
-                                        if *saw {
-                                            combined.merge(buf);
-                                            any = true;
-                                        }
-                                    }
-                                    any.then_some(combined)
-                                } else {
-                                    None
-                                };
+                                let partials: Vec<NodeSketches> = ckpt_partials
+                                    .lock()
+                                    .expect("checkpoint partial lock")
+                                    .iter_mut()
+                                    .filter_map(Option::take)
+                                    .collect();
+                                let premerged = merged_sketches(&partials);
                                 let interim = AggregateMetrics::new_premerged(
                                     &spec_ref.name,
                                     seed,
@@ -1013,7 +1000,7 @@ impl ClusterRunner {
                                     nodes,
                                     premerged,
                                 )
-                                .with_rebalance(sh.1.clone());
+                                .with_rebalance(stats.clone());
                                 if let Some(s) = sink {
                                     s.lock()
                                         .expect("journal sink lock")
@@ -1026,11 +1013,10 @@ impl ClusterRunner {
                             // value. Pure f64 folds over node-id order — the
                             // thread count cannot leak in.
                             let alpha = spec_ref.rebalance.ewma_alpha;
-                            for n in 0..spec_ref.nodes {
-                                let raw = view.raw_signal(n);
-                                sh.2[n] = alpha * raw + (1.0 - alpha) * sh.2[n];
+                            for (n, s) in smoothed.iter_mut().enumerate() {
+                                *s = alpha * view.raw_signal(n) + (1.0 - alpha) * *s;
                             }
-                            view.smoothed = Some(sh.2.clone());
+                            view.smoothed = Some(smoothed.clone());
                             // Node-level share re-bounding runs before the
                             // rebalance decision of the same epoch: a node
                             // that can absorb its own pressure in place
@@ -1042,10 +1028,8 @@ impl ClusterRunner {
                             // (the pinned simulation reproduces the same
                             // feedback, hence the same bounds).
                             let mut rebound_events: Vec<FleetEvent> = Vec::new();
-                            let bounds: Option<Vec<f64>> = if spec_ref.node_share.enabled {
-                                let mut ns = node_share.lock().expect("node share lock");
-                                let (ctls, bounds, apply) = &mut *ns;
-                                apply.clear();
+                            let mut rebounds: Vec<(usize, f64)> = Vec::new();
+                            if spec_ref.node_share.enabled {
                                 for fb in &view.nodes {
                                     let n = fb.node;
                                     let (decision, trace) = ctls[n].step_traced(&DemandSignal {
@@ -1074,13 +1058,10 @@ impl ClusterRunner {
                                             });
                                         }
                                         bounds[n] = target;
-                                        apply.push((n, target));
+                                        rebounds.push((n, target));
                                     }
                                 }
-                                Some(bounds.clone())
-                            } else {
-                                None
-                            };
+                            }
                             // A pinned epoch applies the journal's decisions
                             // verbatim; an unpinned one decides live. The
                             // EWMA fold above runs either way, so decisions
@@ -1101,7 +1082,7 @@ impl ClusterRunner {
                                             &view,
                                             t_end,
                                             scan_placement,
-                                            bounds.as_deref(),
+                                            spec_ref.node_share.enabled.then_some(&bounds[..]),
                                         );
                                         EpochDecision {
                                             moves: o.moves,
@@ -1111,11 +1092,12 @@ impl ClusterRunner {
                                 }
                             };
                             if spec_ref.rebalance.enabled {
-                                sh.1.epochs += 1;
+                                stats.epochs += 1;
                             }
-                            sh.1.moves += decision.moves.len() as u64;
-                            sh.1.failed += decision.failed;
-                            sh.1.records
+                            stats.moves += decision.moves.len() as u64;
+                            stats.failed += decision.failed;
+                            stats
+                                .records
                                 .extend(decision.moves.iter().map(|m| MigrationRecord {
                                     epoch: ei as u64,
                                     fleet_id: m.fleet_id,
@@ -1191,98 +1173,94 @@ impl ClusterRunner {
                             for m in &decision.moves {
                                 if !drained[m.from] {
                                     drained[m.from] = true;
-                                    sh.2[m.from] *= 0.5;
+                                    smoothed[m.from] *= 0.5;
                                 }
                             }
-                            sh.0 = decision.moves;
+                            *orders.lock().expect("epoch orders lock") = Arc::new(EpochOrders {
+                                rebounds,
+                                moves: decision.moves,
+                            });
                         }
                         barrier.wait();
 
-                        // Apply the epoch's node re-bounds to the owned
-                        // nodes first: a migration landing this epoch is
-                        // admitted under the destination's *new* bound.
-                        if spec_ref.node_share.enabled {
-                            let ns = node_share.lock().expect("node share lock");
-                            for &(n, bound) in &ns.2 {
-                                for node in &mut owned {
-                                    if node.id() == n {
-                                        node.set_ulub(bound);
-                                    }
-                                }
+                        // Snapshot the leader's orders and apply them to
+                        // the owned nodes with no lock held — extraction
+                        // and re-admission are the expensive part of a
+                        // boundary, and every worker does its own share at
+                        // once.
+                        let orders = Arc::clone(&orders.lock().expect("epoch orders lock"));
+                        // Re-bounds first: a migration landing this epoch
+                        // is admitted under the destination's *new* bound.
+                        for &(n, bound) in &orders.rebounds {
+                            if let Some(i) = local(n) {
+                                owned[i].set_ulub(bound);
                             }
                         }
-
-                        // Apply the epoch's migrations to the owned nodes.
-                        let sh = shared.lock().expect("rebalance lock");
-                        for m in &sh.0 {
-                            for node in &mut owned {
+                        for m in &orders.moves {
+                            if let Some(i) = local(m.from) {
                                 if m.vm {
-                                    if node.id() == m.from {
-                                        node.extract_vm(m.fleet_id);
-                                    } else if node.id() == m.to {
-                                        let base = &plan_ref.vms[m.fleet_id].vm;
-                                        // `guest_warm` is already gated at the
-                                        // producer: nodes only build grants
-                                        // when rebalance runs with warm_start.
-                                        node.add_vm(migrated_vm_incarnation(
-                                            base,
-                                            t_end,
-                                            seed,
-                                            ei,
-                                            &m.guest_warm,
-                                        ));
-                                    }
-                                } else if node.id() == m.from {
-                                    node.extract_task(m.fleet_id);
-                                } else if node.id() == m.to {
-                                    let base = &plan_ref.tasks[m.fleet_id].task;
-                                    node.add_task(NodeTask {
-                                        fleet_id: base.fleet_id,
-                                        label: format!("{}e{ei}", base.label),
-                                        kind: base.kind.clone(),
-                                        arrival: t_end,
-                                        departure: base.departure,
-                                        seed: derive_task_seed(
-                                            seed ^ SEED_MIGRATION_SALT,
-                                            ((base.fleet_id as u64) << 16) | ei as u64,
-                                        ),
-                                        migrated: true,
-                                        warm: if spec_ref.rebalance.warm_start {
-                                            m.warm
-                                        } else {
-                                            None
-                                        },
-                                    });
+                                    owned[i].extract_vm(m.fleet_id);
+                                } else {
+                                    owned[i].extract_task(m.fleet_id);
                                 }
+                            }
+                            // A move onto its own source extracts only.
+                            if m.to == m.from {
+                                continue;
+                            }
+                            let Some(i) = local(m.to) else {
+                                continue;
+                            };
+                            if m.vm {
+                                let base = &plan_ref.vms[m.fleet_id].vm;
+                                // `guest_warm` is already gated at the
+                                // producer: nodes only build grants when
+                                // rebalance runs with warm_start.
+                                owned[i].add_vm(migrated_vm_incarnation(
+                                    base,
+                                    t_end,
+                                    seed,
+                                    ei,
+                                    &m.guest_warm,
+                                ));
+                            } else {
+                                let base = &plan_ref.tasks[m.fleet_id].task;
+                                owned[i].add_task(NodeTask {
+                                    fleet_id: base.fleet_id,
+                                    label: format!("{}e{ei}", base.label),
+                                    kind: base.kind.clone(),
+                                    arrival: t_end,
+                                    departure: base.departure,
+                                    seed: derive_task_seed(
+                                        seed ^ SEED_MIGRATION_SALT,
+                                        ((base.fleet_id as u64) << 16) | ei as u64,
+                                    ),
+                                    migrated: true,
+                                    warm: if spec_ref.rebalance.warm_start {
+                                        m.warm
+                                    } else {
+                                        None
+                                    },
+                                });
                             }
                         }
                     }
 
-                    let finals = owned
+                    let finals: Vec<NodeReport> = owned
                         .iter()
-                        .map(|n| (n.id(), n.report_mode(horizon, !sketch)))
-                        .collect::<Vec<_>>();
-                    // Final-reduce partial, reusing the same buffer the
-                    // checkpoint path cleared and refilled all run.
-                    if sketch {
-                        let mut partials = ckpt_partials.lock().expect("checkpoint partial lock");
-                        let (saw, buf) = &mut partials[w];
-                        buf.clear();
-                        *saw = false;
-                        for (_, rep) in &finals {
-                            if let Some(k) = &rep.sketches {
-                                buf.merge(k);
-                                *saw = true;
-                            }
-                        }
-                    }
-                    finals
+                        .map(|node| node.report_mode(horizon, !sketch))
+                        .collect();
+                    let partial =
+                        merged_sketches(finals.iter().filter_map(|r| r.sketches.as_ref()));
+                    (finals, partial)
                 }));
             }
-            for h in handles {
-                for (node_id, report) in h.join().expect("fleet worker panicked") {
-                    reports[node_id] = Some(report);
+            for (h, mine) in handles.into_iter().zip(&deal) {
+                let (finals, partial) = h.join().expect("fleet worker panicked");
+                for (&n, report) in mine.iter().zip(finals) {
+                    reports[n] = Some(report);
                 }
+                final_partials.extend(partial);
             }
         });
 
@@ -1291,24 +1269,15 @@ impl ClusterRunner {
             .enumerate()
             .map(|(i, r)| r.unwrap_or_else(|| panic!("node {i} produced no report")))
             .collect();
-        let (_, stats, _) = shared.into_inner().expect("rebalance lock");
-        let premerged = if self.sketch {
-            let partials = ckpt_partials.into_inner().expect("checkpoint partial lock");
-            let mut combined = NodeSketches::new();
-            let mut any = false;
-            for (saw, buf) in &partials {
-                if *saw {
-                    combined.merge(buf);
-                    any = true;
-                }
-            }
-            any.then_some(combined)
-        } else {
-            None
-        };
-        let metrics =
-            AggregateMetrics::new_premerged(&spec.name, seed, plan.admission, nodes, premerged)
-                .with_rebalance(stats);
+        let stats = leader.into_inner().expect("leader state lock").stats;
+        let metrics = AggregateMetrics::new_premerged(
+            &spec.name,
+            seed,
+            plan.admission,
+            nodes,
+            merged_sketches(&final_partials),
+        )
+        .with_rebalance(stats);
 
         // The horizon boundary has no barrier leader (workers break before
         // waiting); the reducing thread emits its batch — the last epoch's
@@ -1322,6 +1291,67 @@ impl ClusterRunner {
         }
         metrics
     }
+}
+
+/// Deals nodes to `workers` workers by planned weight, longest processing
+/// time first: nodes are taken in (weight descending, id ascending) order
+/// and each goes to the worker with the least weight so far (ties to the
+/// lower worker index). Returns each worker's node ids in deal order.
+///
+/// A pure function of its arguments, so the deal — like everything else a
+/// run does — depends on the plan and the thread count alone. The runner
+/// passes weights of at least 1 (an empty node still costs its fixed
+/// epoch work): with weight 0 every empty node would tie onto one worker,
+/// with 1 they alternate between workers whose loads are level.
+fn deal_nodes(weights: &[usize], workers: usize) -> Vec<Vec<usize>> {
+    let mut order: Vec<usize> = (0..weights.len()).collect();
+    order.sort_by_key(|&n| (std::cmp::Reverse(weights[n]), n));
+    let mut deal: Vec<Vec<usize>> = vec![Vec::new(); workers];
+    let mut loads = vec![0usize; workers];
+    for n in order {
+        let w = (0..workers)
+            .min_by_key(|&w| loads[w])
+            .expect("at least one worker");
+        loads[w] += weights[n];
+        deal[w].push(n);
+    }
+    deal
+}
+
+/// State only the barrier leader reads and writes, carried from one epoch
+/// boundary to the next.
+struct LeaderState {
+    /// Cumulative rebalance statistics.
+    stats: RebalanceStats,
+    /// Cross-epoch EWMA of every node's pressure signal.
+    smoothed: Vec<f64>,
+    /// One node-level share controller per node (empty when the plane is
+    /// off).
+    ctls: Vec<ShareController>,
+    /// The supervisor bound every node currently runs under.
+    bounds: Vec<f64>,
+}
+
+/// What the barrier leader decided at one epoch boundary, for every worker
+/// to apply to the nodes it owns.
+#[derive(Default)]
+struct EpochOrders {
+    /// Node re-bounds `(node, new bound)`.
+    rebounds: Vec<(usize, f64)>,
+    /// Migrations, in decision order.
+    moves: Vec<Migration>,
+}
+
+/// Folds `parts` into one fresh set of sketches; `None` when there are
+/// none to fold.
+fn merged_sketches<'a>(parts: impl IntoIterator<Item = &'a NodeSketches>) -> Option<NodeSketches> {
+    let mut parts = parts.into_iter().peekable();
+    parts.peek()?;
+    let mut all = NodeSketches::new();
+    for part in parts {
+        all.merge(part);
+    }
+    Some(all)
 }
 
 /// The buffering sink behind [`ClusterRunner::run_logged`]: concatenates
@@ -1545,6 +1575,7 @@ const SEED_VM_SALT: u64 = 0x5EED_1234_ABCD_0003;
 mod tests {
     use super::*;
     use crate::spec::{Churn, TaskMix};
+    use proptest::prelude::*;
 
     fn small_spec() -> ScenarioSpec {
         ScenarioSpec::new("runner-test", 3, 9, Dur::ms(1500)).with_mix(TaskMix::rt_only())
@@ -1592,15 +1623,83 @@ mod tests {
     fn work_stealing_is_deterministic_at_1_2_and_8_threads() {
         let spec =
             ScenarioSpec::new("steal-test", 6, 18, Dur::ms(1200)).with_mix(TaskMix::rt_only());
-        // Chunk 1 maximises steal interleaving; the aggregate must not care.
-        let baseline = ClusterRunner::new(1).with_chunk(1).run(&spec, 9);
-        for threads in [2usize, 8] {
-            let m = ClusterRunner::new(threads).with_chunk(1).run(&spec, 9);
+        // Even (2), uneven (3) and clamped (8 → 6) deals; the aggregate
+        // must not care.
+        let baseline = ClusterRunner::new(1).run(&spec, 9);
+        for threads in [2usize, 3, 8] {
+            let m = ClusterRunner::new(threads).run(&spec, 9);
             assert_eq!(baseline.summary_csv(), m.summary_csv(), "{threads} threads");
         }
-        // A chunk as large as the fleet (the old static partition) agrees too.
-        let coarse = ClusterRunner::new(2).with_chunk(6).run(&spec, 9);
+        // One node per worker agrees too.
+        let coarse = ClusterRunner::new(spec.nodes).run(&spec, 9);
         assert_eq!(baseline.summary_csv(), coarse.summary_csv());
+    }
+
+    /// Per-worker total weight of a deal.
+    fn loads(weights: &[usize], deal: &[Vec<usize>]) -> Vec<usize> {
+        deal.iter()
+            .map(|mine| mine.iter().map(|&n| weights[n]).sum())
+            .collect()
+    }
+
+    proptest! {
+        #[test]
+        fn deal_covers_every_node_once_within_one_node_of_the_mean(
+            weights in prop::collection::vec(0usize..3_000, 0..301),
+            workers in 1usize..10,
+        ) {
+            let deal = deal_nodes(&weights, workers);
+            prop_assert_eq!(deal.len(), workers);
+            let mut dealt: Vec<usize> = deal.iter().flatten().copied().collect();
+            dealt.sort_unstable();
+            prop_assert_eq!(dealt, (0..weights.len()).collect::<Vec<_>>());
+            // Greedy list scheduling: max load ≤ mean load + max weight.
+            let max_load = loads(&weights, &deal).into_iter().max().unwrap_or(0);
+            let total: usize = weights.iter().sum();
+            let max_weight = weights.iter().copied().max().unwrap_or(0);
+            prop_assert!(max_load * workers <= total + max_weight * workers);
+            prop_assert_eq!(&deal, &deal_nodes(&weights, workers), "deal is a pure function");
+        }
+
+        #[test]
+        fn equal_weights_deal_round_robin(
+            nodes in 0usize..301,
+            workers in 1usize..10,
+            weight in 1usize..50,
+        ) {
+            let deal = deal_nodes(&vec![weight; nodes], workers);
+            for (w, mine) in deal.iter().enumerate() {
+                // Consecutive ids alternate between workers, so counts
+                // differ by at most one.
+                let want: Vec<usize> = (w..nodes).step_by(workers).collect();
+                prop_assert_eq!(mine, &want, "worker {}", w);
+            }
+        }
+    }
+
+    #[test]
+    fn surplus_workers_are_dealt_nothing() {
+        let deal = deal_nodes(&[5, 1, 3], 8);
+        assert_eq!(deal[..3], [vec![0], vec![2], vec![1]]);
+        assert!(deal[3..].iter().all(Vec::is_empty));
+        assert_eq!(deal_nodes(&[], 4), vec![Vec::<usize>::new(); 4]);
+    }
+
+    #[test]
+    fn first_fit_packed_fleet_splits_its_deep_nodes_between_two_workers() {
+        // The `fleet_dense` plan at seed 42: first-fit fills 25 nodes to
+        // the bound, leaves 4 part-filled and 221 empty (weight 1).
+        let mut weights = vec![2_030usize; 25];
+        weights.extend([137; 4]);
+        weights.extend([1; 221]);
+        let deal = deal_nodes(&weights, 2);
+        let deep: Vec<usize> = deal
+            .iter()
+            .map(|mine| mine.iter().filter(|&&n| n < 25).count())
+            .collect();
+        assert_eq!(deep, [13, 12]);
+        let loads = loads(&weights, &deal);
+        assert!(loads[0].abs_diff(loads[1]) <= 2_030, "{loads:?}");
     }
 
     #[test]
@@ -1648,7 +1747,7 @@ mod tests {
                 .any(|e| matches!(e, FleetEvent::Rebalance { .. })),
             "rebalance passes journalled"
         );
-        for threads in [1usize, 8] {
+        for threads in [1usize, 3, 8] {
             let (m, ev) = ClusterRunner::new(threads).run_logged(&spec, 7);
             assert_eq!(plain.summary_csv(), m.summary_csv(), "{threads} threads");
             assert_eq!(events, ev, "event stream at {threads} threads");

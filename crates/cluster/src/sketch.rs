@@ -126,20 +126,6 @@ impl StreamSketch {
         self.sum = sum;
     }
 
-    /// Resets the sketch to empty while *keeping* the bin allocation — the
-    /// point of a reused per-worker partial buffer. A cleared sketch is
-    /// observationally identical to a fresh one (every read is gated on
-    /// `count`), but not `==` to it: the fresh one has no bin vector yet.
-    pub fn clear(&mut self) {
-        for c in &mut self.counts {
-            *c = 0;
-        }
-        self.count = 0;
-        self.sum = 0.0;
-        self.min = f64::INFINITY;
-        self.max = f64::NEG_INFINITY;
-    }
-
     /// Number of recorded values.
     pub fn count(&self) -> u64 {
         self.count
@@ -284,28 +270,6 @@ mod tests {
         assert_eq!(a.count_at_least(1.0), 1);
         full.merge(&empty);
         assert_eq!(full.count(), 1);
-    }
-
-    #[test]
-    fn clear_keeps_the_bin_allocation_and_resets_all_state() {
-        let mut s = StreamSketch::new(0.5, 10);
-        for v in [0.2, 1.7, 9.9] {
-            s.record(v);
-        }
-        let cap = s.counts.capacity();
-        assert!(cap >= 10);
-        s.clear();
-        assert!(s.is_empty());
-        assert_eq!(s.counts.capacity(), cap, "clear must keep the buffer");
-        assert_eq!(s.sum(), 0.0);
-        assert_eq!(s.quantile(0.5), None);
-        // A cleared sketch records and merges like a fresh one.
-        s.record(1.25);
-        assert_eq!(s.count(), 1);
-        assert_eq!(s.quantile(1.0), Some(1.25));
-        let mut fresh = StreamSketch::new(0.5, 10);
-        fresh.record(1.25);
-        assert_eq!(fresh.counts, s.counts);
     }
 
     #[test]

@@ -6,7 +6,9 @@
 //!   aggregate CSV whether the fleet runs on 1 thread or several, with
 //!   and without the feedback rebalancer (whose epoch barriers and
 //!   migrations must not observe the thread count). These run whole
-//!   (small) fleet simulations, so the case count is reduced.
+//!   (small) fleet simulations, so the case count is reduced. Two fixed
+//!   fleets ride along: a skewed first-fit one whose plan-weighted deal
+//!   is far from even, and a checkpointing one.
 //! * **Placer invariants** — the placer must never book a node beyond the
 //!   utilisation bound, must only admit tasks the minbudget analysis can
 //!   schedule, must reject only when no node had room, and live
@@ -126,11 +128,11 @@ proptest! {
         max_moves in 2u32..5,
     ) {
         let spec = rebalance_spec(nodes, tasks, pressure, max_moves);
-        // Chunk 1 maximises claim interleaving; the epoch barriers and the
-        // migration decisions must not observe it.
-        let baseline = ClusterRunner::new(1).with_chunk(1).run(&spec, seed);
-        for threads in [2usize, 8] {
-            let m = ClusterRunner::new(threads).with_chunk(1).run(&spec, seed);
+        // The epoch barriers and the migration decisions must not observe
+        // how the nodes were dealt: even, uneven (3) or one per worker.
+        let baseline = ClusterRunner::new(1).run(&spec, seed);
+        for threads in [2usize, 3, 8] {
+            let m = ClusterRunner::new(threads).run(&spec, seed);
             prop_assert_eq!(baseline.summary_csv(), m.summary_csv(), "{} threads", threads);
         }
     }
@@ -174,10 +176,10 @@ proptest! {
                 ewma_alpha: alpha_pct as f64 / 100.0,
                 warm_start: warm,
             });
-        let baseline = ClusterRunner::new(1).with_chunk(1).run(&spec, seed);
+        let baseline = ClusterRunner::new(1).run(&spec, seed);
         prop_assert!(baseline.admission.vms_admitted >= 1);
-        for threads in [2usize, 8] {
-            let m = ClusterRunner::new(threads).with_chunk(1).run(&spec, seed);
+        for threads in [2usize, 3, 8] {
+            let m = ClusterRunner::new(threads).run(&spec, seed);
             prop_assert_eq!(baseline.summary_csv(), m.summary_csv(), "{} threads", threads);
         }
     }
@@ -228,12 +230,12 @@ proptest! {
                 ewma_alpha: 0.6,
                 warm_start: warm,
             });
-        let baseline = ClusterRunner::new(1).with_chunk(1).run(&spec, seed);
+        let baseline = ClusterRunner::new(1).run(&spec, seed);
         prop_assert!(baseline.admission.vms_admitted >= 1);
         // Elastic VMs are never rebalance victims.
         prop_assert!(baseline.rebalance.records.iter().all(|r| !r.vm));
-        for threads in [2usize, 8] {
-            let m = ClusterRunner::new(threads).with_chunk(1).run(&spec, seed);
+        for threads in [2usize, 3, 8] {
+            let m = ClusterRunner::new(threads).run(&spec, seed);
             prop_assert_eq!(baseline.summary_csv(), m.summary_csv(), "{} threads", threads);
         }
     }
@@ -268,10 +270,9 @@ proptest! {
                 },
             ));
         }
-        for threads in [1usize, 2, 8] {
-            let indexed = ClusterRunner::new(threads).with_chunk(1).run(&spec, seed);
+        for threads in [1usize, 2, 3, 8] {
+            let indexed = ClusterRunner::new(threads).run(&spec, seed);
             let scanned = ClusterRunner::new(threads)
-                .with_chunk(1)
                 .with_scan_placement(true)
                 .run(&spec, seed);
             prop_assert_eq!(
@@ -334,7 +335,7 @@ proptest! {
                 .with_elastic(),
             )
             .with_node_share(NodeShareSpec { enabled: true, floor, cap: 0.95 });
-        let (baseline, events) = ClusterRunner::new(1).with_chunk(1).run_logged(&spec, seed);
+        let (baseline, events) = ClusterRunner::new(1).run_logged(&spec, seed);
         for e in &events {
             if let FleetEvent::NodeRebound { prev, bound, reserved, .. } = e {
                 prop_assert!(
@@ -349,8 +350,8 @@ proptest! {
                 );
             }
         }
-        for threads in [2usize, 8] {
-            let (m, ev) = ClusterRunner::new(threads).with_chunk(1).run_logged(&spec, seed);
+        for threads in [2usize, 3, 8] {
+            let (m, ev) = ClusterRunner::new(threads).run_logged(&spec, seed);
             prop_assert_eq!(baseline.summary_csv(), m.summary_csv(), "{} threads", threads);
             prop_assert_eq!(&events, &ev, "{} threads", threads);
         }
@@ -472,6 +473,72 @@ proptest! {
         for &d in &departed {
             prop_assert!(node.extract_task(d).is_none(), "extracted departed task {}", d);
         }
+    }
+}
+
+/// The benchmark's `fleet_dense` smoke shape: first-fit packs a handful of
+/// the 128 nodes deep and the liar wave drains them onto the empty ones,
+/// so the plan-weighted deal is far from even and every barrier phase
+/// (feedback publish, sketch partials, migration apply) has work on more
+/// than one worker. None of it may observe the thread count.
+#[test]
+fn skewed_first_fit_fleet_is_byte_identical_at_1_2_3_and_8_threads() {
+    let horizon = Dur::ms(250);
+    let spec = ScenarioSpec::milliontask_demo(128, 4_000, horizon)
+        .with_rebalance(ScenarioSpec::milliontask_rebalance(horizon));
+    let runner = |threads| ClusterRunner::new(threads).with_sketch_aggregates(true);
+    let (baseline, events) = runner(1).run_logged(&spec, 42);
+    assert!(baseline.rebalance.moves > 0, "the drain must migrate");
+    for threads in [2usize, 3, 8] {
+        let (m, ev) = runner(threads).run_logged(&spec, 42);
+        assert_eq!(baseline.summary_csv(), m.summary_csv(), "{threads} threads");
+        assert!(events == ev, "event stream at {threads} threads");
+    }
+}
+
+/// Records every interim aggregate a checkpointing run hands its sink.
+struct CheckpointProbe {
+    interims: Vec<(usize, String)>,
+}
+
+impl JournalSink for CheckpointProbe {
+    fn checkpoint_interval(&self) -> Option<usize> {
+        Some(2)
+    }
+
+    fn on_checkpoint(&mut self, cursor: usize, _at: Time, interim: &AggregateMetrics) {
+        self.interims.push((cursor, interim.summary_csv()));
+    }
+}
+
+/// The interim reports are computed by every worker outside any lock and
+/// reduced by whichever thread leads the barrier: the bytes a sink
+/// receives must not depend on either.
+#[test]
+fn checkpoint_interims_are_byte_identical_at_1_2_and_3_threads() {
+    let mut spec = ScenarioSpec::diurnal_demo(12, 72)
+        .with_rebalance(ScenarioSpec::diurnal_rebalance())
+        .with_node_share(ScenarioSpec::diurnal_node_share());
+    for vm in &mut spec.vms {
+        vm.elastic = true;
+    }
+    let interims = |threads| {
+        let mut sink = CheckpointProbe {
+            interims: Vec::new(),
+        };
+        ClusterRunner::new(threads).run_logged_with(&spec, 42, &mut sink);
+        sink.interims
+    };
+    let baseline = interims(1);
+    assert!(
+        baseline.len() >= 3,
+        "the diurnal grid checkpoints repeatedly"
+    );
+    for threads in [2usize, 3] {
+        assert!(
+            baseline == interims(threads),
+            "interims at {threads} threads"
+        );
     }
 }
 
