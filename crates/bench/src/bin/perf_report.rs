@@ -22,6 +22,7 @@ use selftune_apps::PeriodicRt;
 use selftune_bench::setups::WindowedFeed;
 use selftune_cluster::churn_mem_report;
 use selftune_cluster::prelude::*;
+use selftune_distrib::prelude::*;
 use selftune_sched::{EdfScheduler, Place, ReservationScheduler, ServerConfig};
 use selftune_simcore::event::EventQueue;
 use selftune_simcore::rng::Rng;
@@ -481,6 +482,57 @@ fn cluster_report(out: &Path, smoke: bool) {
              benchmark/run.sh's fleet_dense run_wall_s: parent a6c3593 (blind \
              31-id chunks) 3.07 s, PR 14 (plan-weighted deal, unlocked barrier \
              phases) 2.01 s, medians of ten alternating pairs",
+        ),
+    });
+
+    // Following a shipped stream (the benchmark's `control_replicated`
+    // shape): the composed diurnal plane on 200 ms epochs, checkpointed
+    // every 4, fed frame by frame to a follower whose live mirror runs on
+    // 2 threads. One pinned run, whatever the stream's length or cadence.
+    let (fl_nodes, fl_tasks) = if smoke { (12, 72) } else { (400, 2_400) };
+    let mut diurnal = ScenarioSpec::diurnal_demo(fl_nodes, fl_tasks)
+        .with_node_share(ScenarioSpec::diurnal_node_share())
+        .with_rebalance(RebalanceSpec {
+            period: Dur::ms(200),
+            max_moves: 64,
+            ..ScenarioSpec::diurnal_rebalance()
+        });
+    for vm in &mut diurnal.vms {
+        vm.elastic = true;
+    }
+    let (tx, mut rx) = ChannelTransport::pair();
+    let mut shipper = Shipper::new(tx, &diurnal, 42, 2, Some(4));
+    let shipped = ClusterRunner::new(2).run_logged_with(&diurnal, 42, &mut shipper);
+    let frames: Vec<Vec<u8>> = std::iter::from_fn(|| rx.recv()).collect();
+    let start = Instant::now();
+    let mut follower = Follower::new(2);
+    for frame in &frames {
+        follower.feed(frame).expect("clean stream");
+    }
+    let follow_wall = start.elapsed().as_secs_f64();
+    assert_eq!(
+        follower.finale().expect("finished").summary_csv(),
+        shipped.summary_csv()
+    );
+    println!(
+        "distrib/follow/diurnal{fl_nodes}: {:.0} ms at 2 threads ({} frames, {} checkpoints)",
+        follow_wall * 1e3,
+        frames.len(),
+        follower.stats().checkpoints
+    );
+    entries.push(Entry {
+        name: format!("distrib/follow/diurnal{fl_nodes}"),
+        metric: "wall_seconds",
+        before: None,
+        after: follow_wall,
+        note: Some(
+            "history row (full size): 400-node composed diurnal plane, 29 epochs \
+             of 200 ms, checkpoint every 4 (40 frames, 7 checkpoints), seed 42, \
+             follower mirror on 2 threads on a 2-vCPU sandbox, stream already \
+             shipped. The same feed loop in a fresh process is benchmark/run.sh's \
+             control_replicated follow_wall_s: parent 8f5d33a (prefix re-simulated \
+             from t = 0 at every checkpoint and at Finish) 5.28 s, PR 15 (one live \
+             mirror) 1.30 s, medians of ten alternating pairs",
         ),
     });
 

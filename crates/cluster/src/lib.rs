@@ -105,8 +105,8 @@ pub use placer::{
     RebalanceOutcome,
 };
 pub use runner::{
-    derive_task_seed, plan_fleet, plan_fleet_pinned, ClusterRunner, EpochDecision, FleetPlan,
-    PinnedMoves, PinnedPlan, PlannedTask, PlannedVm,
+    derive_task_seed, plan_fleet, plan_fleet_pinned, ClusterRunner, EpochDecision, EpochPin,
+    FleetPlan, PinSource, PinnedMoves, PinnedPlan, PlannedTask, PlannedVm,
 };
 pub use sketch::StreamSketch;
 pub use spec::{

@@ -46,7 +46,13 @@
 //! per-epoch migration decisions substituted for the live ones, so a
 //! replay reproduces the recorded aggregates byte-identically — and a
 //! what-if replay can pin history up to a cut epoch and let a *swapped*
-//! policy decide from there.
+//! policy decide from there. The decisions reach the barrier leader
+//! through one seam, [`PinSource`]: a [`PinnedMoves`] table answers at
+//! once, while a replication follower's stream-fed source blocks until
+//! the boundary's frame has arrived (pinned / live / stop) and may ask
+//! any boundary for the interim aggregates a logged run's checkpoint
+//! reports there — the same run, fed incrementally, is the follower's
+//! live mirror.
 
 use std::sync::{Arc, Barrier, Mutex};
 use std::thread;
@@ -232,6 +238,54 @@ impl PinnedMoves {
             }
         }
         PinnedMoves { epochs }
+    }
+}
+
+/// What a [`PinSource`] tells the barrier leader at one epoch boundary.
+#[derive(Clone, Debug)]
+pub enum EpochPin {
+    /// Apply this recorded decision verbatim.
+    Pinned(EpochDecision),
+    /// Decide live — the what-if cut, a promoted follower.
+    Live,
+    /// End the run at this boundary; it produces no aggregates.
+    Stop,
+}
+
+/// Where a pinned run takes its per-epoch decisions from. A
+/// [`PinnedMoves`] table answers at once; a source fed by a replication
+/// stream blocks until the boundary's frame has arrived, which is what
+/// parks a follower's mirror at the first boundary it has no instruction
+/// for.
+pub trait PinSource: Sync {
+    /// Whether the run reduces interim aggregates at (non-horizon)
+    /// boundary `epoch` and hands them to [`PinSource::on_interim`] before
+    /// asking for the boundary's [`EpochPin`]. Every worker asks before the
+    /// boundary's first barrier, so all callers of one `epoch` must get
+    /// the same answer.
+    fn wants_interim(&self, epoch: usize) -> bool {
+        let _ = epoch;
+        false
+    }
+
+    /// The interim aggregates at boundary `epoch`: decisions of epochs
+    /// `< epoch` applied, the boundary's own not yet — what a logged run
+    /// hands [`JournalSink::on_checkpoint`] there.
+    fn on_interim(&self, epoch: usize, interim: AggregateMetrics) {
+        let _ = (epoch, interim);
+    }
+
+    /// The decision at boundary `epoch`; asked once, by the barrier
+    /// leader.
+    fn pin(&self, epoch: usize) -> EpochPin;
+}
+
+impl PinSource for PinnedMoves {
+    fn pin(&self, epoch: usize) -> EpochPin {
+        match self.epochs.get(epoch) {
+            Some(Some(decision)) => EpochPin::Pinned(decision.clone()),
+            _ => EpochPin::Live,
+        }
     }
 }
 
@@ -596,31 +650,37 @@ impl ClusterRunner {
     ) -> AggregateMetrics {
         let plan = plan_fleet_impl(spec, seed, None, self.scan_placement);
         self.run_inner(spec, seed, &plan, None, Some(sink), None)
+            .expect("without a pin source nothing stops the run")
     }
 
     /// Re-executes a (usually pinned) plan with per-epoch rebalance
-    /// decisions substituted from a journal: epochs pinned in `moves`
-    /// apply the recorded migrations verbatim (the leader still folds the
-    /// pressure EWMA, so post-cut live decisions see the correct
-    /// hysteresis state); epochs past the pin are decided live.
+    /// decisions substituted from `pins` — a journal's [`PinnedMoves`]
+    /// table, or a follower's stream-fed source: pinned epochs apply the
+    /// recorded migrations verbatim (the leader still folds the pressure
+    /// EWMA, so post-cut live decisions see the correct hysteresis
+    /// state); the rest are decided live. `None` when the source answered
+    /// [`EpochPin::Stop`] before the horizon, which a `PinnedMoves` never does.
     pub fn run_pinned(
         &self,
         spec: &ScenarioSpec,
         seed: u64,
         plan: &FleetPlan,
-        moves: &PinnedMoves,
-    ) -> AggregateMetrics {
-        self.run_inner(spec, seed, plan, Some(moves), None, None)
+        pins: &dyn PinSource,
+    ) -> Option<AggregateMetrics> {
+        self.run_inner(spec, seed, plan, Some(pins), None, None)
     }
 
     /// [`ClusterRunner::run_pinned`] cut short at epoch boundary `cursor`:
     /// applies the pinned decisions of epochs `< cursor`, stops the
     /// simulation exactly at the boundary instant (no post-horizon
     /// straggler flush, no decision *at* the boundary) and reduces
-    /// aggregates there. This is the mirror a log-shipping follower keeps:
-    /// its output is byte-identical to the interim aggregates the logged
-    /// run emitted at the same checkpoint
-    /// ([`JournalSink::on_checkpoint`]).
+    /// aggregates there. Its output is byte-identical to the interim
+    /// aggregates the logged run emitted at the same checkpoint
+    /// ([`JournalSink::on_checkpoint`]) — and to what a full pinned run
+    /// hands [`PinSource::on_interim`] there, which is how a follower's
+    /// live mirror checks a checkpoint without re-running the prefix; this
+    /// from-zero form serves the stand-alone checkpoint check and is that
+    /// mirror's test oracle.
     ///
     /// # Panics
     ///
@@ -635,6 +695,7 @@ impl ClusterRunner {
         cursor: usize,
     ) -> AggregateMetrics {
         self.run_inner(spec, seed, plan, Some(moves), None, Some(cursor))
+            .expect("a pin table never stops the run")
     }
 
     /// The epoch boundaries of a run: rebalance instants, then the horizon.
@@ -667,6 +728,7 @@ impl ClusterRunner {
         plan: &FleetPlan,
     ) -> AggregateMetrics {
         self.run_inner(spec, seed, plan, None, None, None)
+            .expect("without a pin source nothing stops the run")
     }
 
     fn run_inner(
@@ -674,10 +736,10 @@ impl ClusterRunner {
         spec: &ScenarioSpec,
         seed: u64,
         plan: &FleetPlan,
-        pinned: Option<&PinnedMoves>,
+        pins: Option<&dyn PinSource>,
         sink: Option<&mut dyn JournalSink>,
         prefix: Option<usize>,
-    ) -> AggregateMetrics {
+    ) -> Option<AggregateMetrics> {
         // Per-node distribution as index lists into the plan arena: tasks
         // are cloned exactly once, straight from the plan into the owning
         // node, instead of materialising intermediate per-node task
@@ -908,8 +970,13 @@ impl ClusterRunner {
                         }
                         // Checkpoint barriers additionally publish an
                         // interim per-node report (a `&self` reduction —
-                        // the simulation state is untouched).
-                        if ckpt_at[ei] {
+                        // the simulation state is untouched): at the
+                        // sink's static cadence, or where the pin source
+                        // asks for one (a stream-fed source parks every
+                        // worker here until the stream says which).
+                        let interim = ckpt_at[ei]
+                            || (ei + 1 < ends.len() && pins.is_some_and(|p| p.wants_interim(ei)));
+                        if interim {
                             let reps: Vec<NodeReport> = owned
                                 .iter()
                                 .map(|node| node.report_mode(t_end, !sketch))
@@ -970,7 +1037,7 @@ impl ClusterRunner {
                             // prefix re-execution reproduces at this
                             // boundary (it breaks before the boundary's
                             // decision, with `cursor` leader passes done).
-                            if ckpt_at[ei] {
+                            if interim {
                                 let nodes: Vec<NodeReport> = ckpt_reports
                                     .lock()
                                     .expect("checkpoint report lock")
@@ -1005,6 +1072,9 @@ impl ClusterRunner {
                                     s.lock()
                                         .expect("journal sink lock")
                                         .on_checkpoint(ei, t_end, &interim);
+                                }
+                                if let Some(p) = pins {
+                                    p.on_interim(ei, interim);
                                 }
                             }
                             // Cross-epoch hysteresis: fold this epoch's raw
@@ -1066,30 +1136,29 @@ impl ClusterRunner {
                             // verbatim; an unpinned one decides live. The
                             // EWMA fold above runs either way, so decisions
                             // past a what-if cut see the same smoothed
-                            // pressure history the recorded run saw.
-                            let decision = if !spec_ref.rebalance.enabled {
-                                EpochDecision::default()
-                            } else {
-                                match pinned
-                                    .and_then(|p| p.epochs.get(ei))
-                                    .and_then(Option::as_ref)
-                                {
-                                    Some(d) => d.clone(),
-                                    None => {
-                                        let o = rebalance_epoch(
-                                            spec_ref,
-                                            plan_ref,
-                                            &view,
-                                            t_end,
-                                            scan_placement,
-                                            spec_ref.node_share.enabled.then_some(&bounds[..]),
-                                        );
-                                        EpochDecision {
-                                            moves: o.moves,
-                                            failed: o.failed,
-                                        }
+                            // pressure history the recorded run saw. A
+                            // stream-fed source blocks here until the
+                            // boundary's batch has arrived; `Stop` publishes
+                            // an empty decision nobody applies.
+                            let pin = pins.map_or(EpochPin::Live, |p| p.pin(ei));
+                            let stop = matches!(pin, EpochPin::Stop);
+                            let decision = match pin {
+                                EpochPin::Pinned(d) if spec_ref.rebalance.enabled => d,
+                                EpochPin::Live if spec_ref.rebalance.enabled => {
+                                    let o = rebalance_epoch(
+                                        spec_ref,
+                                        plan_ref,
+                                        &view,
+                                        t_end,
+                                        scan_placement,
+                                        spec_ref.node_share.enabled.then_some(&bounds[..]),
+                                    );
+                                    EpochDecision {
+                                        moves: o.moves,
+                                        failed: o.failed,
                                     }
                                 }
+                                _ => EpochDecision::default(),
                             };
                             if spec_ref.rebalance.enabled {
                                 stats.epochs += 1;
@@ -1179,6 +1248,7 @@ impl ClusterRunner {
                             *orders.lock().expect("epoch orders lock") = Arc::new(EpochOrders {
                                 rebounds,
                                 moves: decision.moves,
+                                stop,
                             });
                         }
                         barrier.wait();
@@ -1189,6 +1259,9 @@ impl ClusterRunner {
                         // boundary, and every worker does its own share at
                         // once.
                         let orders = Arc::clone(&orders.lock().expect("epoch orders lock"));
+                        if orders.stop {
+                            return None;
+                        }
                         // Re-bounds first: a migration landing this epoch
                         // is admitted under the destination's *new* bound.
                         for &(n, bound) in &orders.rebounds {
@@ -1252,17 +1325,20 @@ impl ClusterRunner {
                         .collect();
                     let partial =
                         merged_sketches(finals.iter().filter_map(|r| r.sketches.as_ref()));
-                    (finals, partial)
+                    Some((finals, partial))
                 }));
             }
+            // Every worker reads the same orders, so all of them stop or
+            // none does.
             for (h, mine) in handles.into_iter().zip(&deal) {
-                let (finals, partial) = h.join().expect("fleet worker panicked");
+                let (finals, partial) = h.join().expect("fleet worker panicked")?;
                 for (&n, report) in mine.iter().zip(finals) {
                     reports[n] = Some(report);
                 }
                 final_partials.extend(partial);
             }
-        });
+            Some(())
+        })?;
 
         let nodes: Vec<NodeReport> = reports
             .into_iter()
@@ -1289,7 +1365,7 @@ impl ClusterRunner {
             s.on_epoch(ends.len() - 1, horizon, &batch);
             s.on_finish(&metrics);
         }
-        metrics
+        Some(metrics)
     }
 }
 
@@ -1340,6 +1416,9 @@ struct EpochOrders {
     rebounds: Vec<(usize, f64)>,
     /// Migrations, in decision order.
     moves: Vec<Migration>,
+    /// The pin source ended the run at this boundary: workers return
+    /// without applying anything.
+    stop: bool,
 }
 
 /// Folds `parts` into one fresh set of sketches; `None` when there are
@@ -1862,7 +1941,9 @@ mod tests {
         let pinned = PinnedPlan::from_events(&spec, live.admission, &events);
         let plan = plan_fleet_pinned(&spec, 42, &pinned);
         let moves = PinnedMoves::from_events(&spec, &events, None);
-        let replay = ClusterRunner::new(2).run_pinned(&spec, 42, &plan, &moves);
+        let replay = ClusterRunner::new(2)
+            .run_pinned(&spec, 42, &plan, &moves)
+            .expect("a pin table never stops the run");
         assert_eq!(live.summary_csv(), replay.summary_csv());
     }
 }

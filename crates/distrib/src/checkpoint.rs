@@ -5,9 +5,11 @@
 //! A checkpoint embeds the journal *prefix* — scenario, seed, admission
 //! statistics, every record applied so far and the leader's interim
 //! summary at the cursor — plus the stream position (`next_seq`) to
-//! resume receiving from. [`Checkpoint::verify`] re-executes the prefix
-//! and byte-compares, so a corrupted or stale checkpoint is caught
-//! before a follower trusts it.
+//! resume receiving from. A corrupted or stale checkpoint is caught
+//! before a follower trusts it: `Follower::from_checkpoint` feeds the
+//! prefix to a fresh live mirror and byte-compares at the cursor, and
+//! [`Checkpoint::verify`] is the same check stand-alone, re-executing
+//! the prefix from t = 0.
 
 use selftune_cluster::AggregateMetrics;
 use selftune_journal::codec::{self, Entry};
@@ -125,22 +127,30 @@ impl Checkpoint {
         })
     }
 
-    /// Re-executes the embedded prefix on `threads` workers and
-    /// byte-compares against the stored interim summary — a checkpoint
-    /// that fails this must never be attached to.
+    /// Re-executes the embedded prefix from t = 0 on `threads` workers and
+    /// byte-compares against the stored interim summary — the stand-alone
+    /// check of a checkpoint file. (A follower attaching from one checks
+    /// it against its live mirror instead, and keeps the mirror.)
     ///
     /// # Errors
     ///
     /// Names the hash mismatch, a cursor past the scenario's epoch grid,
     /// or the first differing summary line.
     pub fn verify(&self, threads: usize) -> Result<AggregateMetrics, String> {
-        let hashed = fnv1a64(self.journal.summary.as_bytes());
-        if hashed != self.hash {
-            return Err(format!(
-                "checkpoint hash mismatch: header {:016x}, embedded summary hashes to {hashed:016x}",
-                self.hash
-            ));
-        }
+        self.check_hash()?;
         self.journal.verify(threads, Some(self.cursor))
+    }
+
+    /// The fast staleness check: the header hash is the stored interim
+    /// summary's.
+    pub(crate) fn check_hash(&self) -> Result<(), String> {
+        let hashed = fnv1a64(self.journal.summary.as_bytes());
+        if hashed == self.hash {
+            return Ok(());
+        }
+        Err(format!(
+            "checkpoint hash mismatch: header {:016x}, embedded summary hashes to {hashed:016x}",
+            self.hash
+        ))
     }
 }

@@ -11,22 +11,38 @@
 //! retransmit from the follower's last good position
 //! (`Shipper::frames_from`).
 //!
-//! Promotion ([`Follower::promote`]) re-executes the scenario with every
-//! received epoch pinned and everything after the crash decided live —
-//! because the journal pins *decisions*, not state, the promoted run is
-//! byte-identical to what the leader would have produced had it kept
-//! running through the received prefix.
+//! The replica is *live*: when the Plan frame is applied the follower
+//! starts one pinned run of the scenario at its own thread count (the
+//! crate-private `mirror` module) and the stream advances it. The run
+//! parks at the first epoch boundary whose frame has not arrived;
+//! `Records(e)` releases boundary `e`'s decision, `Checkpoint(c)` hash-checks
+//! the leader's interim summary and byte-compares it with the aggregates
+//! the parked run reduces at `c`, `Finish` lets it reach the horizon and
+//! byte-compares the finale. Following a stream costs one run, linear in
+//! its epochs, and a follower holds one resident fleet until the run ends
+//! or the follower is dropped (which stops and joins the run).
+//!
+//! Promotion ([`Follower::promote`]) tells that run to decide live from
+//! the first boundary the stream never released — every received epoch
+//! stays pinned. Because the journal pins *decisions*, not state, what it
+//! finishes with is byte-identical to what the leader would have produced
+//! had it kept running through the received prefix.
 
 use std::fmt;
 
-use selftune_cluster::{sort_events, AdmissionStats, AggregateMetrics, FleetEvent, ScenarioSpec};
+use selftune_cluster::runner::{EpochPin, PinnedMoves, PinnedPlan};
+use selftune_cluster::{
+    sort_events, AdmissionStats, AggregateMetrics, ClusterRunner, FleetEvent, ScenarioSpec,
+};
 use selftune_journal::codec::{self, Entry, IdBounds};
 use selftune_journal::record::Journal;
+use selftune_journal::replay::divergence;
 use selftune_simcore::metrics::{LazyKey, Metrics};
 use selftune_simcore::time::Time;
 
 use crate::checkpoint::{Checkpoint, Mark};
 use crate::frame::{Frame, FrameError, FrameKind};
+use crate::mirror::Mirror;
 use crate::ship::ShipperProgress;
 use crate::WIRE_VERSION;
 
@@ -53,7 +69,8 @@ pub enum StreamError {
     /// (e.g. records before the plan, a checkpoint at the wrong cursor).
     Protocol(String),
     /// The mirrored state stopped matching the leader's bytes; the
-    /// message names the first mismatching summary line.
+    /// message names the first mismatching summary line — or the mirror
+    /// run itself ended (`mirror stopped: …`) and can match nothing.
     Divergence(String),
 }
 
@@ -142,11 +159,16 @@ pub struct Follower {
     expected_seq: u64,
     gap_at: Option<u64>,
     scenario: Option<ScenarioSpec>,
+    /// The scenario's epoch boundaries (`ClusterRunner::epoch_ends`).
+    ends: Vec<Time>,
     seed: u64,
     leader_threads: usize,
     admission: Option<AdmissionStats>,
     records: Vec<FleetEvent>,
     next_epoch: usize,
+    /// The live pinned run, from the Plan frame (or the attach
+    /// checkpoint) on.
+    mirror: Option<Mirror>,
     last_checkpoint: Option<Checkpoint>,
     finale: Option<AggregateMetrics>,
     stats: FollowerStats,
@@ -167,11 +189,13 @@ impl Follower {
             expected_seq: 0,
             gap_at: None,
             scenario: None,
+            ends: Vec::new(),
             seed: 0,
             leader_threads: 0,
             admission: None,
             records: Vec::new(),
             next_epoch: 0,
+            mirror: None,
             last_checkpoint: None,
             finale: None,
             stats: FollowerStats::default(),
@@ -183,27 +207,50 @@ impl Follower {
         }
     }
 
-    /// Attaches a late joiner from a durable checkpoint: the embedded
-    /// prefix is verified (mirror re-executed and byte-compared) before
-    /// any state is adopted.
+    /// Attaches a late joiner from a durable checkpoint: a fresh mirror
+    /// is fed the embedded prefix, the interim it reduces at the cursor is
+    /// byte-compared with the stored summary, and the mirror is kept —
+    /// the suffix continues the same run. Nothing is adopted from a
+    /// checkpoint that fails (its mirror is stopped and joined).
     ///
     /// # Errors
     ///
-    /// Propagates [`Checkpoint::verify`]'s named divergence.
+    /// Names the hash mismatch, a cursor past the scenario's epoch grid or
+    /// on its horizon (where no interim exists), an `at` that is not the
+    /// cursor's instant, or the first differing summary line.
     pub fn from_checkpoint(ckpt: &Checkpoint, threads: usize) -> Result<Follower, String> {
-        ckpt.verify(threads)?;
+        ckpt.check_hash()?;
+        let journal = &ckpt.journal;
         let mut f = Follower::new(threads);
+        f.ends = ClusterRunner::epoch_ends(&journal.scenario);
+        interim_boundary(&f.ends, ckpt.cursor, ckpt.at)?;
         f.expected_seq = ckpt.next_seq;
-        f.scenario = Some(ckpt.journal.scenario.clone());
-        f.seed = ckpt.journal.seed;
-        f.leader_threads = ckpt.journal.threads;
-        f.admission = Some(ckpt.journal.admission);
-        f.records = ckpt.journal.records.clone();
+        f.scenario = Some(journal.scenario.clone());
+        f.seed = journal.seed;
+        f.leader_threads = journal.threads;
+        f.admission = Some(journal.admission);
+        f.records = journal.records.clone();
         f.next_epoch = ckpt.cursor;
-        f.stats.records = ckpt.journal.records.len() as u64;
+        f.stats.records = journal.records.len() as u64;
         f.stats.epochs = ckpt.cursor;
+        let mirror = f.start_mirror();
+        for pin in journal.pinned_moves(Some(ckpt.cursor)).epochs {
+            mirror.release(pin.map_or(EpochPin::Live, EpochPin::Pinned));
+        }
+        matches_mirror(ckpt, mirror)?;
         f.last_checkpoint = Some(ckpt.clone());
+        f.stats.checkpoints = 1;
         Ok(f)
+    }
+
+    /// Starts the live mirror from the scenario, seed, admission
+    /// statistics and plan-time records adopted so far.
+    fn start_mirror(&mut self) -> &Mirror {
+        let spec = self.scenario.clone().expect("scenario known");
+        let placements =
+            PinnedPlan::from_events(&spec, self.admission.expect("plan applied"), &self.records);
+        self.mirror
+            .insert(Mirror::start(spec, self.seed, placements, self.threads))
     }
 
     /// Stream counters.
@@ -216,9 +263,10 @@ impl Follower {
         self.expected_seq
     }
 
-    /// Epoch batches applied so far (the replica's epoch cursor).
+    /// Epoch batches applied so far — the live mirror's epoch cursor: the
+    /// boundaries whose decisions it has been released.
     pub fn epochs_applied(&self) -> usize {
-        self.next_epoch
+        self.mirror.as_ref().map_or(0, Mirror::released)
     }
 
     /// The follower's durable resume point, if a checkpoint has verified.
@@ -237,7 +285,9 @@ impl Follower {
         Lag {
             epochs: leader.epochs.saturating_sub(self.stats.epochs),
             records: leader.records.saturating_sub(self.stats.records),
-            frames: leader.frames.saturating_sub(self.stats.applied),
+            // Against the stream position, not the applied count: a late
+            // joiner starts mid-stream and never applies the prefix.
+            frames: leader.frames.saturating_sub(self.expected_seq),
         }
     }
 
@@ -259,13 +309,21 @@ impl Follower {
 
     /// Feeds one transport chunk. Applies it if it is the next frame in
     /// sequence; otherwise reports the named fault and leaves the
-    /// replica untouched (safe to retransmit and retry).
+    /// replica — journal and live mirror — untouched (safe to retransmit
+    /// and retry). A `Checkpoint` or `Finish` chunk returns once the
+    /// mirror has reached it and the bytes are compared.
     ///
     /// # Errors
     ///
     /// [`StreamError`] naming the fault: frame-level corruption, a gap,
-    /// a duplicate, a protocol violation, or replica divergence.
+    /// a duplicate, a protocol violation (any chunk after
+    /// [`Follower::promote`] is one), or replica divergence.
     pub fn feed(&mut self, chunk: &[u8]) -> Result<Applied, StreamError> {
+        if self.mirror.as_ref().is_some_and(Mirror::is_live) {
+            return Err(
+                self.protocol("the replica was promoted and follows no stream any more".to_owned())
+            );
+        }
         let frame = Frame::decode(chunk).map_err(|e| {
             self.stats.dropped += 1;
             StreamError::Frame(e)
@@ -297,30 +355,28 @@ impl Follower {
         Ok(applied)
     }
 
-    /// Continues the run *without* the leader: every received epoch is
-    /// pinned to the stream, every epoch after the cut is decided live
-    /// by the follower's own control planes. Because the stream pins
-    /// decisions (not state), this equals the uninterrupted run byte for
-    /// byte over the shared prefix — the zero-loss failover property the
-    /// e2e test asserts.
+    /// Continues the run *without* the leader: the live mirror keeps every
+    /// received epoch pinned to the stream, decides every epoch after the
+    /// cut with the follower's own control planes, and this returns what
+    /// it finishes with. Because the stream pins decisions (not state),
+    /// that equals the uninterrupted run byte for byte over the shared
+    /// prefix — the zero-loss failover property the e2e test asserts.
+    /// Promotion is final — the follower accepts no further chunk — and
+    /// repeatable: a second call returns the same aggregates.
     ///
     /// # Errors
     ///
     /// If promotion is attempted before the Hello and Plan frames have
-    /// been applied (the follower has nothing to continue from).
+    /// been applied (the follower has nothing to continue from), or the
+    /// mirror run ended without aggregates (`mirror stopped: …`).
     pub fn promote(&self) -> Result<AggregateMetrics, String> {
         if self.scenario.is_none() {
             return Err("cannot promote: no Hello frame applied (scenario unknown)".into());
         }
-        if self.admission.is_none() {
+        let Some(mirror) = &self.mirror else {
             return Err("cannot promote: no Plan frame applied (placements unknown)".into());
-        }
-        self.replica_journal(String::new()).reexecute(
-            self.threads,
-            None,
-            Some(self.next_epoch),
-            None,
-        )
+        };
+        mirror.outcome(true)
     }
 
     /// The replica's journal: scenario, seed, admission statistics and
@@ -342,7 +398,7 @@ impl Follower {
 
     /// The replica's journal prefix in canonical record order, with
     /// `summary` substituted (checkpoints store the leader's interim
-    /// summary there; promotion does not need one).
+    /// summary there).
     fn replica_journal(&self, summary: String) -> Journal {
         let mut records = self.records.clone();
         sort_events(&mut records);
@@ -418,6 +474,7 @@ impl Follower {
         };
         self.seed = seed;
         self.leader_threads = threads;
+        self.ends = ClusterRunner::epoch_ends(&scenario);
         self.scenario = Some(scenario);
         Ok(Applied::Hello)
     }
@@ -438,10 +495,28 @@ impl Follower {
                 other => return Err(other.unexpected("Plan")),
             }
         }
-        self.admission = Some(admission.ok_or("missing admission line")?);
-        Ok(Applied::Plan {
-            records: self.adopt(records),
-        })
+        let admission = admission.ok_or("missing admission line")?;
+        self.batch_pin(None, &records)?;
+        self.admission = Some(admission);
+        let records = self.adopt(records);
+        self.start_mirror();
+        Ok(Applied::Plan { records })
+    }
+
+    /// The pin a batch of records holds for boundary `epoch` (`None`: the
+    /// Plan frame, which holds none). A rebalance pass or migration is
+    /// applied by the live mirror *at* its boundary, so one that arrives
+    /// in any other frame is refused rather than silently never applied.
+    fn batch_pin(&self, epoch: Option<usize>, records: &[FleetEvent]) -> Result<EpochPin, String> {
+        let spec = self.scenario.as_ref().expect("scenario known");
+        let mut epochs = PinnedMoves::from_events(spec, records, None).epochs;
+        let own = epoch.and_then(|e| epochs.get_mut(e)?.take());
+        match epochs.iter().position(Option::is_some) {
+            Some(stray) => Err(format!(
+                "a decision of epoch {stray} outside the Records frame of epoch {stray}"
+            )),
+            None => Ok(own.map_or(EpochPin::Live, EpochPin::Pinned)),
+        }
     }
 
     fn apply_records(&mut self, payload: &str) -> Result<Applied, String> {
@@ -451,9 +526,10 @@ impl Follower {
             Some(Entry::Pair("epoch", v, _)) => codec::parse_int(v, "epoch")?,
             _ => return Err("missing epoch header".into()),
         };
-        if !matches!(entries.next().transpose()?, Some(Entry::Pair("at", ..))) {
-            return Err("missing at header".into());
-        }
+        let at = match entries.next().transpose()? {
+            Some(Entry::Pair("at", v, _)) => codec::parse_at(v)?,
+            _ => return Err("missing at header".into()),
+        };
         if epoch != self.next_epoch {
             return Err(format!(
                 "epoch {epoch} arrived while the replica expects epoch {}",
@@ -467,6 +543,13 @@ impl Follower {
                 ids.boundaries()
             ));
         }
+        if at != self.ends[epoch] {
+            return Err(format!(
+                "epoch {epoch} is dated {} ns, but the scenario's boundary {epoch} is at {} ns",
+                at.as_ns(),
+                self.ends[epoch].as_ns()
+            ));
+        }
         let mut records = Vec::new();
         for entry in entries {
             match entry? {
@@ -474,6 +557,18 @@ impl Follower {
                 other => return Err(other.unexpected("Records")),
             }
         }
+        // Placements pinned the mirror's plan when the Plan frame started
+        // it; an admission arriving later could never take effect.
+        if records.iter().any(|r| {
+            matches!(
+                r,
+                FleetEvent::TaskAdmission { .. } | FleetEvent::VmAdmission { .. }
+            )
+        }) {
+            return Err("an admission record outside the Plan frame".into());
+        }
+        let pin = self.batch_pin(Some(epoch), &records)?;
+        self.mirror.as_ref().expect("plan applied").release(pin);
         self.next_epoch += 1;
         self.stats.epochs += 1;
         Ok(Applied::Epoch {
@@ -499,8 +594,13 @@ impl Follower {
                 self.next_epoch
             )));
         }
-        // Mirror: re-execute the prefix on our own thread count and
-        // demand byte identity with the leader's interim summary.
+        if let Err(e) = interim_boundary(&self.ends, cursor, at) {
+            return Err(self.protocol(format!("Checkpoint: {e}")));
+        }
+        // The mirror is parked at `cursor` (or on its way there): demand
+        // byte identity between the interim it reduces on our own thread
+        // count and the leader's. A mirror that diverged stays diverged —
+        // it answers a re-fed frame from the interim it already holds.
         let ckpt = Checkpoint {
             cursor,
             at,
@@ -508,7 +608,11 @@ impl Follower {
             next_seq: frame.seq + 1,
             journal: self.replica_journal(summary),
         };
-        if let Err(e) = ckpt.verify(self.threads) {
+        let mirror = self.mirror.as_ref().expect("plan applied");
+        if let Err(e) = ckpt
+            .check_hash()
+            .and_then(|()| matches_mirror(&ckpt, mirror))
+        {
             self.stats.divergences += 1;
             return Err(StreamError::Divergence(e));
         }
@@ -520,7 +624,21 @@ impl Follower {
     fn apply_finish(&mut self, payload: &str) -> Result<Applied, StreamError> {
         let summary =
             parse_summary_block(payload).map_err(|e| self.protocol(format!("Finish: {e}")))?;
-        match self.replica_journal(summary).verify(self.threads, None) {
+        // Every boundary's batch released, the mirror runs to the horizon;
+        // short of that it would park for a frame that is not coming.
+        if self.next_epoch != self.ends.len() {
+            return Err(self.protocol(format!(
+                "Finish: arrived after {} of the scenario's {} epoch batches",
+                self.next_epoch,
+                self.ends.len()
+            )));
+        }
+        let mirror = self.mirror.as_ref().expect("plan applied");
+        let verdict = mirror.outcome(false).and_then(|metrics| {
+            divergence("replay", &summary, &metrics.summary_csv())?;
+            Ok(metrics)
+        });
+        match verdict {
             Ok(metrics) => {
                 self.finale = Some(metrics);
                 Ok(Applied::Finish)
@@ -530,6 +648,55 @@ impl Follower {
                 Err(StreamError::Divergence(format!("at finish: {e}")))
             }
         }
+    }
+}
+
+/// Byte-compares the leader's interim summary stored in `ckpt` with the
+/// interim `mirror` reduces at the checkpoint's cursor.
+fn matches_mirror(ckpt: &Checkpoint, mirror: &Mirror) -> Result<(), String> {
+    let ours = mirror.interim(ckpt.cursor)?;
+    divergence(
+        &format!("checkpoint {}", ckpt.cursor),
+        &ckpt.journal.summary,
+        &ours,
+    )
+}
+
+/// Checks that `cursor` is a boundary of the epoch grid `ends` where an
+/// interim exists (the horizon has the finale instead) and that `at` is
+/// its instant.
+fn interim_boundary(ends: &[Time], cursor: usize, at: Time) -> Result<(), String> {
+    if cursor >= ends.len() {
+        return Err(format!(
+            "cursor {cursor} is past the scenario's epoch grid ({} boundaries)",
+            ends.len()
+        ));
+    }
+    if cursor + 1 == ends.len() {
+        return Err(format!(
+            "cursor {cursor} is the horizon of the scenario's epoch grid, where no interim exists"
+        ));
+    }
+    if at != ends[cursor] {
+        return Err(format!(
+            "cursor {cursor} is dated {} ns, but the scenario's boundary {cursor} is at {} ns",
+            at.as_ns(),
+            ends[cursor].as_ns()
+        ));
+    }
+    Ok(())
+}
+
+#[cfg(test)]
+impl Follower {
+    /// Swaps the live mirror for a run that panics with `why` at the first
+    /// boundary released to it.
+    pub(crate) fn doom_mirror(&mut self, why: &'static str) {
+        use selftune_cluster::runner::PinSource;
+        self.mirror = Some(Mirror::spawn(move |pins| {
+            pins.pin(0);
+            panic!("{why}");
+        }));
     }
 }
 

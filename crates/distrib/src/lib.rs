@@ -18,18 +18,29 @@
 //!        │         Checkpoint / Finish
 //!        └─ retained frames ──► frames_from(seq)  (retransmission)
 //!
-//!   follower at Checkpoint(cursor):
-//!     Journal::verify(records so far, to cursor) ══ leader interim bytes
+//!   follower at Plan:
+//!     one live mirror — plan_fleet_pinned + the ordinary epoch loop on a
+//!     thread the follower owns, parked at the first boundary whose frame
+//!     has not arrived
+//!   follower at Records(e):     release boundary e's decision to it
+//!   follower at Checkpoint(c):  hash check, then the interim the parked
+//!     run reduces at c ══ leader interim bytes
+//!   follower at Finish:         the run's finale ══ leader finale bytes
 //!   follower at leader death:
-//!     promote() = Journal::reexecute(received epochs pinned, live beyond)
+//!     promote() = the same run, received epochs pinned, live beyond
 //!               ══ the uninterrupted run, byte for byte
 //! ```
 //!
 //! The stream is the journal, chunked: every payload and checkpoint
-//! file is written and parsed by `selftune_journal::codec`, and every
-//! mirror, late-join check, end-of-stream check and promotion is
-//! `Journal::verify` / `Journal::reexecute`. This crate adds framing,
-//! sequencing and the protocol state machine — no second codec or replay.
+//! file is written and parsed by `selftune_journal::codec`. The mirror is
+//! the runner's own pinned run behind its `PinSource` seam, so following
+//! a stream costs one run — linear in its epochs, whatever the checkpoint
+//! cadence — and a follower holds one resident fleet until that run ends
+//! or the follower is dropped (which stops and joins it). This crate adds
+//! framing, sequencing, the protocol state machine and that one thread —
+//! no second codec, no second simulator. `Journal::reexecute` /
+//! `Journal::verify` (re-simulation from t = 0) stay what
+//! [`Checkpoint::verify`] and the differential tests use.
 //!
 //! * [`frame`] — the wire format: length-prefixed, CRC-checked chunks
 //!   with journal-codec text payloads; truncation and corruption are
@@ -41,19 +52,20 @@
 //!   that frames each epoch's decision batch as it happens and retains
 //!   sent frames for reconnect replay.
 //! * [`follower`] — the standby: strict in-sequence apply, named
-//!   [`StreamError`]s for every fault, checkpoint mirroring
-//!   (byte-compared against the leader's interim summary), lag metrics,
-//!   and [`Follower::promote`].
+//!   [`StreamError`]s for every fault (a dead mirror included), the live
+//!   mirror byte-compared against the leader's interim summaries and
+//!   finale, lag metrics, and [`Follower::promote`].
 //! * [`checkpoint`] — durable [`Checkpoint`] text files a late joiner
-//!   attaches from, self-verifying before any state is adopted.
+//!   attaches from, checked against a fresh mirror before any state is
+//!   adopted.
 //!
 //! ## Why decisions, not state
 //!
 //! The stream carries the *decisions* (admissions, grants, migrations,
 //! re-bounds) rather than node state. The simulation is deterministic
 //! given those decisions, so the follower reconstructs bit-exact state
-//! at any thread count by re-executing pinned to the stream — the same
-//! property the journal's replay engine enforces, now incremental. A
+//! at any thread count by executing pinned to the stream as it arrives —
+//! the same property the journal's replay engine enforces, incremental. A
 //! promoted follower therefore continues the run as if the leader had
 //! never died: no state transfer, no divergence window.
 //!
@@ -83,6 +95,7 @@
 pub mod checkpoint;
 pub mod follower;
 pub mod frame;
+mod mirror;
 pub mod ship;
 pub mod transport;
 
@@ -325,6 +338,145 @@ mod tests {
             leader.summary_csv(),
             "late joiner diverged from the leader"
         );
+        // Caught up means zero lag for a joiner too: frames are measured
+        // against the stream position, not the count it applied itself,
+        // and the checkpoint it attached from is one it verified.
+        assert_eq!(
+            joiner.lag(&shipper.progress()),
+            crate::follower::Lag {
+                epochs: 0,
+                records: 0,
+                frames: 0
+            }
+        );
+        assert!(joiner.stats().applied < shipper.progress().frames);
+        let suffix_checkpoints = shipper
+            .frames_from(parsed.next_seq)
+            .iter()
+            .filter(|c| Frame::decode(c).expect("clean chunk").kind == FrameKind::Checkpoint)
+            .count();
+        assert_eq!(joiner.stats().checkpoints, 1 + suffix_checkpoints);
+    }
+
+    #[test]
+    fn a_diverged_checkpoint_stays_diverged_without_asking_the_mirror_again() {
+        let spec = composed_spec();
+        let (_, _, chunks) = ship_run(&spec, 42, 2, Some(2));
+        // Corrupt the leader's interim summary but keep the header hash
+        // honest, so the byte comparison — not the hash — is what fails.
+        let (i, frame) = chunks
+            .iter()
+            .map(|c| Frame::decode(c).expect("clean chunk"))
+            .enumerate()
+            .find(|(_, f)| f.kind == FrameKind::Checkpoint)
+            .expect("stream checkpoints");
+        let begin = frame.payload.find("summary_begin").expect("summary block");
+        let digit = begin
+            + frame.payload[begin..]
+                .find(|c: char| c.is_ascii_digit())
+                .expect("a number in the summary");
+        let mut payload = frame.payload.clone();
+        let flipped = if &payload[digit..=digit] == "1" {
+            "2"
+        } else {
+            "1"
+        };
+        payload.replace_range(digit..=digit, flipped);
+        let body_at = payload.find("summary_begin\n").expect("block") + "summary_begin\n".len();
+        let body_end = payload.find("summary_end").expect("block end");
+        let hash = crate::frame::fnv1a64(&payload.as_bytes()[body_at..body_end]);
+        let hash_line = payload
+            .lines()
+            .find(|l| l.starts_with("hash = "))
+            .expect("hash header")
+            .to_owned();
+        let payload = payload.replacen(&hash_line, &format!("hash = {hash:016x}"), 1);
+        let bad = Frame { payload, ..frame }.encode();
+
+        let mut follower = Follower::new(2);
+        for chunk in &chunks[..i] {
+            follower.feed(chunk).expect("prefix applies");
+        }
+        let first = follower.feed(&bad).expect_err("summary differs");
+        assert!(
+            matches!(&first, StreamError::Divergence(m) if m.contains("diverged at summary line")),
+            "{first}"
+        );
+        // Same frame, same verdict — answered from the interim the mirror
+        // already reduced (it is parked past that question by now).
+        assert_eq!(follower.feed(&bad), Err(first));
+        assert_eq!(follower.stats().divergences, 2);
+        assert_eq!(follower.stats().checkpoints, 0);
+        // The fault left replica and mirror where they stood: the honest
+        // frame verifies and the stream completes.
+        for chunk in &chunks[i..] {
+            follower.feed(chunk).expect("clean retransmission applies");
+        }
+        assert!(follower.finale().is_some());
+    }
+
+    #[test]
+    fn a_dead_mirror_is_a_named_divergence_never_a_hang() {
+        let spec = composed_spec();
+        let (_, _, chunks) = ship_run(&spec, 42, 2, Some(2));
+        let mut follower = Follower::new(2);
+        follower.feed(&chunks[0]).expect("hello");
+        follower.feed(&chunks[1]).expect("plan");
+        follower.doom_mirror("node 3 published no feedback");
+        // Batches still apply (the replica's journal does not need the
+        // mirror); the first frame that has to wait on it gets the name.
+        let mut verdict = None;
+        for chunk in &chunks[2..] {
+            match follower.feed(chunk) {
+                Ok(Applied::Epoch { .. }) => {}
+                other => {
+                    verdict = Some((chunk, other));
+                    break;
+                }
+            }
+        }
+        let (chunk, verdict) = verdict.expect("stream checkpoints");
+        let want = "mirror stopped: node 3 published no feedback";
+        assert_eq!(verdict, Err(StreamError::Divergence(want.to_owned())));
+        assert_eq!(
+            follower.feed(chunk),
+            Err(StreamError::Divergence(want.to_owned()))
+        );
+        assert_eq!(follower.promote().map(|_| ()), Err(want.to_owned()));
+    }
+
+    #[test]
+    fn promotion_is_final_and_repeatable() {
+        let spec = composed_spec();
+        let (leader, _, chunks) = ship_run(&spec, 42, 2, Some(2));
+        let mut follower = Follower::new(2);
+        assert!(
+            follower.promote().is_err(),
+            "nothing to promote before Hello"
+        );
+        follower.feed(&chunks[0]).expect("hello");
+        assert!(
+            follower.promote().is_err(),
+            "nothing to promote before Plan"
+        );
+        for chunk in &chunks[1..6] {
+            follower.feed(chunk).expect("prefix applies");
+        }
+        let promoted = follower.promote().expect("promotable");
+        assert_eq!(promoted.summary_csv(), leader.summary_csv());
+        let again = follower.promote().expect("still promoted");
+        assert_eq!(again.summary_csv(), promoted.summary_csv());
+        // The replica leads now; the old leader's stream is refused, in
+        // sequence or not, and changes nothing.
+        let applied = follower.stats().applied;
+        for chunk in [&chunks[6], &chunks[0]] {
+            match follower.feed(chunk) {
+                Err(StreamError::Protocol(msg)) => assert!(msg.contains("promoted"), "{msg}"),
+                other => panic!("expected a protocol error, got {other:?}"),
+            }
+        }
+        assert_eq!(follower.stats().applied, applied);
+        assert_eq!(follower.expected_seq(), 6);
     }
 
     #[test]
@@ -390,6 +542,77 @@ mod tests {
             other => panic!("expected a protocol error, got {other:?}"),
         }
         // The refusal left the replica intact: the real Finish verifies.
+        assert_eq!(follower.feed(finish), Ok(Applied::Finish));
+
+        // `at` is checked against the scenario's own grid, for batches and
+        // checkpoints alike, and a refusal names both instants.
+        let (_, _, chunks) = ship_run(&spec, 42, 2, Some(2));
+        let ends = ClusterRunner::epoch_ends(&spec);
+        let mut follower = Follower::new(1);
+        let mut refused = (false, false);
+        for chunk in &chunks {
+            let frame = Frame::decode(chunk).expect("clean chunk");
+            let fresh = match frame.kind {
+                FrameKind::Records => !std::mem::replace(&mut refused.0, true),
+                FrameKind::Checkpoint => !std::mem::replace(&mut refused.1, true),
+                _ => false,
+            };
+            if fresh {
+                let at_line = frame
+                    .payload
+                    .lines()
+                    .find(|l| l.starts_with("at = "))
+                    .expect("at header")
+                    .to_owned();
+                let payload = frame.payload.replacen(&at_line, "at = 12345", 1);
+                let epoch = follower.epochs_applied();
+                match follower.feed(&Frame { payload, ..frame }.encode()) {
+                    Err(StreamError::Protocol(msg)) => assert!(
+                        msg.contains("12345 ns")
+                            && msg.contains(&format!("{} ns", ends[epoch].as_ns())),
+                        "{msg}"
+                    ),
+                    other => panic!("expected a protocol error, got {other:?}"),
+                }
+                assert_eq!(follower.epochs_applied(), epoch, "mirror not advanced");
+            }
+            follower.feed(chunk).expect("clean retransmission applies");
+        }
+        assert_eq!(refused, (true, true));
+
+        // No interim exists at the horizon boundary, whatever a Checkpoint
+        // frame there claims; and Finish cannot overtake an epoch batch.
+        let last = boundaries - 1;
+        let mut follower = Follower::new(1);
+        for chunk in &stream[..stream.len() - 1] {
+            follower.feed(chunk).expect("clean stream");
+        }
+        assert_eq!(follower.epochs_applied(), last);
+        let seq = follower.expected_seq();
+        let horizon_ckpt = Frame {
+            seq,
+            kind: FrameKind::Checkpoint,
+            payload: format!(
+                "cursor = {last}\nat = {}\nhash = {:016x}\nsummary_begin\nsummary_end\n",
+                ends[last].as_ns(),
+                crate::frame::fnv1a64(b"")
+            ),
+        };
+        match follower.feed(&horizon_ckpt.encode()) {
+            Err(StreamError::Protocol(msg)) => assert!(msg.contains("horizon"), "{msg}"),
+            other => panic!("expected a protocol error, got {other:?}"),
+        }
+        let early = Frame {
+            seq,
+            ..Frame::decode(finish).expect("clean chunk")
+        };
+        match follower.feed(&early.encode()) {
+            Err(StreamError::Protocol(msg)) => assert!(msg.contains("epoch batches"), "{msg}"),
+            other => panic!("expected a protocol error, got {other:?}"),
+        }
+        follower
+            .feed(stream.last().expect("horizon batch"))
+            .expect("the horizon's batch still applies");
         assert_eq!(follower.feed(finish), Ok(Applied::Finish));
 
         // A record naming a node the scenario does not have never reaches

@@ -12,6 +12,13 @@
 //! summary blocks are left alone: the scenario loader has its own error
 //! tests, and a summary edit is just a divergence), or truncates the text
 //! at an arbitrary line.
+//!
+//! The wire is outside input too: a second property does the same to one
+//! frame's payload of that composed stream — `epoch`, `at`, `cursor`,
+//! `hash`-adjacent headers and every record field — re-frames it under a
+//! valid CRC and feeds the stream to a follower, whose live mirror then
+//! runs whatever was accepted. Every `feed` comes back `Ok` or a named
+//! error, and a refused frame leaves the replica able to finish.
 
 use std::ops::Range;
 use std::sync::OnceLock;
@@ -26,20 +33,28 @@ fn fixture(name: &str) -> String {
     std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("fixture {path}: {e}"))
 }
 
-/// A checkpoint file recorded off the composed diurnal stream.
+/// The composed diurnal stream, checkpointed every 2 epochs.
+fn recorded_stream() -> &'static [Vec<u8>] {
+    static STREAM: OnceLock<Vec<Vec<u8>>> = OnceLock::new();
+    STREAM.get_or_init(|| {
+        let mut spec = ScenarioSpec::diurnal_demo(3, 6)
+            .with_rebalance(ScenarioSpec::diurnal_rebalance())
+            .with_node_share(ScenarioSpec::diurnal_node_share());
+        for vm in &mut spec.vms {
+            vm.elastic = true;
+        }
+        let (tx, mut rx) = ChannelTransport::pair();
+        let mut shipper = Shipper::new(tx, &spec, 42, 2, Some(2));
+        ClusterRunner::new(2).run_logged_with(&spec, 42, &mut shipper);
+        std::iter::from_fn(|| rx.recv()).collect()
+    })
+}
+
+/// A checkpoint file recorded off that stream.
 fn recorded_checkpoint() -> String {
-    let mut spec = ScenarioSpec::diurnal_demo(3, 6)
-        .with_rebalance(ScenarioSpec::diurnal_rebalance())
-        .with_node_share(ScenarioSpec::diurnal_node_share());
-    for vm in &mut spec.vms {
-        vm.elastic = true;
-    }
-    let (tx, mut rx) = ChannelTransport::pair();
-    let mut shipper = Shipper::new(tx, &spec, 42, 2, Some(2));
-    ClusterRunner::new(2).run_logged_with(&spec, 42, &mut shipper);
     let mut follower = Follower::new(2);
-    while let Some(chunk) = rx.recv() {
-        follower.feed(&chunk).expect("clean stream");
+    for chunk in recorded_stream() {
+        follower.feed(chunk).expect("clean stream");
     }
     follower.last_checkpoint().expect("checkpointed").to_text()
 }
@@ -138,6 +153,59 @@ proptest! {
         match load_then_verify(*checkpoint, &mutated, threads) {
             Ok(()) => {}
             Err(e) => prop_assert!(mutated != *text, "pristine input refused: {}", e),
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(40))]
+
+    #[test]
+    fn feeding_a_mutated_frame_never_panics(
+        frame_pick in 0usize..1_000,
+        line_pick in 0usize..1_000_000,
+        field_pick in 0usize..16,
+        raw in 0u64..u64::MAX,
+        shift in 0u32..64,
+        truncate in 0u8..4,
+        threads in 1usize..3,
+    ) {
+        let stream = recorded_stream();
+        // Any frame but Finish, whose payload is one summary block.
+        let target = frame_pick % (stream.len() - 1);
+        let frame = Frame::decode(&stream[target]).expect("clean chunk");
+        let payload = if truncate == 0 {
+            truncate_at(&frame.payload, line_pick)
+        } else {
+            mutate_field(&frame.payload, line_pick, field_pick, raw >> shift)
+        };
+        let pristine = payload == frame.payload;
+        let bad = Frame { payload, ..frame }.encode();
+
+        let mut follower = Follower::new(threads);
+        let mut accepted = true;
+        let mut named = None;
+        for (i, chunk) in stream.iter().enumerate() {
+            if i == target {
+                accepted = follower.feed(&bad).is_ok();
+                if accepted {
+                    continue;
+                }
+                // Refused: replica and mirror stand where they stood, so
+                // the clean frame and the rest of the stream still apply.
+            }
+            if let Err(e) = follower.feed(chunk) {
+                named = Some((i, e));
+                break;
+            }
+        }
+        match named {
+            None => prop_assert!(follower.finale().is_some()),
+            // Only an accepted mutation can make a clean frame fail: it
+            // changed a decision, and the next comparison named it.
+            Some((i, e)) => {
+                prop_assert!(accepted && !pristine, "clean frame {} refused: {}", i, e)
+            }
         }
     }
 }

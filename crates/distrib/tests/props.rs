@@ -1,6 +1,6 @@
 //! Property-based tests for the replication stream.
 //!
-//! One invariant, stated twice:
+//! One invariant, stated three times:
 //!
 //! * **No silent divergence** — whatever a faulty transport does to the
 //!   chunk stream (drop, duplicate, reorder, truncate mid-frame, or all
@@ -12,6 +12,11 @@
 //! * **Checkpoint resume converges** — a brand-new follower attached
 //!   from whatever checkpoint the faulty pass managed to verify, fed the
 //!   retained frames from that point, converges to the same bytes.
+//!
+//! * **A faulted feed moves nothing** — the follower's journal and its
+//!   live mirror's epoch cursor agree after every single `feed` call,
+//!   advance together by exactly one on an accepted epoch batch, and
+//!   stand still on everything else, faults included.
 //!
 //! The leader run is fault-independent, so it is executed once and
 //! shared across cases; each case only varies the fault pattern.
@@ -134,6 +139,53 @@ proptest! {
         prop_assert_eq!(stats.divergences, 0);
         let lag = follower.lag(&run.shipper.progress());
         prop_assert_eq!((lag.epochs, lag.records, lag.frames), (0, 0, 0));
+    }
+
+    #[test]
+    fn a_faulted_feed_never_advances_the_mirror(
+        seed in 0u64..1_000,
+        drop_rate in 0.0f64..0.4,
+        dup_rate in 0.0f64..0.4,
+        swap_rate in 0.0f64..0.4,
+        cut_rate in 0.0f64..0.4,
+        threads in 1usize..4,
+    ) {
+        let run = leader();
+        let decisions = ClusterRunner::epoch_ends(&composed_spec()).len() - 1;
+        // Where the replica stands, three ways: the mirror's released
+        // boundaries, the follower's own count, and the rebalance passes
+        // in its journal (one per decision epoch; the horizon's batch
+        // carries none).
+        let cursors = |f: &Follower| {
+            let passes = f.journal().map_or(0, |j| {
+                j.records
+                    .iter()
+                    .filter(|r| matches!(r, FleetEvent::Rebalance { .. }))
+                    .count()
+            });
+            (f.epochs_applied(), f.stats().epochs, passes)
+        };
+        let mut follower = Follower::new(threads);
+        let faulty = faulted_stream(seed, drop_rate, dup_rate, swap_rate, cut_rate);
+        let mut wire = faulty.iter();
+        while follower.finale().is_none() {
+            // The faulty pass first, then retransmission one frame at a
+            // time from wherever the replica stands.
+            let chunk = match wire.next() {
+                Some(chunk) => chunk,
+                None => &run.shipper.frames_from(follower.expected_seq())[0],
+            };
+            let (before, _, _) = cursors(&follower);
+            let advanced = matches!(follower.feed(chunk), Ok(Applied::Epoch { .. }));
+            let (mirror, counted, passes) = cursors(&follower);
+            prop_assert_eq!(mirror, before + usize::from(advanced));
+            prop_assert_eq!(mirror, counted, "mirror and follower disagree");
+            prop_assert_eq!(passes, mirror.min(decisions), "mirror and journal disagree");
+        }
+        prop_assert_eq!(
+            &follower.finale().expect("loop exit").summary_csv(),
+            &run.summary
+        );
     }
 
     #[test]

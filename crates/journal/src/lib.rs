@@ -38,7 +38,7 @@
 //!   epoch the scenario lacks — is an error quoting the line.
 //! * [`replay`] — *re-execution*: [`Journal::reexecute`] and
 //!   [`Journal::verify`] (byte-compare, name the first differing summary
-//!   line), fronted by [`Replayer`]. The journal is thread-count
+//!   line — [`divergence`] is that report), fronted by [`Replayer`]. The journal is thread-count
 //!   invariant, so is its replay — a CI property.
 //! * [`whatif`] — [`run_whatif`]: pin history up to a cut epoch, swap one
 //!   policy ([`PolicySwap`]) and quantify the outcome delta.
@@ -87,7 +87,7 @@ pub mod whatif;
 
 pub use codec::{record_from_line, record_line, IdBounds, FORMAT_VERSION};
 pub use record::{DecisionRecord, Journal};
-pub use replay::Replayer;
+pub use replay::{divergence, Replayer};
 pub use whatif::{run_whatif, variant_spec, PolicySwap, WhatIf, WhatIfReport};
 
 /// One-stop imports for journal recording, replay and what-if queries.

@@ -1,9 +1,11 @@
-//! Re-execution: run a recorded journal again pinned to its own
-//! decisions and assert the aggregates come back byte for byte. Exact
-//! replay ([`Replayer`]), what-if, checkpoint mirroring, end-of-stream
-//! verification and failover promotion are all [`Journal::reexecute`]
-//! with different arguments; every divergence report is
-//! [`Journal::verify`]'s.
+//! Re-execution: run a recorded journal again, from t = 0, pinned to its
+//! own decisions and assert the aggregates come back byte for byte. Exact
+//! replay ([`Replayer`]), what-if, the stand-alone checkpoint-file check
+//! and a cold restart are all [`Journal::reexecute`] with different
+//! arguments. A replication follower does *not* come through here — it
+//! advances one live run instead of re-running prefixes — but it reports
+//! in the same words ([`divergence`]), and its differential tests hold it
+//! to these functions' bytes.
 
 use selftune_cluster::runner::plan_fleet_pinned;
 use selftune_cluster::{AggregateMetrics, ClusterRunner, ScenarioSpec};
@@ -42,7 +44,9 @@ impl Journal {
         let runner = ClusterRunner::new(threads);
         Ok(match cursor {
             Some(cursor) => runner.run_pinned_prefix(spec, self.seed, &plan, &moves, cursor),
-            None => runner.run_pinned(spec, self.seed, &plan, &moves),
+            None => runner
+                .run_pinned(spec, self.seed, &plan, &moves)
+                .expect("a pin table never stops the run"),
         })
     }
 
@@ -60,32 +64,43 @@ impl Journal {
         cursor: Option<usize>,
     ) -> Result<AggregateMetrics, String> {
         let metrics = self.reexecute(threads, None, None, cursor)?;
-        let ours = metrics.summary_csv();
-        if ours == self.summary {
-            return Ok(metrics);
-        }
         let what = match cursor {
             Some(c) => format!("checkpoint {c}"),
             None => "replay".to_owned(),
         };
-        let differing = self
-            .summary
-            .lines()
-            .zip(ours.lines())
-            .enumerate()
-            .find(|(_, (a, b))| a != b);
-        Err(match differing {
-            Some((i, (recorded, replayed))) => format!(
-                "{what} diverged at summary line {}: recorded {recorded:?}, replayed {replayed:?}",
-                i + 1
-            ),
-            None => format!(
-                "{what} diverged in summary length: recorded {} lines, replayed {}",
-                self.summary.lines().count(),
-                ours.lines().count()
-            ),
-        })
+        divergence(&what, &self.summary, &metrics.summary_csv())?;
+        Ok(metrics)
     }
+}
+
+/// One byte comparison and its divergence report: `Ok` when `replayed`
+/// equals `recorded`, otherwise `what` ("replay", "checkpoint 8") and the
+/// first differing summary line. The one wording every verifier uses —
+/// [`Journal::verify`] and a follower's live mirror alike.
+///
+/// # Errors
+///
+/// The divergence report.
+pub fn divergence(what: &str, recorded: &str, replayed: &str) -> Result<(), String> {
+    if replayed == recorded {
+        return Ok(());
+    }
+    let differing = recorded
+        .lines()
+        .zip(replayed.lines())
+        .enumerate()
+        .find(|(_, (a, b))| a != b);
+    Err(match differing {
+        Some((i, (recorded, replayed))) => format!(
+            "{what} diverged at summary line {}: recorded {recorded:?}, replayed {replayed:?}",
+            i + 1
+        ),
+        None => format!(
+            "{what} diverged in summary length: recorded {} lines, replayed {}",
+            recorded.lines().count(),
+            replayed.lines().count()
+        ),
+    })
 }
 
 /// Re-executes journalled runs with every decision pinned to the record.
