@@ -579,6 +579,26 @@ fn cluster_report(out: &Path, smoke: bool) {
         ),
     });
 
+    // Determinism: byte-identical aggregates under an even (2), an uneven
+    // (3) and a one-node-per-worker (8) deal.
+    let baseline = ClusterRunner::new(1).run(&spec, 7).summary_csv();
+    let identical = [2usize, 3, 8]
+        .iter()
+        .all(|&t| ClusterRunner::new(t).run(&spec, 7).summary_csv() == baseline);
+    println!("cluster/determinism (1/2/3/8 threads): identical={identical}");
+    assert!(identical, "the node deal broke aggregate determinism");
+    let extra =
+        format!("  \"determinism\": {{\"threads\": [1, 2, 3, 8], \"identical\": {identical}}}");
+
+    // Everything so far goes to disk before the 1M-task entries start: on
+    // a 16 GB box they are what gets OOM-killed, and a kill should cost
+    // their rows only. The report is rewritten in full once they are in.
+    let write = |entries: &[Entry]| {
+        let path = out.join("BENCH_cluster.json");
+        write_report(&path, "cluster", smoke, entries, &extra);
+    };
+    write(&entries);
+
     // The million-task axis (PR 10): the *task* population pushed to 1M
     // live tasks on 2.5k nodes, with a churning liar wave retiring tens
     // of thousands of tasks mid-flight. Throughput is measured with the
@@ -645,24 +665,7 @@ fn cluster_report(out: &Path, smoke: bool) {
         ),
     });
 
-    // Determinism: byte-identical aggregates under an even (2), an uneven
-    // (3) and a one-node-per-worker (8) deal.
-    let baseline = ClusterRunner::new(1).run(&spec, 7).summary_csv();
-    let identical = [2usize, 3, 8]
-        .iter()
-        .all(|&t| ClusterRunner::new(t).run(&spec, 7).summary_csv() == baseline);
-    println!("cluster/determinism (1/2/3/8 threads): identical={identical}");
-    assert!(identical, "the node deal broke aggregate determinism");
-    let extra =
-        format!("  \"determinism\": {{\"threads\": [1, 2, 3, 8], \"identical\": {identical}}}");
-
-    write_report(
-        &out.join("BENCH_cluster.json"),
-        "cluster",
-        smoke,
-        &entries,
-        &extra,
-    );
+    write(&entries);
 }
 
 fn main() {

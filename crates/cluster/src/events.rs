@@ -282,9 +282,9 @@ pub trait JournalSink: Send {
     /// Interim fleet aggregates at epoch boundary `cursor`: the state at
     /// instant `at` with the decisions of epochs `< cursor` applied,
     /// captured *before* the boundary's own decision batch is emitted. A
-    /// prefix re-execution over the same decisions reproduces these
-    /// aggregates byte for byte
-    /// ([`ClusterRunner::run_pinned_prefix`](crate::runner::ClusterRunner::run_pinned_prefix)).
+    /// pinned re-execution over the same decisions, stopped at `cursor`,
+    /// reproduces these aggregates byte for byte
+    /// ([`ClusterRunner::run_pinned`](crate::runner::ClusterRunner::run_pinned)).
     fn on_checkpoint(&mut self, cursor: usize, at: Time, interim: &AggregateMetrics) {
         let _ = (cursor, at, interim);
     }

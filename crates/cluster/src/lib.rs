@@ -85,9 +85,11 @@ pub mod index;
 pub mod mem;
 pub mod node;
 pub mod placer;
+mod plan;
 pub mod runner;
 pub mod sketch;
 pub mod spec;
+mod stages;
 pub mod textio;
 
 pub use aggregate::{

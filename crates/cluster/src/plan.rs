@@ -1,0 +1,433 @@
+//! Fleet planning: what runs where, decided before the first epoch.
+//!
+//! The plan (task kinds, arrivals, lifetimes, workload seeds) and the
+//! placement are computed up front from `(spec, seed)` alone — or, for a
+//! replay, with a journal's recorded placements substituted for the live
+//! placer walk ([`plan_fleet_pinned`]) — so nothing a worker thread does
+//! later can leak into them. The runner re-exports everything here under
+//! `runner::`, where these items used to live.
+
+use selftune_simcore::rng::{splitmix64, Rng};
+use selftune_simcore::time::{Dur, Time};
+
+use crate::aggregate::AdmissionStats;
+use crate::events::FleetEvent;
+use crate::node::{NodeTask, NodeVm};
+use crate::placer::{PlacementOutcome, Placer};
+use crate::spec::{ArrivalSchedule, ScenarioSpec, TaskKind};
+
+/// Derives the workload seed of fleet task `task_id` from the base seed.
+///
+/// Stateless in everything but `(base_seed, task_id)`, so the derivation
+/// does not depend on planning order or thread schedule.
+pub fn derive_task_seed(base_seed: u64, task_id: u64) -> u64 {
+    let mut s = base_seed ^ task_id.wrapping_mul(0xA076_1D64_78BD_642F);
+    let a = splitmix64(&mut s);
+    splitmix64(&mut s) ^ a.rotate_left(17)
+}
+
+/// One planned fleet task with its placement.
+#[derive(Clone, Debug)]
+pub struct PlannedTask {
+    /// The node-local plan (label, kind, arrival, departure, seed).
+    pub task: NodeTask,
+    /// Node the task was placed on; `None` if admission rejected it.
+    pub node: Option<usize>,
+    /// Whether it went through reservation admission (vs. best-effort).
+    pub realtime: bool,
+    /// The admission decision with its inputs (journal material). `None`
+    /// for best-effort tasks and for pinned plans, where no live decision
+    /// was taken.
+    pub outcome: Option<PlacementOutcome>,
+}
+
+/// One planned virtual platform with its placement.
+#[derive(Clone, Debug)]
+pub struct PlannedVm {
+    /// The node-local plan (share, guest task plans).
+    pub vm: NodeVm,
+    /// Node the VM was placed on; `None` if admission rejected it.
+    pub node: Option<usize>,
+    /// The admission decision with its inputs (journal material); `None`
+    /// for pinned plans.
+    pub outcome: Option<PlacementOutcome>,
+}
+
+/// The fleet plan: every task and VM, their placement, and admission
+/// statistics.
+#[derive(Clone, Debug)]
+pub struct FleetPlan {
+    /// All planned tasks, in fleet-id order.
+    pub tasks: Vec<PlannedTask>,
+    /// All planned virtual platforms, in fleet-VM-id order.
+    pub vms: Vec<PlannedVm>,
+    /// Admission statistics.
+    pub admission: AdmissionStats,
+}
+
+/// Recorded placement decisions substituted for the live admission path
+/// when re-planning a journalled run (see [`plan_fleet_pinned`]).
+#[derive(Clone, Debug, Default)]
+pub struct PinnedPlan {
+    /// The recorded run's admission statistics, adopted wholesale — the
+    /// release-retry counter inside cannot be re-derived from placements
+    /// alone.
+    pub admission: AdmissionStats,
+    /// Destination per fleet task id (`None` = rejected). Only consulted
+    /// for real-time tasks; best-effort placement is re-derived (it is a
+    /// pure function of the plan walk).
+    pub task_nodes: Vec<Option<usize>>,
+    /// Destination per fleet VM id (`None` = rejected).
+    pub vm_nodes: Vec<Option<usize>>,
+}
+
+impl PinnedPlan {
+    /// The admission pin table of a logged run: every task's and VM's
+    /// recorded destination out of its admission events, plus the recorded
+    /// admission statistics.
+    pub fn from_events(
+        spec: &ScenarioSpec,
+        admission: AdmissionStats,
+        events: &[FleetEvent],
+    ) -> PinnedPlan {
+        let mut task_nodes = vec![None; spec.flat_tasks()];
+        let mut vm_nodes = vec![None; spec.vms.len()];
+        for e in events {
+            let (slot, node) = match e {
+                FleetEvent::TaskAdmission { fleet_id, node, .. } => {
+                    (task_nodes.get_mut(*fleet_id), node)
+                }
+                FleetEvent::VmAdmission {
+                    fleet_vm_id, node, ..
+                } => (vm_nodes.get_mut(*fleet_vm_id), node),
+                _ => continue,
+            };
+            if let Some(slot) = slot {
+                *slot = *node;
+            }
+        }
+        PinnedPlan {
+            admission,
+            task_nodes,
+            vm_nodes,
+        }
+    }
+}
+
+/// What was drawn for one fleet task before placement. Splitting the
+/// draws from the placement walk keeps the planning RNG stream identical
+/// between live and pinned planning.
+struct TaskDraw {
+    arrival: Time,
+    kind: TaskKind,
+    departure: Option<Time>,
+    /// Index of the traffic phase the task belongs to (`None` for the
+    /// base population). Phase membership restricts placement to the
+    /// phase's node filter.
+    phase: Option<usize>,
+}
+
+/// Builds the deterministic fleet plan for `(spec, seed)`.
+///
+/// Arrival times, task kinds and lifetimes are drawn from a planning RNG
+/// seeded by `seed`; placement walks tasks in arrival order through the
+/// spec's policy.
+pub fn plan_fleet(spec: &ScenarioSpec, seed: u64) -> FleetPlan {
+    plan_fleet_impl(spec, seed, None, false)
+}
+
+/// Builds the fleet plan with every admission decision pinned to a
+/// recorded run: the same draws (kinds, arrivals, lifetimes, seeds), the
+/// journal's placements instead of the live placer walk. Replaying a
+/// journal through this function reproduces the recorded run's node
+/// assignment exactly, even under a scenario whose *policy* was swapped
+/// for a what-if.
+pub fn plan_fleet_pinned(spec: &ScenarioSpec, seed: u64, pinned: &PinnedPlan) -> FleetPlan {
+    plan_fleet_impl(spec, seed, Some(pinned), false)
+}
+
+pub(crate) fn plan_fleet_impl(
+    spec: &ScenarioSpec,
+    seed: u64,
+    pinned: Option<&PinnedPlan>,
+    scan_placement: bool,
+) -> FleetPlan {
+    let mut rng = Rng::new(seed ^ SEED_PLAN_SALT);
+    let mut arrivals: Vec<Time> = Vec::with_capacity(spec.tasks);
+    let mut at = Time::ZERO;
+    for i in 0..spec.tasks {
+        let t = match spec.arrivals {
+            ArrivalSchedule::AllAtStart => Time::ZERO,
+            ArrivalSchedule::Staggered { gap } => Time::ZERO + gap.mul_f64(i as f64),
+            ArrivalSchedule::Poisson { mean_gap } => {
+                let gap = Dur::from_secs_f64(rng.exp(1.0 / mean_gap.as_secs_f64().max(1e-12)));
+                at += gap;
+                at
+            }
+        };
+        arrivals.push(t);
+    }
+
+    let horizon = Time::ZERO + spec.horizon;
+    // Draw every task's shape before any placement: the stream order
+    // (kind, then lifetime, per task) matches the historical interleaved
+    // walk because placement itself never consumed planning randomness.
+    let mut draws: Vec<TaskDraw> = arrivals
+        .iter()
+        .map(|&arrival| {
+            let kind = spec.mix.sample(&mut rng);
+            let departure = spec.churn.map(|c| {
+                let life =
+                    Dur::from_secs_f64(rng.exp(1.0 / c.mean_lifetime.as_secs_f64().max(1e-12)))
+                        .max(c.min_lifetime);
+                arrival + life
+            });
+            // Lifetimes beyond the horizon are open-ended for planning.
+            let departure = departure.filter(|&d| d < horizon);
+            TaskDraw {
+                arrival,
+                kind,
+                departure,
+                phase: None,
+            }
+        })
+        .collect();
+    // Traffic-phase tasks extend the flat population (fleet ids
+    // `spec.tasks..`), drawn after the base stream so existing plans keep
+    // their bytes: arrival `start + ramp · i / tasks`, lease to the phase
+    // end.
+    for (pi, phase) in spec.phases.iter().enumerate() {
+        let start = Time::ZERO + phase.start;
+        for j in 0..phase.tasks {
+            let arrival = start + phase.ramp.mul_f64(j as f64 / phase.tasks as f64);
+            let kind = phase.mix.sample(&mut rng);
+            let departure = Some(Time::ZERO + phase.end).filter(|&d| d < horizon);
+            draws.push(TaskDraw {
+                arrival,
+                kind,
+                departure,
+                phase: Some(pi),
+            });
+        }
+    }
+
+    let mut placer = Placer::new(spec.nodes, spec.ulub, spec.headroom, spec.policy);
+    if scan_placement {
+        placer.use_scan_placement();
+    }
+    let mut admission = AdmissionStats::default();
+
+    // Virtual platforms are placed first, as whole units booked at their
+    // share: tenants hold their bandwidth from t = 0, and flat tasks fill
+    // in around them.
+    let mut vms = Vec::with_capacity(spec.vms.len());
+    let mut guest_fleet_id = spec.flat_tasks();
+    for (i, vm_spec) in spec.vms.iter().enumerate() {
+        let (node, outcome) = match pinned {
+            Some(p) => (p.vm_nodes.get(i).copied().flatten(), None),
+            None => match placer.place_demand(vm_spec.share(), 0, None) {
+                o @ PlacementOutcome::Admitted { node, .. } => {
+                    admission.vms_admitted += 1;
+                    (Some(node), Some(o))
+                }
+                o @ PlacementOutcome::Rejected { .. } => {
+                    admission.vms_rejected += 1;
+                    (None, Some(o))
+                }
+            },
+        };
+        let label = format!("v{i:02}");
+        let guests = vm_spec
+            .guest_kinds()
+            .enumerate()
+            .map(|(g, kind)| {
+                let fleet_id = guest_fleet_id;
+                guest_fleet_id += 1;
+                NodeTask {
+                    fleet_id,
+                    label: format!("{label}g{g}"),
+                    kind: kind.clone(),
+                    arrival: Time::ZERO,
+                    departure: None,
+                    seed: derive_task_seed(seed ^ SEED_VM_SALT, fleet_id as u64),
+                    migrated: false,
+                    warm: None,
+                }
+            })
+            .collect();
+        vms.push(PlannedVm {
+            vm: NodeVm {
+                fleet_vm_id: i,
+                label,
+                budget: vm_spec.budget,
+                period: vm_spec.period,
+                guests,
+                arrival: Time::ZERO,
+                migrated: false,
+                elastic: vm_spec.elastic,
+            },
+            node,
+            outcome,
+        });
+    }
+
+    // Placement walks the flat population in arrival order (identity for
+    // phase-free specs, whose draws are arrival-monotone already), so the
+    // placer's release ledger never travels backwards in time when a
+    // phase starts before the base stagger finishes.
+    let mut order: Vec<usize> = (0..draws.len()).collect();
+    if !spec.phases.is_empty() {
+        order.sort_by_key(|&i| (draws[i].arrival, i));
+    }
+    let banned: Vec<Vec<bool>> = spec
+        .phases
+        .iter()
+        .map(|p| (0..spec.nodes).map(|n| !p.nodes.matches(n)).collect())
+        .collect();
+    let mut slots: Vec<Option<PlannedTask>> = (0..draws.len()).map(|_| None).collect();
+    for i in order {
+        let draw = &draws[i];
+        let label = format!("t{i:04}");
+        let task_seed = derive_task_seed(seed, i as u64);
+        let (node, realtime, outcome) = match draw.kind.nominal() {
+            Some(nominal) => match pinned {
+                Some(p) => (p.task_nodes.get(i).copied().flatten(), true, None),
+                None => {
+                    let outcome = match draw.phase {
+                        // Phase traffic targets a node slice: same
+                        // admission test, candidates restricted to the
+                        // phase's filter.
+                        Some(pi) => {
+                            let demand = placer.demand_of(nominal);
+                            placer.place_demand_excluding(
+                                demand,
+                                draw.arrival.as_ns(),
+                                draw.departure.map(|d| d.as_ns()),
+                                &banned[pi],
+                            )
+                        }
+                        None => placer.place(
+                            nominal,
+                            draw.arrival.as_ns(),
+                            draw.departure.map(|d| d.as_ns()),
+                        ),
+                    };
+                    match outcome {
+                        o @ PlacementOutcome::Admitted {
+                            node, migrations, ..
+                        } => {
+                            admission.admitted += 1;
+                            admission.migrations += u64::from(migrations);
+                            (Some(node), true, Some(o))
+                        }
+                        o @ PlacementOutcome::Rejected { .. } => {
+                            admission.rejected += 1;
+                            (None, true, Some(o))
+                        }
+                    }
+                }
+            },
+            None => {
+                if pinned.is_none() {
+                    admission.best_effort += 1;
+                }
+                (Some(placer.place_best_effort()), false, None)
+            }
+        };
+        slots[i] = Some(PlannedTask {
+            task: NodeTask {
+                fleet_id: i,
+                label,
+                kind: draw.kind.clone(),
+                arrival: draw.arrival,
+                departure: draw.departure,
+                seed: task_seed,
+                migrated: false,
+                warm: None,
+            },
+            node,
+            realtime,
+            outcome,
+        });
+    }
+    let tasks: Vec<PlannedTask> = slots
+        .into_iter()
+        .map(|t| t.expect("every draw planned"))
+        .collect();
+    if let Some(p) = pinned {
+        admission = p.admission;
+    }
+    FleetPlan {
+        tasks,
+        vms,
+        admission,
+    }
+}
+
+/// The plan-derived decision events of a run: admissions (with the
+/// placer's inputs) and the churn kills the leases will execute.
+pub(crate) fn plan_events(spec: &ScenarioSpec, plan: &FleetPlan) -> Vec<FleetEvent> {
+    let mut events = Vec::new();
+    for p in &plan.vms {
+        let (demand, retries, best_spare) = admission_inputs(p.outcome, || {
+            spec.vms
+                .get(p.vm.fleet_vm_id)
+                .map_or(0.0, |vm_spec| vm_spec.share())
+        });
+        events.push(FleetEvent::VmAdmission {
+            at: Time::ZERO,
+            fleet_vm_id: p.vm.fleet_vm_id,
+            demand,
+            node: p.node,
+            retries,
+            best_spare,
+        });
+    }
+    for p in &plan.tasks {
+        if p.realtime {
+            let (demand, retries, best_spare) = admission_inputs(p.outcome, || 0.0);
+            events.push(FleetEvent::TaskAdmission {
+                at: p.task.arrival,
+                fleet_id: p.task.fleet_id,
+                demand,
+                node: p.node,
+                retries,
+                best_spare,
+            });
+        }
+        // The lease kills the task wherever it lives; the planned node is
+        // recorded (a later migration event documents any relocation).
+        if let (Some(node), Some(departure)) = (p.node, p.task.departure) {
+            events.push(FleetEvent::Kill {
+                at: departure,
+                node,
+                fleet_id: p.task.fleet_id,
+            });
+        }
+    }
+    events
+}
+
+/// `(demand, retries, best_spare)` of one admission decision.
+fn admission_inputs(
+    outcome: Option<PlacementOutcome>,
+    fallback_demand: impl FnOnce() -> f64,
+) -> (f64, u32, f64) {
+    match outcome {
+        Some(PlacementOutcome::Admitted {
+            demand, migrations, ..
+        }) => (demand, migrations, 0.0),
+        Some(PlacementOutcome::Rejected { demand, best_spare }) => (demand, 0, best_spare),
+        None => (fallback_demand(), 0, 0.0),
+    }
+}
+
+/// Domain separator between the planning RNG stream and workload streams.
+const SEED_PLAN_SALT: u64 = 0x5EED_1234_ABCD_0001;
+
+/// Domain separator for migrated-incarnation workload seeds (a re-admitted
+/// task draws a fresh stream so it does not replay its start-of-run phase).
+pub(crate) const SEED_MIGRATION_SALT: u64 = 0x5EED_1234_ABCD_0002;
+
+/// Domain separator for VM guest workload seeds.
+const SEED_VM_SALT: u64 = 0x5EED_1234_ABCD_0003;

@@ -1,41 +1,16 @@
 //! The parallel scenario runner: plan → place → execute → reduce.
 //!
-//! Determinism contract: the fleet plan (task kinds, arrivals, lifetimes,
-//! workload seeds) and the placement are computed up front from
-//! `(spec, seed)` alone, and every node's simulation depends only on its
-//! own slice of the plan and a seed derived from `(seed, node_id)`. Worker
-//! threads therefore never race on anything observable: running the same
-//! spec and seed on 1 or N threads yields byte-identical aggregates.
+//! Determinism contract (crate docs, "Determinism"): the plan and the
+//! placement are computed up front from `(spec, seed)` alone (`plan.rs`,
+//! re-exported here) and every node's simulation depends only on its own
+//! slice of them, so 1 or N threads yield byte-identical aggregates.
 //!
-//! Scheduling: nodes are dealt to workers once, before the first epoch,
-//! by `deal_nodes` — a longest-processing-time deal over the weights
-//! the plan already states (a node's planned flat tasks and planned VM
-//! guests, plus one). First-fit packs the whole load onto a few low ids;
-//! dealing by weight hands every worker its share of those deep nodes,
-//! where a blind deal of consecutive ids gave one worker all of them. The
-//! empty nodes (weight 1) then level what difference is left and
-//! alternate once it is gone. What the plan cannot state — which empty
-//! nodes a later drain fills — the deal does not see: nodes are not
-//! re-dealt between epochs. The deal is a pure function of the plan and
-//! the worker count, and which thread simulates a node affects wall-clock
-//! only; reports are reassembled in node-id order.
-//!
-//! Feedback re-placement: when [`ScenarioSpec::rebalance`] is enabled the
-//! run is cut into barrier-synchronised *epochs*. A node stays with the
-//! worker it was dealt to for the whole run (its tracer state is
-//! `Rc`-shared). At every epoch boundary each worker computes a
-//! plain-data [`NodeFeedback`] snapshot per owned node — and, at a
-//! checkpoint boundary, an interim report — *outside* any lock, stores
-//! the finished values into per-node slots, and parks on a barrier;
-//! exactly one thread then takes the snapshots (in node-id order), runs
-//! the deterministic rebalance pass and publishes the epoch's orders
-//! (migrations and node re-bounds) behind an `Arc`; after a second
-//! barrier every worker snapshots that `Arc` and applies the orders to
-//! the nodes it owns — extraction on the source, re-admission on the
-//! destination — with no lock held, and simulation resumes. A mutex here
-//! is only ever held to move a finished value in or out. Both the
-//! decisions and their application depend only on `(spec, seed)` and
-//! virtual time, so aggregates stay byte-identical at any thread count.
+//! One pipeline: every public `run*` method builds a `RunRequest` — plan,
+//! pin source, sink and stop boundary are data on it — for one private
+//! `execute`, whose epoch loop only sequences the stages of `stages.rs`
+//! (see there for the boundary protocol) and owns what they must not:
+//! the threads, the two barrier waits and the two mutexes. A mutex here
+//! is only ever held to move a finished value in or out.
 //!
 //! Decision journalling and replay: [`ClusterRunner::run_logged`] runs a
 //! scenario while emitting the merged, canonically ordered
@@ -54,128 +29,30 @@
 //! reports there — the same run, fed incrementally, is the follower's
 //! live mirror.
 
+#![deny(clippy::too_many_lines)]
+
 use std::sync::{Arc, Barrier, Mutex};
 use std::thread;
 
-use selftune_analysis::PeriodicTask;
-use selftune_core::share::{DemandSignal, ShareController, ShareControllerConfig, ShareDecision};
-use selftune_simcore::rng::{splitmix64, Rng};
-use selftune_simcore::time::{Dur, Time};
+use selftune_simcore::time::Time;
 
-use crate::aggregate::{
-    AdmissionStats, AggregateMetrics, MigrationRecord, NodeReport, NodeSketches, RebalanceStats,
+use crate::aggregate::{AdmissionStats, AggregateMetrics};
+use crate::events::{sort_events, FleetEvent, JournalSink};
+use crate::placer::{FeedbackView, Migration};
+pub use crate::plan::{
+    derive_task_seed, plan_fleet, plan_fleet_pinned, FleetPlan, PinnedPlan, PlannedTask, PlannedVm,
 };
-use crate::events::{sort_events, FleetEvent, JournalSink, NodeSnap};
-use crate::node::{Node, NodeFeedback, NodeTask, NodeVm};
-use crate::placer::{FeedbackView, LiveTask, LiveVmUnit, Migration, PlacementOutcome, Placer};
-use crate::spec::{ArrivalSchedule, ScenarioSpec, TaskKind};
+use crate::plan::{plan_events, plan_fleet_impl};
+use crate::spec::ScenarioSpec;
+use crate::stages::{
+    admit_and_simulate, apply, deal, decide, emit, publish, reduce, EpochBoard, LeaderState,
+    Published, Run, WorkerState,
+};
 
-/// Derives the workload seed of fleet task `task_id` from the base seed.
-///
-/// Stateless in everything but `(base_seed, task_id)`, so the derivation
-/// does not depend on planning order or thread schedule.
-pub fn derive_task_seed(base_seed: u64, task_id: u64) -> u64 {
-    let mut s = base_seed ^ task_id.wrapping_mul(0xA076_1D64_78BD_642F);
-    let a = splitmix64(&mut s);
-    splitmix64(&mut s) ^ a.rotate_left(17)
-}
-
-/// One planned fleet task with its placement.
-#[derive(Clone, Debug)]
-pub struct PlannedTask {
-    /// The node-local plan (label, kind, arrival, departure, seed).
-    pub task: NodeTask,
-    /// Node the task was placed on; `None` if admission rejected it.
-    pub node: Option<usize>,
-    /// Whether it went through reservation admission (vs. best-effort).
-    pub realtime: bool,
-    /// The admission decision with its inputs (journal material). `None`
-    /// for best-effort tasks and for pinned plans, where no live decision
-    /// was taken.
-    pub outcome: Option<PlacementOutcome>,
-}
-
-/// One planned virtual platform with its placement.
-#[derive(Clone, Debug)]
-pub struct PlannedVm {
-    /// The node-local plan (share, guest task plans).
-    pub vm: NodeVm,
-    /// Node the VM was placed on; `None` if admission rejected it.
-    pub node: Option<usize>,
-    /// The admission decision with its inputs (journal material); `None`
-    /// for pinned plans.
-    pub outcome: Option<PlacementOutcome>,
-}
-
-/// The fleet plan: every task and VM, their placement, and admission
-/// statistics.
-#[derive(Clone, Debug)]
-pub struct FleetPlan {
-    /// All planned tasks, in fleet-id order.
-    pub tasks: Vec<PlannedTask>,
-    /// All planned virtual platforms, in fleet-VM-id order.
-    pub vms: Vec<PlannedVm>,
-    /// Admission statistics.
-    pub admission: AdmissionStats,
-}
-
-/// Recorded placement decisions substituted for the live admission path
-/// when re-planning a journalled run (see [`plan_fleet_pinned`]).
-#[derive(Clone, Debug, Default)]
-pub struct PinnedPlan {
-    /// The recorded run's admission statistics, adopted wholesale — the
-    /// release-retry counter inside cannot be re-derived from placements
-    /// alone.
-    pub admission: AdmissionStats,
-    /// Destination per fleet task id (`None` = rejected). Only consulted
-    /// for real-time tasks; best-effort placement is re-derived (it is a
-    /// pure function of the plan walk).
-    pub task_nodes: Vec<Option<usize>>,
-    /// Destination per fleet VM id (`None` = rejected).
-    pub vm_nodes: Vec<Option<usize>>,
-}
-
-impl PinnedPlan {
-    /// The admission pin table of a logged run: every task's and VM's
-    /// recorded destination out of its admission events, plus the recorded
-    /// admission statistics.
-    pub fn from_events(
-        spec: &ScenarioSpec,
-        admission: AdmissionStats,
-        events: &[FleetEvent],
-    ) -> PinnedPlan {
-        let mut task_nodes = vec![None; spec.flat_tasks()];
-        let mut vm_nodes = vec![None; spec.vms.len()];
-        for e in events {
-            let (slot, node) = match e {
-                FleetEvent::TaskAdmission { fleet_id, node, .. } => {
-                    (task_nodes.get_mut(*fleet_id), node)
-                }
-                FleetEvent::VmAdmission {
-                    fleet_vm_id, node, ..
-                } => (vm_nodes.get_mut(*fleet_vm_id), node),
-                _ => continue,
-            };
-            if let Some(slot) = slot {
-                *slot = *node;
-            }
-        }
-        PinnedPlan {
-            admission,
-            task_nodes,
-            vm_nodes,
-        }
-    }
-}
-
-/// One journalled rebalance epoch: the decisions the leader published.
-#[derive(Clone, Debug, Default)]
-pub struct EpochDecision {
-    /// The migrations, in decision order.
-    pub moves: Vec<Migration>,
-    /// Victims that found no admissible destination.
-    pub failed: u64,
-}
+/// One journalled rebalance epoch — the migrations the leader published,
+/// in decision order, and how many victims found no destination: the
+/// same thing a live pass decides.
+pub use crate::placer::RebalanceOutcome as EpochDecision;
 
 /// Per-epoch migration decisions for a pinned re-execution: index `i`
 /// pins rebalance epoch `i`. A `None` entry (or an epoch past the end of
@@ -289,253 +166,39 @@ impl PinSource for PinnedMoves {
     }
 }
 
-/// What was drawn for one fleet task before placement. Splitting the
-/// draws from the placement walk keeps the planning RNG stream identical
-/// between live and pinned planning.
-struct TaskDraw {
-    arrival: Time,
-    kind: TaskKind,
-    departure: Option<Time>,
-    /// Index of the traffic phase the task belongs to (`None` for the
-    /// base population). Phase membership restricts placement to the
-    /// phase's node filter.
-    phase: Option<usize>,
-}
+/// An empty pin table: every epoch is decided live.
+pub(crate) static LIVE: PinnedMoves = PinnedMoves { epochs: Vec::new() };
 
-/// Builds the deterministic fleet plan for `(spec, seed)`.
-///
-/// Arrival times, task kinds and lifetimes are drawn from a planning RNG
-/// seeded by `seed`; placement walks tasks in arrival order through the
-/// spec's policy.
-pub fn plan_fleet(spec: &ScenarioSpec, seed: u64) -> FleetPlan {
-    plan_fleet_impl(spec, seed, None, false)
-}
-
-/// Builds the fleet plan with every admission decision pinned to a
-/// recorded run: the same draws (kinds, arrivals, lifetimes, seeds), the
-/// journal's placements instead of the live placer walk. Replaying a
-/// journal through this function reproduces the recorded run's node
-/// assignment exactly, even under a scenario whose *policy* was swapped
-/// for a what-if.
-pub fn plan_fleet_pinned(spec: &ScenarioSpec, seed: u64, pinned: &PinnedPlan) -> FleetPlan {
-    plan_fleet_impl(spec, seed, Some(pinned), false)
-}
-
-fn plan_fleet_impl(
-    spec: &ScenarioSpec,
+/// One run, as asked for: every run variant is a field here, not an entry
+/// point of its own. [`RunRequest::new`] is [`ClusterRunner::run_planned`];
+/// each other public method sets the fields that name it.
+struct RunRequest<'a> {
+    spec: &'a ScenarioSpec,
     seed: u64,
-    pinned: Option<&PinnedPlan>,
-    scan_placement: bool,
-) -> FleetPlan {
-    let mut rng = Rng::new(seed ^ SEED_PLAN_SALT);
-    let mut arrivals: Vec<Time> = Vec::with_capacity(spec.tasks);
-    let mut at = Time::ZERO;
-    for i in 0..spec.tasks {
-        let t = match spec.arrivals {
-            ArrivalSchedule::AllAtStart => Time::ZERO,
-            ArrivalSchedule::Staggered { gap } => Time::ZERO + gap.mul_f64(i as f64),
-            ArrivalSchedule::Poisson { mean_gap } => {
-                let gap = Dur::from_secs_f64(rng.exp(1.0 / mean_gap.as_secs_f64().max(1e-12)));
-                at += gap;
-                at
-            }
-        };
-        arrivals.push(t);
-    }
+    /// The plan to execute: the caller's (`run_planned`, `run_pinned`), or
+    /// planned live from `(spec, seed)` (`run`, `run_logged*`).
+    plan: &'a FleetPlan,
+    /// Where each boundary's migrations come from (`run_pinned`); the
+    /// empty table decides every boundary live.
+    pins: &'a dyn PinSource,
+    /// Who receives the decision stream ([`ClusterRunner::run_logged_with`],
+    /// and `run_logged` with a buffer); `None` builds no events at all.
+    sink: Option<&'a mut dyn JournalSink>,
+    /// End the run at this epoch boundary and return the interim
+    /// aggregates there (`run_pinned`); `None` runs to the horizon.
+    stop: Option<usize>,
+}
 
-    let horizon = Time::ZERO + spec.horizon;
-    // Draw every task's shape before any placement: the stream order
-    // (kind, then lifetime, per task) matches the historical interleaved
-    // walk because placement itself never consumed planning randomness.
-    let mut draws: Vec<TaskDraw> = arrivals
-        .iter()
-        .map(|&arrival| {
-            let kind = spec.mix.sample(&mut rng);
-            let departure = spec.churn.map(|c| {
-                let life =
-                    Dur::from_secs_f64(rng.exp(1.0 / c.mean_lifetime.as_secs_f64().max(1e-12)))
-                        .max(c.min_lifetime);
-                arrival + life
-            });
-            // Lifetimes beyond the horizon are open-ended for planning.
-            let departure = departure.filter(|&d| d < horizon);
-            TaskDraw {
-                arrival,
-                kind,
-                departure,
-                phase: None,
-            }
-        })
-        .collect();
-    // Traffic-phase tasks extend the flat population (fleet ids
-    // `spec.tasks..`), drawn after the base stream so existing plans keep
-    // their bytes: arrival `start + ramp · i / tasks`, lease to the phase
-    // end.
-    for (pi, phase) in spec.phases.iter().enumerate() {
-        let start = Time::ZERO + phase.start;
-        for j in 0..phase.tasks {
-            let arrival = start + phase.ramp.mul_f64(j as f64 / phase.tasks as f64);
-            let kind = phase.mix.sample(&mut rng);
-            let departure = Some(Time::ZERO + phase.end).filter(|&d| d < horizon);
-            draws.push(TaskDraw {
-                arrival,
-                kind,
-                departure,
-                phase: Some(pi),
-            });
+impl<'a> RunRequest<'a> {
+    fn new(spec: &'a ScenarioSpec, seed: u64, plan: &'a FleetPlan) -> RunRequest<'a> {
+        RunRequest {
+            spec,
+            seed,
+            plan,
+            pins: &LIVE,
+            sink: None,
+            stop: None,
         }
-    }
-
-    let mut placer = Placer::new(spec.nodes, spec.ulub, spec.headroom, spec.policy);
-    if scan_placement {
-        placer.use_scan_placement();
-    }
-    let mut admission = AdmissionStats::default();
-
-    // Virtual platforms are placed first, as whole units booked at their
-    // share: tenants hold their bandwidth from t = 0, and flat tasks fill
-    // in around them.
-    let mut vms = Vec::with_capacity(spec.vms.len());
-    let mut guest_fleet_id = spec.flat_tasks();
-    for (i, vm_spec) in spec.vms.iter().enumerate() {
-        let (node, outcome) = match pinned {
-            Some(p) => (p.vm_nodes.get(i).copied().flatten(), None),
-            None => match placer.place_demand(vm_spec.share(), 0, None) {
-                o @ PlacementOutcome::Admitted { node, .. } => {
-                    admission.vms_admitted += 1;
-                    (Some(node), Some(o))
-                }
-                o @ PlacementOutcome::Rejected { .. } => {
-                    admission.vms_rejected += 1;
-                    (None, Some(o))
-                }
-            },
-        };
-        let label = format!("v{i:02}");
-        let guests = vm_spec
-            .guest_kinds()
-            .enumerate()
-            .map(|(g, kind)| {
-                let fleet_id = guest_fleet_id;
-                guest_fleet_id += 1;
-                NodeTask {
-                    fleet_id,
-                    label: format!("{label}g{g}"),
-                    kind: kind.clone(),
-                    arrival: Time::ZERO,
-                    departure: None,
-                    seed: derive_task_seed(seed ^ SEED_VM_SALT, fleet_id as u64),
-                    migrated: false,
-                    warm: None,
-                }
-            })
-            .collect();
-        vms.push(PlannedVm {
-            vm: NodeVm {
-                fleet_vm_id: i,
-                label,
-                budget: vm_spec.budget,
-                period: vm_spec.period,
-                guests,
-                arrival: Time::ZERO,
-                migrated: false,
-                elastic: vm_spec.elastic,
-            },
-            node,
-            outcome,
-        });
-    }
-
-    // Placement walks the flat population in arrival order (identity for
-    // phase-free specs, whose draws are arrival-monotone already), so the
-    // placer's release ledger never travels backwards in time when a
-    // phase starts before the base stagger finishes.
-    let mut order: Vec<usize> = (0..draws.len()).collect();
-    if !spec.phases.is_empty() {
-        order.sort_by_key(|&i| (draws[i].arrival, i));
-    }
-    let banned: Vec<Vec<bool>> = spec
-        .phases
-        .iter()
-        .map(|p| (0..spec.nodes).map(|n| !p.nodes.matches(n)).collect())
-        .collect();
-    let mut slots: Vec<Option<PlannedTask>> = (0..draws.len()).map(|_| None).collect();
-    for i in order {
-        let draw = &draws[i];
-        let label = format!("t{i:04}");
-        let task_seed = derive_task_seed(seed, i as u64);
-        let (node, realtime, outcome) = match draw.kind.nominal() {
-            Some(nominal) => match pinned {
-                Some(p) => (p.task_nodes.get(i).copied().flatten(), true, None),
-                None => {
-                    let outcome = match draw.phase {
-                        // Phase traffic targets a node slice: same
-                        // admission test, candidates restricted to the
-                        // phase's filter.
-                        Some(pi) => {
-                            let demand = placer.demand_of(nominal);
-                            placer.place_demand_excluding(
-                                demand,
-                                draw.arrival.as_ns(),
-                                draw.departure.map(|d| d.as_ns()),
-                                &banned[pi],
-                            )
-                        }
-                        None => placer.place(
-                            nominal,
-                            draw.arrival.as_ns(),
-                            draw.departure.map(|d| d.as_ns()),
-                        ),
-                    };
-                    match outcome {
-                        o @ PlacementOutcome::Admitted {
-                            node, migrations, ..
-                        } => {
-                            admission.admitted += 1;
-                            admission.migrations += u64::from(migrations);
-                            (Some(node), true, Some(o))
-                        }
-                        o @ PlacementOutcome::Rejected { .. } => {
-                            admission.rejected += 1;
-                            (None, true, Some(o))
-                        }
-                    }
-                }
-            },
-            None => {
-                if pinned.is_none() {
-                    admission.best_effort += 1;
-                }
-                (Some(placer.place_best_effort()), false, None)
-            }
-        };
-        slots[i] = Some(PlannedTask {
-            task: NodeTask {
-                fleet_id: i,
-                label,
-                kind: draw.kind.clone(),
-                arrival: draw.arrival,
-                departure: draw.departure,
-                seed: task_seed,
-                migrated: false,
-                warm: None,
-            },
-            node,
-            realtime,
-            outcome,
-        });
-    }
-    let tasks: Vec<PlannedTask> = slots
-        .into_iter()
-        .map(|t| t.expect("every draw planned"))
-        .collect();
-    if let Some(p) = pinned {
-        admission = p.admission;
-    }
-    FleetPlan {
-        tasks,
-        vms,
-        admission,
     }
 }
 
@@ -605,12 +268,8 @@ impl ClusterRunner {
         self.threads
     }
 
-    /// Plans and runs the scenario, reducing to fleet aggregates.
-    ///
-    /// Nodes are dealt to workers by planned weight (`deal_nodes`) and
-    /// each worker builds its nodes locally (kernels are thread-bound).
-    /// Reports are reassembled in node-id order, so the thread count
-    /// affects wall-clock time only.
+    /// Plans and runs the scenario, reducing to fleet aggregates. The
+    /// thread count affects wall-clock time only.
     pub fn run(&self, spec: &ScenarioSpec, seed: u64) -> AggregateMetrics {
         let plan = plan_fleet_impl(spec, seed, None, self.scan_placement);
         self.run_planned(spec, seed, &plan)
@@ -649,8 +308,11 @@ impl ClusterRunner {
         sink: &mut dyn JournalSink,
     ) -> AggregateMetrics {
         let plan = plan_fleet_impl(spec, seed, None, self.scan_placement);
-        self.run_inner(spec, seed, &plan, None, Some(sink), None)
-            .expect("without a pin source nothing stops the run")
+        self.execute(RunRequest {
+            sink: Some(sink),
+            ..RunRequest::new(spec, seed, &plan)
+        })
+        .expect("a live run ends at the horizon")
     }
 
     /// Re-executes a (usually pinned) plan with per-epoch rebalance
@@ -658,44 +320,31 @@ impl ClusterRunner {
     /// table, or a follower's stream-fed source: pinned epochs apply the
     /// recorded migrations verbatim (the leader still folds the pressure
     /// EWMA, so post-cut live decisions see the correct hysteresis
-    /// state); the rest are decided live. `None` when the source answered
-    /// [`EpochPin::Stop`] before the horizon, which a `PinnedMoves` never does.
+    /// state); the rest are decided live. `None` only when the source
+    /// answered [`EpochPin::Stop`], which a `PinnedMoves` never does.
+    ///
+    /// `stop = Some(cursor)` ends the run at epoch boundary `cursor` —
+    /// the decisions of epochs `< cursor` applied, none taken *at* it, no
+    /// straggler flush — and returns the aggregates reduced there, the
+    /// same bytes a logged run hands [`JournalSink::on_checkpoint`] and a
+    /// run passing through hands [`PinSource::on_interim`] at that cursor.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `stop` is no [`interim_boundary`] of the scenario.
     pub fn run_pinned(
         &self,
         spec: &ScenarioSpec,
         seed: u64,
         plan: &FleetPlan,
         pins: &dyn PinSource,
+        stop: Option<usize>,
     ) -> Option<AggregateMetrics> {
-        self.run_inner(spec, seed, plan, Some(pins), None, None)
-    }
-
-    /// [`ClusterRunner::run_pinned`] cut short at epoch boundary `cursor`:
-    /// applies the pinned decisions of epochs `< cursor`, stops the
-    /// simulation exactly at the boundary instant (no post-horizon
-    /// straggler flush, no decision *at* the boundary) and reduces
-    /// aggregates there. Its output is byte-identical to the interim
-    /// aggregates the logged run emitted at the same checkpoint
-    /// ([`JournalSink::on_checkpoint`]) — and to what a full pinned run
-    /// hands [`PinSource::on_interim`] there, which is how a follower's
-    /// live mirror checks a checkpoint without re-running the prefix; this
-    /// from-zero form serves the stand-alone checkpoint check and is that
-    /// mirror's test oracle.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `cursor` is not an epoch boundary index of `spec`
-    /// (`cursor < ClusterRunner::epoch_ends(spec).len()`).
-    pub fn run_pinned_prefix(
-        &self,
-        spec: &ScenarioSpec,
-        seed: u64,
-        plan: &FleetPlan,
-        moves: &PinnedMoves,
-        cursor: usize,
-    ) -> AggregateMetrics {
-        self.run_inner(spec, seed, plan, Some(moves), None, Some(cursor))
-            .expect("a pin table never stops the run")
+        self.execute(RunRequest {
+            pins,
+            stop,
+            ..RunRequest::new(spec, seed, plan)
+        })
     }
 
     /// The epoch boundaries of a run: rebalance instants, then the horizon.
@@ -727,710 +376,218 @@ impl ClusterRunner {
         seed: u64,
         plan: &FleetPlan,
     ) -> AggregateMetrics {
-        self.run_inner(spec, seed, plan, None, None, None)
-            .expect("without a pin source nothing stops the run")
+        self.execute(RunRequest::new(spec, seed, plan))
+            .expect("a live run ends at the horizon")
     }
 
-    fn run_inner(
-        &self,
-        spec: &ScenarioSpec,
-        seed: u64,
-        plan: &FleetPlan,
-        pins: Option<&dyn PinSource>,
-        sink: Option<&mut dyn JournalSink>,
-        prefix: Option<usize>,
-    ) -> Option<AggregateMetrics> {
-        // Per-node distribution as index lists into the plan arena: tasks
-        // are cloned exactly once, straight from the plan into the owning
-        // node, instead of materialising intermediate per-node task
-        // vectors (which doubled every allocation at 1M tasks). Arrivals
-        // are monotone in fleet id for every schedule, so each list is
-        // arrival-sorted by construction — that is what lets the epoch
-        // loop admit arrivals in batches behind a plain cursor.
-        let mut per_node: Vec<Vec<u32>> = vec![Vec::new(); spec.nodes];
-        for (i, p) in plan.tasks.iter().enumerate() {
-            if let Some(node) = p.node {
-                per_node[node].push(i as u32);
-            }
+    /// The one way a fleet runs: resolve the request, deal the nodes,
+    /// spawn the workers, close the stream. `None` when the pin source
+    /// stopped the run.
+    fn execute(&self, mut request: RunRequest<'_>) -> Option<AggregateMetrics> {
+        let (spec, seed, plan) = (request.spec, request.seed, request.plan);
+        let ends = ClusterRunner::epoch_ends(spec);
+        if let Some(cursor) = request.stop {
+            interim_boundary(&ends, cursor, None).unwrap_or_else(|e| panic!("cannot stop: {e}"));
         }
-        // Phase tasks break the id-order/arrival-order equivalence (a
-        // flash crowd lands mid-stagger); re-sort so the cursor batching
-        // below stays correct.
-        if !spec.phases.is_empty() {
-            for ids in &mut per_node {
-                ids.sort_by_key(|&i| (plan.tasks[i as usize].task.arrival, i));
-            }
-        }
-        let mut per_node_vms: Vec<Vec<NodeVm>> = vec![Vec::new(); spec.nodes];
-        for p in &plan.vms {
-            if let Some(node) = p.node {
-                per_node_vms[node].push(p.vm.clone());
-            }
-        }
-
         let workers = self.threads.min(spec.nodes).max(1);
-        // Which worker simulates which node, decided here from what the
-        // plan puts on each node; `home[n]` is node `n`'s worker and its
-        // position in that worker's list.
-        let weights: Vec<usize> = per_node
-            .iter()
-            .zip(&per_node_vms)
-            .map(|(ids, vms)| ids.len() + vms.iter().map(|vm| vm.guests.len()).sum::<usize>() + 1)
-            .collect();
-        let deal = deal_nodes(&weights, workers);
-        let mut home = vec![(0usize, 0usize); spec.nodes];
-        for (w, mine) in deal.iter().enumerate() {
-            for (i, &n) in mine.iter().enumerate() {
-                home[n] = (w, i);
-            }
-        }
-        let scan_placement = self.scan_placement;
-        let sketch = self.sketch;
-        let recycle = self.recycle;
-        let log = sink.is_some();
-        let interval = sink.as_ref().and_then(|s| s.checkpoint_interval());
-        // A prefix run truncates the epoch grid at the cursor boundary and
-        // skips the final straggler flush: the simulation stops exactly at
-        // the boundary instant, mirroring the state a logged run's interim
-        // checkpoint reported there.
-        let full_ends = ClusterRunner::epoch_ends(spec);
-        let (ends, flush) = match prefix {
-            Some(cursor) => {
-                assert!(
-                    cursor < full_ends.len(),
-                    "prefix cursor {cursor} out of range (scenario has {} epoch boundaries)",
-                    full_ends.len()
-                );
-                (full_ends[..=cursor].to_vec(), false)
-            }
-            None => (full_ends, true),
+        let sink = &mut request.sink;
+        let run = Run {
+            spec,
+            seed,
+            plan,
+            pins: request.pins,
+            interval: sink.as_ref().and_then(|s| s.checkpoint_interval()),
+            stop: request.stop,
+            log: sink.is_some(),
+            sketch: self.sketch,
+            recycle: self.recycle,
+            scan_placement: self.scan_placement,
+            ends,
+            deal: deal(spec, plan, workers),
         };
-        let horizon = *ends.last().expect("at least one epoch boundary");
-        // Interim checkpoints: skip boundary 0 (nothing decided yet) and
-        // the horizon (`on_finish` carries the final aggregates).
-        let ckpt_at: Vec<bool> = (0..ends.len())
-            .map(|ei| matches!(interval, Some(n) if ei > 0 && ei + 1 < ends.len() && ei % n == 0))
-            .collect();
-        let mut reports: Vec<Option<NodeReport>> = Vec::new();
-        for _ in 0..spec.nodes {
-            reports.push(None);
-        }
-
         // Admissions and churn kills are plan-time decisions; shipping the
         // whole batch before simulation starts gives a streaming consumer
         // a complete placement pin table at any later cut point.
-        let sink: Option<Mutex<&mut dyn JournalSink>> = sink.map(Mutex::new);
-        if let Some(s) = &sink {
+        if let Some(s) = sink {
             let mut events = plan_events(spec, plan);
             sort_events(&mut events);
-            s.lock()
-                .expect("journal sink lock")
-                .on_plan(&plan.admission, &events);
+            s.on_plan(&plan.admission, &events);
         }
-
-        let barrier = Barrier::new(workers);
-        // Feedback snapshots, one slot per node: every worker stores its
-        // nodes' finished snapshots, the barrier leader takes them all.
-        let feedback: Mutex<Vec<Option<NodeFeedback>>> = Mutex::new(vec![None; spec.nodes]);
-        // What only the barrier leader touches (a different thread each
-        // epoch, hence the mutex), and what it publishes for every worker
-        // to apply after the second barrier.
-        let leader: Mutex<LeaderState> = Mutex::new(LeaderState {
-            stats: RebalanceStats::default(),
-            smoothed: vec![0.0; spec.nodes],
-            ctls: if spec.node_share.enabled {
-                (0..spec.nodes)
-                    .map(|_| ShareController::new(node_share_config(spec)))
-                    .collect()
-            } else {
-                Vec::new()
-            },
-            bounds: vec![spec.ulub; spec.nodes],
+        let leader = Leader {
+            state: LeaderState::new(spec),
+            sink: request.sink,
+            stopped: None,
+        };
+        let crew = Crew {
+            barrier: Barrier::new(workers),
+            board: Mutex::new(EpochBoard::new(workers)),
+            leader: Mutex::new(leader),
+        };
+        // Every worker reads the same orders, so all of them stop or none
+        // does.
+        let finished = thread::scope(|scope| {
+            let (run, crew) = (&run, &crew);
+            let spawn = |w| scope.spawn(move || work(run, crew, w));
+            let handles: Vec<_> = (0..workers).map(spawn).collect();
+            let mut joined = handles.into_iter().map(|h| h.join());
+            joined.all(|ran| ran.expect("fleet worker panicked"))
         });
-        let orders: Mutex<Arc<EpochOrders>> = Mutex::new(Arc::default());
-        // Share-grant events drained by every worker at the barrier; the
-        // leader merges them with its own decisions into the epoch batch.
-        let batch_grants: Mutex<Vec<FleetEvent>> = Mutex::new(Vec::new());
-        // Interim per-node reports, published at checkpoint barriers only.
-        let ckpt_reports: Mutex<Vec<Option<NodeReport>>> = Mutex::new(vec![None; spec.nodes]);
-        // Sketch-mode partial reduction, one slot per worker: each worker
-        // pre-merges the sketches of the nodes it owns before the leader's
-        // final combine, so the epoch-barrier reduction is a two-level
-        // tree (worker partials, then one top-level merge) instead of a
-        // serial node-id-order fold. Sketch counts merge exactly under any
-        // grouping; the one order-sensitive piece — the float sums — is
-        // re-serialised against node-id order inside
-        // `AggregateMetrics::new_premerged`, so output bytes are identical
-        // at any thread count and under any deal.
-        let ckpt_partials: Mutex<Vec<Option<NodeSketches>>> = Mutex::new(vec![None; workers]);
-        let mut final_partials: Vec<NodeSketches> = Vec::new();
-
-        thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(workers);
-            for (w, mine) in deal.iter().enumerate() {
-                let spec_ref = &*spec;
-                let plan_ref = &*plan;
-                let per_node = &per_node;
-                let per_node_vms = &per_node_vms;
-                let home = &home;
-                let barrier = &barrier;
-                let feedback = &feedback;
-                let leader = &leader;
-                let orders = &orders;
-                let batch_grants = &batch_grants;
-                let ckpt_reports = &ckpt_reports;
-                let ckpt_partials = &ckpt_partials;
-                let ckpt_at = &ckpt_at;
-                let sink = sink.as_ref();
-                let ends = &ends;
-                handles.push(scope.spawn(move || {
-                    // Epoch 0: build each dealt node locally and run it
-                    // to the first boundary. Ownership is fixed for the
-                    // run — a node's tracer state is thread-bound.
-                    let mut owned: Vec<Node> = Vec::with_capacity(mine.len());
-                    // Position in `owned` of node `n`, if it is this
-                    // worker's.
-                    let local = |n: usize| {
-                        home.get(n)
-                            .and_then(|&(owner, i)| (owner == w).then_some(i))
-                    };
-                    // Arrival cursor per owned node: how many of its
-                    // planned tasks have been admitted into the kernel.
-                    // With a single epoch everything is admitted up front
-                    // (the historical behaviour); with rebalance epochs,
-                    // arrivals are batched into the epoch they start in,
-                    // so a node is not paying manager-step costs for tasks
-                    // that arrive seconds later.
-                    let mut cursors: Vec<usize> = Vec::with_capacity(mine.len());
-                    for &node_id in mine {
-                        let ids = &per_node[node_id];
-                        let mut node = Node::new(node_id, spec_ref);
-                        node.set_recycle(recycle);
-                        for vm in &per_node_vms[node_id] {
-                            node.add_vm(vm.clone());
-                        }
-                        let mut cursor = 0;
-                        while cursor < ids.len() {
-                            let t = &plan_ref.tasks[ids[cursor] as usize].task;
-                            // A single-epoch *prefix* run must still gate
-                            // arrivals at the boundary; only a full
-                            // single-epoch run admits everything up front
-                            // (the historical behaviour).
-                            if (ends.len() > 1 || !flush) && t.arrival > ends[0] {
-                                break;
-                            }
-                            node.add_task(t.clone());
-                            cursor += 1;
-                        }
-                        for w in &spec_ref.overload {
-                            node.inject_overload(w);
-                        }
-                        node.run_to_horizon(ends[0]);
-                        owned.push(node);
-                        cursors.push(cursor);
-                    }
-
-                    for (ei, &t_end) in ends.iter().enumerate() {
-                        if ei > 0 {
-                            let last = ei == ends.len() - 1;
-                            for (node, cursor) in owned.iter_mut().zip(cursors.iter_mut()) {
-                                // Admit this epoch's planned arrivals in one
-                                // batch (the final epoch also flushes any
-                                // post-horizon stragglers so every planned
-                                // task still appears in its node's report —
-                                // unless this is a prefix run, which stops
-                                // dead at the cursor boundary).
-                                let ids = &per_node[node.id()];
-                                while *cursor < ids.len() {
-                                    let t = &plan_ref.tasks[ids[*cursor] as usize].task;
-                                    if !(last && flush) && t.arrival > t_end {
-                                        break;
-                                    }
-                                    node.add_task(t.clone());
-                                    *cursor += 1;
-                                }
-                                node.run_to_horizon(t_end);
-                            }
-                        }
-                        // Share-grant events drain at every boundary,
-                        // *before* migrations release VMs; the leader (or,
-                        // at the horizon, the reducing thread) owns the
-                        // batch ordering.
-                        if log {
-                            let mut drained: Vec<FleetEvent> = Vec::new();
-                            for node in &mut owned {
-                                drained.append(&mut node.drain_share_events());
-                            }
-                            if !drained.is_empty() {
-                                batch_grants
-                                    .lock()
-                                    .expect("grant batch lock")
-                                    .append(&mut drained);
-                            }
-                        }
-                        // Checkpoint barriers additionally publish an
-                        // interim per-node report (a `&self` reduction —
-                        // the simulation state is untouched): at the
-                        // sink's static cadence, or where the pin source
-                        // asks for one (a stream-fed source parks every
-                        // worker here until the stream says which).
-                        let interim = ckpt_at[ei]
-                            || (ei + 1 < ends.len() && pins.is_some_and(|p| p.wants_interim(ei)));
-                        if interim {
-                            let reps: Vec<NodeReport> = owned
-                                .iter()
-                                .map(|node| node.report_mode(t_end, !sketch))
-                                .collect();
-                            // Pre-merge this worker's nodes — the leader's
-                            // combine below then touches one partial per
-                            // worker, not one per node.
-                            let partial =
-                                merged_sketches(reps.iter().filter_map(|r| r.sketches.as_ref()));
-                            ckpt_partials.lock().expect("checkpoint partial lock")[w] = partial;
-                            let mut slots = ckpt_reports.lock().expect("checkpoint report lock");
-                            for (&n, rep) in mine.iter().zip(reps) {
-                                slots[n] = Some(rep);
-                            }
-                        }
-                        if ei == ends.len() - 1 {
-                            break; // horizon reached; no rebalance there
-                        }
-
-                        // Publish this worker's snapshots, then let exactly
-                        // one thread decide for the whole fleet.
-                        let snaps: Vec<NodeFeedback> =
-                            owned.iter_mut().map(|node| node.feedback(t_end)).collect();
-                        {
-                            let mut slots = feedback.lock().expect("feedback lock");
-                            for (&n, snap) in mine.iter().zip(snaps) {
-                                slots[n] = Some(snap);
-                            }
-                        }
-                        if barrier.wait().is_leader() {
-                            // Taken, not cloned: a slot left empty by a
-                            // node that failed to publish this epoch is a
-                            // named panic, never last epoch's snapshot.
-                            let mut view = FeedbackView {
-                                nodes: feedback
-                                    .lock()
-                                    .expect("feedback lock")
-                                    .iter_mut()
-                                    .enumerate()
-                                    .map(|(n, s)| {
-                                        s.take().unwrap_or_else(|| {
-                                            panic!("node {n} published no feedback")
-                                        })
-                                    })
-                                    .collect(),
-                                smoothed: None,
-                            };
-                            let mut guard = leader.lock().expect("leader state lock");
-                            let LeaderState {
-                                stats,
-                                smoothed,
-                                ctls,
-                                bounds,
-                            } = &mut *guard;
-                            // Interim checkpoint: reduce the published
-                            // per-node reports against the *pre-update*
-                            // rebalance stats — exactly the state a pinned
-                            // prefix re-execution reproduces at this
-                            // boundary (it breaks before the boundary's
-                            // decision, with `cursor` leader passes done).
-                            if interim {
-                                let nodes: Vec<NodeReport> = ckpt_reports
-                                    .lock()
-                                    .expect("checkpoint report lock")
-                                    .iter_mut()
-                                    .enumerate()
-                                    .map(|(n, r)| {
-                                        r.take().unwrap_or_else(|| {
-                                            panic!("node {n} missing checkpoint report")
-                                        })
-                                    })
-                                    .collect();
-                                // Top of the reduction tree: combine the
-                                // worker partials (worker-index order —
-                                // deterministic, and exact because sums
-                                // are re-serialised inside).
-                                let partials: Vec<NodeSketches> = ckpt_partials
-                                    .lock()
-                                    .expect("checkpoint partial lock")
-                                    .iter_mut()
-                                    .filter_map(Option::take)
-                                    .collect();
-                                let premerged = merged_sketches(&partials);
-                                let interim = AggregateMetrics::new_premerged(
-                                    &spec_ref.name,
-                                    seed,
-                                    plan_ref.admission,
-                                    nodes,
-                                    premerged,
-                                )
-                                .with_rebalance(stats.clone());
-                                if let Some(s) = sink {
-                                    s.lock()
-                                        .expect("journal sink lock")
-                                        .on_checkpoint(ei, t_end, &interim);
-                                }
-                                if let Some(p) = pins {
-                                    p.on_interim(ei, interim);
-                                }
-                            }
-                            // Cross-epoch hysteresis: fold this epoch's raw
-                            // signal (miss rate + compression rate) into the
-                            // EWMA, and let eviction act on the smoothed
-                            // value. Pure f64 folds over node-id order — the
-                            // thread count cannot leak in.
-                            let alpha = spec_ref.rebalance.ewma_alpha;
-                            for (n, s) in smoothed.iter_mut().enumerate() {
-                                *s = alpha * view.raw_signal(n) + (1.0 - alpha) * *s;
-                            }
-                            view.smoothed = Some(smoothed.clone());
-                            // Node-level share re-bounding runs before the
-                            // rebalance decision of the same epoch: a node
-                            // that can absorb its own pressure in place
-                            // stops looking like a migration source, and a
-                            // node that shed headroom stops looking like a
-                            // destination. Pure per-node folds over
-                            // node-id-ordered feedback — deterministic, and
-                            // recomputed identically under pinned replay
-                            // (the pinned simulation reproduces the same
-                            // feedback, hence the same bounds).
-                            let mut rebound_events: Vec<FleetEvent> = Vec::new();
-                            let mut rebounds: Vec<(usize, f64)> = Vec::new();
-                            if spec_ref.node_share.enabled {
-                                for fb in &view.nodes {
-                                    let n = fb.node;
-                                    let (decision, trace) = ctls[n].step_traced(&DemandSignal {
-                                        consumed_bw: fb.utilisation,
-                                        booked_bw: fb.reserved_bw,
-                                        granted_bw: bounds[n],
-                                        // Misses count as saturation
-                                        // evidence alongside supervisor
-                                        // compressions: both mean the
-                                        // bound, not the demand, is the
-                                        // binding constraint.
-                                        compressions: fb.compressions + fb.misses,
-                                    });
-                                    if let ShareDecision::Request(target) = decision {
-                                        if log {
-                                            rebound_events.push(FleetEvent::NodeRebound {
-                                                at: t_end,
-                                                epoch: ei,
-                                                node: n,
-                                                prev: bounds[n],
-                                                bound: target,
-                                                demand: trace.demand,
-                                                reserved: fb.reserved_bw,
-                                                miss_rate: fb.miss_rate(),
-                                                compressions: fb.compressions,
-                                            });
-                                        }
-                                        bounds[n] = target;
-                                        rebounds.push((n, target));
-                                    }
-                                }
-                            }
-                            // A pinned epoch applies the journal's decisions
-                            // verbatim; an unpinned one decides live. The
-                            // EWMA fold above runs either way, so decisions
-                            // past a what-if cut see the same smoothed
-                            // pressure history the recorded run saw. A
-                            // stream-fed source blocks here until the
-                            // boundary's batch has arrived; `Stop` publishes
-                            // an empty decision nobody applies.
-                            let pin = pins.map_or(EpochPin::Live, |p| p.pin(ei));
-                            let stop = matches!(pin, EpochPin::Stop);
-                            let decision = match pin {
-                                EpochPin::Pinned(d) if spec_ref.rebalance.enabled => d,
-                                EpochPin::Live if spec_ref.rebalance.enabled => {
-                                    let o = rebalance_epoch(
-                                        spec_ref,
-                                        plan_ref,
-                                        &view,
-                                        t_end,
-                                        scan_placement,
-                                        spec_ref.node_share.enabled.then_some(&bounds[..]),
-                                    );
-                                    EpochDecision {
-                                        moves: o.moves,
-                                        failed: o.failed,
-                                    }
-                                }
-                                _ => EpochDecision::default(),
-                            };
-                            if spec_ref.rebalance.enabled {
-                                stats.epochs += 1;
-                            }
-                            stats.moves += decision.moves.len() as u64;
-                            stats.failed += decision.failed;
-                            stats
-                                .records
-                                .extend(decision.moves.iter().map(|m| MigrationRecord {
-                                    epoch: ei as u64,
-                                    fleet_id: m.fleet_id,
-                                    vm: m.vm,
-                                    from: m.from,
-                                    to: m.to,
-                                    demand: m.demand,
-                                    dest_reserved_after: m.dest_reserved_after,
-                                }));
-                            if let Some(s) = sink {
-                                // The epoch batch: every worker's drained
-                                // share grants plus this boundary's
-                                // decisions, canonically sorted and emitted
-                                // before simulation resumes.
-                                let mut batch: Vec<FleetEvent> = std::mem::take(
-                                    &mut *batch_grants.lock().expect("grant batch lock"),
-                                );
-                                for fb in &view.nodes {
-                                    if fb.compressions > 0 {
-                                        batch.push(FleetEvent::Compression {
-                                            at: t_end,
-                                            epoch: ei,
-                                            node: fb.node,
-                                            count: fb.compressions,
-                                        });
-                                    }
-                                }
-                                batch.append(&mut rebound_events);
-                                // No phantom pass records in a node-share-
-                                // only journal: the rebalance event exists
-                                // only when the rebalancer ran.
-                                if spec_ref.rebalance.enabled {
-                                    batch.push(FleetEvent::Rebalance {
-                                        at: t_end,
-                                        epoch: ei,
-                                        snapshot: (0..spec_ref.nodes)
-                                            .map(|n| NodeSnap {
-                                                node: n,
-                                                pressure: view.pressure(n),
-                                                utilisation: view.utilisation(n),
-                                            })
-                                            .collect(),
-                                        moves: decision.moves.len() as u64,
-                                        failed: decision.failed,
-                                    });
-                                }
-                                batch.extend(decision.moves.iter().enumerate().map(|(s, m)| {
-                                    FleetEvent::Migration {
-                                        at: t_end,
-                                        epoch: ei,
-                                        seq: s as u32,
-                                        fleet_id: m.fleet_id,
-                                        vm: m.vm,
-                                        from: m.from,
-                                        to: m.to,
-                                        demand: m.demand,
-                                        dest_reserved_after: m.dest_reserved_after,
-                                        warm: m.warm,
-                                        guest_warm: m.guest_warm.clone(),
-                                    }
-                                }));
-                                sort_events(&mut batch);
-                                s.lock()
-                                    .expect("journal sink lock")
-                                    .on_epoch(ei, t_end, &batch);
-                            }
-                            // A drained node sheds its pressure history with
-                            // its load; keeping the old EWMA would drain it
-                            // again next epoch on stale evidence. Halved
-                            // once per drained *node*, however many units
-                            // left it this epoch.
-                            let mut drained = vec![false; spec_ref.nodes];
-                            for m in &decision.moves {
-                                if !drained[m.from] {
-                                    drained[m.from] = true;
-                                    smoothed[m.from] *= 0.5;
-                                }
-                            }
-                            *orders.lock().expect("epoch orders lock") = Arc::new(EpochOrders {
-                                rebounds,
-                                moves: decision.moves,
-                                stop,
-                            });
-                        }
-                        barrier.wait();
-
-                        // Snapshot the leader's orders and apply them to
-                        // the owned nodes with no lock held — extraction
-                        // and re-admission are the expensive part of a
-                        // boundary, and every worker does its own share at
-                        // once.
-                        let orders = Arc::clone(&orders.lock().expect("epoch orders lock"));
-                        if orders.stop {
-                            return None;
-                        }
-                        // Re-bounds first: a migration landing this epoch
-                        // is admitted under the destination's *new* bound.
-                        for &(n, bound) in &orders.rebounds {
-                            if let Some(i) = local(n) {
-                                owned[i].set_ulub(bound);
-                            }
-                        }
-                        for m in &orders.moves {
-                            if let Some(i) = local(m.from) {
-                                if m.vm {
-                                    owned[i].extract_vm(m.fleet_id);
-                                } else {
-                                    owned[i].extract_task(m.fleet_id);
-                                }
-                            }
-                            // A move onto its own source extracts only.
-                            if m.to == m.from {
-                                continue;
-                            }
-                            let Some(i) = local(m.to) else {
-                                continue;
-                            };
-                            if m.vm {
-                                let base = &plan_ref.vms[m.fleet_id].vm;
-                                // `guest_warm` is already gated at the
-                                // producer: nodes only build grants when
-                                // rebalance runs with warm_start.
-                                owned[i].add_vm(migrated_vm_incarnation(
-                                    base,
-                                    t_end,
-                                    seed,
-                                    ei,
-                                    &m.guest_warm,
-                                ));
-                            } else {
-                                let base = &plan_ref.tasks[m.fleet_id].task;
-                                owned[i].add_task(NodeTask {
-                                    fleet_id: base.fleet_id,
-                                    label: format!("{}e{ei}", base.label),
-                                    kind: base.kind.clone(),
-                                    arrival: t_end,
-                                    departure: base.departure,
-                                    seed: derive_task_seed(
-                                        seed ^ SEED_MIGRATION_SALT,
-                                        ((base.fleet_id as u64) << 16) | ei as u64,
-                                    ),
-                                    migrated: true,
-                                    warm: if spec_ref.rebalance.warm_start {
-                                        m.warm
-                                    } else {
-                                        None
-                                    },
-                                });
-                            }
-                        }
-                    }
-
-                    let finals: Vec<NodeReport> = owned
-                        .iter()
-                        .map(|node| node.report_mode(horizon, !sketch))
-                        .collect();
-                    let partial =
-                        merged_sketches(finals.iter().filter_map(|r| r.sketches.as_ref()));
-                    Some((finals, partial))
-                }));
-            }
-            // Every worker reads the same orders, so all of them stop or
-            // none does.
-            for (h, mine) in handles.into_iter().zip(&deal) {
-                let (finals, partial) = h.join().expect("fleet worker panicked")?;
-                for (&n, report) in mine.iter().zip(finals) {
-                    reports[n] = Some(report);
-                }
-                final_partials.extend(partial);
-            }
-            Some(())
-        })?;
-
-        let nodes: Vec<NodeReport> = reports
-            .into_iter()
-            .enumerate()
-            .map(|(i, r)| r.unwrap_or_else(|| panic!("node {i} produced no report")))
-            .collect();
-        let stats = leader.into_inner().expect("leader state lock").stats;
-        let metrics = AggregateMetrics::new_premerged(
-            &spec.name,
-            seed,
-            plan.admission,
-            nodes,
-            merged_sketches(&final_partials),
-        )
-        .with_rebalance(stats);
-
-        // The horizon boundary has no barrier leader (workers break before
-        // waiting); the reducing thread emits its batch — the last epoch's
-        // share grants — and closes the stream with the final aggregates.
-        if let Some(s) = &sink {
-            let mut batch = batch_grants.into_inner().expect("grant batch lock");
-            sort_events(&mut batch);
-            let mut s = s.lock().expect("journal sink lock");
-            s.on_epoch(ends.len() - 1, horizon, &batch);
-            s.on_finish(&metrics);
+        let leader = crew.leader.into_inner().expect("leader state lock");
+        if !finished {
+            return leader.stopped;
         }
-        Some(metrics)
+        let mut board = crew.board.into_inner().expect("epoch board lock");
+        Some(finish(&run, board.take(), leader))
     }
 }
 
-/// Deals nodes to `workers` workers by planned weight, longest processing
-/// time first: nodes are taken in (weight descending, id ascending) order
-/// and each goes to the worker with the least weight so far (ties to the
-/// lower worker index). Returns each worker's node ids in deal order.
+/// What the workers of one run share: the barrier they meet at, the board
+/// they exchange finished values on, and the leader's seat.
+struct Crew<'a> {
+    barrier: Barrier,
+    board: Mutex<EpochBoard>,
+    leader: Mutex<Leader<'a>>,
+}
+
+/// What only the barrier leader touches — a different thread each epoch,
+/// hence the mutex.
+struct Leader<'a> {
+    state: LeaderState,
+    sink: Option<&'a mut dyn JournalSink>,
+    /// The interim at the request's stop boundary: the run's result.
+    stopped: Option<AggregateMetrics>,
+}
+
+/// Whether an interim is reduced at boundary `ei`: at the request's stop
+/// boundary, at the sink's cadence (not at boundary 0, where nothing has
+/// been decided yet), or where the pin source asks — a stream-fed source
+/// parks every worker here until the stream says. Never at the horizon,
+/// which has the finale instead. Every worker asks, before the boundary's
+/// first barrier.
+fn wants_interim(run: &Run, ei: usize) -> bool {
+    !run.at_horizon(ei)
+        && (run.stop == Some(ei)
+            || matches!(run.interval, Some(n) if ei > 0 && ei.is_multiple_of(n))
+            || run.pins.wants_interim(ei))
+}
+
+/// One worker's epoch loop: the stages in order, around the two barrier
+/// waits. `false` when the run was stopped before the horizon.
+fn work(run: &Run, crew: &Crew, w: usize) -> bool {
+    let mut ws = WorkerState {
+        w,
+        ..WorkerState::default()
+    };
+    let post = |published| {
+        let mut board = crew.board.lock().expect("epoch board lock");
+        board.posted[w] = Some(published);
+    };
+    let horizon = run.ends.len() - 1;
+    for ei in 0..horizon {
+        admit_and_simulate(run, &mut ws, ei);
+        let interim = wants_interim(run, ei);
+        post(publish(run, &mut ws, ei, interim));
+        // Exactly one thread decides for the whole fleet.
+        if crew.barrier.wait().is_leader() {
+            lead(run, crew, ei, interim);
+        }
+        crew.barrier.wait();
+        let orders = Arc::clone(&crew.board.lock().expect("epoch board lock").orders);
+        if orders.stop {
+            return false;
+        }
+        apply(run, &mut ws, &orders, ei);
+    }
+    // Nothing is decided at the horizon, hence no barrier: the calling
+    // thread takes the board once every worker is joined.
+    admit_and_simulate(run, &mut ws, horizon);
+    post(publish(run, &mut ws, horizon, false));
+    true
+}
+
+/// The barrier leader's turn at boundary `ei`: reduce the interim if one
+/// is wanted — *before* deciding, so it carries the rebalance statistics
+/// of earlier boundaries only — then decide, emit and leave the orders on
+/// the board.
+fn lead(run: &Run, crew: &Crew, ei: usize, interim: bool) {
+    let posted = crew.board.lock().expect("epoch board lock").take();
+    let mut leader = crew.leader.lock().expect("leader state lock");
+    let leader = &mut *leader;
+    let stopping = run.stop == Some(ei);
+    if interim {
+        let stats = leader.state.stats.clone();
+        let interim = reduce(run, posted.reports, &posted.partials, stats);
+        if let Some(s) = &mut leader.sink {
+            s.on_checkpoint(ei, run.ends[ei], &interim);
+        }
+        if stopping {
+            leader.stopped = Some(interim);
+        } else {
+            run.pins.on_interim(ei, interim);
+        }
+    }
+    // A stream-fed source blocks here until the boundary's batch has
+    // arrived.
+    let pin = if stopping {
+        EpochPin::Stop
+    } else {
+        run.pins.pin(ei)
+    };
+    let mut view = FeedbackView {
+        nodes: posted.feedback,
+        smoothed: None,
+    };
+    let (orders, records) = decide(run, &mut leader.state, &mut view, pin, ei);
+    if let (Some(s), false) = (&mut leader.sink, orders.stop) {
+        let batch = emit(run, ei, &view, &orders, posted.grants, records);
+        s.on_epoch(ei, run.ends[ei], &batch);
+    }
+    crew.board.lock().expect("epoch board lock").orders = Arc::new(orders);
+}
+
+/// The horizon, on the calling thread: reduce the final aggregates from
+/// what every worker posted, emit the horizon's batch — the last epoch's
+/// share grants; nothing is decided there — and close the stream.
+fn finish(run: &Run, mut posted: Published, leader: Leader) -> AggregateMetrics {
+    let metrics = reduce(run, posted.reports, &posted.partials, leader.state.stats);
+    if let Some(s) = leader.sink {
+        let horizon = run.ends.len() - 1;
+        sort_events(&mut posted.grants);
+        s.on_epoch(horizon, run.ends[horizon], &posted.grants);
+        s.on_finish(&metrics);
+    }
+    metrics
+}
+
+/// Checks that `cursor` is a boundary of the epoch grid `ends`
+/// ([`ClusterRunner::epoch_ends`]) where an interim exists — the horizon
+/// has the finale instead — and, if the caller holds one, that `at` is
+/// its instant. The one grid check behind every checkpoint verifier and
+/// [`ClusterRunner::run_pinned`]'s stop boundary.
 ///
-/// A pure function of its arguments, so the deal — like everything else a
-/// run does — depends on the plan and the thread count alone. The runner
-/// passes weights of at least 1 (an empty node still costs its fixed
-/// epoch work): with weight 0 every empty node would tie onto one worker,
-/// with 1 they alternate between workers whose loads are level.
-fn deal_nodes(weights: &[usize], workers: usize) -> Vec<Vec<usize>> {
-    let mut order: Vec<usize> = (0..weights.len()).collect();
-    order.sort_by_key(|&n| (std::cmp::Reverse(weights[n]), n));
-    let mut deal: Vec<Vec<usize>> = vec![Vec::new(); workers];
-    let mut loads = vec![0usize; workers];
-    for n in order {
-        let w = (0..workers)
-            .min_by_key(|&w| loads[w])
-            .expect("at least one worker");
-        loads[w] += weights[n];
-        deal[w].push(n);
+/// # Errors
+///
+/// Names which of the three it is.
+pub fn interim_boundary(ends: &[Time], cursor: usize, at: Option<Time>) -> Result<(), String> {
+    let Some(&boundary) = ends.get(cursor) else {
+        let n = ends.len();
+        return Err(format!(
+            "cursor {cursor} is past the scenario's epoch grid ({n} boundaries)"
+        ));
+    };
+    if cursor + 1 == ends.len() {
+        return Err(format!(
+            "cursor {cursor} is the horizon of the scenario's epoch grid, where no interim exists"
+        ));
     }
-    deal
-}
-
-/// State only the barrier leader reads and writes, carried from one epoch
-/// boundary to the next.
-struct LeaderState {
-    /// Cumulative rebalance statistics.
-    stats: RebalanceStats,
-    /// Cross-epoch EWMA of every node's pressure signal.
-    smoothed: Vec<f64>,
-    /// One node-level share controller per node (empty when the plane is
-    /// off).
-    ctls: Vec<ShareController>,
-    /// The supervisor bound every node currently runs under.
-    bounds: Vec<f64>,
-}
-
-/// What the barrier leader decided at one epoch boundary, for every worker
-/// to apply to the nodes it owns.
-#[derive(Default)]
-struct EpochOrders {
-    /// Node re-bounds `(node, new bound)`.
-    rebounds: Vec<(usize, f64)>,
-    /// Migrations, in decision order.
-    moves: Vec<Migration>,
-    /// The pin source ended the run at this boundary: workers return
-    /// without applying anything.
-    stop: bool,
-}
-
-/// Folds `parts` into one fresh set of sketches; `None` when there are
-/// none to fold.
-fn merged_sketches<'a>(parts: impl IntoIterator<Item = &'a NodeSketches>) -> Option<NodeSketches> {
-    let mut parts = parts.into_iter().peekable();
-    parts.peek()?;
-    let mut all = NodeSketches::new();
-    for part in parts {
-        all.merge(part);
+    match at.filter(|&at| at != boundary) {
+        None => Ok(()),
+        Some(at) => Err(format!(
+            "cursor {cursor} is dated {} ns, but the scenario's boundary {cursor} is at {} ns",
+            at.as_ns(),
+            boundary.as_ns()
+        )),
     }
-    Some(all)
 }
 
 /// The buffering sink behind [`ClusterRunner::run_logged`]: concatenates
@@ -1450,211 +607,13 @@ impl JournalSink for CollectSink {
     }
 }
 
-/// The plan-derived decision events of a run: admissions (with the
-/// placer's inputs) and the churn kills the leases will execute.
-fn plan_events(spec: &ScenarioSpec, plan: &FleetPlan) -> Vec<FleetEvent> {
-    let mut events = Vec::new();
-    for p in &plan.vms {
-        let (demand, retries, best_spare) = admission_inputs(p.outcome, || {
-            spec.vms
-                .get(p.vm.fleet_vm_id)
-                .map_or(0.0, |vm_spec| vm_spec.share())
-        });
-        events.push(FleetEvent::VmAdmission {
-            at: Time::ZERO,
-            fleet_vm_id: p.vm.fleet_vm_id,
-            demand,
-            node: p.node,
-            retries,
-            best_spare,
-        });
-    }
-    for p in &plan.tasks {
-        if p.realtime {
-            let (demand, retries, best_spare) = admission_inputs(p.outcome, || 0.0);
-            events.push(FleetEvent::TaskAdmission {
-                at: p.task.arrival,
-                fleet_id: p.task.fleet_id,
-                demand,
-                node: p.node,
-                retries,
-                best_spare,
-            });
-        }
-        // The lease kills the task wherever it lives; the planned node is
-        // recorded (a later migration event documents any relocation).
-        if let (Some(node), Some(departure)) = (p.node, p.task.departure) {
-            events.push(FleetEvent::Kill {
-                at: departure,
-                node,
-                fleet_id: p.task.fleet_id,
-            });
-        }
-    }
-    events
-}
-
-/// `(demand, retries, best_spare)` of one admission decision.
-fn admission_inputs(
-    outcome: Option<PlacementOutcome>,
-    fallback_demand: impl FnOnce() -> f64,
-) -> (f64, u32, f64) {
-    match outcome {
-        Some(PlacementOutcome::Admitted {
-            demand, migrations, ..
-        }) => (demand, migrations, 0.0),
-        Some(PlacementOutcome::Rejected { demand, best_spare }) => (demand, 0, best_spare),
-        None => (fallback_demand(), 0, 0.0),
-    }
-}
-
-/// The re-admitted incarnation of a migrated VM: same share and guest
-/// kinds, fresh labels and workload seeds, arriving at the epoch boundary.
-/// `guest_warm` carries the source's granted inner reservations (by fleet
-/// task id): each matching guest seeds its detected period and a
-/// demand-sized budget inside the re-admitted VM instead of cold-starting.
-fn migrated_vm_incarnation(
-    base: &NodeVm,
-    at: Time,
-    seed: u64,
-    epoch: usize,
-    guest_warm: &[(usize, crate::node::WarmStart)],
-) -> NodeVm {
-    NodeVm {
-        fleet_vm_id: base.fleet_vm_id,
-        label: format!("{}e{epoch}", base.label),
-        budget: base.budget,
-        period: base.period,
-        guests: base
-            .guests
-            .iter()
-            .map(|g| NodeTask {
-                fleet_id: g.fleet_id,
-                label: format!("{}e{epoch}", g.label),
-                kind: g.kind.clone(),
-                arrival: at,
-                departure: g.departure,
-                seed: derive_task_seed(
-                    seed ^ SEED_MIGRATION_SALT,
-                    ((g.fleet_id as u64) << 16) | epoch as u64,
-                ),
-                migrated: true,
-                warm: guest_warm
-                    .iter()
-                    .find(|&&(id, _)| id == g.fleet_id)
-                    .map(|&(_, w)| w),
-            })
-            .collect(),
-        arrival: at,
-        migrated: true,
-        elastic: base.elastic,
-    }
-}
-
-/// The node-level share law: the fleet→node instance of
-/// [`ShareControllerConfig`], bounded by the scenario's floor and cap.
-/// One confirmation only — at epoch granularity, waiting two epochs to
-/// confirm a trend means reacting after the phase that caused it.
-fn node_share_config(spec: &ScenarioSpec) -> ShareControllerConfig {
-    ShareControllerConfig {
-        min_share: spec.node_share.floor,
-        max_share: spec.node_share.cap,
-        confirmations: 1,
-        ..ShareControllerConfig::default()
-    }
-}
-
-/// One deterministic rebalance decision pass: rebuilds the fleet's booked
-/// bandwidth from the tasks and VMs the nodes report alive, then drains
-/// pressured nodes through the placer's admission path. `bounds` carries
-/// the per-node supervisor bounds when node-level re-bounding is on: a
-/// node that shed headroom below the static `U_lub` gets the difference
-/// booked as phantom load, so migrations stop treating capacity the node
-/// no longer grants as free.
-fn rebalance_epoch(
-    spec: &ScenarioSpec,
-    plan: &FleetPlan,
-    view: &FeedbackView,
-    now: Time,
-    scan_placement: bool,
-    bounds: Option<&[f64]>,
-) -> crate::placer::RebalanceOutcome {
-    let mut placer = Placer::new(spec.nodes, spec.ulub, spec.headroom, spec.policy);
-    if scan_placement {
-        placer.use_scan_placement();
-    }
-    let mut live: Vec<LiveTask> = Vec::new();
-    let mut live_vms: Vec<LiveVmUnit> = Vec::new();
-    let mut reserved = vec![0.0f64; spec.nodes];
-    if let Some(bounds) = bounds {
-        for n in 0..spec.nodes {
-            reserved[n] += (spec.ulub - bounds[n]).max(0.0);
-        }
-    }
-    // Planned arrivals that have not started yet still hold their nominal
-    // booking on their target node — a destination about to receive them
-    // is not as empty as its live set suggests.
-    for p in &plan.tasks {
-        if p.task.arrival <= now {
-            continue;
-        }
-        if let (Some(node), Some(nominal)) = (p.node, p.task.kind.nominal()) {
-            reserved[node] += placer.demand_of(nominal);
-        }
-    }
-    for fb in &view.nodes {
-        for rt in &fb.live_rt {
-            let nominal: PeriodicTask = plan.tasks[rt.fleet_id]
-                .task
-                .kind
-                .nominal()
-                .expect("live_rt lists real-time tasks only");
-            let t = LiveTask {
-                fleet_id: rt.fleet_id,
-                node: fb.node,
-                nominal,
-                measured_bw: rt.measured_bw,
-                movable: rt.movable,
-                granted: rt
-                    .granted
-                    .map(|(budget, period)| crate::node::WarmStart { budget, period }),
-            };
-            reserved[fb.node] += placer.effective_demand(&t);
-            live.push(t);
-        }
-        for vm in &fb.live_vms {
-            // Booked at the *granted* share: an elastically-shrunk VM
-            // frees real headroom on its node, a grown one eats it.
-            reserved[fb.node] += vm.share;
-            live_vms.push(LiveVmUnit {
-                fleet_vm_id: vm.fleet_vm_id,
-                node: fb.node,
-                share: vm.share,
-                movable: vm.movable,
-                elastic: vm.elastic,
-                guest_grants: vm.guest_grants.clone(),
-            });
-        }
-    }
-    placer.sync_reserved(&reserved);
-    placer.rebalance(view, &live, &live_vms, &spec.rebalance)
-}
-
-/// Domain separator between the planning RNG stream and workload streams.
-const SEED_PLAN_SALT: u64 = 0x5EED_1234_ABCD_0001;
-
-/// Domain separator for migrated-incarnation workload seeds (a re-admitted
-/// task draws a fresh stream so it does not replay its start-of-run phase).
-const SEED_MIGRATION_SALT: u64 = 0x5EED_1234_ABCD_0002;
-
-/// Domain separator for VM guest workload seeds.
-const SEED_VM_SALT: u64 = 0x5EED_1234_ABCD_0003;
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::spec::{Churn, TaskMix};
+    use crate::stages::deal_nodes;
     use proptest::prelude::*;
+    use selftune_simcore::time::Dur;
 
     fn small_spec() -> ScenarioSpec {
         ScenarioSpec::new("runner-test", 3, 9, Dur::ms(1500)).with_mix(TaskMix::rt_only())
@@ -1894,8 +853,8 @@ mod tests {
         sort_events(&mut merged);
         assert_eq!(merged, events);
 
-        // Every interim checkpoint equals the pinned prefix re-execution at
-        // the same cursor — on a different thread count, too.
+        // Every interim checkpoint equals the pinned run stopped at the
+        // same cursor — on a different thread count, too.
         assert!(
             sink.checkpoints.len() >= 3,
             "diurnal grid should checkpoint several times at interval 2"
@@ -1903,11 +862,13 @@ mod tests {
         let plan = plan_fleet(&spec, 42);
         let moves = PinnedMoves::from_events(&spec, &events, None);
         for (cursor, summary) in &sink.checkpoints {
-            let mirror = ClusterRunner::new(3).run_pinned_prefix(&spec, 42, &plan, &moves, *cursor);
+            let mirror = ClusterRunner::new(3)
+                .run_pinned(&spec, 42, &plan, &moves, Some(*cursor))
+                .expect("a pin table never stops the run");
             assert_eq!(
                 &mirror.summary_csv(),
                 summary,
-                "prefix mirror diverged at cursor {cursor}"
+                "stopped run diverged at cursor {cursor}"
             );
         }
     }
@@ -1942,7 +903,7 @@ mod tests {
         let plan = plan_fleet_pinned(&spec, 42, &pinned);
         let moves = PinnedMoves::from_events(&spec, &events, None);
         let replay = ClusterRunner::new(2)
-            .run_pinned(&spec, 42, &plan, &moves)
+            .run_pinned(&spec, 42, &plan, &moves, None)
             .expect("a pin table never stops the run");
         assert_eq!(live.summary_csv(), replay.summary_csv());
     }

@@ -8,7 +8,8 @@
 //!   migrations must not observe the thread count). These run whole
 //!   (small) fleet simulations, so the case count is reduced. Two fixed
 //!   fleets ride along: a skewed first-fit one whose plan-weighted deal
-//!   is far from even, and a checkpointing one.
+//!   is far from even, and a checkpointing one. On random fleets, every
+//!   checkpoint's interim equals the pinned run stopped at its cursor.
 //! * **Placer invariants** — the placer must never book a node beyond the
 //!   utilisation bound, must only admit tasks the minbudget analysis can
 //!   schedule, must reject only when no node had room, and live
@@ -358,6 +359,67 @@ proptest! {
     }
 
     #[test]
+    fn a_pinned_run_stopped_at_a_cursor_equals_the_live_interim_there(
+        seed in 0u64..1_000_000,
+        nodes in 3usize..5,
+        tasks in 6usize..10,
+        (with_vm, churn, phase) in (any::<bool>(), any::<bool>(), any::<bool>()),
+        (rebalance, node_share) in (any::<bool>(), any::<bool>()),
+    ) {
+        // Every checkpoint a logged run emits — at cadence 1, so every
+        // boundary that has an interim — is byte-for-byte what a pinned
+        // re-execution stopped at that cursor reduces, whatever the fleet
+        // is made of, whichever control loops run and however many
+        // threads either side uses. It is what lets a checkpoint file be
+        // verified from t = 0 and a follower's mirror be checked in flight.
+        let mut spec = rebalance_spec(nodes, tasks, 0.2, 4)
+            .with_node_share(NodeShareSpec { enabled: node_share, floor: 0.5, cap: 0.95 });
+        spec.rebalance.enabled = rebalance;
+        if with_vm {
+            let guest = TaskKind::PeriodicRt { wcet: Dur::ms(4), period: Dur::ms(40) };
+            spec = spec.with_vm(VmSpec::uniform(Dur::ms(3), Dur::ms(10), 2, guest).with_elastic());
+        }
+        if churn {
+            spec = spec.with_churn(Churn {
+                mean_lifetime: Dur::ms(900),
+                min_lifetime: Dur::ms(200),
+            });
+        }
+        if phase {
+            spec = spec.with_phase(TrafficPhase {
+                start: Dur::ms(700),
+                end: Dur::ms(2_000),
+                ramp: Dur::ms(300),
+                tasks: 3,
+                mix: TaskMix::rt_only(),
+                nodes: NodeFilter::All,
+            });
+        }
+        let mut probe = CheckpointProbe::every(1);
+        let live = ClusterRunner::new(2).run_logged_with(&spec, seed, &mut probe);
+        let boundaries = ClusterRunner::epoch_ends(&spec).len();
+        prop_assert_eq!(boundaries, if rebalance || node_share { 5 } else { 1 });
+        let cursors: Vec<usize> = probe.interims.iter().map(|(c, _)| *c).collect();
+        prop_assert_eq!(cursors, (1..boundaries - 1).collect::<Vec<_>>());
+
+        sort_events(&mut probe.events);
+        let placements = PinnedPlan::from_events(&spec, live.admission, &probe.events);
+        let plan = plan_fleet_pinned(&spec, seed, &placements);
+        let moves = PinnedMoves::from_events(&spec, &probe.events, None);
+        for (cursor, interim) in &probe.interims {
+            for threads in [1usize, 2, 3, 8] {
+                let stopped = ClusterRunner::new(threads)
+                    .run_pinned(&spec, seed, &plan, &moves, Some(*cursor))
+                    .expect("a pin table never stops the run");
+                prop_assert_eq!(
+                    &stopped.summary_csv(), interim,
+                    "cursor {} at {} threads", cursor, threads
+                );
+            }
+        }
+    }
+
+    #[test]
     fn migrations_respect_destination_admission_invariant(
         seed in 0u64..1_000_000,
         tasks in 10usize..14,
@@ -496,18 +558,39 @@ fn skewed_first_fit_fleet_is_byte_identical_at_1_2_3_and_8_threads() {
     }
 }
 
-/// Records every interim aggregate a checkpointing run hands its sink.
+/// Records every interim aggregate a checkpointing run hands its sink,
+/// and the decision stream around them.
 struct CheckpointProbe {
+    every: usize,
     interims: Vec<(usize, String)>,
+    events: Vec<FleetEvent>,
+}
+
+impl CheckpointProbe {
+    fn every(every: usize) -> CheckpointProbe {
+        CheckpointProbe {
+            every,
+            interims: Vec::new(),
+            events: Vec::new(),
+        }
+    }
 }
 
 impl JournalSink for CheckpointProbe {
     fn checkpoint_interval(&self) -> Option<usize> {
-        Some(2)
+        Some(self.every)
+    }
+
+    fn on_plan(&mut self, _admission: &AdmissionStats, events: &[FleetEvent]) {
+        self.events.extend_from_slice(events);
     }
 
     fn on_checkpoint(&mut self, cursor: usize, _at: Time, interim: &AggregateMetrics) {
         self.interims.push((cursor, interim.summary_csv()));
+    }
+
+    fn on_epoch(&mut self, _epoch: usize, _at: Time, events: &[FleetEvent]) {
+        self.events.extend_from_slice(events);
     }
 }
 
@@ -523,9 +606,7 @@ fn checkpoint_interims_are_byte_identical_at_1_2_and_3_threads() {
         vm.elastic = true;
     }
     let interims = |threads| {
-        let mut sink = CheckpointProbe {
-            interims: Vec::new(),
-        };
+        let mut sink = CheckpointProbe::every(2);
         ClusterRunner::new(threads).run_logged_with(&spec, 42, &mut sink);
         sink.interims
     };

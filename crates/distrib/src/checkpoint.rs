@@ -11,7 +11,8 @@
 //! [`Checkpoint::verify`] is the same check stand-alone, re-executing
 //! the prefix from t = 0.
 
-use selftune_cluster::AggregateMetrics;
+use selftune_cluster::runner::interim_boundary;
+use selftune_cluster::{AggregateMetrics, ClusterRunner};
 use selftune_journal::codec::{self, Entry};
 use selftune_journal::record::Journal;
 use selftune_simcore::time::Time;
@@ -134,10 +135,13 @@ impl Checkpoint {
     ///
     /// # Errors
     ///
-    /// Names the hash mismatch, a cursor past the scenario's epoch grid,
-    /// or the first differing summary line.
+    /// Names the hash mismatch, a cursor or instant that is no interim
+    /// boundary of the scenario's epoch grid ([`interim_boundary`] — the
+    /// check a follower applies), or the first differing summary line.
     pub fn verify(&self, threads: usize) -> Result<AggregateMetrics, String> {
         self.check_hash()?;
+        let ends = ClusterRunner::epoch_ends(&self.journal.scenario);
+        interim_boundary(&ends, self.cursor, Some(self.at))?;
         self.journal.verify(threads, Some(self.cursor))
     }
 

@@ -30,7 +30,7 @@
 
 use std::fmt;
 
-use selftune_cluster::runner::{EpochPin, PinnedMoves, PinnedPlan};
+use selftune_cluster::runner::{interim_boundary, EpochPin, PinnedMoves, PinnedPlan};
 use selftune_cluster::{
     sort_events, AdmissionStats, AggregateMetrics, ClusterRunner, FleetEvent, ScenarioSpec,
 };
@@ -223,7 +223,7 @@ impl Follower {
         let journal = &ckpt.journal;
         let mut f = Follower::new(threads);
         f.ends = ClusterRunner::epoch_ends(&journal.scenario);
-        interim_boundary(&f.ends, ckpt.cursor, ckpt.at)?;
+        interim_boundary(&f.ends, ckpt.cursor, Some(ckpt.at))?;
         f.expected_seq = ckpt.next_seq;
         f.scenario = Some(journal.scenario.clone());
         f.seed = journal.seed;
@@ -594,7 +594,7 @@ impl Follower {
                 self.next_epoch
             )));
         }
-        if let Err(e) = interim_boundary(&self.ends, cursor, at) {
+        if let Err(e) = interim_boundary(&self.ends, cursor, Some(at)) {
             return Err(self.protocol(format!("Checkpoint: {e}")));
         }
         // The mirror is parked at `cursor` (or on its way there): demand
@@ -660,31 +660,6 @@ fn matches_mirror(ckpt: &Checkpoint, mirror: &Mirror) -> Result<(), String> {
         &ckpt.journal.summary,
         &ours,
     )
-}
-
-/// Checks that `cursor` is a boundary of the epoch grid `ends` where an
-/// interim exists (the horizon has the finale instead) and that `at` is
-/// its instant.
-fn interim_boundary(ends: &[Time], cursor: usize, at: Time) -> Result<(), String> {
-    if cursor >= ends.len() {
-        return Err(format!(
-            "cursor {cursor} is past the scenario's epoch grid ({} boundaries)",
-            ends.len()
-        ));
-    }
-    if cursor + 1 == ends.len() {
-        return Err(format!(
-            "cursor {cursor} is the horizon of the scenario's epoch grid, where no interim exists"
-        ));
-    }
-    if at != ends[cursor] {
-        return Err(format!(
-            "cursor {cursor} is dated {} ns, but the scenario's boundary {cursor} is at {} ns",
-            at.as_ns(),
-            ends[cursor].as_ns()
-        ));
-    }
-    Ok(())
 }
 
 #[cfg(test)]

@@ -518,6 +518,37 @@ mod tests {
     }
 
     #[test]
+    fn horizon_or_misdated_checkpoint_cursor_gets_one_answer_from_both_verifiers() {
+        let spec = composed_spec();
+        let (_, _, chunks) = ship_run(&spec, 42, 2, Some(2));
+        let mut follower = Follower::new(2);
+        for chunk in &chunks {
+            follower.feed(chunk).expect("clean stream");
+        }
+        let good = follower.last_checkpoint().expect("stored").clone();
+        let ends = ClusterRunner::epoch_ends(&spec);
+        // The horizon has the finale, never an interim: no leader ever
+        // reported the state a prefix stopped there would reduce.
+        let horizon = crate::checkpoint::Checkpoint {
+            cursor: ends.len() - 1,
+            at: ends[ends.len() - 1],
+            ..good.clone()
+        };
+        // A real boundary, dated at another one's instant.
+        let misdated = crate::checkpoint::Checkpoint {
+            at: ends[good.cursor - 1],
+            ..good.clone()
+        };
+        for (bad, why) in [(horizon, "where no interim exists"), (misdated, "is dated")] {
+            let alone = bad.verify(2).expect_err("refused stand-alone");
+            assert!(alone.contains(why), "unnamed error: {alone}");
+            let attached = Follower::from_checkpoint(&bad, 2).map(|_| ());
+            assert_eq!(Err(alone), attached, "two verifiers, one answer");
+        }
+        good.verify(2).expect("the recorded checkpoint verifies");
+    }
+
+    #[test]
     fn frames_past_the_grid_or_naming_unknown_ids_are_protocol_errors() {
         let spec = composed_spec();
         let (_, _, chunks) = ship_run(&spec, 42, 2, None);

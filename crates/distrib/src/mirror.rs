@@ -128,7 +128,7 @@ impl Mirror {
     ) -> Mirror {
         Mirror::spawn(move |pins| {
             let plan = plan_fleet_pinned(&spec, seed, &placements);
-            ClusterRunner::new(threads).run_pinned(&spec, seed, &plan, pins)
+            ClusterRunner::new(threads).run_pinned(&spec, seed, &plan, pins, None)
         })
     }
 

@@ -4,7 +4,9 @@
 //! input: whatever one field of one line says, or wherever the file
 //! stops, loading and re-executing it must come back `Ok` or a named
 //! `Err` — never a panic, which between two barrier waits would strand
-//! the runner's sibling workers.
+//! the runner's sibling workers. A checkpoint file goes through both of
+//! its verifiers (`Checkpoint::verify` and `Follower::from_checkpoint`),
+//! which must agree.
 //!
 //! The corpus is the three checked-in fixtures plus a checkpoint recorded
 //! off a composed stream. A case replaces one integer field of one header
@@ -119,11 +121,49 @@ fn truncate_at(text: &str, line_pick: usize) -> String {
 
 fn load_then_verify(checkpoint: bool, text: &str, threads: usize) -> Result<(), String> {
     if checkpoint {
+        // Both verifiers of a checkpoint file: stand-alone, from t = 0,
+        // and a follower attaching its live mirror. They refuse the same
+        // files.
         let ckpt = Checkpoint::from_text(text)?;
-        Follower::from_checkpoint(&ckpt, threads).map(|_| ())
+        let alone = ckpt.verify(threads).map(|_| ());
+        let attached = Follower::from_checkpoint(&ckpt, threads).map(|_| ());
+        assert_eq!(alone.is_ok(), attached.is_ok(), "{alone:?} vs {attached:?}");
+        attached
     } else {
         let journal = Journal::from_text(text)?;
         Replayer::new(threads).verify(&journal).map(|_| ())
+    }
+}
+
+/// The one cursor inside the grid that no checkpoint can stand at: the
+/// horizon, where a run has its finale and no interim. Loading a
+/// checkpoint that claims it is a named error from both verifiers.
+#[test]
+fn a_horizon_cursor_is_refused_not_run() {
+    let text = recorded_checkpoint();
+    let good = Checkpoint::from_text(&text).expect("recorded checkpoint loads");
+    let ends = ClusterRunner::epoch_ends(&good.journal.scenario);
+    let header = |key: &str| {
+        let line = text.lines().find(|l| l.starts_with(key));
+        line.unwrap_or_else(|| panic!("{key} header")).to_owned()
+    };
+    let horizon = text
+        .replacen(
+            &header("cursor = "),
+            &format!("cursor = {}", ends.len() - 1),
+            1,
+        )
+        .replacen(
+            &header("at = "),
+            &format!("at = {}", ends[ends.len() - 1].as_ns()),
+            1,
+        );
+    for threads in [1usize, 2] {
+        let err = load_then_verify(true, &horizon, threads).expect_err("no interim there");
+        assert!(
+            err.contains("where no interim exists"),
+            "unnamed error: {err}"
+        );
     }
 }
 

@@ -7,7 +7,7 @@
 //! in the same words ([`divergence`]), and its differential tests hold it
 //! to these functions' bytes.
 
-use selftune_cluster::runner::plan_fleet_pinned;
+use selftune_cluster::runner::{interim_boundary, plan_fleet_pinned};
 use selftune_cluster::{AggregateMetrics, ClusterRunner, ScenarioSpec};
 
 use crate::record::Journal;
@@ -24,7 +24,8 @@ impl Journal {
     ///
     /// # Errors
     ///
-    /// When `cursor` is not an epoch boundary of the scenario.
+    /// When `cursor` is not a boundary of the scenario's epoch grid where
+    /// an interim exists ([`interim_boundary`]).
     pub fn reexecute(
         &self,
         threads: usize,
@@ -33,21 +34,14 @@ impl Journal {
         cursor: Option<usize>,
     ) -> Result<AggregateMetrics, String> {
         let spec = spec.unwrap_or(&self.scenario);
-        let boundaries = ClusterRunner::epoch_ends(spec).len();
-        if let Some(cursor) = cursor.filter(|&c| c >= boundaries) {
-            return Err(format!(
-                "cursor {cursor} is past the scenario's epoch grid ({boundaries} boundaries)"
-            ));
+        if let Some(cursor) = cursor {
+            interim_boundary(&ClusterRunner::epoch_ends(spec), cursor, None)?;
         }
         let plan = plan_fleet_pinned(spec, self.seed, &self.pinned_plan());
         let moves = self.pinned_moves(cut);
-        let runner = ClusterRunner::new(threads);
-        Ok(match cursor {
-            Some(cursor) => runner.run_pinned_prefix(spec, self.seed, &plan, &moves, cursor),
-            None => runner
-                .run_pinned(spec, self.seed, &plan, &moves)
-                .expect("a pin table never stops the run"),
-        })
+        Ok(ClusterRunner::new(threads)
+            .run_pinned(spec, self.seed, &plan, &moves, cursor)
+            .expect("a pin table never stops the run"))
     }
 
     /// Re-executes fully pinned (to `cursor`, or to the horizon) and
@@ -55,7 +49,7 @@ impl Journal {
     ///
     /// # Errors
     ///
-    /// An out-of-grid cursor, or the first differing summary line — the
+    /// A cursor with no interim, or the first differing summary line — the
     /// contract is byte identity, so *any* difference is a corrupt journal
     /// or a determinism bug.
     pub fn verify(
