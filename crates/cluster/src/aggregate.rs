@@ -396,16 +396,6 @@ impl AggregateMetrics {
         self
     }
 
-    /// All normalised completion gaps across the fleet, in (node, task)
-    /// order. Detailed mode only: empty when the nodes reported sketches
-    /// (per-task gap vectors are exactly what sketch mode does not keep).
-    pub fn ift_norm_all(&self) -> Vec<f64> {
-        self.nodes
-            .iter()
-            .flat_map(|n| n.tasks.iter().flat_map(|t| t.ift_norm.iter().copied()))
-            .collect()
-    }
-
     /// Total completions across the fleet.
     pub fn completions(&self) -> u64 {
         self.nodes.iter().map(NodeReport::completions).sum()

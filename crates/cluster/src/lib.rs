@@ -99,9 +99,7 @@ pub use aggregate::{
 pub use events::{sort_events, FleetEvent, JournalSink, NodeSnap};
 pub use index::HeadroomIndex;
 pub use mem::{churn_mem_report, ChurnMemReport};
-pub use node::{
-    ArenaMemStats, Lease, LiveRt, LiveVm, Node, NodeFeedback, NodeTask, NodeVm, WarmStart,
-};
+pub use node::{ArenaMemStats, Lease, Node, NodeFeedback, NodeTask, NodeVm, WarmStart};
 pub use placer::{
     FeedbackView, LiveTask, LiveVmUnit, Migration, PlacementOutcome, Placer, PolicyKind,
     RebalanceOutcome,

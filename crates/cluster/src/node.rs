@@ -9,18 +9,21 @@
 //! through `Rc`, so a node never crosses threads); everything needed to
 //! build one — the task and VM plans — is plain `Send` data.
 
+#![deny(clippy::too_many_lines)]
+
 use selftune_apps::CpuHog;
-use selftune_core::{ControllerConfig, ManagerConfig};
+use selftune_core::{ControllerConfig, ManagerConfig, SelfTuningManager};
 use selftune_sched::{CbsMode, Supervisor};
 use selftune_simcore::kernel::TaskState;
-use selftune_simcore::metrics::MetricKey;
+use selftune_simcore::metrics::{MetricKey, Metrics};
 use selftune_simcore::rng::Rng;
 use selftune_simcore::task::{Action, TaskCtx, TaskId, Workload};
 use selftune_simcore::time::{Dur, Time};
-use selftune_virt::{GuestPolicy, VirtPlatform, VmConfig, VmElasticConfig, VmId};
+use selftune_virt::{GuestPolicy, Scope, VirtPlatform, VmConfig, VmElasticConfig, VmId};
 
 use crate::aggregate::{NodeReport, NodeSketches, NodeTotals, TaskReport};
 use crate::events::FleetEvent;
+use crate::placer::{LiveTask, LiveVmUnit};
 use crate::spec::{OverloadWindow, ScenarioSpec, TaskKind};
 
 /// A task's lifetime lease: delegates to the inner workload until the
@@ -394,53 +397,6 @@ struct VmRt {
     fb_consumed: Dur,
 }
 
-/// One live real-time task in a node's feedback snapshot.
-#[derive(Clone, Copy, Debug)]
-pub struct LiveRt {
-    /// Fleet-wide task id.
-    pub fleet_id: usize,
-    /// CPU bandwidth the task *measurably* consumed over the epoch — what
-    /// feedback-informed placement books instead of the nominal claim.
-    pub measured_bw: f64,
-    /// Resident on this node for the whole epoch → migration candidate. A
-    /// task that just landed has produced no feedback on its new placement
-    /// yet, and re-moving it would be thrash, not feedback.
-    pub movable: bool,
-    /// The task's currently granted reservation `(budget, period)`, if its
-    /// manager attached one — the controller state a warm-started
-    /// migration carries to the destination.
-    pub granted: Option<(Dur, Dur)>,
-}
-
-/// One live virtual platform in a node's feedback snapshot.
-#[derive(Clone, Debug)]
-pub struct LiveVm {
-    /// Fleet-wide VM id.
-    pub fleet_vm_id: usize,
-    /// The share currently *granted* to the VM, `Q/T` — under an elastic
-    /// controller this is the live re-granted value, not the nominal
-    /// `VmSpec` share, so fleet decisions see the bandwidth the VM really
-    /// holds (an elastically-shrunk VM frees real placement headroom).
-    pub share: f64,
-    /// CPU bandwidth the VM measurably consumed over the epoch.
-    pub measured_bw: f64,
-    /// Resident for a full epoch → migration candidate.
-    pub movable: bool,
-    /// Whether a host-level share controller is absorbing this VM's
-    /// pressure locally. Elastic VMs are never rebalance victims: evicting
-    /// a tenant whose share is already being re-sized on the spot would
-    /// fight the inner loop.
-    pub elastic: bool,
-    /// The inner reservation of each currently-attached guest,
-    /// `(fleet task id, grant)` in guest spawn order — the controller
-    /// state a warm-started VM migration carries to the destination. The
-    /// budget is sized at no less than the guest's measured demand (plus
-    /// headroom): a grant compressed inside an overloaded tenant is not
-    /// carried verbatim. Empty unless the scenario can consume it
-    /// (rebalance with `warm_start`, non-elastic VM).
-    pub guest_grants: Vec<(usize, WarmStart)>,
-}
-
 /// What a node *measured* over the last epoch — the live signal the fleet
 /// rebalancer feeds on, as opposed to the nominal demand the initial
 /// placement trusted.
@@ -462,12 +418,13 @@ pub struct NodeFeedback {
     /// the booked demand when re-bounding the supervisor.
     pub reserved_bw: f64,
     /// Real-time flat tasks currently alive on this node (started, not
-    /// exited, not already extracted) with their measured bandwidth,
+    /// exited, not already extracted) as the rebalancer books them,
     /// sorted by fleet id.
-    pub live_rt: Vec<LiveRt>,
+    pub live_rt: Vec<LiveTask>,
     /// Virtual platforms currently alive on this node, sorted by fleet VM
-    /// id.
-    pub live_vms: Vec<LiveVm>,
+    /// id. Guest grants are carried only where a warm VM migration can
+    /// consume them: rebalance with `warm_start`, non-elastic VM.
+    pub live_vms: Vec<LiveVmUnit>,
 }
 
 impl NodeFeedback {
@@ -482,7 +439,7 @@ impl NodeFeedback {
 }
 
 /// Running totals behind the per-epoch deltas of [`NodeFeedback`] (the
-/// per-task gap positions live in each `Managed` entry).
+/// per-task gap positions live in each arena slot).
 #[derive(Clone, Copy, Debug, Default)]
 struct FeedbackMark {
     busy: Dur,
@@ -490,10 +447,178 @@ struct FeedbackMark {
     at: Option<Time>,
 }
 
+/// Formats `"{label}{suffix}"` into the reusable scratch buffer.
+fn metric_name<'a>(scratch: &'a mut String, label: &str, suffix: &str) -> &'a str {
+    scratch.clear();
+    scratch.push_str(label);
+    scratch.push_str(suffix);
+    scratch
+}
+
+/// How long after its arrival a task's manager first attached it.
+fn attach_delay_ms(metrics: &Metrics, scratch: &mut String, plan: &NodeTask) -> Option<f64> {
+    let attached = metrics.marks(metric_name(scratch, &plan.label, ".attached"));
+    let first = attached.first()?;
+    Some(first.saturating_since(plan.arrival).as_ms_f64())
+}
+
+/// The bandwidth `consumed` amounts to over a unit's *residency* in the
+/// epoch `(prev, now]`, not the whole epoch: a unit that landed mid-epoch
+/// burned its share over a shorter window.
+fn resident_bw(consumed: Dur, arrival: Time, (prev, now): (Time, Time)) -> f64 {
+    let resident = now.saturating_since(arrival.max(prev));
+    if resident.is_zero() {
+        0.0
+    } else {
+        consumed.ratio(resident)
+    }
+}
+
+/// The node's one kernel stack — platform, tracers, managers — beside the
+/// scratch state per-task operations share. Kept apart from the arenas so
+/// an operation borrows it next to the one arena it works on, flat or
+/// guest: each is written once, over the arena's [`Scope`].
+struct Stack {
+    platform: VirtPlatform,
+    /// Marks scanned out of retired slots, awaiting the next feedback.
+    pending: PendingMarks,
+    /// Reusable metric-name buffer (`"{label}.dropped"` and friends) —
+    /// retirement formats into this instead of allocating per task.
+    scratch: String,
+}
+
+impl Stack {
+    /// Admits a planned task into `arena`: spawns its workload in `scope`
+    /// at the arrival instant (wrapped in a [`Lease`] when it departs),
+    /// puts real-time kinds under the scope's self-tuning manager —
+    /// warm-started when the plan carries controller state — and interns
+    /// the completion-mark name, so per-epoch scans and reports look marks
+    /// up by key. (The store only surfaces streams that recorded
+    /// something, so interning at admission is unobservable in any output.)
+    fn admit(&mut self, scope: Scope, arena: &mut TaskArena, plan: NodeTask) {
+        let platform = &mut self.platform;
+        let mut workload = plan.kind.instantiate(&plan.label, Rng::new(plan.seed));
+        if let Some(dep) = plan.departure {
+            workload = Box::new(Lease::new(workload, dep));
+        }
+        let tid = match scope {
+            Scope::Host => platform
+                .kernel_mut()
+                .spawn_at(&plan.label, workload, plan.arrival),
+            Scope::Vm(vm) => platform.spawn_in_vm_at(vm, &plan.label, workload, plan.arrival),
+        };
+        if plan.kind.is_realtime() {
+            let warm = plan.warm.map(|w| (w.budget, w.period));
+            platform.manage(scope, tid, &plan.label, ControllerConfig::default(), warm);
+        }
+        let mark = plan.kind.mark_name(&plan.label);
+        let mark = mark.map(|name| platform.kernel_mut().metrics_mut().key(&name));
+        arena.push(plan, tid, mark);
+    }
+
+    /// The per-sampling-step liveness scan: releases the reservation of
+    /// every task in `arena` that exited and retires its slot. Walks only
+    /// the active real-time slots — a released or best-effort task costs
+    /// nothing here, which is what keeps the step affordable on nodes that
+    /// have churned through many tasks. Workloads can exit on their own
+    /// (leases, application `Exit`), so this stays a scan over the live
+    /// set rather than a departure-schedule cursor.
+    fn reap(&mut self, scope: Scope, arena: &mut TaskArena) {
+        let mut i = 0;
+        while let Some(&slot) = arena.active_rt.get(i) {
+            let tid = arena.tids[slot];
+            if self.platform.kernel().task_state(tid) == TaskState::Exited {
+                self.platform.unmanage(scope, tid);
+                self.platform.kernel_mut().reclaim(tid);
+                self.retire(arena, slot);
+            } else {
+                i += 1;
+            }
+        }
+    }
+
+    /// Walks a slot's fresh completion marks into `tally`.
+    fn scan_marks(
+        platform: &VirtPlatform,
+        arena: &mut TaskArena,
+        slot: usize,
+        tally: &mut PendingMarks,
+    ) {
+        if let (Some(key), Some(period_ms)) = (arena.mark_keys[slot], arena.periods_ms[slot]) {
+            let marks = platform.kernel().metrics().marks_k(key);
+            let pos = &mut arena.fb_mark_pos[slot];
+            while *pos + 1 < marks.len() {
+                let gap_ms = (marks[*pos + 1] - marks[*pos]).as_ms_f64();
+                tally.gaps += 1;
+                if gap_ms / period_ms > NodeReport::MISS_FACTOR {
+                    tally.misses += 1;
+                }
+                *pos += 1;
+            }
+        }
+    }
+
+    /// Retires an arena slot: takes the departed task's final mark scan
+    /// into the pending epoch counters, freezes the metric reads a dead
+    /// task can no longer change, and hands the slot to the arena's free
+    /// list.
+    fn retire(&mut self, arena: &mut TaskArena, slot: usize) {
+        Stack::scan_marks(&self.platform, arena, slot, &mut self.pending);
+        let metrics = self.platform.kernel().metrics();
+        let plan = &arena.plans[slot];
+        let dropped = metric_name(&mut self.scratch, &plan.label, ".dropped");
+        let dropped = metrics.counter(dropped) as u32;
+        let attach_delay_ms = attach_delay_ms(metrics, &mut self.scratch, plan);
+        arena.retire(slot, dropped, attach_delay_ms);
+    }
+
+    /// The reservation a task currently holds in its scope, if its
+    /// manager attached one — the controller state a warm-started
+    /// migration carries to the destination.
+    fn granted(&self, scope: Scope, tid: TaskId) -> Option<WarmStart> {
+        let (budget, period) = self.platform.reservation_of(scope, tid)?;
+        Some(WarmStart { budget, period })
+    }
+
+    /// One active slot's epoch `(prev, now]`. Its fresh completion marks
+    /// always go into `tally` — the scan is incremental, each slot
+    /// remembers how many marks previous snapshots consumed. When `sized`
+    /// and the task is live (started, not exited), also returns the CPU
+    /// bandwidth it *measurably* consumed over its residency in the epoch
+    /// — what feedback-informed placement books instead of the nominal
+    /// claim — and its granted reservation.
+    fn measure(
+        &self,
+        scope: Scope,
+        arena: &mut TaskArena,
+        slot: usize,
+        epoch: (Time, Time),
+        sized: bool,
+        tally: &mut PendingMarks,
+    ) -> Option<(f64, Option<WarmStart>)> {
+        Stack::scan_marks(&self.platform, arena, slot, tally);
+        let (kernel, tid) = (self.platform.kernel(), arena.tids[slot]);
+        let live = || {
+            matches!(
+                kernel.task_state(tid),
+                TaskState::Ready | TaskState::Blocked
+            )
+        };
+        if !sized || !live() {
+            return None;
+        }
+        let consumed = kernel.thread_time(tid);
+        let delta = consumed.saturating_sub(arena.fb_consumed[slot]);
+        arena.fb_consumed[slot] = consumed;
+        let bw = resident_bw(delta, arena.plans[slot].arrival, epoch);
+        Some((bw, self.granted(scope, tid)))
+    }
+}
+
 /// One simulated machine of the fleet.
 pub struct Node {
     id: usize,
-    platform: VirtPlatform,
+    stack: Stack,
     sampling: Dur,
     /// Admission headroom factor (scenario `headroom`), used to size
     /// warm hand-over budgets from measured demand.
@@ -512,12 +637,6 @@ pub struct Node {
     tasks: TaskArena,
     vms: Vec<VmRt>,
     fb_mark: FeedbackMark,
-    /// Marks scanned out of retired slots, awaiting the next feedback.
-    pending: PendingMarks,
-    /// Reusable metric-name buffer (`"{label}.dropped"` and friends) —
-    /// retirement and report paths format into this instead of
-    /// allocating a fresh `String` per task.
-    scratch: String,
     /// Slot-recycling toggle copied into every new arena.
     recycle: bool,
 }
@@ -532,7 +651,11 @@ impl Node {
         });
         Node {
             id,
-            platform,
+            stack: Stack {
+                platform,
+                pending: PendingMarks::default(),
+                scratch: String::new(),
+            },
             sampling: spec.sampling,
             headroom: spec.headroom,
             guest_warm_carry: spec.rebalance.enabled && spec.rebalance.warm_start,
@@ -541,8 +664,6 @@ impl Node {
             tasks: TaskArena::default(),
             vms: Vec::new(),
             fb_mark: FeedbackMark::default(),
-            pending: PendingMarks::default(),
-            scratch: String::new(),
             recycle: true,
         }
     }
@@ -586,60 +707,17 @@ impl Node {
     /// restores headroom the next self-tuning requests can claim.
     pub fn set_ulub(&mut self, ulub: f64) {
         self.ulub = ulub;
-        self.platform.set_host_ulub(ulub);
+        self.stack.platform.set_host_ulub(ulub);
     }
 
-    /// Builds a plan's workload, lease-wrapped when it departs — shared
-    /// by the flat-task and VM-guest admission paths so lifetime handling
-    /// cannot diverge between them.
-    fn leased_workload(plan: &NodeTask) -> Box<dyn Workload> {
-        let mut workload = plan.kind.instantiate(&plan.label, Rng::new(plan.seed));
-        if let Some(dep) = plan.departure {
-            workload = Box::new(Lease::new(workload, dep));
-        }
-        workload
-    }
-
-    /// Adds a planned task: spawns its workload at the arrival instant
-    /// (wrapped in a [`Lease`] when it departs) and, for real-time kinds,
-    /// puts it under the host self-tuning manager — warm-started from the
-    /// carried controller state when the plan brings one.
+    /// Adds a planned flat task, managed in the host scope (see
+    /// [`Stack::admit`]).
     pub fn add_task(&mut self, plan: NodeTask) {
-        let workload = Node::leased_workload(&plan);
-        let tid = self
-            .platform
-            .kernel_mut()
-            .spawn_at(&plan.label, workload, plan.arrival);
-        if plan.kind.is_realtime() {
-            match plan.warm {
-                Some(w) => self.platform.manage_host_warm(
-                    tid,
-                    &plan.label,
-                    ControllerConfig::default(),
-                    w.budget,
-                    w.period,
-                ),
-                None => self
-                    .platform
-                    .manage_host(tid, &plan.label, ControllerConfig::default()),
-            }
-        }
-        let mark = Node::intern_mark(&mut self.platform, &plan);
-        self.tasks.push(plan, tid, mark);
+        self.stack.admit(Scope::Host, &mut self.tasks, plan);
     }
 
-    /// Interns a plan's completion-mark name into the kernel metrics
-    /// store, so per-epoch scans and reports look marks up by key. The
-    /// store only surfaces streams that recorded something, so interning
-    /// at admission is unobservable in any output.
-    fn intern_mark(platform: &mut VirtPlatform, plan: &NodeTask) -> Option<MetricKey> {
-        plan.kind
-            .mark_name(&plan.label)
-            .map(|name| platform.kernel_mut().metrics_mut().key(&name))
-    }
-
-    /// Adds a planned virtual platform: admits its share, spawns every
-    /// guest into it and puts real-time guests under the VM's own manager.
+    /// Adds a planned virtual platform: admits its share and admits every
+    /// guest in the VM's own scope, under its own manager.
     ///
     /// The share goes through the curbed admission path: the placer's
     /// booked model can drift from this node's live self-tuned grants
@@ -649,7 +727,8 @@ impl Node {
     /// compressed rather than rejected — the next feedback epoch sees the
     /// resulting pressure and moves work again.
     pub fn add_vm(&mut self, plan: NodeVm) {
-        let (vm, _granted) = self.platform.create_vm_curbed(VmConfig {
+        let platform = &mut self.stack.platform;
+        let (vm, _granted) = platform.create_vm_curbed(VmConfig {
             label: plan.label.clone(),
             budget: plan.budget,
             period: plan.period,
@@ -664,7 +743,7 @@ impl Node {
             }),
         });
         if plan.elastic {
-            self.platform.make_vm_elastic(
+            platform.make_vm_elastic(
                 vm,
                 VmElasticConfig {
                     adapt_period: self.share_adapt,
@@ -672,32 +751,13 @@ impl Node {
                 },
             );
         }
-        let mut guests = TaskArena::default();
+        let mut guests = TaskArena {
+            recycle: self.recycle,
+            ..TaskArena::default()
+        };
         for g in &plan.guests {
-            let workload = Node::leased_workload(g);
-            let tid = self
-                .platform
-                .spawn_in_vm_at(vm, &g.label, workload, g.arrival);
-            if g.kind.is_realtime() {
-                match g.warm {
-                    Some(w) => self.platform.manage_warm_in_vm(
-                        vm,
-                        tid,
-                        &g.label,
-                        ControllerConfig::default(),
-                        w.budget,
-                        w.period,
-                    ),
-                    None => {
-                        self.platform
-                            .manage_in_vm(vm, tid, &g.label, ControllerConfig::default())
-                    }
-                }
-            }
-            let mark = Node::intern_mark(&mut self.platform, g);
-            guests.push(g.clone(), tid, mark);
+            self.stack.admit(Scope::Vm(vm), &mut guests, g.clone());
         }
-        guests.recycle = self.recycle;
         self.vms.push(VmRt {
             vm,
             plan,
@@ -717,7 +777,7 @@ impl Node {
         for h in 0..window.hogs_per_node {
             let hog = Box::new(CpuHog::new(window.chunk));
             let leased = Box::new(Lease::new(hog, Time::ZERO + window.end));
-            self.platform.kernel_mut().spawn_at(
+            self.stack.platform.kernel_mut().spawn_at(
                 &format!("hog{}w{h}", self.id),
                 leased,
                 Time::ZERO + window.start,
@@ -726,278 +786,90 @@ impl Node {
     }
 
     /// Runs to the horizon, stepping every manager every sampling period
-    /// and releasing the reservations of departed tasks along the way.
-    ///
-    /// The per-step liveness scan walks only the arena's active real-time
-    /// slots — a released or best-effort task costs nothing here, which is
-    /// what keeps the step affordable on nodes that have churned through
-    /// many tasks. Workloads can exit on their own (leases, application
-    /// `Exit`), so this stays a scan over the live set rather than a
-    /// departure-schedule cursor.
+    /// and releasing the reservations of departed tasks along the way
+    /// (see [`Stack::reap`]).
     pub fn run_to_horizon(&mut self, horizon: Time) {
-        while self.platform.now() < horizon {
-            let next = (self.platform.now() + self.sampling).min(horizon);
-            self.platform.kernel_mut().run_until(next);
-            let mut i = 0;
-            while i < self.tasks.active_rt.len() {
-                let slot = self.tasks.active_rt[i];
-                let tid = self.tasks.tids[slot];
-                if self.platform.kernel().task_state(tid) == TaskState::Exited {
-                    self.platform.unmanage_host(tid);
-                    self.platform.kernel_mut().reclaim(tid);
-                    Node::retire_slot(
-                        &self.platform,
-                        &mut self.tasks,
-                        &mut self.pending,
-                        &mut self.scratch,
-                        slot,
-                    );
-                } else {
-                    i += 1;
-                }
-            }
+        let stack = &mut self.stack;
+        while stack.platform.now() < horizon {
+            let next = (stack.platform.now() + self.sampling).min(horizon);
+            stack.platform.kernel_mut().run_until(next);
+            stack.reap(Scope::Host, &mut self.tasks);
             for rt in &mut self.vms {
-                if rt.released {
-                    continue;
-                }
-                let mut i = 0;
-                while i < rt.guests.active_rt.len() {
-                    let slot = rt.guests.active_rt[i];
-                    let tid = rt.guests.tids[slot];
-                    if self.platform.kernel().task_state(tid) == TaskState::Exited {
-                        self.platform.unmanage_in_vm(rt.vm, tid);
-                        self.platform.kernel_mut().reclaim(tid);
-                        Node::retire_slot(
-                            &self.platform,
-                            &mut rt.guests,
-                            &mut self.pending,
-                            &mut self.scratch,
-                            slot,
-                        );
-                    } else {
-                        i += 1;
-                    }
-                }
+                stack.reap(Scope::Vm(rt.vm), &mut rt.guests);
             }
-            self.platform.step_managers();
+            stack.platform.step_managers();
         }
-    }
-
-    /// Walks a task's fresh completion marks, updating the epoch counters.
-    fn scan_marks(
-        platform: &VirtPlatform,
-        mark: Option<MetricKey>,
-        period_ms: Option<f64>,
-        pos: &mut usize,
-        gaps: &mut u64,
-        misses: &mut u64,
-    ) {
-        if let (Some(key), Some(period_ms)) = (mark, period_ms) {
-            let marks = platform.kernel().metrics().marks_k(key);
-            while *pos + 1 < marks.len() {
-                let gap_ms = (marks[*pos + 1] - marks[*pos]).as_ms_f64();
-                *gaps += 1;
-                if gap_ms / period_ms > NodeReport::MISS_FACTOR {
-                    *misses += 1;
-                }
-                *pos += 1;
-            }
-        }
-    }
-
-    /// Formats `"{label}{suffix}"` into the reusable scratch buffer.
-    fn metric_name<'a>(scratch: &'a mut String, label: &str, suffix: &str) -> &'a str {
-        scratch.clear();
-        scratch.push_str(label);
-        scratch.push_str(suffix);
-        scratch
-    }
-
-    /// Retires an arena slot: takes the departed task's final mark scan
-    /// into the pending epoch counters, freezes the metric reads a dead
-    /// task can no longer change, and hands the slot to the arena's free
-    /// list. An associated function over split borrows so callers holding
-    /// `&mut` arena references (the per-VM loop) can use it.
-    fn retire_slot(
-        platform: &VirtPlatform,
-        arena: &mut TaskArena,
-        pending: &mut PendingMarks,
-        scratch: &mut String,
-        slot: usize,
-    ) {
-        Node::scan_marks(
-            platform,
-            arena.mark_keys[slot],
-            arena.periods_ms[slot],
-            &mut arena.fb_mark_pos[slot],
-            &mut pending.gaps,
-            &mut pending.misses,
-        );
-        let metrics = platform.kernel().metrics();
-        let plan = &arena.plans[slot];
-        let dropped = metrics.counter(Node::metric_name(scratch, &plan.label, ".dropped")) as u32;
-        let attach_delay_ms = metrics
-            .marks(Node::metric_name(scratch, &plan.label, ".attached"))
-            .first()
-            .map(|&t| t.saturating_since(plan.arrival).as_ms_f64());
-        arena.retire(slot, dropped, attach_delay_ms);
     }
 
     /// Publishes the feedback snapshot for the epoch ending at `now` and
     /// re-arms the epoch counters: measured utilisation, deadline-miss
     /// rate and supervisor compressions *since the previous snapshot*,
-    /// plus the live real-time task set and the live VM set.
-    ///
-    /// The gap scan is incremental — each task remembers how many
-    /// completion marks previous snapshots consumed — so an epoch
-    /// boundary costs O(new marks), not O(marks since t = 0).
+    /// plus the live real-time task set and the live VM set. An epoch
+    /// boundary costs O(new marks), not O(marks since t = 0) (see
+    /// [`Stack::measure`]).
     pub fn feedback(&mut self, now: Time) -> NodeFeedback {
-        let busy = self.platform.kernel().busy_time();
-        let mut compressions = self.platform.host_manager().compressed_grants();
-        for rt in &self.vms {
-            if let Some(mgr) = self.platform.guest_manager(rt.vm) {
-                compressions += mgr.compressed_grants();
-            }
-        }
-        let span = now.saturating_since(self.fb_mark.at.unwrap_or(Time::ZERO));
-        let epoch_busy = busy.saturating_sub(self.fb_mark.busy);
+        let platform = &self.stack.platform;
+        let busy = platform.kernel().busy_time();
+        let guests = self.vms.iter().map(|rt| platform.guest_manager(rt.vm));
+        let managers = std::iter::once(Some(platform.host_manager())).chain(guests);
+        let compressions = managers.flatten().map(SelfTuningManager::compressed_grants);
+        let compressions: u64 = compressions.sum();
         let prev = self.fb_mark.at.unwrap_or(Time::ZERO);
+        let epoch = (prev, now);
         // Slots retired since the previous snapshot already contributed
-        // their final marks at retirement; drain that parked tally first.
-        let mut gaps = self.pending.gaps;
-        let mut misses = self.pending.misses;
-        self.pending = PendingMarks::default();
-        let mut live_rt: Vec<LiveRt> = Vec::new();
+        // their final marks at retirement; start from that parked tally.
+        let mut tally = std::mem::take(&mut self.stack.pending);
+        let stack = &self.stack;
+        let mut live_rt = Vec::new();
         for i in 0..self.tasks.active_rt.len() {
             let slot = self.tasks.active_rt[i];
-            Node::scan_marks(
-                &self.platform,
-                self.tasks.mark_keys[slot],
-                self.tasks.periods_ms[slot],
-                &mut self.tasks.fb_mark_pos[slot],
-                &mut gaps,
-                &mut misses,
-            );
-            let plan = &self.tasks.plans[slot];
-            let tid = self.tasks.tids[slot];
-            let live = matches!(
-                self.platform.kernel().task_state(tid),
-                TaskState::Ready | TaskState::Blocked
-            );
-            if !live {
+            let m = stack.measure(Scope::Host, &mut self.tasks, slot, epoch, true, &mut tally);
+            let Some((measured_bw, granted)) = m else {
                 continue;
-            }
-            let consumed = self.platform.kernel().thread_time(tid);
-            let epoch_consumed = consumed.saturating_sub(self.tasks.fb_consumed[slot]);
-            self.tasks.fb_consumed[slot] = consumed;
-            // Normalise by the task's *residency* in the epoch, not the
-            // whole epoch: a task that landed mid-epoch burned its share
-            // over a shorter window.
-            let resident = now.saturating_since(if plan.arrival > prev {
-                plan.arrival
-            } else {
-                prev
-            });
-            let granted = self.platform.host_manager().server_of(tid).map(|sid| {
-                let cfg = self.platform.kernel().sched().host().server(sid).config();
-                (cfg.budget, cfg.period)
-            });
-            live_rt.push(LiveRt {
+            };
+            let plan = &self.tasks.plans[slot];
+            let nominal = plan.kind.nominal();
+            live_rt.push(LiveTask {
                 fleet_id: plan.fleet_id,
-                measured_bw: if resident.is_zero() {
-                    0.0
-                } else {
-                    epoch_consumed.ratio(resident)
-                },
+                node: self.id,
+                nominal: nominal.expect("the active list holds real-time tasks only"),
+                measured_bw,
                 movable: plan.arrival <= prev,
                 granted,
             });
         }
         live_rt.sort_unstable_by_key(|t| t.fleet_id);
-        let mut live_vms: Vec<LiveVm> = Vec::new();
+        let mut live_vms = Vec::new();
         for rt in &mut self.vms {
-            // Per-guest epoch bandwidth rides along with the mark scan:
-            // it sizes the warm hand-over budget below (a guest grant
-            // measured under tenant-internal compression must not be
-            // re-created verbatim on a migration destination). Keyed by
-            // slot because the grant loop below re-reads the arena.
-            let mut guest_bw: Vec<(usize, f64)> = Vec::new();
             // Grants (and the per-guest bandwidth that sizes them) are
             // only built where a warm VM migration can consume them:
             // rebalance with warm hand-over on, and not an elastic VM
             // (those are never eviction victims) nor a released one.
             let carry = self.guest_warm_carry && !rt.plan.elastic && !rt.released;
-            if carry {
-                guest_bw.reserve(rt.guests.active_rt.len());
-            }
+            let (scope, mut guest_grants) = (Scope::Vm(rt.vm), Vec::new());
             for i in 0..rt.guests.active_rt.len() {
                 let slot = rt.guests.active_rt[i];
-                Node::scan_marks(
-                    &self.platform,
-                    rt.guests.mark_keys[slot],
-                    rt.guests.periods_ms[slot],
-                    &mut rt.guests.fb_mark_pos[slot],
-                    &mut gaps,
-                    &mut misses,
-                );
-                if !carry {
-                    continue;
+                let m = stack.measure(scope, &mut rt.guests, slot, epoch, carry, &mut tally);
+                if let Some((bw, Some(g))) = m {
+                    // The source's grant may have been compressed inside
+                    // the tenant; floor the carried budget at the measured
+                    // demand plus headroom (see `WarmStart::demand_sized`).
+                    let demand = (bw * self.headroom).min(1.0);
+                    let warm = WarmStart::demand_sized(g.budget, g.period, demand);
+                    guest_grants.push((rt.guests.plans[slot].fleet_id, warm));
                 }
-                let tid = rt.guests.tids[slot];
-                let consumed = self.platform.kernel().thread_time(tid);
-                let delta = consumed.saturating_sub(rt.guests.fb_consumed[slot]);
-                rt.guests.fb_consumed[slot] = consumed;
-                let arrival = rt.guests.plans[slot].arrival;
-                let resident = now.saturating_since(if arrival > prev { arrival } else { prev });
-                guest_bw.push((
-                    slot,
-                    if resident.is_zero() {
-                        0.0
-                    } else {
-                        delta.ratio(resident)
-                    },
-                ));
             }
             if rt.released {
                 continue;
             }
-            let consumed = self.platform.vm_consumed(rt.vm);
-            let epoch_consumed = consumed.saturating_sub(rt.fb_consumed);
+            let consumed = stack.platform.vm_consumed(rt.vm);
+            let delta = consumed.saturating_sub(rt.fb_consumed);
             rt.fb_consumed = consumed;
-            let resident = now.saturating_since(if rt.plan.arrival > prev {
-                rt.plan.arrival
-            } else {
-                prev
-            });
-            let guest_grants = match (
-                carry.then(|| self.platform.guest_manager(rt.vm)).flatten(),
-                self.platform.kernel().sched().guest(rt.vm),
-            ) {
-                (Some(mgr), selftune_virt::GuestSched::Reservation(g)) => guest_bw
-                    .iter()
-                    .filter_map(|&(slot, bw)| {
-                        let cfg = g.server(mgr.server_of(rt.guests.tids[slot])?).config();
-                        // The source's grant may have been compressed
-                        // inside the tenant; floor the carried budget at
-                        // the measured demand plus headroom (see
-                        // `WarmStart::demand_sized`).
-                        let demand = (bw * self.headroom).min(1.0);
-                        Some((
-                            rt.guests.plans[slot].fleet_id,
-                            WarmStart::demand_sized(cfg.budget, cfg.period, demand),
-                        ))
-                    })
-                    .collect(),
-                _ => Vec::new(),
-            };
-            live_vms.push(LiveVm {
+            live_vms.push(LiveVmUnit {
                 fleet_vm_id: rt.plan.fleet_vm_id,
-                share: self.platform.vm_share(rt.vm),
-                measured_bw: if resident.is_zero() {
-                    0.0
-                } else {
-                    epoch_consumed.ratio(resident)
-                },
+                node: self.id,
+                share: stack.platform.vm_share(rt.vm),
+                measured_bw: resident_bw(delta, rt.plan.arrival, epoch),
                 movable: rt.plan.arrival <= prev,
                 elastic: rt.plan.elastic,
                 guest_grants,
@@ -1006,15 +878,11 @@ impl Node {
         live_vms.sort_unstable_by_key(|v| v.fleet_vm_id);
         let fb = NodeFeedback {
             node: self.id,
-            utilisation: if span.is_zero() {
-                0.0
-            } else {
-                epoch_busy.ratio(span)
-            },
-            gaps,
-            misses,
+            utilisation: resident_bw(busy.saturating_sub(self.fb_mark.busy), prev, epoch),
+            gaps: tally.gaps,
+            misses: tally.misses,
             compressions: compressions - self.fb_mark.compressions,
-            reserved_bw: self.platform.host_reserved_bandwidth(),
+            reserved_bw: stack.platform.host_reserved_bandwidth(),
             live_rt,
             live_vms,
         };
@@ -1033,7 +901,8 @@ impl Node {
     pub fn drain_share_events(&mut self) -> Vec<FleetEvent> {
         let vms = &self.vms;
         let id = self.id;
-        self.platform
+        self.stack
+            .platform
             .drain_share_grants()
             .into_iter()
             .filter_map(|e| {
@@ -1066,35 +935,17 @@ impl Node {
     pub fn extract_task(&mut self, fleet_id: usize) -> Option<Option<WarmStart>> {
         // Migration decisions are made from `live_rt` feedback, so the
         // target is always a live real-time task — the active list *is*
-        // the search space (and it is generation-safe: a retired slot
+        // the search space: a departed task left it at the sampling step
+        // that reaped it, and it is generation-safe (a retired slot
         // recycled to a new task left the list under the old identity).
-        let slot = self
-            .tasks
-            .active_rt
-            .iter()
-            .copied()
-            .find(|&s| self.tasks.plans[s].fleet_id == fleet_id)?;
-        let tid = self.tasks.tids[slot];
-        if self.platform.kernel().task_state(tid) == TaskState::Exited {
-            return None;
-        }
-        let warm = self.platform.host_manager().server_of(tid).map(|sid| {
-            let cfg = self.platform.kernel().sched().host().server(sid).config();
-            WarmStart {
-                budget: cfg.budget,
-                period: cfg.period,
-            }
-        });
-        self.platform.unmanage_host(tid);
-        self.platform.kernel_mut().kill(tid);
-        self.platform.kernel_mut().reclaim(tid);
-        Node::retire_slot(
-            &self.platform,
-            &mut self.tasks,
-            &mut self.pending,
-            &mut self.scratch,
-            slot,
-        );
+        let mut active = self.tasks.active_rt.iter().copied();
+        let slot = active.find(|&s| self.tasks.plans[s].fleet_id == fleet_id)?;
+        let (stack, tid) = (&mut self.stack, self.tasks.tids[slot]);
+        let warm = stack.granted(Scope::Host, tid);
+        stack.platform.unmanage(Scope::Host, tid);
+        stack.platform.kernel_mut().kill(tid);
+        stack.platform.kernel_mut().reclaim(tid);
+        stack.retire(&mut self.tasks, slot);
         Some(warm)
     }
 
@@ -1103,125 +954,23 @@ impl Node {
     /// node's report. Returns `false` when the VM is unknown or already
     /// extracted.
     pub fn extract_vm(&mut self, fleet_vm_id: usize) -> bool {
-        let Some(idx) = self
-            .vms
-            .iter()
-            .position(|rt| rt.plan.fleet_vm_id == fleet_vm_id && !rt.released)
-        else {
+        let live = |rt: &&mut VmRt| rt.plan.fleet_vm_id == fleet_vm_id && !rt.released;
+        let Some(rt) = self.vms.iter_mut().find(live) else {
             return false;
         };
-        self.vms[idx].released = true;
+        rt.released = true;
         // Retire every still-live guest in slot order (guest arenas never
         // recycle after construction, so slot order is admission order).
-        for slot in 0..self.vms[idx].guests.plans.len() {
-            if self.vms[idx].guests.released[slot] {
-                continue;
+        for slot in 0..rt.guests.plans.len() {
+            if !rt.guests.released[slot] {
+                self.stack.retire(&mut rt.guests, slot);
             }
-            Node::retire_slot(
-                &self.platform,
-                &mut self.vms[idx].guests,
-                &mut self.pending,
-                &mut self.scratch,
-                slot,
-            );
         }
-        let vm = self.vms[idx].vm;
-        let guest_tids = self.vms[idx].guests.tids.clone();
-        let killed = self.platform.kill_vm(vm);
-        for tid in guest_tids {
-            self.platform.kernel_mut().reclaim(tid);
+        let killed = self.stack.platform.kill_vm(rt.vm);
+        for &tid in &rt.guests.tids {
+            self.stack.platform.kernel_mut().reclaim(tid);
         }
         killed
-    }
-
-    /// Builds the report of a live (never-retired) slot.
-    fn task_report(
-        &self,
-        arena: &TaskArena,
-        slot: usize,
-        vm_mgr: Option<VmId>,
-        scratch: &mut String,
-    ) -> TaskReport {
-        let plan = &arena.plans[slot];
-        let tid = arena.tids[slot];
-        let metrics = self.platform.kernel().metrics();
-        let (completions, ift_norm) =
-            Node::mark_windows(metrics, arena.mark_keys[slot], arena.periods_ms[slot]);
-        let misses = ift_norm
-            .iter()
-            .filter(|&&x| x > NodeReport::MISS_FACTOR)
-            .count() as u32;
-        let dropped = metrics.counter(Node::metric_name(scratch, &plan.label, ".dropped")) as u32;
-        let attached = match vm_mgr {
-            Some(vm) => self
-                .platform
-                .guest_manager(vm)
-                .is_some_and(|mgr| mgr.server_of(tid).is_some()),
-            None => self.platform.host_manager().server_of(tid).is_some(),
-        };
-        let attach_delay_ms = metrics
-            .marks(Node::metric_name(scratch, &plan.label, ".attached"))
-            .first()
-            .map(|&t| t.saturating_since(plan.arrival).as_ms_f64());
-        TaskReport {
-            fleet_id: plan.fleet_id as u32,
-            label: plan.label.clone(),
-            realtime: plan.kind.is_realtime(),
-            attached,
-            migrated: plan.migrated,
-            in_vm: vm_mgr.is_some(),
-            completions,
-            misses,
-            dropped,
-            ift_norm,
-            attach_delay_ms,
-        }
-    }
-
-    /// Re-materialises a retired task's report from its frozen record and
-    /// the kernel's persistent mark store — byte-identical to what the
-    /// slot would have reported had it never been recycled (a departed
-    /// task always counted as attached: its reservation was released).
-    fn retired_report(&self, r: &RetiredTask, in_vm: bool) -> TaskReport {
-        let metrics = self.platform.kernel().metrics();
-        let (completions, ift_norm) = Node::mark_windows(metrics, r.mark, r.period_ms);
-        let misses = ift_norm
-            .iter()
-            .filter(|&&x| x > NodeReport::MISS_FACTOR)
-            .count() as u32;
-        TaskReport {
-            fleet_id: r.fleet_id,
-            label: r.label.clone(),
-            realtime: r.realtime,
-            attached: true,
-            migrated: r.migrated,
-            in_vm,
-            completions,
-            misses,
-            dropped: r.dropped,
-            ift_norm,
-            attach_delay_ms: r.attach_delay_ms,
-        }
-    }
-
-    /// Completion count and period-normalised inter-completion gaps of a
-    /// mark stream (empty for kinds without marks).
-    fn mark_windows(
-        metrics: &selftune_simcore::metrics::Metrics,
-        mark: Option<MetricKey>,
-        period_ms: Option<f64>,
-    ) -> (u32, Vec<f64>) {
-        match (mark, period_ms) {
-            (Some(key), Some(p)) => {
-                let marks = metrics.marks_k(key);
-                let norm: Vec<f64> = marks
-                    .windows(2)
-                    .map(|w| (w[1] - w[0]).as_ms_f64() / p)
-                    .collect();
-                (marks.len() as u32, norm)
-            }
-            _ => (0, Vec::new()),
-        }
     }
 
     /// Extracts the node's contribution to the fleet aggregate.
@@ -1241,120 +990,157 @@ impl Node {
     /// retained state per task, the fleet-scale mode behind
     /// `ClusterRunner::with_sketch_aggregates`.
     pub fn report_mode(&self, horizon: Time, detailed: bool) -> NodeReport {
-        let busy = self.platform.kernel().busy_time();
-        let span = horizon.saturating_since(Time::ZERO);
-        let utilisation = if span.is_zero() {
-            0.0
-        } else {
-            busy.ratio(span)
-        };
-        let reserved_bw = self.platform.host_reserved_bandwidth();
-        let ctx_switches = self.platform.kernel().context_switches();
-        let mut scratch = String::new();
+        let platform = &self.stack.platform;
+        let busy = platform.kernel().busy_time();
+        let utilisation = resident_bw(busy, Time::ZERO, (Time::ZERO, horizon));
+        let reserved_bw = platform.host_reserved_bandwidth();
+        let ctx_switches = platform.kernel().context_switches();
+        let metrics = platform.kernel().metrics();
         if detailed {
             let mut tasks = Vec::new();
-            for (idx, is_retired) in self.tasks.admission_order() {
-                tasks.push(if is_retired {
-                    self.retired_report(&self.tasks.retired[idx], false)
-                } else {
-                    self.task_report(&self.tasks, idx, None, &mut scratch)
-                });
-            }
-            for rt in &self.vms {
-                for (idx, is_retired) in rt.guests.admission_order() {
-                    tasks.push(if is_retired {
-                        self.retired_report(&rt.guests.retired[idx], true)
-                    } else {
-                        self.task_report(&rt.guests, idx, Some(rt.vm), &mut scratch)
-                    });
-                }
-            }
+            self.each_task(true, |seen| tasks.push(seen.report(metrics)));
             return NodeReport::from_tasks(self.id, tasks, utilisation, reserved_bw, ctx_switches);
         }
-        // The fleet-scale fold streams each task's mark windows straight
-        // into the counters and sketches — no `TaskReport` (label clone +
-        // gap vector) is ever materialised. Visit order is admission
-        // order: sketch float sums are order-sensitive, and byte-identity
-        // with the pre-recycling slot walk demands the same sequence.
-        let mut totals = NodeTotals::default();
-        let mut sk = NodeSketches::new();
-        self.fold_arena(&self.tasks, None, &mut scratch, &mut totals, &mut sk);
-        for rt in &self.vms {
-            self.fold_arena(&rt.guests, Some(rt.vm), &mut scratch, &mut totals, &mut sk);
-        }
+        let (mut totals, mut sk) = (NodeTotals::default(), NodeSketches::new());
+        self.each_task(false, |seen| seen.fold(metrics, &mut totals, &mut sk));
         NodeReport::from_sketches(self.id, totals, sk, utilisation, reserved_bw, ctx_switches)
     }
 
-    /// Folds every task ever admitted to `arena` (live and retired, in
-    /// admission order) into the sketch-mode accumulators.
-    fn fold_arena(
-        &self,
-        arena: &TaskArena,
-        vm_mgr: Option<VmId>,
-        scratch: &mut String,
-        totals: &mut NodeTotals,
-        sk: &mut NodeSketches,
-    ) {
-        let metrics = self.platform.kernel().metrics();
-        for (idx, is_retired) in arena.admission_order() {
-            let (realtime, migrated, mark, period_ms, dropped, attach_delay_ms);
-            if is_retired {
-                let r = &arena.retired[idx];
-                realtime = r.realtime;
-                migrated = r.migrated;
-                mark = r.mark;
-                period_ms = r.period_ms;
-                dropped = u64::from(r.dropped);
-                attach_delay_ms = r.attach_delay_ms;
-            } else {
-                let plan = &arena.plans[idx];
-                realtime = plan.kind.is_realtime();
-                migrated = plan.migrated;
-                mark = arena.mark_keys[idx];
-                period_ms = arena.periods_ms[idx];
-                dropped = metrics.counter(Node::metric_name(scratch, &plan.label, ".dropped"));
-                // Attach delays only feed the (migrated-only) hand-over
-                // sketches — skip the mark lookup for everything else.
-                attach_delay_ms = if migrated {
-                    metrics
-                        .marks(Node::metric_name(scratch, &plan.label, ".attached"))
-                        .first()
-                        .map(|&t| t.saturating_since(plan.arrival).as_ms_f64())
+    /// Shows `sink` every task ever admitted to this node, live and
+    /// retired alike: flat tasks, then guests per VM, each arena in
+    /// admission order — sketch float sums are order-sensitive, and
+    /// byte-identity with the pre-recycling slot walk demands the same
+    /// sequence. `detailed` says what the sink will read: the sketch sink
+    /// never reads `attached` and reads the attach delay of migrated
+    /// incarnations only, so a live task costs it neither lookup.
+    fn each_task(&self, detailed: bool, mut sink: impl FnMut(Seen<'_>)) {
+        let platform = &self.stack.platform;
+        let metrics = platform.kernel().metrics();
+        let mut scratch = String::new();
+        let guests = self.vms.iter().map(|rt| (Scope::Vm(rt.vm), &rt.guests));
+        for (scope, arena) in std::iter::once((Scope::Host, &self.tasks)).chain(guests) {
+            let in_vm = scope != Scope::Host;
+            for (idx, is_retired) in arena.admission_order() {
+                sink(if is_retired {
+                    let r = &arena.retired[idx];
+                    Seen {
+                        fleet_id: r.fleet_id,
+                        label: &r.label,
+                        realtime: r.realtime,
+                        // Its reservation was released: it had one.
+                        attached: true,
+                        migrated: r.migrated,
+                        in_vm,
+                        mark: r.mark,
+                        period_ms: r.period_ms,
+                        dropped: r.dropped.into(),
+                        attach_delay_ms: r.attach_delay_ms,
+                    }
                 } else {
-                    None
-                };
-            }
-            totals.tasks += 1;
-            if realtime {
-                totals.rt_tasks += 1;
-            }
-            totals.dropped += dropped;
-            if let (Some(key), Some(p)) = (mark, period_ms) {
-                let marks = metrics.marks_k(key);
-                totals.completions += marks.len() as u64;
-                totals.gaps += marks.len().saturating_sub(1) as u64;
-                for w in marks.windows(2) {
-                    let g = (w[1] - w[0]).as_ms_f64() / p;
-                    if g > NodeReport::MISS_FACTOR {
-                        totals.misses += 1;
+                    let (plan, tid) = (&arena.plans[idx], arena.tids[idx]);
+                    let dropped = metric_name(&mut scratch, &plan.label, ".dropped");
+                    let dropped = metrics.counter(dropped);
+                    let delayed = detailed || plan.migrated;
+                    Seen {
+                        fleet_id: plan.fleet_id as u32,
+                        label: &plan.label,
+                        realtime: plan.kind.is_realtime(),
+                        attached: detailed && platform.reservation_of(scope, tid).is_some(),
+                        migrated: plan.migrated,
+                        in_vm,
+                        mark: arena.mark_keys[idx],
+                        period_ms: arena.periods_ms[idx],
+                        dropped,
+                        attach_delay_ms: delayed
+                            .then(|| attach_delay_ms(metrics, &mut scratch, plan))
+                            .flatten(),
                     }
-                    sk.gaps.record(g);
-                    if migrated {
-                        sk.post_migration.record(g);
-                    }
-                }
+                });
             }
-            // Attach delays feed the migration hand-over metrics, which
-            // only read migrated incarnations — mirror that filter here.
-            if migrated {
-                if let Some(d) = attach_delay_ms {
-                    if vm_mgr.is_some() {
-                        sk.vm_attach.record(d);
-                    } else {
-                        sk.attach.record(d);
-                    }
-                }
+        }
+    }
+}
+
+/// One ever-admitted task as a report sink sees it: live or retired is
+/// already resolved, and nothing is owned — the sketch sink never clones
+/// a label.
+struct Seen<'a> {
+    fleet_id: u32,
+    label: &'a str,
+    realtime: bool,
+    attached: bool,
+    migrated: bool,
+    in_vm: bool,
+    /// Interned completion-mark key (None for kinds without marks).
+    mark: Option<MetricKey>,
+    /// Nominal period in milliseconds, for miss classification.
+    period_ms: Option<f64>,
+    dropped: u64,
+    attach_delay_ms: Option<f64>,
+}
+
+impl Seen<'_> {
+    /// Completion count and period-normalised inter-completion gaps of
+    /// the task's mark stream (none for kinds without marks). Marks
+    /// persist in the kernel metrics store after a task dies, so a
+    /// retired task reports what its slot would have, never recycled.
+    fn gaps<'m>(&self, metrics: &'m Metrics) -> (usize, impl Iterator<Item = f64> + 'm) {
+        let (marks, p) = match (self.mark, self.period_ms) {
+            (Some(key), Some(p)) => (metrics.marks_k(key), p),
+            _ => (&[][..], 1.0),
+        };
+        let gaps = marks.windows(2).map(move |w| (w[1] - w[0]).as_ms_f64() / p);
+        (marks.len(), gaps)
+    }
+
+    /// The detailed sink: the task's own [`TaskReport`].
+    fn report(&self, metrics: &Metrics) -> TaskReport {
+        let (completions, gaps) = self.gaps(metrics);
+        let ift_norm: Vec<f64> = gaps.collect();
+        let missed = ift_norm.iter().filter(|&&x| x > NodeReport::MISS_FACTOR);
+        TaskReport {
+            fleet_id: self.fleet_id,
+            label: self.label.to_owned(),
+            realtime: self.realtime,
+            attached: self.attached,
+            migrated: self.migrated,
+            in_vm: self.in_vm,
+            completions: completions as u32,
+            misses: missed.count() as u32,
+            dropped: self.dropped as u32,
+            ift_norm,
+            attach_delay_ms: self.attach_delay_ms,
+        }
+    }
+
+    /// The fleet-scale sink: streams the task's gaps straight into the
+    /// counters and sketches — no [`TaskReport`] (label clone + gap
+    /// vector) is ever materialised.
+    fn fold(&self, metrics: &Metrics, totals: &mut NodeTotals, sk: &mut NodeSketches) {
+        totals.tasks += 1;
+        totals.rt_tasks += usize::from(self.realtime);
+        totals.dropped += self.dropped;
+        let (completions, gaps) = self.gaps(metrics);
+        totals.completions += completions as u64;
+        totals.gaps += completions.saturating_sub(1) as u64;
+        for g in gaps {
+            if g > NodeReport::MISS_FACTOR {
+                totals.misses += 1;
             }
+            sk.gaps.record(g);
+            if self.migrated {
+                sk.post_migration.record(g);
+            }
+        }
+        // Attach delays feed the migration hand-over metrics, which only
+        // read migrated incarnations.
+        if let (true, Some(d)) = (self.migrated, self.attach_delay_ms) {
+            let sketch = if self.in_vm {
+                &mut sk.vm_attach
+            } else {
+                &mut sk.attach
+            };
+            sketch.record(d);
         }
     }
 }
@@ -1493,7 +1279,7 @@ mod tests {
             "epoch delta, not running total: {}",
             fb2.gaps
         );
-        let (budget, period) = fb2.live_rt[0].granted.expect("attached by 2s");
+        let WarmStart { budget, period } = fb2.live_rt[0].granted.expect("attached by 2s");
         assert!((period.as_ms_f64() - 40.0).abs() < 2.0, "{period}");
         assert!(budget > Dur::ms(2) && budget < Dur::ms(12), "{budget}");
     }

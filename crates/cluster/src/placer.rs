@@ -193,7 +193,10 @@ pub struct LiveVmUnit {
     /// an elastic VM this is the controller's live grant, so a shrunk
     /// tenant frees real placement headroom.
     pub share: f64,
-    /// Whether the VM is a migration candidate.
+    /// CPU bandwidth the VM measurably consumed over the last epoch.
+    pub measured_bw: f64,
+    /// Whether the VM is a migration candidate (resident for a full
+    /// epoch).
     pub movable: bool,
     /// Whether a host-level share controller absorbs this VM's pressure
     /// locally; elastic VMs are never chosen as eviction victims.
@@ -583,7 +586,8 @@ impl Placer {
         Some(node)
     }
 
-    /// One feedback-driven rebalance pass over the live task set.
+    /// One feedback-driven rebalance pass over the live tasks and VMs the
+    /// nodes of `view` report.
     ///
     /// Nodes whose measured pressure exceeds `cfg.pressure` are drained in
     /// descending-pressure order (ties to the lower id): their movable
@@ -596,13 +600,7 @@ impl Placer {
     /// pressure keeps evacuating it epoch by epoch until the feedback
     /// clears. Pure bookkeeping: the caller applies the returned moves to
     /// the simulated nodes.
-    pub fn rebalance(
-        &mut self,
-        view: &FeedbackView,
-        live: &[LiveTask],
-        vms: &[LiveVmUnit],
-        cfg: &RebalanceSpec,
-    ) -> RebalanceOutcome {
+    pub fn rebalance(&mut self, view: &FeedbackView, cfg: &RebalanceSpec) -> RebalanceOutcome {
         let nodes = self.reserved.len();
         let mut pressured: Vec<usize> = (0..nodes)
             .filter(|&n| view.pressure(n) > cfg.pressure)
@@ -644,7 +642,7 @@ impl Placer {
         // what it was seen to burn).
         let starvation: Vec<f64> = pressured.iter().map(|&n| 1.0 + view.pressure(n)).collect();
         let mut buckets: Vec<Vec<Victim>> = pressured.iter().map(|_| Vec::new()).collect();
-        for t in live {
+        for t in view.nodes.iter().flat_map(|fb| &fb.live_rt) {
             let k = slot[t.node];
             if !t.movable || k == usize::MAX {
                 continue;
@@ -669,7 +667,7 @@ impl Placer {
         // their pressure is already being absorbed by the host-level
         // share controller, and yanking the tenant would discard that
         // loop's state for a problem it is actively solving.
-        for v in vms {
+        for v in view.nodes.iter().flat_map(|fb| &fb.live_vms) {
             let k = slot[v.node];
             if !v.movable || v.elastic || k == usize::MAX {
                 continue;
@@ -744,7 +742,6 @@ impl Placer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::node::LiveRt;
 
     fn task(wcet: f64, period: f64) -> PeriodicTask {
         PeriodicTask::new(wcet, period)
@@ -883,6 +880,17 @@ mod tests {
         }
     }
 
+    /// `view` with each live unit filed under the node it names.
+    fn with_live(mut view: FeedbackView, live: &[LiveTask], vms: &[LiveVmUnit]) -> FeedbackView {
+        for t in live {
+            view.nodes[t.node].live_rt.push(*t);
+        }
+        for v in vms {
+            view.nodes[v.node].live_vms.push(v.clone());
+        }
+        view
+    }
+
     fn cfg(pressure: f64, max_moves: u32) -> crate::spec::RebalanceSpec {
         crate::spec::RebalanceSpec {
             enabled: true,
@@ -907,12 +915,8 @@ mod tests {
                 granted: None,
             })
             .collect();
-        let out = p.rebalance(
-            &view(&[0.3, 0.0, 0.0], &[0.9, 0.2, 0.2]),
-            &live,
-            &[],
-            &cfg(0.05, 8),
-        );
+        let view = with_live(view(&[0.3, 0.0, 0.0], &[0.9, 0.2, 0.2]), &live, &[]);
+        let out = p.rebalance(&view, &cfg(0.05, 8));
         // The pressured node is fully evacuated (all four tasks fit
         // elsewhere), spread across both idle nodes by worst-fit order.
         assert_eq!(out.moves.len(), 4);
@@ -942,12 +946,8 @@ mod tests {
             })
             .collect();
         // Node 1 is hog-saturated (util 0.99): only node 2 may receive.
-        let out = p.rebalance(
-            &view(&[0.5, 0.0, 0.0], &[1.0, 0.99, 0.1]),
-            &live,
-            &[],
-            &cfg(0.05, 1),
-        );
+        let view = with_live(view(&[0.5, 0.0, 0.0], &[1.0, 0.99, 0.1]), &live, &[]);
+        let out = p.rebalance(&view, &cfg(0.05, 1));
         assert_eq!(out.moves.len(), 1);
         assert_eq!(out.moves[0].to, 2);
     }
@@ -956,36 +956,27 @@ mod tests {
     fn fully_starved_node_reads_as_maximal_pressure() {
         // Node 0: live RT work, zero completions all epoch, CPU pinned —
         // no miss ratio exists, but the node is maximally starved.
+        let live = |fleet_id, node, measured_bw| LiveTask {
+            fleet_id,
+            node,
+            nominal: task(2.0, 40.0),
+            measured_bw,
+            movable: true,
+            granted: None,
+        };
         let starved = NodeFeedback {
             node: 0,
             utilisation: 1.0,
-            gaps: 0,
-            misses: 0,
             compressions: 3,
-            reserved_bw: 0.0,
-            live_rt: vec![LiveRt {
-                fleet_id: 0,
-                measured_bw: 0.02,
-                movable: true,
-                granted: None,
-            }],
-            live_vms: Vec::new(),
+            live_rt: vec![live(0, 0, 0.02)],
+            ..NodeFeedback::default()
         };
         // Node 1: also zero gaps, but idle with a long-period task — fine.
         let idle = NodeFeedback {
             node: 1,
             utilisation: 0.05,
-            gaps: 0,
-            misses: 0,
-            compressions: 0,
-            reserved_bw: 0.0,
-            live_rt: vec![LiveRt {
-                fleet_id: 1,
-                measured_bw: 0.01,
-                movable: true,
-                granted: None,
-            }],
-            live_vms: Vec::new(),
+            live_rt: vec![live(1, 1, 0.01)],
+            ..NodeFeedback::default()
         };
         let v = FeedbackView {
             nodes: vec![starved, idle],
@@ -997,15 +988,7 @@ mod tests {
         // And the rebalancer actually drains the starved node.
         let mut p = Placer::new(2, 0.9, 1.0, PolicyKind::WorstFit);
         p.sync_reserved(&[0.06, 0.06]);
-        let live = [LiveTask {
-            fleet_id: 0,
-            node: 0,
-            nominal: task(2.0, 40.0),
-            measured_bw: 0.02,
-            movable: true,
-            granted: None,
-        }];
-        let out = p.rebalance(&v, &live, &[], &cfg(0.25, 4));
+        let out = p.rebalance(&v, &cfg(0.25, 4));
         assert_eq!(out.moves.len(), 1);
         assert_eq!(out.moves[0].from, 0);
         assert_eq!(out.moves[0].to, 1);
@@ -1023,7 +1006,8 @@ mod tests {
             movable: true,
             granted: None,
         }];
-        let out = p.rebalance(&view(&[0.01, 0.0], &[0.9, 0.1]), &live, &[], &cfg(0.05, 8));
+        let view = with_live(view(&[0.01, 0.0], &[0.9, 0.1]), &live, &[]);
+        let out = p.rebalance(&view, &cfg(0.05, 8));
         assert!(out.moves.is_empty());
         assert_eq!(out.failed, 0);
         assert_eq!(p.reserved(), &[0.8, 0.1]);
@@ -1052,7 +1036,8 @@ mod tests {
             },
         ];
         // Node 1 is nearly as full: no destination admits a 0.2 task.
-        let out = p.rebalance(&view(&[0.4, 0.0], &[0.5, 0.5]), &live, &[], &cfg(0.05, 8));
+        let view = with_live(view(&[0.4, 0.0], &[0.5, 0.5]), &live, &[]);
+        let out = p.rebalance(&view, &cfg(0.05, 8));
         assert!(out.moves.is_empty());
         assert!(out.failed > 0);
         assert_eq!(p.reserved(), &[0.45, 0.4]);
@@ -1180,6 +1165,7 @@ mod tests {
                         fleet_vm_id: 100 + i as usize,
                         node: (xorshift(&mut rng) % nodes as u64) as usize,
                         share: (10 + xorshift(&mut rng) % 30) as f64 / 100.0,
+                        measured_bw: 0.0,
                         movable: !xorshift(&mut rng).is_multiple_of(3),
                         elastic: xorshift(&mut rng).is_multiple_of(4),
                         guest_grants: vec![(
@@ -1192,8 +1178,9 @@ mod tests {
                     })
                     .collect();
                 let cfg = cfg(0.15, 1 + (xorshift(&mut rng) % 6) as u32);
-                let a = indexed.rebalance(&fb, &live, &vms, &cfg);
-                let b = scan.rebalance(&fb, &live, &vms, &cfg);
+                let fb = with_live(fb, &live, &vms);
+                let a = indexed.rebalance(&fb, &cfg);
+                let b = scan.rebalance(&fb, &cfg);
                 assert_eq!(
                     format!("{:?}", a.moves),
                     format!("{:?}", b.moves),

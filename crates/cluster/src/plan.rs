@@ -7,6 +7,9 @@
 //! later can leak into them. The runner re-exports everything here under
 //! `runner::`, where these items used to live.
 
+#![deny(clippy::too_many_lines)]
+
+use selftune_analysis::PeriodicTask;
 use selftune_simcore::rng::{splitmix64, Rng};
 use selftune_simcore::time::{Dur, Time};
 
@@ -152,6 +155,37 @@ pub(crate) fn plan_fleet_impl(
     pinned: Option<&PinnedPlan>,
     scan_placement: bool,
 ) -> FleetPlan {
+    let mut placer = Placer::new(spec.nodes, spec.ulub, spec.headroom, spec.policy);
+    if scan_placement {
+        placer.use_scan_placement();
+    }
+    let mut planning = Planning {
+        spec,
+        seed,
+        pinned,
+        placer,
+        admission: AdmissionStats::default(),
+    };
+    // Every task's shape is drawn before any placement: placement itself
+    // never consumes planning randomness, so the stream is the same live
+    // and pinned.
+    let draws = draw_population(spec, seed);
+    // Virtual platforms are placed first, as whole units booked at their
+    // share: tenants hold their bandwidth from t = 0, and flat tasks fill
+    // in around them.
+    let vms = planning.place_vms();
+    let tasks = planning.place_tasks(&draws);
+    FleetPlan {
+        tasks,
+        vms,
+        admission: pinned.map_or(planning.admission, |p| p.admission),
+    }
+}
+
+/// Draws the flat population of `(spec, seed)`: arrival instants, then
+/// per task its kind and lifetime — the historical stream order — then
+/// the traffic phases' tasks.
+fn draw_population(spec: &ScenarioSpec, seed: u64) -> Vec<TaskDraw> {
     let mut rng = Rng::new(seed ^ SEED_PLAN_SALT);
     let mut arrivals: Vec<Time> = Vec::with_capacity(spec.tasks);
     let mut at = Time::ZERO;
@@ -161,7 +195,7 @@ pub(crate) fn plan_fleet_impl(
             ArrivalSchedule::Staggered { gap } => Time::ZERO + gap.mul_f64(i as f64),
             ArrivalSchedule::Poisson { mean_gap } => {
                 let gap = Dur::from_secs_f64(rng.exp(1.0 / mean_gap.as_secs_f64().max(1e-12)));
-                at += gap;
+                at = at.saturating_add(gap);
                 at
             }
         };
@@ -169,9 +203,6 @@ pub(crate) fn plan_fleet_impl(
     }
 
     let horizon = Time::ZERO + spec.horizon;
-    // Draw every task's shape before any placement: the stream order
-    // (kind, then lifetime, per task) matches the historical interleaved
-    // walk because placement itself never consumed planning randomness.
     let mut draws: Vec<TaskDraw> = arrivals
         .iter()
         .map(|&arrival| {
@@ -180,7 +211,7 @@ pub(crate) fn plan_fleet_impl(
                 let life =
                     Dur::from_secs_f64(rng.exp(1.0 / c.mean_lifetime.as_secs_f64().max(1e-12)))
                         .max(c.min_lifetime);
-                arrival + life
+                arrival.saturating_add(life)
             });
             // Lifetimes beyond the horizon are open-ended for planning.
             let departure = departure.filter(|&d| d < horizon);
@@ -210,157 +241,161 @@ pub(crate) fn plan_fleet_impl(
             });
         }
     }
+    draws
+}
 
-    let mut placer = Placer::new(spec.nodes, spec.ulub, spec.headroom, spec.policy);
-    if scan_placement {
-        placer.use_scan_placement();
-    }
-    let mut admission = AdmissionStats::default();
+/// What the placement phases of one planning pass share.
+struct Planning<'a> {
+    spec: &'a ScenarioSpec,
+    seed: u64,
+    /// Recorded placements to adopt instead of walking the placer.
+    pinned: Option<&'a PinnedPlan>,
+    placer: Placer,
+    /// Live admission statistics (a pinned plan adopts the recorded ones).
+    admission: AdmissionStats,
+}
 
-    // Virtual platforms are placed first, as whole units booked at their
-    // share: tenants hold their bandwidth from t = 0, and flat tasks fill
-    // in around them.
-    let mut vms = Vec::with_capacity(spec.vms.len());
-    let mut guest_fleet_id = spec.flat_tasks();
-    for (i, vm_spec) in spec.vms.iter().enumerate() {
-        let (node, outcome) = match pinned {
-            Some(p) => (p.vm_nodes.get(i).copied().flatten(), None),
-            None => match placer.place_demand(vm_spec.share(), 0, None) {
-                o @ PlacementOutcome::Admitted { node, .. } => {
-                    admission.vms_admitted += 1;
-                    (Some(node), Some(o))
-                }
-                o @ PlacementOutcome::Rejected { .. } => {
-                    admission.vms_rejected += 1;
-                    (None, Some(o))
-                }
-            },
-        };
-        let label = format!("v{i:02}");
-        let guests = vm_spec
-            .guest_kinds()
-            .enumerate()
-            .map(|(g, kind)| {
-                let fleet_id = guest_fleet_id;
-                guest_fleet_id += 1;
-                NodeTask {
-                    fleet_id,
-                    label: format!("{label}g{g}"),
-                    kind: kind.clone(),
+impl Planning<'_> {
+    /// Places every virtual platform of the scenario, in fleet-VM-id
+    /// order, and plans its guests (fleet ids after the flat population).
+    fn place_vms(&mut self) -> Vec<PlannedVm> {
+        let (spec, seed) = (self.spec, self.seed);
+        let mut vms = Vec::with_capacity(spec.vms.len());
+        let mut guest_fleet_id = spec.flat_tasks();
+        for (i, vm_spec) in spec.vms.iter().enumerate() {
+            let (node, outcome) = match self.pinned {
+                Some(p) => (p.vm_nodes.get(i).copied().flatten(), None),
+                None => match self.placer.place_demand(vm_spec.share(), 0, None) {
+                    o @ PlacementOutcome::Admitted { node, .. } => {
+                        self.admission.vms_admitted += 1;
+                        (Some(node), Some(o))
+                    }
+                    o @ PlacementOutcome::Rejected { .. } => {
+                        self.admission.vms_rejected += 1;
+                        (None, Some(o))
+                    }
+                },
+            };
+            let label = format!("v{i:02}");
+            let guests = vm_spec
+                .guest_kinds()
+                .enumerate()
+                .map(|(g, kind)| {
+                    let fleet_id = guest_fleet_id;
+                    guest_fleet_id += 1;
+                    NodeTask {
+                        fleet_id,
+                        label: format!("{label}g{g}"),
+                        kind: kind.clone(),
+                        arrival: Time::ZERO,
+                        departure: None,
+                        seed: derive_task_seed(seed ^ SEED_VM_SALT, fleet_id as u64),
+                        migrated: false,
+                        warm: None,
+                    }
+                })
+                .collect();
+            vms.push(PlannedVm {
+                vm: NodeVm {
+                    fleet_vm_id: i,
+                    label,
+                    budget: vm_spec.budget,
+                    period: vm_spec.period,
+                    guests,
                     arrival: Time::ZERO,
-                    departure: None,
-                    seed: derive_task_seed(seed ^ SEED_VM_SALT, fleet_id as u64),
+                    migrated: false,
+                    elastic: vm_spec.elastic,
+                },
+                node,
+                outcome,
+            });
+        }
+        vms
+    }
+
+    /// Places the flat population in arrival order (identity for
+    /// phase-free specs, whose draws are arrival-monotone already), so the
+    /// placer's release ledger never travels backwards in time when a
+    /// phase starts before the base stagger finishes. Returns the planned
+    /// tasks in fleet-id order.
+    fn place_tasks(&mut self, draws: &[TaskDraw]) -> Vec<PlannedTask> {
+        let spec = self.spec;
+        let mut order: Vec<usize> = (0..draws.len()).collect();
+        if !spec.phases.is_empty() {
+            order.sort_by_key(|&i| (draws[i].arrival, i));
+        }
+        let banned: Vec<Vec<bool>> = spec
+            .phases
+            .iter()
+            .map(|p| (0..spec.nodes).map(|n| !p.nodes.matches(n)).collect())
+            .collect();
+        let mut slots: Vec<Option<PlannedTask>> = (0..draws.len()).map(|_| None).collect();
+        for i in order {
+            let draw = &draws[i];
+            let (node, outcome) = match (draw.kind.nominal(), self.pinned) {
+                (Some(_), Some(p)) => (p.task_nodes.get(i).copied().flatten(), None),
+                (Some(nominal), None) => {
+                    let placed = self.admit(draw, nominal, &banned);
+                    (placed.0, Some(placed.1))
+                }
+                (None, pinned) => {
+                    if pinned.is_none() {
+                        self.admission.best_effort += 1;
+                    }
+                    (Some(self.placer.place_best_effort()), None)
+                }
+            };
+            slots[i] = Some(PlannedTask {
+                task: NodeTask {
+                    fleet_id: i,
+                    label: format!("t{i:04}"),
+                    kind: draw.kind.clone(),
+                    arrival: draw.arrival,
+                    departure: draw.departure,
+                    seed: derive_task_seed(self.seed, i as u64),
                     migrated: false,
                     warm: None,
-                }
-            })
-            .collect();
-        vms.push(PlannedVm {
-            vm: NodeVm {
-                fleet_vm_id: i,
-                label,
-                budget: vm_spec.budget,
-                period: vm_spec.period,
-                guests,
-                arrival: Time::ZERO,
-                migrated: false,
-                elastic: vm_spec.elastic,
-            },
-            node,
-            outcome,
-        });
+                },
+                node,
+                realtime: draw.kind.is_realtime(),
+                outcome,
+            });
+        }
+        let planned = slots.into_iter();
+        planned.map(|t| t.expect("every draw planned")).collect()
     }
 
-    // Placement walks the flat population in arrival order (identity for
-    // phase-free specs, whose draws are arrival-monotone already), so the
-    // placer's release ledger never travels backwards in time when a
-    // phase starts before the base stagger finishes.
-    let mut order: Vec<usize> = (0..draws.len()).collect();
-    if !spec.phases.is_empty() {
-        order.sort_by_key(|&i| (draws[i].arrival, i));
-    }
-    let banned: Vec<Vec<bool>> = spec
-        .phases
-        .iter()
-        .map(|p| (0..spec.nodes).map(|n| !p.nodes.matches(n)).collect())
-        .collect();
-    let mut slots: Vec<Option<PlannedTask>> = (0..draws.len()).map(|_| None).collect();
-    for i in order {
-        let draw = &draws[i];
-        let label = format!("t{i:04}");
-        let task_seed = derive_task_seed(seed, i as u64);
-        let (node, realtime, outcome) = match draw.kind.nominal() {
-            Some(nominal) => match pinned {
-                Some(p) => (p.task_nodes.get(i).copied().flatten(), true, None),
-                None => {
-                    let outcome = match draw.phase {
-                        // Phase traffic targets a node slice: same
-                        // admission test, candidates restricted to the
-                        // phase's filter.
-                        Some(pi) => {
-                            let demand = placer.demand_of(nominal);
-                            placer.place_demand_excluding(
-                                demand,
-                                draw.arrival.as_ns(),
-                                draw.departure.map(|d| d.as_ns()),
-                                &banned[pi],
-                            )
-                        }
-                        None => placer.place(
-                            nominal,
-                            draw.arrival.as_ns(),
-                            draw.departure.map(|d| d.as_ns()),
-                        ),
-                    };
-                    match outcome {
-                        o @ PlacementOutcome::Admitted {
-                            node, migrations, ..
-                        } => {
-                            admission.admitted += 1;
-                            admission.migrations += u64::from(migrations);
-                            (Some(node), true, Some(o))
-                        }
-                        o @ PlacementOutcome::Rejected { .. } => {
-                            admission.rejected += 1;
-                            (None, true, Some(o))
-                        }
-                    }
-                }
-            },
-            None => {
-                if pinned.is_none() {
-                    admission.best_effort += 1;
-                }
-                (Some(placer.place_best_effort()), false, None)
+    /// One live admission decision for a real-time draw, counted.
+    fn admit(
+        &mut self,
+        draw: &TaskDraw,
+        nominal: PeriodicTask,
+        banned: &[Vec<bool>],
+    ) -> (Option<usize>, PlacementOutcome) {
+        let (arrives, departs) = (draw.arrival.as_ns(), draw.departure.map(|d| d.as_ns()));
+        let outcome = match draw.phase {
+            // Phase traffic targets a node slice: same admission test,
+            // candidates restricted to the phase's filter.
+            Some(pi) => {
+                let demand = self.placer.demand_of(nominal);
+                self.placer
+                    .place_demand_excluding(demand, arrives, departs, &banned[pi])
             }
+            None => self.placer.place(nominal, arrives, departs),
         };
-        slots[i] = Some(PlannedTask {
-            task: NodeTask {
-                fleet_id: i,
-                label,
-                kind: draw.kind.clone(),
-                arrival: draw.arrival,
-                departure: draw.departure,
-                seed: task_seed,
-                migrated: false,
-                warm: None,
-            },
-            node,
-            realtime,
-            outcome,
-        });
-    }
-    let tasks: Vec<PlannedTask> = slots
-        .into_iter()
-        .map(|t| t.expect("every draw planned"))
-        .collect();
-    if let Some(p) = pinned {
-        admission = p.admission;
-    }
-    FleetPlan {
-        tasks,
-        vms,
-        admission,
+        match outcome {
+            PlacementOutcome::Admitted {
+                node, migrations, ..
+            } => {
+                self.admission.admitted += 1;
+                self.admission.migrations += u64::from(migrations);
+                (Some(node), outcome)
+            }
+            PlacementOutcome::Rejected { .. } => {
+                self.admission.rejected += 1;
+                (None, outcome)
+            }
+        }
     }
 }
 

@@ -430,7 +430,9 @@ impl ClusterRunner {
             let spawn = |w| scope.spawn(move || work(run, crew, w));
             let handles: Vec<_> = (0..workers).map(spawn).collect();
             let mut joined = handles.into_iter().map(|h| h.join());
-            joined.all(|ran| ran.expect("fleet worker panicked"))
+            // A worker's panic resumes here under its own message: the
+            // caller sees the cause, not that some worker had one.
+            joined.all(|ran| ran.unwrap_or_else(|cause| std::panic::resume_unwind(cause)))
         });
         let leader = crew.leader.into_inner().expect("leader state lock");
         if !finished {
@@ -738,6 +740,28 @@ mod tests {
         assert_eq!(deep, [13, 12]);
         let loads = loads(&weights, &deal);
         assert!(loads[0].abs_diff(loads[1]) <= 2_030, "{loads:?}");
+    }
+
+    /// A guest whose job cost exceeds its period passes no validator when
+    /// pushed through the struct, and its workload constructor panics
+    /// inside the worker that builds the node. The caller of `run` sees
+    /// that message.
+    #[test]
+    fn a_worker_panic_reaches_the_caller_with_its_cause() {
+        let mut spec = ScenarioSpec::new("doomed", 1, 0, Dur::ms(500));
+        let kind = crate::spec::TaskKind::PeriodicRt {
+            wcet: Dur::ms(60),
+            period: Dur::ms(50),
+        };
+        let vm = crate::spec::VmSpec::uniform(Dur::ms(5), Dur::ms(10), 1, kind);
+        spec.vms.push(vm);
+        let ran = std::panic::catch_unwind(|| ClusterRunner::new(1).run(&spec, 1));
+        let cause = ran.expect_err("the worker panicked");
+        let message = cause.downcast_ref::<String>().expect("a formatted panic");
+        assert!(
+            message.contains("invalid (C=60.000ms, P=50.000ms)"),
+            "{message}"
+        );
     }
 
     #[test]

@@ -15,6 +15,19 @@ use selftune_simcore::time::Dur;
 
 use crate::placer::PolicyKind;
 
+/// The longest span a node may add to its clock in one step — a sampling
+/// period, a task or share period, a hog chunk. Far above any scheduling
+/// period, far below where the checked clock arithmetic overflows (an
+/// unbounded `1e300` in a scenario file would panic a worker mid-run).
+const MAX_CLOCK_SPAN: Dur = Dur::secs(1_000_000);
+
+fn clock_span(what: &str, span: Dur) -> Result<(), String> {
+    if span > MAX_CLOCK_SPAN {
+        return Err(format!("{what} {span} exceeds {MAX_CLOCK_SPAN}"));
+    }
+    Ok(())
+}
+
 /// One kind of application a scenario can spawn.
 ///
 /// Real-time kinds carry a nominal `(C, P)` the placer uses for admission;
@@ -63,6 +76,40 @@ impl TaskKind {
     /// node's self-tuning manager.
     pub fn is_realtime(&self) -> bool {
         !matches!(self, TaskKind::Aperiodic { .. })
+    }
+
+    /// The kind's own domain rule: every job cost — declared and real —
+    /// is positive and fits its period; aperiodic gaps and work are
+    /// positive. What the admission analysis and the workload
+    /// constructors would otherwise assert mid-plan or inside a worker.
+    fn validate(&self) -> Result<(), String> {
+        let fits = |cost: Dur, period: Dur| {
+            if cost.is_zero() || cost > period {
+                return Err(format!(
+                    "job cost must be positive and at most its period (C={cost}, P={period})"
+                ));
+            }
+            clock_span("task period", period)
+        };
+        match *self {
+            TaskKind::Video25 | TaskKind::Mp3 | TaskKind::Stream30 => Ok(()),
+            TaskKind::PeriodicRt { wcet, period } => fits(wcet, period),
+            TaskKind::HungryRt {
+                nominal_wcet,
+                wcet,
+                period,
+            } => fits(nominal_wcet, period).and(fits(wcet, period)),
+            TaskKind::Aperiodic {
+                mean_gap,
+                mean_work,
+                ..
+            } => {
+                if mean_gap.is_zero() || mean_work.is_zero() {
+                    return Err("aperiodic gap and work must be positive".to_owned());
+                }
+                clock_span("aperiodic gap", mean_gap.max(mean_work))
+            }
+        }
     }
 
     /// Nominal `(C, P)` in milliseconds for admission control; `None` for
@@ -538,8 +585,12 @@ pub struct ScenarioSpec {
 impl ScenarioSpec {
     /// A scenario with sane defaults: media-heavy mix, staggered arrivals,
     /// worst-fit placement, `U_lub = 0.9`.
+    ///
+    /// # Panics
+    ///
+    /// This and every `with_*` builder panic with the message of the
+    /// [`ScenarioSpec::validate`] rule the result would break.
     pub fn new(name: &str, nodes: usize, tasks: usize, horizon: Dur) -> ScenarioSpec {
-        assert!(nodes > 0, "a fleet needs at least one node");
         ScenarioSpec {
             name: name.to_owned(),
             nodes,
@@ -558,6 +609,87 @@ impl ScenarioSpec {
             node_share: NodeShareSpec::default(),
             phases: Vec::new(),
         }
+        .checked()
+    }
+
+    /// Every domain rule of a scenario, in one place: what
+    /// [`ScenarioSpec::from_text`] returns as its `Err` for an untrusted
+    /// file, and what the builders panic with. A scenario that passes
+    /// plans and runs without tripping an assertion in the planner, the
+    /// admission analysis or a workload constructor.
+    ///
+    /// # Errors
+    ///
+    /// Names the first rule broken.
+    pub fn validate(&self) -> Result<(), String> {
+        let rule = |holds: bool, broken: &str| holds.then_some(()).ok_or_else(|| broken.to_owned());
+        rule(self.nodes > 0, "a fleet needs at least one node")?;
+        if !(self.ulub > 0.0 && self.ulub <= 1.0) {
+            return Err(format!("ulub {} out of (0, 1]", self.ulub));
+        }
+        if !(self.headroom >= 1.0 && self.headroom.is_finite()) {
+            return Err(format!("headroom {} below 1", self.headroom));
+        }
+        rule(!self.sampling.is_zero(), "sampling period must be positive")?;
+        clock_span("sampling period", self.sampling)?;
+        let r = &self.rebalance;
+        rule(!r.period.is_zero(), "rebalance period must be positive")?;
+        if !(r.pressure >= 0.0 && r.pressure.is_finite()) {
+            return Err(format!(
+                "rebalance pressure {} must be non-negative",
+                r.pressure
+            ));
+        }
+        if !(r.ewma_alpha > 0.0 && r.ewma_alpha <= 1.0) {
+            return Err(format!(
+                "rebalance ewma_alpha {} out of (0, 1]",
+                r.ewma_alpha
+            ));
+        }
+        let ns = &self.node_share;
+        if !(ns.floor > 0.0 && ns.floor <= ns.cap && ns.cap <= 1.0) {
+            return Err(format!(
+                "node share bounds must satisfy 0 < floor <= cap <= 1, got {} {}",
+                ns.floor, ns.cap
+            ));
+        }
+        for w in &self.overload {
+            rule(!w.chunk.is_zero(), "overload hog chunk must be positive")?;
+            clock_span("overload hog chunk", w.chunk)?;
+        }
+        for p in &self.phases {
+            rule(p.start < p.end, "phase must start before it ends")?;
+            rule(p.ramp <= p.end - p.start, "phase ramp exceeds the window")?;
+            rule(p.tasks > 0, "a phase needs at least one task")?;
+        }
+        for vm in &self.vms {
+            rule(
+                !vm.budget.is_zero() && vm.budget <= vm.period,
+                "degenerate VM share: need 0 < budget <= period",
+            )?;
+            clock_span("VM share period", vm.period)?;
+            rule(!vm.guests.is_empty(), "a VM needs at least one guest task")?;
+            rule(
+                vm.guests.iter().all(|&(n, _)| n > 0),
+                "empty guest group in VM mix",
+            )?;
+        }
+        let mixes = std::iter::once(&self.mix).chain(self.phases.iter().map(|p| &p.mix));
+        let mixed = mixes.flat_map(|mix| mix.entries().iter().map(|(kind, _)| kind));
+        let guests = self
+            .vms
+            .iter()
+            .flat_map(|vm| vm.guests.iter().map(|(_, kind)| kind));
+        mixed.chain(guests).try_for_each(TaskKind::validate)
+    }
+
+    /// The builders' guard: the scenario, or a panic naming the
+    /// [`ScenarioSpec::validate`] rule it breaks.
+    fn checked(self) -> ScenarioSpec {
+        match self.validate() {
+            Ok(()) => self,
+            Err(broken) => panic!("{broken}"),
+        }
     }
 
     /// Fleet-wide flat task count: the base population plus every traffic
@@ -570,27 +702,13 @@ impl ScenarioSpec {
     /// Replaces the task mix.
     pub fn with_mix(mut self, mix: TaskMix) -> ScenarioSpec {
         self.mix = mix;
-        self
+        self.checked()
     }
 
     /// Adds a virtual platform to place as a unit.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the share is degenerate (zero budget/period or
-    /// `budget > period`) or the VM has no guests.
     pub fn with_vm(mut self, vm: VmSpec) -> ScenarioSpec {
-        assert!(
-            !vm.budget.is_zero() && !vm.period.is_zero() && vm.budget <= vm.period,
-            "degenerate VM share"
-        );
-        assert!(vm.guest_count() > 0, "a VM needs at least one guest task");
-        assert!(
-            vm.guests.iter().all(|&(n, _)| n > 0),
-            "empty guest group in VM mix"
-        );
         self.vms.push(vm);
-        self
+        self.checked()
     }
 
     /// Replaces the arrival schedule.
@@ -608,7 +726,7 @@ impl ScenarioSpec {
     /// Adds an overload window.
     pub fn with_overload(mut self, w: OverloadWindow) -> ScenarioSpec {
         self.overload.push(w);
-        self
+        self.checked()
     }
 
     /// Replaces the placement policy.
@@ -619,23 +737,20 @@ impl ScenarioSpec {
 
     /// Replaces the per-node utilisation bound.
     pub fn with_ulub(mut self, ulub: f64) -> ScenarioSpec {
-        assert!(ulub > 0.0 && ulub <= 1.0, "ulub {ulub} out of (0, 1]");
         self.ulub = ulub;
-        self
+        self.checked()
     }
 
     /// Replaces the admission headroom factor.
     pub fn with_headroom(mut self, headroom: f64) -> ScenarioSpec {
-        assert!(headroom >= 1.0, "headroom {headroom} below 1");
         self.headroom = headroom;
-        self
+        self.checked()
     }
 
     /// Replaces the manager sampling period.
     pub fn with_sampling(mut self, sampling: Dur) -> ScenarioSpec {
-        assert!(!sampling.is_zero(), "sampling period must be positive");
         self.sampling = sampling;
-        self
+        self.checked()
     }
 
     /// The canonical skewed-overload demo: first-fit packs lying legacy
@@ -933,47 +1048,20 @@ impl ScenarioSpec {
 
     /// Enables node-level share re-bounding with the given parameters.
     pub fn with_node_share(mut self, node_share: NodeShareSpec) -> ScenarioSpec {
-        assert!(
-            node_share.floor > 0.0 && node_share.floor <= node_share.cap && node_share.cap <= 1.0,
-            "node share bounds must satisfy 0 < floor <= cap <= 1"
-        );
         self.node_share = node_share;
-        self
+        self.checked()
     }
 
     /// Adds a traffic phase.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the window is degenerate (`start >= end`), the ramp does
-    /// not fit the window, or the phase has no tasks.
     pub fn with_phase(mut self, phase: TrafficPhase) -> ScenarioSpec {
-        assert!(phase.start < phase.end, "phase must start before it ends");
-        assert!(
-            phase.ramp <= phase.end - phase.start,
-            "phase ramp exceeds the window"
-        );
-        assert!(phase.tasks > 0, "a phase needs at least one task");
         self.phases.push(phase);
-        self
+        self.checked()
     }
 
     /// Enables feedback-driven re-placement with the given parameters.
     pub fn with_rebalance(mut self, rebalance: RebalanceSpec) -> ScenarioSpec {
-        assert!(
-            !rebalance.period.is_zero(),
-            "rebalance period must be positive"
-        );
-        assert!(
-            rebalance.pressure >= 0.0,
-            "rebalance pressure must be non-negative"
-        );
-        assert!(
-            rebalance.ewma_alpha > 0.0 && rebalance.ewma_alpha <= 1.0,
-            "rebalance ewma_alpha must be in (0, 1]"
-        );
         self.rebalance = rebalance;
-        self
+        self.checked()
     }
 }
 

@@ -17,7 +17,6 @@
 
 use std::sync::Arc;
 
-use selftune_analysis::PeriodicTask;
 use selftune_core::share::{DemandSignal, ShareController, ShareControllerConfig, ShareDecision};
 use selftune_simcore::time::Time;
 
@@ -26,7 +25,7 @@ use crate::aggregate::{
 };
 use crate::events::{sort_events, FleetEvent, NodeSnap};
 use crate::node::{Node, NodeFeedback, NodeTask, NodeVm, WarmStart};
-use crate::placer::{FeedbackView, LiveTask, LiveVmUnit, Migration, Placer};
+use crate::placer::{FeedbackView, Migration, Placer};
 use crate::plan::{derive_task_seed, FleetPlan, SEED_MIGRATION_SALT};
 use crate::runner::{EpochDecision, EpochPin, PinSource};
 use crate::spec::ScenarioSpec;
@@ -511,8 +510,6 @@ fn rebalance_epoch(
     if run.scan_placement {
         placer.use_scan_placement();
     }
-    let mut live: Vec<LiveTask> = Vec::new();
-    let mut live_vms: Vec<LiveVmUnit> = Vec::new();
     let mut reserved = vec![0.0f64; spec.nodes];
     if let Some(bounds) = bounds {
         for n in 0..spec.nodes {
@@ -531,41 +528,16 @@ fn rebalance_epoch(
         }
     }
     for fb in &view.nodes {
-        for rt in &fb.live_rt {
-            let nominal: PeriodicTask = plan.tasks[rt.fleet_id]
-                .task
-                .kind
-                .nominal()
-                .expect("live_rt lists real-time tasks only");
-            let t = LiveTask {
-                fleet_id: rt.fleet_id,
-                node: fb.node,
-                nominal,
-                measured_bw: rt.measured_bw,
-                movable: rt.movable,
-                granted: rt
-                    .granted
-                    .map(|(budget, period)| WarmStart { budget, period }),
-            };
-            reserved[fb.node] += placer.effective_demand(&t);
-            live.push(t);
-        }
-        for vm in &fb.live_vms {
-            // Booked at the *granted* share: an elastically-shrunk VM
-            // frees real headroom on its node, a grown one eats it.
-            reserved[fb.node] += vm.share;
-            live_vms.push(LiveVmUnit {
-                fleet_vm_id: vm.fleet_vm_id,
-                node: fb.node,
-                share: vm.share,
-                movable: vm.movable,
-                elastic: vm.elastic,
-                guest_grants: vm.guest_grants.clone(),
-            });
+        let tasks = fb.live_rt.iter().map(|t| placer.effective_demand(t));
+        // VMs are booked at the *granted* share: an elastically-shrunk
+        // one frees real headroom on its node, a grown one eats it.
+        let vms = fb.live_vms.iter().map(|vm| vm.share);
+        for demand in tasks.chain(vms) {
+            reserved[fb.node] += demand;
         }
     }
     placer.sync_reserved(&reserved);
-    placer.rebalance(view, &live, &live_vms, &spec.rebalance)
+    placer.rebalance(view, &spec.rebalance)
 }
 
 /// Boundary `ei`'s journal batch: every worker's drained share `grants`,

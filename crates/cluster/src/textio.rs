@@ -70,9 +70,10 @@ fn parse_usize(s: &str) -> Result<usize, String> {
     s.parse().map_err(|_| format!("bad integer: {s:?}"))
 }
 
-/// Serialises a kind without a leading weight (shared by `mix` lines,
-/// which prepend one, and `vm` lines, which do not).
-fn kind_body(kind: &TaskKind) -> String {
+/// Serialises a kind: its name, then its parameters. The one kind
+/// grammar — `vm` guest groups use it as is, `mix` and `phase` entries
+/// slip their weight in after the name (see [`weighted_to_text`]).
+fn kind_to_text(kind: &TaskKind) -> String {
     match kind {
         TaskKind::Video25 => "video25".to_owned(),
         TaskKind::Mp3 => "mp3".to_owned(),
@@ -98,164 +99,49 @@ fn kind_body(kind: &TaskKind) -> String {
     }
 }
 
-fn kind_to_text(kind: &TaskKind, weight: f64) -> String {
-    match kind {
-        TaskKind::Video25 => format!("video25 {weight}"),
-        TaskKind::Mp3 => format!("mp3 {weight}"),
-        TaskKind::Stream30 => format!("stream30 {weight}"),
-        TaskKind::PeriodicRt { wcet, period } => {
-            format!("periodic_rt {weight} {} {}", ms(*wcet), ms(*period))
-        }
-        TaskKind::HungryRt {
-            nominal_wcet,
-            wcet,
-            period,
-        } => format!(
-            "hungry_rt {weight} {} {} {}",
-            ms(*nominal_wcet),
-            ms(*wcet),
-            ms(*period)
-        ),
-        TaskKind::Aperiodic {
-            mean_gap,
-            mean_work,
-            burst,
-        } => format!(
-            "aperiodic {weight} {} {} {burst}",
-            ms(*mean_gap),
-            ms(*mean_work)
-        ),
+/// Parses a kind from its tokens (name, then parameters).
+fn kind_from_text(tokens: &[&str]) -> Result<TaskKind, String> {
+    Ok(match tokens {
+        ["video25"] => TaskKind::Video25,
+        ["mp3"] => TaskKind::Mp3,
+        ["stream30"] => TaskKind::Stream30,
+        ["periodic_rt", wcet, period] => TaskKind::PeriodicRt {
+            wcet: parse_ms(wcet)?,
+            period: parse_ms(period)?,
+        },
+        ["hungry_rt", nominal_wcet, wcet, period] => TaskKind::HungryRt {
+            nominal_wcet: parse_ms(nominal_wcet)?,
+            wcet: parse_ms(wcet)?,
+            period: parse_ms(period)?,
+        },
+        ["aperiodic", mean_gap, mean_work, burst] => TaskKind::Aperiodic {
+            mean_gap: parse_ms(mean_gap)?,
+            mean_work: parse_ms(mean_work)?,
+            burst: burst.parse().map_err(|_| format!("bad burst: {burst:?}"))?,
+        },
+        _ => return Err(format!("unknown task kind or field count: {tokens:?}")),
+    })
+}
+
+/// A `mix`/`phase` entry: the kind with its weight after the name.
+fn weighted_to_text(kind: &TaskKind, weight: f64) -> String {
+    let kind = kind_to_text(kind);
+    match kind.split_once(' ') {
+        Some((name, params)) => format!("{name} {weight} {params}"),
+        None => format!("{kind} {weight}"),
     }
 }
 
-/// Parses a kind without a leading weight (the `vm` line form).
-fn kind_body_from_text(line: &str) -> Result<TaskKind, String> {
-    let parts: Vec<&str> = line.split_whitespace().collect();
-    let need = |n: usize| -> Result<(), String> {
-        if parts.len() == n {
-            Ok(())
-        } else {
-            Err(format!("task kind needs {n} fields: {line:?}"))
-        }
+fn weighted_from_text(tokens: &[&str]) -> Result<(TaskKind, f64), String> {
+    let [name, weight, params @ ..] = tokens else {
+        return Err(format!("mix entry needs a kind and a weight: {tokens:?}"));
     };
-    match parts.first().copied() {
-        Some("video25") => {
-            need(1)?;
-            Ok(TaskKind::Video25)
-        }
-        Some("mp3") => {
-            need(1)?;
-            Ok(TaskKind::Mp3)
-        }
-        Some("stream30") => {
-            need(1)?;
-            Ok(TaskKind::Stream30)
-        }
-        Some("periodic_rt") => {
-            need(3)?;
-            Ok(TaskKind::PeriodicRt {
-                wcet: parse_pos_ms(parts[1])?,
-                period: parse_pos_ms(parts[2])?,
-            })
-        }
-        Some("hungry_rt") => {
-            need(4)?;
-            Ok(TaskKind::HungryRt {
-                nominal_wcet: parse_pos_ms(parts[1])?,
-                wcet: parse_pos_ms(parts[2])?,
-                period: parse_pos_ms(parts[3])?,
-            })
-        }
-        Some("aperiodic") => {
-            need(4)?;
-            Ok(TaskKind::Aperiodic {
-                mean_gap: parse_pos_ms(parts[1])?,
-                mean_work: parse_pos_ms(parts[2])?,
-                burst: parts[3]
-                    .parse()
-                    .map_err(|_| format!("bad burst: {:?}", parts[3]))?,
-            })
-        }
-        _ => Err(format!("unknown task kind: {line:?}")),
-    }
-}
-
-/// Parses a duration that the simulation requires to be strictly positive
-/// (task periods, job costs).
-fn parse_pos_ms(s: &str) -> Result<Dur, String> {
-    let d = parse_ms(s)?;
-    if d.is_zero() {
-        return Err(format!("duration must be positive: {s:?} ms"));
-    }
-    Ok(d)
-}
-
-fn parse_weight(s: &str) -> Result<f64, String> {
-    let w = parse_f64(s)?;
+    let w = parse_f64(weight)?;
     if !w.is_finite() || w <= 0.0 {
-        return Err(format!("mix weight must be positive: {s:?}"));
+        return Err(format!("mix weight must be positive: {weight:?}"));
     }
-    Ok(w)
-}
-
-fn kind_from_text(line: &str) -> Result<(TaskKind, f64), String> {
-    let parts: Vec<&str> = line.split_whitespace().collect();
-    let need = |n: usize| -> Result<(), String> {
-        if parts.len() == n {
-            Ok(())
-        } else {
-            Err(format!("mix line needs {n} fields: {line:?}"))
-        }
-    };
-    match parts.first().copied() {
-        Some("video25") => {
-            need(2)?;
-            Ok((TaskKind::Video25, parse_weight(parts[1])?))
-        }
-        Some("mp3") => {
-            need(2)?;
-            Ok((TaskKind::Mp3, parse_weight(parts[1])?))
-        }
-        Some("stream30") => {
-            need(2)?;
-            Ok((TaskKind::Stream30, parse_weight(parts[1])?))
-        }
-        Some("periodic_rt") => {
-            need(4)?;
-            Ok((
-                TaskKind::PeriodicRt {
-                    wcet: parse_pos_ms(parts[2])?,
-                    period: parse_pos_ms(parts[3])?,
-                },
-                parse_weight(parts[1])?,
-            ))
-        }
-        Some("hungry_rt") => {
-            need(5)?;
-            Ok((
-                TaskKind::HungryRt {
-                    nominal_wcet: parse_pos_ms(parts[2])?,
-                    wcet: parse_pos_ms(parts[3])?,
-                    period: parse_pos_ms(parts[4])?,
-                },
-                parse_weight(parts[1])?,
-            ))
-        }
-        Some("aperiodic") => {
-            need(5)?;
-            Ok((
-                TaskKind::Aperiodic {
-                    mean_gap: parse_pos_ms(parts[2])?,
-                    mean_work: parse_pos_ms(parts[3])?,
-                    burst: parts[4]
-                        .parse()
-                        .map_err(|_| format!("bad burst: {:?}", parts[4]))?,
-                },
-                parse_weight(parts[1])?,
-            ))
-        }
-        _ => Err(format!("unknown task kind in mix line: {line:?}")),
-    }
+    let kind: Vec<&str> = std::iter::once(name).chain(params).copied().collect();
+    Ok((kind_from_text(&kind)?, w))
 }
 
 fn filter_to_text(f: NodeFilter) -> String {
@@ -318,13 +204,13 @@ impl ScenarioSpec {
             ));
         }
         for (kind, weight) in self.mix.entries() {
-            out.push_str(&format!("mix = {}\n", kind_to_text(kind, *weight)));
+            out.push_str(&format!("mix = {}\n", weighted_to_text(kind, *weight)));
         }
         for vm in &self.vms {
             let groups: Vec<String> = vm
                 .guests
                 .iter()
-                .map(|(n, kind)| format!("{n} {}", kind_body(kind)))
+                .map(|(n, kind)| format!("{n} {}", kind_to_text(kind)))
                 .collect();
             out.push_str(&format!(
                 "vm = {} {}{} {}\n",
@@ -349,7 +235,7 @@ impl ScenarioSpec {
                 .mix
                 .entries()
                 .iter()
-                .map(|(kind, weight)| kind_to_text(kind, *weight))
+                .map(|(kind, weight)| weighted_to_text(kind, *weight))
                 .collect();
             out.push_str(&format!(
                 "phase = {} {} {} {} {} {}\n",
@@ -386,31 +272,23 @@ impl ScenarioSpec {
     /// Parses a scenario from the text format written by
     /// [`ScenarioSpec::to_text`].
     ///
-    /// Unknown keys, malformed values and missing required fields (`name`,
-    /// `nodes`, `tasks`, `horizon_ms`) are reported as `Err`; everything
-    /// else falls back to the [`ScenarioSpec::new`] defaults.
+    /// Unknown keys, malformed values, missing required fields (`name`,
+    /// `nodes`, `tasks`, `horizon_ms`) and any broken
+    /// [`ScenarioSpec::validate`] rule are reported as `Err`; everything
+    /// the text leaves out keeps its [`ScenarioSpec::new`] default.
     ///
     /// # Errors
     ///
     /// Returns a human-readable description of the first offending line.
     pub fn from_text(text: &str) -> Result<ScenarioSpec, String> {
-        let mut name: Option<String> = None;
-        let mut nodes: Option<usize> = None;
-        let mut tasks: Option<usize> = None;
-        let mut horizon: Option<Dur> = None;
+        let mut spec = ScenarioSpec::new("", 1, 0, Dur::ZERO);
+        let (mut name, mut nodes, mut tasks, mut horizon) = (None, None, None, None);
         let mut mix_entries: Vec<(TaskKind, f64)> = Vec::new();
-        let mut vms: Vec<VmSpec> = Vec::new();
-        let mut overload: Vec<OverloadWindow> = Vec::new();
-        let mut policy = None;
-        let mut ulub = None;
-        let mut headroom = None;
-        let mut sampling = None;
-        let mut arrivals = None;
-        let mut churn = None;
-        let mut rebalance = None;
-        let mut node_share: Option<NodeShareSpec> = None;
-        let mut phases: Vec<TrafficPhase> = Vec::new();
-
+        let on_off = |key: &str, state: &str| match state {
+            "on" => Ok(true),
+            "off" => Ok(false),
+            other => Err(format!("{key} must be on/off, got {other:?}")),
+        };
         for raw in text.lines() {
             let line = raw.trim();
             if line.is_empty() || line.starts_with('#') {
@@ -420,45 +298,38 @@ impl ScenarioSpec {
                 .split_once('=')
                 .ok_or_else(|| format!("expected `key = value`, got {line:?}"))?;
             let (key, value) = (key.trim(), value.trim());
-            match key {
-                "name" => name = Some(value.to_owned()),
-                "nodes" => nodes = Some(parse_usize(value)?),
-                "tasks" => tasks = Some(parse_usize(value)?),
-                "horizon_ms" => horizon = Some(parse_ms(value)?),
-                "policy" => policy = Some(policy_from_text(value)?),
-                "ulub" => ulub = Some(parse_f64(value)?),
-                "headroom" => headroom = Some(parse_f64(value)?),
-                "sampling_ms" => sampling = Some(parse_ms(value)?),
-                "arrivals" => {
-                    let parts: Vec<&str> = value.split_whitespace().collect();
-                    arrivals = Some(match parts.as_slice() {
-                        ["all_at_start"] => ArrivalSchedule::AllAtStart,
-                        ["staggered", gap] => ArrivalSchedule::Staggered {
-                            gap: parse_ms(gap)?,
-                        },
-                        ["poisson", gap] => ArrivalSchedule::Poisson {
-                            mean_gap: parse_ms(gap)?,
-                        },
-                        _ => return Err(format!("bad arrivals line: {value:?}")),
-                    });
-                }
-                "churn" => {
-                    let parts: Vec<&str> = value.split_whitespace().collect();
-                    let [mean, min] = parts.as_slice() else {
-                        return Err(format!("churn needs 2 fields: {value:?}"));
+            let parts: Vec<&str> = value.split_whitespace().collect();
+            match (key, parts.as_slice()) {
+                ("name", _) => name = Some(value.to_owned()),
+                ("nodes", _) => nodes = Some(parse_usize(value)?),
+                ("tasks", _) => tasks = Some(parse_usize(value)?),
+                ("horizon_ms", _) => horizon = Some(parse_ms(value)?),
+                ("policy", _) => spec.policy = policy_from_text(value)?,
+                ("ulub", _) => spec.ulub = parse_f64(value)?,
+                ("headroom", _) => spec.headroom = parse_f64(value)?,
+                ("sampling_ms", _) => spec.sampling = parse_ms(value)?,
+                ("arrivals", ["all_at_start"]) => spec.arrivals = ArrivalSchedule::AllAtStart,
+                ("arrivals", ["staggered", gap]) => {
+                    spec.arrivals = ArrivalSchedule::Staggered {
+                        gap: parse_ms(gap)?,
                     };
-                    churn = Some(Churn {
+                }
+                ("arrivals", ["poisson", gap]) => {
+                    spec.arrivals = ArrivalSchedule::Poisson {
+                        mean_gap: parse_ms(gap)?,
+                    };
+                }
+                ("arrivals", _) => return Err(format!("bad arrivals line: {value:?}")),
+                ("churn", [mean, min]) => {
+                    spec.churn = Some(Churn {
                         mean_lifetime: parse_ms(mean)?,
                         min_lifetime: parse_ms(min)?,
                     });
                 }
-                "mix" => mix_entries.push(kind_from_text(value)?),
-                "overload" => {
-                    let parts: Vec<&str> = value.split_whitespace().collect();
-                    let [start, end, hogs, chunk, filter] = parts.as_slice() else {
-                        return Err(format!("overload needs 5 fields: {value:?}"));
-                    };
-                    overload.push(OverloadWindow {
+                ("churn", _) => return Err(format!("churn needs 2 fields: {value:?}")),
+                ("mix", entry) => mix_entries.push(weighted_from_text(entry)?),
+                ("overload", [start, end, hogs, chunk, filter]) => {
+                    spec.overload.push(OverloadWindow {
                         start: parse_ms(start)?,
                         end: parse_ms(end)?,
                         hogs_per_node: hogs
@@ -468,251 +339,107 @@ impl ScenarioSpec {
                         nodes: filter_from_text(filter)?,
                     });
                 }
-                "vm" => {
-                    // `budget_ms period_ms [elastic] count kind...
-                    //  [+ count kind...]` — whitespace-tolerant, guest
-                    // groups separated by standalone `+` tokens.
-                    let usage = || {
-                        format!(
-                            "vm needs `budget_ms period_ms [elastic] count kind... \
-                             [+ count kind...]`: {value:?}"
-                        )
-                    };
-                    let mut parts = value.split_whitespace().peekable();
-                    let (Some(budget), Some(period)) = (parts.next(), parts.next()) else {
-                        return Err(usage());
-                    };
-                    let budget = parse_pos_ms(budget)?;
-                    let period = parse_pos_ms(period)?;
-                    if budget > period {
-                        return Err(format!("vm share budget exceeds its period: {value:?}"));
-                    }
-                    let elastic = parts.peek() == Some(&"elastic");
-                    if elastic {
-                        parts.next();
-                    }
-                    let rest: Vec<&str> = parts.collect();
-                    if rest.is_empty() {
-                        return Err(usage());
-                    }
-                    let mut guests: Vec<(usize, TaskKind)> = Vec::new();
-                    for group in rest.split(|&t| t == "+") {
-                        let [count, kind @ ..] = group else {
-                            return Err(format!("empty guest group in vm line: {value:?}"));
-                        };
-                        let count = parse_usize(count)?;
-                        if count == 0 {
-                            return Err(format!("vm guest group needs count >= 1: {value:?}"));
-                        }
-                        if kind.is_empty() {
-                            return Err(usage());
-                        }
-                        guests.push((count, kind_body_from_text(&kind.join(" "))?));
-                    }
-                    vms.push(VmSpec {
-                        budget,
-                        period,
-                        guests,
-                        elastic,
-                    });
-                }
-                "rebalance" => {
-                    let parts: Vec<&str> = value.split_whitespace().collect();
-                    // 4-field form (pre-hysteresis) or 6-field form with
-                    // the EWMA factor and warm/cold hand-over.
-                    let (state, period, pressure, max_moves, alpha, warm) = match parts.as_slice() {
-                        [s, p, pr, mm] => (*s, *p, *pr, *mm, None, None),
-                        [s, p, pr, mm, a, w] => (*s, *p, *pr, *mm, Some(*a), Some(*w)),
-                        _ => {
-                            return Err(format!("rebalance needs 4 or 6 fields: {value:?}"));
-                        }
-                    };
-                    let enabled = match state {
-                        "on" => true,
-                        "off" => false,
-                        other => return Err(format!("rebalance must be on/off, got {other:?}")),
-                    };
-                    let warm_start = match warm {
-                        None => RebalanceSpec::default().warm_start,
-                        Some("warm") => true,
-                        Some("cold") => false,
-                        Some(other) => {
+                ("overload", _) => return Err(format!("overload needs 5 fields: {value:?}")),
+                ("vm", parts) => spec.vms.push(vm_from_text(parts, value)?),
+                // 4-field form (pre-hysteresis) or 6-field form with the
+                // EWMA factor and warm/cold hand-over.
+                ("rebalance", [state, period, pressure, max_moves, rest @ ..]) => {
+                    let legacy = RebalanceSpec::default();
+                    let (ewma_alpha, warm_start) = match rest {
+                        [] => (legacy.ewma_alpha, legacy.warm_start),
+                        [alpha, "warm"] => (parse_f64(alpha)?, true),
+                        [alpha, "cold"] => (parse_f64(alpha)?, false),
+                        [_, other] => {
                             return Err(format!("rebalance hand-over must be warm/cold: {other:?}"))
                         }
+                        _ => return Err(format!("rebalance needs 4 or 6 fields: {value:?}")),
                     };
-                    rebalance = Some(RebalanceSpec {
-                        enabled,
+                    spec.rebalance = RebalanceSpec {
+                        enabled: on_off(key, state)?,
                         period: parse_ms(period)?,
                         pressure: parse_f64(pressure)?,
                         max_moves: max_moves
                             .parse()
                             .map_err(|_| format!("bad max_moves: {max_moves:?}"))?,
-                        ewma_alpha: match alpha {
-                            Some(a) => parse_f64(a)?,
-                            None => RebalanceSpec::default().ewma_alpha,
-                        },
+                        ewma_alpha,
                         warm_start,
-                    });
-                }
-                "phase" => {
-                    // `start_ms end_ms ramp_ms tasks filter kind...
-                    //  [+ kind...]` — weighted kinds as in `mix` lines,
-                    // groups separated by standalone `+` tokens.
-                    let mut parts = value.split_whitespace();
-                    let (Some(start), Some(end), Some(ramp), Some(count), Some(filter)) = (
-                        parts.next(),
-                        parts.next(),
-                        parts.next(),
-                        parts.next(),
-                        parts.next(),
-                    ) else {
-                        return Err(format!(
-                            "phase needs `start_ms end_ms ramp_ms tasks filter kind...`: {value:?}"
-                        ));
                     };
-                    let rest: Vec<&str> = parts.collect();
-                    if rest.is_empty() {
-                        return Err(format!("phase needs at least one mix kind: {value:?}"));
-                    }
-                    let mut entries: Vec<(TaskKind, f64)> = Vec::new();
-                    for group in rest.split(|&t| t == "+") {
-                        if group.is_empty() {
-                            return Err(format!("empty mix group in phase line: {value:?}"));
-                        }
-                        entries.push(kind_from_text(&group.join(" "))?);
-                    }
-                    phases.push(TrafficPhase {
+                }
+                ("rebalance", _) => {
+                    return Err(format!("rebalance needs 4 or 6 fields: {value:?}"));
+                }
+                // Weighted kinds as in `mix` lines, groups separated by
+                // standalone `+` tokens.
+                ("phase", [start, end, ramp, count, filter, rest @ ..]) if !rest.is_empty() => {
+                    let groups = rest.split(|&t| t == "+");
+                    let entries: Result<Vec<_>, _> = groups.map(weighted_from_text).collect();
+                    spec.phases.push(TrafficPhase {
                         start: parse_ms(start)?,
                         end: parse_ms(end)?,
                         ramp: parse_ms(ramp)?,
                         tasks: parse_usize(count)?,
-                        mix: TaskMix::new(entries),
+                        mix: TaskMix::new(entries?),
                         nodes: filter_from_text(filter)?,
                     });
                 }
-                "node_share" => {
-                    let parts: Vec<&str> = value.split_whitespace().collect();
-                    let [state, floor, cap] = parts.as_slice() else {
-                        return Err(format!("node_share needs 3 fields: {value:?}"));
-                    };
-                    let enabled = match *state {
-                        "on" => true,
-                        "off" => false,
-                        other => return Err(format!("node_share must be on/off, got {other:?}")),
-                    };
-                    node_share = Some(NodeShareSpec {
-                        enabled,
+                ("phase", _) => {
+                    return Err(format!(
+                        "phase needs `start_ms end_ms ramp_ms tasks filter kind...`: {value:?}"
+                    ));
+                }
+                ("node_share", [state, floor, cap]) => {
+                    spec.node_share = NodeShareSpec {
+                        enabled: on_off(key, state)?,
                         floor: parse_f64(floor)?,
                         cap: parse_f64(cap)?,
-                    });
+                    };
                 }
-                other => return Err(format!("unknown key: {other:?}")),
+                ("node_share", _) => return Err(format!("node_share needs 3 fields: {value:?}")),
+                (other, _) => return Err(format!("unknown key: {other:?}")),
             }
         }
-
-        let name = name.ok_or("missing required key `name`")?;
-        let nodes = nodes.ok_or("missing required key `nodes`")?;
-        let tasks = tasks.ok_or("missing required key `tasks`")?;
-        let horizon = horizon.ok_or("missing required key `horizon_ms`")?;
-        // Domain checks up front: the builder methods below enforce the
-        // same bounds with panics, which an untrusted scenario file must
-        // never reach.
-        if nodes == 0 {
-            return Err("nodes must be at least 1".to_owned());
-        }
-        if let Some(u) = ulub {
-            if !u.is_finite() || u <= 0.0 || u > 1.0 {
-                return Err(format!("ulub {u} out of (0, 1]"));
-            }
-        }
-        if let Some(h) = headroom {
-            if !h.is_finite() || h < 1.0 {
-                return Err(format!("headroom {h} below 1"));
-            }
-        }
-        if let Some(s) = sampling {
-            if s.is_zero() {
-                return Err("sampling_ms must be positive".to_owned());
-            }
-        }
-        if let Some(r) = &rebalance {
-            if r.period.is_zero() {
-                return Err("rebalance period must be positive".to_owned());
-            }
-            if !r.pressure.is_finite() || r.pressure < 0.0 {
-                return Err(format!(
-                    "rebalance pressure {} must be non-negative",
-                    r.pressure
-                ));
-            }
-            if !r.ewma_alpha.is_finite() || r.ewma_alpha <= 0.0 || r.ewma_alpha > 1.0 {
-                return Err(format!(
-                    "rebalance ewma_alpha {} out of (0, 1]",
-                    r.ewma_alpha
-                ));
-            }
-        }
-        if let Some(ns) = &node_share {
-            if !ns.floor.is_finite()
-                || !ns.cap.is_finite()
-                || ns.floor <= 0.0
-                || ns.floor > ns.cap
-                || ns.cap > 1.0
-            {
-                return Err(format!(
-                    "node share bounds must satisfy 0 < floor <= cap <= 1, got {} {}",
-                    ns.floor, ns.cap
-                ));
-            }
-        }
-        for p in &phases {
-            if p.start >= p.end {
-                return Err("phase must start before it ends".to_owned());
-            }
-            if p.ramp > p.end - p.start {
-                return Err("phase ramp exceeds the window".to_owned());
-            }
-            if p.tasks == 0 {
-                return Err("a phase needs at least one task".to_owned());
-            }
-        }
-        let mut spec = ScenarioSpec::new(&name, nodes, tasks, horizon);
+        spec.name = name.ok_or("missing required key `name`")?;
+        spec.nodes = nodes.ok_or("missing required key `nodes`")?;
+        spec.tasks = tasks.ok_or("missing required key `tasks`")?;
+        spec.horizon = horizon.ok_or("missing required key `horizon_ms`")?;
         if !mix_entries.is_empty() {
-            spec = spec.with_mix(TaskMix::new(mix_entries));
+            spec.mix = TaskMix::new(mix_entries);
         }
-        if let Some(p) = policy {
-            spec = spec.with_policy(p);
-        }
-        if let Some(u) = ulub {
-            spec = spec.with_ulub(u);
-        }
-        if let Some(h) = headroom {
-            spec = spec.with_headroom(h);
-        }
-        if let Some(s) = sampling {
-            spec = spec.with_sampling(s);
-        }
-        if let Some(a) = arrivals {
-            spec = spec.with_arrivals(a);
-        }
-        if let Some(c) = churn {
-            spec = spec.with_churn(c);
-        }
-        if let Some(r) = rebalance {
-            spec = spec.with_rebalance(r);
-        }
-        if let Some(ns) = node_share {
-            spec = spec.with_node_share(ns);
-        }
-        for p in phases {
-            spec = spec.with_phase(p);
-        }
-        for vm in vms {
-            spec = spec.with_vm(vm);
-        }
-        spec.overload = overload;
+        spec.validate()?;
         Ok(spec)
     }
+}
+
+/// A `vm` line: `budget_ms period_ms [elastic] count kind... [+ count
+/// kind...]` — whitespace-tolerant, guest groups separated by standalone
+/// `+` tokens.
+fn vm_from_text(parts: &[&str], value: &str) -> Result<VmSpec, String> {
+    let usage = || {
+        format!(
+            "vm needs `budget_ms period_ms [elastic] count kind... \
+             [+ count kind...]`: {value:?}"
+        )
+    };
+    let [budget, period, rest @ ..] = parts else {
+        return Err(usage());
+    };
+    let (elastic, rest) = match rest {
+        ["elastic", rest @ ..] => (true, rest),
+        rest => (false, rest),
+    };
+    let mut guests: Vec<(usize, TaskKind)> = Vec::new();
+    for group in rest.split(|&t| t == "+") {
+        let [count, kind @ ..] = group else {
+            return Err(usage());
+        };
+        guests.push((parse_usize(count)?, kind_from_text(kind)?));
+    }
+    Ok(VmSpec {
+        budget: parse_ms(budget)?,
+        period: parse_ms(period)?,
+        guests,
+        elastic,
+    })
 }
 
 #[cfg(test)]
@@ -983,6 +710,73 @@ mod tests {
                 "accepted invalid input: {bad:?}"
             );
         }
+    }
+
+    /// What `from_text` says about the four-line scenario plus `line`,
+    /// after checking that `build` — the same scenario through the
+    /// builders — panics with exactly that text.
+    fn refusal(line: &str, build: fn(ScenarioSpec) -> ScenarioSpec) -> String {
+        let text = format!("name = x\nnodes = 2\ntasks = 4\nhorizon_ms = 500\n{line}\n");
+        let err = ScenarioSpec::from_text(&text).expect_err(line);
+        let base = ScenarioSpec::new("x", 2, 4, Dur::ms(500));
+        let panic = std::panic::catch_unwind(|| build(base)).expect_err("builder accepted it");
+        assert_eq!(panic.downcast_ref::<String>(), Some(&err));
+        err
+    }
+
+    #[test]
+    fn a_mix_job_cost_above_its_period_is_refused_not_planned() {
+        let err = refusal("mix = periodic_rt 1 60 50", |spec| {
+            spec.with_mix(TaskMix::new(vec![(
+                TaskKind::PeriodicRt {
+                    wcet: Dur::ms(60),
+                    period: Dur::ms(50),
+                },
+                1.0,
+            )]))
+        });
+        assert!(err.contains("at most its period (C=60"), "{err}");
+    }
+
+    #[test]
+    fn a_hungry_real_cost_above_its_period_is_refused_not_planned() {
+        let err = refusal("mix = hungry_rt 1 60 70 50", |spec| {
+            spec.with_mix(TaskMix::new(vec![(
+                TaskKind::HungryRt {
+                    nominal_wcet: Dur::ms(60),
+                    wcet: Dur::ms(70),
+                    period: Dur::ms(50),
+                },
+                1.0,
+            )]))
+        });
+        assert!(err.contains("at most its period (C=60"), "{err}");
+    }
+
+    #[test]
+    fn a_guest_job_cost_above_its_period_is_refused_not_spawned() {
+        let err = refusal("vm = 5 10 1 periodic_rt 60 50", |spec| {
+            let kind = TaskKind::PeriodicRt {
+                wcet: Dur::ms(60),
+                period: Dur::ms(50),
+            };
+            spec.with_vm(VmSpec::uniform(Dur::ms(5), Dur::ms(10), 1, kind))
+        });
+        assert!(err.contains("at most its period (C=60"), "{err}");
+    }
+
+    #[test]
+    fn a_zero_hog_chunk_is_refused_not_spawned() {
+        let err = refusal("overload = 100 300 1 0 all", |spec| {
+            spec.with_overload(OverloadWindow {
+                start: Dur::ms(100),
+                end: Dur::ms(300),
+                hogs_per_node: 1,
+                chunk: Dur::ZERO,
+                nodes: NodeFilter::All,
+            })
+        });
+        assert_eq!(err, "overload hog chunk must be positive");
     }
 
     #[test]

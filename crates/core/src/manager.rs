@@ -407,21 +407,6 @@ impl SelfTuningManager {
             self.step(k);
         }
     }
-
-    /// [`SelfTuningManager::run`] against an embedded reservation
-    /// scheduler (see [`SelfTuningManager::step_in`]).
-    pub fn run_in<S: Scheduler>(
-        &mut self,
-        k: &mut Kernel<S>,
-        mut res: impl FnMut(&mut S) -> &mut ReservationScheduler,
-        until: Time,
-    ) {
-        while k.now() < until {
-            let next = (k.now() + self.cfg.sampling).min(until);
-            k.run_until(next);
-            self.step_in(k, &mut res);
-        }
-    }
 }
 
 #[cfg(test)]

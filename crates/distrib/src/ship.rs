@@ -91,11 +91,6 @@ impl<T: Transport> Shipper<T> {
         &self.sent[(seq as usize).min(self.sent.len())..]
     }
 
-    /// Hands the transport back (e.g. to inspect fault counters).
-    pub fn into_transport(self) -> T {
-        self.transport
-    }
-
     fn ship(&mut self, kind: FrameKind, payload: String) {
         let frame = Frame {
             seq: self.progress.frames,

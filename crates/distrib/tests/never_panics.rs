@@ -21,6 +21,12 @@
 //! valid CRC and feeds the stream to a follower, whose live mirror then
 //! runs whatever was accepted. Every `feed` comes back `Ok` or a named
 //! error, and a refused frame leaves the replica able to finish.
+//!
+//! So is a scenario file. A third, exhaustive test takes
+//! `examples/fleet_demo.txt` and the scenario block of the diurnal
+//! fixture through every single-line truncation and every numeric field
+//! set to `0`, `1e300`, `NaN` and `-1`: `ScenarioSpec::from_text` answers
+//! `Ok` or `Err`, and what it accepts plans and runs.
 
 use std::ops::Range;
 use std::sync::OnceLock;
@@ -29,6 +35,7 @@ use proptest::prelude::*;
 use selftune_cluster::prelude::*;
 use selftune_distrib::prelude::*;
 use selftune_journal::prelude::*;
+use selftune_simcore::time::Dur;
 
 fn fixture(name: &str) -> String {
     let path = format!("{}/../../examples/{name}", env!("CARGO_MANIFEST_DIR"));
@@ -164,6 +171,63 @@ fn a_horizon_cursor_is_refused_not_run() {
             err.contains("where no interim exists"),
             "unnamed error: {err}"
         );
+    }
+}
+
+/// Every variant of `line` with one numeric field — a whole token, or
+/// the count of a `first:2` node filter — replaced by `value`.
+fn numeric_mutations(line: &str, value: &str) -> Vec<String> {
+    let tokens: Vec<&str> = line.split(' ').collect();
+    let mut variants = Vec::new();
+    for (i, tok) in tokens.iter().enumerate() {
+        let number = tok.rfind(':').map_or(0, |colon| colon + 1);
+        if tok[number..].parse::<f64>().is_ok() {
+            let mutated = format!("{}{value}", &tok[..number]);
+            let mut tokens = tokens.clone();
+            tokens[i] = &mutated;
+            variants.push(tokens.join(" "));
+        }
+    }
+    variants
+}
+
+#[test]
+fn scenario_text_never_panics() {
+    let journal = fixture("diurnal.journal");
+    let begin =
+        journal.find("scenario_begin\n").expect("scenario block") + "scenario_begin\n".len();
+    let block = &journal[begin..journal.find("scenario_end").expect("block end")];
+    for text in [fixture("fleet_demo.txt").as_str(), block] {
+        let lines: Vec<&str> = text.lines().collect();
+        let mut cases: Vec<String> = (0..lines.len()).map(|n| truncate_at(text, n)).collect();
+        for (n, line) in lines.iter().enumerate() {
+            for value in ["0", "1e300", "NaN", "-1"] {
+                for mutated in numeric_mutations(line, value) {
+                    let mut lines = lines.clone();
+                    lines[n] = &mutated;
+                    cases.push(lines.join("\n"));
+                }
+            }
+        }
+        assert!(cases.len() > 100, "only {} cases", cases.len());
+        let mut ran = 0;
+        for case in &cases {
+            let Ok(spec) = ScenarioSpec::from_text(case) else {
+                continue;
+            };
+            // What the loader accepts must plan and run. Only the size is
+            // capped, to keep this in tier-1 time; a horizon of 1e300 ms
+            // is absurd but valid — a centuries-long run, not a panic —
+            // and is the one accepted scenario left out.
+            let guests: usize = spec.vms.iter().map(|vm| vm.guest_count()).sum();
+            if spec.nodes * (spec.flat_tasks() + guests) > 512 || spec.horizon > Dur::secs(60) {
+                continue;
+            }
+            let plan = plan_fleet(&spec, 42);
+            ClusterRunner::new(1).run_planned(&spec, 42, &plan);
+            ran += 1;
+        }
+        assert!(ran > 20, "only {ran} accepted cases ran");
     }
 }
 

@@ -214,11 +214,6 @@ impl<S: Scheduler> Kernel<S> {
         core::mem::replace(&mut self.hook, hook)
     }
 
-    /// Removes any installed tracer hook (back to NOTRACE).
-    pub fn clear_hook(&mut self) {
-        self.hook = Box::new(NoTrace);
-    }
-
     /// Spawns a task that becomes ready immediately.
     pub fn spawn(&mut self, name: &str, workload: Box<dyn Workload>) -> TaskId {
         self.spawn_at(name, workload, self.now)
@@ -313,11 +308,6 @@ impl<S: Scheduler> Kernel<S> {
     /// Coarse state of the task.
     pub fn task_state(&self, task: TaskId) -> TaskState {
         self.tasks[task.index()].state
-    }
-
-    /// Number of spawned tasks (exited ones included).
-    pub fn task_count(&self) -> usize {
-        self.tasks.len()
     }
 
     /// Total CPU-idle time accumulated so far.

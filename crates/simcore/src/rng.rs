@@ -161,15 +161,6 @@ impl Rng {
         Dur::from_secs_f64(if v < fl { fl } else { v })
     }
 
-    /// Uniform duration in `[lo, hi)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range is empty.
-    pub fn uniform_dur(&mut self, lo: Dur, hi: Dur) -> Dur {
-        Dur::ns(self.range_u64(lo.as_ns(), hi.as_ns()))
-    }
-
     /// Fisher–Yates shuffle of a slice.
     pub fn shuffle<T>(&mut self, xs: &mut [T]) {
         for i in (1..xs.len()).rev() {

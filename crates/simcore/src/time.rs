@@ -276,6 +276,12 @@ impl Time {
         Dur(self.0.saturating_sub(earlier.0))
     }
 
+    /// The instant `rhs` later, clamped at the end of representable time
+    /// — for instants that only matter while they lie before some horizon.
+    pub const fn saturating_add(self, rhs: Dur) -> Time {
+        Time(self.0.saturating_add(rhs.0))
+    }
+
     /// Duration elapsed since `earlier`.
     ///
     /// # Panics

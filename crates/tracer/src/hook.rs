@@ -202,16 +202,6 @@ impl TraceReader {
     pub fn set_enabled(&self, enabled: bool) {
         self.shared.borrow_mut().enabled = enabled;
     }
-
-    /// Switches the tracing mechanism at runtime.
-    pub fn set_kind(&self, kind: TracerKind) {
-        self.shared.borrow_mut().kind = kind;
-    }
-
-    /// Enables/disables scheduler-event (wake) tracing at runtime.
-    pub fn set_sched_events(&self, on: bool) {
-        self.shared.borrow_mut().trace_sched_events = on;
-    }
 }
 
 #[cfg(test)]

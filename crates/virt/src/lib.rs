@@ -59,7 +59,7 @@ pub mod sched;
 
 pub use elastic::{VmElasticConfig, VmObservation, VmShareController};
 pub use platform::{
-    GuestPolicy, ShareGrantEvent, TraceMux, VirtPlatform, VmAdmissionError, VmConfig,
+    GuestPolicy, Scope, ShareGrantEvent, TraceMux, VirtPlatform, VmAdmissionError, VmConfig,
 };
 pub use sched::{GuestSched, VirtScheduler, VmId};
 
@@ -67,7 +67,7 @@ pub use sched::{GuestSched, VirtScheduler, VmId};
 pub mod prelude {
     pub use crate::elastic::{VmElasticConfig, VmObservation, VmShareController};
     pub use crate::platform::{
-        GuestPolicy, ShareGrantEvent, VirtPlatform, VmAdmissionError, VmConfig,
+        GuestPolicy, Scope, ShareGrantEvent, VirtPlatform, VmAdmissionError, VmConfig,
     };
     pub use crate::sched::{GuestSched, VirtScheduler, VmId};
 }

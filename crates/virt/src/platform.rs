@@ -136,6 +136,52 @@ pub struct ShareGrantEvent {
     pub available: f64,
 }
 
+/// One control scope of a [`VirtPlatform`]: the host, or one VM.
+///
+/// The paper's loop — tracer → period analyser → LFS++ controller →
+/// supervisor — runs once per scope: the host scope's manager tunes flat
+/// legacy tasks against the host reservation scheduler, a VM scope's
+/// manager tunes that tenant's guests against the reservation scheduler
+/// nested in its share. A scope names *which* manager and *which*
+/// scheduler; every per-task operation ([`VirtPlatform::manage`],
+/// [`VirtPlatform::unmanage`], [`VirtPlatform::reservation_of`], the
+/// sampling step) is written once over it. What a VM scope adds to the
+/// host's is outside the loop: a share server on the host scheduler and,
+/// if elastic, a [`VmShareController`] re-sizing it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Scope {
+    /// Flat tasks under the host manager.
+    Host,
+    /// The guests of one self-tuning VM under its own manager.
+    Vm(VmId),
+}
+
+impl Scope {
+    /// The reservation scheduler this scope's manager books into. This
+    /// and [`Scope::reservations_mut`] are the one place the host/guest
+    /// projection is named.
+    ///
+    /// # Panics
+    ///
+    /// Panics for a VM whose guest is not [`GuestSched::Reservation`].
+    fn reservations(self, sched: &VirtScheduler) -> &ReservationScheduler {
+        match self {
+            Scope::Host => sched.host(),
+            Scope::Vm(vm) => match sched.guest(vm) {
+                GuestSched::Reservation(g) => g,
+                _ => panic!("{vm} has no nested reservation scheduler"),
+            },
+        }
+    }
+
+    fn reservations_mut(self, sched: &mut VirtScheduler) -> &mut ReservationScheduler {
+        match self {
+            Scope::Host => sched.host_mut(),
+            Scope::Vm(vm) => sched.guest_reservations_mut(vm),
+        }
+    }
+}
+
 /// Routes syscall trace edges to the tracer of the task's VM (slot 0 is
 /// the host tracer).
 pub struct TraceMux {
@@ -349,12 +395,6 @@ impl VirtPlatform {
         });
     }
 
-    /// The VM's elastic-share controller, if
-    /// [`VirtPlatform::make_vm_elastic`] attached one.
-    pub fn vm_share_controller(&self, vm: VmId) -> Option<&VmShareController> {
-        self.vms[vm.index()].elastic.as_ref().map(|e| &e.ctl)
-    }
-
     /// The most common detected period among the VM's managed guest
     /// tasks (ties to the shorter period), if any guest task has one —
     /// the observation the share-period adapter tracks.
@@ -397,10 +437,9 @@ impl VirtPlatform {
         };
         if el.ctl.due(now) {
             let granted = self.vm_share(vm);
-            let booked = match (&self.vms[vm.index()].mgr, self.kernel.sched().guest(vm)) {
-                (Some(mgr), GuestSched::Reservation(g)) => mgr.booked_bandwidth(g),
-                _ => 0.0,
-            };
+            let booked = self.vms[vm.index()].mgr.as_ref().map_or(0.0, |mgr| {
+                mgr.booked_bandwidth(Scope::Vm(vm).reservations(self.kernel.sched()))
+            });
             let consumed = self.vm_consumed(vm);
             let compressions = self.vms[vm.index()]
                 .mgr
@@ -535,93 +574,79 @@ impl VirtPlatform {
         self.spawn_in_vm_at(vm, name, workload, self.kernel.now())
     }
 
-    /// Spawns a host-level (non-VM) workload.
-    pub fn spawn_host(&mut self, name: &str, workload: Box<dyn Workload>) -> TaskId {
-        self.kernel.spawn(name, workload)
-    }
-
-    /// Puts a guest task under its VM's self-tuning manager.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the VM is not a [`GuestPolicy::SelfTuning`] guest.
-    pub fn manage_in_vm(&mut self, vm: VmId, task: TaskId, label: &str, cfg: ControllerConfig) {
-        self.vms[vm.index()]
-            .mgr
-            .as_mut()
-            .unwrap_or_else(|| panic!("{vm} is not self-tuning"))
-            .manage(task, label, cfg);
-    }
-
-    /// Warm-starts a guest task under its VM's manager with carried
-    /// controller state (see [`SelfTuningManager::manage_warm_in`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the VM is not a [`GuestPolicy::SelfTuning`] guest.
-    pub fn manage_warm_in_vm(
+    /// The scope's manager (`None` for a VM that has none or was killed)
+    /// beside the kernel it steps — the split borrow every per-scope
+    /// operation starts from.
+    fn scoped(
         &mut self,
-        vm: VmId,
+        scope: Scope,
+    ) -> (Option<&mut SelfTuningManager>, &mut Kernel<VirtScheduler>) {
+        let mgr = match scope {
+            Scope::Host => Some(&mut self.host_mgr),
+            Scope::Vm(vm) => {
+                let rt = &mut self.vms[vm.index()];
+                rt.mgr.as_mut().filter(|_| !rt.killed)
+            }
+        };
+        (mgr, &mut self.kernel)
+    }
+
+    /// Puts a task under its scope's self-tuning manager. With `warm =
+    /// Some((budget, period))` — the controller state a migration carries
+    /// — the reservation is created at once instead of after detection
+    /// (see [`SelfTuningManager::manage_warm_in`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the scope is a VM without a live manager: not a
+    /// [`GuestPolicy::SelfTuning`] guest, or killed.
+    pub fn manage(
+        &mut self,
+        scope: Scope,
         task: TaskId,
         label: &str,
         cfg: ControllerConfig,
-        budget: Dur,
-        period: Dur,
+        warm: Option<(Dur, Dur)>,
     ) {
-        let kernel = &mut self.kernel;
-        self.vms[vm.index()]
-            .mgr
-            .as_mut()
-            .unwrap_or_else(|| panic!("{vm} is not self-tuning"))
-            .manage_warm_in(
+        let (mgr, kernel) = self.scoped(scope);
+        let mgr = mgr.unwrap_or_else(|| panic!("{scope:?} has no live self-tuning manager"));
+        match warm {
+            Some((budget, period)) => mgr.manage_warm_in(
                 kernel,
-                |s| s.guest_reservations_mut(vm),
+                |s| scope.reservations_mut(s),
                 task,
                 label,
                 cfg,
                 budget,
                 period,
-            );
-    }
-
-    /// Puts a host-level task under the host self-tuning manager.
-    pub fn manage_host(&mut self, task: TaskId, label: &str, cfg: ControllerConfig) {
-        self.host_mgr.manage(task, label, cfg);
-    }
-
-    /// Warm-starts a host-level task (see
-    /// [`SelfTuningManager::manage_warm_in`]).
-    pub fn manage_host_warm(
-        &mut self,
-        task: TaskId,
-        label: &str,
-        cfg: ControllerConfig,
-        budget: Dur,
-        period: Dur,
-    ) {
-        self.host_mgr.manage_warm_in(
-            &mut self.kernel,
-            VirtScheduler::host_mut,
-            task,
-            label,
-            cfg,
-            budget,
-            period,
-        );
-    }
-
-    /// Stops managing a host-level task (reservation released).
-    pub fn unmanage_host(&mut self, task: TaskId) -> bool {
-        self.host_mgr
-            .unmanage_in(&mut self.kernel, VirtScheduler::host_mut, task)
-    }
-
-    /// Stops managing a guest task inside its VM.
-    pub fn unmanage_in_vm(&mut self, vm: VmId, task: TaskId) -> bool {
-        match self.vms[vm.index()].mgr.as_mut() {
-            Some(mgr) => mgr.unmanage_in(&mut self.kernel, |s| s.guest_reservations_mut(vm), task),
-            None => false,
+            ),
+            None => mgr.manage(task, label, cfg),
         }
+    }
+
+    /// Cold-starts a guest task under its VM's manager:
+    /// [`VirtPlatform::manage`] in the VM's scope.
+    pub fn manage_in_vm(&mut self, vm: VmId, task: TaskId, label: &str, cfg: ControllerConfig) {
+        self.manage(Scope::Vm(vm), task, label, cfg, None);
+    }
+
+    /// Stops managing a task (reservation released). `false` when its
+    /// scope's manager did not hold it.
+    pub fn unmanage(&mut self, scope: Scope, task: TaskId) -> bool {
+        let (mgr, kernel) = self.scoped(scope);
+        mgr.is_some_and(|m| m.unmanage_in(kernel, |s| scope.reservations_mut(s), task))
+    }
+
+    /// The reservation `(budget, period)` a task currently holds in its
+    /// scope, if its manager has attached one.
+    pub fn reservation_of(&self, scope: Scope, task: TaskId) -> Option<(Dur, Dur)> {
+        let mgr = match scope {
+            Scope::Host => Some(&self.host_mgr),
+            Scope::Vm(vm) => self.guest_manager(vm),
+        };
+        let sid = mgr?.server_of(task)?;
+        let cfg = scope.reservations(self.kernel.sched()).server(sid).config();
+        Some((cfg.budget, cfg.period))
     }
 
     /// Registers a relative deadline with a VM's EDF guest.
@@ -652,19 +677,16 @@ impl VirtPlatform {
     /// VM's share shrinks to the admission floor — its bandwidth returns
     /// to the host pool. Returns `false` if the VM was already killed.
     pub fn kill_vm(&mut self, vm: VmId) -> bool {
-        let rt = &mut self.vms[vm.index()];
-        if rt.killed {
+        if self.vms[vm.index()].killed {
             return false;
         }
-        rt.killed = true;
-        let tasks = core::mem::take(&mut rt.tasks);
-        for &t in &tasks {
-            if let Some(mgr) = rt.mgr.as_mut() {
-                mgr.unmanage_in(&mut self.kernel, |s| s.guest_reservations_mut(vm), t);
-            }
+        for i in 0..self.vms[vm.index()].tasks.len() {
+            let t = self.vms[vm.index()].tasks[i];
+            self.unmanage(Scope::Vm(vm), t);
             self.kernel.kill(t);
         }
-        rt.tasks = tasks;
+        let rt = &mut self.vms[vm.index()];
+        rt.killed = true;
         rt.elastic = None;
         self.kernel.sched_mut().release_vm(vm);
         true
@@ -675,22 +697,16 @@ impl VirtPlatform {
     /// deterministic schedule where share decisions always see the guest
     /// managers' freshest bookings).
     pub fn step_managers(&mut self) {
-        self.host_mgr
-            .step_in(&mut self.kernel, VirtScheduler::host_mut);
-        for (i, rt) in self.vms.iter_mut().enumerate() {
-            if rt.killed {
-                continue;
-            }
-            if let Some(mgr) = rt.mgr.as_mut() {
-                let vm = VmId(i as u32);
-                mgr.step_in(&mut self.kernel, |s| s.guest_reservations_mut(vm));
+        let vms = (0..self.vms.len() as u32).map(VmId);
+        for scope in std::iter::once(Scope::Host).chain(vms.clone().map(Scope::Vm)) {
+            if let (Some(mgr), kernel) = self.scoped(scope) {
+                mgr.step_in(kernel, |s| scope.reservations_mut(s));
             }
         }
-        for i in 0..self.vms.len() {
-            if self.vms[i].killed {
-                continue;
+        for vm in vms {
+            if !self.vms[vm.index()].killed {
+                self.step_vm_share(vm);
             }
-            self.step_vm_share(VmId(i as u32));
         }
     }
 
@@ -727,21 +743,6 @@ impl VirtPlatform {
     /// Number of VMs created.
     pub fn vm_count(&self) -> usize {
         self.vms.len()
-    }
-
-    /// The VM's label.
-    pub fn vm_label(&self, vm: VmId) -> &str {
-        &self.vms[vm.index()].label
-    }
-
-    /// Guest tasks spawned into the VM, in spawn order.
-    pub fn vm_tasks(&self, vm: VmId) -> &[TaskId] {
-        &self.vms[vm.index()].tasks
-    }
-
-    /// Whether the VM has been killed.
-    pub fn vm_is_killed(&self, vm: VmId) -> bool {
-        self.vms[vm.index()].killed
     }
 
     /// The host server backing the VM's share.
