@@ -8,8 +8,8 @@
 //!
 //! * every placement / rebalance destination query goes through the
 //!   bucketed [`selftune_cluster::HeadroomIndex`] (O(log n), not a fleet
-//!   scan) — the experiment re-runs with `use_scan_placement` and asserts
-//!   byte-identical aggregates, then reports the wall-clock gap;
+//!   scan; the placer's in-file differential tests hold it byte-identical
+//!   to the linear scan it replaced);
 //! * per-task gap vectors are replaced by mergeable histogram sketches
 //!   (`with_sketch_aggregates`), keeping per-node report state O(1) per
 //!   task — the experiment asserts the sketch summaries are still
@@ -44,8 +44,7 @@ fn sizes(args: &Args) -> (usize, usize, Dur) {
 /// loaded fleet (the file's configuration is the feedback run; the same
 /// spec with the rebalancer off is the static baseline) and the
 /// improvement assertion is skipped — an arbitrary scenario carries no
-/// guarantee that feedback wins. The determinism and index-vs-scan
-/// identity assertions always apply.
+/// guarantee that feedback wins. The determinism assertions always apply.
 pub fn run(args: &Args) {
     println!("== Cluster megafleet: placement index + sketch aggregates at 10k nodes ==");
     let file_spec = args.scenario_spec();
@@ -88,30 +87,6 @@ pub fn run(args: &Args) {
         "sketch aggregates must not depend on thread count (1 vs 8)"
     );
 
-    // Exactness: the bucketed index is a faster data structure, not a
-    // different policy. The linear-scan escape hatch must reproduce both
-    // runs byte for byte (placements *and* rebalance destinations).
-    let (scan_frozen, t_scan_frozen) = time_us(|| {
-        runner(2)
-            .with_scan_placement(true)
-            .run(&frozen_spec, args.seed)
-    });
-    let (scan_feedback, t_scan_feedback) = time_us(|| {
-        runner(2)
-            .with_scan_placement(true)
-            .run(&feedback_spec, args.seed)
-    });
-    assert_eq!(
-        scan_frozen.summary_csv(),
-        frozen.summary_csv(),
-        "index placement must be byte-identical to the scan placer (static)"
-    );
-    assert_eq!(
-        scan_feedback.summary_csv(),
-        feedback.summary_csv(),
-        "index placement must be byte-identical to the scan placer (feedback)"
-    );
-
     // The payoff at scale: the rebalancer still wins on misses, with the
     // whole idle majority as destination pool.
     if assert_improvement {
@@ -131,17 +106,14 @@ pub fn run(args: &Args) {
     }
 
     let mut rows = Vec::new();
-    for (mode, placer, m, t_us) in [
-        ("static", "index", &frozen, t_frozen),
-        ("static", "scan", &scan_frozen, t_scan_frozen),
-        ("feedback", "index", &feedback, t_feedback),
-        ("feedback", "scan", &scan_feedback, t_scan_feedback),
+    for (mode, m, t_us) in [
+        ("static", &frozen, t_frozen),
+        ("feedback", &feedback, t_feedback),
     ] {
         rows.push(vec![
             nodes.to_string(),
             tasks.to_string(),
             mode.to_owned(),
-            placer.to_owned(),
             m.completions().to_string(),
             m.misses().to_string(),
             fmt(m.miss_ratio(), 5),
@@ -154,7 +126,6 @@ pub fn run(args: &Args) {
         "nodes",
         "tasks",
         "placement",
-        "placer",
         "completions",
         "misses",
         "miss_ratio",
@@ -165,7 +136,7 @@ pub fn run(args: &Args) {
     print_table(&header, &rows);
     write_csv(&args.out_path("cluster_megafleet.csv"), &header, &rows);
     println!(
-        "(assertions passed: miss-rate reduced at {nodes} nodes; index == scan; \
+        "(assertions passed: miss-rate reduced at {nodes} nodes; \
          byte-identical at 1/2/8 threads)"
     );
 }

@@ -7,7 +7,6 @@ use selftune_simcore::rng::Rng;
 use selftune_simcore::task::TaskId;
 use selftune_simcore::time::{Dur, Time};
 use selftune_simcore::Kernel;
-use selftune_spectrum::{SpectrumConfig, WindowedDft};
 use selftune_tracer::{entry_times_secs, TraceEvent, TraceFilter, Tracer, TracerConfig};
 
 /// A kernel + tracer with the mp3-playing `mplayer` in the fair class and
@@ -131,49 +130,6 @@ pub fn video_run(
         bw,
         dropped,
         period,
-    }
-}
-
-/// A sliding-window DFT fed the way the manager feeds a task's analyser:
-/// `per_batch` events spread evenly over each 500 ms sampling period, into
-/// a 2 s window on the default grid. Once the window is full (four feeds)
-/// every feed is `per_batch` arrivals and as many evictions.
-pub struct WindowedFeed {
-    dft: WindowedDft,
-    batch: Vec<f64>,
-    period_start: f64,
-}
-
-impl WindowedFeed {
-    /// Sampling period of the feeds, seconds.
-    const SAMPLING: f64 = 0.5;
-
-    /// A full window, ready for steady-state feeds.
-    pub fn new(per_batch: usize) -> WindowedFeed {
-        let mut feed = WindowedFeed {
-            dft: WindowedDft::new(SpectrumConfig::default(), 2.0),
-            batch: vec![0.0; per_batch],
-            period_start: 0.0,
-        };
-        for _ in 0..5 {
-            feed.feed_next();
-        }
-        feed
-    }
-
-    /// Feeds the next sampling period's batch.
-    pub fn feed_next(&mut self) {
-        let n = self.batch.len() as f64;
-        for (i, t) in self.batch.iter_mut().enumerate() {
-            *t = self.period_start + Self::SAMPLING * i as f64 / n;
-        }
-        self.period_start += Self::SAMPLING;
-        self.dft.extend(std::hint::black_box(&self.batch));
-    }
-
-    /// Complex exponentiations performed so far (Equation (3)).
-    pub fn ops(&self) -> u64 {
-        self.dft.ops()
     }
 }
 

@@ -33,11 +33,11 @@
 //!    scan's rejection witness `max_i (ulub - reserved_i)` equals
 //!    `ulub - min_i reserved_i` — one BTreeSet lookup.
 //!
-//! A differential proptest in `placer.rs` (and a fleet-level one in
-//! `tests/props.rs`) holds the index to that contract against the scan
-//! path, which stays available behind `Placer::use_scan_placement` — the
-//! same escape-hatch pattern as the kernel's `use_heap_event_queue` and the
-//! scheduler's `use_scan_dispatch`.
+//! Two differential tests in `placer.rs` hold the index to that contract
+//! against the scan path, decision by decision and rebalance pass by
+//! rebalance pass. The scan is reachable from those tests alone: a
+//! reference path lives beside its differential test, and nothing above
+//! the placer forwards the choice.
 
 use std::collections::BTreeSet;
 use std::ops::Bound;

@@ -37,8 +37,9 @@
 //!   plus the feedback rebalance pass over live [`FeedbackView`]s.
 //! * [`index`] — the bucketed node-headroom index behind the placer:
 //!   every `place*` / rebalance destination query answered in O(log n)
-//!   instead of a full fleet scan, byte-identical to the scan path (which
-//!   stays available behind `Placer::use_scan_placement`).
+//!   instead of a full fleet scan, byte-identical to the scan path (the
+//!   placer's in-file differential tests hold it there; no planner or
+//!   runner can ask for the scan).
 //! * [`node`] — one machine: kernel, tracer and self-tuning manager
 //!   bundled, with lifetime leases, overload injection, per-epoch
 //!   [`NodeFeedback`] snapshots and running-task extraction.

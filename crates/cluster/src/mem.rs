@@ -2,11 +2,13 @@
 //! reports the arena footprint afterwards.
 //!
 //! This is the accounting behind the `mem_report` table printed by the
-//! million-task experiment and the `cluster/milliontask/bytes_per_task`
-//! entry in `BENCH_cluster.json`: admissions far exceed peak live tasks
-//! (tasks churn through and depart), so a recycling arena holds ~peak-live
-//! full slots plus lean retired records, while the pre-free-list arena
-//! keeps one full slot per task ever admitted.
+//! million-task experiment (and the closed `cluster/milliontask/
+//! bytes_per_task` row of `BENCH_cluster.json`): admissions far exceed
+//! peak live tasks (tasks churn through and depart), so a recycling arena
+//! holds ~peak-live full slots plus lean retired records, while the
+//! pre-free-list arena keeps one full slot per task ever admitted. It is
+//! the one place outside `node.rs` that freezes an arena, and it does so
+//! on a single node it builds itself — a fleet run always recycles.
 
 use crate::node::{ArenaMemStats, Node, NodeTask};
 use crate::spec::{ScenarioSpec, TaskKind};

@@ -234,8 +234,8 @@ struct TaskArena {
     free: Vec<usize>,
     /// Frozen records of every departed occupant, in retirement order.
     retired: Vec<RetiredTask>,
-    /// Whether retired slots are recycled (on by default; the memory
-    /// bench turns it off to measure the grow-forever baseline).
+    /// Whether retired slots are recycled (always on in a fleet run; see
+    /// [`Node::set_recycle`] for the one-node reference).
     recycle: bool,
 }
 
@@ -669,9 +669,13 @@ impl Node {
     }
 
     /// Turns arena slot recycling on or off (on by default) for the flat
-    /// arena and every guest arena created afterwards. The memory bench
-    /// uses `off` to measure the grow-forever baseline; reports are
-    /// byte-identical either way.
+    /// arena and every guest arena created afterwards. `off` is the
+    /// grow-forever reference: `tests/props.rs::
+    /// slot_recycling_never_resurrects_a_departed_task` holds a frozen twin
+    /// node to byte-identical reports, and the one-node churn table of
+    /// [`crate::mem`] measures the bytes it costs. No runner forwards the
+    /// choice — a fleet always recycles.
+    #[doc(hidden)]
     pub fn set_recycle(&mut self, on: bool) {
         self.recycle = on;
         self.tasks.recycle = on;

@@ -254,10 +254,10 @@ pub struct Placer {
     best_effort: Vec<u64>,
     /// Pending releases: `(release_at_ns, node, demand)`.
     releases: Vec<(u64, usize, f64)>,
-    /// Escape hatch: when set, every decision walks the original linear
-    /// scan (kept verbatim below) instead of the bucketed index — the
-    /// `use_heap_event_queue` / `use_scan_dispatch` pattern, held to the
-    /// index by differential proptests.
+    /// Reference mode, settable by this file's tests only: every decision
+    /// walks the original linear scan (kept verbatim below) instead of the
+    /// bucketed index, and the differential tests at the bottom hold the
+    /// index to it decision by decision.
     scan: bool,
     /// O(log n) query views over `reserved`; `None` in scan mode.
     index: Option<HeadroomIndex>,
@@ -289,9 +289,11 @@ impl Placer {
     }
 
     /// Switches every placement decision back to the original linear-scan
-    /// path. The index is the default; this is the escape hatch (and the
-    /// reference side of the differential tests).
-    pub fn use_scan_placement(&mut self) {
+    /// path: the reference side of `index_and_scan_agree_on_every_decision`
+    /// and `index_and_scan_rebalance_identically` below. Test-only — no
+    /// planner, runner or experiment can ask for it.
+    #[cfg(test)]
+    fn use_scan_placement(&mut self) {
         self.scan = true;
         self.index = None;
         self.be_order = None;
@@ -514,8 +516,8 @@ impl Placer {
 
     /// [`Placer::place_demand`] restricted to non-banned nodes — the
     /// admission path of traffic-phase tasks, whose load targets one
-    /// slice of the fleet. Identical in scan and index modes (it rides
-    /// [`Placer::place_excluding`]); `migrations` is always reported as 0
+    /// slice of the fleet. It rides [`Placer::place_excluding`];
+    /// `migrations` is always reported as 0
     /// because the filtered walk does not count bounced candidates.
     pub fn place_demand_excluding(
         &mut self,
@@ -537,13 +539,16 @@ impl Placer {
                 }
             }
             None => {
+                // Every node banned: nothing was on offer, and the witness
+                // stays a finite number the journal can write and re-read.
                 let best_spare = self
                     .reserved
                     .iter()
                     .enumerate()
                     .filter(|&(n, _)| !banned[n])
                     .map(|(_, r)| self.ulub - r)
-                    .fold(f64::NEG_INFINITY, f64::max);
+                    .reduce(f64::max)
+                    .unwrap_or(0.0);
                 PlacementOutcome::Rejected { demand, best_spare }
             }
         }
@@ -1044,6 +1049,25 @@ mod tests {
     }
 
     #[test]
+    fn a_fully_banned_rejection_has_a_finite_witness() {
+        // Nothing on offer: the witness is 0 spare, not the fold's -inf
+        // (which a journal would write and then refuse to read back).
+        let mut p = Placer::new(2, 0.9, 1.0, PolicyKind::FirstFit);
+        match p.place_demand_excluding(0.1, 0, None, &[true, true]) {
+            PlacementOutcome::Rejected { best_spare, .. } => assert_eq!(best_spare, 0.0),
+            other => panic!("admitted onto a banned node: {other:?}"),
+        }
+        // With a candidate, it is still the best non-banned spare.
+        p.sync_reserved(&[0.2, 0.85]);
+        match p.place_demand_excluding(0.1, 0, None, &[true, false]) {
+            PlacementOutcome::Rejected { best_spare, .. } => {
+                assert!((best_spare - 0.05).abs() < 1e-12, "{best_spare}");
+            }
+            other => panic!("overbooked: {other:?}"),
+        }
+    }
+
+    #[test]
     fn best_effort_round_robins() {
         let mut p = Placer::new(3, 0.9, 1.0, PolicyKind::FirstFit);
         let nodes: Vec<usize> = (0..7).map(|_| p.place_best_effort()).collect();
@@ -1090,16 +1114,28 @@ mod tests {
                         assert_eq!(format!("{a:?}"), format!("{b:?}"), "policy {policy:?}");
                     } else if op < 70 {
                         assert_eq!(indexed.place_best_effort(), scan.place_best_effort());
-                    } else if op < 90 {
+                    } else if op < 92 {
                         let banned: Vec<bool> = (0..nodes)
                             .map(|_| xorshift(&mut rng).is_multiple_of(4))
                             .collect();
                         let demand = (xorshift(&mut rng) % 1001) as f64 / 1000.0;
-                        assert_eq!(
-                            indexed.place_excluding(demand, &banned),
-                            scan.place_excluding(demand, &banned),
-                            "policy {policy:?}"
-                        );
+                        if op < 82 {
+                            assert_eq!(
+                                indexed.place_excluding(demand, &banned),
+                                scan.place_excluding(demand, &banned),
+                                "policy {policy:?}"
+                            );
+                        } else {
+                            // The planner's phase path: a filtered admission
+                            // that departs, so `release_due` fires between
+                            // ops.
+                            let departs = op
+                                .is_multiple_of(2)
+                                .then(|| now + 1 + xorshift(&mut rng) % 100_000);
+                            let a = indexed.place_demand_excluding(demand, now, departs, &banned);
+                            let b = scan.place_demand_excluding(demand, now, departs, &banned);
+                            assert_eq!(format!("{a:?}"), format!("{b:?}"), "policy {policy:?}");
+                        }
                     } else {
                         // The epoch rebuild: arbitrary live bookings, which
                         // may exceed ulub and even 1.0.

@@ -136,7 +136,7 @@ struct TaskDraw {
 /// seeded by `seed`; placement walks tasks in arrival order through the
 /// spec's policy.
 pub fn plan_fleet(spec: &ScenarioSpec, seed: u64) -> FleetPlan {
-    plan_fleet_impl(spec, seed, None, false)
+    plan_fleet_impl(spec, seed, None)
 }
 
 /// Builds the fleet plan with every admission decision pinned to a
@@ -146,24 +146,15 @@ pub fn plan_fleet(spec: &ScenarioSpec, seed: u64) -> FleetPlan {
 /// assignment exactly, even under a scenario whose *policy* was swapped
 /// for a what-if.
 pub fn plan_fleet_pinned(spec: &ScenarioSpec, seed: u64, pinned: &PinnedPlan) -> FleetPlan {
-    plan_fleet_impl(spec, seed, Some(pinned), false)
+    plan_fleet_impl(spec, seed, Some(pinned))
 }
 
-pub(crate) fn plan_fleet_impl(
-    spec: &ScenarioSpec,
-    seed: u64,
-    pinned: Option<&PinnedPlan>,
-    scan_placement: bool,
-) -> FleetPlan {
-    let mut placer = Placer::new(spec.nodes, spec.ulub, spec.headroom, spec.policy);
-    if scan_placement {
-        placer.use_scan_placement();
-    }
+fn plan_fleet_impl(spec: &ScenarioSpec, seed: u64, pinned: Option<&PinnedPlan>) -> FleetPlan {
     let mut planning = Planning {
         spec,
         seed,
         pinned,
-        placer,
+        placer: Placer::new(spec.nodes, spec.ulub, spec.headroom, spec.policy),
         admission: AdmissionStats::default(),
     };
     // Every task's shape is drawn before any placement: placement itself

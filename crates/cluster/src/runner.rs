@@ -39,10 +39,10 @@ use selftune_simcore::time::Time;
 use crate::aggregate::{AdmissionStats, AggregateMetrics};
 use crate::events::{sort_events, FleetEvent, JournalSink};
 use crate::placer::{FeedbackView, Migration};
+use crate::plan::plan_events;
 pub use crate::plan::{
     derive_task_seed, plan_fleet, plan_fleet_pinned, FleetPlan, PinnedPlan, PlannedTask, PlannedVm,
 };
-use crate::plan::{plan_events, plan_fleet_impl};
 use crate::spec::ScenarioSpec;
 use crate::stages::{
     admit_and_simulate, apply, deal, decide, emit, publish, reduce, EpochBoard, LeaderState,
@@ -206,9 +206,7 @@ impl<'a> RunRequest<'a> {
 #[derive(Clone, Debug)]
 pub struct ClusterRunner {
     threads: usize,
-    scan_placement: bool,
     sketch: bool,
-    recycle: bool,
 }
 
 impl ClusterRunner {
@@ -216,20 +214,8 @@ impl ClusterRunner {
     pub fn new(threads: usize) -> ClusterRunner {
         ClusterRunner {
             threads: threads.max(1),
-            scan_placement: false,
             sketch: false,
-            recycle: true,
         }
-    }
-
-    /// Routes every placement and rebalance decision through the original
-    /// linear-scan placer instead of the bucketed headroom index — the
-    /// escape hatch and the reference side of the fleet-level differential
-    /// proptest. Decisions are byte-identical either way; only the cost
-    /// per decision changes.
-    pub fn with_scan_placement(mut self, scan: bool) -> ClusterRunner {
-        self.scan_placement = scan;
-        self
     }
 
     /// Replaces per-task report vectors with per-node mergeable histogram
@@ -240,17 +226,6 @@ impl ClusterRunner {
     /// and their CSV bytes.
     pub fn with_sketch_aggregates(mut self, sketch: bool) -> ClusterRunner {
         self.sketch = sketch;
-        self
-    }
-
-    /// Toggles task-arena slot recycling on every node (default on).
-    ///
-    /// With recycling off, each node's arena grows monotonically with
-    /// admissions — the pre-free-list behaviour — which is the "before"
-    /// side of the churn memory benchmark. Report bytes are identical
-    /// either way; only arena footprint and slot-reuse differ.
-    pub fn with_recycling(mut self, recycle: bool) -> ClusterRunner {
-        self.recycle = recycle;
         self
     }
 
@@ -271,7 +246,7 @@ impl ClusterRunner {
     /// Plans and runs the scenario, reducing to fleet aggregates. The
     /// thread count affects wall-clock time only.
     pub fn run(&self, spec: &ScenarioSpec, seed: u64) -> AggregateMetrics {
-        let plan = plan_fleet_impl(spec, seed, None, self.scan_placement);
+        let plan = plan_fleet(spec, seed);
         self.run_planned(spec, seed, &plan)
     }
 
@@ -307,7 +282,7 @@ impl ClusterRunner {
         seed: u64,
         sink: &mut dyn JournalSink,
     ) -> AggregateMetrics {
-        let plan = plan_fleet_impl(spec, seed, None, self.scan_placement);
+        let plan = plan_fleet(spec, seed);
         self.execute(RunRequest {
             sink: Some(sink),
             ..RunRequest::new(spec, seed, &plan)
@@ -400,8 +375,6 @@ impl ClusterRunner {
             stop: request.stop,
             log: sink.is_some(),
             sketch: self.sketch,
-            recycle: self.recycle,
-            scan_placement: self.scan_placement,
             ends,
             deal: deal(spec, plan, workers),
         };

@@ -14,6 +14,7 @@ use selftune_simcore::task::Workload;
 use selftune_simcore::time::Dur;
 
 use crate::placer::PolicyKind;
+use crate::textio::filter_to_text;
 
 /// The longest span a node may add to its clock in one step — a sampling
 /// period, a task or share period, a hog chunk. Far above any scheduling
@@ -27,6 +28,13 @@ fn clock_span(what: &str, span: Dur) -> Result<(), String> {
     }
     Ok(())
 }
+
+/// The most epochs a run may be cut into. The runner materialises the
+/// whole epoch grid up front (`ClusterRunner::epoch_ends`), and every
+/// loader of untrusted bytes sizes tables by it; four orders of magnitude
+/// above the largest fixture grid, far below where a nanosecond period in
+/// a scenario file would have the process killed for memory.
+const MAX_EPOCHS: u64 = 100_000;
 
 /// One kind of application a scenario can spawn.
 ///
@@ -634,6 +642,12 @@ impl ScenarioSpec {
         clock_span("sampling period", self.sampling)?;
         let r = &self.rebalance;
         rule(!r.period.is_zero(), "rebalance period must be positive")?;
+        if (r.enabled || self.node_share.enabled) && self.horizon.div_floor(r.period) > MAX_EPOCHS {
+            return Err(format!(
+                "rebalance period {} cuts the {} horizon into more than {MAX_EPOCHS} epochs",
+                r.period, self.horizon
+            ));
+        }
         if !(r.pressure >= 0.0 && r.pressure.is_finite()) {
             return Err(format!(
                 "rebalance pressure {} must be non-negative",
@@ -661,6 +675,17 @@ impl ScenarioSpec {
             rule(p.start < p.end, "phase must start before it ends")?;
             rule(p.ramp <= p.end - p.start, "phase ramp exceeds the window")?;
             rule(p.tasks > 0, "a phase needs at least one task")?;
+            // Phase tasks are admitted only onto the nodes the filter
+            // names: with none, every admission is refused for want of a
+            // candidate. (An overload window that hits no node is merely
+            // idle, and stays accepted.)
+            if !(0..self.nodes).any(|n| p.nodes.matches(n)) {
+                return Err(format!(
+                    "phase node filter {} matches none of the {} nodes",
+                    filter_to_text(p.nodes),
+                    self.nodes
+                ));
+            }
         }
         for vm in &self.vms {
             rule(

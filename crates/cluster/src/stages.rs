@@ -44,8 +44,6 @@ pub(crate) struct Run<'a> {
     /// Whether a sink listens: decision events are built only if so.
     pub log: bool,
     pub sketch: bool,
-    pub recycle: bool,
-    pub scan_placement: bool,
     /// The epoch grid (`ClusterRunner::epoch_ends`), horizon last.
     pub ends: Vec<Time>,
     pub deal: Deal,
@@ -174,7 +172,6 @@ pub(crate) fn admit_and_simulate(run: &Run, ws: &mut WorkerState, ei: usize) {
     for (k, &n) in run.deal.owners[ws.w].iter().enumerate() {
         if ei == 0 {
             let mut node = Node::new(n, run.spec);
-            node.set_recycle(run.recycle);
             for &i in &run.deal.vms[n] {
                 node.add_vm(run.plan.vms[i as usize].vm.clone());
             }
@@ -507,9 +504,6 @@ fn rebalance_epoch(
 ) -> EpochDecision {
     let (spec, plan) = (run.spec, run.plan);
     let mut placer = Placer::new(spec.nodes, spec.ulub, spec.headroom, spec.policy);
-    if run.scan_placement {
-        placer.use_scan_placement();
-    }
     let mut reserved = vec![0.0f64; spec.nodes];
     if let Some(bounds) = bounds {
         for n in 0..spec.nodes {
@@ -684,8 +678,6 @@ mod tests {
             stop: None,
             log: true,
             sketch: false,
-            recycle: true,
-            scan_placement: false,
             ends: ClusterRunner::epoch_ends(spec),
             deal: deal(spec, plan, workers),
         }

@@ -144,7 +144,7 @@ fn weighted_from_text(tokens: &[&str]) -> Result<(TaskKind, f64), String> {
     Ok((kind_from_text(&kind)?, w))
 }
 
-fn filter_to_text(f: NodeFilter) -> String {
+pub(crate) fn filter_to_text(f: NodeFilter) -> String {
     match f {
         NodeFilter::All => "all".to_owned(),
         NodeFilter::First(n) => format!("first:{n}"),
@@ -445,6 +445,7 @@ fn vm_from_text(parts: &[&str], value: &str) -> Result<VmSpec, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::ClusterRunner;
 
     fn demo_spec() -> ScenarioSpec {
         ScenarioSpec::new("demo", 4, 24, Dur::secs(5))
@@ -777,6 +778,64 @@ mod tests {
             })
         });
         assert_eq!(err, "overload hog chunk must be positive");
+    }
+
+    #[test]
+    fn a_nanosecond_rebalance_period_is_refused_not_allocated() {
+        let err = refusal("rebalance = on 0.000001 0.1 2", |spec| {
+            spec.with_rebalance(RebalanceSpec {
+                enabled: true,
+                period: Dur::ns(1),
+                pressure: 0.1,
+                max_moves: 2,
+                ..RebalanceSpec::default()
+            })
+        });
+        assert_eq!(
+            err,
+            "rebalance period 1ns cuts the 500.000ms horizon into more than 100000 epochs"
+        );
+        // The reproduced one-liner: 10^11 boundaries before the rule.
+        let head = "name=x\nnodes=2\ntasks=1\nhorizon_ms=100000\n";
+        let on = format!("{head}rebalance = on 0.000001 0.1 2\n");
+        let err = ScenarioSpec::from_text(&on).expect_err("a 1 ns epoch grid");
+        assert!(err.contains("more than 100000 epochs"), "{err}");
+        // Node-share re-bounding rides the same grid.
+        let shared = format!("{head}rebalance = off 0.000001 0.1 2\nnode_share = on 0.5 0.95\n");
+        let err = ScenarioSpec::from_text(&shared).expect_err("a 1 ns epoch grid");
+        assert!(err.contains("more than 100000 epochs"), "{err}");
+        // Off the grid the period is inert, and the largest grid allowed
+        // is still a grid.
+        let off = format!("{head}rebalance = off 0.000001 0.1 2\n");
+        let spec = ScenarioSpec::from_text(&off).expect("no grid in force");
+        assert_eq!(ClusterRunner::epoch_ends(&spec).len(), 1);
+        let most = format!("{head}rebalance = on 1 0.1 2\n");
+        let spec = ScenarioSpec::from_text(&most).expect("exactly MAX_EPOCHS");
+        assert_eq!(ClusterRunner::epoch_ends(&spec).len(), 100_000);
+    }
+
+    #[test]
+    fn a_phase_that_targets_no_node_is_refused_not_journalled() {
+        let err = refusal("phase = 100 400 0 2 first:0 periodic_rt 1 2 40", |spec| {
+            spec.with_phase(TrafficPhase {
+                start: Dur::ms(100),
+                end: Dur::ms(400),
+                ramp: Dur::ZERO,
+                tasks: 2,
+                mix: TaskMix::new(vec![(
+                    TaskKind::PeriodicRt {
+                        wcet: Dur::ms(2),
+                        period: Dur::ms(40),
+                    },
+                    1.0,
+                )]),
+                nodes: NodeFilter::First(0),
+            })
+        });
+        assert_eq!(err, "phase node filter first:0 matches none of the 2 nodes");
+        // An overload window that hits no node injects nothing: harmless.
+        let idle = "name=x\nnodes=2\ntasks=1\nhorizon_ms=500\noverload = 100 300 1 5 first:0\n";
+        ScenarioSpec::from_text(idle).expect("an idle window is valid");
     }
 
     #[test]

@@ -242,49 +242,6 @@ proptest! {
     }
 
     #[test]
-    fn bucketed_index_matches_the_scan_placer_on_random_fleets(
-        seed in 0u64..1_000_000,
-        nodes in 2usize..7,
-        tasks in 6usize..16,
-        policy in policy_strategy(),
-        with_vm in any::<bool>(),
-        warm in any::<bool>(),
-    ) {
-        // The bucketed headroom index answers every placement and
-        // rebalance-destination query; the linear scan is the retained
-        // reference. Same spec, same seed: the two must agree byte for
-        // byte on the aggregate summary — across policies, VM fleets and
-        // worker-thread counts — or the index returned a different node
-        // than the scan somewhere.
-        let mut spec = rebalance_spec(nodes, tasks, 0.2, 4).with_policy(policy);
-        if warm {
-            spec.rebalance.warm_start = true;
-        }
-        if with_vm {
-            spec = spec.with_vm(VmSpec::uniform(
-                Dur::ms(3),
-                Dur::ms(10),
-                2,
-                TaskKind::PeriodicRt {
-                    wcet: Dur::ms(4),
-                    period: Dur::ms(40),
-                },
-            ));
-        }
-        for threads in [1usize, 2, 3, 8] {
-            let indexed = ClusterRunner::new(threads).run(&spec, seed);
-            let scanned = ClusterRunner::new(threads)
-                .with_scan_placement(true)
-                .run(&spec, seed);
-            prop_assert_eq!(
-                indexed.summary_csv(),
-                scanned.summary_csv(),
-                "index vs scan diverged at {} threads", threads
-            );
-        }
-    }
-
-    #[test]
     fn sketch_mode_keeps_exact_counters_on_random_fleets(
         seed in 0u64..1_000_000,
         nodes in 2usize..6,

@@ -25,8 +25,11 @@
 //! So is a scenario file. A third, exhaustive test takes
 //! `examples/fleet_demo.txt` and the scenario block of the diurnal
 //! fixture through every single-line truncation and every numeric field
-//! set to `0`, `1e300`, `NaN` and `-1`: `ScenarioSpec::from_text` answers
-//! `Ok` or `Err`, and what it accepts plans and runs.
+//! set to `0`, `1e300`, `NaN`, `-1` and a nanosecond (`0.000001` ms):
+//! `ScenarioSpec::from_text` answers `Ok` or `Err`, what it accepts has a
+//! bounded epoch grid, and — the nanosecond clocks aside — plans and runs.
+//! The same nanosecond epoch arriving in a Hello frame is a protocol
+//! error, not an allocation the size of the horizon.
 
 use std::ops::Range;
 use std::sync::OnceLock;
@@ -191,6 +194,32 @@ fn numeric_mutations(line: &str, value: &str) -> Vec<String> {
     variants
 }
 
+/// One nanosecond, as a scenario file spells it (durations are in ms).
+const NANOSECOND_MS: &str = "0.000001";
+
+/// The first frame of a stream is a whole scenario from the wire: a
+/// nanosecond rebalance period in it must be refused by name, before the
+/// follower sizes its epoch grid by it.
+#[test]
+fn a_hello_with_a_nanosecond_epoch_is_a_protocol_error() {
+    let hello = Frame::decode(&recorded_stream()[0]).expect("clean chunk");
+    let line = hello
+        .payload
+        .lines()
+        .find(|l| l.starts_with("rebalance = "));
+    let line = line.expect("the Hello carries the scenario");
+    let period = line.split(' ').nth(3).expect("rebalance period");
+    let payload = hello
+        .payload
+        .replacen(line, &line.replacen(period, NANOSECOND_MS, 1), 1);
+    assert_ne!(payload, hello.payload);
+    let bad = Frame { payload, ..hello }.encode();
+    match Follower::new(1).feed(&bad) {
+        Err(StreamError::Protocol(e)) => assert!(e.contains("epochs"), "unnamed error: {e}"),
+        other => panic!("expected a protocol error, got {other:?}"),
+    }
+}
+
 #[test]
 fn scenario_text_never_panics() {
     let journal = fixture("diurnal.journal");
@@ -199,28 +228,41 @@ fn scenario_text_never_panics() {
     let block = &journal[begin..journal.find("scenario_end").expect("block end")];
     for text in [fixture("fleet_demo.txt").as_str(), block] {
         let lines: Vec<&str> = text.lines().collect();
-        let mut cases: Vec<String> = (0..lines.len()).map(|n| truncate_at(text, n)).collect();
+        // `(text, worth running)`: a nanosecond sampling period, hog chunk
+        // or task period is valid and merely slow, so those cases stop at
+        // the loader and the grid.
+        let mut cases: Vec<(String, bool)> = (0..lines.len())
+            .map(|n| (truncate_at(text, n), true))
+            .collect();
         for (n, line) in lines.iter().enumerate() {
-            for value in ["0", "1e300", "NaN", "-1"] {
+            for value in ["0", "1e300", "NaN", "-1", NANOSECOND_MS] {
                 for mutated in numeric_mutations(line, value) {
                     let mut lines = lines.clone();
                     lines[n] = &mutated;
-                    cases.push(lines.join("\n"));
+                    cases.push((lines.join("\n"), value != NANOSECOND_MS));
                 }
             }
         }
         assert!(cases.len() > 100, "only {} cases", cases.len());
         let mut ran = 0;
-        for case in &cases {
+        for (case, worth_running) in &cases {
             let Ok(spec) = ScenarioSpec::from_text(case) else {
                 continue;
             };
+            // Every loader sizes a table by the epoch grid: whatever is
+            // accepted must keep it small (`MAX_EPOCHS` plus the horizon).
+            let epochs = ClusterRunner::epoch_ends(&spec).len();
+            assert!(epochs <= 100_001, "{epochs} epochs accepted:\n{case}");
             // What the loader accepts must plan and run. Only the size is
             // capped, to keep this in tier-1 time; a horizon of 1e300 ms
             // is absurd but valid — a centuries-long run, not a panic —
-            // and is the one accepted scenario left out.
+            // and is left out (with the rebalancer off: on an epoch grid
+            // it is refused).
             let guests: usize = spec.vms.iter().map(|vm| vm.guest_count()).sum();
-            if spec.nodes * (spec.flat_tasks() + guests) > 512 || spec.horizon > Dur::secs(60) {
+            if !worth_running
+                || spec.nodes * (spec.flat_tasks() + guests) > 512
+                || spec.horizon > Dur::secs(60)
+            {
                 continue;
             }
             let plan = plan_fleet(&spec, 42);

@@ -9,7 +9,8 @@
 //!   reproduce the live run's `summary_csv` byte for byte from the
 //!   journal alone (placements and per-epoch decisions pinned).
 //! * **Codec round-trip** — `to_text → from_text` is the identity on
-//!   journals, and the text form is a fixed point.
+//!   journals, and the text form is a fixed point — including journals
+//!   of traffic phases whose node slice refuses admissions.
 //!
 //! Each case runs whole (small) fleet simulations, so counts are low.
 
@@ -116,6 +117,40 @@ proptest! {
         let parsed = Journal::from_text(&text)
             .unwrap_or_else(|e| panic!("parse failed: {e}"));
         prop_assert_eq!(&parsed, &journal);
+        prop_assert_eq!(parsed.to_text(), text);
+    }
+
+    #[test]
+    fn a_journal_recorded_with_a_traffic_phase_loads_back(
+        seed in 0u64..1_000_000,
+        nodes in 2usize..5,
+        tasks in 4usize..9,
+        (start, window, ramp_pct) in (1u64..1_800, 100u64..1_500, 0u32..101),
+        (count, heavy, filter) in (1usize..9, any::<bool>(), 0u32..4),
+    ) {
+        // A recorded journal is one its own loader accepts, whichever
+        // slice of the fleet a phase targets and however many of its
+        // admissions that slice has to refuse: every rejection witness is
+        // a number `from_text` reads back.
+        let wcet = Dur::ms(if heavy { 12 } else { 2 });
+        let kind = TaskKind::PeriodicRt { wcet, period: Dur::ms(40) };
+        let spec = journal_spec(nodes, tasks, 0.2, false).with_phase(TrafficPhase {
+            start: Dur::ms(start),
+            end: Dur::ms(start + window),
+            ramp: Dur::ms(window * u64::from(ramp_pct) / 100),
+            tasks: count,
+            mix: TaskMix::new(vec![(kind, 1.0)]),
+            nodes: match filter {
+                0 => NodeFilter::All,
+                1 => NodeFilter::First(1),
+                2 => NodeFilter::First(count),
+                _ => NodeFilter::Stride(nodes),
+            },
+        });
+        let (_, journal) = Journal::record(2, &spec, seed);
+        let text = journal.to_text();
+        let parsed = Journal::from_text(&text)
+            .unwrap_or_else(|e| panic!("parse failed: {e}\n{}", spec.to_text()));
         prop_assert_eq!(parsed.to_text(), text);
     }
 

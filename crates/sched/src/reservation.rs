@@ -43,8 +43,10 @@ pub enum Place {
 /// change on wake/block/depletion/replenish/parameter events. Every
 /// mutating entry point invalidates the caches; plain budget decrements
 /// do not (see [`Server::charge`]). The pre-cache full-scan dispatcher is
-/// kept behind [`ReservationScheduler::use_scan_dispatch`] for
-/// before/after benchmarking and differential testing.
+/// the caches' reference: `tests/dispatch_props.rs::
+/// cached_and_scan_dispatch_agree` switches one of two twin schedulers to
+/// it (`use_scan_dispatch`, hidden from docs) and holds them to identical
+/// answers. Nothing layered on this scheduler offers or reads the choice.
 pub struct ReservationScheduler {
     servers: Vec<Server>,
     /// Dense task placement, indexed by `TaskId` (default fair). Dense
@@ -60,7 +62,8 @@ pub struct ReservationScheduler {
     /// Cached earliest replenishment (`None` = dirty). A `Cell` because
     /// [`Scheduler::next_timer`] takes `&self`.
     timer_cache: Cell<Option<Option<Time>>>,
-    /// Benchmark toggle: bypass both caches and rescan on every query.
+    /// Differential-test reference: bypass the caches and rescan on every
+    /// query.
     scan_dispatch: bool,
     /// Reused EDF-order buffer for [`ReservationScheduler::pick_with`]:
     /// one allocation serves every nested dispatch.
@@ -101,20 +104,12 @@ impl ReservationScheduler {
     }
 
     /// Disables the dispatch caches: every `pick`/`next_timer` rescans all
-    /// servers (the pre-cache implementation), for before/after
-    /// benchmarking and differential testing only.
+    /// servers (the pre-cache implementation). The reference side of
+    /// `tests/dispatch_props.rs::cached_and_scan_dispatch_agree` only.
     #[doc(hidden)]
     pub fn use_scan_dispatch(&mut self) {
         self.scan_dispatch = true;
         self.touch();
-    }
-
-    /// Whether the scan-dispatch toggle is active (layered schedulers
-    /// disable their own caches too, so before/after comparisons measure
-    /// the whole stack).
-    #[doc(hidden)]
-    pub fn uses_scan_dispatch(&self) -> bool {
-        self.scan_dispatch
     }
 
     /// Invalidates the cached dispatch decision and timer.

@@ -23,10 +23,11 @@
 //! is at the back), which makes `peek_time` O(1) with `&self` and lets
 //! `pop_due` decide with a single comparison.
 //!
-//! The previous `BinaryHeap` implementation is kept as a private fallback
-//! ([`EventQueue::heap_fallback`], hidden from docs) so property tests and
-//! the perf trajectory can differentially check and benchmark the wheel
-//! against it; both deliver byte-identical pop orders.
+//! The previous `BinaryHeap` implementation is kept as the wheel's
+//! reference ([`EventQueue::heap_fallback`], hidden from docs): this
+//! module's property test `wheel_matches_heap_pop_order` (`tests/props.rs`)
+//! holds the two to byte-identical pop orders. Nothing above this module
+//! offers the choice — a [`crate::Kernel`] always runs on the wheel.
 
 use crate::time::Time;
 use std::cmp::Ordering;
@@ -310,9 +311,9 @@ impl<E> EventQueue<E> {
 
     /// Creates an empty queue backed by the original binary heap.
     ///
-    /// The fallback exists for differential property tests and for the
-    /// before/after perf trajectory (`perf_report`); simulations should
-    /// use [`EventQueue::new`].
+    /// The reference side of the differential property test
+    /// (`tests/props.rs::wheel_matches_heap_pop_order`) and nothing else;
+    /// simulations use [`EventQueue::new`].
     #[doc(hidden)]
     pub fn heap_fallback() -> EventQueue<E> {
         EventQueue {

@@ -194,21 +194,6 @@ impl<S: Scheduler> Kernel<S> {
         self.cs_cost = cost;
     }
 
-    /// Switches the engine to the binary-heap event queue (the pre-wheel
-    /// implementation), for before/after benchmarking only.
-    ///
-    /// # Panics
-    ///
-    /// Panics if events are already pending (call before any `spawn`).
-    #[doc(hidden)]
-    pub fn use_heap_event_queue(&mut self) {
-        assert!(
-            self.events.is_empty(),
-            "switch the event queue before spawning tasks"
-        );
-        self.events = EventQueue::heap_fallback();
-    }
-
     /// Installs a syscall tracer hook, returning the previous one.
     pub fn install_hook(&mut self, hook: Box<dyn SyscallHook>) -> Box<dyn SyscallHook> {
         core::mem::replace(&mut self.hook, hook)

@@ -310,13 +310,10 @@ impl Scheduler for VirtScheduler {
         if self.vms.is_empty() {
             return self.host.next_timer(now);
         }
-        let cached = !self.host.uses_scan_dispatch();
         let epoch = self.stack_epoch();
-        if cached {
-            if let Some((e, t)) = self.timer_cache.get() {
-                if e == epoch {
-                    return t;
-                }
+        if let Some((e, t)) = self.timer_cache.get() {
+            if e == epoch {
+                return t;
             }
         }
         let mut next = self.host.next_timer(now);
@@ -327,9 +324,7 @@ impl Scheduler for VirtScheduler {
                 (n, t) => n.or(t),
             };
         }
-        if cached {
-            self.timer_cache.set(Some((epoch, next)));
-        }
+        self.timer_cache.set(Some((epoch, next)));
         next
     }
 

@@ -5,10 +5,11 @@
 //! the feedback rebalancer must still cut fleet misses — now picking
 //! destinations out of an idle majority of thousands via the bucketed
 //! headroom index, and reporting through mergeable histogram sketches
-//! instead of per-task gap vectors. The test pins the three contracts
-//! that make that safe: the rebalancer wins, the index is byte-identical
-//! to the linear-scan placer, and sketch aggregates cannot observe the
-//! worker-thread count.
+//! instead of per-task gap vectors. The test pins the two contracts
+//! that make that safe: the rebalancer wins, and sketch aggregates cannot
+//! observe the worker-thread count. (That the index picks the node the
+//! linear scan would is pinned where the scan lives, by the differential
+//! tests in `crates/cluster/src/placer.rs`.)
 //!
 //! Sized for the debug test profile: 10k nodes stay (the node axis is
 //! the point), the liar population and horizon shrink.
@@ -83,19 +84,6 @@ fn megafleet_rebalancer_cuts_misses_at_ten_thousand_nodes() {
         "sketch mode must not retain per-task reports"
     );
     assert!(detailed.nodes.iter().any(|n| !n.tasks.is_empty()));
-}
-
-#[test]
-fn megafleet_index_is_byte_identical_to_the_scan_placer() {
-    let spec = scenario(true);
-    let indexed = runner(2).run(&spec, SEED);
-    let scanned = runner(2).with_scan_placement(true).run(&spec, SEED);
-    assert_eq!(
-        indexed.summary_csv(),
-        scanned.summary_csv(),
-        "the bucketed index is a data structure, not a policy change"
-    );
-    assert!(indexed.rebalance.moves >= 1);
 }
 
 #[test]
