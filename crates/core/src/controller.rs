@@ -290,4 +290,36 @@ mod tests {
         let _ = c.step(&input(&events, 100, false));
         assert_eq!(c.period(), None);
     }
+
+    #[test]
+    fn period_change_is_confirmed_by_steps_that_carry_no_events() {
+        // The analyser answers an unchanged window from memory; the
+        // hysteresis must still see that answer once per step, or a
+        // change would wait for fresh events to be confirmed.
+        let cfg = ControllerConfig::default();
+        let k = cfg.period_confirmations;
+        let mut c = TaskController::new(cfg);
+        let _ = c.step(&input(
+            &synthetic_burst_train(0.04, 50, 6, 0.005),
+            100,
+            false,
+        ));
+        let old = c.period().expect("period detected");
+        // One batch, 10 s later, at 20 ms: it evicts the whole old window.
+        let faster: Vec<f64> = synthetic_burst_train(0.02, 100, 6, 0.005)
+            .iter()
+            .map(|t| t + 10.0)
+            .collect();
+        let _ = c.step(&input(&faster, 200, false));
+        for step in 2..k {
+            let _ = c.step(&input(&[], 200, false));
+            assert_eq!(c.period(), Some(old), "adopted after only {step} steps");
+        }
+        let _ = c.step(&input(&[], 200, false));
+        let new = c.period().expect("still known");
+        assert!(
+            (new.as_ms_f64() - 20.0).abs() < 0.5,
+            "after {k} steps: {new}"
+        );
+    }
 }

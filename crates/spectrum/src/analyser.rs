@@ -59,11 +59,32 @@ pub struct PeriodEstimate {
     pub events: usize,
 }
 
+/// What the previous [`PeriodAnalyser::estimate`] call concluded, for as
+/// long as its window is still the window.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+enum Verdict {
+    /// Events entered the window (or it was reset) since the last call,
+    /// or none was made: the next call has to look.
+    Stale,
+    /// Periodic, and the estimate is `last`.
+    Periodic,
+    /// Aperiodic.
+    Aperiodic,
+}
+
 /// Sliding-window period analyser.
+///
+/// One exists per managed task — 50 k to 1 M of them in a fleet run — so
+/// what `estimate` remembers is two bytes in the padding the struct
+/// already had: `last` without an `Option`'s tag word (`seen` says whether
+/// it holds anything) and no second copy of the estimate (a periodic
+/// verdict on an unchanged window *is* `last`). A test pins the size.
 pub struct PeriodAnalyser {
     cfg: AnalyserConfig,
     dft: WindowedDft,
-    last: Option<PeriodEstimate>,
+    last: PeriodEstimate,
+    seen: bool,
+    verdict: Verdict,
     estimates: u64,
     aperiodic_verdicts: u64,
 }
@@ -74,7 +95,14 @@ impl PeriodAnalyser {
         PeriodAnalyser {
             cfg,
             dft: WindowedDft::new(cfg.spectrum, cfg.horizon.0),
-            last: None,
+            last: PeriodEstimate {
+                frequency: 0.0,
+                period: 0.0,
+                score: 0.0,
+                events: 0,
+            },
+            seen: false,
+            verdict: Verdict::Stale,
             estimates: 0,
             aperiodic_verdicts: 0,
         }
@@ -91,7 +119,14 @@ impl PeriodAnalyser {
     }
 
     /// Feeds a batch of event timestamps (seconds, time-ordered).
+    ///
+    /// Events leave the window only when a newer one arrives, so an empty
+    /// batch changes nothing and the previous verdict stands.
     pub fn feed(&mut self, events_secs: &[f64]) {
+        if events_secs.is_empty() {
+            return;
+        }
+        self.verdict = Verdict::Stale;
         self.dft.extend(events_secs);
     }
 
@@ -105,38 +140,51 @@ impl PeriodAnalyser {
     /// Returns `None` when the window is empty or the signal is declared
     /// aperiodic; the previous successful estimate stays available through
     /// [`PeriodAnalyser::last_estimate`].
+    ///
+    /// The spectrum is a function of the window alone, so while nothing
+    /// has entered the window since the previous call — no
+    /// [`PeriodAnalyser::feed`] of a non-empty batch, no
+    /// [`PeriodAnalyser::reset_window`] — this call returns that call's
+    /// result without recomputing it. It still counts in
+    /// [`PeriodAnalyser::verdict_counts`] and still returns one value per
+    /// call: a caller that counts confirmations sees the same sequence.
     pub fn estimate(&mut self) -> Option<PeriodEstimate> {
         if self.dft.is_empty() {
             return None;
         }
-        let detection = ESTIMATE_SPECTRUM.with_borrow_mut(|spectrum| {
-            self.dft.spectrum_into(spectrum);
-            detect(spectrum, &self.cfg.peaks).detection
-        });
+        if self.verdict == Verdict::Stale {
+            let detection = ESTIMATE_SPECTRUM.with_borrow_mut(|spectrum| {
+                self.dft.spectrum_into(spectrum);
+                detect(spectrum, &self.cfg.peaks).detection
+            });
+            self.verdict = match detection {
+                Detection::Periodic {
+                    frequency, score, ..
+                } => {
+                    self.last = PeriodEstimate {
+                        frequency,
+                        period: 1.0 / frequency,
+                        score,
+                        events: self.dft.len(),
+                    };
+                    self.seen = true;
+                    Verdict::Periodic
+                }
+                Detection::Aperiodic => Verdict::Aperiodic,
+            };
+        }
         self.estimates += 1;
-        match detection {
-            Detection::Periodic {
-                frequency, score, ..
-            } => {
-                let est = PeriodEstimate {
-                    frequency,
-                    period: 1.0 / frequency,
-                    score,
-                    events: self.dft.len(),
-                };
-                self.last = Some(est);
-                Some(est)
-            }
-            Detection::Aperiodic => {
-                self.aperiodic_verdicts += 1;
-                None
-            }
+        if self.verdict == Verdict::Periodic {
+            Some(self.last)
+        } else {
+            self.aperiodic_verdicts += 1;
+            None
         }
     }
 
     /// The most recent successful estimate, if any.
     pub fn last_estimate(&self) -> Option<PeriodEstimate> {
-        self.last
+        self.seen.then_some(self.last)
     }
 
     /// Snapshot of the current spectrum (for plotting, Figure 10).
@@ -151,6 +199,7 @@ impl PeriodAnalyser {
 
     /// Forgets all window state (but keeps the last estimate).
     pub fn reset_window(&mut self) {
+        self.verdict = Verdict::Stale;
         self.dft.clear();
     }
 }
@@ -206,5 +255,15 @@ mod tests {
         a.feed(&synthetic_burst_train(0.04, 50, 6, 0.005));
         let _ = a.estimate();
         assert_eq!(a.verdict_counts(), (1, 0));
+    }
+
+    #[test]
+    fn analyser_is_no_larger_than_before_it_remembered_its_verdict() {
+        assert!(
+            core::mem::size_of::<PeriodAnalyser>() <= 240,
+            "PeriodAnalyser grew to {} bytes: one exists per managed task, 50 k to 1 M \
+             per fleet run, so the remembered verdict has to stay in the struct's padding",
+            core::mem::size_of::<PeriodAnalyser>()
+        );
     }
 }

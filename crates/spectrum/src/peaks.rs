@@ -97,8 +97,6 @@ pub struct PeakAnalysis {
     pub detection: Detection,
     /// Grid bins examined (the `E` of Equation (5)).
     pub scanned_bins: u64,
-    /// All local maxima found before thresholding, as `(freq, amplitude)`.
-    pub raw_peaks: Vec<(f64, f64)>,
 }
 
 /// Indices of strict local maxima of `amps` (plateaus count once, at their
@@ -147,23 +145,17 @@ pub fn detect(spectrum: &Spectrum, cfg: &PeakConfig) -> PeakAnalysis {
     let grid = spectrum.config;
     let mut scanned = amps.len() as u64; // steps 1–3 scan every bin
 
-    let maxima = local_maxima(amps);
-    let raw_peaks: Vec<(f64, f64)> = maxima.iter().map(|&i| (grid.freq_of(i), amps[i])).collect();
-
     let mean = spectrum.mean_amplitude();
     let threshold = cfg.alpha * mean;
     let global_max = amps.iter().copied().fold(0.0_f64, f64::max);
     let rel_floor = cfg.min_rel_amplitude * global_max;
-    let candidates: Vec<usize> = maxima
-        .into_iter()
-        .filter(|&i| amps[i] >= threshold && amps[i] >= rel_floor && amps[i] > 0.0)
-        .collect();
+    let mut candidates = local_maxima(amps);
+    candidates.retain(|&i| amps[i] >= threshold && amps[i] >= rel_floor && amps[i] > 0.0);
 
     if candidates.is_empty() {
         return PeakAnalysis {
             detection: Detection::Aperiodic,
             scanned_bins: scanned,
-            raw_peaks,
         };
     }
 
@@ -209,7 +201,6 @@ pub fn detect(spectrum: &Spectrum, cfg: &PeakConfig) -> PeakAnalysis {
             peak_to_mean: if mean > 0.0 { global_max / mean } else { 0.0 },
         },
         scanned_bins: scanned,
-        raw_peaks,
     }
 }
 

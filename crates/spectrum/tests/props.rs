@@ -2,8 +2,21 @@
 
 use proptest::prelude::*;
 use selftune_spectrum::{
-    amplitude_spectrum, detect, synthetic_burst_train, PeakConfig, SpectrumConfig, WindowedDft,
+    amplitude_spectrum, detect, synthetic_burst_train, AnalyserConfig, Detection, Horizon,
+    PeakConfig, PeriodAnalyser, PeriodEstimate, SpectrumConfig, WindowedDft,
 };
+
+/// An estimate as the bits of its four fields.
+fn estimate_bits(e: Option<PeriodEstimate>) -> Option<[u64; 4]> {
+    e.map(|e| {
+        [
+            e.frequency.to_bits(),
+            e.period.to_bits(),
+            e.score.to_bits(),
+            e.events as u64,
+        ]
+    })
+}
 
 proptest! {
     /// A clean periodic burst train with f₀ well inside the band is always
@@ -87,5 +100,68 @@ proptest! {
         let spec = amplitude_spectrum(&events, cfg);
         let analysis = detect(&spec, &PeakConfig { epsilon: eps, ..PeakConfig::default() });
         prop_assert!(analysis.scanned_bins >= cfg.bins() as u64);
+    }
+
+    /// `estimate()` remembers its verdict while nothing enters the window.
+    /// Whatever the interleaving of feeds (empty or not), estimates and
+    /// resets, every estimate is what `detect` says about the public
+    /// spectrum snapshot at that moment, every call on a non-empty window
+    /// counts once, and `last_estimate()` is the latest periodic answer.
+    #[test]
+    fn estimate_equals_detect_on_the_snapshot_under_any_interleaving(
+        steps in prop::collection::vec((0u8..8, 1usize..10, 1u32..30_000), 1..60),
+    ) {
+        let cfg = AnalyserConfig {
+            spectrum: SpectrumConfig::new(18.0, 100.0, 0.5),
+            horizon: Horizon(0.5),
+            ..AnalyserConfig::default()
+        };
+        let mut a = PeriodAnalyser::new(cfg);
+        let mut now = 0.0;
+        let mut last = None;
+        let (mut calls, mut aperiodic) = (0u64, 0u64);
+        for (kind, n, gap_us) in steps {
+            match kind {
+                // A batch at the step's own rate: a run of them is a
+                // periodic train, a mix of rates is not.
+                0..=1 => {
+                    let batch: Vec<f64> = (0..n)
+                        .map(|_| {
+                            now += f64::from(gap_us) / 1e6;
+                            now
+                        })
+                        .collect();
+                    a.feed(&batch);
+                }
+                2 => a.feed(&[]),
+                3 => a.reset_window(),
+                _ => {
+                    let got = a.estimate();
+                    let expected = if a.window_len() == 0 {
+                        None
+                    } else {
+                        calls += 1;
+                        match detect(&a.spectrum(), &cfg.peaks).detection {
+                            Detection::Periodic { frequency, score, .. } => {
+                                last = Some(PeriodEstimate {
+                                    frequency,
+                                    period: 1.0 / frequency,
+                                    score,
+                                    events: a.window_len(),
+                                });
+                                last
+                            }
+                            Detection::Aperiodic => {
+                                aperiodic += 1;
+                                None
+                            }
+                        }
+                    };
+                    prop_assert_eq!(estimate_bits(got), estimate_bits(expected));
+                }
+            }
+            prop_assert_eq!(a.verdict_counts(), (calls, aperiodic));
+            prop_assert_eq!(estimate_bits(a.last_estimate()), estimate_bits(last));
+        }
     }
 }
