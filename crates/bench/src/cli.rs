@@ -1,15 +1,14 @@
-//! Shared command-line handling for the experiment binaries.
+//! The flags of the `experiment` binary.
 //!
-//! Every binary in `src/bin/` accepts the same flags; parsing lives here
-//! once so a new flag (such as `--journal`) reaches all of them in one
-//! place instead of being hand-rolled per binary.
+//! Every experiment receives the same [`Args`]; parsing lives here once so
+//! a flag (such as `--journal`) reaches all of them in one place.
 
 use std::path::{Path, PathBuf};
 
 use selftune_cluster::ScenarioSpec;
 use selftune_journal::Journal;
 
-/// Common command-line arguments of the experiment binaries.
+/// Command-line flags common to every experiment.
 #[derive(Clone, Debug)]
 pub struct Args {
     /// Base RNG seed.
@@ -50,22 +49,12 @@ impl Default for Args {
 
 impl Args {
     /// Parses `--seed N`, `--fast`, `--smoke`, `--out DIR`,
-    /// `--scenario FILE`, `--journal FILE` and `--checkpoint-every N`
-    /// from `std::env::args`.
+    /// `--scenario FILE`, `--journal FILE` and `--checkpoint-every N`.
     ///
     /// # Panics
     ///
-    /// Panics on malformed arguments (these are experiment binaries; a
-    /// loud failure beats a silently wrong configuration).
-    pub fn parse() -> Args {
-        Args::parse_from(std::env::args().skip(1))
-    }
-
-    /// [`Args::parse`] over an explicit argument iterator (testable core).
-    ///
-    /// # Panics
-    ///
-    /// Panics on malformed or unknown arguments.
+    /// Panics on malformed or unknown arguments (a loud failure beats a
+    /// silently wrong configuration).
     pub fn parse_from(args: impl IntoIterator<Item = String>) -> Args {
         let mut out = Args::default();
         let mut it = args.into_iter();
@@ -100,16 +89,16 @@ impl Args {
         out
     }
 
-    /// Loads the `--scenario` file, if given.
+    /// Loads the `--scenario` file, if given, and says so on stdout.
     ///
     /// # Panics
     ///
     /// Panics with the parse error when the file is missing or malformed
     /// (a silently ignored scenario file would invalidate the experiment).
     pub fn scenario_spec(&self) -> Option<ScenarioSpec> {
-        self.scenario
-            .as_deref()
-            .map(|p| load_scenario(p).unwrap_or_else(|e| panic!("{e}")))
+        let spec = load_scenario(self.scenario.as_deref()?).unwrap_or_else(|e| panic!("{e}"));
+        println!("scenario file: {}", spec.name);
+        Some(spec)
     }
 
     /// Picks a repetition count: `full` normally, `quick` with `--fast`.
@@ -119,6 +108,12 @@ impl Args {
         } else {
             full
         }
+    }
+
+    /// Picks a sweep: all of `full` normally, its first `quick` points with
+    /// `--fast`.
+    pub fn sweep<'a, T>(&self, full: &'a [T], quick: usize) -> &'a [T] {
+        &full[..self.reps(full.len(), quick)]
     }
 
     /// Ensures the results directory exists and returns a path inside it.
@@ -136,7 +131,7 @@ impl Args {
     ///
     /// # Panics
     ///
-    /// Panics on I/O errors (experiment binaries).
+    /// Panics on I/O errors.
     pub fn write_journal(&self, journal: &Journal) {
         let Some(path) = &self.journal else {
             return;

@@ -7,147 +7,117 @@
 //!   the quantile trades a little under-provisioning for stability.
 //! * **Supervisor compression** — proportional vs equal under overload.
 
-use crate::setups::video_run;
-use crate::{fmt, print_table, write_csv, Args};
+use crate::setups::{video_run, VideoRunOutcome};
+use crate::{col, fmt, Args, Table};
 use selftune_core::{ControllerConfig, FeedbackKind, LfsPpConfig, ManagerConfig};
 use selftune_sched::{CbsMode, Compression};
 use selftune_simcore::stats::{mean, std_dev};
 
 const WARMUP_FRAMES: usize = 200;
 
-fn steady(xs: &[f64]) -> &[f64] {
-    &xs[WARMUP_FRAMES.min(xs.len().saturating_sub(1))..]
+/// One 25 fps video run of the ablation length.
+fn video(ctl: ControllerConfig, mgr: ManagerConfig, bg_util: f64, args: &Args) -> VideoRunOutcome {
+    let secs = if args.fast { 15 } else { 40 };
+    video_run(ctl, mgr, bg_util, secs, args.seed)
+}
+
+/// `[avg, σ]` of the steady-state inter-frame times, as cells.
+fn steady_ift(out: &VideoRunOutcome) -> [String; 2] {
+    let steady = out.steady_ift(WARMUP_FRAMES);
+    [fmt(mean(steady), 3), fmt(std_dev(steady), 3)]
 }
 
 /// CBS hard vs soft under moderate background load.
-pub fn cbs_mode(args: &Args) {
-    println!("== Ablation: CBS depletion mode (hard vs soft) ==");
-    let secs = if args.fast { 15 } else { 40 };
-    let mut rows = Vec::new();
+fn cbs_mode(args: &Args) -> Table {
+    let mut table = Table::new(
+        "ablation_cbs_mode.csv",
+        [
+            col("CBS mode", "mode"),
+            col("avg IFT (ms)", "avg_ift_ms"),
+            col("σ IFT (ms)", "sd_ift_ms"),
+            col("dropped", "dropped"),
+        ],
+    )
+    .heading("== Ablation: CBS depletion mode (hard vs soft) ==");
     for (name, mode) in [("hard", CbsMode::Hard), ("soft", CbsMode::Soft)] {
-        let out = video_run(
-            ControllerConfig::default(),
-            ManagerConfig {
-                cbs_mode: mode,
-                ..ManagerConfig::default()
-            },
-            0.40,
-            secs,
-            args.seed,
-        );
-        let s = steady(&out.ift_ms);
-        rows.push(vec![
-            name.to_owned(),
-            fmt(mean(s), 3),
-            fmt(std_dev(s), 3),
-            out.dropped.to_string(),
-        ]);
+        let mgr = ManagerConfig {
+            cbs_mode: mode,
+            ..ManagerConfig::default()
+        };
+        let out = video(ControllerConfig::default(), mgr, 0.40, args);
+        let [avg, sd] = steady_ift(&out);
+        table.row(vec![name.to_owned(), avg, sd, out.dropped.to_string()]);
     }
-    print_table(
-        &["CBS mode", "avg IFT (ms)", "σ IFT (ms)", "dropped"],
-        &rows,
-    );
-    write_csv(
-        &args.out_path("ablation_cbs_mode.csv"),
-        &["mode", "avg_ift_ms", "sd_ift_ms", "dropped"],
-        &rows,
-    );
+    table
 }
 
 /// Predictor comparison: quantile (paper) vs max vs near-mean quantile.
-pub fn predictors(args: &Args) {
-    println!("== Ablation: predictor choice in LFS++ ==");
-    let secs = if args.fast { 15 } else { 40 };
-    let variants: [(&str, LfsPpConfig); 3] = [
-        ("quantile 0.9375/16 (paper)", LfsPpConfig::default()),
+fn predictors(args: &Args) -> Table {
+    let mut table = Table::new(
+        "ablation_predictors.csv",
+        [
+            col("predictor", "predictor"),
+            col("avg IFT (ms)", "avg_ift_ms"),
+            col("σ IFT (ms)", "sd_ift_ms"),
+            col("avg reserved bw", "avg_bw"),
+            col("dropped", "dropped"),
+        ],
+    )
+    .heading("== Ablation: predictor choice in LFS++ ==");
+    for (name, quantile) in [
         (
-            "max of 16",
-            LfsPpConfig {
-                quantile: 1.0,
-                ..LfsPpConfig::default()
-            },
+            "quantile 0.9375/16 (paper)",
+            LfsPpConfig::default().quantile,
         ),
-        (
-            "median of 16",
-            LfsPpConfig {
-                quantile: 0.5,
+        ("max of 16", 1.0),
+        ("median of 16", 0.5),
+    ] {
+        let ctl = ControllerConfig {
+            feedback: FeedbackKind::LfsPp(LfsPpConfig {
+                quantile,
                 ..LfsPpConfig::default()
-            },
-        ),
-    ];
-    let mut rows = Vec::new();
-    for (name, cfg) in variants {
-        let out = video_run(
-            ControllerConfig {
-                feedback: FeedbackKind::LfsPp(cfg),
-                ..ControllerConfig::default()
-            },
-            ManagerConfig::default(),
-            0.0,
-            secs,
-            args.seed,
-        );
-        let s = steady(&out.ift_ms);
-        let bw: Vec<f64> = out.bw.iter().map(|&(_, b)| b).collect();
-        rows.push(vec![
+            }),
+            ..ControllerConfig::default()
+        };
+        let out = video(ctl, ManagerConfig::default(), 0.0, args);
+        let [avg, sd] = steady_ift(&out);
+        table.row(vec![
             name.to_owned(),
-            fmt(mean(s), 3),
-            fmt(std_dev(s), 3),
-            fmt(mean(&bw), 4),
+            avg,
+            sd,
+            fmt(mean(&out.bandwidths()), 4),
             out.dropped.to_string(),
         ]);
     }
-    print_table(
-        &[
-            "predictor",
-            "avg IFT (ms)",
-            "σ IFT (ms)",
-            "avg reserved bw",
-            "dropped",
-        ],
-        &rows,
-    );
-    write_csv(
-        &args.out_path("ablation_predictors.csv"),
-        &["predictor", "avg_ift_ms", "sd_ift_ms", "avg_bw", "dropped"],
-        &rows,
-    );
+    table
 }
 
 /// Supervisor compression policy under overload (70% background).
-pub fn compression(args: &Args) {
-    println!("== Ablation: supervisor compression under overload ==");
-    let secs = if args.fast { 15 } else { 40 };
-    let mut rows = Vec::new();
+fn compression(args: &Args) -> Table {
+    let mut table = Table::new(
+        "ablation_compression.csv",
+        [
+            col("compression", "policy"),
+            col("avg IFT (ms)", "avg_ift_ms"),
+            col("σ IFT (ms)", "sd_ift_ms"),
+            col("dropped", "dropped"),
+        ],
+    )
+    .heading("== Ablation: supervisor compression under overload ==");
     for (name, policy) in [
         ("proportional", Compression::Proportional),
         ("equal", Compression::Equal),
     ] {
-        let mut mgr_cfg = ManagerConfig::default();
-        mgr_cfg.supervisor.policy = policy;
-        let out = video_run(ControllerConfig::default(), mgr_cfg, 0.70, secs, args.seed);
-        let s = steady(&out.ift_ms);
-        rows.push(vec![
-            name.to_owned(),
-            fmt(mean(s), 3),
-            fmt(std_dev(s), 3),
-            out.dropped.to_string(),
-        ]);
+        let mut mgr = ManagerConfig::default();
+        mgr.supervisor.policy = policy;
+        let out = video(ControllerConfig::default(), mgr, 0.70, args);
+        let [avg, sd] = steady_ift(&out);
+        table.row(vec![name.to_owned(), avg, sd, out.dropped.to_string()]);
     }
-    print_table(
-        &["compression", "avg IFT (ms)", "σ IFT (ms)", "dropped"],
-        &rows,
-    );
-    write_csv(
-        &args.out_path("ablation_compression.csv"),
-        &["policy", "avg_ift_ms", "sd_ift_ms", "dropped"],
-        &rows,
-    );
+    table
 }
 
 /// Runs every ablation.
-pub fn run(args: &Args) {
-    cbs_mode(args);
-    predictors(args);
-    compression(args);
+pub fn run(args: &Args) -> Vec<Table> {
+    vec![cbs_mode(args), predictors(args), compression(args)]
 }

@@ -21,11 +21,12 @@
 //! variants on fleet miss rate and that the composed aggregates stay
 //! byte-identical at 1, 2 and 8 worker threads.
 
-use crate::{fmt, print_table, time_us, write_csv, Args};
+use super::fleet;
+use crate::{fmt, plain, time_us, Args, Table};
 use selftune_cluster::prelude::*;
 
 /// One diurnal-demo variant: which control levels are closed.
-fn scenario(nodes: usize, tasks: usize, in_place: bool, rebalance: bool) -> ScenarioSpec {
+pub fn scenario(nodes: usize, tasks: usize, in_place: bool, rebalance: bool) -> ScenarioSpec {
     let mut spec = ScenarioSpec::diurnal_demo(nodes, tasks);
     if in_place {
         // The two in-place levels travel together: elastic VM shares
@@ -49,98 +50,26 @@ fn scenario(nodes: usize, tasks: usize, in_place: bool, rebalance: bool) -> Scen
 /// Fleet sizes swept: `(nodes, tasks)`.
 const SWEEP: [(usize, usize); 2] = [(6, 12), (10, 20)];
 
-/// Runs the four-variant comparison and writes `cluster_diurnal.csv`.
-///
-/// With `--scenario FILE` the built-in sweep is replaced by the loaded
-/// fleet, run as-is against a copy with every control lever off; the
-/// composed-beats-both assertions only apply to the built-in sweep.
-pub fn run(args: &Args) {
-    println!("== Cluster diurnal: composed control plane vs single levels ==");
-    let file_spec = args.scenario_spec();
-    let sweep: &[(usize, usize)] = match (&file_spec, args.fast) {
-        (Some(_), _) => &[],
-        (None, true) => &SWEEP[..1],
-        (None, false) => &SWEEP,
-    };
-    if let Some(spec) = &file_spec {
-        println!("scenario file: {}", spec.name);
-        args.record_journal(spec);
-        let mut frozen = spec.clone();
-        frozen.rebalance.enabled = false;
-        frozen.node_share.enabled = false;
-        for vm in &mut frozen.vms {
-            vm.elastic = false;
-        }
-        let mut rows = Vec::new();
-        for (mode, s) in [("static", &frozen), ("as-configured", spec)] {
-            let (m, t_us) = time_us(|| ClusterRunner::new(2).run(s, args.seed));
-            rows.push(row(s.nodes, s.flat_tasks(), mode, &m, t_us));
-        }
-        finish(args, rows);
-        return;
+/// The static baseline of a `--scenario` file: every control lever off.
+fn all_levers_off(spec: &mut ScenarioSpec) {
+    spec.rebalance.enabled = false;
+    spec.node_share.enabled = false;
+    for vm in &mut spec.vms {
+        vm.elastic = false;
     }
-    let mut rows = Vec::new();
-    for &(nodes, tasks) in sweep {
-        let variants = [
-            ("static", scenario(nodes, tasks, false, false)),
-            ("rebalance-only", scenario(nodes, tasks, false, true)),
-            ("elastic-only", scenario(nodes, tasks, true, false)),
-            ("composed", scenario(nodes, tasks, true, true)),
-        ];
-        // `--journal FILE`: record the composed run for replay / what-if.
-        args.record_journal(&variants[3].1);
-        let mut results = Vec::new();
-        for (mode, spec) in &variants {
-            let (m, t_us) = time_us(|| ClusterRunner::new(2).run(spec, args.seed));
-            rows.push(row(nodes, spec.flat_tasks(), mode, &m, t_us));
-            results.push(m);
-        }
-        let (stat, reb, ela, comp) = (&results[0], &results[1], &results[2], &results[3]);
-
-        // Determinism: the epoch barriers, node re-bounds and migrations
-        // must not observe the worker-thread count.
-        let composed_spec = &variants[3].1;
-        let serial = ClusterRunner::new(1).run(composed_spec, args.seed);
-        let wide = ClusterRunner::new(8).run(composed_spec, args.seed);
-        assert_eq!(
-            serial.summary_csv(),
-            comp.summary_csv(),
-            "composed aggregates must not depend on thread count (1 vs 2)"
-        );
-        assert_eq!(
-            serial.summary_csv(),
-            wide.summary_csv(),
-            "composed aggregates must not depend on thread count (1 vs 8)"
-        );
-
-        // The point of the composed plane: each level alone leaves misses
-        // the other would have absorbed.
-        assert!(
-            comp.miss_ratio() < reb.miss_ratio(),
-            "composed must beat rebalance-only ({:.4} vs {:.4})",
-            comp.miss_ratio(),
-            reb.miss_ratio()
-        );
-        assert!(
-            comp.miss_ratio() < ela.miss_ratio(),
-            "composed must beat elastic-only ({:.4} vs {:.4})",
-            comp.miss_ratio(),
-            ela.miss_ratio()
-        );
-        assert!(
-            comp.miss_ratio() < stat.miss_ratio(),
-            "composed must beat the static baseline ({:.4} vs {:.4})",
-            comp.miss_ratio(),
-            stat.miss_ratio()
-        );
-    }
-    finish(args, rows);
 }
 
-fn row(nodes: usize, tasks: usize, mode: &str, m: &AggregateMetrics, t_us: f64) -> Vec<String> {
-    vec![
-        nodes.to_string(),
-        tasks.to_string(),
+/// Runs `spec` on two threads and adds its row.
+fn run_variant(
+    table: &mut Table,
+    mode: &str,
+    spec: &ScenarioSpec,
+    args: &Args,
+) -> AggregateMetrics {
+    let (m, t_us) = time_us(|| ClusterRunner::new(2).run(spec, args.seed));
+    table.row(vec![
+        spec.nodes.to_string(),
+        spec.flat_tasks().to_string(),
         mode.to_owned(),
         m.completions().to_string(),
         m.misses().to_string(),
@@ -148,24 +77,58 @@ fn row(nodes: usize, tasks: usize, mode: &str, m: &AggregateMetrics, t_us: f64) 
         m.rebalance.moves.to_string(),
         fmt(100.0 * m.mean_utilisation(), 1),
         fmt(t_us / 1e3, 1),
-    ]
+    ]);
+    m
 }
 
-fn finish(args: &Args, rows: Vec<Vec<String>>) {
-    let header = [
-        "nodes",
-        "tasks",
-        "plane",
-        "completions",
-        "misses",
-        "miss_ratio",
-        "migrations",
-        "mean_util_pct",
-        "wall_ms",
-    ];
-    print_table(&header, &rows);
-    write_csv(&args.out_path("cluster_diurnal.csv"), &header, &rows);
-    println!(
-        "(assertions passed: composed beats each single level; byte-identical at 1/2/8 threads)"
-    );
+/// Runs the four-variant comparison.
+///
+/// With `--scenario FILE` the built-in sweep is replaced by the loaded
+/// fleet, run as-is against a copy with every control lever off
+/// ([`fleet::scenario_override`]); the composed-beats-both and identity
+/// assertions only apply to the built-in sweep.
+pub fn run(args: &Args) -> Vec<Table> {
+    println!("== Cluster diurnal: composed control plane vs single levels ==");
+    let mut table = Table::new(
+        "cluster_diurnal.csv",
+        [
+            plain("nodes"),
+            plain("tasks"),
+            plain("plane"),
+            plain("completions"),
+            plain("misses"),
+            plain("miss_ratio"),
+            plain("migrations"),
+            plain("mean_util_pct"),
+            plain("wall_ms").measured(),
+        ],
+    )
+    .note("(assertions passed: composed beats each single level; byte-identical at 1/2/8 threads)");
+    if let Some((frozen, spec)) = fleet::scenario_override(args, all_levers_off) {
+        args.record_journal(&spec);
+        run_variant(&mut table, "static", &frozen, args);
+        run_variant(&mut table, "as-configured", &spec, args);
+        return vec![table];
+    }
+    for &(nodes, tasks) in args.sweep(&SWEEP, 1) {
+        let composed_spec = scenario(nodes, tasks, true, true);
+        // `--journal FILE`: record the composed run for replay / what-if.
+        args.record_journal(&composed_spec);
+        let mut variant =
+            |mode: &str, spec: &ScenarioSpec| run_variant(&mut table, mode, spec, args);
+        let stat = variant("static", &scenario(nodes, tasks, false, false));
+        let reb = variant("rebalance-only", &scenario(nodes, tasks, false, true));
+        let ela = variant("elastic-only", &scenario(nodes, tasks, true, false));
+        let comp = variant("composed", &composed_spec);
+
+        fleet::assert_thread_identity("composed", &comp, &[1, 8], |t| {
+            ClusterRunner::new(t).run(&composed_spec, args.seed)
+        });
+        // The point of the composed plane: each level alone leaves misses
+        // the other would have absorbed.
+        fleet::assert_fewer_misses("composed", &comp, "rebalance-only", &reb);
+        fleet::assert_fewer_misses("composed", &comp, "elastic-only", &ela);
+        fleet::assert_fewer_misses("composed", &comp, "the static baseline", &stat);
+    }
+    vec![table]
 }

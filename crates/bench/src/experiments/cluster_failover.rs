@@ -31,7 +31,7 @@ use selftune_journal::Journal;
 use selftune_simcore::metrics::Metrics;
 use selftune_simcore::time::Time;
 
-use crate::{fmt, print_table, time_us, write_csv, Args};
+use crate::{fmt, plain, time_us, Args, Show, Table};
 
 /// Fleet sizes swept: `(nodes, tasks)`.
 const SWEEP: [(usize, usize); 2] = [(6, 12), (10, 20)];
@@ -40,19 +40,13 @@ const SWEEP: [(usize, usize); 2] = [(6, 12), (10, 20)];
 const COLD_OUTAGE_EPOCHS: usize = 3;
 
 /// The composed diurnal fleet: elastic VM shares, node re-bounding and
-/// the feedback rebalancer all on (same construction as the composed
-/// variant of `cluster_diurnal`).
+/// the feedback rebalancer all on.
 fn composed(nodes: usize, tasks: usize) -> ScenarioSpec {
-    let mut spec = ScenarioSpec::diurnal_demo(nodes, tasks);
-    for vm in &mut spec.vms {
-        vm.elastic = true;
-    }
-    spec.with_node_share(ScenarioSpec::diurnal_node_share())
-        .with_rebalance(ScenarioSpec::diurnal_rebalance())
+    super::cluster_diurnal::scenario(nodes, tasks, true, true)
 }
 
 /// One replication + failover drill over `spec`. Returns the table row
-/// and appends per-chunk lag samples to `lag_rows`. The cold-restart
+/// and appends per-chunk lag samples to `lag_samples`. The cold-restart
 /// miss-cost claim is only asserted with `strict` (the built-in composed
 /// fleet guarantees the crowd needs the rebalancer; an arbitrary
 /// `--scenario` file does not).
@@ -60,7 +54,7 @@ fn drill(
     spec: &ScenarioSpec,
     args: &Args,
     strict: bool,
-    lag_rows: &mut Vec<Vec<String>>,
+    lag_samples: &mut Table,
 ) -> (Vec<String>, Follower) {
     let every = args.checkpoint_every.unwrap_or(2);
     let epochs = ClusterRunner::epoch_ends(spec).len() - 1;
@@ -88,7 +82,7 @@ fn drill(
         let seq = follower.expected_seq() - 1;
         follower.observe_lag(&mut metrics, &progress, Time::from_ns(seq));
         let lag = follower.lag(&progress);
-        lag_rows.push(vec![
+        lag_samples.row(vec![
             spec.name.clone(),
             seq.to_string(),
             format!("{applied:?}")
@@ -181,23 +175,46 @@ fn drill(
     (row, follower)
 }
 
-/// Runs the replication + failover drill and writes
-/// `cluster_failover.csv` and `distrib_lag.csv`.
-pub fn run(args: &Args) {
+/// Runs the replication + failover drill.
+pub fn run(args: &Args) -> Vec<Table> {
     println!("== Cluster failover: log-shipped replication, checkpoints, promotion ==");
-    let file_spec = args.scenario_spec();
-    let mut rows = Vec::new();
-    let mut lag_rows = Vec::new();
+    let mut drills = Table::new(
+        "cluster_failover.csv",
+        [
+            plain("nodes"),
+            plain("tasks"),
+            plain("frames"),
+            plain("records"),
+            plain("checkpoints"),
+            plain("crash_epoch"),
+            plain("miss_uninterrupted"),
+            plain("miss_promoted"),
+            plain("miss_cold_restart"),
+            plain("leader_wall_ms").measured(),
+        ],
+    );
+    let mut lag = Table::new(
+        "distrib_lag.csv",
+        [
+            plain("scenario"),
+            plain("seq"),
+            plain("applied"),
+            plain("epochs_applied"),
+            plain("lag_epochs"),
+            plain("lag_records"),
+            plain("lag_frames"),
+        ],
+    )
+    .show(Show::Hidden);
 
-    if let Some(spec) = &file_spec {
-        println!("scenario file: {}", spec.name);
-        args.record_journal(spec);
-        let (row, follower) = drill(spec, args, false, &mut lag_rows);
-        rows.push(row);
+    let last_claim = if let Some(spec) = args.scenario_spec() {
+        args.record_journal(&spec);
+        let (row, follower) = drill(&spec, args, false, &mut lag);
+        drills.row(row);
         // Divergence material for CI: the leader's journal (recorded
         // independently at the leader's thread count) and the follower's
         // replica must serialise to identical bytes.
-        let (_, leader_journal) = Journal::record(2, spec, args.seed);
+        let (_, leader_journal) = Journal::record(2, &spec, args.seed);
         let follower_journal = follower.journal().expect("replica complete");
         let (leader_text, follower_text) = (leader_journal.to_text(), follower_journal.to_text());
         std::fs::write(args.out_path("leader.journal"), &leader_text)
@@ -212,50 +229,17 @@ pub fn run(args: &Args) {
             "leader.journal == follower.journal ({} bytes)",
             leader_text.len()
         );
+        "journals byte-identical"
     } else {
-        let sweep: &[(usize, usize)] = if args.fast { &SWEEP[..1] } else { &SWEEP };
-        for &(nodes, tasks) in sweep {
-            let (row, _) = drill(&composed(nodes, tasks), args, true, &mut lag_rows);
-            rows.push(row);
+        for &(nodes, tasks) in args.sweep(&SWEEP, 1) {
+            let (row, _) = drill(&composed(nodes, tasks), args, true, &mut lag);
+            drills.row(row);
         }
-    }
-
-    let header = [
-        "nodes",
-        "tasks",
-        "frames",
-        "records",
-        "checkpoints",
-        "crash_epoch",
-        "miss_uninterrupted",
-        "miss_promoted",
-        "miss_cold_restart",
-        "leader_wall_ms",
-    ];
-    print_table(&header, &rows);
-    write_csv(&args.out_path("cluster_failover.csv"), &header, &rows);
-    write_csv(
-        &args.out_path("distrib_lag.csv"),
-        &[
-            "scenario",
-            "seq",
-            "applied",
-            "epochs_applied",
-            "lag_epochs",
-            "lag_records",
-            "lag_frames",
-        ],
-        &lag_rows,
-    );
-    if file_spec.is_none() {
-        println!(
-            "(assertions passed: replica byte-identical at every checkpoint and at finish; \
-             promotion loses zero decisions; a blind cold restart costs misses)"
-        );
-    } else {
-        println!(
-            "(assertions passed: replica byte-identical at every checkpoint and at finish; \
-             promotion loses zero decisions; journals byte-identical)"
-        );
-    }
+        "a blind cold restart costs misses"
+    };
+    let drills = drills.note(format!(
+        "(assertions passed: replica byte-identical at every checkpoint and at finish; \
+         promotion loses zero decisions; {last_claim})"
+    ));
+    vec![drills, lag]
 }

@@ -19,7 +19,8 @@
 //! wall-clock budget. Node count stays at 10k in every mode — the node
 //! axis is the point.
 
-use crate::{fmt, print_table, time_us, write_csv, Args};
+use super::fleet;
+use crate::{fmt, plain, time_us, Args, Table};
 use selftune_cluster::prelude::*;
 use selftune_simcore::time::Dur;
 
@@ -38,79 +39,70 @@ fn sizes(args: &Args) -> (usize, usize, Dur) {
     }
 }
 
-/// Runs the comparison and writes `cluster_megafleet.csv`.
+/// Runs the comparison.
 ///
 /// With `--scenario FILE` the built-in megafleet is replaced by the
-/// loaded fleet (the file's configuration is the feedback run; the same
-/// spec with the rebalancer off is the static baseline) and the
-/// improvement assertion is skipped — an arbitrary scenario carries no
-/// guarantee that feedback wins. The determinism assertions always apply.
-pub fn run(args: &Args) {
+/// loaded fleet ([`fleet::scenario_override`]) and the improvement
+/// assertion is skipped. The determinism assertions always apply.
+pub fn run(args: &Args) -> Vec<Table> {
     println!("== Cluster megafleet: placement index + sketch aggregates at 10k nodes ==");
-    let file_spec = args.scenario_spec();
-    let (frozen_spec, feedback_spec, assert_improvement) = match &file_spec {
-        Some(spec) => {
-            println!("scenario file: {}", spec.name);
-            let mut frozen = spec.clone();
-            frozen.rebalance.enabled = false;
-            (frozen, spec.clone(), false)
-        }
-        None => {
-            let (nodes, tasks, horizon) = sizes(args);
-            let frozen = ScenarioSpec::megafleet_demo(nodes, tasks, horizon);
-            let feedback = frozen
-                .clone()
-                .with_rebalance(ScenarioSpec::megafleet_rebalance(horizon));
-            (frozen, feedback, true)
-        }
-    };
+    let (frozen_spec, feedback_spec, builtin) =
+        match fleet::scenario_override(args, |s| s.rebalance.enabled = false) {
+            Some((frozen, feedback)) => (frozen, feedback, false),
+            None => {
+                let (nodes, tasks, horizon) = sizes(args);
+                let frozen = ScenarioSpec::megafleet_demo(nodes, tasks, horizon);
+                let feedback = frozen
+                    .clone()
+                    .with_rebalance(ScenarioSpec::megafleet_rebalance(horizon));
+                (frozen, feedback, true)
+            }
+        };
     let (nodes, tasks) = (frozen_spec.nodes, frozen_spec.tasks);
     let sim_total = frozen_spec.horizon.as_secs_f64() * nodes as f64;
     args.record_journal(&feedback_spec);
 
-    let runner = |threads: usize| ClusterRunner::new(threads).with_sketch_aggregates(true);
-    let (frozen, t_frozen) = time_us(|| runner(2).run(&frozen_spec, args.seed));
-    let (feedback, t_feedback) = time_us(|| runner(2).run(&feedback_spec, args.seed));
-
-    // Determinism: sketch-mode aggregates fold per-node histograms in
-    // node-id order, so the thread count must not leak into the bytes.
-    let serial = runner(1).run(&feedback_spec, args.seed);
-    let wide = runner(8).run(&feedback_spec, args.seed);
-    assert_eq!(
-        serial.summary_csv(),
-        feedback.summary_csv(),
-        "sketch aggregates must not depend on thread count (1 vs 2)"
-    );
-    assert_eq!(
-        serial.summary_csv(),
-        wide.summary_csv(),
-        "sketch aggregates must not depend on thread count (1 vs 8)"
-    );
-
+    // Sketch-mode aggregates fold per-node histograms in node-id order, so
+    // the thread count must not leak into the bytes.
+    let run = |threads: usize, spec: &ScenarioSpec| {
+        let runner = ClusterRunner::new(threads).with_sketch_aggregates(true);
+        runner.run(spec, args.seed)
+    };
+    let (frozen, t_frozen) = time_us(|| run(2, &frozen_spec));
+    let (feedback, t_feedback) = time_us(|| run(2, &feedback_spec));
+    fleet::assert_thread_identity("sketch", &feedback, &[1, 8], |t| run(t, &feedback_spec));
     // The payoff at scale: the rebalancer still wins on misses, with the
     // whole idle majority as destination pool.
-    if assert_improvement {
-        assert!(
-            feedback.miss_ratio() < frozen.miss_ratio(),
-            "feedback must cut the fleet miss rate ({:.5} vs {:.5})",
-            feedback.miss_ratio(),
-            frozen.miss_ratio()
-        );
-        assert!(
-            feedback.rebalance.moves >= 1,
-            "the megafleet scenario must trigger migrations"
-        );
+    if builtin {
+        fleet::assert_feedback_wins(&frozen, &feedback);
     }
     if let Some(delay) = feedback.mean_migrated_attach_delay_ms() {
         println!("mean migrated attach delay: {delay:.1} ms");
     }
 
-    let mut rows = Vec::new();
+    let mut table = Table::new(
+        "cluster_megafleet.csv",
+        [
+            plain("nodes"),
+            plain("tasks"),
+            plain("placement"),
+            plain("completions"),
+            plain("misses"),
+            plain("miss_ratio"),
+            plain("migrations"),
+            plain("wall_ms").measured(),
+            plain("sim_s_per_wall_s").measured(),
+        ],
+    )
+    .note(format!(
+        "(assertions passed: miss-rate reduced at {nodes} nodes; \
+         byte-identical at 1/2/8 threads)"
+    ));
     for (mode, m, t_us) in [
         ("static", &frozen, t_frozen),
         ("feedback", &feedback, t_feedback),
     ] {
-        rows.push(vec![
+        table.row(vec![
             nodes.to_string(),
             tasks.to_string(),
             mode.to_owned(),
@@ -122,21 +114,5 @@ pub fn run(args: &Args) {
             fmt(sim_total / (t_us / 1e6), 0),
         ]);
     }
-    let header = [
-        "nodes",
-        "tasks",
-        "placement",
-        "completions",
-        "misses",
-        "miss_ratio",
-        "migrations",
-        "wall_ms",
-        "sim_s_per_wall_s",
-    ];
-    print_table(&header, &rows);
-    write_csv(&args.out_path("cluster_megafleet.csv"), &header, &rows);
-    println!(
-        "(assertions passed: miss-rate reduced at {nodes} nodes; \
-         byte-identical at 1/2/8 threads)"
-    );
+    vec![table]
 }

@@ -26,8 +26,9 @@
 //! recorded instead of the full fleet — a million-task journal would be
 //! gigabytes — which is how `examples/milliontask.journal` is generated.
 
-use crate::{fmt, print_table, time_us, write_csv, Args};
-use selftune_cluster::{churn_mem_report, prelude::*, ChurnMemReport};
+use super::fleet;
+use crate::{fmt, plain, time_us, Args, Table};
+use selftune_cluster::{churn_mem_report, prelude::*};
 use selftune_simcore::time::Dur;
 
 /// Fleet size per mode: `(nodes, tasks, horizon)`. Tasks are pinned at
@@ -52,30 +53,26 @@ fn mem_sizes(args: &Args) -> (usize, usize) {
     }
 }
 
-/// Runs the million-task experiment and writes `cluster_milliontask.csv`
-/// (run matrix) and `cluster_milliontask_mem.csv` (arena accounting).
+/// Runs the million-task experiment: the run matrix and the arena
+/// accounting.
 ///
 /// With `--scenario FILE` the built-in fleet is replaced by the loaded
-/// spec and the improvement/live-population assertions are skipped.
-pub fn run(args: &Args) {
+/// spec ([`fleet::scenario_override`]) and the improvement/live-population
+/// assertions are skipped.
+pub fn run(args: &Args) -> Vec<Table> {
     println!("== Cluster milliontask: 1M live tasks, recycled arenas, tree reduction ==");
-    let file_spec = args.scenario_spec();
-    let (frozen_spec, feedback_spec, builtin) = match &file_spec {
-        Some(spec) => {
-            println!("scenario file: {}", spec.name);
-            let mut frozen = spec.clone();
-            frozen.rebalance.enabled = false;
-            (frozen, spec.clone(), false)
-        }
-        None => {
-            let (nodes, tasks, horizon) = sizes(args);
-            let frozen = ScenarioSpec::milliontask_demo(nodes, tasks, horizon);
-            let feedback = frozen
-                .clone()
-                .with_rebalance(ScenarioSpec::milliontask_rebalance(horizon));
-            (frozen, feedback, true)
-        }
-    };
+    let (frozen_spec, feedback_spec, builtin) =
+        match fleet::scenario_override(args, |s| s.rebalance.enabled = false) {
+            Some((frozen, feedback)) => (frozen, feedback, false),
+            None => {
+                let (nodes, tasks, horizon) = sizes(args);
+                let frozen = ScenarioSpec::milliontask_demo(nodes, tasks, horizon);
+                let feedback = frozen
+                    .clone()
+                    .with_rebalance(ScenarioSpec::milliontask_rebalance(horizon));
+                (frozen, feedback, true)
+            }
+        };
     let (nodes, tasks) = (frozen_spec.nodes, frozen_spec.tasks);
     let sim_total = frozen_spec.horizon.as_secs_f64() * nodes as f64;
 
@@ -115,29 +112,34 @@ pub fn run(args: &Args) {
         );
     }
 
-    let runner = |threads: usize| ClusterRunner::new(threads).with_sketch_aggregates(true);
-    let (feedback, t_feedback) = time_us(|| runner(2).run(&feedback_spec, args.seed));
+    // The balanced tree reduction merges worker partials over fixed node
+    // ranges, so worker count must not leak into the bytes.
+    let run = |threads: usize, spec: &ScenarioSpec| {
+        let runner = ClusterRunner::new(threads).with_sketch_aggregates(true);
+        runner.run(spec, args.seed)
+    };
+    let (feedback, t_feedback) = time_us(|| run(2, &feedback_spec));
+    let twins: &[usize] = if args.smoke { &[1] } else { &[1, 8] };
+    fleet::assert_thread_identity("tree-reduced", &feedback, twins, |t| run(t, &feedback_spec));
 
-    // Determinism: the balanced tree reduction merges worker partials over
-    // fixed node ranges, so worker count must not leak into the bytes.
-    let serial = runner(1).run(&feedback_spec, args.seed);
-    assert_eq!(
-        serial.summary_csv(),
-        feedback.summary_csv(),
-        "tree-reduced aggregates must not depend on thread count (1 vs 2)"
+    let mut matrix = Table::new(
+        "cluster_milliontask.csv",
+        [
+            plain("nodes"),
+            plain("tasks"),
+            plain("placement"),
+            plain("recycling"),
+            plain("completions"),
+            plain("misses"),
+            plain("miss_ratio"),
+            plain("migrations"),
+            plain("wall_ms").measured(),
+            plain("tasks_per_sec").measured(),
+            plain("sim_s_per_wall_s").measured(),
+        ],
     );
-    if !args.smoke {
-        let wide = runner(8).run(&feedback_spec, args.seed);
-        assert_eq!(
-            serial.summary_csv(),
-            wide.summary_csv(),
-            "tree-reduced aggregates must not depend on thread count (1 vs 8)"
-        );
-    }
-
-    let mut rows = Vec::new();
     let mut push_row = |mode: &str, m: &AggregateMetrics, t_us: f64| {
-        rows.push(vec![
+        matrix.row(vec![
             nodes.to_string(),
             tasks.to_string(),
             mode.to_owned(),
@@ -157,38 +159,13 @@ pub fn run(args: &Args) {
     if !args.smoke {
         // Static baseline + the payoff: feedback still cuts the fleet miss
         // rate with a million bystander tasks in the arena.
-        let (frozen, t_frozen) = time_us(|| runner(2).run(&frozen_spec, args.seed));
+        let (frozen, t_frozen) = time_us(|| run(2, &frozen_spec));
         push_row("static", &frozen, t_frozen);
         if builtin {
-            assert!(
-                feedback.miss_ratio() < frozen.miss_ratio(),
-                "feedback must cut the fleet miss rate ({:.5} vs {:.5})",
-                feedback.miss_ratio(),
-                frozen.miss_ratio()
-            );
-            assert!(
-                feedback.rebalance.moves >= 1,
-                "the milliontask scenario must trigger migrations"
-            );
+            fleet::assert_feedback_wins(&frozen, &feedback);
         }
     }
     push_row("feedback", &feedback, t_feedback);
-
-    let header = [
-        "nodes",
-        "tasks",
-        "placement",
-        "recycling",
-        "completions",
-        "misses",
-        "miss_ratio",
-        "migrations",
-        "wall_ms",
-        "tasks_per_sec",
-        "sim_s_per_wall_s",
-    ];
-    print_table(&header, &rows);
-    write_csv(&args.out_path("cluster_milliontask.csv"), &header, &rows);
 
     // Arena accounting on the churn workload: admissions ≫ peak live, so
     // the free-list holds bytes/task near the steady-state floor while the
@@ -196,34 +173,6 @@ pub fn run(args: &Args) {
     let (waves, per_wave) = mem_sizes(args);
     let mem_on = churn_mem_report(waves, per_wave, true, args.seed);
     let mem_off = churn_mem_report(waves, per_wave, false, args.seed);
-    let mem_row = |r: &ChurnMemReport| {
-        vec![
-            if r.recycle { "on" } else { "off" }.to_owned(),
-            r.stats.admitted.to_string(),
-            r.peak_live.to_string(),
-            r.stats.slots.to_string(),
-            r.stats.retired.to_string(),
-            r.stats.bytes.to_string(),
-            fmt(r.bytes_per_task(), 1),
-        ]
-    };
-    let mem_rows = vec![mem_row(&mem_off), mem_row(&mem_on)];
-    let mem_header = [
-        "recycling",
-        "admitted",
-        "peak_live",
-        "slots",
-        "retired",
-        "bytes",
-        "bytes_per_task",
-    ];
-    println!("mem_report: churn workload, {waves} waves x {per_wave} tasks");
-    print_table(&mem_header, &mem_rows);
-    write_csv(
-        &args.out_path("cluster_milliontask_mem.csv"),
-        &mem_header,
-        &mem_rows,
-    );
     assert!(
         mem_off.bytes_per_task() >= 2.0 * mem_on.bytes_per_task(),
         "recycling must at least halve bytes/task on the churn workload \
@@ -231,11 +180,36 @@ pub fn run(args: &Args) {
         mem_off.bytes_per_task(),
         mem_on.bytes_per_task()
     );
-
-    println!(
-        "(assertions passed: {} live tasks at horizon; byte-identical across \
+    let mut mem = Table::new(
+        "cluster_milliontask_mem.csv",
+        [
+            plain("recycling"),
+            plain("admitted"),
+            plain("peak_live"),
+            plain("slots"),
+            plain("retired"),
+            plain("bytes"),
+            plain("bytes_per_task"),
+        ],
+    )
+    .heading(format!(
+        "mem_report: churn workload, {waves} waves x {per_wave} tasks"
+    ))
+    .note(format!(
+        "(assertions passed: {tasks} live tasks at horizon; byte-identical across \
          thread counts{}; recycling halves churn bytes/task)",
-        tasks,
         if args.smoke { " (1/2)" } else { " (1/2/8)" },
-    );
+    ));
+    for r in [&mem_off, &mem_on] {
+        mem.row(vec![
+            if r.recycle { "on" } else { "off" }.to_owned(),
+            r.stats.admitted.to_string(),
+            r.peak_live.to_string(),
+            r.stats.slots.to_string(),
+            r.stats.retired.to_string(),
+            r.stats.bytes.to_string(),
+            fmt(r.bytes_per_task(), 1),
+        ]);
+    }
+    vec![matrix, mem]
 }

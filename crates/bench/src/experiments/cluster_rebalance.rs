@@ -10,97 +10,64 @@
 //! and that rebalanced aggregates stay byte-identical at 1, 2 and 8
 //! worker threads.
 
-use crate::{fmt, print_table, time_us, write_csv, Args};
+use super::fleet;
+use crate::{fmt, plain, time_us, Args, Table};
 use selftune_cluster::prelude::*;
 
 /// The canonical skewed-overload scenario
 /// ([`ScenarioSpec::skewed_overload_demo`], shared with
-/// `tests/cluster_rebalance_e2e.rs` and the `cluster_fleet` example).
-fn scenario(nodes: usize, tasks: usize, rebalance_on: bool) -> ScenarioSpec {
+/// `tests/cluster_rebalance_e2e.rs` and the `cluster_fleet` example), as
+/// `(static, feedback)`.
+fn scenario(nodes: usize, tasks: usize) -> (ScenarioSpec, ScenarioSpec) {
     let spec = ScenarioSpec::skewed_overload_demo(nodes, tasks);
-    if rebalance_on {
-        spec.with_rebalance(ScenarioSpec::demo_rebalance())
-    } else {
-        spec
-    }
+    let feedback = spec.clone().with_rebalance(ScenarioSpec::demo_rebalance());
+    (spec, feedback)
 }
 
 /// Fleet sizes swept: `(nodes, tasks)`.
 const SWEEP: [(usize, usize); 2] = [(4, 12), (6, 14)];
 
-/// Runs the comparison and writes `cluster_rebalance.csv`.
+/// Runs the comparison.
 ///
 /// With `--scenario FILE` the built-in sweep is replaced by the loaded
-/// fleet: the file's configuration is the feedback run and the same spec
-/// with the rebalancer switched off is the static baseline. The
-/// improvement assertions only apply to the built-in sweep — an arbitrary
-/// scenario file carries no guarantee that feedback wins.
-pub fn run(args: &Args) {
+/// fleet ([`fleet::scenario_override`]); the improvement assertions only
+/// apply to the built-in sweep.
+pub fn run(args: &Args) -> Vec<Table> {
     println!("== Cluster rebalance: feedback vs static placement ==");
-    let file_spec = args.scenario_spec();
-    let sweep: &[(usize, usize)] = match (&file_spec, args.fast) {
-        (Some(_), _) => &[],
-        (None, true) => &SWEEP[..1],
-        (None, false) => &SWEEP,
-    };
-    let configs: Vec<(ScenarioSpec, ScenarioSpec, bool)> = match &file_spec {
-        Some(spec) => {
-            println!("scenario file: {}", spec.name);
-            let mut frozen = spec.clone();
-            frozen.rebalance.enabled = false;
-            vec![(frozen, spec.clone(), false)]
+    let (configs, builtin) = match fleet::scenario_override(args, |s| s.rebalance.enabled = false) {
+        Some(pair) => (vec![pair], false),
+        None => {
+            let sweep = args.sweep(&SWEEP, 1).iter();
+            (sweep.map(|&(n, t)| scenario(n, t)).collect(), true)
         }
-        None => sweep
-            .iter()
-            .map(|&(nodes, tasks)| {
-                (
-                    scenario(nodes, tasks, false),
-                    scenario(nodes, tasks, true),
-                    true,
-                )
-            })
-            .collect(),
     };
     // `--journal FILE`: record the primary (feedback) scenario's decision
     // journal for later replay / what-if analysis.
-    if let Some((_, feedback_spec, _)) = configs.first() {
-        args.record_journal(feedback_spec);
-    }
-    let mut rows = Vec::new();
-    for (frozen_spec, feedback_spec, assert_improvement) in configs {
-        let (nodes, tasks) = (frozen_spec.nodes, frozen_spec.tasks);
-        let (frozen, t_frozen) = time_us(|| ClusterRunner::new(2).run(&frozen_spec, args.seed));
-        let (feedback, t_feedback) =
-            time_us(|| ClusterRunner::new(2).run(&feedback_spec, args.seed));
-
-        // Determinism: the epoch barriers and migrations must not observe
-        // the worker-thread count.
-        let serial = ClusterRunner::new(1).run(&feedback_spec, args.seed);
-        let wide = ClusterRunner::new(8).run(&feedback_spec, args.seed);
-        assert_eq!(
-            serial.summary_csv(),
-            feedback.summary_csv(),
-            "rebalanced aggregates must not depend on thread count (1 vs 2)"
-        );
-        assert_eq!(
-            serial.summary_csv(),
-            wide.summary_csv(),
-            "rebalanced aggregates must not depend on thread count (1 vs 8)"
-        );
-
-        // The point of the subsystem: measured feedback beats the frozen
-        // nominal plan under skewed overload.
-        if assert_improvement {
-            assert!(
-                feedback.miss_ratio() < frozen.miss_ratio(),
-                "feedback must cut the fleet miss rate ({:.4} vs {:.4})",
-                feedback.miss_ratio(),
-                frozen.miss_ratio()
-            );
-            assert!(
-                feedback.rebalance.moves >= 1,
-                "the skewed scenario must trigger migrations"
-            );
+    args.record_journal(&configs[0].1);
+    let mut table = Table::new(
+        "cluster_rebalance.csv",
+        [
+            plain("nodes"),
+            plain("tasks"),
+            plain("placement"),
+            plain("completions"),
+            plain("misses"),
+            plain("miss_ratio"),
+            plain("migrations"),
+            plain("failed"),
+            plain("mean_util_pct"),
+            plain("wall_ms").measured(),
+        ],
+    )
+    .note("(assertions passed: miss-rate reduced; byte-identical at 1/2/8 threads)");
+    for (frozen_spec, feedback_spec) in configs {
+        let run =
+            |threads: usize, spec: &ScenarioSpec| ClusterRunner::new(threads).run(spec, args.seed);
+        let (frozen, t_frozen) = time_us(|| run(2, &frozen_spec));
+        let (feedback, t_feedback) = time_us(|| run(2, &feedback_spec));
+        fleet::assert_thread_identity("rebalanced", &feedback, &[1, 8], |t| run(t, &feedback_spec));
+        if builtin {
+            fleet::assert_feedback_wins(&frozen, &feedback);
         }
         if let Some(gap) = feedback.mean_migrated_attach_delay_ms() {
             println!("mean migrated attach delay: {gap:.1} ms");
@@ -110,9 +77,9 @@ pub fn run(args: &Args) {
             ("static", &frozen, t_frozen),
             ("feedback", &feedback, t_feedback),
         ] {
-            rows.push(vec![
-                nodes.to_string(),
-                tasks.to_string(),
+            table.row(vec![
+                frozen_spec.nodes.to_string(),
+                frozen_spec.tasks.to_string(),
                 mode.to_owned(),
                 m.completions().to_string(),
                 m.misses().to_string(),
@@ -124,20 +91,5 @@ pub fn run(args: &Args) {
             ]);
         }
     }
-
-    let header = [
-        "nodes",
-        "tasks",
-        "placement",
-        "completions",
-        "misses",
-        "miss_ratio",
-        "migrations",
-        "failed",
-        "mean_util_pct",
-        "wall_ms",
-    ];
-    print_table(&header, &rows);
-    write_csv(&args.out_path("cluster_rebalance.csv"), &header, &rows);
-    println!("(assertions passed: miss-rate reduced; byte-identical at 1/2/8 threads)");
+    vec![table]
 }

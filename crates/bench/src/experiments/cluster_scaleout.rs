@@ -8,7 +8,8 @@
 //! column degrades gracefully toward 1× and the identity check still
 //! holds.
 
-use crate::{fmt, print_table, time_us, write_csv, Args};
+use super::fleet;
+use crate::{fmt, plain, time_us, Args, Table};
 use selftune_cluster::prelude::*;
 use selftune_simcore::time::Dur;
 
@@ -22,9 +23,9 @@ fn scenario(nodes: usize, tasks: usize) -> ScenarioSpec {
         .with_policy(PolicyKind::WorstFit)
 }
 
-/// Runs the sweep (or the `--scenario` file's fleet alone) and writes
-/// `cluster_scaleout.csv`.
-pub fn run(args: &Args) {
+/// Runs the sweep (or the `--scenario` file's fleet alone), then the
+/// placement-policy face-off on the largest built-in fleet.
+pub fn run(args: &Args) -> Vec<Table> {
     println!("== Cluster scale-out: parallel fleet runner ==");
     let hw = std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
@@ -35,49 +36,50 @@ pub fn run(args: &Args) {
         println!(" the identical-aggregate check below still validates the runner)");
     }
 
-    let file_spec = args.scenario_spec();
-    let mut rows = Vec::new();
-    let sweep: &[(usize, usize)] = match (&file_spec, args.fast) {
-        (Some(_), _) => &[],
-        (None, true) => &SWEEP[..2],
-        (None, false) => &SWEEP,
-    };
-    let specs: Vec<ScenarioSpec> = match &file_spec {
-        Some(spec) => {
-            println!("scenario file: {}", spec.name);
-            vec![spec.clone()]
+    let (specs, sweep): (Vec<ScenarioSpec>, &[(usize, usize)]) = match args.scenario_spec() {
+        Some(spec) => (vec![spec], &[]),
+        None => {
+            let sweep = args.sweep(&SWEEP, 2);
+            let fleets = sweep
+                .iter()
+                .map(|&(nodes, per)| scenario(nodes, nodes * per));
+            (fleets.collect(), sweep)
         }
-        None => sweep
-            .iter()
-            .map(|&(nodes, per_node)| scenario(nodes, nodes * per_node))
-            .collect(),
     };
     // `--journal FILE`: record the first scenario's decision journal.
-    if let Some(spec) = specs.first() {
-        args.record_journal(spec);
-    }
+    args.record_journal(&specs[0]);
+    let mut scaling = Table::new(
+        "cluster_scaleout.csv",
+        [
+            plain("nodes"),
+            plain("tasks"),
+            plain("admitted"),
+            plain("rejected"),
+            plain("miss_ratio"),
+            plain("mean_util_pct"),
+            plain("t_1thread_ms").measured(),
+            plain("t_4threads_ms").measured(),
+            plain("t_maxthreads_ms").measured(),
+            plain("speedup_4v1").measured(),
+        ],
+    );
     for spec in &specs {
-        let (nodes, tasks) = (spec.nodes, spec.tasks);
-        let spec = spec.clone();
+        // Every run is timed: 1 thread, 4, and all hardware threads when
+        // that differs; the wider runs must reproduce the serial bytes.
+        let mut wall_us = Vec::new();
+        let mut timed = |threads: usize| {
+            let (m, t_us) = time_us(|| ClusterRunner::new(threads).run(spec, args.seed));
+            wall_us.push(t_us);
+            m
+        };
+        let serial = timed(1);
+        let wider: &[usize] = if hw > 4 { &[4, hw] } else { &[4] };
+        fleet::assert_thread_identity("scale-out", &serial, wider, &mut timed);
+        let (t1_us, t4_us, t_max_us) = (wall_us[0], wall_us[1], wall_us[wall_us.len() - 1]);
 
-        let (serial, t1_us) = time_us(|| ClusterRunner::new(1).run(&spec, args.seed));
-        let (quad, t4_us) = time_us(|| ClusterRunner::new(4).run(&spec, args.seed));
-        assert_eq!(
-            serial.summary_csv(),
-            quad.summary_csv(),
-            "aggregates must not depend on thread count"
-        );
-        let mut t_max_us = t4_us;
-        if hw > 4 {
-            let (all, t) = time_us(|| ClusterRunner::new(hw).run(&spec, args.seed));
-            assert_eq!(serial.summary_csv(), all.summary_csv());
-            t_max_us = t;
-        }
-
-        let speedup4 = t1_us / t4_us;
-        rows.push(vec![
-            nodes.to_string(),
-            tasks.to_string(),
+        scaling.row(vec![
+            spec.nodes.to_string(),
+            spec.tasks.to_string(),
             serial.admission.admitted.to_string(),
             serial.admission.rejected.to_string(),
             fmt(serial.miss_ratio(), 4),
@@ -85,57 +87,42 @@ pub fn run(args: &Args) {
             fmt(t1_us / 1e3, 1),
             fmt(t4_us / 1e3, 1),
             fmt(t_max_us / 1e3, 1),
-            fmt(speedup4, 2),
+            fmt(t1_us / t4_us, 2),
         ]);
     }
 
-    let header = [
-        "nodes",
-        "tasks",
-        "admitted",
-        "rejected",
-        "miss_ratio",
-        "mean_util_pct",
-        "t_1thread_ms",
-        "t_4threads_ms",
-        "t_maxthreads_ms",
-        "speedup_4v1",
-    ];
-    print_table(&header, &rows);
-    write_csv(&args.out_path("cluster_scaleout.csv"), &header, &rows);
-
-    if sweep.is_empty() {
-        // File mode: the loaded scenario fixes the policy; no face-off.
-        return;
-    }
+    // File mode: the loaded scenario fixes the policy; no face-off.
+    let Some(&(nodes, per_node)) = sweep.last() else {
+        return vec![scaling];
+    };
     // Policy face-off on the largest fleet: same load, three placements.
-    let (nodes, per_node) = sweep[sweep.len() - 1];
-    println!("\n-- placement policies at {nodes} nodes --");
-    let mut prows = Vec::new();
+    let mut policies = Table::new(
+        "cluster_policies.csv",
+        [
+            plain("policy"),
+            plain("admitted"),
+            plain("rejected"),
+            plain("migrations"),
+            plain("miss_ratio"),
+            plain("mean_util_pct"),
+        ],
+    )
+    .heading(format!("\n-- placement policies at {nodes} nodes --"));
     for policy in [
         PolicyKind::FirstFit,
         PolicyKind::WorstFit,
         PolicyKind::BandwidthAware,
     ] {
         let spec = scenario(nodes, nodes * per_node).with_policy(policy);
-        let fleet = ClusterRunner::new(hw.min(4)).run(&spec, args.seed);
-        prows.push(vec![
+        let m = ClusterRunner::new(hw.min(4)).run(&spec, args.seed);
+        policies.row(vec![
             policy.name().to_owned(),
-            fleet.admission.admitted.to_string(),
-            fleet.admission.rejected.to_string(),
-            fleet.admission.migrations.to_string(),
-            fmt(fleet.miss_ratio(), 4),
-            fmt(100.0 * fleet.mean_utilisation(), 1),
+            m.admission.admitted.to_string(),
+            m.admission.rejected.to_string(),
+            m.admission.migrations.to_string(),
+            fmt(m.miss_ratio(), 4),
+            fmt(100.0 * m.mean_utilisation(), 1),
         ]);
     }
-    let pheader = [
-        "policy",
-        "admitted",
-        "rejected",
-        "migrations",
-        "miss_ratio",
-        "mean_util_pct",
-    ];
-    print_table(&pheader, &prows);
-    write_csv(&args.out_path("cluster_policies.csv"), &pheader, &prows);
+    vec![scaling, policies]
 }

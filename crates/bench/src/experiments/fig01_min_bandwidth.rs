@@ -12,17 +12,25 @@
 //!   error on `P_est`, showing the paper's point that submultiples are
 //!   fragile (bandwidth near 30% instead of 20%).
 
-use crate::{fmt, print_table, write_csv, Args};
+use crate::{col, fmt, Args, Show, Table};
 use selftune_analysis::{min_bandwidth_single, min_budget_single, PeriodicTask};
 
 /// Context-switch cost used by the overhead-aware curve, ms.
 const CTX_SWITCH_MS: f64 = 0.05;
 
 /// Computes the three curves over `T ∈ [2, 200]` ms.
-pub fn run(args: &Args) {
+pub fn run(_args: &Args) -> Vec<Table> {
     println!("== Figure 1: minimum bandwidth vs server period (C=20ms, P=100ms) ==");
     let task = PeriodicTask::new(20.0, 100.0);
-    let mut rows = Vec::new();
+    let mut curves = Table::new(
+        "fig01_min_bandwidth.csv",
+        [
+            col("T^s (ms)", "server_period_ms"),
+            col("min bandwidth", "min_bandwidth"),
+            col("with overhead", "min_bandwidth_with_overhead"),
+        ],
+    )
+    .show(Show::Hidden);
     let mut t = 2.0;
     while t <= 200.0 + 1e-9 {
         let bw = min_bandwidth_single(task, t);
@@ -30,21 +38,12 @@ pub fn run(args: &Args) {
         // of the simulated machine, inflating the needed budget.
         let q = min_budget_single(task, t);
         let bw_ov = ((q + 2.0 * CTX_SWITCH_MS) / t).min(1.0);
-        rows.push(vec![fmt(t, 1), fmt(bw, 4), fmt(bw_ov, 4)]);
+        curves.row(vec![fmt(t, 1), fmt(bw, 4), fmt(bw_ov, 4)]);
         t += 1.0;
     }
-    write_csv(
-        &args.out_path("fig01_min_bandwidth.csv"),
-        &[
-            "server_period_ms",
-            "min_bandwidth",
-            "min_bandwidth_with_overhead",
-        ],
-        &rows,
-    );
 
-    // Key anchor points, as a table.
-    let anchors = [
+    // Key anchor points of the curve.
+    for t in [
         100.0,
         50.0,
         100.0 / 3.0,
@@ -54,31 +53,31 @@ pub fn run(args: &Args) {
         60.0,
         150.0,
         200.0,
-    ];
-    let table: Vec<Vec<String>> = anchors
-        .iter()
-        .map(|&t| vec![fmt(t, 1), fmt(min_bandwidth_single(task, t), 4)])
-        .collect();
-    print_table(&["T^s (ms)", "min bandwidth"], &table);
+    ] {
+        let bw = min_bandwidth_single(task, t);
+        println!("T^s = {t:5.1} ms: min bandwidth {bw:.4}");
+    }
 
     // Submultiple-fragility companion: the paper picks `T^s = P/3 = 33 ms`
     // and notes that "an error of a few milliseconds ... easily raises the
     // required bandwidth to a value close to 30%". We sweep the server
     // period a few ms around the exact submultiple.
-    println!("\n-- submultiple fragility: server period a few ms off P/3 --");
+    let mut fragility = Table::new(
+        "fig01_period_error.csv",
+        [
+            col("T^s error (ms)", "ts_error_ms"),
+            col("T^s (ms)", "server_period_ms"),
+            col("min bandwidth", "min_bandwidth"),
+        ],
+    )
+    .heading("\n-- submultiple fragility: server period a few ms off P/3 --");
     let exact = 100.0 / 3.0;
-    let mut rows = Vec::new();
     let mut err = -4.0;
     while err <= 6.0 + 1e-9 {
         let t = exact + err;
         let bw = min_bandwidth_single(task, t);
-        rows.push(vec![fmt(err, 1), fmt(t, 2), fmt(bw, 4)]);
+        fragility.row(vec![fmt(err, 1), fmt(t, 2), fmt(bw, 4)]);
         err += 0.5;
     }
-    print_table(&["T^s error (ms)", "T^s (ms)", "min bandwidth"], &rows);
-    write_csv(
-        &args.out_path("fig01_period_error.csv"),
-        &["ts_error_ms", "server_period_ms", "min_bandwidth"],
-        &rows,
-    );
+    vec![curves, fragility]
 }

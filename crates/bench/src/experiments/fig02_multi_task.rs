@@ -7,13 +7,13 @@
 //! over the ≈ 62% cumulative utilisation, while per-task servers achieve
 //! the utilisation exactly.
 
-use crate::{fmt, print_table, write_csv, Args};
+use crate::{col, fmt, Args, Show, Table};
 use selftune_analysis::{
     dedicated_servers_bandwidth, min_bandwidth_rm_group, min_budget_edf_group, PeriodicTask,
 };
 
 /// The paper's task set.
-pub fn paper_tasks() -> Vec<PeriodicTask> {
+fn paper_tasks() -> Vec<PeriodicTask> {
     vec![
         PeriodicTask::new(3.0, 15.0),
         PeriodicTask::new(5.0, 20.0),
@@ -22,13 +22,22 @@ pub fn paper_tasks() -> Vec<PeriodicTask> {
 }
 
 /// Sweeps the server period over `[1, 60]` ms.
-pub fn run(args: &Args) {
+pub fn run(_args: &Args) -> Vec<Table> {
     println!("== Figure 2: single-reservation vs dedicated reservations ==");
     let tasks = paper_tasks();
     let u = dedicated_servers_bandwidth(&tasks);
     println!("cumulative utilisation = {:.4}", u);
 
-    let mut rows = Vec::new();
+    let mut table = Table::new(
+        "fig02_multi_task.csv",
+        [
+            col("T^s (ms)", "server_period_ms"),
+            col("RM group bw", "single_reservation_rm"),
+            col("EDF group bw", "single_reservation_edf"),
+            col("dedicated bw", "dedicated_servers"),
+        ],
+    )
+    .show(Show::Every(8));
     let mut best: Option<(f64, f64)> = None;
     let mut worst: Option<(f64, f64)> = None;
     let mut t = 1.0;
@@ -45,7 +54,7 @@ pub fn run(args: &Args) {
                 _ => worst = Some((t, bw)),
             }
         }
-        rows.push(vec![
+        table.row(vec![
             fmt(t, 1),
             rm.map_or("inf".into(), |b| fmt(b, 4)),
             edf.map_or("inf".into(), |b| fmt(b, 4)),
@@ -53,37 +62,15 @@ pub fn run(args: &Args) {
         ]);
         t += 0.5;
     }
-    write_csv(
-        &args.out_path("fig02_multi_task.csv"),
-        &[
-            "server_period_ms",
-            "single_reservation_rm",
-            "single_reservation_edf",
-            "dedicated_servers",
-        ],
-        &rows,
-    );
-
-    // Print a decimated view.
-    let sampled: Vec<Vec<String>> = rows.iter().step_by(8).cloned().collect();
-    print_table(
-        &["T^s (ms)", "RM group bw", "EDF group bw", "dedicated bw"],
-        &sampled,
-    );
 
     if let (Some((bt, bb)), Some((wt, wb))) = (best, worst) {
-        println!(
-            "\nbest single-reservation: bw {:.4} at T^s = {:.1} ms (waste {:.1}%)",
-            bb,
-            bt,
-            (bb - u) * 100.0
-        );
-        println!(
-            "worst single-reservation: bw {:.4} at T^s = {:.1} ms (waste {:.1}%)",
-            wb,
-            wt,
+        table = table.note(format!(
+            "\nbest single-reservation: bw {bb:.4} at T^s = {bt:.1} ms (waste {:.1}%)\n\
+             worst single-reservation: bw {wb:.4} at T^s = {wt:.1} ms (waste {:.1}%)\n\
+             paper: waste between 6% and 41% over the cumulative utilisation",
+            (bb - u) * 100.0,
             (wb - u) * 100.0
-        );
-        println!("paper: waste between 6% and 41% over the cumulative utilisation");
+        ));
     }
+    vec![table]
 }

@@ -2,12 +2,12 @@
 //! of system calls concentrated at the job boundaries.
 
 use crate::setups::mp3_trace;
-use crate::{write_csv, Args};
+use crate::{col, Args, Show, Table};
 use selftune_tracer::Edge;
 
 /// Prints a ~160 ms window of the player's event train as an ASCII strip
-/// and writes the raw timestamps.
-pub fn run(args: &Args) {
+/// and returns the raw timestamps.
+pub fn run(args: &Args) -> Vec<Table> {
     println!("== Figure 5: event-train excerpt (bursts at job boundaries) ==");
     let (events, tid) = mp3_trace(0, 3.0, args.seed);
     let window_start = 2.0_f64; // skip startup
@@ -37,12 +37,13 @@ pub fn run(args: &Args) {
     println!("{}", String::from_utf8_lossy(&strip));
     println!("(expected: clusters every ~30.8 ms — the 32.5 Hz job rate)");
 
-    write_csv(
-        &args.out_path("fig05_trace_excerpt.csv"),
-        &["event_time_s"],
-        &times
-            .iter()
-            .map(|t| vec![format!("{t:.6}")])
-            .collect::<Vec<_>>(),
-    );
+    let mut table = Table::new(
+        "fig05_trace_excerpt.csv",
+        [col("event time (s)", "event_time_s")],
+    )
+    .show(Show::Hidden);
+    for t in &times {
+        table.row(vec![format!("{t:.6}")]);
+    }
+    vec![table]
 }

@@ -6,11 +6,11 @@
 //! observation (the sinc main lobe narrows as 1/H).
 
 use crate::setups::mp3_event_times;
-use crate::{fmt, print_table, write_csv, Args};
+use crate::{col, fmt, Args, Show, Table};
 use selftune_spectrum::{amplitude_spectrum, SpectrumConfig};
 
-/// Computes the spectra and writes them as CSV columns.
-pub fn run(args: &Args) {
+/// Computes the spectra, one CSV column per tracing time.
+pub fn run(args: &Args) -> Vec<Table> {
     println!("== Figure 10: normalised spectrum vs tracing time ==");
     let cfg = SpectrumConfig::new(30.0, 100.0, 0.1);
     let tracing_times = [0.2, 0.5, 1.0, 2.0, 4.0];
@@ -21,29 +21,31 @@ pub fn run(args: &Args) {
         columns.push(spec.normalized());
     }
 
-    // CSV: one row per frequency bin.
+    // One row per frequency bin.
+    let mut table = Table::new(
+        "fig10_spectra.csv",
+        [
+            col("freq (Hz)", "freq_hz"),
+            col("0.2 s", "obs_0.2s"),
+            col("0.5 s", "obs_0.5s"),
+            col("1 s", "obs_1s"),
+            col("2 s", "obs_2s"),
+            col("4 s", "obs_4s"),
+        ],
+    )
+    .show(Show::Hidden)
+    .note("paper: peaks at 32.5 / 65 / 97.5 Hz, evident from 0.5s, indisputable at 1s+");
     let bins = cfg.bins();
-    let mut rows = Vec::with_capacity(bins);
     for i in 0..bins {
         let mut row = vec![fmt(cfg.freq_of(i), 1)];
-        for col in &columns {
-            row.push(fmt(col[i], 4));
-        }
-        rows.push(row);
+        row.extend(columns.iter().map(|col| fmt(col[i], 4)));
+        table.row(row);
     }
-    write_csv(
-        &args.out_path("fig10_spectra.csv"),
-        &[
-            "freq_hz", "obs_0.2s", "obs_0.5s", "obs_1s", "obs_2s", "obs_4s",
-        ],
-        &rows,
-    );
 
     // Report the three strongest bins per tracing time.
-    let mut table = Vec::new();
-    for (k, &tt) in tracing_times.iter().enumerate() {
+    for (column, tt) in columns.iter().zip(tracing_times) {
         let mut idx: Vec<usize> = (0..bins).collect();
-        idx.sort_by(|&a, &b| columns[k][b].partial_cmp(&columns[k][a]).unwrap());
+        idx.sort_by(|&a, &b| column[b].partial_cmp(&column[a]).unwrap());
         // Suppress near-duplicates (same lobe) within 2 Hz.
         let mut peaks: Vec<usize> = Vec::new();
         for i in idx {
@@ -58,15 +60,11 @@ pub fn run(args: &Args) {
             }
         }
         peaks.sort_unstable();
-        table.push(vec![
-            fmt(tt, 1),
-            peaks
-                .iter()
-                .map(|&p| format!("{:.1}Hz({:.2})", cfg.freq_of(p), columns[k][p]))
-                .collect::<Vec<_>>()
-                .join("  "),
-        ]);
+        let peaks: Vec<String> = peaks
+            .iter()
+            .map(|&p| format!("{:.1}Hz({:.2})", cfg.freq_of(p), column[p]))
+            .collect();
+        println!("tracing time {tt:.1} s: top-3 peaks {}", peaks.join("  "));
     }
-    print_table(&["tracing time (s)", "top-3 normalised peaks"], &table);
-    println!("paper: peaks at 32.5 / 65 / 97.5 Hz, evident from 0.5s, indisputable at 1s+");
+    vec![table]
 }

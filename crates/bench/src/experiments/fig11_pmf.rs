@@ -6,16 +6,24 @@
 //! 32.5 Hz (with the rare harmonic still possible).
 
 use crate::setups::mp3_event_times;
-use crate::{fmt, print_table, write_csv, Args};
+use crate::{col, fmt, Args, Table};
 use selftune_simcore::stats::pmf;
 use selftune_spectrum::{amplitude_spectrum, detect, PeakConfig, SpectrumConfig};
 
-/// Runs the repetitions and prints both PMFs.
-pub fn run(args: &Args) {
+/// Runs the repetitions and returns both PMFs.
+pub fn run(args: &Args) -> Vec<Table> {
     println!("== Figure 11: PMF of the detected frequency vs tracing time ==");
     let reps = args.reps(100, 15);
     let cfg = SpectrumConfig::new(30.0, 100.0, 0.1);
-    let mut all_rows = Vec::new();
+    let mut table = Table::new(
+        "fig11_pmf.csv",
+        [
+            col("tracing time (s)", "tracing_time_s"),
+            col("freq (Hz)", "freq_hz"),
+            col("P", "probability"),
+        ],
+    )
+    .note("paper: 0.2s → mass between 32.5 and 35 Hz (+ rare 97.5 Hz); 2s → tight at 32.5 Hz");
     for &tt in &[0.2, 2.0] {
         let mut freqs = Vec::with_capacity(reps);
         for r in 0..reps {
@@ -25,21 +33,10 @@ pub fn run(args: &Args) {
                 freqs.push(f);
             }
         }
-        let p = pmf(&freqs, 0.5);
-        println!("\n-- tracing time {tt} s ({} detections) --", freqs.len());
-        let rows: Vec<Vec<String>> = p
-            .iter()
-            .map(|&(f, pr)| vec![fmt(f, 1), fmt(pr, 3)])
-            .collect();
-        print_table(&["freq (Hz)", "P"], &rows);
-        for &(f, pr) in &p {
-            all_rows.push(vec![fmt(tt, 1), fmt(f, 2), fmt(pr, 4)]);
+        println!("tracing time {tt} s: {} detections", freqs.len());
+        for (f, pr) in pmf(&freqs, 0.5) {
+            table.row(vec![fmt(tt, 1), fmt(f, 2), fmt(pr, 4)]);
         }
     }
-    println!("\npaper: 0.2s → mass between 32.5 and 35 Hz (+ rare 97.5 Hz); 2s → tight at 32.5 Hz");
-    write_csv(
-        &args.out_path("fig11_pmf.csv"),
-        &["tracing_time_s", "freq_hz", "probability"],
-        &all_rows,
-    );
+    vec![table]
 }

@@ -15,10 +15,10 @@
 //!    recorded analogue of the static-vs-feedback gap asserted by
 //!    `cluster_rebalance`.
 //!
-//! Prints the what-if table, writes `journal_whatif.csv`, and honours
+//! Returns the what-if table (`journal_whatif.csv`) and honours
 //! `--journal FILE` by writing the recorded journal itself.
 
-use crate::{fmt, print_table, write_csv, Args};
+use crate::{fmt, plain, Args, Table};
 use selftune_cluster::prelude::*;
 use selftune_journal::prelude::*;
 
@@ -43,24 +43,17 @@ fn whatif_row(journal: &Journal, whatif: &WhatIf) -> Vec<String> {
     ]
 }
 
-/// Runs the record → verify → what-if pipeline and writes
-/// `journal_whatif.csv`.
+/// Runs the record → verify → what-if pipeline.
 ///
 /// The hard claims (replay byte-identity at 1/2/8 threads, codec
 /// round-trip, counterfactual exactness) are asserted on every run; the
 /// miss-rate-worsens claim only on the built-in scenario — an arbitrary
 /// `--scenario` file carries no guarantee that feedback wins.
-pub fn run(args: &Args) {
+pub fn run(args: &Args) -> Vec<Table> {
     println!("== Journal what-if: record, replay, counterfactual ==");
     let file_spec = args.scenario_spec();
     let builtin = file_spec.is_none();
-    let spec = match &file_spec {
-        Some(spec) => {
-            println!("scenario file: {}", spec.name);
-            spec.clone()
-        }
-        None => builtin_scenario(),
-    };
+    let spec = file_spec.unwrap_or_else(builtin_scenario);
 
     // 1. Record.
     let (live, journal) = Journal::record(2, &spec, args.seed);
@@ -91,72 +84,44 @@ pub fn run(args: &Args) {
         println!("replay @ {threads} threads: byte-identical");
     }
 
-    // 4. What-if queries.
+    // 4. What-if queries; `--fast` asks only the first.
     let mid = journal.epochs() / 2;
-    let queries: Vec<WhatIf> = if args.fast {
-        vec![WhatIf {
-            cut_epoch: 0,
-            swap: PolicySwap::DisableRebalance,
-        }]
-    } else {
-        vec![
-            WhatIf {
-                cut_epoch: 0,
-                swap: PolicySwap::DisableRebalance,
-            },
-            WhatIf {
-                cut_epoch: mid,
-                swap: PolicySwap::DisableRebalance,
-            },
-            WhatIf {
-                cut_epoch: 0,
-                swap: PolicySwap::Placement(PolicyKind::WorstFit),
-            },
-            WhatIf {
-                cut_epoch: 0,
-                swap: PolicySwap::FixedShares,
-            },
-            // Node-share plane swaps: how tight could the per-node bounds
-            // have been over the same recorded history? (Safe on any
-            // journal with an epoch grid — the rebalancer is on here.)
-            WhatIf {
-                cut_epoch: mid,
-                swap: PolicySwap::NodeShareBounds {
-                    floor: 0.6,
-                    cap: 0.92,
-                },
-            },
-            WhatIf {
-                cut_epoch: mid,
-                swap: PolicySwap::NodeShareBounds {
-                    floor: 0.5,
-                    cap: 0.8,
-                },
-            },
-        ]
-    };
-    let rows: Vec<Vec<String>> = queries.iter().map(|w| whatif_row(&journal, w)).collect();
-    let header = [
-        "swap",
-        "cut_epoch",
-        "baseline_miss",
-        "variant_miss",
-        "miss_delta",
-        "baseline_moves",
-        "variant_moves",
+    let whatif = |cut_epoch, swap| WhatIf { cut_epoch, swap };
+    let without_rebalancer = whatif(0, PolicySwap::DisableRebalance);
+    // The node-share swaps ask how tight the per-node bounds could have
+    // been over the same recorded history (safe on any journal with an
+    // epoch grid — the rebalancer is on here).
+    let bounds = |floor, cap| PolicySwap::NodeShareBounds { floor, cap };
+    let queries = [
+        without_rebalancer,
+        whatif(mid, PolicySwap::DisableRebalance),
+        whatif(0, PolicySwap::Placement(PolicyKind::WorstFit)),
+        whatif(0, PolicySwap::FixedShares),
+        whatif(mid, bounds(0.6, 0.92)),
+        whatif(mid, bounds(0.5, 0.8)),
     ];
-    print_table(&header, &rows);
-    write_csv(&args.out_path("journal_whatif.csv"), &header, &rows);
+    let mut table = Table::new(
+        "journal_whatif.csv",
+        [
+            plain("swap"),
+            plain("cut_epoch"),
+            plain("baseline_miss"),
+            plain("variant_miss"),
+            plain("miss_delta"),
+            plain("baseline_moves"),
+            plain("variant_moves"),
+        ],
+    );
+    for query in args.sweep(&queries, 1) {
+        table.row(whatif_row(&journal, query));
+    }
 
     // Counterfactual exactness: with the cut at epoch 0 nothing is
     // pinned, so the disable-rebalance variant must byte-match a live run
     // of the swapped spec.
-    let whatif = WhatIf {
-        cut_epoch: 0,
-        swap: PolicySwap::DisableRebalance,
-    };
-    let report = run_whatif(&journal, &whatif, 2);
-    let live_variant = ClusterRunner::new(2).run(&variant_spec(&journal, &whatif), args.seed);
+    let report = run_whatif(&journal, &without_rebalancer, 2);
+    let swapped = variant_spec(&journal, &without_rebalancer);
+    let live_variant = ClusterRunner::new(2).run(&swapped, args.seed);
     assert_eq!(
         report.variant.summary_csv(),
         live_variant.summary_csv(),
@@ -185,15 +150,16 @@ pub fn run(args: &Args) {
             report.baseline.miss_ratio(),
             report.variant.miss_ratio()
         );
-        println!(
+        table = table.note(format!(
             "(assertions passed: replay byte-identical at 1/2/8 threads; \
              counterfactual exact; miss ratio {:.4} -> {:.4} without the rebalancer)",
             report.baseline.miss_ratio(),
             report.variant.miss_ratio()
-        );
+        ));
     } else {
-        println!(
-            "(assertions passed: replay byte-identical at 1/2/8 threads; counterfactual exact)"
+        table = table.note(
+            "(assertions passed: replay byte-identical at 1/2/8 threads; counterfactual exact)",
         );
     }
+    vec![table]
 }

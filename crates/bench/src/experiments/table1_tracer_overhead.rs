@@ -5,7 +5,7 @@
 //! STRACE +5.51%. The shape to reproduce: QTRACE ≪ QOSTRACE < STRACE,
 //! with QTRACE well under 1%.
 
-use crate::{fmt, print_table, write_csv, Args};
+use crate::{col, fmt, Args, Table};
 use selftune_apps::{TranscodeConfig, Transcoder};
 use selftune_sched::ReservationScheduler;
 use selftune_simcore::rng::Rng;
@@ -30,8 +30,8 @@ fn one_run(kind: TracerKind, seed: u64) -> f64 {
     done[0].as_secs_f64()
 }
 
-/// Runs the four tracers and prints the Table 1 layout.
-pub fn run(args: &Args) {
+/// Runs the four tracers and returns the Table 1 layout.
+pub fn run(args: &Args) -> Vec<Table> {
     println!("== Table 1: tracer overhead on the ffmpeg transcode ==");
     let reps = args.reps(10, 3);
     let kinds = [
@@ -49,37 +49,24 @@ pub fn run(args: &Args) {
         results.push((kind, mean(&samples), std_dev(&samples)));
     }
     let baseline = results[0].1;
-    let rows: Vec<Vec<String>> = results
-        .iter()
-        .map(|&(kind, m, sd)| {
-            let rel = if kind == TracerKind::NoTrace {
-                "-".to_owned()
-            } else {
-                format!("{:.2}%", 100.0 * (m - baseline) / baseline)
-            };
-            vec![kind.name().to_owned(), fmt(m, 4), rel, fmt(sd, 6)]
-        })
-        .collect();
-    print_table(
-        &["Tracer", "Average (s)", "Relative avg", "Std dev (s)"],
-        &rows,
-    );
-    println!("paper: NOTRACE 21.09s; QTRACE +0.63%, QOSTRACE +2.69%, STRACE +5.51%");
-    write_csv(
-        &args.out_path("table1_tracer_overhead.csv"),
-        &["tracer", "avg_s", "rel_overhead_percent", "std_s"],
-        &results
-            .iter()
-            .map(|&(kind, m, sd)| {
-                vec![
-                    kind.name().to_owned(),
-                    fmt(m, 6),
-                    fmt(100.0 * (m - baseline) / baseline, 4),
-                    fmt(sd, 6),
-                ]
-            })
-            .collect::<Vec<_>>(),
-    );
+    let mut table = Table::new(
+        "table1_tracer_overhead.csv",
+        [
+            col("Tracer", "tracer"),
+            col("Average (s)", "avg_s"),
+            col("Relative avg (%)", "rel_overhead_percent"),
+            col("Std dev (s)", "std_s"),
+        ],
+    )
+    .note("paper: NOTRACE 21.09s; QTRACE +0.63%, QOSTRACE +2.69%, STRACE +5.51%");
+    for &(kind, m, sd) in &results {
+        table.row(vec![
+            kind.name().to_owned(),
+            fmt(m, 6),
+            fmt(100.0 * (m - baseline) / baseline, 4),
+            fmt(sd, 6),
+        ]);
+    }
 
     // Shape assertions (who wins, by what factor).
     let q = results[1].1 - baseline;
@@ -87,4 +74,5 @@ pub fn run(args: &Args) {
     let s = results[3].1 - baseline;
     assert!(q < qos && qos < s, "ordering must match the paper");
     assert!(q / baseline < 0.01, "QTRACE must stay under 1%");
+    vec![table]
 }

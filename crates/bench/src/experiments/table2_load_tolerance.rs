@@ -7,12 +7,12 @@
 //! grows; the maximum approaches ≈ 3f₀.
 
 use crate::setups::mp3_event_times;
-use crate::{fmt, print_table, write_csv, Args};
+use crate::{col, fmt, Args, Table};
 use selftune_simcore::stats::{max, mean, std_dev};
 use selftune_spectrum::{amplitude_spectrum, detect, PeakConfig, SpectrumConfig};
 
 /// Runs the load sweep.
-pub fn run(args: &Args) {
+pub fn run(args: &Args) -> Vec<Table> {
     println!("== Table 2 / Figure 12: detection precision vs background RT load ==");
     let reps = args.reps(100, 10);
     let cfg = SpectrumConfig::new(30.0, 100.0, 0.1);
@@ -25,7 +25,19 @@ pub fn run(args: &Args) {
         k_max: 1,
         ..PeakConfig::default()
     };
-    let mut rows = Vec::new();
+    let mut table = Table::new(
+        "table2_load_tolerance.csv",
+        [
+            col("load", "load_percent"),
+            col("avg (Hz)", "avg_freq_hz"),
+            col("σ (Hz)", "sd_freq_hz"),
+            col("max (Hz)", "max_freq_hz"),
+            col("avg k=1", "avg_freq_kmax1_hz"),
+            col("σ k=1", "sd_freq_kmax1_hz"),
+            col("max k=1", "max_freq_kmax1_hz"),
+        ],
+    )
+    .note("paper: avg 32.69 → 41.67 → 57.98 → 75.03 → 68.47 Hz; max ≈ 3f₀ ≈ 95–98 Hz");
     for &load in &loads {
         let mut freqs = Vec::with_capacity(reps);
         let mut naive = Vec::with_capacity(reps);
@@ -39,7 +51,7 @@ pub fn run(args: &Args) {
                 naive.push(f);
             }
         }
-        rows.push(vec![
+        table.row(vec![
             format!("{load}%"),
             fmt(mean(&freqs), 2),
             fmt(std_dev(&freqs), 2),
@@ -49,24 +61,5 @@ pub fn run(args: &Args) {
             fmt(max(&naive), 0),
         ]);
     }
-    print_table(
-        &[
-            "load", "avg (Hz)", "σ (Hz)", "max (Hz)", "avg k=1", "σ k=1", "max k=1",
-        ],
-        &rows,
-    );
-    println!("paper: avg 32.69 → 41.67 → 57.98 → 75.03 → 68.47 Hz; max ≈ 3f₀ ≈ 95–98 Hz");
-    write_csv(
-        &args.out_path("table2_load_tolerance.csv"),
-        &[
-            "load_percent",
-            "avg_freq_hz",
-            "sd_freq_hz",
-            "max_freq_hz",
-            "avg_freq_kmax1_hz",
-            "sd_freq_kmax1_hz",
-            "max_freq_kmax1_hz",
-        ],
-        &rows,
-    );
+    vec![table]
 }

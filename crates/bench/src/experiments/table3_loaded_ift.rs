@@ -7,7 +7,7 @@
 //! (70%: video needs ≈ 30% on top → compression → degraded average).
 
 use crate::setups::video_run;
-use crate::{fmt, print_table, write_csv, Args};
+use crate::{col, fmt, Args, Table};
 use selftune_core::{ControllerConfig, ManagerConfig};
 use selftune_simcore::stats::{mean, std_dev};
 
@@ -15,11 +15,24 @@ use selftune_simcore::stats::{mean, std_dev};
 const WARMUP_FRAMES: usize = 200;
 
 /// Runs the load sweep.
-pub fn run(args: &Args) {
+pub fn run(args: &Args) -> Vec<Table> {
     println!("== Table 3: LFS++ inter-frame times under periodic RT load ==");
     let secs = if args.fast { 20 } else { 40 };
     let loads = [0.20, 0.30, 0.40, 0.50, 0.60, 0.70];
-    let mut rows = Vec::new();
+    let mut table = Table::new(
+        "table3_loaded_ift.csv",
+        [
+            col("load", "load_percent"),
+            col("avg IFT (ms)", "avg_ift_ms"),
+            col("σ IFT (ms)", "sd_ift_ms"),
+            col("dropped", "dropped"),
+            col("detected P (ms)", "detected_period_ms"),
+        ],
+    )
+    .note(
+        "paper: 40.97/6.99 → 40.93/7.83 → 40.92/10.94 → 40.95/11.74 → 40.96/16.57 → \
+         44.43/17.87 (ms)",
+    );
     for &load in &loads {
         let out = video_run(
             ControllerConfig::default(),
@@ -28,8 +41,8 @@ pub fn run(args: &Args) {
             secs,
             args.seed,
         );
-        let steady = &out.ift_ms[WARMUP_FRAMES.min(out.ift_ms.len().saturating_sub(1))..];
-        rows.push(vec![
+        let steady = out.steady_ift(WARMUP_FRAMES);
+        table.row(vec![
             format!("{:.0}%", load * 100.0),
             fmt(mean(steady), 3),
             fmt(std_dev(steady), 3),
@@ -37,26 +50,5 @@ pub fn run(args: &Args) {
             out.period.map_or("-".into(), |p| fmt(p.as_ms_f64(), 2)),
         ]);
     }
-    print_table(
-        &[
-            "load",
-            "avg IFT (ms)",
-            "σ IFT (ms)",
-            "dropped",
-            "detected P (ms)",
-        ],
-        &rows,
-    );
-    println!("paper: 40.97/6.99 → 40.93/7.83 → 40.92/10.94 → 40.95/11.74 → 40.96/16.57 → 44.43/17.87 (ms)");
-    write_csv(
-        &args.out_path("table3_loaded_ift.csv"),
-        &[
-            "load_percent",
-            "avg_ift_ms",
-            "sd_ift_ms",
-            "dropped",
-            "detected_period_ms",
-        ],
-        &rows,
-    );
+    vec![table]
 }

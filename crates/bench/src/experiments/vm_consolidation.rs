@@ -4,41 +4,39 @@
 //! the scenario shared with the e2e test and the example): a well-behaved
 //! 25 Hz tenant and a noisy neighbour consolidate onto one host at a
 //! fixed total bandwidth, solo / hierarchical / flat. The isolation and
-//! throughput claims are asserted, the per-tenant table printed and
-//! `vm_consolidation.csv` written.
+//! throughput claims are asserted and the per-tenant table
+//! (`vm_consolidation.csv`) returned.
 
 use selftune_simcore::time::Dur;
-use selftune_virt::demo::{self, GuestStats};
+use selftune_virt::demo;
 
-use crate::{fmt, print_table, time_us, write_csv, Args};
+use crate::{fmt, plain, time_us, Args, Table};
 
 /// Horizons swept: the short one is the e2e's, the long one shows the
 /// steady state.
 const HORIZONS_SECS: [u64; 2] = [10, 30];
 
-fn row(config: &str, tenant: &str, horizon: u64, s: &GuestStats, wall_ms: f64) -> Vec<String> {
-    vec![
-        horizon.to_string(),
-        config.to_owned(),
-        tenant.to_owned(),
-        s.completions.to_string(),
-        s.gaps.to_string(),
-        s.misses.to_string(),
-        fmt(s.miss_rate(), 4),
-        fmt(wall_ms, 1),
-    ]
-}
-
-/// Runs the comparison and writes `vm_consolidation.csv`.
-pub fn run(args: &Args) {
+/// Runs the comparison.
+pub fn run(args: &Args) -> Vec<Table> {
     println!("== VM consolidation: two-level CBS vs flat self-tuning ==");
-    let horizons: &[u64] = if args.fast {
-        &HORIZONS_SECS[..1]
-    } else {
-        &HORIZONS_SECS
-    };
-    let mut rows = Vec::new();
-    for &secs in horizons {
+    let mut table = Table::new(
+        "vm_consolidation.csv",
+        [
+            plain("horizon_s"),
+            plain("config"),
+            plain("tenant"),
+            plain("completions"),
+            plain("gaps"),
+            plain("misses"),
+            plain("miss_rate"),
+            plain("wall_ms").measured(),
+        ],
+    )
+    .note(
+        "(assertions passed: victim isolated within 2x of solo under hierarchy, \
+         flat exceeds it; hierarchical completions >= flat at equal bandwidth)",
+    );
+    for &secs in args.sweep(&HORIZONS_SECS, 1) {
         let horizon = Dur::secs(secs);
         let (solo, t_solo) = time_us(|| demo::run_solo(horizon, args.seed));
         let (hier, t_hier) = time_us(|| demo::run_hierarchical(horizon, args.seed));
@@ -63,33 +61,24 @@ pub fn run(args: &Args) {
             flat.completions()
         );
 
-        rows.push(row("solo", "victim", secs, &solo, t_solo / 1e3));
-        rows.push(row(
-            "hierarchical",
-            "victim",
-            secs,
-            &hier.victim,
-            t_hier / 1e3,
-        ));
-        rows.push(row("hierarchical", "noisy", secs, &hier.noisy, 0.0));
-        rows.push(row("flat", "victim", secs, &flat.victim, t_flat / 1e3));
-        rows.push(row("flat", "noisy", secs, &flat.noisy, 0.0));
+        for (config, tenant, stats, t_us) in [
+            ("solo", "victim", &solo, t_solo),
+            ("hierarchical", "victim", &hier.victim, t_hier),
+            ("hierarchical", "noisy", &hier.noisy, 0.0),
+            ("flat", "victim", &flat.victim, t_flat),
+            ("flat", "noisy", &flat.noisy, 0.0),
+        ] {
+            table.row(vec![
+                secs.to_string(),
+                config.to_owned(),
+                tenant.to_owned(),
+                stats.completions.to_string(),
+                stats.gaps.to_string(),
+                stats.misses.to_string(),
+                fmt(stats.miss_rate(), 4),
+                fmt(t_us / 1e3, 1),
+            ]);
+        }
     }
-
-    let header = [
-        "horizon_s",
-        "config",
-        "tenant",
-        "completions",
-        "gaps",
-        "misses",
-        "miss_rate",
-        "wall_ms",
-    ];
-    print_table(&header, &rows);
-    write_csv(&args.out_path("vm_consolidation.csv"), &header, &rows);
-    println!(
-        "(assertions passed: victim isolated within 2x of solo under hierarchy, \
-         flat exceeds it; hierarchical completions >= flat at equal bandwidth)"
-    );
+    vec![table]
 }

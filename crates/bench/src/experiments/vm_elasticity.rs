@@ -10,13 +10,13 @@
 //! * **containment** — a runaway elastic tenant is pinned at the host
 //!   cap and its statically-shared sibling keeps its solo miss rate.
 //!
-//! Both claims are asserted on every run; the per-tenant table is printed
-//! and `vm_elasticity.csv` written.
+//! Both claims are asserted on every run; the per-tenant table
+//! (`vm_elasticity.csv`) is returned.
 
 use selftune_simcore::time::Dur;
-use selftune_virt::demo::{self, GuestStats};
+use selftune_virt::demo;
 
-use crate::{fmt, print_table, time_us, write_csv, Args};
+use crate::{fmt, plain, time_us, Args, Table};
 
 /// Horizons swept: the short one is the e2e's, the long one shows the
 /// steady state after the idle-phase hand-over.
@@ -25,38 +25,29 @@ const HORIZONS_SECS: [u64; 2] = [10, 30];
 /// Host bound of the demo platform.
 const HOST_ULUB: f64 = 0.95;
 
-#[allow(clippy::too_many_arguments)] // a flat CSV row
-fn row(
-    horizon: u64,
-    config: &str,
-    tenant: &str,
-    s: &GuestStats,
-    share: f64,
-    wall_ms: f64,
-) -> Vec<String> {
-    vec![
-        horizon.to_string(),
-        config.to_owned(),
-        tenant.to_owned(),
-        s.completions.to_string(),
-        s.gaps.to_string(),
-        s.misses.to_string(),
-        fmt(s.miss_rate(), 4),
-        fmt(share, 3),
-        fmt(wall_ms, 1),
-    ]
-}
-
-/// Runs the comparison and writes `vm_elasticity.csv`.
-pub fn run(args: &Args) {
+/// Runs the comparison.
+pub fn run(args: &Args) -> Vec<Table> {
     println!("== VM elasticity: closed-loop host shares vs static admission ==");
-    let horizons: &[u64] = if args.fast {
-        &HORIZONS_SECS[..1]
-    } else {
-        &HORIZONS_SECS
-    };
-    let mut rows = Vec::new();
-    for &secs in horizons {
+    let mut table = Table::new(
+        "vm_elasticity.csv",
+        [
+            plain("horizon_s"),
+            plain("config"),
+            plain("tenant"),
+            plain("completions"),
+            plain("gaps"),
+            plain("misses"),
+            plain("miss_rate"),
+            plain("share"),
+            plain("wall_ms").measured(),
+        ],
+    )
+    .note(
+        "(assertions passed: hungry sibling gains completions from the reclaimed idle \
+         share; runaway elastic VM pinned at the host cap with its sibling at the solo \
+         baseline)",
+    );
+    for &secs in args.sweep(&HORIZONS_SECS, 1) {
         let horizon = Dur::secs(secs);
         let (stat, t_stat) = time_us(|| demo::run_two_phase(horizon, args.seed, false));
         let (elas, t_elas) = time_us(|| demo::run_two_phase(horizon, args.seed, true));
@@ -91,72 +82,38 @@ pub fn run(args: &Args) {
             runaway.victim.miss_rate()
         );
 
-        rows.push(row(
-            secs,
-            "static",
-            "phased",
-            &stat.phased,
-            stat.phased_share,
-            t_stat / 1e3,
-        ));
-        rows.push(row(
-            secs,
-            "static",
-            "hungry",
-            &stat.hungry,
-            stat.hungry_share,
-            0.0,
-        ));
-        rows.push(row(
-            secs,
-            "elastic",
-            "phased",
-            &elas.phased,
-            elas.phased_share,
-            t_elas / 1e3,
-        ));
-        rows.push(row(
-            secs,
-            "elastic",
-            "hungry",
-            &elas.hungry,
-            elas.hungry_share,
-            0.0,
-        ));
-        rows.push(row(
-            secs,
-            "runaway",
-            "victim",
-            &runaway.victim,
-            runaway.victim_share,
-            t_run / 1e3,
-        ));
-        rows.push(row(
-            secs,
-            "runaway",
-            "runaway",
-            &runaway.runaway,
-            runaway.runaway_peak_share,
-            0.0,
-        ));
+        for (config, tenant, stats, share, t_us) in [
+            ("static", "phased", &stat.phased, stat.phased_share, t_stat),
+            ("static", "hungry", &stat.hungry, stat.hungry_share, 0.0),
+            ("elastic", "phased", &elas.phased, elas.phased_share, t_elas),
+            ("elastic", "hungry", &elas.hungry, elas.hungry_share, 0.0),
+            (
+                "runaway",
+                "victim",
+                &runaway.victim,
+                runaway.victim_share,
+                t_run,
+            ),
+            (
+                "runaway",
+                "runaway",
+                &runaway.runaway,
+                runaway.runaway_peak_share,
+                0.0,
+            ),
+        ] {
+            table.row(vec![
+                secs.to_string(),
+                config.to_owned(),
+                tenant.to_owned(),
+                stats.completions.to_string(),
+                stats.gaps.to_string(),
+                stats.misses.to_string(),
+                fmt(stats.miss_rate(), 4),
+                fmt(share, 3),
+                fmt(t_us / 1e3, 1),
+            ]);
+        }
     }
-
-    let header = [
-        "horizon_s",
-        "config",
-        "tenant",
-        "completions",
-        "gaps",
-        "misses",
-        "miss_rate",
-        "share",
-        "wall_ms",
-    ];
-    print_table(&header, &rows);
-    write_csv(&args.out_path("vm_elasticity.csv"), &header, &rows);
-    println!(
-        "(assertions passed: hungry sibling gains completions from the reclaimed idle \
-         share; runaway elastic VM pinned at the host cap with its sibling at the solo \
-         baseline)"
-    );
+    vec![table]
 }

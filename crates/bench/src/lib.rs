@@ -1,13 +1,18 @@
 //! # selftune-bench
 //!
 //! Experiment harnesses regenerating every table and figure of the paper's
-//! evaluation (Section 5). Each experiment is a library function (so
-//! `run_all` can chain them) with a thin binary wrapper in `src/bin/`.
+//! evaluation (Section 5), and the fleet-scale experiments built on top.
 //!
-//! Conventions:
+//! The contract, stated once:
 //!
-//! * every experiment prints a human-readable table/series to stdout and
-//!   writes CSV into `results/`;
+//! * an experiment is `fn(&Args) -> Vec<Table>`: it runs its simulations,
+//!   asserts its claims and returns what it found. A [`Table`] owns its CSV
+//!   file name, its columns (printed header, CSV header, *measured* or
+//!   *simulated*), its rows and the lines printed around it;
+//! * [`experiments::REGISTRY`] is the only list of experiments, and the one
+//!   binary (`cargo run --release --bin experiment -- <name|paper|fleet|all|list>…`)
+//!   the only way to run them: it calls a row's `run` and [`Table::emit`]s
+//!   what comes back — printed on stdout, written as CSV into `results/`;
 //! * `--seed N` changes the RNG seed, `--fast` cuts repetition counts for
 //!   smoke runs, `--out DIR` overrides the results directory;
 //! * cluster experiments additionally take `--scenario FILE` (declarative
@@ -17,42 +22,12 @@
 pub mod cli;
 pub mod experiments;
 pub mod setups;
+pub mod table;
 
-use std::path::Path;
 use std::time::Instant;
 
 pub use cli::{load_scenario, Args};
-
-/// Prints an aligned text table.
-pub fn print_table(headers: &[&str], rows: &[Vec<String>]) {
-    let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
-    for row in rows {
-        for (i, cell) in row.iter().enumerate() {
-            if i < widths.len() {
-                widths[i] = widths[i].max(cell.len());
-            }
-        }
-    }
-    let line = |cells: Vec<String>| {
-        let mut out = String::new();
-        for (i, c) in cells.iter().enumerate() {
-            out.push_str(&format!("{:>w$}  ", c, w = widths[i]));
-        }
-        println!("{}", out.trim_end());
-    };
-    line(headers.iter().map(|s| (*s).to_owned()).collect());
-    line(widths.iter().map(|w| "-".repeat(*w)).collect());
-    for row in rows {
-        line(row.clone());
-    }
-}
-
-/// Writes a CSV file, panicking on I/O errors (experiment binaries).
-pub fn write_csv(path: &Path, header: &[&str], rows: &[Vec<String>]) {
-    selftune_simcore::metrics::write_csv(path, header, rows)
-        .unwrap_or_else(|e| panic!("writing {}: {e}", path.display()));
-    println!("[wrote {}]", path.display());
-}
+pub use table::{col, plain, Show, Table};
 
 /// Wall-clock time of `f`, in microseconds, together with its result.
 pub fn time_us<T>(f: impl FnOnce() -> T) -> (T, f64) {
@@ -69,6 +44,7 @@ pub fn fmt(v: f64, decimals: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::Path;
 
     #[test]
     fn reps_honours_fast() {

@@ -7,7 +7,10 @@ use selftune_simcore::rng::Rng;
 use selftune_simcore::task::TaskId;
 use selftune_simcore::time::{Dur, Time};
 use selftune_simcore::Kernel;
+use selftune_spectrum::{amplitude_spectrum, detect, PeakConfig, Spectrum, SpectrumConfig};
 use selftune_tracer::{entry_times_secs, TraceEvent, TraceFilter, Tracer, TracerConfig};
+
+use crate::{time_us, Args};
 
 /// A kernel + tracer with the mp3-playing `mplayer` in the fair class and
 /// optional background RT reservations, traced for `trace_secs`.
@@ -64,6 +67,55 @@ pub fn mp3_event_times(load_percent: u32, trace_secs: f64, seed: u64) -> Vec<f64
     entry_times_secs(&events, tid)
 }
 
+/// The observation windows Figures 6–9 slide over one 8 s trace of the
+/// quiet player: `reps` windows per horizon, starting 40 ms apart.
+pub struct SlidingWindows {
+    times: Vec<f64>,
+    reps: usize,
+}
+
+impl SlidingWindows {
+    /// Horizons `H` swept by every one of those figures, seconds.
+    pub const HORIZONS: [f64; 4] = [0.5, 1.0, 1.5, 2.0];
+
+    /// Traces the player; 100 windows per horizon, 10 with `--fast`.
+    pub fn trace(args: &Args) -> SlidingWindows {
+        SlidingWindows {
+            times: mp3_event_times(0, 8.0, args.seed),
+            reps: args.reps(100, 10),
+        }
+    }
+
+    /// The windows of length `h` seconds.
+    pub fn of(&self, h: f64) -> impl Iterator<Item = &[f64]> {
+        (0..self.reps).map(move |r| {
+            let start = 0.5 + 0.04 * r as f64;
+            let lo = self.times.partition_point(|&t| t < start);
+            let hi = self.times.partition_point(|&t| t < start + h);
+            &self.times[lo..hi]
+        })
+    }
+
+    /// The amplitude spectrum of every window of length `h`.
+    pub fn spectra(&self, h: f64, cfg: SpectrumConfig) -> Vec<Spectrum> {
+        self.of(h).map(|ev| amplitude_spectrum(ev, cfg)).collect()
+    }
+
+    /// Times the transform over every window of length `h`: its costs in
+    /// milliseconds (as in the paper's plots) and the frequencies the
+    /// default detector finds in the spectra.
+    pub fn timed_transform(&self, h: f64, cfg: SpectrumConfig) -> (Vec<f64>, Vec<f64>) {
+        let mut costs = Vec::with_capacity(self.reps);
+        let mut freqs = Vec::with_capacity(self.reps);
+        for ev in self.of(h) {
+            let (spec, us) = time_us(|| amplitude_spectrum(ev, cfg));
+            costs.push(us / 1000.0);
+            freqs.extend(detect(&spec, &PeakConfig::default()).detection.frequency());
+        }
+        (costs, freqs)
+    }
+}
+
 /// Outcome of one adaptive video run (Figures 13–14, Table 3).
 pub struct VideoRunOutcome {
     /// Inter-frame times, milliseconds, in frame order.
@@ -74,6 +126,19 @@ pub struct VideoRunOutcome {
     pub dropped: u64,
     /// The period believed by the controller at the end, if any.
     pub period: Option<Dur>,
+}
+
+impl VideoRunOutcome {
+    /// The inter-frame times after the first `warmup` frames (the
+    /// adaptation transient).
+    pub fn steady_ift(&self, warmup: usize) -> &[f64] {
+        &self.ift_ms[warmup.min(self.ift_ms.len().saturating_sub(1))..]
+    }
+
+    /// The granted bandwidths, without their timestamps.
+    pub fn bandwidths(&self) -> Vec<f64> {
+        self.bw.iter().map(|&(_, b)| b).collect()
+    }
 }
 
 /// Runs the 25 fps video player under the self-tuning manager for

@@ -766,12 +766,6 @@ impl ScenarioSpec {
         self.checked()
     }
 
-    /// Replaces the admission headroom factor.
-    pub fn with_headroom(mut self, headroom: f64) -> ScenarioSpec {
-        self.headroom = headroom;
-        self.checked()
-    }
-
     /// Replaces the manager sampling period.
     pub fn with_sampling(mut self, sampling: Dur) -> ScenarioSpec {
         self.sampling = sampling;

@@ -13,19 +13,15 @@
 //!   rate-monotonic priority assignment.
 //! * [`edf`] — plain task-level EDF, used to validate the simulator against
 //!   schedulability theory.
-//! * [`ps`] — weighted proportional share, the Section 3.2 ablation
-//!   baseline that has no notion of a scheduling period.
 
 pub mod cbs;
 pub mod edf;
 pub mod fp;
-pub mod ps;
 pub mod reservation;
 pub mod supervisor;
 
 pub use cbs::{CbsMode, InnerPolicy, Server, ServerConfig, ServerId, ServerState};
 pub use edf::EdfScheduler;
 pub use fp::{rate_monotonic, FixedPriority};
-pub use ps::ProportionalShare;
 pub use reservation::{Place, ReservationScheduler};
 pub use supervisor::{ApplyReport, BwRequest, Compression, Grant, Supervisor};

@@ -6,7 +6,7 @@
 //! rebalancer), generated with:
 //!
 //! ```bash
-//! cargo run --release --bin cluster_diurnal -- \
+//! cargo run --release --bin experiment -- cluster_diurnal \
 //!     --fast --journal examples/diurnal.journal
 //! ```
 //!

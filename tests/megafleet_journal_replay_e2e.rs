@@ -5,7 +5,7 @@
 //! with:
 //!
 //! ```bash
-//! cargo run --release --bin cluster_megafleet -- \
+//! cargo run --release --bin experiment -- cluster_megafleet \
 //!     --smoke --journal examples/megafleet.journal
 //! ```
 //!

@@ -10,7 +10,7 @@
 //! with:
 //!
 //! ```bash
-//! cargo run --release --bin cluster_milliontask -- \
+//! cargo run --release --bin experiment -- cluster_milliontask \
 //!     --smoke --journal examples/milliontask.journal
 //! ```
 //!
