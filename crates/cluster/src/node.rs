@@ -627,9 +627,6 @@ pub struct Node {
     /// warm-started VM migrations (rebalance enabled with `warm_start`;
     /// building them is wasted work otherwise).
     guest_warm_carry: bool,
-    /// The supervisor bound currently in force (starts at the spec's
-    /// static `U_lub`; node-level re-bounding moves it at epoch barriers).
-    ulub: f64,
     /// Whether elastic VMs also adapt their share *period* to the dominant
     /// guest period (on when the scenario runs node-level re-bounding —
     /// the fully-closed plane aligns replenishment across levels too).
@@ -659,7 +656,6 @@ impl Node {
             sampling: spec.sampling,
             headroom: spec.headroom,
             guest_warm_carry: spec.rebalance.enabled && spec.rebalance.warm_start,
-            ulub: spec.ulub,
             share_adapt: spec.node_share.enabled,
             tasks: TaskArena::default(),
             vms: Vec::new(),
@@ -700,17 +696,11 @@ impl Node {
         self.id
     }
 
-    /// The supervisor bound currently in force.
-    pub fn ulub(&self) -> f64 {
-        self.ulub
-    }
-
     /// Re-bounds the node's supervisor to `ulub` (a node-level share
     /// decision taken at an epoch barrier): lowering the bound
     /// proportionally recompresses every live grant in place, raising it
     /// restores headroom the next self-tuning requests can claim.
     pub fn set_ulub(&mut self, ulub: f64) {
-        self.ulub = ulub;
         self.stack.platform.set_host_ulub(ulub);
     }
 
@@ -742,7 +732,7 @@ impl Node {
                 // the host one (previously hard-coded to 1.0, which let a
                 // tenant book every last slice of its own share while the
                 // host level kept the paper's bound).
-                supervisor: Supervisor::new(self.ulub),
+                supervisor: Supervisor::new(platform.supervisor().ulub),
                 cbs_mode: CbsMode::Hard,
             }),
         });

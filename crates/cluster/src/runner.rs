@@ -31,7 +31,7 @@
 
 #![deny(clippy::too_many_lines)]
 
-use std::sync::{Arc, Barrier, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread;
 
 use selftune_simcore::time::Time;
@@ -392,7 +392,7 @@ impl ClusterRunner {
             stopped: None,
         };
         let crew = Crew {
-            barrier: Barrier::new(workers),
+            barrier: Gate::new(workers),
             board: Mutex::new(EpochBoard::new(workers)),
             leader: Mutex::new(leader),
         };
@@ -402,10 +402,16 @@ impl ClusterRunner {
             let (run, crew) = (&run, &crew);
             let spawn = |w| scope.spawn(move || work(run, crew, w));
             let handles: Vec<_> = (0..workers).map(spawn).collect();
-            let mut joined = handles.into_iter().map(|h| h.join());
-            // A worker's panic resumes here under its own message: the
-            // caller sees the cause, not that some worker had one.
-            joined.all(|ran| ran.unwrap_or_else(|cause| std::panic::resume_unwind(cause)))
+            // Join every worker before looking at any: a panic's siblings
+            // return early through the poisoned gate, and the first panic
+            // resumes here under its own message — the caller sees the
+            // cause, not that the run stopped.
+            let joined: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
+            let mut finished = true;
+            for ran in joined {
+                finished &= ran.unwrap_or_else(|cause| std::panic::resume_unwind(cause));
+            }
+            finished
         });
         let leader = crew.leader.into_inner().expect("leader state lock");
         if !finished {
@@ -419,9 +425,75 @@ impl ClusterRunner {
 /// What the workers of one run share: the barrier they meet at, the board
 /// they exchange finished values on, and the leader's seat.
 struct Crew<'a> {
-    barrier: Barrier,
+    barrier: Gate,
     board: Mutex<EpochBoard>,
     leader: Mutex<Leader<'a>>,
+}
+
+/// A barrier that a panicking worker poisons, so that its siblings return
+/// instead of waiting forever for a thread that will never arrive.
+struct Gate {
+    workers: usize,
+    state: Mutex<GateState>,
+    turned: Condvar,
+}
+
+#[derive(Default)]
+struct GateState {
+    arrived: usize,
+    /// How many times every worker has arrived.
+    round: u64,
+    poisoned: bool,
+}
+
+impl Gate {
+    fn new(workers: usize) -> Gate {
+        Gate {
+            workers,
+            state: Mutex::new(GateState::default()),
+            turned: Condvar::new(),
+        }
+    }
+
+    /// Blocks until every worker has arrived: `Some(true)` for exactly one
+    /// of them (the last to arrive, the round's leader), `Some(false)` for
+    /// the rest, and `None` for every waiter once the gate is poisoned.
+    fn wait(&self) -> Option<bool> {
+        let mut s = self.state.lock().expect("gate lock");
+        if s.poisoned {
+            return None;
+        }
+        s.arrived += 1;
+        if s.arrived == self.workers {
+            s.arrived = 0;
+            s.round += 1;
+            self.turned.notify_all();
+            return Some(true);
+        }
+        let round = s.round;
+        while s.round == round && !s.poisoned {
+            s = self.turned.wait(s).expect("gate lock");
+        }
+        (!s.poisoned).then_some(false)
+    }
+
+    /// Called while unwinding, so it must not panic itself.
+    fn poison(&self) {
+        let mut s = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        s.poisoned = true;
+        self.turned.notify_all();
+    }
+}
+
+/// Poisons the gate when the worker holding it unwinds.
+struct PoisonOnPanic<'a>(&'a Gate);
+
+impl Drop for PoisonOnPanic<'_> {
+    fn drop(&mut self) {
+        if thread::panicking() {
+            self.0.poison();
+        }
+    }
 }
 
 /// What only the barrier leader touches — a different thread each epoch,
@@ -447,8 +519,10 @@ fn wants_interim(run: &Run, ei: usize) -> bool {
 }
 
 /// One worker's epoch loop: the stages in order, around the two barrier
-/// waits. `false` when the run was stopped before the horizon.
+/// waits. `false` when the run was stopped before the horizon, or when a
+/// sibling panicked.
 fn work(run: &Run, crew: &Crew, w: usize) -> bool {
+    let _poison = PoisonOnPanic(&crew.barrier);
     let mut ws = WorkerState {
         w,
         ..WorkerState::default()
@@ -463,10 +537,15 @@ fn work(run: &Run, crew: &Crew, w: usize) -> bool {
         let interim = wants_interim(run, ei);
         post(publish(run, &mut ws, ei, interim));
         // Exactly one thread decides for the whole fleet.
-        if crew.barrier.wait().is_leader() {
+        let Some(leader) = crew.barrier.wait() else {
+            return false;
+        };
+        if leader {
             lead(run, crew, ei, interim);
         }
-        crew.barrier.wait();
+        if crew.barrier.wait().is_none() {
+            return false;
+        }
         let orders = Arc::clone(&crew.board.lock().expect("epoch board lock").orders);
         if orders.stop {
             return false;
@@ -585,10 +664,13 @@ impl JournalSink for CollectSink {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::{Churn, TaskMix};
+    use crate::spec::{Churn, RebalanceSpec, TaskMix};
     use crate::stages::deal_nodes;
     use proptest::prelude::*;
     use selftune_simcore::time::Dur;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::mpsc::{self, RecvTimeoutError};
+    use std::time::Duration;
 
     fn small_spec() -> ScenarioSpec {
         ScenarioSpec::new("runner-test", 3, 9, Dur::ms(1500)).with_mix(TaskMix::rt_only())
@@ -735,6 +817,82 @@ mod tests {
             message.contains("invalid (C=60.000ms, P=50.000ms)"),
             "{message}"
         );
+    }
+
+    /// Runs `pins` over a four-worker fleet with three decision boundaries
+    /// on a thread of its own, and returns the message of the panic the
+    /// caller saw. A run that does not return within 60 s fails the test:
+    /// that is what a worker stranded at a barrier looks like.
+    fn panic_message_of_run(pins: impl PinSource + Send + 'static) -> String {
+        let spec = ScenarioSpec::new("faulty", 4, 8, Dur::ms(1200))
+            .with_mix(TaskMix::rt_only())
+            .with_rebalance(RebalanceSpec {
+                period: Dur::ms(300),
+                ..ScenarioSpec::demo_rebalance()
+            });
+        assert_eq!(ClusterRunner::epoch_ends(&spec).len(), 4);
+        let (done, ended) = mpsc::channel::<()>();
+        let caller = thread::spawn(move || {
+            // Dropped however the run ends, which wakes the wait below.
+            let _done = done;
+            let plan = plan_fleet(&spec, 3);
+            ClusterRunner::new(4).run_pinned(&spec, 3, &plan, &pins, None)
+        });
+        let waited = ended.recv_timeout(Duration::from_secs(60));
+        assert!(
+            !matches!(waited, Err(RecvTimeoutError::Timeout)),
+            "the run hung: a worker's panic stranded its siblings"
+        );
+        let cause = caller
+            .join()
+            .expect_err("the injected fault reaches the caller");
+        cause
+            .downcast_ref::<String>()
+            .cloned()
+            .expect("a formatted panic")
+    }
+
+    /// Fails the barrier leader at boundary 1, between that boundary's two
+    /// waits, while every sibling is parked at the second.
+    struct PanicsAtPinOne;
+
+    impl PinSource for PanicsAtPinOne {
+        fn pin(&self, epoch: usize) -> EpochPin {
+            if epoch == 1 {
+                panic!("injected fault at pin({epoch})");
+            }
+            EpochPin::Live
+        }
+    }
+
+    /// Fails the first worker to ask, before boundary 0's first wait; the
+    /// siblings go on into that wait.
+    #[derive(Default)]
+    struct PanicsOnFirstInterimQuestion(AtomicBool);
+
+    impl PinSource for PanicsOnFirstInterimQuestion {
+        fn wants_interim(&self, epoch: usize) -> bool {
+            if !self.0.swap(true, Ordering::SeqCst) {
+                panic!("injected fault in wants_interim({epoch})");
+            }
+            false
+        }
+
+        fn pin(&self, _epoch: usize) -> EpochPin {
+            EpochPin::Live
+        }
+    }
+
+    #[test]
+    fn a_leader_panic_between_the_waits_does_not_strand_its_siblings() {
+        let message = panic_message_of_run(PanicsAtPinOne);
+        assert_eq!(message, "injected fault at pin(1)");
+    }
+
+    #[test]
+    fn a_worker_panic_before_the_first_wait_does_not_strand_its_siblings() {
+        let message = panic_message_of_run(PanicsOnFirstInterimQuestion::default());
+        assert_eq!(message, "injected fault in wants_interim(0)");
     }
 
     #[test]

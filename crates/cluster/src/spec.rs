@@ -508,9 +508,10 @@ pub struct VmSpec {
     pub period: Dur,
     /// Guest task groups, `(count, kind)` in declaration order.
     pub guests: Vec<(usize, TaskKind)>,
-    /// Whether the VM's host share is *elastic*: the node runs a
-    /// `selftune_virt::VmShareController` for it, re-requesting the share
-    /// from measured guest demand every control period. Elastic VMs are
+    /// Whether the VM's host share is *elastic*: the node's platform steps
+    /// a `selftune_core::share::ShareController` for it
+    /// (`VirtPlatform::make_vm_elastic`), re-requesting the share from
+    /// measured guest demand every 500 ms. Elastic VMs are
     /// never rebalance victims — the host-level loop absorbs their
     /// pressure locally (and their *granted* share, not this nominal one,
     /// is what fleet decisions book).

@@ -458,7 +458,7 @@ fn rebound_nodes(
     }
     for fb in &view.nodes {
         let n = fb.node;
-        let (decision, trace) = state.ctls[n].step_traced(&DemandSignal {
+        let (decision, trace) = state.ctls[n].step(&DemandSignal {
             consumed_bw: fb.utilisation,
             booked_bw: fb.reserved_bw,
             granted_bw: state.bounds[n],

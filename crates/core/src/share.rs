@@ -3,15 +3,22 @@
 //!
 //! The paper's loop — observe a consumer, estimate its demand, re-request
 //! its bandwidth through a supervisor that may compress the grant — runs
-//! at two levels of the stack:
+//! at every level of the stack:
 //!
 //! * **task level** — [`TaskController`](crate::TaskController) inside
 //!   [`SelfTuningManager`](crate::SelfTuningManager) adapts one task's CBS
 //!   reservation from its traced activations and consumed time;
-//! * **VM level** — `selftune-virt`'s `VmShareController` adapts a whole
-//!   tenant's host share from the demand its *guest* manager measured.
+//! * **VM and node level** — [`ShareController::step`] is called where its
+//!   grant acts, by exactly two call sites that each assemble their own
+//!   [`DemandSignal`] and execute the decision themselves:
+//!   `selftune-virt`'s `VirtPlatform::step_vm_share` re-requests an
+//!   elastic tenant's host share from the demand its *guest* manager
+//!   measured, and `selftune-cluster`'s `stages::rebound_nodes` re-bounds
+//!   a node's supervisor from its epoch feedback at the barrier. There is
+//!   nothing in between: the levels share the law, not a cadence, a
+//!   sensor or an apply step.
 //!
-//! Both loops need the same two ingredients this module factors out:
+//! The loops need the same two ingredients this module factors out:
 //!
 //! * [`Hysteresis`] — a relative deadband with confirmation counting, so
 //!   estimator jitter cannot churn reservations (the task controller's
@@ -124,9 +131,9 @@ pub struct ShareControllerConfig {
     /// Never request below this share (keeps a starved consumer's
     /// controller observable, mirroring the supervisor's budget floor).
     pub min_share: f64,
-    /// Never request above this share. The VM-level controller sets this
-    /// to the host supervisor's bound — an elastic consumer can never ask
-    /// its way past what the node could grant anyone.
+    /// Never request above this share. The VM level sets this to the host
+    /// supervisor's bound — an elastic consumer can never ask its way past
+    /// what the node could grant anyone.
     pub max_share: f64,
     /// EWMA weight of the newest demand sample in `(0, 1]`.
     pub ewma_alpha: f64,
@@ -330,14 +337,10 @@ impl ShareController {
         self.target
     }
 
-    /// Folds one control period's observation and decides.
-    pub fn step(&mut self, sig: &DemandSignal) -> ShareDecision {
-        self.step_traced(sig).0
-    }
-
-    /// [`ShareController::step`] plus the [`ShareTrace`] a decision
-    /// journal records alongside the decision.
-    pub fn step_traced(&mut self, sig: &DemandSignal) -> (ShareDecision, ShareTrace) {
+    /// Folds one control period's observation and decides, returning the
+    /// decision with the [`ShareTrace`] a decision journal records
+    /// alongside it.
+    pub fn step(&mut self, sig: &DemandSignal) -> (ShareDecision, ShareTrace) {
         let mut raw = sig.consumed_bw.max(sig.booked_bw);
         let saturated = sig.compressions > 0;
         if saturated {
@@ -457,7 +460,7 @@ mod tests {
             ..ShareControllerConfig::default()
         });
         // Saturated at a 0.3 grant: the controller probes upward.
-        let d = c.step(&sig(0.29, 0.3, 0.3, 4));
+        let d = c.step(&sig(0.29, 0.3, 0.3, 4)).0;
         match d {
             ShareDecision::Request(t) => assert!(t > 0.3, "grew to {t}"),
             other => panic!("expected growth, got {other:?}"),
@@ -467,7 +470,7 @@ mod tests {
         // under the clamp).
         let mut granted = 0.45;
         for _ in 0..20 {
-            match c.step(&sig(granted, granted, granted, 1)) {
+            match c.step(&sig(granted, granted, granted, 1)).0 {
                 ShareDecision::Request(t) => {
                     assert!(t <= 0.9 + 1e-12, "cap violated: {t}");
                     granted = t;
@@ -495,7 +498,7 @@ mod tests {
         // confirmations pass, the controller requests a smaller share.
         let mut last_request = None;
         for _ in 0..12 {
-            if let ShareDecision::Request(t) = c.step(&sig(0.01, 0.02, 0.5, 0)) {
+            if let ShareDecision::Request(t) = c.step(&sig(0.01, 0.02, 0.5, 0)).0 {
                 last_request = Some(t);
             }
         }
@@ -510,10 +513,13 @@ mod tests {
         // First sample sets the target; grant already matches it.
         let demand = 0.4;
         let target = demand * 1.15;
-        assert_eq!(c.step(&sig(demand, demand, target, 0)), ShareDecision::Hold);
+        assert_eq!(
+            c.step(&sig(demand, demand, target, 0)).0,
+            ShareDecision::Hold
+        );
         // Jitter within the deadband keeps holding.
         for bump in [0.39, 0.41, 0.4] {
-            assert_eq!(c.step(&sig(bump, bump, target, 0)), ShareDecision::Hold);
+            assert_eq!(c.step(&sig(bump, bump, target, 0)).0, ShareDecision::Hold);
         }
     }
 
@@ -523,7 +529,7 @@ mod tests {
         // The consumer booked 0.5 but burned almost nothing this period
         // (e.g. guests between activations): the booking drives the
         // estimate, so the share is not yanked away mid-reservation.
-        let d = c.step(&sig(0.02, 0.5, 0.1, 0));
+        let d = c.step(&sig(0.02, 0.5, 0.1, 0)).0;
         match d {
             ShareDecision::Request(t) => assert!(t > 0.4, "{t}"),
             other => panic!("expected request, got {other:?}"),
@@ -539,7 +545,7 @@ mod tests {
         });
         // Saturated first sample: raw substituted with growth × grant,
         // candidate clipped at the cap.
-        let (d, tr) = c.step_traced(&sig(0.3, 0.3, 0.6, 2));
+        let (d, tr) = c.step(&sig(0.3, 0.3, 0.6, 2));
         assert!(tr.saturated);
         assert!((tr.raw - 0.9).abs() < 1e-12, "raw {}", tr.raw);
         assert_eq!(tr.clamp, ClampReason::Cap);
@@ -549,36 +555,19 @@ mod tests {
 
         // Demand collapses. The first idle sample still caps (the EWMA
         // remembers the saturated 0.9) and is absorbed by the deadband…
-        let (_, tr) = c.step_traced(&sig(0.01, 0.01, 0.5, 0));
+        let (_, tr) = c.step(&sig(0.01, 0.01, 0.5, 0));
         assert_eq!(tr.adopted, None);
         assert_eq!(tr.pending, None);
         assert_eq!(tr.clamp, ClampReason::Cap);
         // …the second leaves the band and starts a pending change: the
         // trace shows the unconfirmed candidate while the decision keeps
         // requesting the adopted target.
-        let (_, tr) = c.step_traced(&sig(0.01, 0.01, 0.5, 0));
+        let (_, tr) = c.step(&sig(0.01, 0.01, 0.5, 0));
         assert_eq!(tr.adopted, None);
         let (cand, n) = tr.pending.expect("change pending");
         assert!(cand < 0.5);
         assert_eq!(n, 1);
         assert_eq!(tr.clamp, ClampReason::None);
-    }
-
-    #[test]
-    fn step_and_step_traced_agree() {
-        let mut a = ShareController::new(ShareControllerConfig::default());
-        let mut b = ShareController::new(ShareControllerConfig::default());
-        for s in [
-            sig(0.3, 0.2, 0.3, 0),
-            sig(0.6, 0.6, 0.3, 3),
-            sig(0.01, 0.0, 0.7, 0),
-            sig(0.01, 0.0, 0.7, 0),
-            sig(0.01, 0.0, 0.7, 0),
-        ] {
-            assert_eq!(a.step(&s), b.step_traced(&s).0);
-        }
-        assert_eq!(a.demand(), b.demand());
-        assert_eq!(a.target(), b.target());
     }
 
     #[test]

@@ -23,8 +23,8 @@
 //!
 //! The module also hosts the canonical **elasticity** scenarios backing
 //! the `vm_elasticity` experiment/example/e2e: [`run_two_phase`] (an
-//! idle-phase tenant's share reclaimed for a hungry sibling under
-//! [`crate::VmShareController`]s) and [`run_runaway`] (a runaway elastic
+//! idle-phase tenant's share reclaimed for a hungry sibling once both are
+//! elastic) and [`run_runaway`] (a runaway elastic
 //! tenant pinned at the host cap next to an untouched static sibling).
 
 use selftune_apps::PeriodicRt;
@@ -262,7 +262,8 @@ pub struct ElasticityReport {
 /// *hungry* VM whose two guests want 0.6. With `elastic` off the shares
 /// are frozen at admission (the hungry tenant stays compressed forever,
 /// the idle tenant hoards 0.45 of dark bandwidth); with `elastic` on each
-/// VM runs a [`crate::VmShareController`] and the idle share is reclaimed
+/// VM's share follows its measured demand
+/// ([`VirtPlatform::make_vm_elastic`]) and the idle share is reclaimed
 /// and re-granted to the hungry sibling.
 pub fn run_two_phase(horizon: Dur, seed: u64, elastic: bool) -> ElasticityReport {
     let mut p = VirtPlatform::new(host_manager_config());

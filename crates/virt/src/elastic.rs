@@ -1,275 +1,47 @@
 //! Elastic VM shares: the host-level instance of the paper's feedback
 //! loop.
 //!
-//! PR 4's virtual platforms admit VM shares statically: a tenant whose
+//! A statically admitted VM share fits nobody for long: a tenant whose
 //! measured demand shrinks keeps hoarding host bandwidth, and a tenant
 //! whose demand grows compresses its own guests even when the host has
-//! slack. [`VmShareController`] closes the same loop one level up — each
-//! control period it folds what the VM *measurably* did (share
-//! consumption, the guest manager's booked reservations, compression
-//! events inside the tenant) into a
-//! [`selftune_core::share::ShareController`] and decides whether to
-//! re-request the host share through
-//! [`VirtPlatform::request_vm_share`](crate::VirtPlatform::request_vm_share).
-//!
-//! The controller is pure decision logic, exactly like the task-level
-//! [`selftune_core::TaskController`]: the platform feeds it a
-//! [`VmObservation`] and executes the resulting request (the host
-//! supervisor may still compress the grant, and the grant is propagated
-//! down into the guest manager's bound). Keeping kernel access out of
-//! this type makes the host-level law unit testable in isolation.
+//! slack. An elastic VM closes the same loop one level up: every
+//! 500 ms the platform folds what the VM *measurably* did
+//! (share consumption, the guest manager's booked reservations,
+//! compression events inside the tenant) into a
+//! [`selftune_core::share::ShareController`] and executes its decision
+//! through the host supervisor, which may still compress the grant; the
+//! grant is then propagated down into the guest manager's bound. The law
+//! is called where it acts, in the platform's control step for VMs put
+//! under [`VirtPlatform::make_vm_elastic`](crate::VirtPlatform::make_vm_elastic);
+//! this module only holds what configures it.
 
-use selftune_core::share::{
-    DemandSignal, PeriodAdapter, ShareController, ShareControllerConfig, ShareDecision, ShareTrace,
-};
-use selftune_simcore::time::{Dur, Time};
+use selftune_core::share::ShareControllerConfig;
+use selftune_simcore::time::Dur;
+
+/// How often an elastic share is reconsidered: one manager sampling
+/// period, so the guest loop gets a fresh sample between host-level
+/// decisions (the paper's remark against `S = P` applies across levels
+/// too).
+pub(crate) const CONTROL_PERIOD: Dur = Dur::ms(500);
 
 /// Bounds of an adapted share period (seconds): no share replenishes
 /// faster than 1 ms or slower than 500 ms, whatever the guests report.
-const ADAPTED_PERIOD_MIN: f64 = 0.001;
-const ADAPTED_PERIOD_MAX: f64 = 0.5;
+pub(crate) const ADAPTED_PERIOD_MIN: f64 = 0.001;
+pub(crate) const ADAPTED_PERIOD_MAX: f64 = 0.5;
 
 /// Configuration of one VM's elastic-share loop.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct VmElasticConfig {
-    /// How often the share is reconsidered. Defaults to 500 ms — one
-    /// manager sampling period, so the guest loop gets a fresh sample
-    /// between host-level decisions (the paper's remark against `S = P`
-    /// applies across levels too).
-    pub control_period: Dur,
     /// The share feedback law. `max_share` is additionally clamped to the
     /// host supervisor's bound at attach time, so an elastic VM can never
     /// request its way past what the node could grant anyone.
     pub controller: ShareControllerConfig,
     /// Share-*period* adaptation (the paper's `T^s = P` rule one level
     /// up): when enabled, the share period tracks the dominant detected
-    /// guest period through a [`PeriodAdapter`] sharing the controller's
-    /// deadband/confirmation settings, so outer replenishment aligns with
-    /// inner deadlines instead of beating against them. Off by default —
-    /// re-parameterising the host server is a behaviour change existing
-    /// fleets must opt into.
+    /// guest period through a [`selftune_core::share::PeriodAdapter`]
+    /// sharing the controller's deadband/confirmation settings, so outer
+    /// replenishment aligns with inner deadlines instead of beating
+    /// against them. Off by default — re-parameterising the host server
+    /// is a behaviour change existing fleets must opt into.
     pub adapt_period: bool,
-}
-
-impl Default for VmElasticConfig {
-    fn default() -> Self {
-        VmElasticConfig {
-            control_period: Dur::ms(500),
-            controller: ShareControllerConfig::default(),
-            adapt_period: false,
-        }
-    }
-}
-
-/// What the platform observed about one VM since the previous control
-/// step.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct VmObservation {
-    /// The share currently granted, `Q/T`.
-    pub granted: f64,
-    /// Bandwidth the guest manager's inner reservations hold (0 for
-    /// guests without a manager).
-    pub booked: f64,
-    /// Share consumption since the previous step.
-    pub consumed_delta: Dur,
-    /// Wall (virtual) time since the previous step.
-    pub elapsed: Dur,
-    /// Guest-supervisor compressions since the previous step.
-    pub compressions_delta: u64,
-    /// The dominant period the guest manager currently detects across its
-    /// tasks (`None` while detection runs, or for manager-less guests).
-    /// Only consulted when [`VmElasticConfig::adapt_period`] is on.
-    pub dominant_period: Option<Dur>,
-}
-
-/// The per-VM share controller (see the module docs).
-#[derive(Clone, Debug)]
-pub struct VmShareController {
-    cfg: VmElasticConfig,
-    ctl: ShareController,
-    /// Share-period adaptation state; `Some` iff `cfg.adapt_period`.
-    periods: Option<PeriodAdapter>,
-    /// Instant of the next control step.
-    next_at: Time,
-    /// Decisions that actually re-requested the share.
-    rerequests: u64,
-}
-
-impl VmShareController {
-    /// Creates a controller; the first control step is due one control
-    /// period after `now`.
-    pub fn new(cfg: VmElasticConfig, now: Time) -> VmShareController {
-        assert!(
-            !cfg.control_period.is_zero(),
-            "control period must be positive"
-        );
-        let periods = cfg.adapt_period.then(|| {
-            PeriodAdapter::new(
-                cfg.controller.hysteresis,
-                cfg.controller.confirmations,
-                ADAPTED_PERIOD_MIN,
-                ADAPTED_PERIOD_MAX,
-            )
-        });
-        VmShareController {
-            cfg,
-            ctl: ShareController::new(cfg.controller),
-            periods,
-            next_at: now + cfg.control_period,
-            rerequests: 0,
-        }
-    }
-
-    /// The configuration in force.
-    pub fn config(&self) -> &VmElasticConfig {
-        &self.cfg
-    }
-
-    /// The smoothed demand estimate, if any sample arrived yet.
-    pub fn demand(&self) -> Option<f64> {
-        self.ctl.demand()
-    }
-
-    /// The current hysteresis-adopted share target, if any.
-    pub fn target(&self) -> Option<f64> {
-        self.ctl.target()
-    }
-
-    /// How many control steps re-requested the share so far.
-    pub fn rerequests(&self) -> u64 {
-        self.rerequests
-    }
-
-    /// The adapted share period, if period adaptation is on and an
-    /// observation has been adopted: the period a re-requested share
-    /// should use instead of the server's current one.
-    pub fn share_period(&self) -> Option<Dur> {
-        let secs = self.periods.as_ref()?.period()?;
-        Some(Dur::secs(1).mul_f64(secs))
-    }
-
-    /// Whether a control step is due at `now`.
-    pub fn due(&self, now: Time) -> bool {
-        now >= self.next_at
-    }
-
-    /// One control step: folds the observation and decides the share to
-    /// re-request, if any. The caller (the platform) executes the request
-    /// through the host supervisor and feeds the resulting grant back via
-    /// the next observation.
-    pub fn step(&mut self, obs: &VmObservation, now: Time) -> ShareDecision {
-        self.step_traced(obs, now).0
-    }
-
-    /// [`VmShareController::step`] plus the [`ShareTrace`] a decision
-    /// journal records alongside the decision.
-    pub fn step_traced(&mut self, obs: &VmObservation, now: Time) -> (ShareDecision, ShareTrace) {
-        self.next_at = now + self.cfg.control_period;
-        if let (Some(pa), Some(dom)) = (self.periods.as_mut(), obs.dominant_period) {
-            pa.observe(dom.as_secs_f64());
-        }
-        let consumed_bw = if obs.elapsed.is_zero() {
-            0.0
-        } else {
-            obs.consumed_delta.ratio(obs.elapsed)
-        };
-        let (decision, trace) = self.ctl.step_traced(&DemandSignal {
-            consumed_bw,
-            booked_bw: obs.booked,
-            granted_bw: obs.granted,
-            compressions: obs.compressions_delta,
-        });
-        if matches!(decision, ShareDecision::Request(_)) {
-            self.rerequests += 1;
-        }
-        (decision, trace)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn obs(granted: f64, booked: f64, consumed_ms: u64, compressions: u64) -> VmObservation {
-        VmObservation {
-            granted,
-            booked,
-            consumed_delta: Dur::ms(consumed_ms),
-            elapsed: Dur::ms(500),
-            compressions_delta: compressions,
-            dominant_period: None,
-        }
-    }
-
-    #[test]
-    fn share_period_tracks_the_dominant_guest_period_when_enabled() {
-        let cfg = VmElasticConfig {
-            adapt_period: true,
-            ..VmElasticConfig::default()
-        };
-        let mut c = VmShareController::new(cfg, Time::ZERO);
-        assert_eq!(c.share_period(), None);
-        let mut o = obs(0.3, 0.3, 100, 0);
-        o.dominant_period = Some(Dur::ms(40));
-        let mut at = Time::ZERO;
-        // Default confirmations = 2 after the immediate first adoption.
-        for _ in 0..3 {
-            at += Dur::ms(500);
-            let _ = c.step(&o, at);
-        }
-        assert_eq!(c.share_period(), Some(Dur::ms(40)));
-        // Guests re-tune to 100 ms; the adapter follows after confirming.
-        o.dominant_period = Some(Dur::ms(100));
-        for _ in 0..3 {
-            at += Dur::ms(500);
-            let _ = c.step(&o, at);
-        }
-        assert_eq!(c.share_period(), Some(Dur::ms(100)));
-        // Off by default: the same observations leave the period alone.
-        let mut plain = VmShareController::new(VmElasticConfig::default(), Time::ZERO);
-        let _ = plain.step(&o, Time::ZERO + Dur::ms(500));
-        assert_eq!(plain.share_period(), None);
-    }
-
-    #[test]
-    fn schedules_itself_on_the_control_period() {
-        let mut c = VmShareController::new(VmElasticConfig::default(), Time::ZERO);
-        assert!(!c.due(Time::ZERO));
-        let t1 = Time::ZERO + Dur::ms(500);
-        assert!(c.due(t1));
-        let _ = c.step(&obs(0.3, 0.2, 100, 0), t1);
-        assert!(!c.due(t1));
-        assert!(c.due(t1 + Dur::ms(500)));
-    }
-
-    #[test]
-    fn compressed_tenant_grows_idle_tenant_shrinks() {
-        let cfg = VmElasticConfig {
-            controller: ShareControllerConfig {
-                confirmations: 1,
-                ..ShareControllerConfig::default()
-            },
-            ..VmElasticConfig::default()
-        };
-        let mut hungry = VmShareController::new(cfg, Time::ZERO);
-        let t = Time::ZERO + Dur::secs(1);
-        // A tenant saturating its 0.3 share (compressions inside): grow.
-        match hungry.step(&obs(0.3, 0.3, 150, 3), t) {
-            ShareDecision::Request(s) => assert!(s > 0.3, "grew to {s}"),
-            other => panic!("expected growth, got {other:?}"),
-        }
-        assert_eq!(hungry.rerequests(), 1);
-
-        // A tenant burning ~nothing with nothing booked: shrink.
-        let mut idle = VmShareController::new(cfg, Time::ZERO);
-        let mut last = None;
-        for i in 0..10 {
-            let at = Time::ZERO + Dur::ms(500 * (i + 1));
-            if let ShareDecision::Request(s) = idle.step(&obs(0.4, 0.01, 2, 0), at) {
-                last = Some(s);
-            }
-        }
-        let s = last.expect("idle tenant must shed its share");
-        assert!(s < 0.1, "shrunk to {s}");
-    }
 }

@@ -33,11 +33,11 @@
 //!   [`selftune_core::SelfTuningManager`] whose supervisor is clamped to
 //!   the VM's share — compression under tenant overload stays inside the
 //!   tenant.
-//! * [`elastic`] — the host-level share loop: [`VmShareController`]
-//!   re-requests each elastic VM's share from measured guest demand
-//!   (bookings, consumption, compression events) through the host
-//!   supervisor every control period, built on the reusable
-//!   [`selftune_core::share`] controller plane.
+//! * [`elastic`] — [`VmElasticConfig`], the configuration of the
+//!   host-level share loop: every 500 ms [`VirtPlatform`] steps each
+//!   elastic VM's [`selftune_core::share::ShareController`] on measured
+//!   guest demand (bookings, consumption, compression events) and
+//!   re-requests the share through the host supervisor.
 //! * [`demo`] — the canonical two-tenant consolidation and elasticity
 //!   scenarios backing the `vm_consolidation` / `vm_elasticity`
 //!   experiments, examples and e2e tests.
@@ -57,7 +57,7 @@ pub mod elastic;
 pub mod platform;
 pub mod sched;
 
-pub use elastic::{VmElasticConfig, VmObservation, VmShareController};
+pub use elastic::VmElasticConfig;
 pub use platform::{
     GuestPolicy, Scope, ShareGrantEvent, TraceMux, VirtPlatform, VmAdmissionError, VmConfig,
 };
@@ -65,7 +65,7 @@ pub use sched::{GuestSched, VirtScheduler, VmId};
 
 /// One-stop imports for virtual-platform experiments.
 pub mod prelude {
-    pub use crate::elastic::{VmElasticConfig, VmObservation, VmShareController};
+    pub use crate::elastic::VmElasticConfig;
     pub use crate::platform::{
         GuestPolicy, Scope, ShareGrantEvent, VirtPlatform, VmAdmissionError, VmConfig,
     };

@@ -24,7 +24,9 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use selftune_core::share::{ClampReason, ShareDecision};
+use selftune_core::share::{
+    ClampReason, DemandSignal, PeriodAdapter, ShareController, ShareDecision,
+};
 use selftune_core::{ControllerConfig, ManagerConfig, SelfTuningManager};
 use selftune_sched::{
     BwRequest, EdfScheduler, FixedPriority, ReservationScheduler, Server, ServerConfig, Supervisor,
@@ -36,7 +38,7 @@ use selftune_simcore::task::{TaskId, Workload};
 use selftune_simcore::time::{Dur, Time};
 use selftune_tracer::{Tracer, TracerConfig, TracerHook};
 
-use crate::elastic::{VmElasticConfig, VmObservation, VmShareController};
+use crate::elastic::{VmElasticConfig, ADAPTED_PERIOD_MAX, ADAPTED_PERIOD_MIN, CONTROL_PERIOD};
 use crate::sched::{GuestSched, VirtScheduler, VmId};
 
 /// The scheduling regime inside one VM.
@@ -147,7 +149,7 @@ pub struct ShareGrantEvent {
 /// [`VirtPlatform::unmanage`], [`VirtPlatform::reservation_of`], the
 /// sampling step) is written once over it. What a VM scope adds to the
 /// host's is outside the loop: a share server on the host scheduler and,
-/// if elastic, a [`VmShareController`] re-sizing it.
+/// if elastic, a [`ShareController`] re-sizing it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Scope {
     /// Flat tasks under the host manager.
@@ -212,10 +214,15 @@ impl SyscallHook for TraceMux {
     }
 }
 
-/// The elastic-share loop state of one VM: the controller plus the
-/// last-seen cumulative sensors it differentiates.
+/// The elastic-share loop state of one VM: the share law, its cadence,
+/// and the last-seen cumulative sensors it differentiates.
 struct ElasticRt {
-    ctl: VmShareController,
+    ctl: ShareController,
+    /// Share-period adaptation state; `Some` iff
+    /// [`VmElasticConfig::adapt_period`].
+    periods: Option<PeriodAdapter>,
+    /// Instant of the next control step.
+    next_at: Time,
     last_consumed: Dur,
     last_compressions: u64,
     last_at: Time,
@@ -368,17 +375,26 @@ impl VirtPlatform {
         vm
     }
 
-    /// Puts the VM's host share under a [`VmShareController`]: every
-    /// control period the share is re-requested from the tenant's
-    /// *measured* demand (guest bookings, share consumption, compression
-    /// events) through the host supervisor. The controller's cap is
-    /// clamped to the host bound, so an elastic VM can never oversubscribe
-    /// the node; grants are propagated down into the guest manager's own
-    /// bound, so tenant-internal compression always reflects the live
-    /// supply.
-    pub fn make_vm_elastic(&mut self, vm: VmId, mut cfg: VmElasticConfig) {
-        cfg.controller.max_share = cfg.controller.max_share.min(self.cfg.supervisor.ulub);
-        cfg.controller.min_share = cfg.controller.min_share.min(cfg.controller.max_share);
+    /// Puts the VM's host share under a [`ShareController`]: every 500 ms,
+    /// starting 500 ms from now, the share is re-requested from the
+    /// tenant's *measured* demand (guest bookings, share consumption,
+    /// compression events) through the host supervisor. The controller's
+    /// cap is clamped to the host bound, so an elastic VM can never
+    /// oversubscribe the node; grants are propagated down into the guest
+    /// manager's own bound, so tenant-internal compression always reflects
+    /// the live supply.
+    pub fn make_vm_elastic(&mut self, vm: VmId, cfg: VmElasticConfig) {
+        let mut law = cfg.controller;
+        law.max_share = law.max_share.min(self.cfg.supervisor.ulub);
+        law.min_share = law.min_share.min(law.max_share);
+        let periods = cfg.adapt_period.then(|| {
+            PeriodAdapter::new(
+                law.hysteresis,
+                law.confirmations,
+                ADAPTED_PERIOD_MIN,
+                ADAPTED_PERIOD_MAX,
+            )
+        });
         let now = self.kernel.now();
         let consumed = self.vm_consumed(vm);
         let rt = &mut self.vms[vm.index()];
@@ -387,7 +403,9 @@ impl VirtPlatform {
             .as_ref()
             .map_or(0, SelfTuningManager::compressed_grants);
         rt.elastic = Some(ElasticRt {
-            ctl: VmShareController::new(cfg, now),
+            ctl: ShareController::new(law),
+            periods,
+            next_at: now + CONTROL_PERIOD,
             last_consumed: consumed,
             last_compressions,
             last_at: now,
@@ -427,62 +445,56 @@ impl VirtPlatform {
             .map(|m| m.config().supervisor.ulub)
     }
 
-    /// One elastic control step of a VM whose controller is due: gathers
-    /// the observation, folds it, executes any re-request through the host
-    /// supervisor and re-bounds the guest manager at the new grant.
+    /// One elastic control step of a VM whose step is due: assembles the
+    /// [`DemandSignal`] from the sensors' deltas, steps the share law,
+    /// executes any re-request through the host supervisor and re-bounds
+    /// the guest manager at the new grant.
     fn step_vm_share(&mut self, vm: VmId) {
         let now = self.kernel.now();
         let Some(mut el) = self.vms[vm.index()].elastic.take() else {
             return;
         };
-        if el.ctl.due(now) {
-            let granted = self.vm_share(vm);
-            let booked = self.vms[vm.index()].mgr.as_ref().map_or(0.0, |mgr| {
+        if now >= el.next_at {
+            let mgr = self.vms[vm.index()].mgr.as_ref();
+            let booked = mgr.map_or(0.0, |mgr| {
                 mgr.booked_bandwidth(Scope::Vm(vm).reservations(self.kernel.sched()))
             });
+            let compressions = mgr.map_or(0, SelfTuningManager::compressed_grants);
             let consumed = self.vm_consumed(vm);
-            let compressions = self.vms[vm.index()]
-                .mgr
-                .as_ref()
-                .map_or(0, SelfTuningManager::compressed_grants);
-            let dominant_period = if el.ctl.config().adapt_period {
-                self.vm_dominant_period(vm)
-            } else {
-                None
+            let (consumed_delta, elapsed) = (
+                consumed.saturating_sub(el.last_consumed),
+                now.saturating_since(el.last_at),
+            );
+            let signal = DemandSignal {
+                consumed_bw: if elapsed.is_zero() {
+                    0.0
+                } else {
+                    consumed_delta.ratio(elapsed)
+                },
+                booked_bw: booked,
+                granted_bw: self.vm_share(vm),
+                compressions: compressions - el.last_compressions,
             };
-            let obs = VmObservation {
-                granted,
-                booked,
-                consumed_delta: consumed.saturating_sub(el.last_consumed),
-                elapsed: now.saturating_since(el.last_at),
-                compressions_delta: compressions - el.last_compressions,
-                dominant_period,
-            };
-            el.last_consumed = consumed;
-            el.last_compressions = compressions;
-            el.last_at = now;
-            let (decision, trace) = el.ctl.step_traced(&obs, now);
+            (el.last_consumed, el.last_compressions, el.last_at) = (consumed, compressions, now);
+            el.next_at = now + CONTROL_PERIOD;
+            if let Some(pa) = el.periods.as_mut() {
+                if let Some(dom) = self.vm_dominant_period(vm) {
+                    pa.observe(dom.as_secs_f64());
+                }
+            }
+            let (decision, trace) = el.ctl.step(&signal);
             if let ShareDecision::Request(target) = decision {
                 // T^s = P one level up: a re-request carries the adapted
                 // share period (tracking the dominant guest period) when
                 // adaptation is on, the server's current period otherwise.
-                let period = el
-                    .ctl
-                    .share_period()
-                    .unwrap_or_else(|| self.vm_server(vm).config().period);
+                let period = match el.periods.as_ref().and_then(PeriodAdapter::period) {
+                    Some(secs) => Dur::secs(1).mul_f64(secs),
+                    None => self.vm_server(vm).config().period,
+                };
                 let floor = self.cfg.supervisor.budget_floor(period);
                 let budget = period.mul_f64(target).max(floor).min(period);
-                let (granted, compressed, available) =
-                    self.request_vm_share_detailed(vm, budget, period);
-                // Even a fully compressed grant leaves the guest manager a
-                // real bound: the supervisor never shrinks a server below
-                // its budget floor, so that floor's share — not an
-                // arbitrary epsilon — is the honest lower limit. (A zero
-                // bound would poison the guest supervisor outright.)
-                let bound_floor = floor.ratio(period).min(1.0);
-                if let Some(mgr) = self.vms[vm.index()].mgr.as_mut() {
-                    mgr.set_bandwidth_bound(granted.clamp(bound_floor, 1.0));
-                }
+                let (granted, compressed, available) = self.request_vm_share(vm, budget, period);
+                self.rebound_guest(vm, granted, period);
                 self.share_events.push(ShareGrantEvent {
                     at: now,
                     vm,
@@ -511,20 +523,10 @@ impl VirtPlatform {
     }
 
     /// Re-requests a VM's share mid-run through the host supervisor (the
-    /// grant may be compressed under saturation). Returns the granted
-    /// share `Q/T`.
-    pub fn request_vm_share(&mut self, vm: VmId, budget: Dur, period: Dur) -> f64 {
-        self.request_vm_share_detailed(vm, budget, period).0
-    }
-
-    /// [`VirtPlatform::request_vm_share`] plus the supervisor arithmetic a
-    /// decision journal records: `(granted, compressed, available)`.
-    pub fn request_vm_share_detailed(
-        &mut self,
-        vm: VmId,
-        budget: Dur,
-        period: Dur,
-    ) -> (f64, bool, f64) {
+    /// grant may be compressed under saturation). Returns the supervisor
+    /// arithmetic a decision journal records: `(granted share Q/T,
+    /// compressed, available)`.
+    pub fn request_vm_share(&mut self, vm: VmId, budget: Dur, period: Dur) -> (f64, bool, f64) {
         let sid = self.kernel.sched_mut().vm_server_id(vm);
         let (grants, report) = self.cfg.supervisor.apply_detailed(
             self.kernel.sched_mut().host_mut(),
@@ -540,6 +542,24 @@ impl VirtPlatform {
             g.map(|g| g.compressed).unwrap_or(false),
             report.available,
         )
+    }
+
+    /// Re-bounds a self-tuning guest's manager at its VM's new grant
+    /// `granted` over `period`. Even a fully compressed grant leaves the
+    /// guest manager a real bound: the supervisor never shrinks a server
+    /// below its budget floor, so that floor's share — not an arbitrary
+    /// epsilon — is the honest lower limit. (A zero bound would poison the
+    /// guest supervisor outright.)
+    fn rebound_guest(&mut self, vm: VmId, granted: f64, period: Dur) {
+        let floor = self
+            .cfg
+            .supervisor
+            .budget_floor(period)
+            .ratio(period)
+            .min(1.0);
+        if let Some(mgr) = self.vms[vm.index()].mgr.as_mut() {
+            mgr.set_bandwidth_bound(granted.clamp(floor, 1.0));
+        }
     }
 
     /// Drains the executed elastic re-grants buffered since the previous
@@ -794,37 +814,30 @@ impl VirtPlatform {
         if self.host_reserved_bandwidth() <= ulub + 1e-9 {
             return;
         }
-        let reqs: Vec<BwRequest> = (0..self.vms.len())
-            .filter(|&i| !self.vms[i].killed)
-            .map(|i| {
-                let cfg = self.vm_server(VmId(i as u32)).config();
+        let live: Vec<VmId> = (0..self.vms.len() as u32)
+            .map(VmId)
+            .filter(|vm| !self.vms[vm.index()].killed)
+            .collect();
+        if live.is_empty() {
+            return;
+        }
+        let reqs: Vec<BwRequest> = live
+            .iter()
+            .map(|&vm| {
+                let cfg = self.vm_server(vm).config();
                 BwRequest {
-                    server: self.kernel.sched().vm_server_id(VmId(i as u32)),
+                    server: self.kernel.sched().vm_server_id(vm),
                     budget: cfg.budget,
                     period: cfg.period,
                 }
             })
             .collect();
-        if reqs.is_empty() {
-            return;
-        }
         let grants = self
             .cfg
             .supervisor
             .apply(self.kernel.sched_mut().host_mut(), &reqs);
-        let live: Vec<usize> = (0..self.vms.len())
-            .filter(|&i| !self.vms[i].killed)
-            .collect();
-        for (&i, grant) in live.iter().zip(&grants) {
-            let bound_floor = self
-                .cfg
-                .supervisor
-                .budget_floor(grant.period)
-                .ratio(grant.period)
-                .min(1.0);
-            if let Some(mgr) = self.vms[i].mgr.as_mut() {
-                mgr.set_bandwidth_bound(grant.bandwidth().clamp(bound_floor, 1.0));
-            }
+        for (&vm, grant) in live.iter().zip(&grants) {
+            self.rebound_guest(vm, grant.bandwidth(), grant.period);
         }
     }
 

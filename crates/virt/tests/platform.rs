@@ -270,6 +270,75 @@ fn lowering_the_host_bound_recompresses_live_vm_shares_in_place() {
     assert!(p.host_reserved_bandwidth() <= 0.55);
 }
 
+/// An elastic share is reconsidered every 500 ms from the moment it is
+/// made elastic, whatever the platform's sampling period: sampling every
+/// 100 ms, the `"{label}.share"` series holds exactly one sample per
+/// 500 ms after attach.
+#[test]
+fn elastic_share_steps_every_500_ms_after_attach() {
+    use selftune_virt::VmElasticConfig;
+
+    let mut p = VirtPlatform::new(ManagerConfig {
+        sampling: Dur::ms(100),
+        supervisor: Supervisor::new(0.95),
+        ..ManagerConfig::default()
+    });
+    let vm = p
+        .create_vm(VmConfig::self_tuning("el", Dur::ms(3), Dur::ms(10)))
+        .expect("fits");
+    let t = p.spawn_in_vm(vm, "g", rt("g", 4, 40, 11));
+    p.manage_in_vm(vm, t, "g", ControllerConfig::default());
+    p.run(Time::ZERO + Dur::ms(300));
+    let attach = p.now();
+    p.make_vm_elastic(vm, VmElasticConfig::default());
+    p.run(Time::ZERO + Dur::secs(3));
+    let sampled: Vec<Time> = p
+        .kernel()
+        .metrics()
+        .series("el.share")
+        .iter()
+        .map(|&(at, _)| at)
+        .collect();
+    let every_500_ms: Vec<Time> = (1..=5).map(|i| attach + Dur::ms(500 * i)).collect();
+    assert_eq!(sampled, every_500_ms);
+}
+
+/// `adapt_period` is the `T^s = P` rule one level up: with it on, a
+/// re-requested share runs at the 40 ms period its guests show; with it
+/// off, the share keeps the period it was admitted at.
+#[test]
+fn adapted_share_period_follows_the_guests_only_when_enabled() {
+    use selftune_virt::VmElasticConfig;
+
+    for adapt_period in [true, false] {
+        let mut p = platform(0.95);
+        let vm = p
+            .create_vm(VmConfig::self_tuning("el", Dur::ms(3), Dur::ms(10)))
+            .expect("fits");
+        for i in 0..2 {
+            let label = format!("g{i}");
+            let t = p.spawn_in_vm(vm, &label, rt(&label, 10, 40, 20 + i));
+            p.manage_in_vm(vm, t, &label, ControllerConfig::default());
+        }
+        p.make_vm_elastic(
+            vm,
+            VmElasticConfig {
+                adapt_period,
+                ..VmElasticConfig::default()
+            },
+        );
+        p.run(Time::ZERO + Dur::secs(8));
+        assert!(!p.drain_share_grants().is_empty(), "no share re-request");
+        let period = p.vm_server(vm).config().period;
+        if adapt_period {
+            // The guests' period as detected, to the analyser's resolution.
+            assert!((period.as_ms_f64() - 40.0).abs() < 2.0, "{period}");
+        } else {
+            assert_eq!(period, Dur::ms(10));
+        }
+    }
+}
+
 mod nesting_props {
     use super::*;
     use proptest::prelude::*;
@@ -323,7 +392,6 @@ mod nesting_props {
                 );
                 p.manage_in_vm(vm, t, &label, ControllerConfig::default());
                 p.make_vm_elastic(vm, VmElasticConfig {
-                    control_period: Dur::ms(400),
                     controller: ShareControllerConfig {
                         margin: margin_pct as f64 / 100.0,
                         ewma_alpha: alpha_pct as f64 / 100.0,
@@ -400,7 +468,7 @@ mod nesting_props {
                 p.run(t);
                 if !vms.is_empty() {
                     let vm = vms[which % vms.len()];
-                    let granted = p.request_vm_share(vm, Dur::ms(budget_ms), Dur::ms(10));
+                    let (granted, ..) = p.request_vm_share(vm, Dur::ms(budget_ms), Dur::ms(10));
                     prop_assert!(granted <= ulub + 1e-9);
                 }
                 prop_assert!(

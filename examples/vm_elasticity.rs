@@ -7,8 +7,9 @@
 //! Two tenants start at equal 0.45 shares. The *phased* tenant's guest
 //! goes idle 40% into the run; the *hungry* tenant's guests want 0.6.
 //! With static admission the hungry tenant stays compressed forever while
-//! the idle share goes dark; with each VM under a `VmShareController` the
-//! idle bandwidth is reclaimed and re-granted. A third run makes a
+//! the idle share goes dark; with each VM's share under the feedback law
+//! (`VirtPlatform::make_vm_elastic`) the idle bandwidth is reclaimed and
+//! re-granted. A third run makes a
 //! runaway tenant elastic: its grants are pinned at the host cap and the
 //! statically-shared sibling keeps its solo miss rate.
 
