@@ -54,9 +54,6 @@ pub struct ReservationScheduler {
     placement: Vec<Place>,
     fifo: BTreeMap<u32, VecDeque<TaskId>>,
     fair: RoundRobin,
-    /// Deadline-miss bookkeeping for experiments: server deadline at the
-    /// instant each reserved task last became ready.
-    running_server: Option<ServerId>,
     /// Cached EDF winner (`None` = dirty, recompute on next pick).
     edf_cache: Option<Option<ServerId>>,
     /// Cached earliest replenishment (`None` = dirty). A `Cell` because
@@ -93,7 +90,6 @@ impl ReservationScheduler {
             placement: Vec::new(),
             fifo: BTreeMap::new(),
             fair: RoundRobin::new(slice),
-            running_server: None,
             edf_cache: None,
             timer_cache: Cell::new(None),
             scan_dispatch: false,
@@ -271,20 +267,13 @@ impl ReservationScheduler {
             order.sort_unstable();
             self.order_epoch = Some(self.epoch);
         }
-        let mut picked = None;
-        for &(_, i) in &order {
-            let sid = ServerId(i);
-            if let Some(t) = choose(sid, &self.servers[sid.index()]) {
-                self.running_server = Some(sid);
-                picked = Some(t);
-                break;
-            }
-        }
+        let picked = order
+            .iter()
+            .find_map(|&(_, i)| choose(ServerId(i), &self.servers[i as usize]));
         self.order_scratch = order;
         if picked.is_some() {
             return picked;
         }
-        self.running_server = None;
         if let Some(t) = self.fifo_pick() {
             return Some(t);
         }
@@ -337,10 +326,8 @@ impl Scheduler for ReservationScheduler {
 
     fn pick(&mut self, now: Time) -> Option<TaskId> {
         if let Some(sid) = self.edf_winner() {
-            self.running_server = Some(sid);
             return self.servers[sid.index()].front_task();
         }
-        self.running_server = None;
         if let Some(t) = self.fifo_pick() {
             return Some(t);
         }

@@ -15,12 +15,17 @@ enum QueueOp {
     Push(u64),
     /// Push a FIFO burst of 3 events at the same instant.
     Burst(u64),
-    /// Push a far-future event (stresses the wheel's overflow levels).
+    /// Push a far-future event (up to ~292 simulated years out).
     Far(u64),
     /// Pop the earliest event.
     Pop,
     /// Pop only if due at the given instant.
     PopDue(u64),
+    /// Pop only if due, at exactly the earliest pending instant: the
+    /// boundary of `pop_due`'s `<=`, which a random instant rarely hits.
+    PopDueAtHead,
+    /// Discard every pending event.
+    Clear,
 }
 
 fn queue_op_strategy() -> impl Strategy<Value = QueueOp> {
@@ -30,39 +35,46 @@ fn queue_op_strategy() -> impl Strategy<Value = QueueOp> {
         (0u64..u64::MAX / 2).prop_map(QueueOp::Far),
         Just(QueueOp::Pop),
         (0u64..5_000_000).prop_map(QueueOp::PopDue),
+        Just(QueueOp::PopDueAtHead),
+        Just(QueueOp::Clear),
     ]
 }
 
-/// Observable trace of a queue run: pop results and per-op peeks.
-type QueueTrace = (Vec<Option<(Time, u32)>>, Vec<Option<Time>>);
+/// The oracle for [`EventQueue`]: an unsorted list of
+/// `(at, insertion index, payload)` scanned for its minimum.
+#[derive(Default)]
+struct ListModel {
+    list: Vec<(Time, u64, u32)>,
+    pushed: u64,
+}
 
-/// Applies `ops` to a queue, returning the full observable trace.
-fn drive_queue(mut q: EventQueue<u32>, ops: &[QueueOp]) -> QueueTrace {
-    let mut pops = Vec::new();
-    let mut peeks = Vec::new();
-    let mut id = 0u32;
-    for op in ops {
-        match *op {
-            QueueOp::Push(at) | QueueOp::Far(at) => {
-                q.push(Time::from_ns(at), id);
-                id += 1;
-            }
-            QueueOp::Burst(at) => {
-                for _ in 0..3 {
-                    q.push(Time::from_ns(at), id);
-                    id += 1;
-                }
-            }
-            QueueOp::Pop => pops.push(q.pop()),
-            QueueOp::PopDue(now) => pops.push(q.pop_due(Time::from_ns(now))),
+impl ListModel {
+    /// Records a push at `at`; returns the payload to push.
+    fn push(&mut self, at: Time) -> u32 {
+        let id = self.pushed as u32;
+        self.list.push((at, self.pushed, id));
+        self.pushed += 1;
+        id
+    }
+
+    fn head_time(&self) -> Option<Time> {
+        self.list.iter().map(|e| e.0).min()
+    }
+
+    /// Removes the minimum by `(at, insertion index)`, but only if it is
+    /// due at or before `now`.
+    fn pop_due(&mut self, now: Time) -> Option<(Time, u32)> {
+        let i = (0..self.list.len()).min_by_key(|&i| (self.list[i].0, self.list[i].1))?;
+        if self.list[i].0 > now {
+            return None;
         }
-        peeks.push(q.peek_time());
+        let (at, _, id) = self.list.remove(i);
+        Some((at, id))
     }
-    // Drain whatever is left so the whole pop order is compared.
-    while let Some(e) = q.pop() {
-        pops.push(Some(e));
+
+    fn pop(&mut self) -> Option<(Time, u32)> {
+        self.pop_due(Time::from_ns(u64::MAX))
     }
-    (pops, peeks)
 }
 
 proptest! {
@@ -129,31 +141,51 @@ proptest! {
         prop_assert!((total - 1.0).abs() < 1e-9);
     }
 
+    /// The queue against a list model: every pop and `pop_due` result,
+    /// and the peek and `len()` after every op, equal the model's — time
+    /// first, FIFO among equal instants — and whatever is left drains in
+    /// the model's order. `preload` pushes a batch before any pop.
     #[test]
-    fn event_queue_pops_sorted(times in prop::collection::vec(0u64..1_000_000, 0..200)) {
+    fn queue_matches_a_sorted_list_model(
+        preload in prop::collection::vec(0u64..1_000_000, 0..200),
+        ops in prop::collection::vec(queue_op_strategy(), 0..120),
+    ) {
         let mut q = EventQueue::new();
-        for (i, &t) in times.iter().enumerate() {
-            q.push(Time::from_ns(t), i);
+        let mut model = ListModel::default();
+        for op in preload.into_iter().map(QueueOp::Push).chain(ops) {
+            match op {
+                QueueOp::Push(at) | QueueOp::Far(at) => {
+                    let at = Time::from_ns(at);
+                    q.push(at, model.push(at));
+                }
+                QueueOp::Burst(at) => {
+                    let at = Time::from_ns(at);
+                    for _ in 0..3 {
+                        q.push(at, model.push(at));
+                    }
+                }
+                QueueOp::Pop => prop_assert_eq!(q.pop(), model.pop()),
+                QueueOp::PopDue(now) => {
+                    let now = Time::from_ns(now);
+                    prop_assert_eq!(q.pop_due(now), model.pop_due(now));
+                }
+                QueueOp::PopDueAtHead => {
+                    let now = model.head_time().unwrap_or(Time::ZERO);
+                    prop_assert_eq!(q.pop_due(now), model.pop_due(now));
+                }
+                QueueOp::Clear => {
+                    q.clear();
+                    model.list.clear();
+                }
+            }
+            prop_assert_eq!(q.len(), model.list.len());
+            prop_assert_eq!(q.is_empty(), model.list.is_empty());
+            prop_assert_eq!(q.peek_time(), model.head_time());
         }
-        let mut last = Time::ZERO;
-        let mut n = 0;
-        while let Some((t, _)) = q.pop() {
-            prop_assert!(t >= last);
-            last = t;
-            n += 1;
+        while let Some(e) = model.pop() {
+            prop_assert_eq!(q.pop(), Some(e));
         }
-        prop_assert_eq!(n, times.len());
-    }
-
-    /// Differential check: the timing wheel delivers the byte-identical
-    /// pop order (and peeks, and `pop_due` decisions) of the binary-heap
-    /// fallback on randomized workloads, including equal-time FIFO bursts
-    /// and far-future events that live in the wheel's overflow levels.
-    #[test]
-    fn wheel_matches_heap_pop_order(ops in prop::collection::vec(queue_op_strategy(), 0..120)) {
-        let wheel = drive_queue(EventQueue::new(), &ops);
-        let heap = drive_queue(EventQueue::heap_fallback(), &ops);
-        prop_assert_eq!(wheel, heap);
+        prop_assert_eq!(q.pop(), None);
     }
 
     /// Interned-key writes are indistinguishable from string-key writes.
