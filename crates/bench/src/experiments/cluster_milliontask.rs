@@ -1,5 +1,5 @@
-//! The million-task operating point: churn-proof arenas + parallel
-//! sketch reduction with 1M live tasks on a 2.5k-node fleet.
+//! The million-task operating point: churn-proof arenas + sketch
+//! aggregates with 1M live tasks on a 2.5k-node fleet.
 //!
 //! [`ScenarioSpec::milliontask_demo`] keeps one million honest periodic
 //! tasks live for the whole horizon (staggered arrivals, 16 distinct
@@ -8,9 +8,9 @@
 //! record deadline gaps until the feedback rebalancer drains them into
 //! the idle majority. Three PR mechanisms carry the scale:
 //!
-//! * the epoch-barrier aggregate reduction is a balanced tree (worker
-//!   partials over fixed node ranges + one top-level combine), asserted
-//!   byte-identical across worker counts;
+//! * the fleet aggregate is one fold of the nodes' sketches in node-id
+//!   order (`AggregateMetrics::new`), whichever worker reported them,
+//!   asserted byte-identical across worker counts;
 //! * node task arenas recycle departed slots behind generation tags
 //!   (the one-node `mem_report` table below prices the frozen arena);
 //! * sketch aggregates keep per-node report state O(bins), so fleet CDFs
@@ -60,7 +60,7 @@ fn mem_sizes(args: &Args) -> (usize, usize) {
 /// spec ([`fleet::scenario_override`]) and the improvement/live-population
 /// assertions are skipped.
 pub fn run(args: &Args) -> Vec<Table> {
-    println!("== Cluster milliontask: 1M live tasks, recycled arenas, tree reduction ==");
+    println!("== Cluster milliontask: 1M live tasks, recycled arenas, node-order fold ==");
     let (frozen_spec, feedback_spec, builtin) =
         match fleet::scenario_override(args, |s| s.rebalance.enabled = false) {
             Some((frozen, feedback)) => (frozen, feedback, false),
@@ -112,15 +112,15 @@ pub fn run(args: &Args) -> Vec<Table> {
         );
     }
 
-    // The balanced tree reduction merges worker partials over fixed node
-    // ranges, so worker count must not leak into the bytes.
+    // The aggregate folds node sketches in node-id order, whichever worker
+    // reported them, so worker count must not leak into the bytes.
     let run = |threads: usize, spec: &ScenarioSpec| {
         let runner = ClusterRunner::new(threads).with_sketch_aggregates(true);
         runner.run(spec, args.seed)
     };
     let (feedback, t_feedback) = time_us(|| run(2, &feedback_spec));
     let twins: &[usize] = if args.smoke { &[1] } else { &[1, 8] };
-    fleet::assert_thread_identity("tree-reduced", &feedback, twins, |t| run(t, &feedback_spec));
+    fleet::assert_thread_identity("sketch", &feedback, twins, |t| run(t, &feedback_spec));
 
     let mut matrix = Table::new(
         "cluster_milliontask.csv",

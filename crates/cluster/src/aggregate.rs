@@ -73,9 +73,9 @@ pub struct NodeTotals {
 }
 
 /// Per-node mergeable distribution state for fleet-scale runs: histogram
-/// sketches instead of per-task gap vectors. Merging is associative
-/// integer accumulation, so folding per-node sketches in node-id order is
-/// byte-identical at any thread count.
+/// sketches instead of per-task gap vectors. [`AggregateMetrics::new`]
+/// folds them in node-id order, so the fleet sketch is byte-identical at
+/// any thread count.
 #[derive(Clone, Debug)]
 pub struct NodeSketches {
     /// Normalised completion gaps (gap / period) of every task.
@@ -105,69 +105,6 @@ impl NodeSketches {
         self.post_migration.merge(&other.post_migration);
         self.attach.merge(&other.attach);
         self.vm_attach.merge(&other.vm_attach);
-    }
-
-    /// Reduces the per-node sketches of `nodes` (sorted by node id) with a
-    /// balanced binary tree over fixed node-id ranges, byte-identical to
-    /// the historical serial node-order fold. `None` iff no node reported
-    /// sketches.
-    ///
-    /// Bin counts, value counts and min/max merge in exact integer (or
-    /// exact-min/max float) arithmetic, so any merge grouping produces the
-    /// same state; only the running f64 `sum` is order-sensitive, and it
-    /// is re-serialised afterwards (see [`NodeSketches::with_serial_sums`]).
-    /// The split points depend only on the node-id-ordered slice — never
-    /// on the thread count — which keeps the determinism contract intact
-    /// while letting workers pre-merge their own partials in parallel.
-    pub fn tree_reduce(nodes: &[NodeReport]) -> Option<NodeSketches> {
-        fn reduce(nodes: &[NodeReport]) -> Option<NodeSketches> {
-            match nodes.len() {
-                0 => None,
-                1 => nodes[0].sketches.clone(),
-                n => {
-                    let (lo, hi) = nodes.split_at(n / 2);
-                    match (reduce(lo), reduce(hi)) {
-                        (Some(mut a), Some(b)) => {
-                            a.merge(&b);
-                            Some(a)
-                        }
-                        (a, b) => a.or(b),
-                    }
-                }
-            }
-        }
-        reduce(nodes).map(|m| NodeSketches::with_serial_sums(m, nodes))
-    }
-
-    /// Overwrites each family's order-sensitive float sum with the serial
-    /// node-id-order left fold the historical reduction produced: the
-    /// accumulator starts at the *first* sketch-bearing node's sum and
-    /// adds each later node's in turn. Applied after any parallel or tree
-    /// merge so the cached fleet sketch is byte-identical to the serial
-    /// fold regardless of merge grouping.
-    pub fn with_serial_sums(mut merged: NodeSketches, nodes: &[NodeReport]) -> NodeSketches {
-        fn serial_sum(nodes: &[NodeReport], pick: impl Fn(&NodeSketches) -> &StreamSketch) -> f64 {
-            let mut acc: Option<f64> = None;
-            for n in nodes {
-                if let Some(k) = &n.sketches {
-                    let s = pick(k).sum();
-                    acc = Some(match acc {
-                        None => s,
-                        Some(a) => a + s,
-                    });
-                }
-            }
-            acc.unwrap_or(0.0)
-        }
-        merged.gaps.set_sum(serial_sum(nodes, |k| &k.gaps));
-        merged
-            .post_migration
-            .set_sum(serial_sum(nodes, |k| &k.post_migration));
-        merged.attach.set_sum(serial_sum(nodes, |k| &k.attach));
-        merged
-            .vm_attach
-            .set_sum(serial_sum(nodes, |k| &k.vm_attach));
-        merged
     }
 }
 
@@ -324,10 +261,9 @@ pub struct AggregateMetrics {
     pub rebalance: RebalanceStats,
     /// Per-node reports, in node-id order.
     pub nodes: Vec<NodeReport>,
-    /// The fleet-level merge of every node's sketches, computed once at
-    /// construction (tree reduction, or adopted from the runner's worker
-    /// partials) instead of re-folded per summary read. `None` iff no
-    /// node reported sketches.
+    /// The node-id-order fold of every node's sketches, computed once by
+    /// [`AggregateMetrics::new`] instead of per summary read. `None` iff
+    /// no node reported sketches.
     merged: Option<NodeSketches>,
 }
 
@@ -337,9 +273,11 @@ const CDF_STEPS: usize = 100;
 const UTIL_BINS: usize = 10;
 
 impl AggregateMetrics {
-    /// Folds node reports (sorted by node id internally). The fleet-level
-    /// sketch merge happens here, once, via the deterministic tree
-    /// reduction.
+    /// Folds node reports, sorted here by node id. The fleet sketch is a
+    /// clone of the first sketch-bearing node's sketches with every later
+    /// node's merged into it in turn — the fixed order
+    /// [`StreamSketch::merge`] relies on, so every float sum, and with it
+    /// every byte of the summary, is the same at any thread count.
     pub fn new(
         scenario: &str,
         seed: u64,
@@ -347,38 +285,13 @@ impl AggregateMetrics {
         mut nodes: Vec<NodeReport>,
     ) -> AggregateMetrics {
         nodes.sort_by_key(|n| n.node);
-        let merged = NodeSketches::tree_reduce(&nodes);
-        AggregateMetrics {
-            scenario: scenario.to_owned(),
-            seed,
-            admission,
-            rebalance: RebalanceStats::default(),
-            nodes,
-            merged,
+        let mut merged: Option<NodeSketches> = None;
+        for k in nodes.iter().filter_map(|n| n.sketches.as_ref()) {
+            match &mut merged {
+                Some(m) => m.merge(k),
+                None => merged = Some(k.clone()),
+            }
         }
-    }
-
-    /// Like [`AggregateMetrics::new`], but adopts a pre-merged fleet
-    /// sketch — the runner's workers each fold their owned nodes'
-    /// sketches into a per-worker partial, and the leader combines the
-    /// partials in any order. Integer sketch state merges associatively
-    /// and commutatively, and the order-sensitive float sums are
-    /// re-serialised from the node reports in node-id order here, so the
-    /// result is byte-identical to [`AggregateMetrics::new`] at any
-    /// thread count. `premerged: None` (detailed-mode runs) falls back to
-    /// the tree reduction, which is then a no-op.
-    pub fn new_premerged(
-        scenario: &str,
-        seed: u64,
-        admission: AdmissionStats,
-        mut nodes: Vec<NodeReport>,
-        premerged: Option<NodeSketches>,
-    ) -> AggregateMetrics {
-        nodes.sort_by_key(|n| n.node);
-        let merged = match premerged {
-            Some(m) => Some(NodeSketches::with_serial_sums(m, &nodes)),
-            None => NodeSketches::tree_reduce(&nodes),
-        };
         AggregateMetrics {
             scenario: scenario.to_owned(),
             seed,
@@ -427,99 +340,62 @@ impl AggregateMetrics {
         sum / self.nodes.len() as f64
     }
 
-    /// One family of the cached fleet-level sketch merge. `Some` iff at
+    /// The node-id-order fold of every node's sketches. `Some` iff at
     /// least one node reported sketches.
-    fn merged_sketch(
+    pub fn merged(&self) -> Option<&NodeSketches> {
+        self.merged.as_ref()
+    }
+
+    /// Normalised completion gaps of the detailed-mode tasks — all of
+    /// them, or only migrated incarnations' — sorted ascending.
+    fn sorted_gaps(&self, migrated_only: bool) -> Vec<f64> {
+        let mut xs: Vec<f64> = self
+            .nodes
+            .iter()
+            .flat_map(|n| &n.tasks)
+            .filter(|t| t.migrated || !migrated_only)
+            .flat_map(|t| t.ift_norm.iter().copied())
+            .collect();
+        xs.sort_by(|a, b| a.partial_cmp(b).expect("NaN completion gap"));
+        xs
+    }
+
+    /// One gap distribution sampled on the fixed quantile grid (so export
+    /// size is independent of fleet size): from the merged sketch family
+    /// `pick` at bin resolution in sketch mode, else from the exact sorted
+    /// gaps. Empty when there is nothing to sample.
+    fn cdf(
         &self,
         pick: impl Fn(&NodeSketches) -> &StreamSketch,
-    ) -> Option<&StreamSketch> {
-        self.merged.as_ref().map(pick)
-    }
-
-    /// All normalised completion gaps, sorted ascending, written into the
-    /// caller's scratch buffer (cleared first) so repeated extractions —
-    /// summary, CSV export, render — reuse one allocation.
-    pub fn ift_norm_sorted_into(&self, buf: &mut Vec<f64>) {
-        buf.clear();
-        for n in &self.nodes {
-            for t in &n.tasks {
-                buf.extend_from_slice(&t.ift_norm);
+        migrated_only: bool,
+    ) -> Vec<(f64, f64)> {
+        fn grid(empty: bool, quantile: impl Fn(f64) -> f64) -> Vec<(f64, f64)> {
+            if empty {
+                return Vec::new();
             }
+            (0..=CDF_STEPS)
+                .map(|i| {
+                    let p = i as f64 / CDF_STEPS as f64;
+                    (p, quantile(p))
+                })
+                .collect()
         }
-        buf.sort_by(|a, b| a.partial_cmp(b).expect("NaN completion gap"));
+        if let Some(s) = self.merged().map(pick) {
+            return grid(s.is_empty(), |p| s.quantile(p).expect("non-empty sketch"));
+        }
+        let xs = self.sorted_gaps(migrated_only);
+        grid(xs.is_empty(), |p| stats::quantile_sorted(&xs, p))
     }
 
-    /// Normalised completion gaps of *migrated* task incarnations, sorted
-    /// ascending into the caller's scratch buffer — the post-migration
-    /// behaviour of re-placed tasks.
-    pub fn post_migration_sorted_into(&self, buf: &mut Vec<f64>) {
-        buf.clear();
-        for t in self.nodes.iter().flat_map(|n| n.tasks.iter()) {
-            if t.migrated {
-                buf.extend_from_slice(&t.ift_norm);
-            }
-        }
-        buf.sort_by(|a, b| a.partial_cmp(b).expect("NaN completion gap"));
-    }
-
-    /// Samples a CDF on the fixed quantile grid from exact sorted data.
-    fn cdf_from_sorted(xs: &[f64]) -> Vec<(f64, f64)> {
-        if xs.is_empty() {
-            return Vec::new();
-        }
-        (0..=CDF_STEPS)
-            .map(|i| {
-                let p = i as f64 / CDF_STEPS as f64;
-                (p, stats::quantile_sorted(xs, p))
-            })
-            .collect()
-    }
-
-    /// Samples a CDF on the fixed quantile grid from a merged sketch.
-    fn cdf_from_sketch(s: &StreamSketch) -> Vec<(f64, f64)> {
-        if s.is_empty() {
-            return Vec::new();
-        }
-        (0..=CDF_STEPS)
-            .map(|i| {
-                let p = i as f64 / CDF_STEPS as f64;
-                (p, s.quantile(p).expect("non-empty sketch"))
-            })
-            .collect()
-    }
-
-    /// The fleet-wide CDF of normalised completion gaps, sampled on a
-    /// fixed quantile grid (so export size is independent of fleet size).
-    /// Sketch-mode fleets read it from the merged gap sketch at bin
-    /// resolution; detailed fleets from the exact sorted gaps.
+    /// The fleet-wide CDF of normalised completion gaps.
     pub fn miss_cdf(&self) -> Vec<(f64, f64)> {
-        self.miss_cdf_with(&mut Vec::new())
-    }
-
-    /// [`AggregateMetrics::miss_cdf`] reusing a caller scratch buffer for
-    /// the sort in detailed mode.
-    pub fn miss_cdf_with(&self, scratch: &mut Vec<f64>) -> Vec<(f64, f64)> {
-        if let Some(s) = self.merged_sketch(|k| &k.gaps) {
-            return AggregateMetrics::cdf_from_sketch(s);
-        }
-        self.ift_norm_sorted_into(scratch);
-        AggregateMetrics::cdf_from_sorted(scratch)
+        self.cdf(|k| &k.gaps, false)
     }
 
     /// The miss CDF restricted to gaps observed after a migration (i.e. on
     /// the re-placed incarnations). Empty when nothing migrated.
     pub fn post_migration_cdf(&self) -> Vec<(f64, f64)> {
-        self.post_migration_cdf_with(&mut Vec::new())
-    }
-
-    /// [`AggregateMetrics::post_migration_cdf`] reusing a caller scratch
-    /// buffer for the sort in detailed mode.
-    pub fn post_migration_cdf_with(&self, scratch: &mut Vec<f64>) -> Vec<(f64, f64)> {
-        if let Some(s) = self.merged_sketch(|k| &k.post_migration) {
-            return AggregateMetrics::cdf_from_sketch(s);
-        }
-        self.post_migration_sorted_into(scratch);
-        AggregateMetrics::cdf_from_sorted(scratch)
+        self.cdf(|k| &k.post_migration, true)
     }
 
     fn mean_attach_delay_where(&self, pred: impl Fn(&TaskReport) -> bool) -> Option<f64> {
@@ -544,7 +420,7 @@ impl AggregateMetrics {
     /// blending the two regimes made the metric unreadable on fleets
     /// mixing VM and task moves. `None` when nothing migrated-and-attached.
     pub fn mean_migrated_attach_delay_ms(&self) -> Option<f64> {
-        if let Some(s) = self.merged_sketch(|k| &k.attach) {
+        if let Some(s) = self.merged().map(|k| &k.attach) {
             return s.mean();
         }
         self.mean_attach_delay_where(|t| !t.in_vm)
@@ -555,7 +431,7 @@ impl AggregateMetrics {
     /// detected period and a demand-sized budget, so this collapses to
     /// zero; cold guests re-run detection inside the re-admitted VM.
     pub fn mean_migrated_vm_guest_attach_delay_ms(&self) -> Option<f64> {
-        if let Some(s) = self.merged_sketch(|k| &k.vm_attach) {
+        if let Some(s) = self.merged().map(|k| &k.vm_attach) {
             return s.mean();
         }
         self.mean_attach_delay_where(|t| t.in_vm)
@@ -653,11 +529,10 @@ impl AggregateMetrics {
             out.push_str(&row.join(","));
             out.push('\n');
         }
-        let mut scratch = Vec::new();
-        for (p, q) in self.miss_cdf_with(&mut scratch) {
+        for (p, q) in self.miss_cdf() {
             out.push_str(&format!("cdf,{p:.2},{q:.6}\n"));
         }
-        for (p, q) in self.post_migration_cdf_with(&mut scratch) {
+        for (p, q) in self.post_migration_cdf() {
             out.push_str(&format!("pmcdf,{p:.2},{q:.6}\n"));
         }
         out
@@ -671,14 +546,13 @@ impl AggregateMetrics {
     /// Returns any I/O error from creating the directory or files.
     pub fn write_csv(&self, dir: &Path) -> std::io::Result<()> {
         std::fs::create_dir_all(dir)?;
-        let mut scratch = Vec::new();
         write_csv(
             dir.join("cluster_nodes.csv"),
             &AggregateMetrics::NODE_HEADER,
             &self.node_rows(),
         )?;
         let cdf_rows: Vec<Vec<String>> = self
-            .miss_cdf_with(&mut scratch)
+            .miss_cdf()
             .iter()
             .map(|&(p, q)| vec![format!("{p:.2}"), format!("{q:.6}")])
             .collect();
@@ -727,7 +601,7 @@ impl AggregateMetrics {
             &move_rows,
         )?;
         let pm_rows: Vec<Vec<String>> = self
-            .post_migration_cdf_with(&mut scratch)
+            .post_migration_cdf()
             .iter()
             .map(|&(p, q)| vec![format!("{p:.2}"), format!("{q:.6}")])
             .collect();
@@ -765,7 +639,7 @@ impl AggregateMetrics {
             self.miss_ratio(),
             100.0 * self.mean_utilisation(),
         ));
-        match self.merged_sketch(|k| &k.gaps) {
+        match self.merged().map(|k| &k.gaps) {
             Some(s) => {
                 if !s.is_empty() {
                     out.push_str(&format!(
@@ -778,8 +652,7 @@ impl AggregateMetrics {
                 }
             }
             None => {
-                let mut xs = Vec::new();
-                self.ift_norm_sorted_into(&mut xs);
+                let xs = self.sorted_gaps(false);
                 if !xs.is_empty() {
                     out.push_str(&format!(
                         "completion gap / period: p50 {:.3}  p95 {:.3}  p99 {:.3}  max {:.3}\n",
@@ -864,8 +737,9 @@ mod tests {
 
     #[test]
     fn tree_reduce_matches_the_serial_fold_on_mixed_nodes() {
-        // Non-power-of-two node count with sketch-less nodes interleaved:
-        // the tree split points must not care.
+        // Non-power-of-two node count with sketch-less nodes interleaved,
+        // handed over in reverse: the aggregate's merged sketches are the
+        // serial node-id-order fold.
         let nodes: Vec<NodeReport> = (0..7)
             .map(|n| {
                 if n % 3 == 2 {
@@ -887,45 +761,42 @@ mod tests {
             }
             acc.unwrap()
         };
-        let tree = NodeSketches::tree_reduce(&nodes).unwrap();
-        assert_eq!(tree.gaps, serial.gaps);
-        assert_eq!(tree.post_migration, serial.post_migration);
-        assert_eq!(tree.attach, serial.attach);
-        assert_eq!(tree.vm_attach, serial.vm_attach);
+        let reversed: Vec<NodeReport> = nodes.into_iter().rev().collect();
+        let m = AggregateMetrics::new("s", 9, AdmissionStats::default(), reversed);
+        let fold = m.merged().unwrap();
+        assert_eq!(fold.gaps, serial.gaps);
+        assert_eq!(fold.post_migration, serial.post_migration);
+        assert_eq!(fold.attach, serial.attach);
+        assert_eq!(fold.vm_attach, serial.vm_attach);
         // No sketches at all → no merged sketch.
         let detailed: Vec<NodeReport> = (0..3).map(|n| report(n, 0.1, vec![1.0])).collect();
-        assert!(NodeSketches::tree_reduce(&detailed).is_none());
+        let m = AggregateMetrics::new("s", 9, AdmissionStats::default(), detailed);
+        assert!(m.merged().is_none());
     }
 
     #[test]
     fn premerged_construction_matches_new_in_any_partial_order() {
+        // Two workers owning interleaved node sets post their reports in
+        // "wrong" (worker-completion) order; the aggregate must not see
+        // the grouping.
         let nodes: Vec<NodeReport> = (0..5)
             .map(|n| sketch_report(n, 0.3, vec![0.8 + n as f64 * 0.07, 2.0]))
             .collect();
         let baseline = AggregateMetrics::new("s", 9, AdmissionStats::default(), nodes.clone());
-        // Simulate two workers owning interleaved node sets, merged in
-        // "wrong" (worker-completion) order.
-        let mut w0 = NodeSketches::new();
-        let mut w1 = NodeSketches::new();
-        for n in &nodes {
-            let k = n.sketches.as_ref().unwrap();
-            if n.node % 2 == 0 {
-                w0.merge(k);
-            } else {
-                w1.merge(k);
-            }
-        }
-        let mut combined = NodeSketches::new();
-        combined.merge(&w1);
-        combined.merge(&w0);
-        let premerged = AggregateMetrics::new_premerged(
+        let (w0, w1): (Vec<NodeReport>, Vec<NodeReport>) =
+            nodes.into_iter().partition(|n| n.node % 2 == 0);
+        let grouped = AggregateMetrics::new(
             "s",
             9,
             AdmissionStats::default(),
-            nodes,
-            Some(combined),
+            w1.into_iter().chain(w0).collect(),
         );
-        assert_eq!(baseline.summary_csv(), premerged.summary_csv());
+        let (b, g) = (baseline.merged().unwrap(), grouped.merged().unwrap());
+        assert_eq!(b.gaps, g.gaps);
+        assert_eq!(b.post_migration, g.post_migration);
+        assert_eq!(b.attach, g.attach);
+        assert_eq!(b.vm_attach, g.vm_attach);
+        assert_eq!(baseline.summary_csv(), grouped.summary_csv());
     }
 
     #[test]
@@ -1044,8 +915,7 @@ mod tests {
         // The sketch CDF lands within half a bin of the nearest-rank data
         // value at every grid point (the exact path interpolates between
         // ranks, so compare against the rank value, not the exact CDF).
-        let mut sorted = Vec::new();
-        exact.ift_norm_sorted_into(&mut sorted);
+        let sorted = exact.sorted_gaps(false);
         let s = sketched.miss_cdf();
         assert_eq!(s.len(), CDF_STEPS + 1);
         for &(p, qs) in &s {
@@ -1092,19 +962,21 @@ mod tests {
 
     #[test]
     fn scratch_buffer_extractions_match_the_owned_ones() {
+        // One sorted read serves both exact CDFs: every task's gaps, or
+        // only the migrated incarnations'.
+        let mut migrated = report(1, 0.5, vec![1.2, 0.7]);
+        migrated.tasks[0].migrated = true;
         let m = AggregateMetrics::new(
             "s",
             1,
             AdmissionStats::default(),
-            vec![report(0, 0.3, vec![1.2, 0.8]), report(1, 0.5, vec![2.0])],
+            vec![report(0, 0.3, vec![2.0, 0.8]), migrated],
         );
-        let mut buf = vec![99.0; 8]; // dirty scratch must be cleared
-        m.ift_norm_sorted_into(&mut buf);
-        assert_eq!(buf, vec![0.8, 1.2, 2.0]);
-        assert_eq!(m.miss_cdf_with(&mut buf), m.miss_cdf());
-        m.post_migration_sorted_into(&mut buf);
-        assert!(buf.is_empty());
-        assert!(m.post_migration_cdf_with(&mut buf).is_empty());
+        assert_eq!(m.sorted_gaps(false), [0.7, 0.8, 1.2, 2.0]);
+        assert_eq!(m.sorted_gaps(true), [0.7, 1.2]);
+        let (all, pm) = (m.miss_cdf(), m.post_migration_cdf());
+        assert_eq!((all[0].1, all[CDF_STEPS].1), (0.7, 2.0));
+        assert_eq!((pm[0].1, pm[CDF_STEPS].1), (0.7, 1.2));
     }
 
     #[test]

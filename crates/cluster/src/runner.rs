@@ -570,7 +570,7 @@ fn lead(run: &Run, crew: &Crew, ei: usize, interim: bool) {
     let stopping = run.stop == Some(ei);
     if interim {
         let stats = leader.state.stats.clone();
-        let interim = reduce(run, posted.reports, &posted.partials, stats);
+        let interim = reduce(run, posted.reports, stats);
         if let Some(s) = &mut leader.sink {
             s.on_checkpoint(ei, run.ends[ei], &interim);
         }
@@ -603,7 +603,7 @@ fn lead(run: &Run, crew: &Crew, ei: usize, interim: bool) {
 /// what every worker posted, emit the horizon's batch — the last epoch's
 /// share grants; nothing is decided there — and close the stream.
 fn finish(run: &Run, mut posted: Published, leader: Leader) -> AggregateMetrics {
-    let metrics = reduce(run, posted.reports, &posted.partials, leader.state.stats);
+    let metrics = reduce(run, posted.reports, leader.state.stats);
     if let Some(s) = leader.sink {
         let horizon = run.ends.len() - 1;
         sort_events(&mut posted.grants);

@@ -87,9 +87,9 @@ impl StreamSketch {
     /// Folds another sketch of the same shape into this one. Bin counts,
     /// count, min and max merge fully order-insensitively; the float `sum`
     /// is an ordinary f64 accumulation, exact only for a *fixed* merge
-    /// order — which the runner guarantees by always folding per-node
-    /// sketches in node-id order, regardless of which thread produced
-    /// them. That fixed order is the whole determinism argument.
+    /// order — which `AggregateMetrics::new` guarantees by folding the
+    /// per-node sketches in node-id order, regardless of which thread
+    /// produced them. That fixed order is the whole determinism argument.
     ///
     /// # Panics
     ///
@@ -109,21 +109,6 @@ impl StreamSketch {
         self.sum += other.sum;
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
-    }
-
-    /// The running sum of recorded values (order-sensitive f64 state; see
-    /// [`StreamSketch::merge`]).
-    pub fn sum(&self) -> f64 {
-        self.sum
-    }
-
-    /// Overwrites the running sum. The deterministic tree reduction merges
-    /// the order-insensitive integer state in whatever grouping is
-    /// cheapest, then re-serialises the one order-sensitive float by
-    /// folding the per-node sums in node-id order and writing the result
-    /// back through this — bin counts and extremes are untouched.
-    pub fn set_sum(&mut self, sum: f64) {
-        self.sum = sum;
     }
 
     /// Number of recorded values.
@@ -176,20 +161,6 @@ impl StreamSketch {
         }
         Some(self.max)
     }
-
-    /// Count of values at or above `threshold`, over-approximated to bin
-    /// granularity (values in the threshold's own bin all count).
-    pub fn count_at_least(&self, threshold: f64) -> u64 {
-        if self.counts.is_empty() {
-            return 0;
-        }
-        let from = if threshold <= 0.0 {
-            0
-        } else {
-            ((threshold / self.width) as usize).min(self.bins - 1)
-        };
-        self.counts[from..].iter().sum()
-    }
 }
 
 #[cfg(test)]
@@ -241,8 +212,8 @@ mod tests {
         let mut a_bc = a.clone();
         a_bc.merge(&bc);
         // Integer state is associative outright; the float sum only up to
-        // rounding (the runner fixes the merge order, so it never relies
-        // on more than this).
+        // rounding (`AggregateMetrics::new` fixes the merge order, so
+        // nothing relies on more than this).
         assert_eq!(ab_c.counts, a_bc.counts);
         assert_eq!(ab_c.count(), a_bc.count());
         assert_eq!(ab_c.min, a_bc.min);
@@ -256,7 +227,6 @@ mod tests {
         let empty = StreamSketch::for_gap_norm();
         assert!(empty.is_empty());
         assert_eq!(empty.counts.capacity(), 0, "bins must allocate lazily");
-        assert_eq!(empty.count_at_least(0.0), 0);
         assert_eq!(empty.quantile(0.5), None);
         // empty ← empty stays unallocated; full ← empty and empty ← full
         // both end up with the recorded values.
@@ -267,7 +237,7 @@ mod tests {
         full.record(1.25);
         a.merge(&full);
         assert_eq!(a.count(), 1);
-        assert_eq!(a.count_at_least(1.0), 1);
+        assert_eq!(a.counts.iter().sum::<u64>(), 1);
         full.merge(&empty);
         assert_eq!(full.count(), 1);
     }
@@ -277,7 +247,7 @@ mod tests {
         let mut s = StreamSketch::new(1.0, 4);
         s.record(1000.0);
         s.record(2000.0);
-        assert_eq!(s.count_at_least(3.0), 2);
+        assert_eq!(s.counts, [0, 0, 0, 2]);
         assert_eq!(s.max(), Some(2000.0));
         // Interior quantiles stay on the grid; the extremes are exact.
         assert_eq!(s.quantile(1.0), Some(2000.0));
@@ -303,17 +273,5 @@ mod tests {
             (900.0..=1000.0).contains(&med),
             "midpoint must clamp into [min, max]: {med}"
         );
-    }
-
-    #[test]
-    fn count_at_least_matches_threshold_semantics() {
-        let mut s = StreamSketch::new(0.5, 10);
-        for v in [0.2, 0.7, 1.6, 1.9, 2.4] {
-            s.record(v);
-        }
-        // Bins: [0,0.5) has 1, [0.5,1) has 1, [1.5,2) has 2, [2,2.5) has 1.
-        assert_eq!(s.count_at_least(1.5), 3);
-        assert_eq!(s.count_at_least(0.0), 5);
-        assert_eq!(s.count_at_least(99.0), 0);
     }
 }

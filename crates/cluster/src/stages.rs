@@ -20,9 +20,7 @@ use std::sync::Arc;
 use selftune_core::share::{DemandSignal, ShareController, ShareControllerConfig, ShareDecision};
 use selftune_simcore::time::Time;
 
-use crate::aggregate::{
-    AggregateMetrics, MigrationRecord, NodeReport, NodeSketches, RebalanceStats,
-};
+use crate::aggregate::{AggregateMetrics, MigrationRecord, NodeReport, RebalanceStats};
 use crate::events::{sort_events, FleetEvent, NodeSnap};
 use crate::node::{Node, NodeFeedback, NodeTask, NodeVm, WarmStart};
 use crate::placer::{FeedbackView, Migration, Placer};
@@ -204,8 +202,6 @@ pub(crate) struct Published {
     pub grants: Vec<FleetEvent>,
     /// Node reports — at the horizon, and wherever an interim is wanted.
     pub reports: Vec<NodeReport>,
-    /// The reports' sketches, pre-merged per worker.
-    pub partials: Vec<NodeSketches>,
     /// Feedback snapshots; none at the horizon, where nothing is decided.
     pub feedback: Vec<NodeFeedback>,
 }
@@ -222,14 +218,9 @@ pub(crate) fn publish(run: &Run, ws: &mut WorkerState, ei: usize, interim: bool)
         }
     }
     // A report is a `&self` reduction: the simulation state is untouched.
-    // Pre-merging this worker's sketches makes the fleet reduction a
-    // two-level tree — one partial per worker, not one per node — at the
-    // same bytes under any deal (see `AggregateMetrics::new_premerged`).
     if interim || run.at_horizon(ei) {
         let report = |node: &Node| node.report_mode(t_end, !run.sketch);
         out.reports = ws.owned.iter().map(report).collect();
-        let sketches = out.reports.iter().filter_map(|r| r.sketches.as_ref());
-        out.partials.extend(merged_sketches(sketches));
     }
     if !run.at_horizon(ei) {
         out.feedback = ws.owned.iter_mut().map(|n| n.feedback(t_end)).collect();
@@ -265,7 +256,6 @@ impl EpochBoard {
             let p = p.unwrap_or_else(|| panic!("worker {w} posted nothing at this boundary"));
             all.grants.extend(p.grants);
             all.reports.extend(p.reports);
-            all.partials.extend(p.partials);
             all.feedback.extend(p.feedback);
         }
         all.feedback.sort_unstable_by_key(|fb| fb.node);
@@ -273,32 +263,18 @@ impl EpochBoard {
     }
 }
 
-/// Folds `parts` into one fresh set of sketches; `None` when there are
-/// none to fold.
-fn merged_sketches<'a>(parts: impl IntoIterator<Item = &'a NodeSketches>) -> Option<NodeSketches> {
-    let mut parts = parts.into_iter().peekable();
-    parts.peek()?;
-    let mut all = NodeSketches::new();
-    for part in parts {
-        all.merge(part);
-    }
-    Some(all)
-}
-
 /// Fleet aggregates out of one boundary's reports (any order) — an
-/// interim's or the finale's alike. `stats` is what the leader has
-/// applied so far: at an interim, the passes of earlier boundaries and
-/// not this one's, which is what a pinned run stopped here reproduces.
+/// interim's or the finale's alike, both the node-order fold of
+/// [`AggregateMetrics::new`]. `stats` is what the leader has applied so
+/// far: at an interim, the passes of earlier boundaries and not this
+/// one's, which is what a pinned run stopped here reproduces.
 pub(crate) fn reduce(
     run: &Run,
     reports: Vec<NodeReport>,
-    partials: &[NodeSketches],
     stats: RebalanceStats,
 ) -> AggregateMetrics {
     let (name, admission) = (&run.spec.name, run.plan.admission);
-    let premerged = merged_sketches(partials);
-    AggregateMetrics::new_premerged(name, run.seed, admission, reports, premerged)
-        .with_rebalance(stats)
+    AggregateMetrics::new(name, run.seed, admission, reports).with_rebalance(stats)
 }
 
 /// State only the barrier leader reads and writes, carried from one epoch
@@ -1038,7 +1014,7 @@ mod tests {
             let rep = |n| NodeReport::from_tasks(n, Vec::new(), 0.1, 0.1, 0);
             (0..3).rev().map(rep).collect::<Vec<_>>()
         };
-        let interim = reduce(&run, reports(()), &[], state.stats.clone());
+        let interim = reduce(&run, reports(()), state.stats.clone());
         let second = EpochPin::Pinned(EpochDecision {
             moves: vec![task_move(1, 0, 2), task_move(2, 1, 2)],
             failed: 1,
@@ -1049,7 +1025,7 @@ mod tests {
         assert_eq!((state.stats.epochs, state.stats.moves), (2, 3));
         // The finale is the same reduction over the final stats, and
         // reports come back in node-id order however they were posted.
-        let finale = reduce(&run, reports(()), &[], state.stats.clone());
+        let finale = reduce(&run, reports(()), state.stats.clone());
         assert_eq!(finale.rebalance.records.len(), 3);
         let order: Vec<usize> = finale.nodes.iter().map(|n| n.node).collect();
         assert_eq!(order, [0, 1, 2]);
@@ -1074,7 +1050,7 @@ mod tests {
         let nodes: Vec<usize> = all.feedback.iter().map(|fb| fb.node).collect();
         assert_eq!(nodes, [0, 1, 2]);
         assert_eq!(all.reports.len(), 3);
-        let interim = reduce(&run, all.reports, &all.partials, RebalanceStats::default());
+        let interim = reduce(&run, all.reports, RebalanceStats::default());
         let nodes: Vec<usize> = interim.nodes.iter().map(|n| n.node).collect();
         assert_eq!(nodes, [0, 1, 2]);
     }

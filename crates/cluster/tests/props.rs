@@ -19,7 +19,8 @@
 use proptest::prelude::*;
 use selftune_analysis::{min_bandwidth_single, PeriodicTask};
 use selftune_cluster::prelude::*;
-use selftune_cluster::{Node, NodeSketches, NodeTask, NodeTotals, StreamSketch};
+use selftune_cluster::{Node, NodeSketches, NodeTask, NodeTotals, StreamSketch, TaskReport};
+use selftune_simcore::rng::Rng;
 use selftune_simcore::stats::quantile_sorted;
 use selftune_simcore::time::{Dur, Time};
 
@@ -498,7 +499,7 @@ proptest! {
 /// The benchmark's `fleet_dense` smoke shape: first-fit packs a handful of
 /// the 128 nodes deep and the liar wave drains them onto the empty ones,
 /// so the plan-weighted deal is far from even and every barrier phase
-/// (feedback publish, sketch partials, migration apply) has work on more
+/// (feedback publish, node reports, migration apply) has work on more
 /// than one worker. None of it may observe the thread count.
 #[test]
 fn skewed_first_fit_fleet_is_byte_identical_at_1_2_3_and_8_threads() {
@@ -578,6 +579,20 @@ fn checkpoint_interims_are_byte_identical_at_1_2_and_3_threads() {
             "interims at {threads} threads"
         );
     }
+}
+
+/// The oracle for the fleet reduction, test-local: the accumulator
+/// seeded from the first sketch-bearing node, every later one merged in
+/// turn, in the order given.
+fn node_order_fold(nodes: &[NodeReport]) -> Option<NodeSketches> {
+    let mut serial: Option<NodeSketches> = None;
+    for k in nodes.iter().filter_map(|n| n.sketches.as_ref()) {
+        match serial.as_mut() {
+            None => serial = Some(k.clone()),
+            Some(acc) => acc.merge(k),
+        }
+    }
+    serial
 }
 
 proptest! {
@@ -817,13 +832,14 @@ proptest! {
         ),
         (ga, gk) in (1usize..5, 1usize..4),
     ) {
-        // The epoch-barrier reduction splits the node slice at n/2
-        // recursively, and the runner's workers pre-merge arbitrary
-        // subsets of it; both must equal the historical serial
+        // The reduction the fleet runs at each boundary: the leader gets
+        // the reports grouped by worker (worker k owns the nodes i with
+        // i * ga % gk == k) and concatenated in worker order. For any
+        // node count and any interleaving of sketch-less (detailed) and
+        // sketch-bearing nodes, the aggregate must equal the serial
         // node-id-order fold on every sketch family — bins, counts,
-        // min/max AND the order-sensitive float sum — for any node count
-        // (power of two or not) and any interleaving of sketch-less
-        // (detailed) and sketch-bearing nodes.
+        // min/max AND the order-sensitive float sum — and summarise
+        // byte for byte like the same reports passed in node order.
         let nodes: Vec<NodeReport> = contents.iter().enumerate().map(|(i, c)| match c {
             None => NodeReport::from_tasks(i, Vec::new(), 0.1, 0.1, 0),
             Some(vals) => {
@@ -839,47 +855,87 @@ proptest! {
                 NodeReport::from_sketches(i, NodeTotals::default(), sk, 0.1, 0.1, 0)
             }
         }).collect();
-        // Reference: the serial left fold in node-id order, accumulator
-        // seeded from the first sketch-bearing node.
-        let mut serial: Option<NodeSketches> = None;
-        for n in &nodes {
-            if let Some(k) = &n.sketches {
-                match serial.as_mut() {
-                    None => serial = Some(k.clone()),
-                    Some(acc) => acc.merge(k),
+        let serial = node_order_fold(&nodes);
+        let grouped: Vec<NodeReport> = (0..gk)
+            .flat_map(|k| nodes.iter().enumerate().filter(move |(i, _)| (i * ga) % gk == k))
+            .map(|(_, n)| n.clone())
+            .collect();
+        prop_assert_eq!(grouped.len(), nodes.len());
+        let agg = AggregateMetrics::new("prop-tree", seed, AdmissionStats::default(), grouped);
+        prop_assert_eq!(agg.merged().is_some(), serial.is_some());
+        if let (Some(m), Some(s)) = (agg.merged(), &serial) {
+            prop_assert_eq!(&m.gaps, &s.gaps);
+            prop_assert_eq!(&m.post_migration, &s.post_migration);
+            prop_assert_eq!(&m.attach, &s.attach);
+            prop_assert_eq!(&m.vm_attach, &s.vm_attach);
+        }
+        let in_order = AggregateMetrics::new("prop-tree", seed, AdmissionStats::default(), nodes);
+        prop_assert_eq!(agg.summary_csv(), in_order.summary_csv());
+    }
+
+    #[test]
+    fn aggregate_is_the_node_order_fold_in_any_input_order(
+        seed in 0u64..1_000_000,
+        contents in prop::collection::vec(
+            (
+                any::<bool>(),
+                prop::collection::vec(
+                    (prop_oneof![Just(0.0), 0.0f64..3.0, 0.0f64..3.0], 0u8..4),
+                    0..24,
+                ),
+            ),
+            1..13,
+        ),
+        fleet in 0u8..8,
+    ) {
+        // Detailed and sketch-bearing nodes mixed (one fleet in eight all
+        // detailed), sketch nodes with no records, records of exactly 0.0
+        // (a warm start's attach delay), and the reports handed over in a
+        // random permutation: the aggregate must be the serial node-id-
+        // order fold on every sketch family — bins, counts, min/max AND
+        // the order-sensitive float sum — and summarise byte for byte
+        // like the same reports passed in node order.
+        let nodes: Vec<NodeReport> = contents.iter().enumerate().map(|(i, (sketch, vals))| {
+            if *sketch && fleet != 0 {
+                let mut sk = NodeSketches::new();
+                for &(v, fam) in vals {
+                    match fam {
+                        0 => sk.gaps.record(v),
+                        1 => sk.post_migration.record(v),
+                        2 => sk.attach.record(v * 50.0),
+                        _ => sk.vm_attach.record(v * 50.0),
+                    }
                 }
+                NodeReport::from_sketches(i, NodeTotals::default(), sk, 0.1, 0.1, 0)
+            } else {
+                let task = TaskReport {
+                    fleet_id: i as u32,
+                    realtime: true,
+                    attached: true,
+                    migrated: i % 2 == 1,
+                    in_vm: i % 3 == 0,
+                    completions: vals.len() as u32,
+                    misses: 0,
+                    dropped: 0,
+                    label: format!("t{i}"),
+                    ift_norm: vals.iter().map(|&(v, _)| v).collect(),
+                    attach_delay_ms: vals.first().map(|&(v, _)| v * 50.0),
+                };
+                NodeReport::from_tasks(i, vec![task], 0.1, 0.1, 0)
             }
+        }).collect();
+        let serial = node_order_fold(&nodes);
+        let mut shuffled = nodes.clone();
+        Rng::new(seed).shuffle(&mut shuffled);
+        let agg = AggregateMetrics::new("prop-fold", seed, AdmissionStats::default(), shuffled);
+        prop_assert_eq!(agg.merged().is_some(), serial.is_some());
+        if let (Some(m), Some(s)) = (agg.merged(), &serial) {
+            prop_assert_eq!(&m.gaps, &s.gaps);
+            prop_assert_eq!(&m.post_migration, &s.post_migration);
+            prop_assert_eq!(&m.attach, &s.attach);
+            prop_assert_eq!(&m.vm_attach, &s.vm_attach);
         }
-        let tree = NodeSketches::tree_reduce(&nodes);
-        prop_assert_eq!(tree.is_some(), serial.is_some());
-        if let (Some(t), Some(s)) = (&tree, &serial) {
-            prop_assert_eq!(&t.gaps, &s.gaps);
-            prop_assert_eq!(&t.post_migration, &s.post_migration);
-            prop_assert_eq!(&t.attach, &s.attach);
-            prop_assert_eq!(&t.vm_attach, &s.vm_attach);
-        }
-        // A premerged aggregate — random worker grouping, partials
-        // combined in worker order — is byte-identical to the serial one.
-        let mut partials: Vec<(bool, NodeSketches)> =
-            (0..gk).map(|_| (false, NodeSketches::new())).collect();
-        for (i, n) in nodes.iter().enumerate() {
-            if let Some(k) = &n.sketches {
-                let p = &mut partials[(i * ga) % gk];
-                p.0 = true;
-                p.1.merge(k);
-            }
-        }
-        let mut combined = NodeSketches::new();
-        let mut any = false;
-        for (saw, buf) in &partials {
-            if *saw {
-                any = true;
-                combined.merge(buf);
-            }
-        }
-        let a = AggregateMetrics::new("prop-tree", seed, AdmissionStats::default(), nodes.clone());
-        let b = AggregateMetrics::new_premerged(
-            "prop-tree", seed, AdmissionStats::default(), nodes, any.then_some(combined));
-        prop_assert_eq!(a.summary_csv(), b.summary_csv());
+        let in_order = AggregateMetrics::new("prop-fold", seed, AdmissionStats::default(), nodes);
+        prop_assert_eq!(agg.summary_csv(), in_order.summary_csv());
     }
 }

@@ -1,54 +1,11 @@
-//! Preemptive fixed-priority scheduling (`SCHED_FIFO`-style).
+//! Rate-monotonic priority assignment.
 //!
-//! The paper's Section 1 observes that plain fixed priorities — the only RT
-//! support in stock general-purpose kernels — are "known to be unfit for
-//! soft real-time applications": one greedy task starves everything below
-//! it. This baseline exists to demonstrate exactly that in experiments, and
-//! as the intra-server discipline reference (rate-monotonic assignment).
+//! The priorities feed a server's `InnerPolicy::FixedPriority` dispatch:
+//! the paper's Figure 2 runs three tasks rate-monotonically inside one
+//! CBS reservation dimensioned by the analysis.
 
-use selftune_simcore::scheduler::Scheduler;
 use selftune_simcore::task::TaskId;
-use selftune_simcore::time::{Dur, Time};
-use std::collections::{BTreeMap, HashMap, VecDeque};
-
-/// Preemptive fixed-priority scheduler; lower value = higher priority.
-///
-/// Tasks not registered get [`FixedPriority::DEFAULT_PRIO`].
-#[derive(Debug, Default)]
-pub struct FixedPriority {
-    prio: HashMap<TaskId, u32>,
-    ready: BTreeMap<u32, VecDeque<TaskId>>,
-}
-
-impl FixedPriority {
-    /// Priority assigned to unregistered tasks.
-    pub const DEFAULT_PRIO: u32 = 100;
-
-    /// Creates an empty scheduler.
-    pub fn new() -> FixedPriority {
-        FixedPriority::default()
-    }
-
-    /// Registers the priority of a task (before it becomes ready).
-    pub fn set_priority(&mut self, task: TaskId, prio: u32) {
-        self.prio.insert(task, prio);
-    }
-
-    /// Priority of a task.
-    pub fn priority(&self, task: TaskId) -> u32 {
-        self.prio.get(&task).copied().unwrap_or(Self::DEFAULT_PRIO)
-    }
-
-    fn queue_remove(&mut self, task: TaskId) {
-        let p = self.priority(task);
-        if let Some(q) = self.ready.get_mut(&p) {
-            q.retain(|&t| t != task);
-            if q.is_empty() {
-                self.ready.remove(&p);
-            }
-        }
-    }
-}
+use selftune_simcore::time::Dur;
 
 /// Assigns rate-monotonic priorities: shorter period = higher priority
 /// (lower value). Returns `(task, priority)` pairs.
@@ -62,70 +19,9 @@ pub fn rate_monotonic(periods: &[(TaskId, Dur)]) -> Vec<(TaskId, u32)> {
         .collect()
 }
 
-impl Scheduler for FixedPriority {
-    fn on_ready(&mut self, task: TaskId, _now: Time) {
-        let p = self.priority(task);
-        self.ready.entry(p).or_default().push_back(task);
-    }
-
-    fn on_block(&mut self, task: TaskId, _now: Time) {
-        self.queue_remove(task);
-    }
-
-    fn on_exit(&mut self, task: TaskId, _now: Time) {
-        self.queue_remove(task);
-    }
-
-    fn charge(&mut self, _task: TaskId, _ran: Dur, _now: Time) {}
-
-    fn pick(&mut self, _now: Time) -> Option<TaskId> {
-        self.ready.values().next().and_then(|q| q.front().copied())
-    }
-
-    fn horizon(&self, _task: TaskId, _now: Time) -> Option<Dur> {
-        None
-    }
-
-    fn next_timer(&self, _now: Time) -> Option<Time> {
-        None
-    }
-
-    fn on_timer(&mut self, _now: Time) {}
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    const T0: Time = Time::ZERO;
-
-    #[test]
-    fn highest_priority_wins() {
-        let mut fp = FixedPriority::new();
-        fp.set_priority(TaskId(1), 10);
-        fp.set_priority(TaskId(2), 5);
-        fp.on_ready(TaskId(1), T0);
-        fp.on_ready(TaskId(2), T0);
-        assert_eq!(fp.pick(T0), Some(TaskId(2)));
-        fp.on_block(TaskId(2), T0);
-        assert_eq!(fp.pick(T0), Some(TaskId(1)));
-    }
-
-    #[test]
-    fn fifo_within_priority() {
-        let mut fp = FixedPriority::new();
-        fp.set_priority(TaskId(1), 5);
-        fp.set_priority(TaskId(2), 5);
-        fp.on_ready(TaskId(2), T0);
-        fp.on_ready(TaskId(1), T0);
-        assert_eq!(fp.pick(T0), Some(TaskId(2)));
-    }
-
-    #[test]
-    fn unregistered_tasks_get_default() {
-        let fp = FixedPriority::new();
-        assert_eq!(fp.priority(TaskId(9)), FixedPriority::DEFAULT_PRIO);
-    }
 
     #[test]
     fn rate_monotonic_orders_by_period() {
@@ -138,13 +34,5 @@ mod tests {
         assert_eq!(map[&TaskId(2)], 0);
         assert_eq!(map[&TaskId(3)], 1);
         assert_eq!(map[&TaskId(1)], 2);
-    }
-
-    #[test]
-    fn exit_removes_from_queue() {
-        let mut fp = FixedPriority::new();
-        fp.on_ready(TaskId(1), T0);
-        fp.on_exit(TaskId(1), T0);
-        assert_eq!(fp.pick(T0), None);
     }
 }

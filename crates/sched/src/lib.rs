@@ -9,8 +9,8 @@
 //!   the simulated AQuoSA scheduling stack.
 //! * [`supervisor`] — admission control and bandwidth compression
 //!   enforcing Σ Qᵢ/Tᵢ ≤ U_lub (Equation (1) of the paper).
-//! * [`fp`] — preemptive fixed priority (`SCHED_FIFO` baseline) and
-//!   rate-monotonic priority assignment.
+//! * [`fp`] — rate-monotonic priority assignment for fixed-priority
+//!   dispatch inside a server.
 //! * [`edf`] — plain task-level EDF, used to validate the simulator against
 //!   schedulability theory.
 
@@ -22,6 +22,6 @@ pub mod supervisor;
 
 pub use cbs::{CbsMode, InnerPolicy, Server, ServerConfig, ServerId, ServerState};
 pub use edf::EdfScheduler;
-pub use fp::{rate_monotonic, FixedPriority};
+pub use fp::rate_monotonic;
 pub use reservation::{Place, ReservationScheduler};
 pub use supervisor::{ApplyReport, BwRequest, Compression, Grant, Supervisor};

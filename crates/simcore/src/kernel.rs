@@ -101,8 +101,8 @@ struct Tcb {
     workload: Box<dyn Workload>,
     state: TaskState,
     pending: Option<Pending>,
-    /// Kernel overhead (context switch, syscall return path) to burn before
-    /// `pending` progresses.
+    /// Kernel overhead (the syscall hook's return-path and wake costs) to
+    /// burn before `pending` progresses.
     debt: Dur,
     /// Syscall whose exit edge must be traced when the task wakes.
     trace_exit: Option<SyscallNr>,
@@ -161,7 +161,6 @@ pub struct Kernel<S: Scheduler> {
     hook: Box<dyn SyscallHook>,
     metrics: Metrics,
     current: Option<TaskId>,
-    cs_cost: Dur,
     ctx_switches: u64,
     idle: Dur,
     busy: Dur,
@@ -180,18 +179,11 @@ impl<S: Scheduler> Kernel<S> {
             hook: Box::new(NoTrace),
             metrics: Metrics::new(),
             current: None,
-            cs_cost: Dur::ZERO,
             ctx_switches: 0,
             idle: Dur::ZERO,
             busy: Dur::ZERO,
             zero_progress: 0,
         }
-    }
-
-    /// Sets the per-dispatch context-switch cost charged to the incoming
-    /// task.
-    pub fn set_context_switch_cost(&mut self, cost: Dur) {
-        self.cs_cost = cost;
     }
 
     /// Installs a syscall tracer hook, returning the previous one.
@@ -381,11 +373,8 @@ impl<S: Scheduler> Kernel<S> {
             let next = self.sched.pick(self.now);
             if next != self.current {
                 self.current = next;
-                if let Some(t) = next {
+                if next.is_some() {
                     self.ctx_switches += 1;
-                    if self.cs_cost > Dur::ZERO {
-                        self.tasks[t.index()].debt += self.cs_cost;
-                    }
                 }
             }
 
@@ -842,23 +831,6 @@ mod tests {
         k.run_until(t(5));
         assert_eq!(k.task_state(id), TaskState::Exited);
         assert_eq!(k.thread_time(id), Dur::ms(1));
-    }
-
-    #[test]
-    fn context_switch_cost_inflates_exec() {
-        let mut k = Kernel::new(rr());
-        k.set_context_switch_cost(Dur::us(10));
-        let id = k.spawn(
-            "only",
-            Box::new(Script::once(vec![
-                Action::Compute(Dur::ms(1)),
-                Action::Exit,
-            ])),
-        );
-        k.run_until(t(5));
-        // One dispatch: 10us switch cost + 1ms work.
-        assert_eq!(k.thread_time(id), Dur::ms(1) + Dur::us(10));
-        assert_eq!(k.context_switches(), 1);
     }
 
     #[test]

@@ -29,7 +29,7 @@ use selftune_core::share::{
 };
 use selftune_core::{ControllerConfig, ManagerConfig, SelfTuningManager};
 use selftune_sched::{
-    BwRequest, EdfScheduler, FixedPriority, ReservationScheduler, Server, ServerConfig, Supervisor,
+    BwRequest, EdfScheduler, ReservationScheduler, Server, ServerConfig, Supervisor,
 };
 use selftune_simcore::kernel::{Kernel, SyscallHook};
 use selftune_simcore::metrics::MetricKey;
@@ -47,9 +47,6 @@ pub enum GuestPolicy {
     /// Task-level EDF (register deadlines via
     /// [`VirtPlatform::set_guest_deadline`]).
     Edf,
-    /// Preemptive fixed priority (register priorities via
-    /// [`VirtPlatform::set_guest_priority`]).
-    FixedPriority,
     /// Nested CBS reservations driven by a per-guest self-tuning manager.
     /// The manager's supervisor bound is clamped to the VM's share — a
     /// tenant cannot self-tune its way past what the host granted.
@@ -326,9 +323,6 @@ impl VirtPlatform {
     fn create_vm_unchecked(&mut self, vm_cfg: VmConfig) -> VmId {
         let (guest, pending_mgr, slot) = match &vm_cfg.policy {
             GuestPolicy::Edf => (GuestSched::Edf(EdfScheduler::new()), None, 0),
-            GuestPolicy::FixedPriority => {
-                (GuestSched::FixedPriority(FixedPriority::new()), None, 0)
-            }
             GuestPolicy::SelfTuning(mgr_cfg) => {
                 let (hook, reader) = Tracer::create(TracerConfig::default());
                 let slot = self.hooks.borrow().len() as u16;
@@ -678,18 +672,6 @@ impl VirtPlatform {
         match self.kernel.sched_mut().guest_mut(vm) {
             GuestSched::Edf(e) => e.set_relative_deadline(task, rel),
             _ => panic!("{vm} is not an EDF guest"),
-        }
-    }
-
-    /// Registers a fixed priority with a VM's fixed-priority guest.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the VM's guest is not [`GuestPolicy::FixedPriority`].
-    pub fn set_guest_priority(&mut self, vm: VmId, task: TaskId, prio: u32) {
-        match self.kernel.sched_mut().guest_mut(vm) {
-            GuestSched::FixedPriority(f) => f.set_priority(task, prio),
-            _ => panic!("{vm} is not a fixed-priority guest"),
         }
     }
 

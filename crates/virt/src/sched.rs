@@ -8,8 +8,8 @@
 //!   tasks not assigned to any VM live directly in the host's classes
 //!   exactly as on a non-virtualised node.
 //! * **Guest level** — each VM owns a guest scheduler
-//!   ([`EdfScheduler`], [`FixedPriority`] or a full nested
-//!   [`ReservationScheduler`]) over that VM's task set.
+//!   ([`EdfScheduler`] or a full nested [`ReservationScheduler`]) over
+//!   that VM's task set.
 //!
 //! Dispatch walks the host's runnable servers in EDF order (via
 //! [`ReservationScheduler::pick_with`]); a VM server's task choice is
@@ -24,7 +24,7 @@
 //! scheduler — a virtualised kernel with zero VMs behaves bit-identically
 //! to a flat one.
 
-use selftune_sched::{EdfScheduler, FixedPriority, ReservationScheduler, ServerConfig, ServerId};
+use selftune_sched::{EdfScheduler, ReservationScheduler, ServerConfig, ServerId};
 use selftune_sched::{Place, Server};
 use selftune_simcore::scheduler::Scheduler;
 use selftune_simcore::task::TaskId;
@@ -52,8 +52,6 @@ impl core::fmt::Display for VmId {
 pub enum GuestSched {
     /// Task-level EDF with per-task relative deadlines.
     Edf(EdfScheduler),
-    /// Preemptive fixed priority.
-    FixedPriority(FixedPriority),
     /// A nested reservation scheduler — inner CBS servers inside the
     /// VM's share, the configuration per-guest self-tuning manages.
     Reservation(ReservationScheduler),
@@ -63,7 +61,6 @@ impl GuestSched {
     fn as_scheduler_mut(&mut self) -> &mut dyn Scheduler {
         match self {
             GuestSched::Edf(s) => s,
-            GuestSched::FixedPriority(s) => s,
             GuestSched::Reservation(s) => s,
         }
     }
@@ -71,7 +68,6 @@ impl GuestSched {
     fn as_scheduler(&self) -> &dyn Scheduler {
         match self {
             GuestSched::Edf(s) => s,
-            GuestSched::FixedPriority(s) => s,
             GuestSched::Reservation(s) => s,
         }
     }
@@ -93,9 +89,9 @@ struct VmEntry {
 /// (wake/block/depletion/replenish, and supervisor re-grants including an
 /// elastic controller's) bumps the epoch and forces a rescan. The stacked
 /// `next_timer` is cached here the same way, keyed by the *sum* of the
-/// host epoch and every nested reservation guest's epoch (EDF and
-/// fixed-priority guests own no timers); epochs only grow, so the sum is
-/// monotone and two concurrent changes cannot cancel out.
+/// host epoch and every nested reservation guest's epoch (EDF guests own
+/// no timers); epochs only grow, so the sum is monotone and two
+/// concurrent changes cannot cancel out.
 pub struct VirtScheduler {
     host: ReservationScheduler,
     vms: Vec<VmEntry>,
@@ -132,9 +128,9 @@ impl VirtScheduler {
     }
 
     /// The stacked dispatch version: host epoch plus every nested
-    /// reservation guest's epoch. Guest schedulers without timers or
-    /// budgets (EDF, fixed priority) cannot change the stacked timer or
-    /// the host order, so they do not participate.
+    /// reservation guest's epoch. A guest without timers or budgets (EDF)
+    /// cannot change the stacked timer or the host order, so it does not
+    /// participate.
     fn stack_epoch(&self) -> u64 {
         let mut e = self.host.dispatch_epoch();
         for v in &self.vms {

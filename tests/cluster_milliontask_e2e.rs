@@ -5,10 +5,10 @@
 //! per-node norm, with every contract intact — the plan keeps the whole
 //! honest population live to the horizon, the feedback rebalancer still
 //! cuts fleet misses with a sea of bystanders in the arenas, aggregates
-//! cannot observe the worker-thread count (the epoch reduction is a
-//! balanced tree over fixed node ranges). That task-arena slot recycling
-//! is invisible in the bytes is pinned on the node itself, against a
-//! frozen twin, by `crates/cluster/tests/props.rs::
+//! cannot observe the worker-thread count (the aggregate folds node
+//! sketches in node-id order, whichever worker reported them). That
+//! task-arena slot recycling is invisible in the bytes is pinned on the
+//! node itself, against a frozen twin, by `crates/cluster/tests/props.rs::
 //! slot_recycling_never_resurrects_a_departed_task`.
 //!
 //! Profile-adaptive sizing: the debug test profile runs the same
@@ -127,12 +127,12 @@ fn milliontask_aggregates_ignore_thread_count_and_slot_recycling() {
     assert_eq!(
         serial.summary_csv(),
         two.summary_csv(),
-        "tree-reduced aggregates must not depend on thread count (1 vs 2)"
+        "sketch aggregates must not depend on thread count (1 vs 2)"
     );
     assert_eq!(
         serial.summary_csv(),
         wide.summary_csv(),
-        "tree-reduced aggregates must not depend on thread count (1 vs 8)"
+        "sketch aggregates must not depend on thread count (1 vs 8)"
     );
 
     // At this population size per-task reports must never materialise.
