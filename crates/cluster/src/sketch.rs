@@ -19,14 +19,19 @@
 /// the grid clamp into the last bin, exact count/sum/min/max carried
 /// alongside for means and tail reporting.
 ///
-/// The bin vector allocates lazily on the first [`StreamSketch::record`]:
-/// in a 10k-node fleet most nodes are idle, and an empty sketch must cost
-/// a handful of words, not `bins × 8` bytes.
+/// The bin vector grows on demand, to one past the highest bin recorded
+/// so far (bins above it would all be zero): in a 10k-node fleet most
+/// nodes are idle, and an empty sketch must cost a handful of words, not
+/// `bins × 8` bytes — nor a busy one's, whose values sit near the bottom
+/// of a grid sized for the tail. The length is a function of the
+/// recorded values alone, so two sketches of the same population compare
+/// equal however they were assembled.
 #[derive(Clone, Debug, PartialEq)]
 pub struct StreamSketch {
     width: f64,
     bins: usize,
-    /// Empty until the first record, `bins` long afterwards.
+    /// One past the highest bin recorded so far (empty before the first
+    /// record), at most `bins` long.
     counts: Vec<u64>,
     count: u64,
     sum: f64,
@@ -69,14 +74,14 @@ impl StreamSketch {
 
     /// Records one value (negative values clamp into the first bin).
     pub fn record(&mut self, value: f64) {
-        if self.counts.is_empty() {
-            self.counts = vec![0; self.bins];
-        }
         let bin = if value <= 0.0 {
             0
         } else {
             ((value / self.width) as usize).min(self.bins - 1)
         };
+        if self.counts.len() <= bin {
+            self.counts.resize(bin + 1, 0);
+        }
         self.counts[bin] += 1;
         self.count += 1;
         self.sum += value;
@@ -97,13 +102,11 @@ impl StreamSketch {
     pub fn merge(&mut self, other: &StreamSketch) {
         assert_eq!(self.width, other.width, "sketch grid mismatch");
         assert_eq!(self.bins, other.bins, "sketch grid mismatch");
-        if !other.counts.is_empty() {
-            if self.counts.is_empty() {
-                self.counts = vec![0; self.bins];
-            }
-            for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-                *a += b;
-            }
+        if self.counts.len() < other.counts.len() {
+            self.counts.resize(other.counts.len(), 0);
+        }
+        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
+            *a += b;
         }
         self.count += other.count;
         self.sum += other.sum;
@@ -166,6 +169,39 @@ impl StreamSketch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        /// Sketches of unequal lengths, merged in turn, hold what
+        /// full-grid bin vectors added bin by bin hold, cut one past the
+        /// highest bin any of them recorded; and the same values recorded
+        /// into one sketch give the same bins, count and quantiles.
+        #[test]
+        fn unequal_length_merges_equal_a_dense_reference_merge(
+            parts in prop::collection::vec(prop::collection::vec(-2.0f64..70.0, 0..12), 1..6),
+        ) {
+            let (width, bins) = (1.5, 40);
+            let mut merged = StreamSketch::new(width, bins);
+            let mut direct = StreamSketch::new(width, bins);
+            let mut dense = vec![0_u64; bins];
+            for values in &parts {
+                let mut part = StreamSketch::new(width, bins);
+                for &v in values {
+                    part.record(v);
+                    direct.record(v);
+                    dense[((v.max(0.0) / width) as usize).min(bins - 1)] += 1;
+                }
+                merged.merge(&part);
+            }
+            let top = dense.iter().rposition(|&c| c > 0).map_or(0, |b| b + 1);
+            prop_assert_eq!(&merged.counts[..], &dense[..top]);
+            prop_assert_eq!(&merged.counts, &direct.counts);
+            prop_assert_eq!(merged.count(), direct.count());
+            for q in [0.0, 0.1, 0.5, 0.9, 0.99, 1.0] {
+                prop_assert_eq!(merged.quantile(q), direct.quantile(q));
+            }
+        }
+    }
 
     #[test]
     fn records_and_reports_basic_stats() {

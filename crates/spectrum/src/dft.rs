@@ -32,6 +32,23 @@
 //! or as a full block padded with operations of sign zero where that is
 //! cheaper (the table on `BLOCK`). Width 1 — the serial chain again —
 //! is reached only by a tail of exactly one operation.
+//!
+//! The same argument lets a [`WindowedDft`] defer its accumulators: until
+//! its first eviction they are the adds of its window in push order, and
+//! folding the window from zero replays exactly those additions.
+
+use std::cell::RefCell;
+use std::collections::VecDeque;
+
+thread_local! {
+    /// The accumulator pair [`WindowedDft::spectrum_into`] folds a window
+    /// that is still its whole history into, overwritten by every such
+    /// call. One per thread, like the analyser's estimate spectrum: a node
+    /// reads thousands of short windows in turn, and holding a pair each is
+    /// what the deferred accumulators exist to avoid.
+    static FOLD_SCRATCH: RefCell<(Vec<f64>, Vec<f64>)> =
+        const { RefCell::new((Vec::new(), Vec::new())) };
+}
 
 /// Frequency-grid configuration, in Hz.
 #[derive(Copy, Clone, Debug)]
@@ -306,13 +323,39 @@ pub fn amplitude_spectrum(events_secs: &[f64], config: SpectrumConfig) -> Spectr
 /// Events are pushed as they arrive; events older than `horizon` seconds
 /// behind the newest are evicted by subtracting their contribution —
 /// the iterative evaluation described in Section 4.3.
+///
+/// The running accumulators exist so that an eviction can be subtracted,
+/// and a window holds them only once it needs them. It is in one of two
+/// states:
+///
+/// - **History.** No event has been evicted since construction or the
+///   last [`WindowedDft::clear`], and the window holds at most `BLOCK`
+///   (8) events. The window *is* the whole history, so the accumulators are
+///   the fold of its adds in push order and are not kept: `re` and `im`
+///   are empty, [`WindowedDft::extend`] only appends, and
+///   [`WindowedDft::spectrum_into`] folds the window into a per-thread
+///   pair. Most analysers of a dense fleet never leave this state, and
+///   hold a few words where a grid pair costs `bins × 16` bytes.
+/// - **Running.** The first `extend` that would evict, or would grow the
+///   window past `BLOCK`, allocates the pair, folds the window's adds
+///   into it and then evaluates its own operations as before.
+///
+/// Both are bit-identical to accumulating every operation as it comes:
+/// the fold performs the same additions in the same order (the module
+/// docs' argument, which holds at every kernel width). `BLOCK` is the
+/// threshold because it is the kernel's own width — a window that fits
+/// one block is folded in one pass over the grid, the pass an
+/// incremental tail would have cost anyway. [`WindowedDft::ops`] counts
+/// the paper's Equation (3) operations in either state, not the passes
+/// a fold repeats.
 #[derive(Debug)]
 pub struct WindowedDft {
     config: SpectrumConfig,
     horizon: f64,
+    /// Empty in the history state, `bins` long in the running state.
     re: Vec<f64>,
     im: Vec<f64>,
-    window: std::collections::VecDeque<f64>,
+    window: VecDeque<f64>,
     ops: u64,
 }
 
@@ -325,13 +368,12 @@ impl WindowedDft {
     pub fn new(config: SpectrumConfig, horizon: f64) -> WindowedDft {
         config.validate();
         assert!(horizon > 0.0, "horizon must be positive");
-        let bins = config.bins();
         WindowedDft {
             config,
             horizon,
-            re: vec![0.0; bins],
-            im: vec![0.0; bins],
-            window: std::collections::VecDeque::new(),
+            re: Vec::new(),
+            im: Vec::new(),
+            window: VecDeque::new(),
             ops: 0,
         }
     }
@@ -371,6 +413,17 @@ impl WindowedDft {
     ///
     /// Panics if an event precedes the newest one already in the window.
     pub fn extend(&mut self, events_secs: &[f64]) {
+        let bins = self.config.bins() as u64;
+        if self.re.is_empty() {
+            if self.keeps_history(events_secs) {
+                for &t in events_secs {
+                    append(&mut self.window, t);
+                }
+                self.ops += bins * events_secs.len() as u64;
+                return;
+            }
+            fold_window(&self.config, &self.window, &mut self.re, &mut self.im);
+        }
         let WindowedDft {
             config,
             horizon,
@@ -385,7 +438,7 @@ impl WindowedDft {
         let sequence = core::iter::from_fn(|| {
             if let Some(t) = newest {
                 match window.front() {
-                    Some(&old) if t - old > *horizon => {
+                    Some(&old) if evicts(*horizon, old, t) => {
                         window.pop_front();
                         return Some((old, -1.0));
                     }
@@ -393,22 +446,34 @@ impl WindowedDft {
                 }
             }
             let &t = arrivals.next()?;
-            if let Some(&last) = window.back() {
-                assert!(t >= last, "events must be pushed in time order");
-            }
-            window.push_back(t);
+            append(window, t);
             newest = Some(t);
             Some((t, 1.0))
         });
         let count = accumulate_ops(config, sequence, re, im);
-        *ops += re.len() as u64 * count;
+        *ops += bins * count;
+    }
+
+    /// Whether the window stays its whole history after appending
+    /// `events_secs`: at most [`BLOCK`] events, and no arrival evicts.
+    /// The first eviction would come from the newest arrival if from any,
+    /// since the front stays put until then and `t − front` is monotone in
+    /// `t`; the test is the running state's own ([`evicts`]).
+    fn keeps_history(&self, events_secs: &[f64]) -> bool {
+        let (Some(&front), Some(&newest)) = (
+            self.window.front().or(events_secs.first()),
+            events_secs.last(),
+        ) else {
+            return true;
+        };
+        self.window.len() + events_secs.len() <= BLOCK && !evicts(self.horizon, front, newest)
     }
 
     /// Snapshot of the current amplitude spectrum.
     pub fn spectrum(&self) -> Spectrum {
         let mut out = Spectrum {
             config: self.config,
-            amplitudes: Vec::with_capacity(self.re.len()),
+            amplitudes: Vec::with_capacity(self.config.bins()),
             events: 0,
             ops: 0,
         };
@@ -420,7 +485,14 @@ impl WindowedDft {
     /// amplitude buffer.
     pub fn spectrum_into(&self, out: &mut Spectrum) {
         out.config = self.config;
-        amplitudes_into(&self.re, &self.im, &mut out.amplitudes);
+        if self.re.is_empty() {
+            FOLD_SCRATCH.with_borrow_mut(|(re, im)| {
+                fold_window(&self.config, &self.window, re, im);
+                amplitudes_into(re, im, &mut out.amplitudes);
+            });
+        } else {
+            amplitudes_into(&self.re, &self.im, &mut out.amplitudes);
+        }
         out.events = self.window.len();
         out.ops = self.ops;
     }
@@ -430,12 +502,46 @@ impl WindowedDft {
         self.ops
     }
 
-    /// Drops all state (events and accumulators).
+    /// Drops all state (events and accumulators): the window is its whole
+    /// history again, and holds no grid pair.
     pub fn clear(&mut self) {
-        self.re.iter_mut().for_each(|x| *x = 0.0);
-        self.im.iter_mut().for_each(|x| *x = 0.0);
+        self.re = Vec::new();
+        self.im = Vec::new();
         self.window.clear();
     }
+}
+
+/// Whether an arrival at `t` evicts the window's oldest event at `front`:
+/// it is strictly more than `horizon` behind.
+fn evicts(horizon: f64, front: f64, t: f64) -> bool {
+    t - front > horizon
+}
+
+/// Appends an arrival to a window.
+///
+/// # Panics
+///
+/// Panics if `t` precedes the newest event in the window.
+fn append(window: &mut VecDeque<f64>, t: f64) {
+    if let Some(&last) = window.back() {
+        assert!(t >= last, "events must be pushed in time order");
+    }
+    window.push_back(t);
+}
+
+/// Overwrites `re` / `im` with the accumulators of a window that is its
+/// whole history: zero, then its adds in push order.
+fn fold_window(
+    config: &SpectrumConfig,
+    window: &VecDeque<f64>,
+    re: &mut Vec<f64>,
+    im: &mut Vec<f64>,
+) {
+    for acc in [&mut *re, &mut *im] {
+        acc.clear();
+        acc.resize(config.bins(), 0.0);
+    }
+    accumulate_ops(config, window.iter().map(|&t| (t, 1.0)), re, im);
 }
 
 /// Generates a perfectly periodic burst train for tests and benchmarks:
@@ -546,12 +652,34 @@ mod tests {
         xs.iter().map(|x| x.to_bits()).collect()
     }
 
-    /// Accumulators, window and operation count equal to the bit.
+    /// The accumulators `w` stands for: its own pair in the running
+    /// state, the fold of its window while that is its whole history.
+    fn folded(w: &WindowedDft) -> (Vec<f64>, Vec<f64>) {
+        if !w.re.is_empty() {
+            return (w.re.clone(), w.im.clone());
+        }
+        let (mut re, mut im) = (Vec::new(), Vec::new());
+        fold_window(&w.config, &w.window, &mut re, &mut im);
+        (re, im)
+    }
+
+    /// Accumulators (folded where `w` defers them), window and operation
+    /// count equal to the bit.
     fn assert_same_state(w: &WindowedDft, reference: &ScalarWindow) {
-        assert_eq!(bits(&w.re), bits(&reference.re), "re differs");
-        assert_eq!(bits(&w.im), bits(&reference.im), "im differs");
+        let (re, im) = folded(w);
+        assert_eq!(bits(&re), bits(&reference.re), "re differs");
+        assert_eq!(bits(&im), bits(&reference.im), "im differs");
         assert_eq!(w.window, reference.window, "window differs");
         assert_eq!(w.ops(), reference.ops, "ops differs");
+        let mut amplitudes = Vec::new();
+        amplitudes_into(&reference.re, &reference.im, &mut amplitudes);
+        let spectrum = w.spectrum();
+        assert_eq!(
+            bits(&spectrum.amplitudes),
+            bits(&amplitudes),
+            "spectrum differs"
+        );
+        assert_eq!(spectrum.events, reference.window.len(), "events differs");
     }
 
     /// A time-ordered train from non-negative gaps, starting at `t = 0`
@@ -603,6 +731,124 @@ mod tests {
         }
     }
 
+    /// Trains at the edges of the history state, fed in the batches
+    /// given, against the scalar push loop. After each batch the window
+    /// must be in the state named: `R` running (it holds the grid pair),
+    /// `H` history (it holds no grid buffer at all).
+    #[test]
+    fn history_state_edges_match_the_scalar_push_loop() {
+        let c = SpectrumConfig::default();
+        let h: f64 = 0.4;
+        let past = h.next_up();
+        let t = |i: u32| f64::from(i) * 0.013;
+        let eight: Vec<f64> = (0..8).map(t).collect();
+        let cases: Vec<(&str, Vec<Vec<f64>>, &str)> = vec![
+            ("one event", vec![vec![0.013]], "H"),
+            ("eight in one batch", vec![eight.clone()], "H"),
+            (
+                "eight pushed singly",
+                eight.iter().map(|&t| vec![t]).collect(),
+                "HHHHHHHH",
+            ),
+            ("a ninth pushed", vec![eight.clone(), vec![t(8)]], "HR"),
+            ("nine in one batch", vec![(0..9).map(t).collect()], "R"),
+            (
+                "crosses BLOCK mid-batch",
+                vec![(0..5).map(t).collect(), (5..11).map(t).collect()],
+                "HR",
+            ),
+            ("eviction at 2 events", vec![vec![0.0], vec![0.5]], "HR"),
+            ("eviction at 2 events, one batch", vec![vec![0.0, 0.5]], "R"),
+            ("exactly at the horizon", vec![vec![0.0, h]], "H"),
+            ("just past the horizon", vec![vec![0.0, past]], "R"),
+            (
+                "at it, then past it",
+                vec![vec![0.0], vec![h], vec![past]],
+                "HHR",
+            ),
+            (
+                "off-zero front, at it",
+                vec![vec![0.1], vec![0.1 + h]],
+                "HH",
+            ),
+            (
+                "off-zero front, past it",
+                vec![vec![0.1], vec![(0.1 + h).next_up()]],
+                "HR",
+            ),
+            ("empty batches", vec![vec![], vec![0.2], vec![]], "HHH"),
+        ];
+        for (name, batches, states) in cases {
+            assert_eq!(batches.len(), states.len(), "{name}");
+            let mut w = WindowedDft::new(c, h);
+            let mut reference = ScalarWindow::new(c, h);
+            for (batch, state) in batches.iter().zip(states.chars()) {
+                w.extend(batch);
+                batch.iter().for_each(|&t| reference.push(t));
+                assert_same_state(&w, &reference);
+                let running = reference.signs.contains(&-1.0) || w.len() > BLOCK;
+                assert_eq!(
+                    running,
+                    state == 'R',
+                    "{name}: the oracle disagrees with {state}"
+                );
+                assert_eq!(!w.re.is_empty(), running, "{name}: wrong state");
+                if !running {
+                    assert_eq!((w.re.capacity(), w.im.capacity()), (0, 0), "{name}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn clear_returns_a_window_to_its_history_state() {
+        let c = SpectrumConfig::default();
+        let train: Vec<f64> = (0..30).map(|i| f64::from(i) * 0.021).collect();
+        let mut w = WindowedDft::new(c, 0.3);
+        let mut reference = ScalarWindow::new(c, 0.3);
+        let feed = |w: &mut WindowedDft, reference: &mut ScalarWindow, batch: &[f64]| {
+            w.extend(batch);
+            batch.iter().for_each(|&t| reference.push(t));
+            assert_same_state(w, reference);
+        };
+        feed(&mut w, &mut reference, &train[..20]);
+        assert!(!w.re.is_empty());
+        w.clear();
+        assert!(w.is_empty());
+        assert_eq!((w.re.capacity(), w.im.capacity()), (0, 0));
+        // The refill starts from zero, as the scalar loop's does.
+        reference.clear();
+        feed(&mut w, &mut reference, &train[20..23]);
+        assert_eq!(w.re.capacity(), 0);
+        feed(&mut w, &mut reference, &train[23..]);
+        assert!(!w.re.is_empty());
+    }
+
+    #[test]
+    fn a_window_within_block_and_horizon_holds_no_grid_buffer() {
+        let c = SpectrumConfig::default();
+        let mut pushed = WindowedDft::new(c, 2.0);
+        let mut batched = WindowedDft::new(c, 2.0);
+        let train = synthetic_burst_train(0.04, 4, 2, 0.004);
+        assert_eq!(train.len(), BLOCK);
+        for &t in &train {
+            pushed.push(t);
+            let _ = pushed.spectrum();
+        }
+        batched.extend(&train);
+        let mut out = batched.spectrum();
+        batched.spectrum_into(&mut out);
+        for w in [&pushed, &batched] {
+            assert_eq!(w.len(), BLOCK);
+            assert_eq!((w.re.capacity(), w.im.capacity()), (0, 0));
+            assert_eq!(w.ops(), (c.bins() * BLOCK) as u64);
+        }
+        assert_eq!(
+            bits(&out.amplitudes),
+            bits(&amplitude_spectrum(&train, c).amplitudes)
+        );
+    }
+
     proptest! {
         /// Random trains with evictions, fed in random batch sizes with a
         /// `clear()` somewhere in the stream: `extend` leaves the same
@@ -648,8 +894,10 @@ mod tests {
             let mut pushed = WindowedDft::new(c, 0.25);
             batched.extend(&train);
             train.iter().for_each(|&t| pushed.push(t));
-            prop_assert_eq!(bits(&batched.re), bits(&pushed.re));
-            prop_assert_eq!(bits(&batched.im), bits(&pushed.im));
+            let (batched_re, batched_im) = folded(&batched);
+            let (pushed_re, pushed_im) = folded(&pushed);
+            prop_assert_eq!(bits(&batched_re), bits(&pushed_re));
+            prop_assert_eq!(bits(&batched_im), bits(&pushed_im));
             prop_assert_eq!(batched.ops(), pushed.ops());
             prop_assert_eq!(&batched.window, &pushed.window);
 

@@ -6,7 +6,7 @@
 //! user-space reader — plus overhead models for the tracers compared in
 //! Table 1 (`NOTRACE`, `QTRACE`, `QOSTRACE`, `STRACE`).
 //!
-//! * [`ring`] — the statically-sized circular buffer.
+//! * [`ring`] — the bounded circular buffer.
 //! * [`event`] — trace records and per-call statistics (Figure 4).
 //! * [`demux`] — one-pass split of a batch into per-task entry trains.
 //! * [`overhead`] — per-edge overhead models (Table 1).

@@ -1,15 +1,21 @@
-//! The statically-sized circular buffer backing the kernel tracer.
+//! The bounded circular buffer backing the kernel tracer.
 //!
 //! The paper's `qtrace` patch logs timestamps into "a statically allocated
 //! circular buffer" drained in batches by the user-space `lfs++` tool
 //! through a character device (Section 4.1). When the producer outruns the
 //! consumer the oldest events are overwritten; the drop counter lets
 //! experiments size the buffer correctly.
+//!
+//! What is static here is the paper's *bound*: the buffer never holds more
+//! than `capacity` entries, and overwrites and drops exactly as a
+//! preallocated one would. The storage is not: it grows on demand up to
+//! that bound, so the thousands of rings of a fleet whose tasks are idle
+//! or drained often do not each hold a full buffer.
 
 use std::collections::VecDeque;
 
-/// Fixed-capacity circular buffer that overwrites the oldest entry on
-/// overflow.
+/// Bounded circular buffer that overwrites the oldest entry on overflow;
+/// its storage grows on demand up to the bound.
 #[derive(Debug)]
 pub struct RingBuffer<T> {
     buf: VecDeque<T>,
@@ -27,7 +33,7 @@ impl<T> RingBuffer<T> {
     pub fn new(capacity: usize) -> RingBuffer<T> {
         assert!(capacity > 0, "ring buffer capacity must be positive");
         RingBuffer {
-            buf: VecDeque::with_capacity(capacity),
+            buf: VecDeque::new(),
             capacity,
             pushed: 0,
             dropped: 0,
@@ -130,6 +136,17 @@ mod tests {
         rb.push(2);
         assert_eq!(rb.total_pushed(), 2);
         assert_eq!(rb.drain(), vec![2]);
+    }
+
+    #[test]
+    fn storage_grows_on_demand_and_the_bound_still_overwrites() {
+        let mut rb = RingBuffer::new(100);
+        assert_eq!(rb.buf.capacity(), 0, "an unused ring holds no storage");
+        for i in 0..250 {
+            rb.push(i);
+        }
+        assert_eq!((rb.len(), rb.total_dropped()), (100, 150));
+        assert_eq!(rb.drain(), (150..250).collect::<Vec<_>>());
     }
 
     #[test]
