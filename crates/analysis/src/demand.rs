@@ -42,7 +42,7 @@ pub fn total_utilisation(tasks: &[PeriodicTask]) -> f64 {
 
 /// Request bound function: worst-case work released by `tasks` in `[0, t]`
 /// under synchronous release, `Σᵢ ⌈t/Pᵢ⌉·Cᵢ`.
-pub fn rbf(tasks: &[PeriodicTask], t: f64) -> f64 {
+pub(crate) fn rbf(tasks: &[PeriodicTask], t: f64) -> f64 {
     assert!(t >= 0.0);
     tasks
         .iter()
@@ -52,7 +52,7 @@ pub fn rbf(tasks: &[PeriodicTask], t: f64) -> f64 {
 
 /// Demand bound function for implicit-deadline tasks: work that must
 /// complete within any interval of length `t`, `Σᵢ ⌊t/Pᵢ⌋·Cᵢ`.
-pub fn dbf(tasks: &[PeriodicTask], t: f64) -> f64 {
+pub(crate) fn dbf(tasks: &[PeriodicTask], t: f64) -> f64 {
     assert!(t >= 0.0);
     tasks
         .iter()
@@ -65,7 +65,7 @@ pub fn dbf(tasks: &[PeriodicTask], t: f64) -> f64 {
 /// periods up to and including `Dᵢ = Pᵢ`, plus `Dᵢ` itself.
 ///
 /// Sorted ascending, deduplicated.
-pub fn rm_testing_points(tasks: &[PeriodicTask], i: usize) -> Vec<f64> {
+pub(crate) fn rm_testing_points(tasks: &[PeriodicTask], i: usize) -> Vec<f64> {
     let d = tasks[i].period;
     let mut pts = Vec::new();
     for task in &tasks[..=i] {
@@ -83,7 +83,7 @@ pub fn rm_testing_points(tasks: &[PeriodicTask], i: usize) -> Vec<f64> {
 
 /// EDF testing points: all job deadlines (multiples of each period) up to
 /// and including the hyperperiod approximation `limit`.
-pub fn edf_testing_points(tasks: &[PeriodicTask], limit: f64) -> Vec<f64> {
+pub(crate) fn edf_testing_points(tasks: &[PeriodicTask], limit: f64) -> Vec<f64> {
     let mut pts = Vec::new();
     for task in tasks {
         let mut k = 1.0;
@@ -99,7 +99,7 @@ pub fn edf_testing_points(tasks: &[PeriodicTask], limit: f64) -> Vec<f64> {
 
 /// Least common multiple of the task periods (the hyperperiod), computed on
 /// microsecond-resolution integers to avoid floating-point drift.
-pub fn hyperperiod(tasks: &[PeriodicTask]) -> f64 {
+pub(crate) fn hyperperiod(tasks: &[PeriodicTask]) -> f64 {
     fn gcd(a: u64, b: u64) -> u64 {
         if b == 0 {
             a

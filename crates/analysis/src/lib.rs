@@ -4,8 +4,7 @@
 //! figures of *"Self-tuning Schedulers for Legacy Real-Time Applications"*
 //! (EuroSys 2010), Section 3.2:
 //!
-//! * [`sbf`] — supply bound functions (hard CBS, Shin–Lee periodic
-//!   resource, linear bound).
+//! * [`sbf`] — the hard-CBS supply bound function.
 //! * [`demand`] — periodic tasks, request/demand bound functions, testing
 //!   points, hyperperiods.
 //! * [`minbudget`] — minimum budget/bandwidth searches: a single task per
@@ -18,12 +17,9 @@ pub mod demand;
 pub mod minbudget;
 pub mod sbf;
 
-pub use demand::{
-    dbf, edf_testing_points, hyperperiod, rbf, rm_testing_points, total_utilisation, PeriodicTask,
-};
+pub use demand::{total_utilisation, PeriodicTask};
 pub use minbudget::{
-    dedicated_servers_bandwidth, edf_schedulable_in_server, min_bandwidth_rm_group,
-    min_bandwidth_single, min_budget_edf_group, min_budget_rm_group, min_budget_single,
-    rm_schedulable_in_server,
+    dedicated_servers_bandwidth, min_bandwidth_rm_group, min_bandwidth_single,
+    min_budget_edf_group, min_budget_rm_group, min_budget_single,
 };
-pub use sbf::{cbs_sbf, linear_sbf, periodic_resource_sbf};
+pub use sbf::cbs_sbf;

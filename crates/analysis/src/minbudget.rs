@@ -10,7 +10,7 @@
 //! (a dedicated CPU) is the feasibility anchor.
 
 use crate::demand::{dbf, edf_testing_points, hyperperiod};
-use crate::demand::{rm_testing_points, total_utilisation, PeriodicTask};
+use crate::demand::{rbf, rm_testing_points, total_utilisation, PeriodicTask};
 use crate::sbf::cbs_sbf;
 
 /// Relative tolerance of the budget binary search.
@@ -54,15 +54,11 @@ pub fn min_bandwidth_single(task: PeriodicTask, server_period: f64) -> f64 {
 /// Fixed-priority (rate-monotonic) schedulability of `tasks` inside one
 /// server `(q, t)`. `tasks` must be sorted by priority, highest first
 /// (shortest period first for RM).
-pub fn rm_schedulable_in_server(tasks: &[PeriodicTask], budget: f64, period: f64) -> bool {
+pub(crate) fn rm_schedulable_in_server(tasks: &[PeriodicTask], budget: f64, period: f64) -> bool {
     for i in 0..tasks.len() {
         let points = rm_testing_points(tasks, i);
         let ok = points.iter().any(|&pt| {
-            let demand: f64 = tasks[..i]
-                .iter()
-                .map(|hp| (pt / hp.period).ceil() * hp.wcet)
-                .sum::<f64>()
-                + tasks[i].wcet;
+            let demand = rbf(&tasks[..i], pt) + tasks[i].wcet;
             cbs_sbf(budget, period, pt) >= demand - 1e-9
         });
         if !ok {
@@ -95,7 +91,7 @@ pub fn min_bandwidth_rm_group(tasks: &[PeriodicTask], server_period: f64) -> Opt
 /// EDF schedulability of `tasks` inside one server `(q, t)`: the demand
 /// bound must stay below the supply bound at every deadline up to twice the
 /// hyperperiod (plus the bandwidth necessary condition `Q/T ≥ U`).
-pub fn edf_schedulable_in_server(tasks: &[PeriodicTask], budget: f64, period: f64) -> bool {
+pub(crate) fn edf_schedulable_in_server(tasks: &[PeriodicTask], budget: f64, period: f64) -> bool {
     let u = total_utilisation(tasks);
     if budget / period < u - 1e-12 {
         return false;

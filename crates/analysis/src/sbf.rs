@@ -8,17 +8,12 @@
 //!
 //! Time is in abstract units (`f64`); callers use milliseconds throughout.
 //!
-//! Two models are provided:
-//!
-//! * [`cbs_sbf`] — hard CBS whose deadline equals the replenishment period:
-//!   the worst case inserts a single initial blackout of `T − Q`, then
-//!   supplies `Q` per period:
-//!   `sbf(Δ) = ⌊Δ/T⌋·Q + max(0, Δ − ⌊Δ/T⌋·T − (T − Q))`.
-//!   With `T = P` and `Q = C` a periodic task `(C, P)` is exactly
-//!   schedulable, reproducing the 20% floor of Figure 1.
-//! * [`periodic_resource_sbf`] — Shin & Lee's periodic resource model with
-//!   the pessimistic double blackout `2(T − Q)`, for comparison with
-//!   compositional-analysis literature.
+//! [`cbs_sbf`] models a hard CBS whose deadline equals the replenishment
+//! period: the worst case inserts a single initial blackout of `T − Q`,
+//! then supplies `Q` per period:
+//! `sbf(Δ) = ⌊Δ/T⌋·Q + max(0, Δ − ⌊Δ/T⌋·T − (T − Q))`.
+//! With `T = P` and `Q = C` a periodic task `(C, P)` is exactly
+//! schedulable, reproducing the 20% floor of Figure 1.
 
 /// Hard-CBS supply bound over an interval of length `delta`.
 ///
@@ -32,31 +27,6 @@ pub fn cbs_sbf(budget: f64, period: f64, delta: f64) -> f64 {
     let k = (delta / period).floor();
     let into = delta - k * period - (period - budget);
     k * budget + into.max(0.0)
-}
-
-/// Shin–Lee periodic-resource supply bound (double initial blackout).
-///
-/// # Panics
-///
-/// Panics on the same invalid inputs as [`cbs_sbf`].
-pub fn periodic_resource_sbf(budget: f64, period: f64, delta: f64) -> f64 {
-    check_server(budget, period);
-    assert!(delta >= 0.0, "delta {delta} must be non-negative");
-    let blackout = period - budget;
-    let shifted = delta - blackout;
-    if shifted <= 0.0 {
-        return 0.0;
-    }
-    let k = (shifted / period).floor();
-    let into = shifted - k * period - blackout;
-    k * budget + into.clamp(0.0, budget)
-}
-
-/// Linear lower bound of [`cbs_sbf`]:
-/// `lsbf(Δ) = max(0, (Q/T)·(Δ − (T − Q)))`.
-pub fn linear_sbf(budget: f64, period: f64, delta: f64) -> f64 {
-    check_server(budget, period);
-    ((budget / period) * (delta - (period - budget))).max(0.0)
 }
 
 fn check_server(budget: f64, period: f64) {
@@ -73,7 +43,6 @@ mod tests {
     #[test]
     fn zero_interval_supplies_nothing() {
         assert_eq!(cbs_sbf(2.0, 10.0, 0.0), 0.0);
-        assert_eq!(periodic_resource_sbf(2.0, 10.0, 0.0), 0.0);
     }
 
     #[test]
@@ -104,33 +73,6 @@ mod tests {
         assert!((cbs_sbf(10.0, 50.0, 100.0) - 20.0).abs() < 1e-12);
         // A slightly smaller budget is infeasible.
         assert!(cbs_sbf(19.9, 100.0, 100.0) < 20.0);
-    }
-
-    #[test]
-    fn periodic_resource_is_more_pessimistic() {
-        for d in [5.0, 10.0, 25.0, 50.0, 100.0] {
-            let cbs = cbs_sbf(2.0, 10.0, d);
-            let pr = periodic_resource_sbf(2.0, 10.0, d);
-            assert!(pr <= cbs + 1e-12, "pr {pr} > cbs {cbs} at Δ={d}");
-        }
-    }
-
-    #[test]
-    fn periodic_resource_double_blackout() {
-        // (Q=2, T=10): first supply only after 2(T−Q) = 16.
-        assert_eq!(periodic_resource_sbf(2.0, 10.0, 16.0), 0.0);
-        assert_eq!(periodic_resource_sbf(2.0, 10.0, 17.0), 1.0);
-        assert_eq!(periodic_resource_sbf(2.0, 10.0, 18.0), 2.0);
-        assert_eq!(periodic_resource_sbf(2.0, 10.0, 20.0), 2.0);
-    }
-
-    #[test]
-    fn linear_bound_is_below_cbs() {
-        for d in [0.0, 4.0, 8.0, 12.5, 33.0, 97.0] {
-            let l = linear_sbf(2.0, 10.0, d);
-            let s = cbs_sbf(2.0, 10.0, d);
-            assert!(l <= s + 1e-12, "lsbf {l} > sbf {s} at Δ={d}");
-        }
     }
 
     #[test]

@@ -2,8 +2,8 @@
 
 use proptest::prelude::*;
 use selftune_analysis::{
-    cbs_sbf, linear_sbf, min_bandwidth_rm_group, min_bandwidth_single, min_budget_single,
-    periodic_resource_sbf, total_utilisation, PeriodicTask,
+    cbs_sbf, min_bandwidth_rm_group, min_bandwidth_single, min_budget_single, total_utilisation,
+    PeriodicTask,
 };
 
 proptest! {
@@ -19,9 +19,6 @@ proptest! {
         let (s_lo, s_hi) = (cbs_sbf(q, t, lo), cbs_sbf(q, t, hi));
         prop_assert!(s_lo <= s_hi + 1e-9, "not monotone");
         prop_assert!(s_hi <= hi + 1e-9, "supply exceeds wall time");
-        // Model ordering: linear ≤ periodic-resource ≤ cbs.
-        prop_assert!(linear_sbf(q, t, hi) <= cbs_sbf(q, t, hi) + 1e-9);
-        prop_assert!(periodic_resource_sbf(q, t, hi) <= cbs_sbf(q, t, hi) + 1e-9);
     }
 
     #[test]

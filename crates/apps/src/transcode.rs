@@ -43,16 +43,6 @@ impl TranscodeConfig {
             syscalls_per_frame: 280,
         }
     }
-
-    /// Total expected CPU work (excluding syscall bodies).
-    pub fn total_work(&self) -> Dur {
-        self.per_frame * u64::from(self.frames)
-    }
-
-    /// Total syscalls the run will issue.
-    pub fn total_syscalls(&self) -> u64 {
-        u64::from(self.frames) * u64::from(self.syscalls_per_frame)
-    }
 }
 
 /// The transcoder workload.
@@ -153,7 +143,7 @@ mod tests {
     fn issues_expected_syscall_count() {
         let mut k = Kernel::new(RoundRobin::new(Dur::ms(4)));
         let cfg = small_cfg();
-        let expected = cfg.total_syscalls();
+        let expected = u64::from(cfg.frames) * u64::from(cfg.syscalls_per_frame);
         k.spawn("t", Box::new(Transcoder::new(cfg, Rng::new(1))));
         k.run_until(Time::ZERO + Dur::secs(1));
         assert_eq!(k.syscall_count(TaskId(0)), expected);
@@ -162,8 +152,11 @@ mod tests {
     #[test]
     fn table1_config_magnitudes() {
         let cfg = TranscodeConfig::ffmpeg_table1();
-        assert_eq!(cfg.total_work(), Dur::secs(21));
-        assert_eq!(cfg.total_syscalls(), 147_000);
+        assert_eq!(cfg.per_frame * u64::from(cfg.frames), Dur::secs(21));
+        assert_eq!(
+            u64::from(cfg.frames) * u64::from(cfg.syscalls_per_frame),
+            147_000
+        );
     }
 
     #[test]

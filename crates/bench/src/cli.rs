@@ -95,14 +95,14 @@ impl Args {
     ///
     /// Panics with the parse error when the file is missing or malformed
     /// (a silently ignored scenario file would invalidate the experiment).
-    pub fn scenario_spec(&self) -> Option<ScenarioSpec> {
+    pub(crate) fn scenario_spec(&self) -> Option<ScenarioSpec> {
         let spec = load_scenario(self.scenario.as_deref()?).unwrap_or_else(|e| panic!("{e}"));
         println!("scenario file: {}", spec.name);
         Some(spec)
     }
 
     /// Picks a repetition count: `full` normally, `quick` with `--fast`.
-    pub fn reps(&self, full: usize, quick: usize) -> usize {
+    pub(crate) fn reps(&self, full: usize, quick: usize) -> usize {
         if self.fast {
             quick
         } else {
@@ -112,7 +112,7 @@ impl Args {
 
     /// Picks a sweep: all of `full` normally, its first `quick` points with
     /// `--fast`.
-    pub fn sweep<'a, T>(&self, full: &'a [T], quick: usize) -> &'a [T] {
+    pub(crate) fn sweep<'a, T>(&self, full: &'a [T], quick: usize) -> &'a [T] {
         &full[..self.reps(full.len(), quick)]
     }
 
@@ -121,7 +121,7 @@ impl Args {
     /// # Panics
     ///
     /// Panics if the directory cannot be created.
-    pub fn out_path(&self, file: &str) -> PathBuf {
+    pub(crate) fn out_path(&self, file: &str) -> PathBuf {
         std::fs::create_dir_all(&self.out).expect("create results dir");
         self.out.join(file)
     }
@@ -132,7 +132,7 @@ impl Args {
     /// # Panics
     ///
     /// Panics on I/O errors.
-    pub fn write_journal(&self, journal: &Journal) {
+    pub(crate) fn write_journal(&self, journal: &Journal) {
         let Some(path) = &self.journal else {
             return;
         };
@@ -151,7 +151,7 @@ impl Args {
     /// seed and writes it to the `--journal` path. A no-op without the
     /// flag; cluster experiments call this once on their primary
     /// scenario.
-    pub fn record_journal(&self, spec: &ScenarioSpec) {
+    pub(crate) fn record_journal(&self, spec: &ScenarioSpec) {
         if self.journal.is_some() {
             let (_, journal) = Journal::record(2, spec, self.seed);
             self.write_journal(&journal);
@@ -166,7 +166,7 @@ impl Args {
 ///
 /// A human-readable message naming the file for I/O failures or the first
 /// offending line for parse failures.
-pub fn load_scenario(path: &Path) -> Result<ScenarioSpec, String> {
+pub(crate) fn load_scenario(path: &Path) -> Result<ScenarioSpec, String> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| format!("reading scenario {}: {e}", path.display()))?;
     ScenarioSpec::from_text(&text).map_err(|e| format!("parsing scenario {}: {e}", path.display()))

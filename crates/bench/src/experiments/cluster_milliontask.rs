@@ -12,7 +12,7 @@
 //!   order (`AggregateMetrics::new`), whichever worker reported them,
 //!   asserted byte-identical across worker counts;
 //! * node task arenas recycle departed slots behind generation tags
-//!   (the one-node `mem_report` table below prices the frozen arena);
+//!   (the one-node `mem_report` table below reports their footprint);
 //! * sketch aggregates keep per-node report state O(bins), so fleet CDFs
 //!   never materialise a million gap vectors.
 //!
@@ -168,22 +168,13 @@ pub fn run(args: &Args) -> Vec<Table> {
     push_row("feedback", &feedback, t_feedback);
 
     // Arena accounting on the churn workload: admissions ≫ peak live, so
-    // the free-list holds bytes/task near the steady-state floor while the
-    // frozen arena pays a full slot per admission.
+    // the free-list holds bytes/task near the steady-state floor (what a
+    // frozen arena would cost instead is `cluster::mem`'s unit test).
     let (waves, per_wave) = mem_sizes(args);
-    let mem_on = churn_mem_report(waves, per_wave, true, args.seed);
-    let mem_off = churn_mem_report(waves, per_wave, false, args.seed);
-    assert!(
-        mem_off.bytes_per_task() >= 2.0 * mem_on.bytes_per_task(),
-        "recycling must at least halve bytes/task on the churn workload \
-         ({:.1} vs {:.1})",
-        mem_off.bytes_per_task(),
-        mem_on.bytes_per_task()
-    );
+    let r = churn_mem_report(waves, per_wave, args.seed);
     let mut mem = Table::new(
         "cluster_milliontask_mem.csv",
         [
-            plain("recycling"),
             plain("admitted"),
             plain("peak_live"),
             plain("slots"),
@@ -193,23 +184,20 @@ pub fn run(args: &Args) -> Vec<Table> {
         ],
     )
     .heading(format!(
-        "mem_report: churn workload, {waves} waves x {per_wave} tasks"
+        "mem_report: recycling arena, churn workload, {waves} waves x {per_wave} tasks"
     ))
     .note(format!(
         "(assertions passed: {tasks} live tasks at horizon; byte-identical across \
-         thread counts{}; recycling halves churn bytes/task)",
+         thread counts{})",
         if args.smoke { " (1/2)" } else { " (1/2/8)" },
     ));
-    for r in [&mem_off, &mem_on] {
-        mem.row(vec![
-            if r.recycle { "on" } else { "off" }.to_owned(),
-            r.stats.admitted.to_string(),
-            r.peak_live.to_string(),
-            r.stats.slots.to_string(),
-            r.stats.retired.to_string(),
-            r.stats.bytes.to_string(),
-            fmt(r.bytes_per_task(), 1),
-        ]);
-    }
+    mem.row(vec![
+        r.stats.admitted.to_string(),
+        r.peak_live.to_string(),
+        r.stats.slots.to_string(),
+        r.stats.retired.to_string(),
+        r.stats.bytes.to_string(),
+        fmt(r.bytes_per_task(), 1),
+    ]);
     vec![matrix, mem]
 }

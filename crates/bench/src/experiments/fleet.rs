@@ -12,7 +12,7 @@ use selftune_cluster::prelude::*;
 ///
 /// A caller that gets `Some` skips its improvement claims — an arbitrary
 /// scenario file carries no guarantee that feedback wins.
-pub fn scenario_override(
+pub(crate) fn scenario_override(
     args: &Args,
     freeze: impl FnOnce(&mut ScenarioSpec),
 ) -> Option<(ScenarioSpec, ScenarioSpec)> {
@@ -25,7 +25,7 @@ pub fn scenario_override(
 /// Asserts that `run(t)` reproduces `reference` byte for byte for every
 /// thread count in `threads`: epoch barriers, reductions and migrations
 /// must not observe the worker count. Each run is dropped once compared.
-pub fn assert_thread_identity(
+pub(crate) fn assert_thread_identity(
     what: &str,
     reference: &AggregateMetrics,
     threads: &[usize],
@@ -43,7 +43,7 @@ pub fn assert_thread_identity(
 
 /// Asserts that `winner` missed a smaller share of its deadlines than
 /// `loser`.
-pub fn assert_fewer_misses(
+pub(crate) fn assert_fewer_misses(
     winner_name: &str,
     winner: &AggregateMetrics,
     loser_name: &str,
@@ -60,7 +60,7 @@ pub fn assert_fewer_misses(
 /// The point of the rebalancer, asserted on the built-in scenarios:
 /// measured feedback beats the frozen nominal plan, and does so by
 /// migrating.
-pub fn assert_feedback_wins(frozen: &AggregateMetrics, feedback: &AggregateMetrics) {
+pub(crate) fn assert_feedback_wins(frozen: &AggregateMetrics, feedback: &AggregateMetrics) {
     assert_fewer_misses("feedback", feedback, "static placement", frozen);
     assert!(
         feedback.rebalance.moves >= 1,

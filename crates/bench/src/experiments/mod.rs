@@ -42,7 +42,9 @@ pub enum Group {
     /// ablations of its design choices. Seconds with `--fast`.
     Paper,
     /// What this repository built on top: VM, fleet, journal and replica
-    /// experiments. Minutes; `cluster_milliontask` needs ~16 GB.
+    /// experiments. Minutes; `cluster_milliontask`'s full-length row is
+    /// unmeasured (its release e2e test peaks at 6.7 GiB resident,
+    /// `--smoke` at 3.9 GiB).
     Fleet,
 }
 

@@ -26,11 +26,12 @@ pub mod table;
 
 use std::time::Instant;
 
-pub use cli::{load_scenario, Args};
-pub use table::{col, plain, Show, Table};
+pub use cli::Args;
+pub(crate) use table::col;
+pub use table::{plain, Show, Table};
 
 /// Wall-clock time of `f`, in microseconds, together with its result.
-pub fn time_us<T>(f: impl FnOnce() -> T) -> (T, f64) {
+pub(crate) fn time_us<T>(f: impl FnOnce() -> T) -> (T, f64) {
     let start = Instant::now();
     let out = f();
     (out, start.elapsed().as_secs_f64() * 1e6)
@@ -44,6 +45,7 @@ pub fn fmt(v: f64, decimals: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cli::load_scenario;
     use std::path::Path;
 
     #[test]

@@ -3,7 +3,8 @@
 //! Selectors come first, the flags of [`selftune_bench::Args`] after them.
 //! `paper` is the paper's own evaluation (seconds with `--fast`), `fleet`
 //! everything built on top, `all` both — `fleet` and `all` include the
-//! 1M-task point, which needs ~16 GB.
+//! 1M-task point, whose full-length row is unmeasured (on 2 vCPUs / 16 GB
+//! its release e2e test peaks at 6.7 GiB resident, `--smoke` at 3.9 GiB).
 
 use selftune_bench::experiments::{select, REGISTRY};
 use selftune_bench::Args;

@@ -17,7 +17,11 @@ use crate::{time_us, Args};
 ///
 /// Returns the raw trace events of the player and its task id — the input
 /// of the period-detection experiments (Figures 10–12, Table 2).
-pub fn mp3_trace(load_percent: u32, trace_secs: f64, seed: u64) -> (Vec<TraceEvent>, TaskId) {
+pub(crate) fn mp3_trace(
+    load_percent: u32,
+    trace_secs: f64,
+    seed: u64,
+) -> (Vec<TraceEvent>, TaskId) {
     let mut rng = Rng::new(seed);
     // A 1 ms fair-class timeslice, as on an interactive desktop: slice
     // expiry splits the player's syscall bursts when best-effort noise is
@@ -62,21 +66,21 @@ pub fn mp3_trace(load_percent: u32, trace_secs: f64, seed: u64) -> (Vec<TraceEve
 
 /// Like [`mp3_trace`] but returning only the entry-edge timestamps in
 /// seconds — the analyser's input signal.
-pub fn mp3_event_times(load_percent: u32, trace_secs: f64, seed: u64) -> Vec<f64> {
+pub(crate) fn mp3_event_times(load_percent: u32, trace_secs: f64, seed: u64) -> Vec<f64> {
     let (events, tid) = mp3_trace(load_percent, trace_secs, seed);
     entry_times_secs(&events, tid)
 }
 
 /// The observation windows Figures 6–9 slide over one 8 s trace of the
 /// quiet player: `reps` windows per horizon, starting 40 ms apart.
-pub struct SlidingWindows {
+pub(crate) struct SlidingWindows {
     times: Vec<f64>,
     reps: usize,
 }
 
 impl SlidingWindows {
     /// Horizons `H` swept by every one of those figures, seconds.
-    pub const HORIZONS: [f64; 4] = [0.5, 1.0, 1.5, 2.0];
+    pub(crate) const HORIZONS: [f64; 4] = [0.5, 1.0, 1.5, 2.0];
 
     /// Traces the player; 100 windows per horizon, 10 with `--fast`.
     pub fn trace(args: &Args) -> SlidingWindows {
@@ -97,14 +101,14 @@ impl SlidingWindows {
     }
 
     /// The amplitude spectrum of every window of length `h`.
-    pub fn spectra(&self, h: f64, cfg: SpectrumConfig) -> Vec<Spectrum> {
+    pub(crate) fn spectra(&self, h: f64, cfg: SpectrumConfig) -> Vec<Spectrum> {
         self.of(h).map(|ev| amplitude_spectrum(ev, cfg)).collect()
     }
 
     /// Times the transform over every window of length `h`: its costs in
     /// milliseconds (as in the paper's plots) and the frequencies the
     /// default detector finds in the spectra.
-    pub fn timed_transform(&self, h: f64, cfg: SpectrumConfig) -> (Vec<f64>, Vec<f64>) {
+    pub(crate) fn timed_transform(&self, h: f64, cfg: SpectrumConfig) -> (Vec<f64>, Vec<f64>) {
         let mut costs = Vec::with_capacity(self.reps);
         let mut freqs = Vec::with_capacity(self.reps);
         for ev in self.of(h) {
@@ -117,7 +121,7 @@ impl SlidingWindows {
 }
 
 /// Outcome of one adaptive video run (Figures 13–14, Table 3).
-pub struct VideoRunOutcome {
+pub(crate) struct VideoRunOutcome {
     /// Inter-frame times, milliseconds, in frame order.
     pub ift_ms: Vec<f64>,
     /// `(time, granted bandwidth)` series.
@@ -131,12 +135,12 @@ pub struct VideoRunOutcome {
 impl VideoRunOutcome {
     /// The inter-frame times after the first `warmup` frames (the
     /// adaptation transient).
-    pub fn steady_ift(&self, warmup: usize) -> &[f64] {
+    pub(crate) fn steady_ift(&self, warmup: usize) -> &[f64] {
         &self.ift_ms[warmup.min(self.ift_ms.len().saturating_sub(1))..]
     }
 
     /// The granted bandwidths, without their timestamps.
-    pub fn bandwidths(&self) -> Vec<f64> {
+    pub(crate) fn bandwidths(&self) -> Vec<f64> {
         self.bw.iter().map(|&(_, b)| b).collect()
     }
 }
@@ -144,7 +148,7 @@ impl VideoRunOutcome {
 /// Runs the 25 fps video player under the self-tuning manager for
 /// `secs` seconds, with `bg_util` of background RT load (in dedicated
 /// reservations) and the given controller configuration.
-pub fn video_run(
+pub(crate) fn video_run(
     ctl_cfg: ControllerConfig,
     mgr_cfg: ManagerConfig,
     bg_util: f64,

@@ -15,7 +15,7 @@ pub struct Column {
 }
 
 /// A simulated column headed `printed` on stdout and `csv` in the file.
-pub const fn col(printed: &'static str, csv: &'static str) -> Column {
+pub(crate) const fn col(printed: &'static str, csv: &'static str) -> Column {
     Column {
         printed,
         csv,
@@ -79,13 +79,13 @@ impl Table {
     }
 
     /// Sets the line(s) printed above the table.
-    pub fn heading(mut self, heading: impl Into<String>) -> Table {
+    pub(crate) fn heading(mut self, heading: impl Into<String>) -> Table {
         self.heading = heading.into();
         self
     }
 
     /// Sets the line(s) printed below the table.
-    pub fn note(mut self, note: impl Into<String>) -> Table {
+    pub(crate) fn note(mut self, note: impl Into<String>) -> Table {
         self.note = note.into();
         self
     }

@@ -388,7 +388,7 @@ impl AggregateMetrics {
     }
 
     /// The fleet-wide CDF of normalised completion gaps.
-    pub fn miss_cdf(&self) -> Vec<(f64, f64)> {
+    pub(crate) fn miss_cdf(&self) -> Vec<(f64, f64)> {
         self.cdf(|k| &k.gaps, false)
     }
 
@@ -438,7 +438,7 @@ impl AggregateMetrics {
     }
 
     /// Histogram of per-node utilisation over `[0, 1]`.
-    pub fn utilisation_histogram(&self) -> Vec<(f64, u64)> {
+    pub(crate) fn utilisation_histogram(&self) -> Vec<(f64, u64)> {
         let u: Vec<f64> = self.nodes.iter().map(|n| n.utilisation).collect();
         stats::histogram(&u, 0.0, 1.0, UTIL_BINS)
     }
@@ -463,7 +463,7 @@ impl AggregateMetrics {
     }
 
     /// Header matching [`AggregateMetrics::node_rows`].
-    pub const NODE_HEADER: [&'static str; 8] = [
+    pub(crate) const NODE_HEADER: [&'static str; 8] = [
         "node",
         "tasks",
         "rt_tasks",

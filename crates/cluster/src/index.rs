@@ -133,7 +133,7 @@ impl HeadroomIndex {
 
     /// Replaces every node's reserved value and clears suspensions (the
     /// epoch rebuild after `sync_reserved`).
-    pub fn rebuild(&mut self, reserved: &[f64]) {
+    pub(crate) fn rebuild(&mut self, reserved: &[f64]) {
         assert_eq!(reserved.len(), self.reserved.len(), "node count mismatch");
         self.by_load.clear();
         self.fenwick.iter_mut().for_each(|c| *c = 0);
@@ -172,7 +172,7 @@ impl HeadroomIndex {
     }
 
     /// Takes a node out of every query view, keeping its reserved value.
-    pub fn suspend(&mut self, node: usize) {
+    pub(crate) fn suspend(&mut self, node: usize) {
         debug_assert!(!self.suspended[node], "double suspend of node {node}");
         self.suspended[node] = true;
         self.active -= 1;
@@ -182,7 +182,7 @@ impl HeadroomIndex {
     }
 
     /// Puts a suspended node back, at its current reserved value.
-    pub fn restore(&mut self, node: usize) {
+    pub(crate) fn restore(&mut self, node: usize) {
         debug_assert!(self.suspended[node], "restore of active node {node}");
         self.suspended[node] = false;
         self.active += 1;
@@ -234,7 +234,7 @@ impl HeadroomIndex {
     /// candidates a descending-order scan would have tried and bounced off
     /// before the winner. Fenwick suffix over whole buckets, plus a walk of
     /// the value's own bucket.
-    pub fn count_heavier(&self, value: f64) -> usize {
+    pub(crate) fn count_heavier(&self, value: f64) -> usize {
         let bits = value.to_bits();
         let b = bucket_of(value);
         let mut in_bucket = 0;

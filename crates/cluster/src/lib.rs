@@ -34,7 +34,7 @@
 //! * [`placer`] — cross-node admission: candidate ordering policies over
 //!   per-node reserved bandwidth, backed by the
 //!   [`selftune_analysis::min_bandwidth_single`] schedulability test,
-//!   plus the feedback rebalance pass over live [`FeedbackView`]s.
+//!   plus the feedback rebalance pass over live [`placer::FeedbackView`]s.
 //! * [`index`] — the bucketed node-headroom index behind the placer:
 //!   every `place*` / rebalance destination query answered in O(log n)
 //!   instead of a full fleet scan, byte-identical to the scan path (the
@@ -94,20 +94,16 @@ mod stages;
 pub mod textio;
 
 pub use aggregate::{
-    AdmissionStats, AggregateMetrics, MigrationRecord, NodeReport, NodeSketches, NodeTotals,
-    RebalanceStats, TaskReport,
+    AdmissionStats, AggregateMetrics, NodeReport, NodeSketches, NodeTotals, TaskReport,
 };
 pub use events::{sort_events, FleetEvent, JournalSink, NodeSnap};
 pub use index::HeadroomIndex;
-pub use mem::{churn_mem_report, ChurnMemReport};
-pub use node::{ArenaMemStats, Lease, Node, NodeFeedback, NodeTask, NodeVm, WarmStart};
-pub use placer::{
-    FeedbackView, LiveTask, LiveVmUnit, Migration, PlacementOutcome, Placer, PolicyKind,
-    RebalanceOutcome,
-};
+pub use mem::churn_mem_report;
+pub use node::{Lease, Node, NodeFeedback, NodeTask, NodeVm, WarmStart};
+pub use placer::{Migration, PlacementOutcome, Placer, PolicyKind};
 pub use runner::{
-    derive_task_seed, plan_fleet, plan_fleet_pinned, ClusterRunner, EpochDecision, EpochPin,
-    FleetPlan, PinSource, PinnedMoves, PinnedPlan, PlannedTask, PlannedVm,
+    plan_fleet, plan_fleet_pinned, ClusterRunner, EpochDecision, EpochPin, FleetPlan, PinSource,
+    PinnedMoves, PinnedPlan,
 };
 pub use sketch::StreamSketch;
 pub use spec::{
@@ -117,12 +113,10 @@ pub use spec::{
 
 /// One-stop imports for fleet experiments.
 pub mod prelude {
-    pub use crate::aggregate::{
-        AdmissionStats, AggregateMetrics, MigrationRecord, NodeReport, RebalanceStats,
-    };
+    pub use crate::aggregate::{AdmissionStats, AggregateMetrics, NodeReport};
     pub use crate::events::{sort_events, FleetEvent, JournalSink, NodeSnap};
     pub use crate::node::{NodeFeedback, WarmStart};
-    pub use crate::placer::{FeedbackView, Migration, PlacementOutcome, Placer, PolicyKind};
+    pub use crate::placer::{Migration, PlacementOutcome, Placer, PolicyKind};
     pub use crate::runner::{
         plan_fleet, plan_fleet_pinned, ClusterRunner, EpochDecision, FleetPlan, PinnedMoves,
         PinnedPlan,

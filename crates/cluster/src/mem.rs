@@ -6,9 +6,10 @@
 //! bytes_per_task` row of `BENCH_cluster.json`): admissions far exceed
 //! peak live tasks (tasks churn through and depart), so a recycling arena
 //! holds ~peak-live full slots plus lean retired records, while the
-//! pre-free-list arena keeps one full slot per task ever admitted. It is
-//! the one place outside `node.rs` that freezes an arena, and it does so
-//! on a single node it builds itself — a fleet run always recycles.
+//! pre-free-list arena keeps one full slot per task ever admitted. The
+//! report always recycles, as a fleet does; only this module's test
+//! freezes an arena (through the test-only `Node::set_recycle`) to price
+//! what recycling saves.
 
 use crate::node::{ArenaMemStats, Node, NodeTask};
 use crate::spec::{ScenarioSpec, TaskKind};
@@ -17,8 +18,6 @@ use selftune_simcore::time::{Dur, Time};
 /// Outcome of one churn run (see [`churn_mem_report`]).
 #[derive(Clone, Copy, Debug)]
 pub struct ChurnMemReport {
-    /// Whether the arena's slot free-list was enabled for this run.
-    pub recycle: bool,
     /// Admit/depart waves driven through the node.
     pub waves: usize,
     /// Tasks admitted per wave.
@@ -45,12 +44,23 @@ impl ChurnMemReport {
 /// steady-state population. Total admissions are therefore `waves ×
 /// per_wave` against a peak live population of roughly `per_wave`; the
 /// gap between the two is what slot recycling reclaims.
-pub fn churn_mem_report(waves: usize, per_wave: usize, recycle: bool, seed: u64) -> ChurnMemReport {
+pub fn churn_mem_report(waves: usize, per_wave: usize, seed: u64) -> ChurnMemReport {
+    churn(waves, per_wave, seed, |_| {})
+}
+
+/// [`churn_mem_report`] with `setup` applied to the node before the first
+/// wave.
+fn churn(
+    waves: usize,
+    per_wave: usize,
+    seed: u64,
+    setup: impl FnOnce(&mut Node),
+) -> ChurnMemReport {
     assert!(waves >= 1 && per_wave >= 1);
     let wave_ms = 400u64;
     let spec = ScenarioSpec::new("mem-churn", 1, 0, Dur::ms(waves as u64 * wave_ms));
     let mut node = Node::new(0, &spec);
-    node.set_recycle(recycle);
+    setup(&mut node);
     let mut peak_live = 0usize;
     let mut fleet_id = 0usize;
     for w in 0..waves {
@@ -76,7 +86,6 @@ pub fn churn_mem_report(waves: usize, per_wave: usize, recycle: bool, seed: u64)
         peak_live = peak_live.max(node.mem_stats().live);
     }
     ChurnMemReport {
-        recycle,
         waves,
         per_wave,
         peak_live,
@@ -90,7 +99,7 @@ mod tests {
 
     #[test]
     fn churn_report_counts_every_admission() {
-        let r = churn_mem_report(4, 40, true, 7);
+        let r = churn_mem_report(4, 40, 7);
         assert_eq!(r.stats.admitted, 160);
         // Only the last wave stays live.
         assert_eq!(r.stats.live, 40);
@@ -100,8 +109,8 @@ mod tests {
 
     #[test]
     fn recycling_reclaims_churned_slots() {
-        let on = churn_mem_report(10, 40, true, 7);
-        let off = churn_mem_report(10, 40, false, 7);
+        let on = churn_mem_report(10, 40, 7);
+        let off = churn(10, 40, 7, |node| node.set_recycle(false));
         // Same workload either way.
         assert_eq!(on.stats.admitted, off.stats.admitted);
         assert_eq!(on.stats.live, off.stats.live);

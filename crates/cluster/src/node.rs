@@ -67,7 +67,7 @@ impl WarmStart {
     /// source of the "never carry a compressed grant verbatim" rule: a
     /// budget measured under compression re-creates the starvation on the
     /// destination, so it is floored at the demand the hand-over books.
-    pub fn demand_sized(granted: Dur, period: Dur, demand: f64) -> WarmStart {
+    pub(crate) fn demand_sized(granted: Dur, period: Dur, demand: f64) -> WarmStart {
         WarmStart {
             budget: granted.max(period.mul_f64(demand)).min(period),
             period,
@@ -234,8 +234,8 @@ struct TaskArena {
     free: Vec<usize>,
     /// Frozen records of every departed occupant, in retirement order.
     retired: Vec<RetiredTask>,
-    /// Whether retired slots are recycled (always on in a fleet run; see
-    /// [`Node::set_recycle`] for the one-node reference).
+    /// Whether retired slots are recycled (always on outside the tests of
+    /// `Node::set_recycle`).
     recycle: bool,
 }
 
@@ -393,8 +393,6 @@ struct VmRt {
     plan: NodeVm,
     guests: TaskArena,
     released: bool,
-    /// VM share consumption up to the last feedback snapshot.
-    fb_consumed: Dur,
 }
 
 /// What a node *measured* over the last epoch — the live signal the fleet
@@ -666,13 +664,12 @@ impl Node {
 
     /// Turns arena slot recycling on or off (on by default) for the flat
     /// arena and every guest arena created afterwards. `off` is the
-    /// grow-forever reference: `tests/props.rs::
-    /// slot_recycling_never_resurrects_a_departed_task` holds a frozen twin
-    /// node to byte-identical reports, and the one-node churn table of
-    /// [`crate::mem`] measures the bytes it costs. No runner forwards the
-    /// choice — a fleet always recycles.
-    #[doc(hidden)]
-    pub fn set_recycle(&mut self, on: bool) {
+    /// grow-forever reference: `slot_recycling_never_resurrects_a_departed_task`
+    /// below holds a frozen twin node to byte-identical reports, and
+    /// `crate::mem`'s test measures the bytes it costs. Test-only — a
+    /// fleet always recycles.
+    #[cfg(test)]
+    pub(crate) fn set_recycle(&mut self, on: bool) {
         self.recycle = on;
         self.tasks.recycle = on;
         for rt in &mut self.vms {
@@ -700,7 +697,7 @@ impl Node {
     /// decision taken at an epoch barrier): lowering the bound
     /// proportionally recompresses every live grant in place, raising it
     /// restores headroom the next self-tuning requests can claim.
-    pub fn set_ulub(&mut self, ulub: f64) {
+    pub(crate) fn set_ulub(&mut self, ulub: f64) {
         self.stack.platform.set_host_ulub(ulub);
     }
 
@@ -757,7 +754,6 @@ impl Node {
             plan,
             guests,
             released: false,
-            fb_consumed: Dur::ZERO,
         });
     }
 
@@ -856,14 +852,10 @@ impl Node {
             if rt.released {
                 continue;
             }
-            let consumed = stack.platform.vm_consumed(rt.vm);
-            let delta = consumed.saturating_sub(rt.fb_consumed);
-            rt.fb_consumed = consumed;
             live_vms.push(LiveVmUnit {
                 fleet_vm_id: rt.plan.fleet_vm_id,
                 node: self.id,
                 share: stack.platform.vm_share(rt.vm),
-                measured_bw: resident_bw(delta, rt.plan.arrival, epoch),
                 movable: rt.plan.arrival <= prev,
                 elastic: rt.plan.elastic,
                 guest_grants,
@@ -892,7 +884,7 @@ impl Node {
     /// decision events, mapping kernel VM ids back to fleet VM ids.
     /// Grants of a VM that was since extracted are dropped — its fleet
     /// identity now lives (re-granted afresh) on the destination node.
-    pub fn drain_share_events(&mut self) -> Vec<FleetEvent> {
+    pub(crate) fn drain_share_events(&mut self) -> Vec<FleetEvent> {
         let vms = &self.vms;
         let id = self.id;
         self.stack
@@ -926,7 +918,7 @@ impl Node {
     ///
     /// Returns `None` when the task is unknown, already departed or
     /// already extracted — the migration is then dropped.
-    pub fn extract_task(&mut self, fleet_id: usize) -> Option<Option<WarmStart>> {
+    pub(crate) fn extract_task(&mut self, fleet_id: usize) -> Option<Option<WarmStart>> {
         // Migration decisions are made from `live_rt` feedback, so the
         // target is always a live real-time task — the active list *is*
         // the search space: a departed task left it at the sampling step
@@ -947,7 +939,7 @@ impl Node {
     /// task and releases the VM's share. Completions so far stay in this
     /// node's report. Returns `false` when the VM is unknown or already
     /// extracted.
-    pub fn extract_vm(&mut self, fleet_vm_id: usize) -> bool {
+    pub(crate) fn extract_vm(&mut self, fleet_vm_id: usize) -> bool {
         let live = |rt: &&mut VmRt| rt.plan.fleet_vm_id == fleet_vm_id && !rt.released;
         let Some(rt) = self.vms.iter_mut().find(live) else {
             return false;
@@ -1142,7 +1134,9 @@ impl Seen<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::aggregate::{AdmissionStats, AggregateMetrics};
     use crate::spec::{RebalanceSpec, ScenarioSpec};
+    use proptest::prelude::*;
 
     fn tiny_spec() -> ScenarioSpec {
         ScenarioSpec::new("node-test", 1, 0, Dur::secs(3))
@@ -1365,7 +1359,7 @@ mod tests {
         let fb = node2.feedback(e1);
         assert_eq!(fb.live_vms.len(), 1);
         assert!((fb.live_vms[0].share - 0.3).abs() < 1e-9);
-        assert!(fb.live_vms[0].measured_bw > 0.05);
+        assert!(fb.utilisation > 0.05, "guests ran: {}", fb.utilisation);
         assert!(fb.live_vms[0].movable);
         assert!(fb.gaps > 10, "guest gaps feed node pressure: {}", fb.gaps);
     }
@@ -1449,5 +1443,99 @@ mod tests {
         let report = node.report(e2);
         assert!(report.reserved_bw < 0.05, "residual {}", report.reserved_bw);
         assert!(report.tasks[0].completions > 0, "pre-extraction work kept");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(6))]
+
+        #[test]
+        fn slot_recycling_never_resurrects_a_departed_task(
+            seed in 0u64..1_000_000,
+            waves in prop::collection::vec(
+                prop::collection::vec((1u64..4, 50u64..90, any::<bool>()), 1..4),
+                2..5,
+            ),
+        ) {
+            // Churned arenas recycle retired slots; a recycled slot must
+            // never bring its previous occupant back. Departed fleet ids
+            // stay out of every later feedback snapshot, extraction finds
+            // nothing to move, and the final report holds each admitted id
+            // exactly once. Recycling itself must be unobservable: a twin
+            // node with the free-list disabled emits the identical bytes.
+            let spec = ScenarioSpec::new("prop-recycle", 1, 0, Dur::secs(10));
+            let mut node = Node::new(0, &spec);
+            let mut frozen = Node::new(0, &spec);
+            frozen.set_recycle(false);
+            let wave_ms = 400u64;
+            let (mut admitted, mut departed) = (Vec::new(), Vec::new());
+            let (mut free, mut recycled) = (0usize, 0usize);
+            let mut now = Time::ZERO;
+            for (w, tasks) in waves.iter().enumerate() {
+                let start = Time::ZERO + Dur::ms(w as u64 * wave_ms);
+                for &(wcet, period, departs) in tasks {
+                    let fleet_id = admitted.len();
+                    let plan = NodeTask {
+                        fleet_id,
+                        label: format!("t{fleet_id:03}"),
+                        kind: TaskKind::PeriodicRt {
+                            wcet: Dur::ms(wcet),
+                            period: Dur::ms(period),
+                        },
+                        // A lease expires at the task's next activation, so a
+                        // departure needs at least a period of slack before
+                        // the wave boundary to have actually retired by then.
+                        arrival: start,
+                        departure: departs.then(|| start + Dur::ms(100)),
+                        seed: seed ^ fleet_id as u64,
+                        migrated: false,
+                        warm: None,
+                    };
+                    node.add_task(plan.clone());
+                    frozen.add_task(plan);
+                    if free > 0 {
+                        free -= 1;
+                        recycled += 1;
+                    }
+                    admitted.push(fleet_id);
+                    if departs {
+                        departed.push(fleet_id);
+                    }
+                }
+                now = start + Dur::ms(wave_ms);
+                node.run_to_horizon(now);
+                frozen.run_to_horizon(now);
+                let fb = node.feedback(now);
+                frozen.feedback(now);
+                for lr in &fb.live_rt {
+                    prop_assert!(
+                        !departed.contains(&lr.fleet_id),
+                        "departed task {} resurfaced in live_rt", lr.fleet_id
+                    );
+                }
+                // Slots freed by this wave's departures become reusable only
+                // after the retirement scan, i.e. for the *next* wave.
+                free += tasks.iter().filter(|t| t.2).count();
+            }
+            // Slot audit: every recycled admission consumed a freed slot,
+            // while the frozen twin's arena grew monotonically.
+            prop_assert_eq!(node.mem_stats().slots, admitted.len() - recycled);
+            prop_assert_eq!(frozen.mem_stats().slots, admitted.len());
+            // Each admitted id reports exactly once, recycled slot or not,
+            // and the free-list is invisible in the aggregate bytes.
+            let a = AggregateMetrics::new("prop-recycle", seed, AdmissionStats::default(),
+                vec![node.report_mode(now, true)]);
+            let b = AggregateMetrics::new("prop-recycle", seed, AdmissionStats::default(),
+                vec![frozen.report_mode(now, true)]);
+            let mut ids: Vec<u32> = a.nodes[0].tasks.iter().map(|t| t.fleet_id).collect();
+            prop_assert_eq!(ids.len(), admitted.len());
+            ids.sort_unstable();
+            ids.dedup();
+            prop_assert_eq!(ids.len(), admitted.len());
+            prop_assert_eq!(a.summary_csv(), b.summary_csv());
+            // A departed id is gone for good: extraction cannot revive it.
+            for &d in &departed {
+                prop_assert!(node.extract_task(d).is_none(), "extracted departed task {}", d);
+            }
+        }
     }
 }

@@ -111,12 +111,12 @@ impl FeedbackView {
     /// Nodes reporting a busy fraction above this are never chosen as
     /// migration destinations, even when their reservations have room —
     /// a hog-saturated node shows no RT misses but is no place to land.
-    pub const DEST_UTIL_CAP: f64 = 0.97;
+    pub(crate) const DEST_UTIL_CAP: f64 = 0.97;
 
     /// Weight of the per-task compression-event rate in the raw pressure
     /// signal: a node whose supervisor curbs one grant per live task per
     /// epoch reads as this much extra pressure.
-    pub const COMPRESSION_WEIGHT: f64 = 0.1;
+    pub(crate) const COMPRESSION_WEIGHT: f64 = 0.1;
 
     /// Raw (single-epoch) migration pressure of a node: its measured
     /// deadline-miss rate over the last epoch.
@@ -127,7 +127,7 @@ impl FeedbackView {
     /// reads as maximal pressure. (Zero gaps on an unsaturated node — a
     /// long-period task between completions, or tasks that just arrived —
     /// stays zero pressure.)
-    pub fn raw_pressure(&self, node: usize) -> f64 {
+    pub(crate) fn raw_pressure(&self, node: usize) -> f64 {
         let fb = &self.nodes[node];
         let live = !fb.live_rt.is_empty() || !fb.live_vms.is_empty();
         if fb.gaps == 0 && live && fb.utilisation > Self::DEST_UTIL_CAP {
@@ -139,7 +139,7 @@ impl FeedbackView {
     /// Raw pressure plus the supervisor-compression term: the per-epoch
     /// signal the runner's EWMA accumulates. Compression events are a
     /// leading indicator — grants get curbed before misses pile up.
-    pub fn raw_signal(&self, node: usize) -> f64 {
+    pub(crate) fn raw_signal(&self, node: usize) -> f64 {
         let fb = &self.nodes[node];
         let units = (fb.live_rt.len() + fb.live_vms.len()).max(1) as f64;
         let compression = Self::COMPRESSION_WEIGHT * (fb.compressions as f64 / units);
@@ -193,8 +193,6 @@ pub struct LiveVmUnit {
     /// an elastic VM this is the controller's live grant, so a shrunk
     /// tenant frees real placement headroom.
     pub share: f64,
-    /// CPU bandwidth the VM measurably consumed over the last epoch.
-    pub measured_bw: f64,
     /// Whether the VM is a migration candidate (resident for a full
     /// epoch).
     pub movable: bool,
@@ -315,12 +313,12 @@ impl Placer {
     /// The bandwidth the placer books for `task`: the minimum schedulable
     /// bandwidth of a dedicated server at the task's own period, times the
     /// headroom factor, capped at 1.
-    pub fn demand_of(&self, task: PeriodicTask) -> f64 {
+    pub(crate) fn demand_of(&self, task: PeriodicTask) -> f64 {
         (min_bandwidth_single(task, task.period) * self.headroom).min(1.0)
     }
 
     /// Releases every reservation scheduled to end at or before `now_ns`.
-    pub fn release_due(&mut self, now_ns: u64) {
+    pub(crate) fn release_due(&mut self, now_ns: u64) {
         let mut i = 0;
         while i < self.releases.len() {
             if self.releases[i].0 <= now_ns {
@@ -350,7 +348,7 @@ impl Placer {
 
     /// Places an explicit bandwidth demand (a VM's share, which is booked
     /// as given rather than derived from a nominal task).
-    pub fn place_demand(
+    pub(crate) fn place_demand(
         &mut self,
         demand: f64,
         now_ns: u64,
@@ -436,7 +434,7 @@ impl Placer {
 
     /// Places a best-effort task: least-loaded node by best-effort count,
     /// ties to the lower id. Best-effort work is never rejected.
-    pub fn place_best_effort(&mut self) -> usize {
+    pub(crate) fn place_best_effort(&mut self) -> usize {
         if let Some(order) = self.be_order.as_mut() {
             let &(count, node) = order.first().expect("at least one node");
             order.remove(&(count, node));
@@ -458,7 +456,7 @@ impl Placer {
     /// # Panics
     ///
     /// Panics if `reserved` does not have one entry per node.
-    pub fn sync_reserved(&mut self, reserved: &[f64]) {
+    pub(crate) fn sync_reserved(&mut self, reserved: &[f64]) {
         assert_eq!(reserved.len(), self.reserved.len(), "node count mismatch");
         self.reserved.copy_from_slice(reserved);
         self.releases.clear();
@@ -474,7 +472,12 @@ impl Placer {
     /// rule shared by the epoch reserved-state rebuild (`starvation = 1`)
     /// and the rebalancer's victim sizing — journal records and live
     /// decisions can never disagree on the math.
-    pub fn live_booking(&self, nominal: PeriodicTask, measured_bw: f64, starvation: f64) -> f64 {
+    pub(crate) fn live_booking(
+        &self,
+        nominal: PeriodicTask,
+        measured_bw: f64,
+        starvation: f64,
+    ) -> f64 {
         self.demand_of(nominal)
             .max((measured_bw * self.headroom * starvation).min(1.0))
     }
@@ -483,7 +486,7 @@ impl Placer {
     /// inflation: a task whose claim understates its appetite is booked at
     /// what it was seen to burn — so a drained node cannot simply re-melt
     /// its destination.
-    pub fn effective_demand(&self, task: &LiveTask) -> f64 {
+    pub(crate) fn effective_demand(&self, task: &LiveTask) -> f64 {
         self.live_booking(task.nominal, task.measured_bw, 1.0)
     }
 
@@ -491,7 +494,7 @@ impl Placer {
     /// skipping `banned` nodes (the pressured sources and saturated
     /// destinations), and books the first node with room for `demand`
     /// under the same utilisation bound initial placement uses.
-    pub fn place_excluding(&mut self, demand: f64, banned: &[bool]) -> Option<usize> {
+    pub(crate) fn place_excluding(&mut self, demand: f64, banned: &[bool]) -> Option<usize> {
         if self.scan {
             return self.place_excluding_scan(demand, banned);
         }
@@ -519,7 +522,7 @@ impl Placer {
     /// slice of the fleet. It rides [`Placer::place_excluding`];
     /// `migrations` is always reported as 0
     /// because the filtered walk does not count bounced candidates.
-    pub fn place_demand_excluding(
+    pub(crate) fn place_demand_excluding(
         &mut self,
         demand: f64,
         now_ns: u64,
@@ -597,7 +600,7 @@ impl Placer {
     /// Nodes whose measured pressure exceeds `cfg.pressure` are drained in
     /// descending-pressure order (ties to the lower id): their movable
     /// tasks are evicted largest-demand-first and re-placed through
-    /// [`Placer::place_excluding`], until no admissible destination
+    /// `Placer::place_excluding`, until no admissible destination
     /// remains or the fleet-wide `cfg.max_moves` cap is reached. The drain
     /// is deliberately *not* bounded by nominal bandwidth balance: a node
     /// can be perfectly balanced on paper and still melting in
@@ -1201,7 +1204,6 @@ mod tests {
                         fleet_vm_id: 100 + i as usize,
                         node: (xorshift(&mut rng) % nodes as u64) as usize,
                         share: (10 + xorshift(&mut rng) % 30) as f64 / 100.0,
-                        measured_bw: 0.0,
                         movable: !xorshift(&mut rng).is_multiple_of(3),
                         elastic: xorshift(&mut rng).is_multiple_of(4),
                         guest_grants: vec![(

@@ -23,7 +23,7 @@ use crate::spec::{ArrivalSchedule, ScenarioSpec, TaskKind};
 ///
 /// Stateless in everything but `(base_seed, task_id)`, so the derivation
 /// does not depend on planning order or thread schedule.
-pub fn derive_task_seed(base_seed: u64, task_id: u64) -> u64 {
+pub(crate) fn derive_task_seed(base_seed: u64, task_id: u64) -> u64 {
     let mut s = base_seed ^ task_id.wrapping_mul(0xA076_1D64_78BD_642F);
     let a = splitmix64(&mut s);
     splitmix64(&mut s) ^ a.rotate_left(17)

@@ -41,7 +41,7 @@ use crate::events::{sort_events, FleetEvent, JournalSink};
 use crate::placer::{FeedbackView, Migration};
 use crate::plan::plan_events;
 pub use crate::plan::{
-    derive_task_seed, plan_fleet, plan_fleet_pinned, FleetPlan, PinnedPlan, PlannedTask, PlannedVm,
+    plan_fleet, plan_fleet_pinned, FleetPlan, PinnedPlan, PlannedTask, PlannedVm,
 };
 use crate::spec::ScenarioSpec;
 use crate::stages::{
@@ -664,6 +664,7 @@ impl JournalSink for CollectSink {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::derive_task_seed;
     use crate::spec::{Churn, RebalanceSpec, TaskMix};
     use crate::stages::deal_nodes;
     use proptest::prelude::*;

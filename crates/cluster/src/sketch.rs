@@ -68,7 +68,7 @@ impl StreamSketch {
 
     /// A sketch sized for attach delays in milliseconds: 1 ms resolution
     /// up to 4 s (cold-start hand-overs sit in the hundreds of ms).
-    pub fn for_delay_ms() -> StreamSketch {
+    pub(crate) fn for_delay_ms() -> StreamSketch {
         StreamSketch::new(1.0, 4000)
     }
 

@@ -232,7 +232,7 @@ impl TaskMix {
     }
 
     /// The paper's desktop: mostly media players, some synthetic RT.
-    pub fn media_heavy() -> TaskMix {
+    pub(crate) fn media_heavy() -> TaskMix {
         TaskMix::new(vec![
             (TaskKind::Video25, 3.0),
             (TaskKind::Stream30, 1.0),
@@ -546,7 +546,7 @@ impl VmSpec {
     }
 
     /// The guest kinds flattened in declaration order, one per task.
-    pub fn guest_kinds(&self) -> impl Iterator<Item = &TaskKind> {
+    pub(crate) fn guest_kinds(&self) -> impl Iterator<Item = &TaskKind> {
         self.guests
             .iter()
             .flat_map(|(n, kind)| std::iter::repeat_n(kind, *n))
@@ -768,7 +768,7 @@ impl ScenarioSpec {
     }
 
     /// Replaces the manager sampling period.
-    pub fn with_sampling(mut self, sampling: Dur) -> ScenarioSpec {
+    pub(crate) fn with_sampling(mut self, sampling: Dur) -> ScenarioSpec {
         self.sampling = sampling;
         self.checked()
     }

@@ -19,7 +19,7 @@
 use proptest::prelude::*;
 use selftune_analysis::{min_bandwidth_single, PeriodicTask};
 use selftune_cluster::prelude::*;
-use selftune_cluster::{Node, NodeSketches, NodeTask, NodeTotals, StreamSketch, TaskReport};
+use selftune_cluster::{NodeSketches, NodeTotals, StreamSketch, TaskReport};
 use selftune_simcore::rng::Rng;
 use selftune_simcore::stats::quantile_sorted;
 use selftune_simcore::time::{Dur, Time};
@@ -402,96 +402,6 @@ proptest! {
             );
             prop_assert!(r.from != r.to);
             prop_assert!(r.to < spec.nodes);
-        }
-    }
-
-    #[test]
-    fn slot_recycling_never_resurrects_a_departed_task(
-        seed in 0u64..1_000_000,
-        waves in prop::collection::vec(
-            prop::collection::vec((1u64..4, 50u64..90, any::<bool>()), 1..4),
-            2..5,
-        ),
-    ) {
-        // Churned arenas recycle retired slots; a recycled slot must
-        // never bring its previous occupant back. Departed fleet ids
-        // stay out of every later feedback snapshot, extraction finds
-        // nothing to move, and the final report holds each admitted id
-        // exactly once. Recycling itself must be unobservable: a twin
-        // node with the free-list disabled emits the identical bytes.
-        let spec = ScenarioSpec::new("prop-recycle", 1, 0, Dur::secs(10));
-        let mut node = Node::new(0, &spec);
-        let mut frozen = Node::new(0, &spec);
-        frozen.set_recycle(false);
-        let wave_ms = 400u64;
-        let (mut admitted, mut departed) = (Vec::new(), Vec::new());
-        let (mut free, mut recycled) = (0usize, 0usize);
-        let mut now = Time::ZERO;
-        for (w, tasks) in waves.iter().enumerate() {
-            let start = Time::ZERO + Dur::ms(w as u64 * wave_ms);
-            for &(wcet, period, departs) in tasks {
-                let fleet_id = admitted.len();
-                let plan = NodeTask {
-                    fleet_id,
-                    label: format!("t{fleet_id:03}"),
-                    kind: TaskKind::PeriodicRt {
-                        wcet: Dur::ms(wcet),
-                        period: Dur::ms(period),
-                    },
-                    // A lease expires at the task's next activation, so a
-                    // departure needs at least a period of slack before
-                    // the wave boundary to have actually retired by then.
-                    arrival: start,
-                    departure: departs.then(|| start + Dur::ms(100)),
-                    seed: seed ^ fleet_id as u64,
-                    migrated: false,
-                    warm: None,
-                };
-                node.add_task(plan.clone());
-                frozen.add_task(plan);
-                if free > 0 {
-                    free -= 1;
-                    recycled += 1;
-                }
-                admitted.push(fleet_id);
-                if departs {
-                    departed.push(fleet_id);
-                }
-            }
-            now = start + Dur::ms(wave_ms);
-            node.run_to_horizon(now);
-            frozen.run_to_horizon(now);
-            let fb = node.feedback(now);
-            frozen.feedback(now);
-            for lr in &fb.live_rt {
-                prop_assert!(
-                    !departed.contains(&lr.fleet_id),
-                    "departed task {} resurfaced in live_rt", lr.fleet_id
-                );
-            }
-            // Slots freed by this wave's departures become reusable only
-            // after the retirement scan, i.e. for the *next* wave.
-            free += tasks.iter().filter(|t| t.2).count();
-        }
-        // Slot audit: every recycled admission consumed a freed slot,
-        // while the frozen twin's arena grew monotonically.
-        prop_assert_eq!(node.mem_stats().slots, admitted.len() - recycled);
-        prop_assert_eq!(frozen.mem_stats().slots, admitted.len());
-        // Each admitted id reports exactly once, recycled slot or not,
-        // and the free-list is invisible in the aggregate bytes.
-        let a = AggregateMetrics::new("prop-recycle", seed, AdmissionStats::default(),
-            vec![node.report_mode(now, true)]);
-        let b = AggregateMetrics::new("prop-recycle", seed, AdmissionStats::default(),
-            vec![frozen.report_mode(now, true)]);
-        let mut ids: Vec<u32> = a.nodes[0].tasks.iter().map(|t| t.fleet_id).collect();
-        prop_assert_eq!(ids.len(), admitted.len());
-        ids.sort_unstable();
-        ids.dedup();
-        prop_assert_eq!(ids.len(), admitted.len());
-        prop_assert_eq!(a.summary_csv(), b.summary_csv());
-        // A departed id is gone for good: extraction cannot revive it.
-        for &d in &departed {
-            prop_assert!(node.extract_task(d).is_none(), "extracted departed task {}", d);
         }
     }
 }

@@ -10,7 +10,7 @@
 use crate::lfs::{Lfs, LfsConfig};
 use crate::lfspp::{BudgetRequest, LfsPlusPlus, LfsPpConfig};
 use crate::share::Hysteresis;
-use selftune_simcore::time::{Dur, Time};
+use selftune_simcore::time::Dur;
 use selftune_spectrum::{AnalyserConfig, PeriodAnalyser};
 
 /// Which feedback law drives the budget.
@@ -69,8 +69,6 @@ impl Default for ControllerConfig {
 /// Observations handed to one controller step.
 #[derive(Debug)]
 pub struct ControllerInput<'a> {
-    /// Sampling instant.
-    pub now: Time,
     /// Entry-edge timestamps (seconds) of this task's traced syscalls since
     /// the previous step.
     pub events_secs: &'a [f64],
@@ -135,7 +133,7 @@ impl TaskController {
     /// source already detected the period. Unlike `fixed_period` the
     /// belief stays *live*: fresh estimates on the destination can still
     /// revise it through the usual hysteresis/confirmation machinery.
-    pub fn with_initial_period(cfg: ControllerConfig, period: Dur) -> TaskController {
+    pub(crate) fn with_initial_period(cfg: ControllerConfig, period: Dur) -> TaskController {
         let mut ctl = TaskController::new(cfg);
         if ctl.period.is_none() && !period.is_zero() {
             ctl.period = Some(period);
@@ -197,7 +195,6 @@ mod tests {
 
     fn input<'a>(events: &'a [f64], consumed_ms: u64, attached: bool) -> ControllerInput<'a> {
         ControllerInput {
-            now: Time::ZERO + Dur::secs(1),
             events_secs: events,
             consumed: Dur::ms(consumed_ms),
             elapsed: Dur::secs(1),

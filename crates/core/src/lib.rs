@@ -4,8 +4,8 @@
 //! Real-Time Applications"* (EuroSys 2010): the paper's primary
 //! contribution, assembled from the substrate crates.
 //!
-//! * [`predictor`] — per-job cost predictors (the paper's quantile
-//!   estimator, plus EWMA and mean+kσ ablations).
+//! * [`predictor`] — the per-job cost predictor (the paper's quantile
+//!   estimator).
 //! * [`lfspp`] — the LFS++ feedback law: `Q_req = (1+x)·P(c₁..c_N)`,
 //!   `T^s = P` (Section 4.4).
 //! * [`lfs`] — the original binary-sensor LFS baseline (\[2\]).
@@ -13,9 +13,10 @@
 //! * [`manager`] — the user-space daemon: drains the tracer, drives the
 //!   controllers, executes decisions and submits requests to the
 //!   supervisor.
-//! * [`share`] — the reusable controller plane: [`DemandSignal`],
-//!   [`Hysteresis`] and the [`ShareController`] feedback law shared by
-//!   the task-level loop and `selftune-virt`'s VM-level share adaptation.
+//! * [`share`] — the reusable controller plane: [`DemandSignal`], a
+//!   confirmation hysteresis and the [`ShareController`] feedback law
+//!   shared by the task-level loop and `selftune-virt`'s VM-level share
+//!   adaptation.
 
 pub mod controller;
 pub mod lfs;
@@ -28,8 +29,8 @@ pub use controller::{ControllerConfig, ControllerInput, Decision, FeedbackKind, 
 pub use lfs::{Lfs, LfsConfig};
 pub use lfspp::{BudgetRequest, LfsPlusPlus, LfsPpConfig};
 pub use manager::{ManagerConfig, SelfTuningManager};
-pub use predictor::{EwmaEstimator, MeanSigmaEstimator, Predictor, QuantileEstimator};
+pub use predictor::{Predictor, QuantileEstimator};
 pub use share::{
-    ClampReason, DemandSignal, Hysteresis, PeriodAdapter, ShareController, ShareControllerConfig,
+    ClampReason, DemandSignal, PeriodAdapter, ShareController, ShareControllerConfig,
     ShareDecision, ShareTrace,
 };

@@ -267,19 +267,6 @@ impl SelfTuningManager {
         });
     }
 
-    /// Flat-kernel wrapper of [`SelfTuningManager::manage_warm_in`].
-    pub fn manage_warm(
-        &mut self,
-        k: &mut Kernel<ReservationScheduler>,
-        task: TaskId,
-        label: &str,
-        ctl_cfg: ControllerConfig,
-        budget: Dur,
-        period: Dur,
-    ) {
-        self.manage_warm_in(k, |s| s, task, label, ctl_cfg, budget, period);
-    }
-
     /// One sampling step against the kernel.
     ///
     /// Records, per managed task `label`:
@@ -328,7 +315,6 @@ impl SelfTuningManager {
                 continue;
             }
             let decision = mt.ctl.step(&ControllerInput {
-                now,
                 events_secs: self.demux.entries(mt.task),
                 consumed,
                 elapsed,
@@ -497,8 +483,9 @@ mod tests {
         let mut mgr = SelfTuningManager::new(ManagerConfig::default(), reader);
         // A migrated incarnation arrives with the source's grant: 14 ms
         // every 40 ms, period already detected.
-        mgr.manage_warm(
+        mgr.manage_warm_in(
             &mut k,
+            |s| s,
             tid,
             "mplayer",
             ControllerConfig::default(),

@@ -4,8 +4,7 @@
 //! `(1 + x)·P(window)` (Section 4.4). The paper proposes a *quantile
 //! estimator*: the p-th quantile of the last `N` samples, where `p = (N−j)/N`
 //! selects the (j+1)-th largest sample (`p = 1` is the max, `p = 0.9375`
-//! with `N = 16` the second maximum, and so on). EWMA and mean+kσ
-//! predictors are provided as ablation alternatives.
+//! with `N = 16` the second maximum, and so on).
 
 use selftune_simcore::time::Dur;
 use std::collections::VecDeque;
@@ -48,12 +47,14 @@ impl QuantileEstimator {
     }
 
     /// The paper's default: second maximum over 16 samples (`p = 0.9375`).
-    pub fn paper_default() -> QuantileEstimator {
+    #[cfg(test)]
+    fn paper_default() -> QuantileEstimator {
         QuantileEstimator::new(16, 0.9375)
     }
 
     /// A pure maximum estimator (`p = 1`).
-    pub fn max_of(n: usize) -> QuantileEstimator {
+    #[cfg(test)]
+    fn max_of(n: usize) -> QuantileEstimator {
         QuantileEstimator::new(n, 1.0)
     }
 
@@ -84,95 +85,6 @@ impl Predictor for QuantileEstimator {
         sorted.sort_unstable_by(|a, b| b.cmp(a)); // descending
         let idx = self.from_top.min(sorted.len() - 1);
         Some(sorted[idx])
-    }
-
-    fn reset(&mut self) {
-        self.window.clear();
-    }
-}
-
-/// Exponentially weighted moving average predictor (ablation).
-#[derive(Debug, Clone)]
-pub struct EwmaEstimator {
-    alpha: f64,
-    value: Option<f64>,
-}
-
-impl EwmaEstimator {
-    /// Creates an EWMA with smoothing factor `alpha` (weight of the newest
-    /// sample).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `alpha` is outside `(0, 1]`.
-    pub fn new(alpha: f64) -> EwmaEstimator {
-        assert!(alpha > 0.0 && alpha <= 1.0, "alpha {alpha} outside (0, 1]");
-        EwmaEstimator { alpha, value: None }
-    }
-}
-
-impl Predictor for EwmaEstimator {
-    fn observe(&mut self, sample: Dur) {
-        let s = sample.as_secs_f64();
-        self.value = Some(match self.value {
-            None => s,
-            Some(v) => self.alpha * s + (1.0 - self.alpha) * v,
-        });
-    }
-
-    fn predict(&self) -> Option<Dur> {
-        self.value.map(Dur::from_secs_f64)
-    }
-
-    fn reset(&mut self) {
-        self.value = None;
-    }
-}
-
-/// Mean plus `k` standard deviations over a sliding window (ablation).
-#[derive(Debug, Clone)]
-pub struct MeanSigmaEstimator {
-    window: VecDeque<Dur>,
-    n: usize,
-    k: f64,
-}
-
-impl MeanSigmaEstimator {
-    /// Creates a mean+kσ estimator over `n` samples.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0` or `k` is negative.
-    pub fn new(n: usize, k: f64) -> MeanSigmaEstimator {
-        assert!(n > 0 && k >= 0.0);
-        MeanSigmaEstimator {
-            window: VecDeque::with_capacity(n),
-            n,
-            k,
-        }
-    }
-}
-
-impl Predictor for MeanSigmaEstimator {
-    fn observe(&mut self, sample: Dur) {
-        if self.window.len() == self.n {
-            self.window.pop_front();
-        }
-        self.window.push_back(sample);
-    }
-
-    fn predict(&self) -> Option<Dur> {
-        if self.window.is_empty() {
-            return None;
-        }
-        let xs: Vec<f64> = self.window.iter().map(|d| d.as_secs_f64()).collect();
-        let mean = xs.iter().sum::<f64>() / xs.len() as f64;
-        let var = if xs.len() > 1 {
-            xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / (xs.len() - 1) as f64
-        } else {
-            0.0
-        };
-        Some(Dur::from_secs_f64((mean + self.k * var.sqrt()).max(0.0)))
     }
 
     fn reset(&mut self) {
@@ -238,35 +150,6 @@ mod tests {
         q.observe(ms(5));
         q.reset();
         assert_eq!(q.predict(), None);
-    }
-
-    #[test]
-    fn ewma_converges_towards_constant() {
-        let mut e = EwmaEstimator::new(0.25);
-        for _ in 0..50 {
-            e.observe(ms(8));
-        }
-        let p = e.predict().unwrap();
-        assert!((p.as_ms_f64() - 8.0).abs() < 0.01);
-    }
-
-    #[test]
-    fn ewma_tracks_step_change_gradually() {
-        let mut e = EwmaEstimator::new(0.5);
-        e.observe(ms(10));
-        e.observe(ms(20));
-        let p = e.predict().unwrap().as_ms_f64();
-        assert!((p - 15.0).abs() < 1e-9, "p = {p}");
-    }
-
-    #[test]
-    fn mean_sigma_adds_margin() {
-        let mut m = MeanSigmaEstimator::new(8, 2.0);
-        for v in [10, 12, 10, 12] {
-            m.observe(ms(v));
-        }
-        let p = m.predict().unwrap().as_ms_f64();
-        assert!(p > 11.0, "p = {p}"); // mean 11 + 2σ
     }
 
     #[test]

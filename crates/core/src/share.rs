@@ -20,7 +20,7 @@
 //!
 //! The loops need the same two ingredients this module factors out:
 //!
-//! * [`Hysteresis`] — a relative deadband with confirmation counting, so
+//! * `Hysteresis` — a relative deadband with confirmation counting, so
 //!   estimator jitter cannot churn reservations (the task controller's
 //!   period adoption and the share controller's target adoption share this
 //!   exact state machine instead of duplicating it);
@@ -39,7 +39,7 @@
 /// initial stability, and a wrong first guess is corrected by the same
 /// confirmation path.
 #[derive(Clone, Debug)]
-pub struct Hysteresis {
+pub(crate) struct Hysteresis {
     band: f64,
     confirmations: u32,
     /// Pending change: `(candidate, consecutive confirmations)`.
@@ -124,7 +124,7 @@ pub struct ShareControllerConfig {
     /// Headroom requested above the estimated demand (the LFS++ margin
     /// `x`: request `(1 + x) ×` the estimate).
     pub margin: f64,
-    /// Relative deadband of target adoption (see [`Hysteresis`]).
+    /// Relative deadband of target adoption (see `Hysteresis`).
     pub hysteresis: f64,
     /// Consecutive out-of-band estimates before the target moves.
     pub confirmations: u32,
@@ -228,7 +228,7 @@ pub struct ShareTrace {
 /// consumers inside it, so inner deadlines align with outer replenishment
 /// instead of beating against it.
 ///
-/// The adapter is a thin policy over the shared [`Hysteresis`] state
+/// The adapter is a thin policy over the shared `Hysteresis` state
 /// machine: dominant-period observations inside the deadband are
 /// absorbed, an out-of-band shift is adopted only after the configured
 /// confirmations, and the adopted period is clamped into `[min, max]` so

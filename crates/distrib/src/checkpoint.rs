@@ -20,7 +20,7 @@ use selftune_simcore::time::Time;
 use crate::frame::fnv1a64;
 
 /// Version of the checkpoint text format this crate writes and reads.
-pub const CHECKPOINT_VERSION: u32 = 1;
+pub(crate) const CHECKPOINT_VERSION: u32 = 1;
 
 /// The `cursor` / `at` / `hash` header lines a Checkpoint frame and a
 /// checkpoint file both carry: where the checkpoint stands and what its

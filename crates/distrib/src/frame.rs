@@ -22,7 +22,7 @@ use std::fmt;
 
 /// The four magic bytes every frame starts with ("selftune journal
 /// decision", wire format 1).
-pub const MAGIC: [u8; 4] = *b"SJD1";
+pub(crate) const MAGIC: [u8; 4] = *b"SJD1";
 
 /// Fixed bytes before the payload: magic + seq + kind + len.
 const HEADER_LEN: usize = 4 + 8 + 1 + 4;
@@ -91,7 +91,7 @@ impl FrameKind {
 /// Why a chunk failed to decode as a frame.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum FrameError {
-    /// The chunk does not start with [`MAGIC`].
+    /// The chunk does not start with `MAGIC`.
     BadMagic,
     /// The chunk is shorter than its header + declared payload + CRC
     /// (truncated mid-frame), or longer (two frames glued together).

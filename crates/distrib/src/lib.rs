@@ -44,7 +44,7 @@
 //!
 //! * [`frame`] — the wire format: length-prefixed, CRC-checked chunks
 //!   with journal-codec text payloads; truncation and corruption are
-//!   named [`FrameError`]s, never silent.
+//!   named [`frame::FrameError`]s, never silent.
 //! * [`transport`] — the [`Transport`] trait, the in-process
 //!   [`ChannelTransport`], and deterministic lossy / duplicating /
 //!   reordering / truncating fault wrappers for the property tests.
@@ -101,12 +101,12 @@ pub mod transport;
 
 /// Version of the wire protocol this crate speaks (the Hello frame
 /// carries it; mismatches are rejected).
-pub const WIRE_VERSION: u32 = 1;
+pub(crate) const WIRE_VERSION: u32 = 1;
 
-pub use checkpoint::{Checkpoint, CHECKPOINT_VERSION};
-pub use follower::{Applied, Follower, FollowerStats, Lag, StreamError};
-pub use frame::{crc32, fnv1a64, Frame, FrameError, FrameKind};
-pub use ship::{Shipper, ShipperProgress};
+pub use checkpoint::Checkpoint;
+pub use follower::{Applied, Follower, StreamError};
+pub use frame::{crc32, fnv1a64, Frame, FrameKind};
+pub use ship::Shipper;
 pub use transport::{
     ChannelTransport, DuplicatingTransport, LossyTransport, ReorderTransport, Transport,
     TruncatingTransport,
@@ -115,14 +115,13 @@ pub use transport::{
 /// One-stop imports for replication experiments.
 pub mod prelude {
     pub use crate::checkpoint::Checkpoint;
-    pub use crate::follower::{Applied, Follower, FollowerStats, Lag, StreamError};
-    pub use crate::frame::{Frame, FrameError, FrameKind};
-    pub use crate::ship::{Shipper, ShipperProgress};
+    pub use crate::follower::{Applied, Follower, StreamError};
+    pub use crate::frame::{Frame, FrameKind};
+    pub use crate::ship::Shipper;
     pub use crate::transport::{
         ChannelTransport, DuplicatingTransport, LossyTransport, ReorderTransport, Transport,
         TruncatingTransport,
     };
-    pub use crate::WIRE_VERSION;
 }
 
 #[cfg(test)]

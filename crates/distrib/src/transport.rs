@@ -45,12 +45,6 @@ impl ChannelTransport {
             ChannelTransport { out: b, inn: a },
         )
     }
-
-    /// Chunks queued towards the peer but not yet received — the wire
-    /// depth, one ingredient of follower lag.
-    pub fn in_flight(&self) -> usize {
-        self.out.lock().expect("transport lock").len()
-    }
 }
 
 impl Transport for ChannelTransport {
@@ -237,9 +231,7 @@ mod tests {
         for c in chunks(5) {
             a.send(c);
         }
-        assert_eq!(a.in_flight(), 5);
         assert_eq!(drain(&mut b), chunks(5));
-        assert_eq!(a.in_flight(), 0);
         b.send(vec![9]);
         assert_eq!(a.recv(), Some(vec![9]));
         assert_eq!(a.recv(), None);

@@ -46,7 +46,7 @@ use selftune_simcore::time::{Dur, Time};
 use crate::record::Journal;
 
 /// The journal format version this crate writes and understands.
-pub const FORMAT_VERSION: u32 = 1;
+pub(crate) const FORMAT_VERSION: u32 = 1;
 
 /// One entry of the line grammar the journal, the replication frames and
 /// the checkpoint files share (see [`entries`]).
@@ -136,7 +136,7 @@ pub fn parse_admission(value: &str) -> Result<AdmissionStats, String> {
     })
 }
 
-/// Appends one [`record_line`] per decision.
+/// Appends one `record_line` per decision.
 pub fn push_records(out: &mut String, records: &[FleetEvent]) {
     for r in records {
         out.push_str(&record_line(r));
@@ -185,7 +185,7 @@ fn warm_body(w: &WarmStart) -> String {
 /// Serialises one decision to its single-line text form — the line the
 /// journal file, the replication frames and the checkpoint files all
 /// carry.
-pub fn record_line(r: &FleetEvent) -> String {
+pub(crate) fn record_line(r: &FleetEvent) -> String {
     match r {
         FleetEvent::TaskAdmission {
             at,
@@ -407,7 +407,7 @@ fn parse_warm_body(s: &str) -> Result<WarmStart, String> {
 }
 
 /// Parses one decision from its single-line text form (the inverse of
-/// [`record_line`]) and checks every node, task, VM and epoch it names
+/// `record_line`) and checks every node, task, VM and epoch it names
 /// against `ids` — the one decode path of journal files, replication
 /// frames and checkpoint files.
 ///

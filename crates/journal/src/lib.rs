@@ -85,15 +85,15 @@ pub mod record;
 pub mod replay;
 pub mod whatif;
 
-pub use codec::{record_from_line, record_line, IdBounds, FORMAT_VERSION};
+pub use codec::{record_from_line, IdBounds};
 pub use record::{DecisionRecord, Journal};
 pub use replay::{divergence, Replayer};
-pub use whatif::{run_whatif, variant_spec, PolicySwap, WhatIf, WhatIfReport};
+pub use whatif::{run_whatif, variant_spec, PolicySwap, WhatIf};
 
 /// One-stop imports for journal recording, replay and what-if queries.
 pub mod prelude {
-    pub use crate::codec::{record_from_line, record_line, IdBounds, FORMAT_VERSION};
+    pub use crate::codec::{record_from_line, IdBounds};
     pub use crate::record::{DecisionRecord, Journal};
     pub use crate::replay::Replayer;
-    pub use crate::whatif::{run_whatif, variant_spec, PolicySwap, WhatIf, WhatIfReport};
+    pub use crate::whatif::{run_whatif, variant_spec, PolicySwap, WhatIf};
 }

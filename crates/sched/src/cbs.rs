@@ -242,11 +242,6 @@ impl Server {
         }
     }
 
-    /// Number of ready tasks.
-    pub fn ready_count(&self) -> usize {
-        self.ready.len()
-    }
-
     /// A task attached to this server became ready.
     pub fn wake(&mut self, task: TaskId, now: Time) {
         debug_assert!(!self.ready.contains(&task), "{task} woken twice");

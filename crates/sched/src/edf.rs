@@ -55,14 +55,6 @@ impl EdfScheduler {
     pub fn completions(&self) -> u64 {
         self.completions
     }
-
-    /// Absolute deadline of the task's current job, if it is ready.
-    pub fn current_deadline(&self, task: TaskId) -> Option<Time> {
-        self.entries
-            .get(&task)
-            .filter(|e| e.ready)
-            .map(|e| e.deadline)
-    }
 }
 
 impl Scheduler for EdfScheduler {
@@ -144,8 +136,16 @@ mod tests {
     fn deadline_assigned_at_wake() {
         let mut e = EdfScheduler::new();
         e.set_relative_deadline(TaskId(1), Dur::ms(50));
+        e.set_relative_deadline(TaskId(2), Dur::ms(55));
+        e.set_relative_deadline(TaskId(3), Dur::ms(61));
+        e.on_ready(TaskId(2), T0);
+        e.on_ready(TaskId(3), T0);
         e.on_ready(TaskId(1), t(10));
-        assert_eq!(e.current_deadline(TaskId(1)), Some(t(60)));
+        // Task 1's deadline is 10 + 50 = 60: after task 2's 55, before
+        // task 3's 61.
+        assert_eq!(e.pick(t(10)), Some(TaskId(2)));
+        e.on_block(TaskId(2), t(10));
+        assert_eq!(e.pick(t(10)), Some(TaskId(1)));
     }
 
     #[test]

@@ -43,10 +43,10 @@ pub enum Place {
 /// change on wake/block/depletion/replenish/parameter events. Every
 /// mutating entry point invalidates the caches; plain budget decrements
 /// do not (see [`Server::charge`]). The pre-cache full-scan dispatcher is
-/// the caches' reference: `tests/dispatch_props.rs::
-/// cached_and_scan_dispatch_agree` switches one of two twin schedulers to
-/// it (`use_scan_dispatch`, hidden from docs) and holds them to identical
-/// answers. Nothing layered on this scheduler offers or reads the choice.
+/// the caches' reference: the unit test `cached_and_scan_dispatch_agree`
+/// switches one of two twin schedulers to it (`use_scan_dispatch`, a
+/// test-only method) and holds them to identical answers. Nothing layered
+/// on this scheduler offers or reads the choice.
 pub struct ReservationScheduler {
     servers: Vec<Server>,
     /// Dense task placement, indexed by `TaskId` (default fair). Dense
@@ -101,9 +101,10 @@ impl ReservationScheduler {
 
     /// Disables the dispatch caches: every `pick`/`next_timer` rescans all
     /// servers (the pre-cache implementation). The reference side of
-    /// `tests/dispatch_props.rs::cached_and_scan_dispatch_agree` only.
-    #[doc(hidden)]
-    pub fn use_scan_dispatch(&mut self) {
+    /// `cached_and_scan_dispatch_agree` below. Test-only — no kernel,
+    /// layered scheduler or experiment can ask for it.
+    #[cfg(test)]
+    fn use_scan_dispatch(&mut self) {
         self.scan_dispatch = true;
         self.touch();
     }
@@ -369,6 +370,7 @@ impl Scheduler for ReservationScheduler {
 mod tests {
     use super::*;
     use crate::cbs::{CbsMode, ServerState};
+    use proptest::prelude::*;
 
     const T0: Time = Time::ZERO;
 
@@ -473,7 +475,6 @@ mod tests {
         assert_eq!(s.pick(T0), Some(TaskId(1)));
         s.on_block(TaskId(1), t(3));
         assert_eq!(s.pick(t(3)), Some(TaskId(2)));
-        assert_eq!(s.server(a).ready_count(), 1);
     }
 
     #[test]
@@ -579,5 +580,128 @@ mod tests {
         s.charge(first, Dur::ms(4), t(4));
         let second = s.pick(t(4)).unwrap();
         assert_ne!(first, second);
+    }
+
+    /// One step of the synthetic event stream.
+    #[derive(Clone, Copy, Debug)]
+    enum Op {
+        Ready(u8),
+        Block(u8),
+        /// Charge the currently picked task for the given microseconds.
+        Charge(u16),
+        Timer,
+        /// Re-parameterise a server (budget_us, period slot).
+        SetParams(u8, u16),
+        Advance(u16),
+    }
+
+    fn op_strategy() -> impl Strategy<Value = Op> {
+        prop_oneof![
+            (0u8..6).prop_map(Op::Ready),
+            (0u8..6).prop_map(Op::Block),
+            (1u16..20_000).prop_map(Op::Charge),
+            Just(Op::Timer),
+            (0u8..3, 100u16..20_000).prop_map(|(s, b)| Op::SetParams(s, b)),
+            (1u16..5_000).prop_map(Op::Advance),
+        ]
+    }
+
+    fn build(scan: bool, soft_third: bool) -> ReservationScheduler {
+        let mut s = ReservationScheduler::new();
+        if scan {
+            s.use_scan_dispatch();
+        }
+        for i in 0..3u64 {
+            let mode = if soft_third && i == 2 {
+                CbsMode::Soft
+            } else {
+                CbsMode::Hard
+            };
+            let sid = s.create_server(
+                ServerConfig::new(Dur::ms(2 + i), Dur::ms(20 + 10 * i)).with_mode(mode),
+            );
+            // Two tasks per server; plus fair tasks 6 and 7 via default place.
+            s.place(TaskId(i as u32 * 2), Place::Server(sid));
+            s.place(TaskId(i as u32 * 2 + 1), Place::Server(sid));
+        }
+        s
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The dispatch caches against the pre-cache full-scan dispatcher:
+        /// a cached scheduler and a scan-dispatch scheduler fed the same
+        /// random event stream must agree on every `pick`, `next_timer`
+        /// and `pick_with`. Any missed invalidation shows up as a
+        /// divergence here.
+        #[test]
+        fn cached_and_scan_dispatch_agree(
+            ops in prop::collection::vec(op_strategy(), 1..200),
+            soft_third in any::<bool>(),
+        ) {
+            let mut cached = build(false, soft_third);
+            let mut scan = build(true, soft_third);
+            let mut now = Time::ZERO;
+            // Which tasks are currently ready (kernel contract: one on_ready
+            // per wake, removal on block).
+            let mut ready = [false; 6];
+            for op in ops {
+                match op {
+                    Op::Ready(t) => {
+                        let t = t as usize % 6;
+                        if !ready[t] {
+                            ready[t] = true;
+                            cached.on_ready(TaskId(t as u32), now);
+                            scan.on_ready(TaskId(t as u32), now);
+                        }
+                    }
+                    Op::Block(t) => {
+                        let t = t as usize % 6;
+                        if ready[t] {
+                            ready[t] = false;
+                            cached.on_block(TaskId(t as u32), now);
+                            scan.on_block(TaskId(t as u32), now);
+                        }
+                    }
+                    Op::Charge(us) => {
+                        let a = cached.pick(now);
+                        let b = scan.pick(now);
+                        prop_assert_eq!(a, b, "pick diverged before charge");
+                        if let Some(t) = a {
+                            now += Dur::us(u64::from(us));
+                            cached.charge(t, Dur::us(u64::from(us)), now);
+                            scan.charge(t, Dur::us(u64::from(us)), now);
+                        }
+                    }
+                    Op::Timer => {
+                        let ta = cached.next_timer(now);
+                        let tb = scan.next_timer(now);
+                        prop_assert_eq!(ta, tb, "next_timer diverged");
+                        if let Some(t) = ta {
+                            now = now.max(t);
+                            cached.on_timer(now);
+                            scan.on_timer(now);
+                        }
+                    }
+                    Op::SetParams(srv, budget_us) => {
+                        let sid = ServerId(u32::from(srv) % 3);
+                        let period = cached.server(sid).config().period;
+                        let budget = Dur::us(u64::from(budget_us)).min(period);
+                        cached.server_mut(sid).set_params(budget, period);
+                        scan.server_mut(sid).set_params(budget, period);
+                    }
+                    Op::Advance(us) => now += Dur::us(u64::from(us)),
+                }
+                prop_assert_eq!(cached.pick(now), scan.pick(now));
+                prop_assert_eq!(cached.next_timer(now), scan.next_timer(now));
+                // The nested-dispatch path caches the sorted EDF order across
+                // unchanged states; with every server choosing its own front
+                // task it must agree with the always-rescanning scheduler.
+                let via_hook = cached.pick_with(now, |_, srv| srv.front_task());
+                let via_scan = scan.pick_with(now, |_, srv| srv.front_task());
+                prop_assert_eq!(via_hook, via_scan, "pick_with diverged");
+            }
+        }
     }
 }

@@ -277,11 +277,6 @@ impl<S: Scheduler> Kernel<S> {
         self.tasks[task.index()].syscalls
     }
 
-    /// The task's name as given at spawn.
-    pub fn task_name(&self, task: TaskId) -> &str {
-        &self.tasks[task.index()].name
-    }
-
     /// Coarse state of the task.
     pub fn task_state(&self, task: TaskId) -> TaskState {
         self.tasks[task.index()].state
@@ -930,7 +925,6 @@ mod tests {
         // Sensors survive the workload drop, and the rest of the run is
         // unaffected.
         assert_eq!(k.thread_time(done), Dur::ms(3));
-        assert_eq!(k.task_name(done), "done");
         k.run_until(t(100));
         assert_eq!(k.task_state(live), TaskState::Exited);
         assert_eq!(k.thread_time(live), Dur::ms(50));

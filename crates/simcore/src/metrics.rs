@@ -106,15 +106,6 @@ impl Metrics {
         k
     }
 
-    /// The name behind an interned key.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the key was not issued by this store.
-    pub fn name_of(&self, key: MetricKey) -> &str {
-        &self.names[key.index()]
-    }
-
     /// Records that the keyed event happened at `now` (fast path).
     pub fn mark_k(&mut self, key: MetricKey, now: Time) {
         self.marks[key.index()].push(now);
@@ -179,14 +170,14 @@ impl Metrics {
 
     /// Only the values of the named series, as a fresh vector.
     ///
-    /// Allocates on every call; iterate [`Metrics::values_iter`] instead
-    /// when the values are only consumed once.
+    /// Allocates on every call; borrow [`Metrics::series`] instead when
+    /// the values are only consumed once.
     pub fn values(&self, name: &str) -> Vec<f64> {
         self.values_iter(name).collect()
     }
 
     /// Borrowing iterator over the values of the named series.
-    pub fn values_iter(&self, name: &str) -> impl Iterator<Item = f64> + '_ {
+    pub(crate) fn values_iter(&self, name: &str) -> impl Iterator<Item = f64> + '_ {
         self.series(name).iter().map(|&(_, v)| v)
     }
 
@@ -219,14 +210,6 @@ impl Metrics {
         self.index
             .iter()
             .filter(|(_, k)| !self.marks[k.index()].is_empty())
-            .map(|(name, _)| name.as_str())
-    }
-
-    /// Names of all recorded series (sorted).
-    pub fn series_names(&self) -> impl Iterator<Item = &str> {
-        self.index
-            .iter()
-            .filter(|(_, k)| !self.series[k.index()].is_empty())
             .map(|(name, _)| name.as_str())
     }
 
@@ -353,7 +336,6 @@ mod tests {
 
         // Re-interning returns the same key; names round-trip.
         assert_eq!(m.key("frame"), frame);
-        assert_eq!(m.name_of(frame), "frame");
     }
 
     #[test]
@@ -389,8 +371,6 @@ mod tests {
         m.record("c.bw", Time::ZERO, 1.0);
         let marks: Vec<&str> = m.mark_names().collect();
         assert_eq!(marks, vec!["a.frame", "b.frame"]);
-        let series: Vec<&str> = m.series_names().collect();
-        assert_eq!(series, vec!["c.bw"]);
     }
 
     #[test]

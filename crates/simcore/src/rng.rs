@@ -85,7 +85,7 @@ impl Rng {
     /// # Panics
     ///
     /// Panics if `lo >= hi`.
-    pub fn range_u64(&mut self, lo: u64, hi: u64) -> u64 {
+    pub(crate) fn range_u64(&mut self, lo: u64, hi: u64) -> u64 {
         assert!(lo < hi, "Rng::range_u64: empty range [{lo}, {hi})");
         lo + self.next_u64() % (hi - lo)
     }
@@ -109,13 +109,8 @@ impl Rng {
         lo + (hi - lo) * self.f64()
     }
 
-    /// Bernoulli trial with probability `p` of returning `true`.
-    pub fn bernoulli(&mut self, p: f64) -> bool {
-        self.f64() < p
-    }
-
     /// Standard normal sample via the Box–Muller transform.
-    pub fn std_normal(&mut self) -> f64 {
+    pub(crate) fn std_normal(&mut self) -> f64 {
         if let Some(z) = self.spare_normal.take() {
             return z;
         }
@@ -141,16 +136,6 @@ impl Rng {
     pub fn exp(&mut self, rate: f64) -> f64 {
         assert!(rate > 0.0, "Rng::exp: rate must be positive");
         -(1.0 - self.f64()).ln() / rate
-    }
-
-    /// Pareto sample with minimum `scale` and tail index `shape`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `scale` or `shape` is not strictly positive.
-    pub fn pareto(&mut self, scale: f64, shape: f64) -> f64 {
-        assert!(scale > 0.0 && shape > 0.0);
-        scale / (1.0 - self.f64()).powf(1.0 / shape)
     }
 
     /// Duration sample: normal around `mean` with deviation `sd`, truncated
@@ -233,22 +218,6 @@ mod tests {
         let n = 200_000;
         let mean: f64 = (0..n).map(|_| r.exp(2.0)).sum::<f64>() / n as f64;
         assert!((mean - 0.5).abs() < 0.01, "mean {mean}");
-    }
-
-    #[test]
-    fn pareto_respects_scale() {
-        let mut r = Rng::new(17);
-        for _ in 0..10_000 {
-            assert!(r.pareto(1.5, 2.0) >= 1.5);
-        }
-    }
-
-    #[test]
-    fn bernoulli_frequency() {
-        let mut r = Rng::new(19);
-        let hits = (0..100_000).filter(|_| r.bernoulli(0.3)).count();
-        let p = hits as f64 / 100_000.0;
-        assert!((p - 0.3).abs() < 0.01, "p {p}");
     }
 
     #[test]

@@ -85,42 +85,6 @@ pub fn quantile_sorted(sorted: &[f64], p: f64) -> f64 {
     }
 }
 
-/// Five-number summary plus mean/std, the usual row of an experiment table.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Summary {
-    /// Number of samples.
-    pub n: usize,
-    /// Arithmetic mean.
-    pub mean: f64,
-    /// Sample standard deviation.
-    pub std_dev: f64,
-    /// Minimum value.
-    pub min: f64,
-    /// Median (0.5-quantile).
-    pub median: f64,
-    /// Maximum value.
-    pub max: f64,
-}
-
-impl Summary {
-    /// Computes the summary of `xs`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `xs` is empty.
-    pub fn of(xs: &[f64]) -> Summary {
-        assert!(!xs.is_empty(), "Summary of empty slice");
-        Summary {
-            n: xs.len(),
-            mean: mean(xs),
-            std_dev: std_dev(xs),
-            min: min(xs),
-            median: quantile(xs, 0.5),
-            max: max(xs),
-        }
-    }
-}
-
 /// Fixed-width histogram over `[lo, hi)` with `bins` buckets.
 ///
 /// Returns `(bin_center, count)` pairs. Values outside the range are clamped
@@ -212,17 +176,6 @@ mod tests {
         assert_eq!(quantile(&xs, 0.0), 1.0);
         assert_eq!(quantile(&xs, 1.0), 4.0);
         assert!((quantile(&xs, 0.5) - 2.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn summary_consistent() {
-        let xs = [3.0, 1.0, 2.0];
-        let s = Summary::of(&xs);
-        assert_eq!(s.n, 3);
-        assert_eq!(s.min, 1.0);
-        assert_eq!(s.max, 3.0);
-        assert_eq!(s.median, 2.0);
-        assert!((s.mean - 2.0).abs() < 1e-12);
     }
 
     #[test]

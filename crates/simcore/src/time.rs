@@ -97,11 +97,6 @@ impl Dur {
         self.0 as f64 * 1e-6
     }
 
-    /// Returns the duration in fractional microseconds.
-    pub fn as_us_f64(self) -> f64 {
-        self.0 as f64 * 1e-3
-    }
-
     /// Returns `true` if this is the zero duration.
     pub const fn is_zero(self) -> bool {
         self.0 == 0
@@ -158,20 +153,6 @@ impl Dur {
     pub fn div_floor(self, other: Dur) -> u64 {
         assert!(!other.is_zero(), "Dur::div_floor division by zero");
         self.0 / other.0
-    }
-
-    /// Remainder of `self` modulo `other`.
-    ///
-    /// Named `rem_of` to avoid confusion with `std::ops::Rem::rem` (which
-    /// `Dur` deliberately does not implement — use explicit division
-    /// helpers instead).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `other` is zero.
-    pub fn rem_of(self, other: Dur) -> Dur {
-        assert!(!other.is_zero(), "Dur::rem division by zero");
-        Dur(self.0 % other.0)
     }
 }
 
@@ -246,9 +227,6 @@ pub struct Time(u64);
 impl Time {
     /// The simulation start instant.
     pub const ZERO: Time = Time(0);
-    /// A far-future sentinel. Kept below `u64::MAX` so that adding typical
-    /// durations to it cannot overflow.
-    pub const FAR: Time = Time(u64::MAX / 4);
 
     /// Creates an instant `n` nanoseconds after simulation start.
     pub const fn from_ns(n: u64) -> Time {
@@ -368,7 +346,6 @@ mod tests {
         let d = Dur::from_secs_f64(0.123_456_789);
         assert!((d.as_secs_f64() - 0.123_456_789).abs() < 1e-9);
         assert!((Dur::ms(20).as_ms_f64() - 20.0).abs() < 1e-12);
-        assert!((Dur::us(7).as_us_f64() - 7.0).abs() < 1e-12);
     }
 
     #[test]
@@ -380,7 +357,6 @@ mod tests {
         assert_eq!(Dur::ms(3).saturating_sub(Dur::ms(5)), Dur::ZERO);
         assert_eq!(Dur::ms(3).checked_sub(Dur::ms(5)), None);
         assert_eq!(Dur::ms(100).div_floor(Dur::ms(30)), 3);
-        assert_eq!(Dur::ms(100).rem_of(Dur::ms(30)), Dur::ms(10));
     }
 
     #[test]
@@ -425,10 +401,5 @@ mod tests {
     fn sum_iterator() {
         let total: Dur = [Dur::ms(1), Dur::ms(2), Dur::ms(3)].into_iter().sum();
         assert_eq!(total, Dur::ms(6));
-    }
-
-    #[test]
-    fn far_future_is_safe_to_add_to() {
-        let _ = Time::FAR + Dur::secs(1_000_000);
     }
 }

@@ -108,11 +108,6 @@ impl PeriodAnalyser {
         }
     }
 
-    /// Creates an analyser with default configuration.
-    pub fn with_defaults() -> PeriodAnalyser {
-        PeriodAnalyser::new(AnalyserConfig::default())
-    }
-
     /// The configuration in use.
     pub fn config(&self) -> &AnalyserConfig {
         &self.cfg
@@ -211,7 +206,7 @@ mod tests {
 
     #[test]
     fn estimates_fundamental_from_stream() {
-        let mut a = PeriodAnalyser::with_defaults();
+        let mut a = PeriodAnalyser::new(AnalyserConfig::default());
         a.feed(&synthetic_burst_train(0.04, 50, 6, 0.005));
         let est = a.estimate().expect("periodic");
         assert!((est.frequency - 25.0).abs() < 0.3, "{est:?}");
@@ -221,7 +216,7 @@ mod tests {
 
     #[test]
     fn empty_window_estimates_none() {
-        let mut a = PeriodAnalyser::with_defaults();
+        let mut a = PeriodAnalyser::new(AnalyserConfig::default());
         assert_eq!(a.estimate(), None);
         assert_eq!(a.last_estimate(), None);
     }
@@ -240,7 +235,7 @@ mod tests {
 
     #[test]
     fn last_estimate_survives_aperiodic_phase() {
-        let mut a = PeriodAnalyser::with_defaults();
+        let mut a = PeriodAnalyser::new(AnalyserConfig::default());
         a.feed(&synthetic_burst_train(0.04, 50, 6, 0.005));
         let first = a.estimate().expect("periodic");
         // Window emptied: estimate() is None but last_estimate remains.
@@ -251,7 +246,7 @@ mod tests {
 
     #[test]
     fn verdict_counters() {
-        let mut a = PeriodAnalyser::with_defaults();
+        let mut a = PeriodAnalyser::new(AnalyserConfig::default());
         a.feed(&synthetic_burst_train(0.04, 50, 6, 0.005));
         let _ = a.estimate();
         assert_eq!(a.verdict_counts(), (1, 0));

@@ -107,7 +107,8 @@ impl SpectrumConfig {
     }
 
     /// Nearest bin index for frequency `f`, clamped to the grid.
-    pub fn bin_of(&self, f: f64) -> usize {
+    #[cfg(test)]
+    fn bin_of(&self, f: f64) -> usize {
         let i = ((f - self.f_min) / self.df).round();
         (i.max(0.0) as usize).min(self.bins() - 1)
     }
@@ -144,8 +145,10 @@ impl Spectrum {
         self.amplitudes.iter().map(|a| a / max).collect()
     }
 
-    /// Mean amplitude over the grid (the reference for the α threshold).
-    pub fn mean_amplitude(&self) -> f64 {
+    /// Mean amplitude over the grid: the bit-for-bit reference for the sum
+    /// [`crate::peaks::detect`] accumulates during its scan.
+    #[cfg(test)]
+    pub(crate) fn mean_amplitude(&self) -> f64 {
         if self.amplitudes.is_empty() {
             return 0.0;
         }
@@ -333,7 +336,7 @@ pub fn amplitude_spectrum(events_secs: &[f64], config: SpectrumConfig) -> Spectr
 ///   (8) events. The window *is* the whole history, so the accumulators are
 ///   the fold of its adds in push order and are not kept: `re` and `im`
 ///   are empty, [`WindowedDft::extend`] only appends, and
-///   [`WindowedDft::spectrum_into`] folds the window into a per-thread
+///   `WindowedDft::spectrum_into` folds the window into a per-thread
 ///   pair. Most analysers of a dense fleet never leave this state, and
 ///   hold a few words where a grid pair costs `bins × 16` bytes.
 /// - **Running.** The first `extend` that would evict, or would grow the
@@ -483,7 +486,7 @@ impl WindowedDft {
 
     /// Overwrites `out` with the current amplitude spectrum, reusing its
     /// amplitude buffer.
-    pub fn spectrum_into(&self, out: &mut Spectrum) {
+    pub(crate) fn spectrum_into(&self, out: &mut Spectrum) {
         out.config = self.config;
         if self.re.is_empty() {
             FOLD_SCRATCH.with_borrow_mut(|(re, im)| {

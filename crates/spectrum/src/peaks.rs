@@ -20,9 +20,9 @@
 //! noise, with dozens of local maxima per call.
 //!
 //! * **Steps 1–3 are one forward scan.** It adds the amplitudes in index
-//!   order (so the mean is [`Spectrum::mean_amplitude`] to the bit), takes
-//!   their maximum, and writes every `i` with `a[i−1] < a[i]` and
-//!   `a[i+1] <= a[i]` into a reused buffer without a data-dependent branch:
+//!   order (so the mean is the test-only `Spectrum::mean_amplitude` to the
+//!   bit), takes their maximum, and writes every `i` with `a[i−1] < a[i]`
+//!   and `a[i+1] <= a[i]` into a reused buffer without a data-dependent branch:
 //!   the index is stored unconditionally and the write cursor advances by
 //!   the comparison's outcome. The few dozen survivors are then compacted
 //!   the same way by the α, relative-amplitude and positivity cuts; only
@@ -132,11 +132,6 @@ impl Detection {
             Detection::Periodic { frequency, .. } => Some(*frequency),
             Detection::Aperiodic => None,
         }
-    }
-
-    /// The detected period in seconds, if periodic.
-    pub fn period_secs(&self) -> Option<f64> {
-        self.frequency().map(|f| 1.0 / f)
     }
 }
 
@@ -762,18 +757,6 @@ mod tests {
         let s = amplitude_spectrum(&[], cfg());
         let r = detect(&s, &PeakConfig::default());
         assert_eq!(r.detection, Detection::Aperiodic);
-    }
-
-    #[test]
-    fn period_secs_inverts_frequency() {
-        let d = Detection::Periodic {
-            frequency: 25.0,
-            score: 1.0,
-            candidates: 1,
-            peak_to_mean: 10.0,
-        };
-        assert!((d.period_secs().unwrap() - 0.04).abs() < 1e-12);
-        assert_eq!(Detection::Aperiodic.period_secs(), None);
     }
 
     #[test]

@@ -71,7 +71,7 @@ impl Default for OverheadParams {
 
 impl OverheadParams {
     /// Overhead charged per syscall *edge* (entry or exit) for `kind`.
-    pub fn per_edge(&self, kind: TracerKind) -> Dur {
+    pub(crate) fn per_edge(&self, kind: TracerKind) -> Dur {
         match kind {
             TracerKind::NoTrace => Dur::ZERO,
             TracerKind::QTrace => self.qtrace_log,

@@ -54,15 +54,15 @@ pub const TOTAL_BANDWIDTH: f64 = 0.9;
 pub const MISS_FACTOR: f64 = 1.25;
 
 /// The victim's job parameters: 20 ms every 40 ms.
-pub const VICTIM_WCET_MS: u64 = 20;
+pub(crate) const VICTIM_WCET_MS: u64 = 20;
 /// The victim's period.
-pub const VICTIM_PERIOD_MS: u64 = 40;
+pub(crate) const VICTIM_PERIOD_MS: u64 = 40;
 /// Each noisy task's job cost: 38 ms every 40 ms (demand 0.95 apiece).
-pub const NOISY_WCET_MS: u64 = 38;
+pub(crate) const NOISY_WCET_MS: u64 = 38;
 /// The noisy tasks' period.
-pub const NOISY_PERIOD_MS: u64 = 40;
+pub(crate) const NOISY_PERIOD_MS: u64 = 40;
 /// Number of noisy tasks in the neighbour VM.
-pub const NOISY_TASKS: usize = 2;
+pub(crate) const NOISY_TASKS: usize = 2;
 
 /// Completion/miss counters of one tenant.
 #[derive(Clone, Copy, Debug, Default)]
@@ -141,12 +141,12 @@ fn host_manager_config() -> ManagerConfig {
 }
 
 /// The victim tenant's VM: a 0.6 share supplied at 10 ms granularity.
-pub fn victim_vm() -> VmConfig {
+pub(crate) fn victim_vm() -> VmConfig {
     VmConfig::self_tuning("victim-vm", Dur::ms(6), Dur::ms(10))
 }
 
 /// The noisy tenant's VM: a 0.3 share supplied at 10 ms granularity.
-pub fn noisy_vm() -> VmConfig {
+pub(crate) fn noisy_vm() -> VmConfig {
     VmConfig::self_tuning("noisy-vm", Dur::ms(3), Dur::ms(10))
 }
 
@@ -203,27 +203,27 @@ pub fn run_hierarchical(horizon: Dur, seed: u64) -> ConsolidationReport {
 
 /// The phased tenant's job cost: 12 ms every 40 ms (demand 0.3) while
 /// busy.
-pub const PHASED_WCET_MS: u64 = 12;
+pub(crate) const PHASED_WCET_MS: u64 = 12;
 /// The phased tenant's period.
-pub const PHASED_PERIOD_MS: u64 = 40;
+pub(crate) const PHASED_PERIOD_MS: u64 = 40;
 /// Each hungry task's job cost (two of them: demand 0.6 total, inside a
 /// 0.45 share — compressed until the sibling's bandwidth is reclaimed).
-pub const HUNGRY_WCET_MS: u64 = 12;
+pub(crate) const HUNGRY_WCET_MS: u64 = 12;
 /// The hungry tasks' period.
-pub const HUNGRY_PERIOD_MS: u64 = 40;
+pub(crate) const HUNGRY_PERIOD_MS: u64 = 40;
 /// Number of hungry guest tasks.
-pub const HUNGRY_TASKS: usize = 2;
+pub(crate) const HUNGRY_TASKS: usize = 2;
 /// Fraction of the horizon after which the phased tenant goes idle.
-pub const IDLE_FROM_FRAC: f64 = 0.4;
+pub(crate) const IDLE_FROM_FRAC: f64 = 0.4;
 /// Both elasticity-demo VMs start at a 0.45 share (4.5 ms / 10 ms).
-pub const ELASTIC_SHARE_BUDGET_US: u64 = 4_500;
+pub(crate) const ELASTIC_SHARE_BUDGET_US: u64 = 4_500;
 /// Share period of the elasticity-demo VMs.
-pub const ELASTIC_SHARE_PERIOD_MS: u64 = 10;
+pub(crate) const ELASTIC_SHARE_PERIOD_MS: u64 = 10;
 
 /// Delegates to the inner workload until `idle_from`, then parks in long
 /// sleeps — a tenant whose demand collapses mid-run without exiting (the
 /// VM stays admitted; only its *measured* demand goes to zero).
-pub struct IdlePhase {
+pub(crate) struct IdlePhase {
     inner: Box<dyn Workload>,
     idle_from: Time,
 }
@@ -258,7 +258,7 @@ pub struct ElasticityReport {
 }
 
 /// Two tenants at equal 0.45 shares (0.9 total): a *phased* VM whose
-/// single guest goes idle at [`IDLE_FROM_FRAC`] of the horizon, and a
+/// single guest goes idle at `IDLE_FROM_FRAC` of the horizon, and a
 /// *hungry* VM whose two guests want 0.6. With `elastic` off the shares
 /// are frozen at admission (the hungry tenant stays compressed forever,
 /// the idle tenant hoards 0.45 of dark bandwidth); with `elastic` on each

@@ -29,7 +29,7 @@
 //!   runtime depletes both the inner reservation and the VM share.
 //! * [`platform`] — [`VirtPlatform`]: the runnable bundle. VM shares are
 //!   admitted through the host [`selftune_sched::Supervisor`]; each
-//!   self-tuning guest gets its own tracer (via [`TraceMux`]) and
+//!   self-tuning guest gets its own tracer (via `TraceMux`) and
 //!   [`selftune_core::SelfTuningManager`] whose supervisor is clamped to
 //!   the VM's share — compression under tenant overload stays inside the
 //!   tenant.
@@ -58,9 +58,7 @@ pub mod platform;
 pub mod sched;
 
 pub use elastic::VmElasticConfig;
-pub use platform::{
-    GuestPolicy, Scope, ShareGrantEvent, TraceMux, VirtPlatform, VmAdmissionError, VmConfig,
-};
+pub use platform::{GuestPolicy, Scope, ShareGrantEvent, VirtPlatform, VmAdmissionError, VmConfig};
 pub use sched::{GuestSched, VirtScheduler, VmId};
 
 /// One-stop imports for virtual-platform experiments.

@@ -17,7 +17,7 @@
 //!   *inside* the VM, and compression under tenant overload curbs that
 //!   tenant's tasks only.
 //!
-//! Syscall tracing is demultiplexed per VM by [`TraceMux`], so each guest
+//! Syscall tracing is demultiplexed per VM by `TraceMux`, so each guest
 //! manager sees exactly its own tenant's event train — the virtualised
 //! analogue of one `qtrace` device per machine.
 
@@ -183,7 +183,7 @@ impl Scope {
 
 /// Routes syscall trace edges to the tracer of the task's VM (slot 0 is
 /// the host tracer).
-pub struct TraceMux {
+pub(crate) struct TraceMux {
     route: Rc<RefCell<Vec<u16>>>,
     hooks: Rc<RefCell<Vec<TracerHook>>>,
 }
@@ -758,7 +758,7 @@ impl VirtPlatform {
     }
 
     /// Cumulative CPU consumed by the VM (all guest tasks).
-    pub fn vm_consumed(&self, vm: VmId) -> Dur {
+    pub(crate) fn vm_consumed(&self, vm: VmId) -> Dur {
         self.vm_server(vm).stats().consumed
     }
 

@@ -117,7 +117,7 @@ impl VirtScheduler {
     }
 
     /// Wraps an explicitly configured host reservation scheduler.
-    pub fn with_host(host: ReservationScheduler) -> VirtScheduler {
+    pub(crate) fn with_host(host: ReservationScheduler) -> VirtScheduler {
         VirtScheduler {
             host,
             vms: Vec::new(),
@@ -148,7 +148,7 @@ impl VirtScheduler {
 
     /// Mutable host access — how a host-level self-tuning manager creates
     /// and adjusts flat reservations alongside the VM shares.
-    pub fn host_mut(&mut self) -> &mut ReservationScheduler {
+    pub(crate) fn host_mut(&mut self) -> &mut ReservationScheduler {
         &mut self.host
     }
 
@@ -171,7 +171,7 @@ impl VirtScheduler {
     }
 
     /// The host server backing a VM's share.
-    pub fn vm_server_id(&self, vm: VmId) -> ServerId {
+    pub(crate) fn vm_server_id(&self, vm: VmId) -> ServerId {
         self.vms[vm.index()].host_sid
     }
 
@@ -197,7 +197,7 @@ impl VirtScheduler {
     /// # Panics
     ///
     /// Panics if the VM's guest is not [`GuestSched::Reservation`].
-    pub fn guest_reservations_mut(&mut self, vm: VmId) -> &mut ReservationScheduler {
+    pub(crate) fn guest_reservations_mut(&mut self, vm: VmId) -> &mut ReservationScheduler {
         match &mut self.vms[vm.index()].guest {
             GuestSched::Reservation(s) => s,
             _ => panic!("{vm} has no nested reservation scheduler"),
@@ -217,14 +217,14 @@ impl VirtScheduler {
     }
 
     /// The VM a task belongs to, if any.
-    pub fn vm_of(&self, task: TaskId) -> Option<VmId> {
+    pub(crate) fn vm_of(&self, task: TaskId) -> Option<VmId> {
         self.vm_of.get(task.index()).copied().flatten().map(VmId)
     }
 
     /// Shrinks a VM's share to the admission floor — the release half of
     /// killing a VM (the platform kills the guest tasks first). The VM
     /// entry stays (ids are stable) but holds no meaningful bandwidth.
-    pub fn release_vm(&mut self, vm: VmId) {
+    pub(crate) fn release_vm(&mut self, vm: VmId) {
         let sid = self.vms[vm.index()].host_sid;
         let period = self.host.server(sid).config().period;
         self.host.server_mut(sid).set_params(Dur::us(10), period);
