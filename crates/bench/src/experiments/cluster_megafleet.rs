@@ -1,4 +1,4 @@
-//! The 10k-node scale story: bucketed placement index + sketch aggregates.
+//! The 10k-node scale story: ordered placement index + sketch aggregates.
 //!
 //! [`ScenarioSpec::megafleet_demo`] is the skewed-overload experiment
 //! blown up to fleet scale: first-fit packs lying legacy tasks onto the
@@ -7,7 +7,7 @@
 //! the idle majority. At this size the two PR-7 mechanisms carry the run:
 //!
 //! * every placement / rebalance destination query goes through the
-//!   bucketed [`selftune_cluster::HeadroomIndex`] (O(log n), not a fleet
+//!   ordered [`selftune_cluster::HeadroomIndex`] (O(log n), not a fleet
 //!   scan; the placer's in-file differential tests hold it byte-identical
 //!   to the linear scan it replaced);
 //! * per-task gap vectors are replaced by mergeable histogram sketches

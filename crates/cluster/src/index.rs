@@ -1,17 +1,16 @@
-//! Bucketed node-headroom index: O(log n) placement queries over the fleet.
+//! Node-headroom index: O(log n) placement queries over the fleet.
 //!
 //! The linear-scan [`crate::placer::Placer`] walks every node per decision
 //! (`candidate_order` even sorts them), which is fine at 8 nodes and ruinous
-//! at 10 000. This index keeps three views of the per-node reserved
-//! bandwidth, every one updated in O(log n) per booking:
+//! at 10 000. This index keeps two views of the per-node reserved
+//! bandwidth, both updated in O(log n) per booking:
 //!
 //! * a [`BTreeSet`] of `(reserved.to_bits(), node)` pairs — the load order
-//!   every policy's tie-breaking is defined on;
+//!   every policy's tie-breaking is defined on, and a range of it counts
+//!   "how many nodes are strictly fuller than the winner" (the
+//!   bandwidth-aware `migrations` counter);
 //! * a min-segment tree over node ids — "leftmost node with reserved ≤ t"
-//!   for first-fit in one root-to-leaf descent;
-//! * a Fenwick tree over quantised reserved *buckets* — "how many nodes are
-//!   strictly fuller than the winner" (the bandwidth-aware `migrations`
-//!   counter) as a suffix count plus one short in-bucket walk.
+//!   for first-fit in one root-to-leaf descent.
 //!
 //! # Exactness
 //!
@@ -35,25 +34,12 @@
 //!
 //! Two differential tests in `placer.rs` hold the index to that contract
 //! against the scan path, decision by decision and rebalance pass by
-//! rebalance pass. The scan is reachable from those tests alone: a
-//! reference path lives beside its differential test, and nothing above
-//! the placer forwards the choice.
+//! rebalance pass. The scan is reachable from those tests alone: the
+//! placer consults it in one function, `fit`, and nothing above the
+//! placer forwards the choice.
 
 use std::collections::BTreeSet;
 use std::ops::Bound;
-
-/// Number of quantised reserved-bandwidth buckets behind the Fenwick tree.
-/// Reserved values live in `[0, ~1]` (they can exceed 1 only transiently
-/// when the rebalancer rebuilds bookings from measurements), so each bucket
-/// spans ~0.001 of bandwidth; anything past the range clamps into the last
-/// bucket and is resolved by the in-bucket walk.
-const BUCKETS: usize = 1024;
-
-/// Quantised bucket of a reserved-bandwidth value.
-fn bucket_of(value: f64) -> usize {
-    debug_assert!(value.is_finite() && value >= 0.0, "bad reserved {value}");
-    ((value * BUCKETS as f64) as usize).min(BUCKETS - 1)
-}
 
 /// The largest reserved bandwidth that still admits `demand` under the
 /// scan path's test `reserved + demand <= ulub + 1e-9`, or `None` when not
@@ -107,10 +93,6 @@ pub struct HeadroomIndex {
     seg: Vec<u64>,
     /// Leaf count of the segment tree (power of two).
     base: usize,
-    /// Fenwick tree of active-node counts per quantised bucket (1-based).
-    fenwick: Vec<u32>,
-    /// Number of active (non-suspended) nodes.
-    active: usize,
 }
 
 impl HeadroomIndex {
@@ -124,8 +106,6 @@ impl HeadroomIndex {
             by_load: BTreeSet::new(),
             seg: vec![u64::MAX; 2 * base],
             base,
-            fenwick: vec![0; BUCKETS + 1],
-            active: 0,
         };
         idx.rebuild(reserved);
         idx
@@ -136,14 +116,12 @@ impl HeadroomIndex {
     pub(crate) fn rebuild(&mut self, reserved: &[f64]) {
         assert_eq!(reserved.len(), self.reserved.len(), "node count mismatch");
         self.by_load.clear();
-        self.fenwick.iter_mut().for_each(|c| *c = 0);
         self.seg.iter_mut().for_each(|v| *v = u64::MAX);
         self.reserved.copy_from_slice(reserved);
         self.suspended.iter_mut().for_each(|s| *s = false);
-        self.active = self.reserved.len();
         for (node, &r) in reserved.iter().enumerate() {
+            debug_assert!(r.is_finite() && r >= 0.0, "bad reserved {r}");
             self.by_load.insert((r.to_bits(), node));
-            self.fenwick_add(bucket_of(r), 1);
             self.seg[self.base + node] = r.to_bits();
         }
         // Build internal segment-tree levels bottom-up.
@@ -163,11 +141,6 @@ impl HeadroomIndex {
         }
         self.by_load.remove(&(old.to_bits(), node));
         self.by_load.insert((value.to_bits(), node));
-        let (ob, nb) = (bucket_of(old), bucket_of(value));
-        if ob != nb {
-            self.fenwick_add(ob, -1);
-            self.fenwick_add(nb, 1);
-        }
         self.seg_set(node, value.to_bits());
     }
 
@@ -175,9 +148,7 @@ impl HeadroomIndex {
     pub(crate) fn suspend(&mut self, node: usize) {
         debug_assert!(!self.suspended[node], "double suspend of node {node}");
         self.suspended[node] = true;
-        self.active -= 1;
         self.by_load.remove(&(self.reserved[node].to_bits(), node));
-        self.fenwick_add(bucket_of(self.reserved[node]), -1);
         self.seg_set(node, u64::MAX);
     }
 
@@ -185,10 +156,8 @@ impl HeadroomIndex {
     pub(crate) fn restore(&mut self, node: usize) {
         debug_assert!(self.suspended[node], "restore of active node {node}");
         self.suspended[node] = false;
-        self.active += 1;
         let bits = self.reserved[node].to_bits();
         self.by_load.insert((bits, node));
-        self.fenwick_add(bucket_of(self.reserved[node]), 1);
         self.seg_set(node, bits);
     }
 
@@ -232,20 +201,15 @@ impl HeadroomIndex {
 
     /// How many active nodes are strictly fuller than `value` — the
     /// candidates a descending-order scan would have tried and bounced off
-    /// before the winner. Fenwick suffix over whole buckets, plus a walk of
-    /// the value's own bucket.
+    /// before the winner. A range count on the load order, which holds
+    /// exactly the active nodes: linear in the count, and only the
+    /// bandwidth-aware policy asks.
     pub(crate) fn count_heavier(&self, value: f64) -> usize {
-        let bits = value.to_bits();
-        let b = bucket_of(value);
-        let mut in_bucket = 0;
-        let after = (Bound::Excluded((bits, usize::MAX)), Bound::Unbounded);
-        for &(rb, _) in self.by_load.range(after) {
-            if bucket_of(f64::from_bits(rb)) != b {
-                break;
-            }
-            in_bucket += 1;
-        }
-        in_bucket + self.active - self.fenwick_prefix(b)
+        let after = (
+            Bound::Excluded((value.to_bits(), usize::MAX)),
+            Bound::Unbounded,
+        );
+        self.by_load.range(after).count()
     }
 
     fn seg_set(&mut self, node: usize, bits: u64) {
@@ -257,24 +221,11 @@ impl HeadroomIndex {
         }
     }
 
-    /// Adds `delta` to a bucket's active-node count.
-    fn fenwick_add(&mut self, bucket: usize, delta: i32) {
-        let mut i = bucket + 1;
-        while i <= BUCKETS {
-            self.fenwick[i] = (self.fenwick[i] as i32 + delta) as u32;
-            i += i & i.wrapping_neg();
-        }
-    }
-
-    /// Active nodes in buckets `0..=bucket`.
-    fn fenwick_prefix(&self, bucket: usize) -> usize {
-        let mut i = bucket + 1;
-        let mut sum = 0usize;
-        while i > 0 {
-            sum += self.fenwick[i] as usize;
-            i -= i & i.wrapping_neg();
-        }
-        sum
+    /// Whether `node` is out of the query views: how the scan reference
+    /// learns about a ban.
+    #[cfg(test)]
+    pub(crate) fn is_suspended(&self, node: usize) -> bool {
+        self.suspended[node]
     }
 }
 
@@ -333,12 +284,17 @@ mod tests {
 
     #[test]
     fn count_heavier_matches_a_linear_count() {
-        let loads = [0.91, 0.13, 0.5, 0.5001, 0.5, 0.0, 0.86, 0.13];
+        // Rebalance rebuilds can push reserved past 1.0; the count must
+        // stay exact there too.
+        let loads = [
+            0.91, 0.13, 0.5, 0.5001, 0.5, 0.0, 0.86, 0.13, 1.4, 1.2, 0.9999, 1.2, 2.5,
+        ];
         let idx = HeadroomIndex::new(&loads);
         for &v in &loads {
             let expect = loads.iter().filter(|&&r| r > v).count();
             assert_eq!(idx.count_heavier(v), expect, "value {v}");
         }
+        assert_eq!(idx.tightest_fit(1.3), Some((1.2, 9)));
     }
 
     #[test]
@@ -349,6 +305,7 @@ mod tests {
         idx.suspend(0);
         assert_eq!(idx.min_reserved(), Some((0.9, 2)));
         assert_eq!(idx.first_fit(0.5), None);
+        assert_eq!(idx.count_heavier(0.0), 2);
         // Updates while suspended are invisible until restore.
         idx.set(0, 0.0);
         assert_eq!(idx.first_fit(0.5), None);
@@ -356,19 +313,5 @@ mod tests {
         assert_eq!(idx.min_reserved(), Some((0.0, 0)));
         assert_eq!(idx.first_fit(0.5), Some(0));
         assert_eq!(idx.count_heavier(0.9), 1);
-    }
-
-    #[test]
-    fn values_past_the_bucket_range_still_count_exactly() {
-        // Rebalance rebuilds can push reserved past 1.0; everything over
-        // the grid clamps into the last bucket and the in-bucket walk
-        // resolves the strict order.
-        let loads = [1.4, 1.2, 0.9999, 1.2, 2.5];
-        let idx = HeadroomIndex::new(&loads);
-        for &v in &loads {
-            let expect = loads.iter().filter(|&&r| r > v).count();
-            assert_eq!(idx.count_heavier(v), expect, "value {v}");
-        }
-        assert_eq!(idx.tightest_fit(1.3), Some((1.2, 1)));
     }
 }

@@ -35,8 +35,8 @@
 //!   per-node reserved bandwidth, backed by the
 //!   [`selftune_analysis::min_bandwidth_single`] schedulability test,
 //!   plus the feedback rebalance pass over live [`placer::FeedbackView`]s.
-//! * [`index`] — the bucketed node-headroom index behind the placer:
-//!   every `place*` / rebalance destination query answered in O(log n)
+//! * [`index`] — the ordered node-headroom index behind the placer:
+//!   every admission / rebalance destination query answered in O(log n)
 //!   instead of a full fleet scan, byte-identical to the scan path (the
 //!   placer's in-file differential tests hold it there; no planner or
 //!   runner can ask for the scan).

@@ -180,7 +180,7 @@ impl ArenaMemStats {
     }
 
     /// Resident bytes per ever-admitted task — the churn-workload figure
-    /// `BENCH_cluster.json` tracks as `cluster/milliontask/bytes_per_task`.
+    /// the benchmark ledger reports as `cluster.arena.bytes_per_task`.
     pub fn bytes_per_task(&self) -> f64 {
         if self.admitted == 0 {
             0.0

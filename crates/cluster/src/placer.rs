@@ -82,7 +82,8 @@ pub enum PlacementOutcome {
         /// Bandwidth booked on that node.
         demand: f64,
         /// Candidates that rejected the task before one admitted it
-        /// (each rejection migrates the request to the next candidate).
+        /// (each rejection migrates the request to the next candidate);
+        /// 0 for an admission with a ban mask.
         migrations: u32,
     },
     /// No node could take the task.
@@ -250,17 +251,19 @@ pub struct Placer {
     reserved: Vec<f64>,
     /// Best-effort task counts, for spreading unreserved work.
     best_effort: Vec<u64>,
+    /// Best-effort counts ordered `(count, node)`.
+    be_order: BTreeSet<(u64, usize)>,
     /// Pending releases: `(release_at_ns, node, demand)`.
     releases: Vec<(u64, usize, f64)>,
-    /// Reference mode, settable by this file's tests only: every decision
-    /// walks the original linear scan (kept verbatim below) instead of the
-    /// bucketed index, and the differential tests at the bottom hold the
+    /// O(log n) query views over `reserved`; suspension is how a ban
+    /// reaches them.
+    index: HeadroomIndex,
+    /// Reference mode, settable by this file's tests only: `fit` walks the
+    /// original linear scan instead of the index, and the best-effort pick
+    /// scans the counts; the differential tests at the bottom hold the
     /// index to it decision by decision.
+    #[cfg(test)]
     scan: bool,
-    /// O(log n) query views over `reserved`; `None` in scan mode.
-    index: Option<HeadroomIndex>,
-    /// Best-effort counts ordered `(count, node)`; `None` in scan mode.
-    be_order: Option<BTreeSet<(u64, usize)>>,
 }
 
 impl Placer {
@@ -279,10 +282,11 @@ impl Placer {
             policy,
             reserved: vec![0.0; nodes],
             best_effort: vec![0; nodes],
+            be_order: (0..nodes).map(|i| (0u64, i)).collect(),
             releases: Vec::new(),
+            index: HeadroomIndex::new(&vec![0.0; nodes]),
+            #[cfg(test)]
             scan: false,
-            index: Some(HeadroomIndex::new(&vec![0.0; nodes])),
-            be_order: Some((0..nodes).map(|i| (0u64, i)).collect()),
         }
     }
 
@@ -293,8 +297,6 @@ impl Placer {
     #[cfg(test)]
     fn use_scan_placement(&mut self) {
         self.scan = true;
-        self.index = None;
-        self.be_order = None;
     }
 
     /// Currently booked bandwidth per node.
@@ -305,9 +307,7 @@ impl Placer {
     /// Writes one node's booked bandwidth, keeping the index in sync.
     fn set_reserved(&mut self, node: usize, value: f64) {
         self.reserved[node] = value;
-        if let Some(idx) = self.index.as_mut() {
-            idx.set(node, value);
-        }
+        self.index.set(node, value);
     }
 
     /// The bandwidth the placer books for `task`: the minimum schedulable
@@ -331,54 +331,46 @@ impl Placer {
     }
 
     /// Places a real-time task arriving at `now_ns`, optionally departing
-    /// at `departs_ns`.
-    ///
-    /// Walks the policy's candidate order; each node that fails the
-    /// admission test migrates the request to the next. Never admits a
-    /// task onto a node where the booked bandwidth would exceed `ulub`.
+    /// at `departs_ns`: [`Placer::admit`] of the task's minbudget demand,
+    /// on any node.
     pub fn place(
         &mut self,
         task: PeriodicTask,
         now_ns: u64,
         departs_ns: Option<u64>,
     ) -> PlacementOutcome {
-        let demand = self.demand_of(task);
-        self.place_demand(demand, now_ns, departs_ns)
+        self.admit(self.demand_of(task), now_ns, departs_ns, None)
     }
 
-    /// Places an explicit bandwidth demand (a VM's share, which is booked
-    /// as given rather than derived from a nominal task).
-    pub(crate) fn place_demand(
+    /// The one admission decision: books `demand`, arriving at `now_ns`
+    /// and optionally departing at `departs_ns`, on the policy's node among
+    /// those not `banned`. A nominal task books its minbudget demand
+    /// ([`Placer::place`]), a VM its share as given, and a traffic-phase
+    /// task is banned from the nodes outside its slice.
+    ///
+    /// Walks the policy's candidate order; each node that fails the
+    /// admission test migrates the request to the next. Never admits a
+    /// task onto a node where the booked bandwidth would exceed `ulub`.
+    /// Under a ban `migrations` is reported as 0: the filtered walk does
+    /// not count bounced candidates. A rejection's witness is the largest
+    /// spare bandwidth of a candidate node, or 0 when every node is banned.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `banned` has more entries than there are nodes.
+    pub fn admit(
         &mut self,
         demand: f64,
         now_ns: u64,
         departs_ns: Option<u64>,
+        banned: Option<&[bool]>,
     ) -> PlacementOutcome {
         self.release_due(now_ns);
-        if self.scan {
-            let order = self.policy.candidate_order(&self.reserved);
-            for (migrations, node) in order.into_iter().enumerate() {
-                if self.reserved[node] + demand <= self.ulub + 1e-9 {
-                    self.reserved[node] += demand;
-                    if let Some(at) = departs_ns {
-                        self.releases.push((at, node, demand));
-                    }
-                    return PlacementOutcome::Admitted {
-                        node,
-                        demand,
-                        migrations: migrations as u32,
-                    };
-                }
-            }
-            let best_spare = self
-                .reserved
-                .iter()
-                .map(|r| self.ulub - r)
-                .fold(f64::NEG_INFINITY, f64::max);
-            return PlacementOutcome::Rejected { demand, best_spare };
+        if let Some(banned) = banned {
+            self.suspend(banned, true);
         }
-        match self.admit_indexed(demand) {
-            Some((node, migrations)) => {
+        let outcome = match self.fit(demand) {
+            Some((node, bounced)) => {
                 self.set_reserved(node, self.reserved[node] + demand);
                 if let Some(at) = departs_ns {
                     self.releases.push((at, node, demand));
@@ -386,33 +378,43 @@ impl Placer {
                 PlacementOutcome::Admitted {
                     node,
                     demand,
-                    migrations,
+                    migrations: if banned.is_some() { 0 } else { bounced },
                 }
             }
-            None => {
-                // The scan's witness folds max over `ulub - reserved`;
-                // subtraction from a fixed minuend is anti-monotone, so the
-                // max is exactly `ulub - min reserved`.
-                let (min_r, _) = self
+            // The scan's witness folds max over `ulub - reserved`;
+            // subtraction from a fixed minuend is anti-monotone, so the max
+            // is exactly `ulub - min reserved`. Nothing on offer leaves a
+            // finite 0 the journal can write and re-read.
+            None => PlacementOutcome::Rejected {
+                demand,
+                best_spare: self
                     .index
-                    .as_ref()
-                    .expect("index mode")
                     .min_reserved()
-                    .expect("at least one node");
-                PlacementOutcome::Rejected {
-                    demand,
-                    best_spare: self.ulub - min_r,
-                }
-            }
+                    .map_or(0.0, |(r, _)| self.ulub - r),
+            },
+        };
+        if let Some(banned) = banned {
+            self.suspend(banned, false);
         }
+        outcome
     }
 
-    /// The index-side admission decision: the winner node plus the exact
-    /// `migrations` count the linear scan would have reported (candidates
-    /// tried before the winner in the policy's order).
-    fn admit_indexed(&self, demand: f64) -> Option<(usize, u32)> {
-        let idx = self.index.as_ref().expect("index mode");
+    /// The node `demand` fits on under the policy, among the nodes not
+    /// suspended, plus how many candidates the policy's order tried before
+    /// it (the `migrations` count of an unbanned admission). Books nothing.
+    fn fit(&self, demand: f64) -> Option<(usize, u32)> {
+        #[cfg(test)]
+        if self.scan {
+            let order = self.policy.candidate_order(&self.reserved);
+            return order
+                .into_iter()
+                .filter(|&node| !self.index.is_suspended(node))
+                .enumerate()
+                .find(|&(_, node)| self.reserved[node] + demand <= self.ulub + 1e-9)
+                .map(|(bounced, node)| (node, bounced as u32));
+        }
         let t = fit_threshold(self.ulub, demand)?;
+        let idx = &self.index;
         match self.policy {
             // Candidate order is the identity, so the scan bounced off
             // exactly `node` lower ids before the leftmost fit.
@@ -420,7 +422,7 @@ impl Placer {
             // Ascending load order: the very first candidate is the global
             // minimum; if it does not fit, nothing fuller can.
             PolicyKind::WorstFit => {
-                let (r, node) = idx.min_reserved().expect("at least one node");
+                let (r, node) = idx.min_reserved()?;
                 (r <= t).then_some((node, 0))
             }
             // Descending load order, ties to the lower id: the winner is
@@ -432,20 +434,36 @@ impl Placer {
         }
     }
 
+    /// Takes the `banned` nodes out of the index's query views (`on`) or
+    /// puts them back. Suspension removes a node from the load order
+    /// without disturbing the others' ties, so `fit` then finds the winner
+    /// the scan finds after skipping banned ids.
+    fn suspend(&mut self, banned: &[bool], on: bool) {
+        for node in (0..banned.len()).filter(|&node| banned[node]) {
+            if on {
+                self.index.suspend(node);
+            } else {
+                self.index.restore(node);
+            }
+        }
+    }
+
     /// Places a best-effort task: least-loaded node by best-effort count,
     /// ties to the lower id. Best-effort work is never rejected.
     pub(crate) fn place_best_effort(&mut self) -> usize {
-        if let Some(order) = self.be_order.as_mut() {
-            let &(count, node) = order.first().expect("at least one node");
-            order.remove(&(count, node));
-            order.insert((count + 1, node));
-            self.best_effort[node] += 1;
-            return node;
-        }
-        let node = (0..self.best_effort.len())
-            .min_by_key(|&i| (self.best_effort[i], i))
-            .expect("at least one node");
-        self.best_effort[node] += 1;
+        let &(_, node) = self.be_order.first().expect("at least one node");
+        #[cfg(test)]
+        let node = if self.scan {
+            (0..self.best_effort.len())
+                .min_by_key(|&i| (self.best_effort[i], i))
+                .expect("at least one node")
+        } else {
+            node
+        };
+        let count = self.best_effort[node];
+        self.be_order.remove(&(count, node));
+        self.be_order.insert((count + 1, node));
+        self.best_effort[node] = count + 1;
         node
     }
 
@@ -460,9 +478,7 @@ impl Placer {
         assert_eq!(reserved.len(), self.reserved.len(), "node count mismatch");
         self.reserved.copy_from_slice(reserved);
         self.releases.clear();
-        if let Some(idx) = self.index.as_mut() {
-            idx.rebuild(reserved);
-        }
+        self.index.rebuild(reserved);
     }
 
     /// What feedback-informed placement books for a live real-time task:
@@ -490,117 +506,13 @@ impl Placer {
         self.live_booking(task.nominal, task.measured_bw, 1.0)
     }
 
-    /// Admission for a migrating task: walks the policy's candidate order,
-    /// skipping `banned` nodes (the pressured sources and saturated
-    /// destinations), and books the first node with room for `demand`
-    /// under the same utilisation bound initial placement uses.
-    pub(crate) fn place_excluding(&mut self, demand: f64, banned: &[bool]) -> Option<usize> {
-        if self.scan {
-            return self.place_excluding_scan(demand, banned);
-        }
-        // Suspend the banned nodes around one indexed query. The
-        // rebalancer's drain loop does not pay this per call — it suspends
-        // once per pass and goes through `place_excluding_active`.
-        let idx = self.index.as_mut().expect("index mode");
-        for (node, &b) in banned.iter().enumerate() {
-            if b {
-                idx.suspend(node);
-            }
-        }
-        let placed = self.place_excluding_active(demand);
-        let idx = self.index.as_mut().expect("index mode");
-        for (node, &b) in banned.iter().enumerate() {
-            if b {
-                idx.restore(node);
-            }
-        }
-        placed
-    }
-
-    /// [`Placer::place_demand`] restricted to non-banned nodes — the
-    /// admission path of traffic-phase tasks, whose load targets one
-    /// slice of the fleet. It rides [`Placer::place_excluding`];
-    /// `migrations` is always reported as 0
-    /// because the filtered walk does not count bounced candidates.
-    pub(crate) fn place_demand_excluding(
-        &mut self,
-        demand: f64,
-        now_ns: u64,
-        departs_ns: Option<u64>,
-        banned: &[bool],
-    ) -> PlacementOutcome {
-        self.release_due(now_ns);
-        match self.place_excluding(demand, banned) {
-            Some(node) => {
-                if let Some(at) = departs_ns {
-                    self.releases.push((at, node, demand));
-                }
-                PlacementOutcome::Admitted {
-                    node,
-                    demand,
-                    migrations: 0,
-                }
-            }
-            None => {
-                // Every node banned: nothing was on offer, and the witness
-                // stays a finite number the journal can write and re-read.
-                let best_spare = self
-                    .reserved
-                    .iter()
-                    .enumerate()
-                    .filter(|&(n, _)| !banned[n])
-                    .map(|(_, r)| self.ulub - r)
-                    .reduce(f64::max)
-                    .unwrap_or(0.0);
-                PlacementOutcome::Rejected { demand, best_spare }
-            }
-        }
-    }
-
-    /// The original linear-scan `place_excluding`, kept verbatim.
-    fn place_excluding_scan(&mut self, demand: f64, banned: &[bool]) -> Option<usize> {
-        let order = self.policy.candidate_order(&self.reserved);
-        for node in order {
-            if banned[node] {
-                continue;
-            }
-            if self.reserved[node] + demand <= self.ulub + 1e-9 {
-                self.reserved[node] += demand;
-                return Some(node);
-            }
-        }
-        None
-    }
-
-    /// Indexed admission over the non-suspended nodes: same winner the
-    /// scan finds after skipping banned ids, because suspension removes a
-    /// node from the load order without disturbing the others' ties.
-    fn place_excluding_active(&mut self, demand: f64) -> Option<usize> {
-        let t = fit_threshold(self.ulub, demand)?;
-        let idx = self.index.as_ref().expect("index mode");
-        let node = match self.policy {
-            PolicyKind::FirstFit => idx.first_fit(t)?,
-            PolicyKind::WorstFit => {
-                let (r, node) = idx.min_reserved()?;
-                if r <= t {
-                    node
-                } else {
-                    return None;
-                }
-            }
-            PolicyKind::BandwidthAware => idx.tightest_fit(t)?.1,
-        };
-        self.set_reserved(node, self.reserved[node] + demand);
-        Some(node)
-    }
-
     /// One feedback-driven rebalance pass over the live tasks and VMs the
     /// nodes of `view` report.
     ///
     /// Nodes whose measured pressure exceeds `cfg.pressure` are drained in
     /// descending-pressure order (ties to the lower id): their movable
-    /// tasks are evicted largest-demand-first and re-placed through
-    /// `Placer::place_excluding`, until no admissible destination
+    /// tasks are evicted largest-demand-first and re-placed on the policy's
+    /// node among the non-banned ones, until no admissible destination
     /// remains or the fleet-wide `cfg.max_moves` cap is reached. The drain
     /// is deliberately *not* bounded by nominal bandwidth balance: a node
     /// can be perfectly balanced on paper and still melting in
@@ -608,7 +520,11 @@ impl Placer {
     /// pressure keeps evacuating it epoch by epoch until the feedback
     /// clears. Pure bookkeeping: the caller applies the returned moves to
     /// the simulated nodes.
-    pub fn rebalance(&mut self, view: &FeedbackView, cfg: &RebalanceSpec) -> RebalanceOutcome {
+    pub(crate) fn rebalance(
+        &mut self,
+        view: &FeedbackView,
+        cfg: &RebalanceSpec,
+    ) -> RebalanceOutcome {
         let nodes = self.reserved.len();
         let mut pressured: Vec<usize> = (0..nodes)
             .filter(|&n| view.pressure(n) > cfg.pressure)
@@ -690,14 +606,8 @@ impl Placer {
         }
         // Suspend every banned node from the index once for the whole
         // pass; sources are themselves banned, so their reserved
-        // decrements below touch only the plain array until the restore.
-        if let Some(idx) = self.index.as_mut() {
-            for (node, &b) in banned.iter().enumerate() {
-                if b {
-                    idx.suspend(node);
-                }
-            }
-        }
+        // decrements below only reach the query views at the restore.
+        self.suspend(&banned, true);
         'drain: for (k, &from) in pressured.iter().enumerate() {
             let mut victims = std::mem::take(&mut buckets[k]);
             // Largest demand first moves the most load per migration; ties
@@ -713,13 +623,9 @@ impl Placer {
                 if out.moves.len() as u32 >= cfg.max_moves {
                     break 'drain;
                 }
-                let dest = if self.scan {
-                    self.place_excluding_scan(v.demand, &banned)
-                } else {
-                    self.place_excluding_active(v.demand)
-                };
-                match dest {
-                    Some(to) => {
+                match self.fit(v.demand) {
+                    Some((to, _)) => {
+                        self.set_reserved(to, self.reserved[to] + v.demand);
                         self.set_reserved(from, (self.reserved[from] - v.demand).max(0.0));
                         out.moves.push(Migration {
                             fleet_id: v.fleet_id,
@@ -736,13 +642,7 @@ impl Placer {
                 }
             }
         }
-        if let Some(idx) = self.index.as_mut() {
-            for (node, &b) in banned.iter().enumerate() {
-                if b {
-                    idx.restore(node);
-                }
-            }
-        }
+        self.suspend(&banned, false);
         out
     }
 }
@@ -1056,13 +956,13 @@ mod tests {
         // Nothing on offer: the witness is 0 spare, not the fold's -inf
         // (which a journal would write and then refuse to read back).
         let mut p = Placer::new(2, 0.9, 1.0, PolicyKind::FirstFit);
-        match p.place_demand_excluding(0.1, 0, None, &[true, true]) {
+        match p.admit(0.1, 0, None, Some(&[true, true])) {
             PlacementOutcome::Rejected { best_spare, .. } => assert_eq!(best_spare, 0.0),
             other => panic!("admitted onto a banned node: {other:?}"),
         }
         // With a candidate, it is still the best non-banned spare.
         p.sync_reserved(&[0.2, 0.85]);
-        match p.place_demand_excluding(0.1, 0, None, &[true, false]) {
+        match p.admit(0.1, 0, None, Some(&[true, false])) {
             PlacementOutcome::Rejected { best_spare, .. } => {
                 assert!((best_spare - 0.05).abs() < 1e-12, "{best_spare}");
             }
@@ -1091,12 +991,35 @@ mod tests {
         PolicyKind::BandwidthAware,
     ];
 
+    /// One admission outcome, checked against what the scan saw: never a
+    /// banned node, and a rejection's witness is the fold of `ulub -
+    /// reserved` over the candidates (0 with none). Returns the outcome's
+    /// text for the index/scan comparison.
+    fn checked(p: &Placer, outcome: PlacementOutcome, banned: &[bool]) -> String {
+        match outcome {
+            PlacementOutcome::Admitted { node, .. } => assert!(!banned[node], "banned {node}"),
+            PlacementOutcome::Rejected { best_spare, .. } => {
+                let fold = p
+                    .reserved()
+                    .iter()
+                    .zip(banned)
+                    .filter(|&(_, &b)| !b)
+                    .map(|(r, _)| p.ulub - r)
+                    .reduce(f64::max)
+                    .unwrap_or(0.0);
+                assert_eq!(best_spare.to_bits(), fold.to_bits(), "witness");
+            }
+        }
+        format!("{outcome:?}")
+    }
+
     #[test]
     fn index_and_scan_agree_on_every_decision() {
         // Drive an indexed placer and a scan placer through the same long
         // random operation sequence; every outcome — winner, migrations
         // count, rejection witness, best-effort pick, booked state — must
-        // be bit-identical at each step, for every policy.
+        // be bit-identical at each step, for every policy, with no ban, a
+        // random ban mask and every node banned.
         for policy in ALL_POLICIES {
             for nodes in [1usize, 3, 7, 32] {
                 let mut rng = 0x9E37_79B9_7F4A_7C15u64 ^ nodes as u64;
@@ -1107,38 +1030,26 @@ mod tests {
                 for _ in 0..400 {
                     now += xorshift(&mut rng) % 50_000;
                     let op = xorshift(&mut rng) % 100;
-                    if op < 55 {
+                    if op < 55 || (70..92).contains(&op) {
                         let demand = (xorshift(&mut rng) % 1001) as f64 / 1000.0;
                         let departs = op
                             .is_multiple_of(3)
                             .then(|| now + 1 + xorshift(&mut rng) % 100_000);
-                        let a = indexed.place_demand(demand, now, departs);
-                        let b = scan.place_demand(demand, now, departs);
-                        assert_eq!(format!("{a:?}"), format!("{b:?}"), "policy {policy:?}");
+                        // The planner's phase path: a filtered admission,
+                        // now and then with nothing on offer.
+                        let banned: Vec<bool> = (0..nodes)
+                            .map(|_| op >= 88 || (op >= 70 && xorshift(&mut rng).is_multiple_of(4)))
+                            .collect();
+                        let ban = (op >= 70).then_some(banned.as_slice());
+                        let a = indexed.admit(demand, now, departs, ban);
+                        let b = scan.admit(demand, now, departs, ban);
+                        assert_eq!(
+                            checked(&indexed, a, &banned),
+                            checked(&scan, b, &banned),
+                            "policy {policy:?}"
+                        );
                     } else if op < 70 {
                         assert_eq!(indexed.place_best_effort(), scan.place_best_effort());
-                    } else if op < 92 {
-                        let banned: Vec<bool> = (0..nodes)
-                            .map(|_| xorshift(&mut rng).is_multiple_of(4))
-                            .collect();
-                        let demand = (xorshift(&mut rng) % 1001) as f64 / 1000.0;
-                        if op < 82 {
-                            assert_eq!(
-                                indexed.place_excluding(demand, &banned),
-                                scan.place_excluding(demand, &banned),
-                                "policy {policy:?}"
-                            );
-                        } else {
-                            // The planner's phase path: a filtered admission
-                            // that departs, so `release_due` fires between
-                            // ops.
-                            let departs = op
-                                .is_multiple_of(2)
-                                .then(|| now + 1 + xorshift(&mut rng) % 100_000);
-                            let a = indexed.place_demand_excluding(demand, now, departs, &banned);
-                            let b = scan.place_demand_excluding(demand, now, departs, &banned);
-                            assert_eq!(format!("{a:?}"), format!("{b:?}"), "policy {policy:?}");
-                        }
                     } else {
                         // The epoch rebuild: arbitrary live bookings, which
                         // may exceed ulub and even 1.0.

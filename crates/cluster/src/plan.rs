@@ -256,7 +256,7 @@ impl Planning<'_> {
         for (i, vm_spec) in spec.vms.iter().enumerate() {
             let (node, outcome) = match self.pinned {
                 Some(p) => (p.vm_nodes.get(i).copied().flatten(), None),
-                None => match self.placer.place_demand(vm_spec.share(), 0, None) {
+                None => match self.placer.admit(vm_spec.share(), 0, None, None) {
                     o @ PlacementOutcome::Admitted { node, .. } => {
                         self.admission.vms_admitted += 1;
                         (Some(node), Some(o))
@@ -364,16 +364,11 @@ impl Planning<'_> {
         banned: &[Vec<bool>],
     ) -> (Option<usize>, PlacementOutcome) {
         let (arrives, departs) = (draw.arrival.as_ns(), draw.departure.map(|d| d.as_ns()));
-        let outcome = match draw.phase {
-            // Phase traffic targets a node slice: same admission test,
-            // candidates restricted to the phase's filter.
-            Some(pi) => {
-                let demand = self.placer.demand_of(nominal);
-                self.placer
-                    .place_demand_excluding(demand, arrives, departs, &banned[pi])
-            }
-            None => self.placer.place(nominal, arrives, departs),
-        };
+        // Phase traffic targets a node slice: same admission test,
+        // candidates restricted to the phase's filter.
+        let ban = draw.phase.map(|pi| banned[pi].as_slice());
+        let demand = self.placer.demand_of(nominal);
+        let outcome = self.placer.admit(demand, arrives, departs, ban);
         match outcome {
             PlacementOutcome::Admitted {
                 node, migrations, ..

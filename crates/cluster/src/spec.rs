@@ -828,7 +828,7 @@ impl ScenarioSpec {
     /// packed prefix melts for the whole run; the feedback rebalancer
     /// drains it into the idle majority, and every destination query has
     /// the whole fleet to pick from — which is exactly where the
-    /// bucketed headroom index earns its keep at 10k nodes.
+    /// ordered headroom index earns its keep at 10k nodes.
     ///
     /// All tasks arrive at `t = 0` (staggered gaps would not fit a short
     /// fleet horizon at 10k+ tasks) and the managers sample at 100 ms so

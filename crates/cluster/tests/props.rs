@@ -12,8 +12,9 @@
 //!   checkpoint's interim equals the pinned run stopped at its cursor.
 //! * **Placer invariants** — the placer must never book a node beyond the
 //!   utilisation bound, must only admit tasks the minbudget analysis can
-//!   schedule, must reject only when no node had room, and live
-//!   migrations must respect the destination's admission bound.
+//!   schedule, must never admit onto a banned node, must reject only when
+//!   no candidate node had room, and live migrations must respect the
+//!   destination's admission bound.
 //! * **Scenario text I/O** — `to_text`/`from_text` round-trip exactly.
 
 use proptest::prelude::*;
@@ -513,27 +514,42 @@ proptest! {
         ulub_pct in 50u64..101,
         headroom_pct in 100u64..151,
         policy in policy_strategy(),
+        ban_bits in prop_oneof![Just(None), (0u64..128).prop_map(Some)],
     ) {
         let ulub = ulub_pct as f64 / 100.0;
         let headroom = headroom_pct as f64 / 100.0;
         let mut placer = Placer::new(nodes, ulub, headroom, policy);
+        // An optional ban mask, as a traffic phase's node slice imposes.
+        let banned: Option<Vec<bool>> =
+            ban_bits.map(|bits| (0..nodes).map(|n| (bits >> n) & 1 == 1).collect());
         for (i, &(c, p)) in tasks.iter().enumerate() {
             let wcet = (c as f64).min(p as f64);
             let task = PeriodicTask::new(wcet, p as f64);
-            let outcome = placer.place(task, i as u64, None);
             let demand = (min_bandwidth_single(task, task.period) * headroom).min(1.0);
+            let outcome = match &banned {
+                None => placer.place(task, i as u64, None),
+                Some(b) => placer.admit(demand, i as u64, None, Some(b)),
+            };
+            let is_banned = |n: usize| banned.as_ref().is_some_and(|b| b[n]);
             match outcome {
-                PlacementOutcome::Admitted { node, demand: booked, .. } => {
+                PlacementOutcome::Admitted { node, demand: booked, migrations } => {
                     // Booked exactly the analysis-backed demand.
                     prop_assert!((booked - demand).abs() < 1e-12);
                     prop_assert!(node < nodes);
+                    prop_assert!(!is_banned(node), "admitted onto banned node {node}");
+                    // A filtered walk counts no bounced candidates.
+                    prop_assert!(banned.is_none() || migrations == 0);
                     // A task whose minimum schedulable bandwidth exceeds
                     // the bound must never be admitted.
                     prop_assert!(demand <= ulub + 1e-9, "admitted demand {demand} over ulub {ulub}");
                 }
                 PlacementOutcome::Rejected { best_spare, .. } => {
-                    // Rejection witness: nothing had room.
+                    // Rejection witness: nothing had room, and no
+                    // candidate node had more spare than the witness.
                     prop_assert!(demand > best_spare + 1e-12);
+                    for (n, &r) in placer.reserved().iter().enumerate() {
+                        prop_assert!(is_banned(n) || ulub - r <= best_spare, "node {n} spare {}", ulub - r);
+                    }
                 }
             }
             // The bound holds on every node after every decision.

@@ -3,7 +3,7 @@
 //! The skewed-overload claim does not get to shrink with scale: first-fit
 //! packs lying tasks onto the low-id slice of a 10 000-node fleet, and
 //! the feedback rebalancer must still cut fleet misses — now picking
-//! destinations out of an idle majority of thousands via the bucketed
+//! destinations out of an idle majority of thousands via the ordered
 //! headroom index, and reporting through mergeable histogram sketches
 //! instead of per-task gap vectors. The test pins the two contracts
 //! that make that safe: the rebalancer wins, and sketch aggregates cannot

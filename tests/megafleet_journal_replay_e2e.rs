@@ -9,7 +9,7 @@
 //!     --smoke --journal examples/megafleet.journal
 //! ```
 //!
-//! It pins this PR's whole fleet-scale hot path — bucketed placement
+//! It pins the whole fleet-scale hot path — ordered placement
 //! index, arena node state, batched epoch arrivals — to bytes recorded
 //! before any future refactor: if replay of the fixture ever diverges,
 //! either the simulation's determinism or its decision logic changed.
