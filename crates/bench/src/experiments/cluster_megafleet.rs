@@ -10,9 +10,9 @@
 //!   ordered [`selftune_cluster::HeadroomIndex`] (O(log n), not a fleet
 //!   scan; the placer's in-file differential tests hold it byte-identical
 //!   to the linear scan it replaced);
-//! * per-task gap vectors are replaced by mergeable histogram sketches
-//!   (`with_sketch_aggregates`), keeping per-node report state O(1) per
-//!   task — the experiment asserts the sketch summaries are still
+//! * lossless sketches, which keep every gap, are replaced by binned
+//!   histogram sketches (`with_sketch_aggregates`), keeping per-node
+//!   report state O(bins) — the experiment asserts the sketch summaries are still
 //!   byte-identical at 1, 2 and 8 worker threads.
 //!
 //! `--fast` shrinks tasks/horizon; `--smoke` shrinks further to the CI

@@ -12,49 +12,7 @@ use selftune_simcore::stats;
 
 use crate::sketch::StreamSketch;
 
-/// Per-task slice of a node report.
-///
-/// Detailed mode materialises one of these per task, so the struct is on
-/// a memory diet: per-task counters are `u32` (a task would need >4×10⁹
-/// completions within one run to overflow — at the 25 Hz frame rates the
-/// scenarios model that is five simulated years), and the fleet id is
-/// `u32` (the fleet axis caps at millions, not billions). Fleet-level
-/// sums still accumulate in `u64` inside [`NodeTotals`]. The layout is
-/// pinned by a size-audit test (`task_report_stays_on_its_memory_diet`).
-#[derive(Clone, Debug)]
-pub struct TaskReport {
-    /// Fleet-wide task index.
-    pub fleet_id: u32,
-    /// Whether the task ran under a reservation.
-    pub realtime: bool,
-    /// Whether the manager attached a reservation during the run.
-    pub attached: bool,
-    /// Whether this incarnation arrived through a live migration.
-    pub migrated: bool,
-    /// Whether the task ran as a guest inside a virtual platform (its
-    /// attach delay is then a *guest-manager* property, reported
-    /// separately from flat-task hand-over gaps).
-    pub in_vm: bool,
-    /// Completed jobs/frames.
-    pub completions: u32,
-    /// Completion gaps exceeding the miss factor.
-    pub misses: u32,
-    /// Frames dropped by the application itself.
-    pub dropped: u32,
-    /// Metric label.
-    pub label: String,
-    /// Completion gaps normalised by the nominal period (1.0 = on time).
-    pub ift_norm: Vec<f64>,
-    /// Milliseconds from arrival to the manager attaching a reservation
-    /// (`None` while detection is still running, or for best-effort
-    /// tasks). Warm-started migrations report 0 — the hand-over gap the
-    /// carried controller state eliminates.
-    pub attach_delay_ms: Option<f64>,
-}
-
-/// Exact per-node counters, maintained in both report modes. In detailed
-/// mode they are derived from the task vector; in sketch mode they are
-/// the *only* exact state the node keeps.
+/// Exact per-node counters, folded task by task in both report modes.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct NodeTotals {
     /// Tasks that ran on the node (including released/departed ones).
@@ -72,10 +30,10 @@ pub struct NodeTotals {
     pub dropped: u64,
 }
 
-/// Per-node mergeable distribution state for fleet-scale runs: histogram
-/// sketches instead of per-task gap vectors. [`AggregateMetrics::new`]
-/// folds them in node-id order, so the fleet sketch is byte-identical at
-/// any thread count.
+/// Per-node mergeable distribution state, one [`StreamSketch`] kind
+/// throughout: lossless in a detailed report, binned at fleet scale.
+/// [`AggregateMetrics::new`] folds them in node-id order, so the fleet
+/// sketch is byte-identical at any thread count.
 #[derive(Clone, Debug)]
 pub struct NodeSketches {
     /// Normalised completion gaps (gap / period) of every task.
@@ -89,28 +47,35 @@ pub struct NodeSketches {
 }
 
 impl NodeSketches {
-    /// Empty sketches on the canonical fleet grids.
-    pub fn new() -> NodeSketches {
+    /// Empty sketches: lossless ones, or binned ones on the canonical
+    /// fleet grids.
+    pub fn new(lossless: bool) -> NodeSketches {
         NodeSketches {
-            gaps: StreamSketch::for_gap_norm(),
-            post_migration: StreamSketch::for_gap_norm(),
-            attach: StreamSketch::for_delay_ms(),
-            vm_attach: StreamSketch::for_delay_ms(),
+            gaps: StreamSketch::for_gap_norm(lossless),
+            post_migration: StreamSketch::for_gap_norm(lossless),
+            attach: StreamSketch::for_delay_ms(lossless),
+            vm_attach: StreamSketch::for_delay_ms(lossless),
         }
     }
 
     /// Folds another node's sketches into this one.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a lossless family meets a binned one.
     pub fn merge(&mut self, other: &NodeSketches) {
         self.gaps.merge(&other.gaps);
         self.post_migration.merge(&other.post_migration);
         self.attach.merge(&other.attach);
         self.vm_attach.merge(&other.vm_attach);
     }
-}
 
-impl Default for NodeSketches {
-    fn default() -> NodeSketches {
-        NodeSketches::new()
+    /// Sorts every lossless family, ready for quantile reads.
+    fn sort(&mut self) {
+        self.gaps.sort();
+        self.post_migration.sort();
+        self.attach.sort();
+        self.vm_attach.sort();
     }
 }
 
@@ -119,12 +84,12 @@ impl Default for NodeSketches {
 pub struct NodeReport {
     /// Node id.
     pub node: usize,
-    /// Tasks that ran on this node. Empty in sketch mode, where per-task
-    /// vectors are exactly what a 1M-task fleet cannot retain.
-    pub tasks: Vec<TaskReport>,
-    /// Exact per-node counters (kept in both modes).
+    /// Exact per-node counters.
     pub totals: NodeTotals,
-    /// Distribution sketches; `Some` iff the node reported in sketch mode.
+    /// The node's distributions, of the kind its report mode chose.
+    /// `None` once the report is folded into an [`AggregateMetrics`]: an
+    /// aggregated report's distributions live in
+    /// [`AggregateMetrics::merged`].
     pub sketches: Option<NodeSketches>,
     /// CPU busy fraction over the horizon.
     pub utilisation: f64,
@@ -138,36 +103,8 @@ impl NodeReport {
     /// A completion gap above `MISS_FACTOR × P` counts as a deadline miss.
     pub const MISS_FACTOR: f64 = 1.5;
 
-    /// A detailed-mode report: totals derived from the task vector.
-    pub fn from_tasks(
-        node: usize,
-        tasks: Vec<TaskReport>,
-        utilisation: f64,
-        reserved_bw: f64,
-        ctx_switches: u64,
-    ) -> NodeReport {
-        let totals = NodeTotals {
-            tasks: tasks.len(),
-            rt_tasks: tasks.iter().filter(|t| t.realtime).count(),
-            completions: tasks.iter().map(|t| u64::from(t.completions)).sum(),
-            misses: tasks.iter().map(|t| u64::from(t.misses)).sum(),
-            gaps: tasks.iter().map(|t| t.ift_norm.len() as u64).sum(),
-            dropped: tasks.iter().map(|t| u64::from(t.dropped)).sum(),
-        };
-        NodeReport {
-            node,
-            tasks,
-            totals,
-            sketches: None,
-            utilisation,
-            reserved_bw,
-            ctx_switches,
-        }
-    }
-
-    /// A sketch-mode report: exact counters plus distribution sketches,
-    /// no per-task retention.
-    pub fn from_sketches(
+    /// A node report: exact counters plus distribution sketches.
+    pub fn new(
         node: usize,
         totals: NodeTotals,
         sketches: NodeSketches,
@@ -177,7 +114,6 @@ impl NodeReport {
     ) -> NodeReport {
         NodeReport {
             node,
-            tasks: Vec::new(),
             totals,
             sketches: Some(sketches),
             utilisation,
@@ -262,9 +198,9 @@ pub struct AggregateMetrics {
     /// Per-node reports, in node-id order.
     pub nodes: Vec<NodeReport>,
     /// The node-id-order fold of every node's sketches, computed once by
-    /// [`AggregateMetrics::new`] instead of per summary read. `None` iff
-    /// no node reported sketches.
-    merged: Option<NodeSketches>,
+    /// [`AggregateMetrics::new`] instead of per summary read, lossless
+    /// families sorted.
+    merged: NodeSketches,
 }
 
 /// Quantile grid of the miss CDF export (percent steps).
@@ -273,11 +209,18 @@ const CDF_STEPS: usize = 100;
 const UTIL_BINS: usize = 10;
 
 impl AggregateMetrics {
-    /// Folds node reports, sorted here by node id. The fleet sketch is a
-    /// clone of the first sketch-bearing node's sketches with every later
-    /// node's merged into it in turn — the fixed order
-    /// [`StreamSketch::merge`] relies on, so every float sum, and with it
-    /// every byte of the summary, is the same at any thread count.
+    /// Folds node reports, sorted here by node id. Each node's sketches
+    /// move out of its report into the fleet fold: the first node's
+    /// sketches seed it and every later node's merge into it in turn —
+    /// the fixed order a sketch merge relies on, so every float sum, and
+    /// with it every byte of the summary, is the same at any thread
+    /// count. The lossless families are then sorted, once for every
+    /// quantile read.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a report was already folded into an aggregate, or
+    /// when lossless and binned reports meet.
     pub fn new(
         scenario: &str,
         seed: u64,
@@ -285,13 +228,13 @@ impl AggregateMetrics {
         mut nodes: Vec<NodeReport>,
     ) -> AggregateMetrics {
         nodes.sort_by_key(|n| n.node);
-        let mut merged: Option<NodeSketches> = None;
-        for k in nodes.iter().filter_map(|n| n.sketches.as_ref()) {
-            match &mut merged {
-                Some(m) => m.merge(k),
-                None => merged = Some(k.clone()),
-            }
+        let take = |n: &mut NodeReport| n.sketches.take().expect("node report already aggregated");
+        let mut sketches = nodes.iter_mut().map(take);
+        let mut merged = sketches.next().unwrap_or_else(|| NodeSketches::new(true));
+        for k in sketches {
+            merged.merge(&k);
         }
+        merged.sort();
         AggregateMetrics {
             scenario: scenario.to_owned(),
             seed,
@@ -340,77 +283,20 @@ impl AggregateMetrics {
         sum / self.nodes.len() as f64
     }
 
-    /// The node-id-order fold of every node's sketches. `Some` iff at
-    /// least one node reported sketches.
-    pub fn merged(&self) -> Option<&NodeSketches> {
-        self.merged.as_ref()
-    }
-
-    /// Normalised completion gaps of the detailed-mode tasks — all of
-    /// them, or only migrated incarnations' — sorted ascending.
-    fn sorted_gaps(&self, migrated_only: bool) -> Vec<f64> {
-        let mut xs: Vec<f64> = self
-            .nodes
-            .iter()
-            .flat_map(|n| &n.tasks)
-            .filter(|t| t.migrated || !migrated_only)
-            .flat_map(|t| t.ift_norm.iter().copied())
-            .collect();
-        xs.sort_by(|a, b| a.partial_cmp(b).expect("NaN completion gap"));
-        xs
-    }
-
-    /// One gap distribution sampled on the fixed quantile grid (so export
-    /// size is independent of fleet size): from the merged sketch family
-    /// `pick` at bin resolution in sketch mode, else from the exact sorted
-    /// gaps. Empty when there is nothing to sample.
-    fn cdf(
-        &self,
-        pick: impl Fn(&NodeSketches) -> &StreamSketch,
-        migrated_only: bool,
-    ) -> Vec<(f64, f64)> {
-        fn grid(empty: bool, quantile: impl Fn(f64) -> f64) -> Vec<(f64, f64)> {
-            if empty {
-                return Vec::new();
-            }
-            (0..=CDF_STEPS)
-                .map(|i| {
-                    let p = i as f64 / CDF_STEPS as f64;
-                    (p, quantile(p))
-                })
-                .collect()
-        }
-        if let Some(s) = self.merged().map(pick) {
-            return grid(s.is_empty(), |p| s.quantile(p).expect("non-empty sketch"));
-        }
-        let xs = self.sorted_gaps(migrated_only);
-        grid(xs.is_empty(), |p| stats::quantile_sorted(&xs, p))
+    /// The node-id-order fold of every node's sketches.
+    pub fn merged(&self) -> &NodeSketches {
+        &self.merged
     }
 
     /// The fleet-wide CDF of normalised completion gaps.
     pub(crate) fn miss_cdf(&self) -> Vec<(f64, f64)> {
-        self.cdf(|k| &k.gaps, false)
+        cdf(&self.merged.gaps)
     }
 
     /// The miss CDF restricted to gaps observed after a migration (i.e. on
     /// the re-placed incarnations). Empty when nothing migrated.
     pub fn post_migration_cdf(&self) -> Vec<(f64, f64)> {
-        self.cdf(|k| &k.post_migration, true)
-    }
-
-    fn mean_attach_delay_where(&self, pred: impl Fn(&TaskReport) -> bool) -> Option<f64> {
-        let (mut sum, mut count) = (0.0f64, 0u64);
-        for d in self
-            .nodes
-            .iter()
-            .flat_map(|n| n.tasks.iter())
-            .filter(|t| t.migrated && pred(t))
-            .filter_map(|t| t.attach_delay_ms)
-        {
-            sum += d;
-            count += 1;
-        }
-        (count > 0).then(|| sum / count as f64)
+        cdf(&self.merged.post_migration)
     }
 
     /// Mean attach delay (ms) of migrated *flat-task* incarnations that
@@ -420,10 +306,7 @@ impl AggregateMetrics {
     /// blending the two regimes made the metric unreadable on fleets
     /// mixing VM and task moves. `None` when nothing migrated-and-attached.
     pub fn mean_migrated_attach_delay_ms(&self) -> Option<f64> {
-        if let Some(s) = self.merged().map(|k| &k.attach) {
-            return s.mean();
-        }
-        self.mean_attach_delay_where(|t| !t.in_vm)
+        self.merged.attach.mean()
     }
 
     /// Mean attach delay (ms) of guests re-admitted inside a *migrated
@@ -431,10 +314,7 @@ impl AggregateMetrics {
     /// detected period and a demand-sized budget, so this collapses to
     /// zero; cold guests re-run detection inside the re-admitted VM.
     pub fn mean_migrated_vm_guest_attach_delay_ms(&self) -> Option<f64> {
-        if let Some(s) = self.merged().map(|k| &k.vm_attach) {
-            return s.mean();
-        }
-        self.mean_attach_delay_where(|t| t.in_vm)
+        self.merged.vm_attach.mean()
     }
 
     /// Histogram of per-node utilisation over `[0, 1]`.
@@ -639,30 +519,15 @@ impl AggregateMetrics {
             self.miss_ratio(),
             100.0 * self.mean_utilisation(),
         ));
-        match self.merged().map(|k| &k.gaps) {
-            Some(s) => {
-                if !s.is_empty() {
-                    out.push_str(&format!(
-                        "completion gap / period: p50 {:.3}  p95 {:.3}  p99 {:.3}  max {:.3}\n",
-                        s.quantile(0.50).expect("non-empty"),
-                        s.quantile(0.95).expect("non-empty"),
-                        s.quantile(0.99).expect("non-empty"),
-                        s.max().expect("non-empty"),
-                    ));
-                }
-            }
-            None => {
-                let xs = self.sorted_gaps(false);
-                if !xs.is_empty() {
-                    out.push_str(&format!(
-                        "completion gap / period: p50 {:.3}  p95 {:.3}  p99 {:.3}  max {:.3}\n",
-                        stats::quantile_sorted(&xs, 0.50),
-                        stats::quantile_sorted(&xs, 0.95),
-                        stats::quantile_sorted(&xs, 0.99),
-                        xs.last().expect("non-empty"),
-                    ));
-                }
-            }
+        let s = &self.merged.gaps;
+        if !s.is_empty() {
+            out.push_str(&format!(
+                "completion gap / period: p50 {:.3}  p95 {:.3}  p99 {:.3}  max {:.3}\n",
+                s.quantile(0.50).expect("non-empty"),
+                s.quantile(0.95).expect("non-empty"),
+                s.quantile(0.99).expect("non-empty"),
+                s.max().expect("non-empty"),
+            ));
         }
         for n in &self.nodes {
             out.push_str(&format!(
@@ -678,37 +543,34 @@ impl AggregateMetrics {
     }
 }
 
+/// One sorted distribution sampled on the fixed quantile grid (so export
+/// size is independent of fleet size). Empty when there is nothing to
+/// sample.
+fn cdf(s: &StreamSketch) -> Vec<(f64, f64)> {
+    if s.is_empty() {
+        return Vec::new();
+    }
+    (0..=CDF_STEPS)
+        .map(|i| {
+            let p = i as f64 / CDF_STEPS as f64;
+            (p, s.quantile(p).expect("non-empty sketch"))
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn report(node: usize, util: f64, ift: Vec<f64>) -> NodeReport {
-        NodeReport::from_tasks(
-            node,
-            vec![TaskReport {
-                fleet_id: node as u32,
-                label: format!("t{node}"),
-                realtime: true,
-                attached: true,
-                migrated: false,
-                in_vm: false,
-                completions: ift.len() as u32 + 1,
-                misses: ift.iter().filter(|&&x| x > NodeReport::MISS_FACTOR).count() as u32,
-                dropped: 0,
-                ift_norm: ift,
-                attach_delay_ms: None,
-            }],
-            util,
-            util * 0.8,
-            100,
-        )
-    }
-
-    /// The same node as `report`, reduced to sketch form.
-    fn sketch_report(node: usize, util: f64, ift: Vec<f64>) -> NodeReport {
-        let mut sk = NodeSketches::new();
-        for &x in &ift {
+    /// A one-task node of either sketch kind whose task saw `ift`, its
+    /// gaps also post-migration ones when it arrived by migration.
+    fn node(lossless: bool, id: usize, util: f64, ift: &[f64], migrated: bool) -> NodeReport {
+        let mut sk = NodeSketches::new(lossless);
+        for &x in ift {
             sk.gaps.record(x);
+            if migrated {
+                sk.post_migration.record(x);
+            }
         }
         let totals = NodeTotals {
             tasks: 1,
@@ -718,60 +580,54 @@ mod tests {
             gaps: ift.len() as u64,
             dropped: 0,
         };
-        NodeReport::from_sketches(node, totals, sk, util, util * 0.8, 100)
+        NodeReport::new(id, totals, sk, util, util * 0.8, 100)
     }
 
-    #[test]
-    fn task_report_stays_on_its_memory_diet() {
-        // The detailed-mode per-task struct: u32 counters + flags pack
-        // into 20 bytes, then label (String), ift_norm (Vec) and the
-        // Option<f64> attach delay — 88 bytes total on 64-bit, down from
-        // 104 with the old usize/u64 fields. Regressing past 88 means a
-        // field grew back to a fat type.
-        assert!(
-            std::mem::size_of::<TaskReport>() <= 88,
-            "TaskReport grew to {} bytes",
-            std::mem::size_of::<TaskReport>()
-        );
+    /// A detailed (lossless) node report.
+    fn report(id: usize, util: f64, ift: Vec<f64>) -> NodeReport {
+        node(true, id, util, &ift, false)
+    }
+
+    /// The same node as `report`, reduced to binned form.
+    fn sketch_report(id: usize, util: f64, ift: Vec<f64>) -> NodeReport {
+        node(false, id, util, &ift, false)
+    }
+
+    fn aggregate(nodes: Vec<NodeReport>) -> AggregateMetrics {
+        AggregateMetrics::new("s", 1, AdmissionStats::default(), nodes)
     }
 
     #[test]
     fn tree_reduce_matches_the_serial_fold_on_mixed_nodes() {
-        // Non-power-of-two node count with sketch-less nodes interleaved,
-        // handed over in reverse: the aggregate's merged sketches are the
-        // serial node-id-order fold.
-        let nodes: Vec<NodeReport> = (0..7)
-            .map(|n| {
-                if n % 3 == 2 {
-                    report(n, 0.2, vec![1.0 + n as f64 * 0.01])
-                } else {
-                    sketch_report(n, 0.2, vec![0.9, 1.2 + n as f64 * 0.1, 3.0])
-                }
-            })
-            .collect();
-        let serial = {
-            let mut acc: Option<NodeSketches> = None;
+        // Non-power-of-two node count with record-less nodes interleaved,
+        // handed over in reverse, in either sketch kind: the aggregate's
+        // merged sketches are the serial node-id-order fold.
+        for lossless in [false, true] {
+            let nodes: Vec<NodeReport> = (0..7)
+                .map(|n| {
+                    let ift = if n % 3 == 2 {
+                        vec![]
+                    } else {
+                        vec![0.9, 1.2 + n as f64 * 0.1, 3.0]
+                    };
+                    node(lossless, n, 0.2, &ift, n % 2 == 1)
+                })
+                .collect();
+            let mut serial = NodeSketches::new(lossless);
             for n in &nodes {
-                if let Some(k) = &n.sketches {
-                    match &mut acc {
-                        None => acc = Some(k.clone()),
-                        Some(a) => a.merge(k),
-                    }
-                }
+                serial.merge(n.sketches.as_ref().expect("not yet aggregated"));
             }
-            acc.unwrap()
-        };
-        let reversed: Vec<NodeReport> = nodes.into_iter().rev().collect();
-        let m = AggregateMetrics::new("s", 9, AdmissionStats::default(), reversed);
-        let fold = m.merged().unwrap();
-        assert_eq!(fold.gaps, serial.gaps);
-        assert_eq!(fold.post_migration, serial.post_migration);
-        assert_eq!(fold.attach, serial.attach);
-        assert_eq!(fold.vm_attach, serial.vm_attach);
-        // No sketches at all → no merged sketch.
-        let detailed: Vec<NodeReport> = (0..3).map(|n| report(n, 0.1, vec![1.0])).collect();
-        let m = AggregateMetrics::new("s", 9, AdmissionStats::default(), detailed);
-        assert!(m.merged().is_none());
+            serial.sort();
+            let reversed: Vec<NodeReport> = nodes.into_iter().rev().collect();
+            let m = AggregateMetrics::new("s", 9, AdmissionStats::default(), reversed);
+            let fold = m.merged();
+            assert_eq!(fold.gaps, serial.gaps);
+            assert_eq!(fold.post_migration, serial.post_migration);
+            assert_eq!(fold.attach, serial.attach);
+            assert_eq!(fold.vm_attach, serial.vm_attach);
+            assert_eq!(fold.gaps.is_lossless(), lossless);
+            assert!(m.nodes.iter().all(|n| n.sketches.is_none()), "moved");
+        }
     }
 
     #[test]
@@ -791,7 +647,7 @@ mod tests {
             AdmissionStats::default(),
             w1.into_iter().chain(w0).collect(),
         );
-        let (b, g) = (baseline.merged().unwrap(), grouped.merged().unwrap());
+        let (b, g) = (baseline.merged(), grouped.merged());
         assert_eq!(b.gaps, g.gaps);
         assert_eq!(b.post_migration, g.post_migration);
         assert_eq!(b.attach, g.attach);
@@ -803,40 +659,25 @@ mod tests {
     fn aggregation_is_order_independent() {
         let a = report(0, 0.3, vec![1.0, 1.1]);
         let b = report(1, 0.5, vec![0.9, 2.0]);
-        let fwd = AggregateMetrics::new(
-            "s",
-            1,
-            AdmissionStats::default(),
-            vec![a.clone(), b.clone()],
-        );
-        let rev = AggregateMetrics::new("s", 1, AdmissionStats::default(), vec![b, a]);
+        let fwd = aggregate(vec![a.clone(), b.clone()]);
+        let rev = aggregate(vec![b, a]);
         assert_eq!(fwd.summary_csv(), rev.summary_csv());
     }
 
     #[test]
     fn miss_ratio_counts_factor_exceedances() {
-        let m = AggregateMetrics::new(
-            "s",
-            1,
-            AdmissionStats::default(),
-            vec![report(0, 0.3, vec![1.0, 1.6, 0.9, 3.0])],
-        );
+        let m = aggregate(vec![report(0, 0.3, vec![1.0, 1.6, 0.9, 3.0])]);
         assert_eq!(m.misses(), 2);
         assert!((m.miss_ratio() - 0.5).abs() < 1e-12);
     }
 
     #[test]
     fn cdf_grid_is_fixed_size() {
-        let m = AggregateMetrics::new(
-            "s",
-            1,
-            AdmissionStats::default(),
-            vec![report(
-                0,
-                0.3,
-                (0..1000).map(|i| i as f64 / 500.0).collect(),
-            )],
-        );
+        let m = aggregate(vec![report(
+            0,
+            0.3,
+            (0..1000).map(|i| i as f64 / 500.0).collect(),
+        )]);
         let cdf = m.miss_cdf();
         assert_eq!(cdf.len(), CDF_STEPS + 1);
         assert!(cdf.windows(2).all(|w| w[0].1 <= w[1].1), "CDF monotone");
@@ -844,28 +685,23 @@ mod tests {
 
     #[test]
     fn rebalance_stats_flow_into_summary_and_cdf() {
-        let mut migrated_node = report(1, 0.4, vec![1.0, 1.1, 0.9]);
-        migrated_node.tasks[0].migrated = true;
-        let m = AggregateMetrics::new(
-            "s",
-            1,
-            AdmissionStats::default(),
-            vec![report(0, 0.3, vec![2.0]), migrated_node],
-        )
-        .with_rebalance(RebalanceStats {
-            epochs: 3,
-            moves: 1,
-            failed: 2,
-            records: vec![MigrationRecord {
-                epoch: 1,
-                fleet_id: 1,
-                vm: false,
-                from: 0,
-                to: 1,
-                demand: 0.25,
-                dest_reserved_after: 0.25,
-            }],
-        });
+        let migrated_node = node(true, 1, 0.4, &[1.0, 1.1, 0.9], true);
+        let m = aggregate(vec![report(0, 0.3, vec![2.0]), migrated_node]).with_rebalance(
+            RebalanceStats {
+                epochs: 3,
+                moves: 1,
+                failed: 2,
+                records: vec![MigrationRecord {
+                    epoch: 1,
+                    fleet_id: 1,
+                    vm: false,
+                    from: 0,
+                    to: 1,
+                    demand: 0.25,
+                    dest_reserved_after: 0.25,
+                }],
+            },
+        );
         let csv = m.summary_csv();
         assert!(csv.contains("rb_epochs,3"));
         assert!(csv.contains("rb_moves,1"));
@@ -878,12 +714,7 @@ mod tests {
         assert!(pm.last().unwrap().1 <= 1.1 + 1e-12);
         assert!(csv.contains("pmcdf,1.00,"));
         // A run without migrations exports no post-migration CDF.
-        let plain = AggregateMetrics::new(
-            "s",
-            1,
-            AdmissionStats::default(),
-            vec![report(0, 0.3, vec![2.0])],
-        );
+        let plain = aggregate(vec![report(0, 0.3, vec![2.0])]);
         assert!(plain.post_migration_cdf().is_empty());
         assert!(!plain.summary_csv().contains("pmcdf"));
     }
@@ -892,21 +723,14 @@ mod tests {
     fn sketch_reports_keep_counters_exact_and_cdfs_close() {
         let gaps_a = vec![1.0, 1.1, 0.9, 3.0];
         let gaps_b = vec![0.95, 1.6, 1.05];
-        let exact = AggregateMetrics::new(
-            "s",
-            1,
-            AdmissionStats::default(),
-            vec![
-                report(0, 0.3, gaps_a.clone()),
-                report(1, 0.5, gaps_b.clone()),
-            ],
-        );
-        let sketched = AggregateMetrics::new(
-            "s",
-            1,
-            AdmissionStats::default(),
-            vec![sketch_report(0, 0.3, gaps_a), sketch_report(1, 0.5, gaps_b)],
-        );
+        let exact = aggregate(vec![
+            report(0, 0.3, gaps_a.clone()),
+            report(1, 0.5, gaps_b.clone()),
+        ]);
+        let sketched = aggregate(vec![
+            sketch_report(0, 0.3, gaps_a.clone()),
+            sketch_report(1, 0.5, gaps_b.clone()),
+        ]);
         // Counters are exact in both modes.
         assert_eq!(sketched.completions(), exact.completions());
         assert_eq!(sketched.misses(), exact.misses());
@@ -915,7 +739,8 @@ mod tests {
         // The sketch CDF lands within half a bin of the nearest-rank data
         // value at every grid point (the exact path interpolates between
         // ranks, so compare against the rank value, not the exact CDF).
-        let sorted = exact.sorted_gaps(false);
+        let mut sorted: Vec<f64> = gaps_a.iter().chain(&gaps_b).copied().collect();
+        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
         let s = sketched.miss_cdf();
         assert_eq!(s.len(), CDF_STEPS + 1);
         for &(p, qs) in &s {
@@ -936,23 +761,21 @@ mod tests {
             );
         }
         // Sketch-mode summaries are still order-independent over nodes.
-        let swapped = AggregateMetrics::new(
-            "s",
-            1,
-            AdmissionStats::default(),
-            vec![sketched.nodes[1].clone(), sketched.nodes[0].clone()],
-        );
+        let swapped = aggregate(vec![
+            sketch_report(1, 0.5, gaps_b),
+            sketch_report(0, 0.3, gaps_a),
+        ]);
         assert_eq!(sketched.summary_csv(), swapped.summary_csv());
     }
 
     #[test]
     fn sketch_mode_attach_delay_means_come_from_the_sketches() {
         let mut node = sketch_report(0, 0.4, vec![1.0]);
-        let sk = node.sketches.as_mut().expect("sketch mode");
+        let sk = node.sketches.as_mut().expect("not yet aggregated");
         sk.attach.record(120.0);
         sk.attach.record(80.0);
         sk.vm_attach.record(0.0);
-        let m = AggregateMetrics::new("s", 1, AdmissionStats::default(), vec![node]);
+        let m = aggregate(vec![node]);
         assert!((m.mean_migrated_attach_delay_ms().unwrap() - 100.0).abs() < 1e-9);
         assert_eq!(m.mean_migrated_vm_guest_attach_delay_ms(), Some(0.0));
         let csv = m.summary_csv();
@@ -962,32 +785,99 @@ mod tests {
 
     #[test]
     fn scratch_buffer_extractions_match_the_owned_ones() {
-        // One sorted read serves both exact CDFs: every task's gaps, or
+        // One sorted fold serves both exact CDFs: every task's gaps, or
         // only the migrated incarnations'.
-        let mut migrated = report(1, 0.5, vec![1.2, 0.7]);
-        migrated.tasks[0].migrated = true;
-        let m = AggregateMetrics::new(
-            "s",
-            1,
-            AdmissionStats::default(),
-            vec![report(0, 0.3, vec![2.0, 0.8]), migrated],
-        );
-        assert_eq!(m.sorted_gaps(false), [0.7, 0.8, 1.2, 2.0]);
-        assert_eq!(m.sorted_gaps(true), [0.7, 1.2]);
+        let migrated = node(true, 1, 0.5, &[1.2, 0.7], true);
+        let m = aggregate(vec![report(0, 0.3, vec![2.0, 0.8]), migrated]);
         let (all, pm) = (m.miss_cdf(), m.post_migration_cdf());
         assert_eq!((all[0].1, all[CDF_STEPS].1), (0.7, 2.0));
         assert_eq!((pm[0].1, pm[CDF_STEPS].1), (0.7, 1.2));
+        // The medians interpolate the sorted samples [0.7, 0.8, 1.2, 2.0]
+        // and [0.7, 1.2].
+        assert_eq!(all[CDF_STEPS / 2].1, 0.8 * 0.5 + 1.2 * 0.5);
+        assert_eq!(pm[CDF_STEPS / 2].1, 0.7 * 0.5 + 1.2 * 0.5);
+    }
+
+    #[test]
+    fn render_reports_the_gap_quantiles_in_both_kinds() {
+        // Nodes of gaps [0.5, 2.0] and [1.0, 1.25]: sorted 0.5, 1.0, 1.25,
+        // 2.0. Lossless quantiles interpolate between ranks; binned ones
+        // are the nearest rank's 0.01-bin midpoint, with the exact max.
+        let line = |lossless: bool| {
+            let m = aggregate(vec![
+                node(lossless, 0, 0.3, &[0.5, 2.0], false),
+                node(lossless, 1, 0.3, &[1.0, 1.25], false),
+            ]);
+            let r = m.render();
+            let gap = r.lines().find(|l| l.starts_with("completion gap"));
+            gap.expect("a gap line").to_owned()
+        };
+        assert_eq!(
+            line(true),
+            "completion gap / period: p50 1.125  p95 1.887  p99 1.977  max 2.000"
+        );
+        assert_eq!(
+            line(false),
+            "completion gap / period: p50 1.255  p95 2.000  p99 2.000  max 2.000"
+        );
+        // No gaps, no line.
+        assert!(!aggregate(vec![report(0, 0.3, vec![])])
+            .render()
+            .contains("completion gap"));
+    }
+
+    #[test]
+    fn lossless_fleet_means_are_the_sequential_node_order_sum() {
+        // Re-association-sensitive attach delays split across two nodes:
+        // summing per node, then across nodes, gives 0; the fleet mean is
+        // the one sequential sum over every value in node order, as a
+        // single pass over all tasks would take it.
+        let delays = [1e16, 1.0, -1e16, 1.0];
+        let nodes: Vec<NodeReport> = delays
+            .chunks(2)
+            .enumerate()
+            .map(|(i, pair)| {
+                let mut n = node(true, i, 0.1, &[], false);
+                let sk = n.sketches.as_mut().expect("not yet aggregated");
+                for &d in pair {
+                    sk.attach.record(d);
+                    sk.vm_attach.record(d);
+                }
+                n
+            })
+            .collect();
+        let sequential = delays.iter().fold(0.0_f64, |acc, d| acc + d) / 4.0;
+        let per_node = ((1e16 + 1.0) + (-1e16 + 1.0)) / 4.0;
+        assert_ne!(sequential, per_node, "the values must be order-sensitive");
+        let m = aggregate(nodes.into_iter().rev().collect());
+        let mean = m.mean_migrated_attach_delay_ms().unwrap();
+        assert_eq!(mean.to_bits(), sequential.to_bits());
+        let vm_mean = m.mean_migrated_vm_guest_attach_delay_ms().unwrap();
+        assert_eq!(vm_mean.to_bits(), sequential.to_bits());
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot merge a lossless sketch with a binned one")]
+    fn mixed_lossless_and_binned_fleets_are_refused() {
+        // A binned node must not silently drop a detailed node's gaps
+        // from every CDF and mean.
+        aggregate(vec![
+            sketch_report(0, 0.3, vec![1.0]),
+            report(1, 0.3, vec![1.1]),
+        ]);
+    }
+
+    #[test]
+    #[should_panic(expected = "node report already aggregated")]
+    fn a_report_folds_into_one_aggregate() {
+        let m = aggregate(vec![report(0, 0.3, vec![1.0])]);
+        aggregate(m.nodes);
     }
 
     #[test]
     fn csv_files_are_written() {
         let dir = std::env::temp_dir().join("selftune-cluster-agg-test");
-        let m = AggregateMetrics::new(
-            "s",
-            1,
-            AdmissionStats::default(),
-            vec![report(0, 0.3, vec![1.0])],
-        );
+        let m = aggregate(vec![report(0, 0.3, vec![1.0])]);
         m.write_csv(&dir).unwrap();
         for f in [
             "cluster_nodes.csv",

@@ -48,9 +48,9 @@
 //!   `(spec, seed)` ⇒ byte-identical aggregates at any thread count.
 //! * [`aggregate`] — fleet-wide reducers, migration records and CSV
 //!   export.
-//! * [`sketch`] — mergeable fixed-grid histogram sketches; the opt-in
-//!   fleet-scale replacement for per-task gap vectors
-//!   (`ClusterRunner::with_sketch_aggregates`).
+//! * [`sketch`] — the one mergeable distribution type every node report
+//!   folds its tasks into: lossless by default, fixed-grid binned at
+//!   fleet scale (`ClusterRunner::with_sketch_aggregates`).
 //!
 //! ## Determinism
 //!
@@ -93,9 +93,7 @@ pub mod spec;
 mod stages;
 pub mod textio;
 
-pub use aggregate::{
-    AdmissionStats, AggregateMetrics, NodeReport, NodeSketches, NodeTotals, TaskReport,
-};
+pub use aggregate::{AdmissionStats, AggregateMetrics, NodeReport, NodeSketches, NodeTotals};
 pub use events::{sort_events, FleetEvent, JournalSink, NodeSnap};
 pub use index::HeadroomIndex;
 pub use mem::churn_mem_report;

@@ -21,7 +21,7 @@ use selftune_simcore::task::{Action, TaskCtx, TaskId, Workload};
 use selftune_simcore::time::{Dur, Time};
 use selftune_virt::{GuestPolicy, Scope, VirtPlatform, VmConfig, VmElasticConfig, VmId};
 
-use crate::aggregate::{NodeReport, NodeSketches, NodeTotals, TaskReport};
+use crate::aggregate::{NodeReport, NodeSketches, NodeTotals};
 use crate::events::FleetEvent;
 use crate::placer::{LiveTask, LiveVmUnit};
 use crate::spec::{OverloadWindow, ScenarioSpec, TaskKind};
@@ -119,27 +119,23 @@ pub struct NodeVm {
     pub elastic: bool,
 }
 
-/// The frozen remains of a departed task: everything its node report
-/// still needs, in ~80 bytes instead of a full arena slot. Completion
-/// counts and gap vectors are *not* frozen — marks persist in the kernel
-/// metrics store after the task dies, so report time recomputes them from
-/// the interned mark key; only state a dead task can no longer produce
-/// (its drop counter, its first attach instant) is captured at retirement.
+/// The frozen remains of a departed task: what its node report reads, in
+/// ~56 bytes instead of a full arena slot. Completion counts and gaps are
+/// *not* frozen — marks persist in the kernel metrics store after the
+/// task dies, so report time recomputes them from the interned mark key;
+/// only what a dead task can no longer produce (its drop counter, a
+/// migrated incarnation's first attach) is captured at retirement.
 struct RetiredTask {
     /// Arena-wide admission sequence number (report order).
     seq: u32,
-    /// Fleet-wide task index.
-    fleet_id: u32,
     /// Drop counter frozen at retirement (a dead task drops no more).
     dropped: u32,
     /// Interned completion-mark key (None for kinds without marks).
     mark: Option<MetricKey>,
     /// Nominal period in milliseconds, for miss classification.
     period_ms: Option<f64>,
-    /// First-attach delay frozen at retirement.
+    /// First-attach delay frozen at retirement (migrated incarnations only).
     attach_delay_ms: Option<f64>,
-    /// Metric label, moved out of the plan at retirement.
-    label: String,
     realtime: bool,
     migrated: bool,
 }
@@ -304,11 +300,11 @@ impl TaskArena {
         slot
     }
 
-    /// Retires a slot: freezes its compact [`RetiredTask`] record, bumps
-    /// the slot generation, drops it from the active scan list and (when
-    /// recycling) returns the slot to the free list. `dropped` and
-    /// `attach_delay_ms` are the metric reads a dead task can no longer
-    /// change, captured by the caller while the label was still in place.
+    /// Retires a slot: freezes its compact [`RetiredTask`] record, frees
+    /// the plan's label, bumps the slot generation, drops it from the
+    /// active scan list and (when recycling) returns the slot to the free
+    /// list. `dropped` and `attach_delay_ms` are the metric reads a dead
+    /// task can no longer change.
     fn retire(&mut self, slot: usize, dropped: u32, attach_delay_ms: Option<f64>) {
         debug_assert!(!self.released[slot], "double retirement");
         self.released[slot] = true;
@@ -316,14 +312,13 @@ impl TaskArena {
             self.active_rt.remove(pos);
         }
         let plan = &mut self.plans[slot];
+        plan.label = String::new();
         self.retired.push(RetiredTask {
             seq: self.seqs[slot],
-            fleet_id: plan.fleet_id as u32,
             dropped,
             mark: self.mark_keys[slot],
             period_ms: self.periods_ms[slot],
             attach_delay_ms,
-            label: std::mem::take(&mut plan.label),
             realtime: plan.kind.is_realtime(),
             migrated: plan.migrated,
         });
@@ -373,9 +368,6 @@ impl TaskArena {
             + self.retired.capacity() * size_of::<RetiredTask>();
         for p in &self.plans {
             bytes += p.label.capacity();
-        }
-        for r in &self.retired {
-            bytes += r.label.capacity();
         }
         let live = self.released.iter().filter(|&&r| !r).count();
         ArenaMemStats {
@@ -453,10 +445,13 @@ fn metric_name<'a>(scratch: &'a mut String, label: &str, suffix: &str) -> &'a st
     scratch
 }
 
-/// How long after its arrival a task's manager first attached it.
+/// How long after its arrival a migrated incarnation's manager first
+/// attached it (`None` for a task that never moved: no mean reads it).
 fn attach_delay_ms(metrics: &Metrics, scratch: &mut String, plan: &NodeTask) -> Option<f64> {
-    let attached = metrics.marks(metric_name(scratch, &plan.label, ".attached"));
-    let first = attached.first()?;
+    let name = plan
+        .migrated
+        .then(|| metric_name(scratch, &plan.label, ".attached"))?;
+    let first = metrics.marks(name).first()?;
     Some(first.saturating_since(plan.arrival).as_ms_f64())
 }
 
@@ -969,11 +964,11 @@ impl Node {
         self.report_mode(horizon, true)
     }
 
-    /// [`Node::report`] with the retention mode explicit. `detailed`
-    /// keeps every per-task [`TaskReport`] (the small-fleet default);
-    /// otherwise each task is folded into [`NodeTotals`] counters and
-    /// [`NodeSketches`] histograms as it is visited and dropped — O(1)
-    /// retained state per task, the fleet-scale mode behind
+    /// [`Node::report`] with the sketch kind explicit: each task is
+    /// folded into [`NodeTotals`] counters and [`NodeSketches`] as it is
+    /// visited. `detailed` sketches are lossless (the small-fleet
+    /// default); otherwise they are binned histograms — O(bins) retained
+    /// state per node, the fleet-scale mode behind
     /// `ClusterRunner::with_sketch_aggregates`.
     pub fn report_mode(&self, horizon: Time, detailed: bool) -> NodeReport {
         let platform = &self.stack.platform;
@@ -982,26 +977,19 @@ impl Node {
         let reserved_bw = platform.host_reserved_bandwidth();
         let ctx_switches = platform.kernel().context_switches();
         let metrics = platform.kernel().metrics();
-        if detailed {
-            let mut tasks = Vec::new();
-            self.each_task(true, |seen| tasks.push(seen.report(metrics)));
-            return NodeReport::from_tasks(self.id, tasks, utilisation, reserved_bw, ctx_switches);
-        }
-        let (mut totals, mut sk) = (NodeTotals::default(), NodeSketches::new());
-        self.each_task(false, |seen| seen.fold(metrics, &mut totals, &mut sk));
-        NodeReport::from_sketches(self.id, totals, sk, utilisation, reserved_bw, ctx_switches)
+        let (mut totals, mut sk) = (NodeTotals::default(), NodeSketches::new(detailed));
+        self.each_task(|seen| seen.fold(metrics, &mut totals, &mut sk));
+        NodeReport::new(self.id, totals, sk, utilisation, reserved_bw, ctx_switches)
     }
 
     /// Shows `sink` every task ever admitted to this node, live and
     /// retired alike: flat tasks, then guests per VM, each arena in
     /// admission order — sketch float sums are order-sensitive, and
     /// byte-identity with the pre-recycling slot walk demands the same
-    /// sequence. `detailed` says what the sink will read: the sketch sink
-    /// never reads `attached` and reads the attach delay of migrated
-    /// incarnations only, so a live task costs it neither lookup.
-    fn each_task(&self, detailed: bool, mut sink: impl FnMut(Seen<'_>)) {
-        let platform = &self.stack.platform;
-        let metrics = platform.kernel().metrics();
+    /// sequence. Only migrated incarnations' attach delays are read, so a
+    /// live task that never moved costs no `.attached` lookup.
+    fn each_task(&self, mut sink: impl FnMut(Seen)) {
+        let metrics = self.stack.platform.kernel().metrics();
         let mut scratch = String::new();
         let guests = self.vms.iter().map(|rt| (Scope::Vm(rt.vm), &rt.guests));
         for (scope, arena) in std::iter::once((Scope::Host, &self.tasks)).chain(guests) {
@@ -1010,11 +998,7 @@ impl Node {
                 sink(if is_retired {
                     let r = &arena.retired[idx];
                     Seen {
-                        fleet_id: r.fleet_id,
-                        label: &r.label,
                         realtime: r.realtime,
-                        // Its reservation was released: it had one.
-                        attached: true,
                         migrated: r.migrated,
                         in_vm,
                         mark: r.mark,
@@ -1023,23 +1007,17 @@ impl Node {
                         attach_delay_ms: r.attach_delay_ms,
                     }
                 } else {
-                    let (plan, tid) = (&arena.plans[idx], arena.tids[idx]);
+                    let plan = &arena.plans[idx];
                     let dropped = metric_name(&mut scratch, &plan.label, ".dropped");
                     let dropped = metrics.counter(dropped);
-                    let delayed = detailed || plan.migrated;
                     Seen {
-                        fleet_id: plan.fleet_id as u32,
-                        label: &plan.label,
                         realtime: plan.kind.is_realtime(),
-                        attached: detailed && platform.reservation_of(scope, tid).is_some(),
                         migrated: plan.migrated,
                         in_vm,
                         mark: arena.mark_keys[idx],
                         period_ms: arena.periods_ms[idx],
                         dropped,
-                        attach_delay_ms: delayed
-                            .then(|| attach_delay_ms(metrics, &mut scratch, plan))
-                            .flatten(),
+                        attach_delay_ms: attach_delay_ms(metrics, &mut scratch, plan),
                     }
                 });
             }
@@ -1047,14 +1025,10 @@ impl Node {
     }
 }
 
-/// One ever-admitted task as a report sink sees it: live or retired is
-/// already resolved, and nothing is owned — the sketch sink never clones
-/// a label.
-struct Seen<'a> {
-    fleet_id: u32,
-    label: &'a str,
+/// One ever-admitted task as the report fold sees it: live or retired is
+/// already resolved, and nothing is owned.
+struct Seen {
     realtime: bool,
-    attached: bool,
     migrated: bool,
     in_vm: bool,
     /// Interned completion-mark key (None for kinds without marks).
@@ -1062,65 +1036,34 @@ struct Seen<'a> {
     /// Nominal period in milliseconds, for miss classification.
     period_ms: Option<f64>,
     dropped: u64,
+    /// First-attach delay (migrated incarnations only).
     attach_delay_ms: Option<f64>,
 }
 
-impl Seen<'_> {
-    /// Completion count and period-normalised inter-completion gaps of
-    /// the task's mark stream (none for kinds without marks). Marks
-    /// persist in the kernel metrics store after a task dies, so a
-    /// retired task reports what its slot would have, never recycled.
-    fn gaps<'m>(&self, metrics: &'m Metrics) -> (usize, impl Iterator<Item = f64> + 'm) {
+impl Seen {
+    /// Streams the task's period-normalised completion gaps straight into
+    /// the node's counters and sketches. Marks persist in the kernel
+    /// metrics store after a task dies, so a retired task reports what
+    /// its slot would have, never recycled.
+    fn fold(&self, metrics: &Metrics, totals: &mut NodeTotals, sk: &mut NodeSketches) {
         let (marks, p) = match (self.mark, self.period_ms) {
             (Some(key), Some(p)) => (metrics.marks_k(key), p),
             _ => (&[][..], 1.0),
         };
-        let gaps = marks.windows(2).map(move |w| (w[1] - w[0]).as_ms_f64() / p);
-        (marks.len(), gaps)
-    }
-
-    /// The detailed sink: the task's own [`TaskReport`].
-    fn report(&self, metrics: &Metrics) -> TaskReport {
-        let (completions, gaps) = self.gaps(metrics);
-        let ift_norm: Vec<f64> = gaps.collect();
-        let missed = ift_norm.iter().filter(|&&x| x > NodeReport::MISS_FACTOR);
-        TaskReport {
-            fleet_id: self.fleet_id,
-            label: self.label.to_owned(),
-            realtime: self.realtime,
-            attached: self.attached,
-            migrated: self.migrated,
-            in_vm: self.in_vm,
-            completions: completions as u32,
-            misses: missed.count() as u32,
-            dropped: self.dropped as u32,
-            ift_norm,
-            attach_delay_ms: self.attach_delay_ms,
-        }
-    }
-
-    /// The fleet-scale sink: streams the task's gaps straight into the
-    /// counters and sketches — no [`TaskReport`] (label clone + gap
-    /// vector) is ever materialised.
-    fn fold(&self, metrics: &Metrics, totals: &mut NodeTotals, sk: &mut NodeSketches) {
         totals.tasks += 1;
         totals.rt_tasks += usize::from(self.realtime);
         totals.dropped += self.dropped;
-        let (completions, gaps) = self.gaps(metrics);
-        totals.completions += completions as u64;
-        totals.gaps += completions.saturating_sub(1) as u64;
-        for g in gaps {
-            if g > NodeReport::MISS_FACTOR {
-                totals.misses += 1;
-            }
+        totals.completions += marks.len() as u64;
+        totals.gaps += marks.len().saturating_sub(1) as u64;
+        for w in marks.windows(2) {
+            let g = (w[1] - w[0]).as_ms_f64() / p;
+            totals.misses += u64::from(g > NodeReport::MISS_FACTOR);
             sk.gaps.record(g);
             if self.migrated {
                 sk.post_migration.record(g);
             }
         }
-        // Attach delays feed the migration hand-over metrics, which only
-        // read migrated incarnations.
-        if let (true, Some(d)) = (self.migrated, self.attach_delay_ms) {
+        if let Some(d) = self.attach_delay_ms {
             let sketch = if self.in_vm {
                 &mut sk.vm_attach
             } else {
@@ -1140,6 +1083,12 @@ mod tests {
 
     fn tiny_spec() -> ScenarioSpec {
         ScenarioSpec::new("node-test", 1, 0, Dur::secs(3))
+    }
+
+    /// The kernel's mark stream `name` (`"<label>.job"`, `"<label>.attached"`)
+    /// on `node` — marks outlive the task that recorded them.
+    fn marks<'a>(node: &'a Node, name: &str) -> &'a [Time] {
+        node.stack.platform.kernel().metrics().marks(name)
     }
 
     fn rt_task(fleet_id: usize, label: &str) -> NodeTask {
@@ -1170,14 +1119,13 @@ mod tests {
         node.run_to_horizon(horizon);
         let report = node.report(horizon);
         assert_eq!(report.node, 0);
-        assert_eq!(report.tasks.len(), 1);
-        let t = &report.tasks[0];
-        assert!(t.attached, "manager attached a reservation");
-        assert!(t.completions > 50, "jobs completed: {}", t.completions);
-        assert!(
-            t.attach_delay_ms.expect("attached") > 0.0,
-            "cold start detects first"
-        );
+        assert_eq!(report.totals.tasks, 1);
+        let attached = marks(&node, "t000.attached");
+        assert!(!attached.is_empty(), "manager attached a reservation");
+        let done = report.totals.completions;
+        assert!(done > 50, "jobs completed: {done}");
+        assert_eq!(marks(&node, "t000.job").len() as u64, done);
+        assert!(attached[0] > Time::ZERO, "cold start detects first");
         assert!(report.utilisation > 0.05 && report.utilisation < 0.5);
         assert!(report.reserved_bw > 0.05);
     }
@@ -1196,8 +1144,10 @@ mod tests {
         let report = node.report(horizon);
         // The task left; its reservation was shrunk to the floor.
         assert!(report.reserved_bw < 0.05, "residual {}", report.reserved_bw);
-        let t = &report.tasks[0];
-        assert!(t.completions > 20 && t.completions < 60);
+        let done = report.totals.completions;
+        assert!(done > 20 && done < 60, "jobs completed: {done}");
+        // The departed task's marks still back its report.
+        assert_eq!(marks(&node, "t000.job").len() as u64, done);
     }
 
     #[test]
@@ -1295,7 +1245,9 @@ mod tests {
         // The reservation was shrunk back to (almost) nothing.
         let report = node.report(e2);
         assert!(report.reserved_bw < 0.05, "residual {}", report.reserved_bw);
-        assert!(report.tasks[0].completions > 0, "pre-extraction work kept");
+        assert!(report.totals.completions > 0, "pre-extraction work kept");
+        let last = *marks(&node, "t000.job").last().expect("jobs ran");
+        assert!(last <= e1, "no job completed after extraction: {last}");
     }
 
     #[test]
@@ -1313,10 +1265,13 @@ mod tests {
         let horizon = Time::ZERO + Dur::ms(1500);
         node.run_to_horizon(horizon);
         let report = node.report(horizon);
-        let t = &report.tasks[0];
-        assert!(t.attached);
-        assert_eq!(t.attach_delay_ms, Some(0.0), "no hand-over gap");
-        assert!(t.completions > 30, "ran from the start: {}", t.completions);
+        let attached = marks(&node, "t000m.attached");
+        assert_eq!(attached.first(), Some(&Time::ZERO), "no hand-over gap");
+        let done = report.totals.completions;
+        assert!(done > 30, "ran from the start: {done}");
+        // A migrated incarnation's delay feeds the hand-over mean.
+        let m = AggregateMetrics::new("warm", 0, AdmissionStats::default(), vec![report]);
+        assert_eq!(m.mean_migrated_attach_delay_ms(), Some(0.0));
     }
 
     fn vm_plan(fleet_vm_id: usize) -> NodeVm {
@@ -1344,11 +1299,13 @@ mod tests {
         let horizon = Time::ZERO + spec.horizon;
         node.run_to_horizon(horizon);
         let report = node.report(horizon);
-        assert_eq!(report.tasks.len(), 2, "flat task + guest task");
-        let guest = &report.tasks[1];
-        assert_eq!(guest.fleet_id, 1000);
-        assert!(guest.attached, "guest attached inside the VM");
-        assert!(guest.completions > 40, "guest ran: {}", guest.completions);
+        assert_eq!(report.totals.tasks, 2, "flat task + guest task");
+        let guest_attached = marks(&node, "v00g0.attached");
+        assert!(!guest_attached.is_empty(), "guest attached inside the VM");
+        let guest_done = marks(&node, "v00g0.job").len();
+        assert!(guest_done > 40, "guest ran: {guest_done}");
+        let flat_done = marks(&node, "t000.job").len();
+        assert_eq!(report.totals.completions, (flat_done + guest_done) as u64);
         // The host books the flat task's reservation plus the VM share.
         assert!(report.reserved_bw > 0.3, "booked {}", report.reserved_bw);
 
@@ -1442,7 +1399,10 @@ mod tests {
         assert_eq!(fb.gaps, 0, "no guest completions after extraction");
         let report = node.report(e2);
         assert!(report.reserved_bw < 0.05, "residual {}", report.reserved_bw);
-        assert!(report.tasks[0].completions > 0, "pre-extraction work kept");
+        assert_eq!(report.totals.tasks, 1, "the retired guest still reports");
+        assert!(report.totals.completions > 0, "pre-extraction work kept");
+        let last = *marks(&node, "v03g0.job").last().expect("guest ran");
+        assert!(last <= e1, "no guest job after extraction: {last}");
     }
 
     proptest! {
@@ -1520,17 +1480,19 @@ mod tests {
             // while the frozen twin's arena grew monotonically.
             prop_assert_eq!(node.mem_stats().slots, admitted.len() - recycled);
             prop_assert_eq!(frozen.mem_stats().slots, admitted.len());
-            // Each admitted id reports exactly once, recycled slot or not,
-            // and the free-list is invisible in the aggregate bytes.
+            // Each admitted task reports exactly once, recycled slot or
+            // not — every one of its completions, none of another's — and
+            // the free-list is invisible in the aggregate bytes.
             let a = AggregateMetrics::new("prop-recycle", seed, AdmissionStats::default(),
                 vec![node.report_mode(now, true)]);
             let b = AggregateMetrics::new("prop-recycle", seed, AdmissionStats::default(),
                 vec![frozen.report_mode(now, true)]);
-            let mut ids: Vec<u32> = a.nodes[0].tasks.iter().map(|t| t.fleet_id).collect();
-            prop_assert_eq!(ids.len(), admitted.len());
-            ids.sort_unstable();
-            ids.dedup();
-            prop_assert_eq!(ids.len(), admitted.len());
+            prop_assert_eq!(a.nodes[0].totals.tasks, admitted.len());
+            let jobs: usize = admitted
+                .iter()
+                .map(|id| marks(&node, &format!("t{id:03}.job")).len())
+                .sum();
+            prop_assert_eq!(a.completions(), jobs as u64);
             prop_assert_eq!(a.summary_csv(), b.summary_csv());
             // A departed id is gone for good: extraction cannot revive it.
             for &d in &departed {

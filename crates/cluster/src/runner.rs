@@ -218,12 +218,12 @@ impl ClusterRunner {
         }
     }
 
-    /// Replaces per-task report vectors with per-node mergeable histogram
-    /// sketches: nodes keep O(bins) state instead of every inter-finish
-    /// gap, and fleet CDFs come from an associative node-order merge.
-    /// Quantiles are bin-quantised; aggregates remain byte-identical at
-    /// any thread count. Default off — small fleets keep exact vectors
-    /// and their CSV bytes.
+    /// Reports binned histogram sketches instead of lossless ones: nodes
+    /// keep O(bins) state instead of every inter-finish gap, and fleet
+    /// CDFs come from an associative node-order merge. Quantiles are
+    /// bin-quantised; aggregates remain byte-identical at any thread
+    /// count. Default off — small fleets keep lossless sketches and their
+    /// exact CSV bytes.
     pub fn with_sketch_aggregates(mut self, sketch: bool) -> ClusterRunner {
         self.sketch = sketch;
         self

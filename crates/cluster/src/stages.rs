@@ -1011,7 +1011,8 @@ mod tests {
 
         // Boundary 1, in the leader's order: reduce, then decide.
         let reports = |_| {
-            let rep = |n| NodeReport::from_tasks(n, Vec::new(), 0.1, 0.1, 0);
+            let sk = || crate::aggregate::NodeSketches::new(true);
+            let rep = |n| NodeReport::new(n, Default::default(), sk(), 0.1, 0.1, 0);
             (0..3).rev().map(rep).collect::<Vec<_>>()
         };
         let interim = reduce(&run, reports(()), state.stats.clone());

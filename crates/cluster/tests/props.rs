@@ -20,7 +20,7 @@
 use proptest::prelude::*;
 use selftune_analysis::{min_bandwidth_single, PeriodicTask};
 use selftune_cluster::prelude::*;
-use selftune_cluster::{NodeSketches, NodeTotals, StreamSketch, TaskReport};
+use selftune_cluster::{NodeSketches, NodeTotals, StreamSketch};
 use selftune_simcore::rng::Rng;
 use selftune_simcore::stats::quantile_sorted;
 use selftune_simcore::time::{Dur, Time};
@@ -253,7 +253,7 @@ proptest! {
         // Sketch aggregates trade CDF resolution, never counts: the
         // fleet-level counters of a sketch run must equal the detailed
         // run's exactly, the per-node rows must be byte-identical, and
-        // the per-task vectors must actually be gone.
+        // the distributions must actually be binned, not lossless.
         let spec = rebalance_spec(nodes, tasks, 0.2, 4);
         let detailed = ClusterRunner::new(threads).run(&spec, seed);
         let sketched = ClusterRunner::new(threads)
@@ -264,7 +264,8 @@ proptest! {
         prop_assert_eq!(detailed.rebalance.moves, sketched.rebalance.moves);
         prop_assert!((detailed.miss_ratio() - sketched.miss_ratio()).abs() < 1e-12);
         prop_assert_eq!(detailed.node_rows(), sketched.node_rows());
-        prop_assert!(sketched.nodes.iter().all(|n| n.tasks.is_empty()));
+        prop_assert!(!sketched.merged().gaps.is_lossless());
+        prop_assert!(detailed.merged().gaps.is_lossless());
     }
 
     #[test]
@@ -492,18 +493,38 @@ fn checkpoint_interims_are_byte_identical_at_1_2_and_3_threads() {
     }
 }
 
-/// The oracle for the fleet reduction, test-local: the accumulator
-/// seeded from the first sketch-bearing node, every later one merged in
-/// turn, in the order given.
-fn node_order_fold(nodes: &[NodeReport]) -> Option<NodeSketches> {
-    let mut serial: Option<NodeSketches> = None;
-    for k in nodes.iter().filter_map(|n| n.sketches.as_ref()) {
-        match serial.as_mut() {
-            None => serial = Some(k.clone()),
-            Some(acc) => acc.merge(k),
-        }
+/// The oracle for the fleet reduction, test-local: an empty accumulator
+/// of the fleet's sketch kind with every node merged in turn, in the
+/// order given, then sorted for quantile reads.
+fn node_order_fold(nodes: &[NodeReport], lossless: bool) -> NodeSketches {
+    let mut serial = NodeSketches::new(lossless);
+    for n in nodes {
+        serial.merge(n.sketches.as_ref().expect("not yet aggregated"));
+    }
+    for s in [
+        &mut serial.gaps,
+        &mut serial.post_migration,
+        &mut serial.attach,
+        &mut serial.vm_attach,
+    ] {
+        s.sort();
     }
     serial
+}
+
+/// A node report of the fleet's sketch kind holding `vals`, each recorded
+/// into the sketch family its tag picks.
+fn sketch_node(i: usize, lossless: bool, vals: &[(f64, u8)]) -> NodeReport {
+    let mut sk = NodeSketches::new(lossless);
+    for &(v, fam) in vals {
+        match fam {
+            0 => sk.gaps.record(v),
+            1 => sk.post_migration.record(v),
+            2 => sk.attach.record(v * 50.0),
+            _ => sk.vm_attach.record(v * 50.0),
+        }
+    }
+    NodeReport::new(i, NodeTotals::default(), sk, 0.1, 0.1, 0)
 }
 
 proptest! {
@@ -698,7 +719,7 @@ proptest! {
         // interpolating `quantile_sorted` the extra slack is the gap
         // between the two straddling order statistics.
         let q = f64::from(q_pct) / 100.0;
-        let mut sketch = StreamSketch::for_gap_norm(); // 0.01-wide bins
+        let mut sketch = StreamSketch::for_gap_norm(false); // 0.01-wide bins
         for &v in &values {
             sketch.record(v);
         }
@@ -750,51 +771,37 @@ proptest! {
     fn tree_reduction_matches_the_serial_fold_byte_for_byte(
         seed in 0u64..1_000_000,
         contents in prop::collection::vec(
-            prop_oneof![
-                Just(None),
-                prop::collection::vec((0.0f64..3.0, 0u8..4), 0..24).prop_map(Some),
-            ],
+            prop::collection::vec((0.0f64..3.0, 0u8..4), 0..24),
             1..13,
         ),
+        lossless in any::<bool>(),
         (ga, gk) in (1usize..5, 1usize..4),
     ) {
         // The reduction the fleet runs at each boundary: the leader gets
         // the reports grouped by worker (worker k owns the nodes i with
         // i * ga % gk == k) and concatenated in worker order. For any
-        // node count and any interleaving of sketch-less (detailed) and
-        // sketch-bearing nodes, the aggregate must equal the serial
-        // node-id-order fold on every sketch family — bins, counts,
-        // min/max AND the order-sensitive float sum — and summarise
-        // byte for byte like the same reports passed in node order.
-        let nodes: Vec<NodeReport> = contents.iter().enumerate().map(|(i, c)| match c {
-            None => NodeReport::from_tasks(i, Vec::new(), 0.1, 0.1, 0),
-            Some(vals) => {
-                let mut sk = NodeSketches::new();
-                for &(v, fam) in vals {
-                    match fam {
-                        0 => sk.gaps.record(v),
-                        1 => sk.post_migration.record(v),
-                        2 => sk.attach.record(v * 50.0),
-                        _ => sk.vm_attach.record(v * 50.0),
-                    }
-                }
-                NodeReport::from_sketches(i, NodeTotals::default(), sk, 0.1, 0.1, 0)
-            }
-        }).collect();
-        let serial = node_order_fold(&nodes);
+        // node count, either sketch kind and record-less nodes anywhere,
+        // the aggregate must equal the serial node-id-order fold on every
+        // sketch family — bins or values, counts, min/max AND the
+        // order-sensitive float sum — and summarise byte for byte like
+        // the same reports passed in node order.
+        let nodes: Vec<NodeReport> = contents
+            .iter()
+            .enumerate()
+            .map(|(i, vals)| sketch_node(i, lossless, vals))
+            .collect();
+        let serial = node_order_fold(&nodes, lossless);
         let grouped: Vec<NodeReport> = (0..gk)
             .flat_map(|k| nodes.iter().enumerate().filter(move |(i, _)| (i * ga) % gk == k))
             .map(|(_, n)| n.clone())
             .collect();
         prop_assert_eq!(grouped.len(), nodes.len());
         let agg = AggregateMetrics::new("prop-tree", seed, AdmissionStats::default(), grouped);
-        prop_assert_eq!(agg.merged().is_some(), serial.is_some());
-        if let (Some(m), Some(s)) = (agg.merged(), &serial) {
-            prop_assert_eq!(&m.gaps, &s.gaps);
-            prop_assert_eq!(&m.post_migration, &s.post_migration);
-            prop_assert_eq!(&m.attach, &s.attach);
-            prop_assert_eq!(&m.vm_attach, &s.vm_attach);
-        }
+        let m = agg.merged();
+        prop_assert_eq!(&m.gaps, &serial.gaps);
+        prop_assert_eq!(&m.post_migration, &serial.post_migration);
+        prop_assert_eq!(&m.attach, &serial.attach);
+        prop_assert_eq!(&m.vm_attach, &serial.vm_attach);
         let in_order = AggregateMetrics::new("prop-tree", seed, AdmissionStats::default(), nodes);
         prop_assert_eq!(agg.summary_csv(), in_order.summary_csv());
     }
@@ -803,64 +810,35 @@ proptest! {
     fn aggregate_is_the_node_order_fold_in_any_input_order(
         seed in 0u64..1_000_000,
         contents in prop::collection::vec(
-            (
-                any::<bool>(),
-                prop::collection::vec(
-                    (prop_oneof![Just(0.0), 0.0f64..3.0, 0.0f64..3.0], 0u8..4),
-                    0..24,
-                ),
+            prop::collection::vec(
+                (prop_oneof![Just(0.0), 0.0f64..3.0, 0.0f64..3.0], 0u8..4),
+                0..24,
             ),
             1..13,
         ),
-        fleet in 0u8..8,
+        lossless in any::<bool>(),
     ) {
-        // Detailed and sketch-bearing nodes mixed (one fleet in eight all
-        // detailed), sketch nodes with no records, records of exactly 0.0
-        // (a warm start's attach delay), and the reports handed over in a
-        // random permutation: the aggregate must be the serial node-id-
-        // order fold on every sketch family — bins, counts, min/max AND
-        // the order-sensitive float sum — and summarise byte for byte
-        // like the same reports passed in node order.
-        let nodes: Vec<NodeReport> = contents.iter().enumerate().map(|(i, (sketch, vals))| {
-            if *sketch && fleet != 0 {
-                let mut sk = NodeSketches::new();
-                for &(v, fam) in vals {
-                    match fam {
-                        0 => sk.gaps.record(v),
-                        1 => sk.post_migration.record(v),
-                        2 => sk.attach.record(v * 50.0),
-                        _ => sk.vm_attach.record(v * 50.0),
-                    }
-                }
-                NodeReport::from_sketches(i, NodeTotals::default(), sk, 0.1, 0.1, 0)
-            } else {
-                let task = TaskReport {
-                    fleet_id: i as u32,
-                    realtime: true,
-                    attached: true,
-                    migrated: i % 2 == 1,
-                    in_vm: i % 3 == 0,
-                    completions: vals.len() as u32,
-                    misses: 0,
-                    dropped: 0,
-                    label: format!("t{i}"),
-                    ift_norm: vals.iter().map(|&(v, _)| v).collect(),
-                    attach_delay_ms: vals.first().map(|&(v, _)| v * 50.0),
-                };
-                NodeReport::from_tasks(i, vec![task], 0.1, 0.1, 0)
-            }
-        }).collect();
-        let serial = node_order_fold(&nodes);
+        // One sketch kind per fleet, nodes with no records, records of
+        // exactly 0.0 (a warm start's attach delay), and the reports
+        // handed over in a random permutation: the aggregate must be the
+        // serial node-id-order fold on every sketch family — bins or
+        // values, counts, min/max AND the order-sensitive float sum — and
+        // summarise byte for byte like the same reports passed in node
+        // order.
+        let nodes: Vec<NodeReport> = contents
+            .iter()
+            .enumerate()
+            .map(|(i, vals)| sketch_node(i, lossless, vals))
+            .collect();
+        let serial = node_order_fold(&nodes, lossless);
         let mut shuffled = nodes.clone();
         Rng::new(seed).shuffle(&mut shuffled);
         let agg = AggregateMetrics::new("prop-fold", seed, AdmissionStats::default(), shuffled);
-        prop_assert_eq!(agg.merged().is_some(), serial.is_some());
-        if let (Some(m), Some(s)) = (agg.merged(), &serial) {
-            prop_assert_eq!(&m.gaps, &s.gaps);
-            prop_assert_eq!(&m.post_migration, &s.post_migration);
-            prop_assert_eq!(&m.attach, &s.attach);
-            prop_assert_eq!(&m.vm_attach, &s.vm_attach);
-        }
+        let m = agg.merged();
+        prop_assert_eq!(&m.gaps, &serial.gaps);
+        prop_assert_eq!(&m.post_migration, &serial.post_migration);
+        prop_assert_eq!(&m.attach, &serial.attach);
+        prop_assert_eq!(&m.vm_attach, &serial.vm_attach);
         let in_order = AggregateMetrics::new("prop-fold", seed, AdmissionStats::default(), nodes);
         prop_assert_eq!(agg.summary_csv(), in_order.summary_csv());
     }
