@@ -10,6 +10,7 @@ use std::path::Path;
 use selftune_simcore::metrics::write_csv;
 use selftune_simcore::stats;
 
+use crate::placer::{Migration, Unit};
 use crate::sketch::StreamSketch;
 
 /// Exact per-node counters, folded task by task in both report modes.
@@ -150,27 +151,6 @@ pub struct AdmissionStats {
     pub vms_rejected: u64,
 }
 
-/// One applied live migration, as recorded by the rebalance pass.
-#[derive(Clone, Copy, Debug)]
-pub struct MigrationRecord {
-    /// Epoch index (0 = first rebalance boundary).
-    pub epoch: u64,
-    /// Fleet id of the migrated unit (task id, or VM id when `vm`).
-    pub fleet_id: usize,
-    /// Whether the unit was a whole virtual platform.
-    pub vm: bool,
-    /// Node the unit was extracted from.
-    pub from: usize,
-    /// Node the unit was re-admitted on.
-    pub to: usize,
-    /// Bandwidth booked on the destination (minbudget × headroom for a
-    /// task; the share for a VM).
-    pub demand: f64,
-    /// Destination's booked bandwidth right after admission — the witness
-    /// that the move respected the admission bound.
-    pub dest_reserved_after: f64,
-}
-
 /// Feedback-driven re-placement statistics of one fleet run.
 #[derive(Clone, Debug, Default)]
 pub struct RebalanceStats {
@@ -180,8 +160,28 @@ pub struct RebalanceStats {
     pub moves: u64,
     /// Evictions that found no admissible destination (task stayed put).
     pub failed: u64,
-    /// Every applied migration, in decision order.
-    pub records: Vec<MigrationRecord>,
+    /// Every applied migration with its epoch index (0 = first rebalance
+    /// boundary), in decision order.
+    pub records: Vec<(u64, Migration)>,
+}
+
+/// One applied migration's columns after its epoch — unit kind, fleet id,
+/// source, destination, booked demand, the destination's booking after
+/// it — as the summary's `move` lines and `cluster_migrations.csv` write
+/// them.
+fn move_row(m: &Migration) -> [String; 6] {
+    let (kind, id) = match m.unit {
+        Unit::Task(id) => ("task", id),
+        Unit::Vm(id) => ("vm", id),
+    };
+    [
+        kind.to_owned(),
+        id.to_string(),
+        m.from.to_string(),
+        m.to.to_string(),
+        format!("{:.6}", m.demand),
+        format!("{:.6}", m.dest_reserved_after),
+    ]
 }
 
 /// The reduced outcome of one fleet run.
@@ -378,17 +378,8 @@ impl AggregateMetrics {
             "rb_epochs,{}\nrb_moves,{}\nrb_failed,{}\n",
             self.rebalance.epochs, self.rebalance.moves, self.rebalance.failed,
         ));
-        for r in &self.rebalance.records {
-            out.push_str(&format!(
-                "move,{},{},{},{},{},{:.6},{:.6}\n",
-                r.epoch,
-                if r.vm { "vm" } else { "task" },
-                r.fleet_id,
-                r.from,
-                r.to,
-                r.demand,
-                r.dest_reserved_after,
-            ));
+        for (epoch, m) in &self.rebalance.records {
+            out.push_str(&format!("move,{epoch},{}\n", move_row(m).join(",")));
         }
         if let Some(d) = self.mean_migrated_attach_delay_ms() {
             out.push_str(&format!("migrated_attach_delay_ms,{d:.3}\n"));
@@ -455,16 +446,10 @@ impl AggregateMetrics {
             .rebalance
             .records
             .iter()
-            .map(|r| {
-                vec![
-                    r.epoch.to_string(),
-                    if r.vm { "vm" } else { "task" }.to_owned(),
-                    r.fleet_id.to_string(),
-                    r.from.to_string(),
-                    r.to.to_string(),
-                    format!("{:.6}", r.demand),
-                    format!("{:.6}", r.dest_reserved_after),
-                ]
+            .map(|(epoch, m)| {
+                let mut row = vec![epoch.to_string()];
+                row.extend(move_row(m));
+                row
             })
             .collect();
         write_csv(
@@ -691,15 +676,18 @@ mod tests {
                 epochs: 3,
                 moves: 1,
                 failed: 2,
-                records: vec![MigrationRecord {
-                    epoch: 1,
-                    fleet_id: 1,
-                    vm: false,
-                    from: 0,
-                    to: 1,
-                    demand: 0.25,
-                    dest_reserved_after: 0.25,
-                }],
+                records: vec![(
+                    1,
+                    Migration {
+                        unit: Unit::Task(1),
+                        from: 0,
+                        to: 1,
+                        demand: 0.25,
+                        dest_reserved_after: 0.25,
+                        warm: None,
+                        guest_warm: Vec::new(),
+                    },
+                )],
             },
         );
         let csv = m.summary_csv();

@@ -12,13 +12,20 @@
 //! is this enum re-exported), so the schema, its canonical order and the
 //! pin-table extraction (`PinnedPlan::from_events`,
 //! `PinnedMoves::from_events`) live in this crate and the text form in
-//! `selftune_journal::codec` — a new field is an edit here and there.
+//! `selftune_journal::codec`.
+//!
+//! Each decision is one value, made by its decider and embedded as-is:
+//! an admission carries the placer's [`PlacementOutcome`], a migration
+//! the rebalancer's [`Migration`] — the very value the workers apply and
+//! the run statistics keep — and a share grant the platform's
+//! [`ShareGrant`]. A new field is an edit to the decider's type and to
+//! its line in the codec.
 
-use selftune_core::share::ClampReason;
 use selftune_simcore::time::Time;
 
 use crate::aggregate::{AdmissionStats, AggregateMetrics};
-use crate::node::WarmStart;
+use crate::placer::{Migration, PlacementOutcome, Unit};
+use selftune_virt::ShareGrant;
 
 /// One node's smoothed pressure and utilisation inside a rebalance pass —
 /// the feedback snapshot the drain decision was computed from.
@@ -36,38 +43,17 @@ pub struct NodeSnap {
 /// it (see the module docs).
 #[derive(Clone, Debug, PartialEq)]
 pub enum FleetEvent {
-    /// A real-time task walked the placer's admission path.
-    TaskAdmission {
+    /// A real-time task or a virtual platform walked the placer's
+    /// admission path.
+    Admission {
         /// Arrival instant (placement happens at plan time, but the
-        /// booking is dated at the arrival).
+        /// booking is dated at the arrival; VMs are placed at t = 0).
         at: Time,
-        /// Fleet task id.
-        fleet_id: usize,
-        /// The minbudget demand the placer booked (headroom included).
-        demand: f64,
-        /// Destination node; `None` when admission rejected the task.
-        node: Option<usize>,
-        /// Release-retry passes the placement needed ("migrations" in the
-        /// admission statistics).
-        retries: u32,
-        /// Largest spare capacity any node could offer (the rejection
-        /// witness; equals spare capacity of some node on acceptance too).
-        best_spare: f64,
-    },
-    /// A virtual platform walked the placer's admission path.
-    VmAdmission {
-        /// Admission instant (VMs are placed at plan time, t = 0).
-        at: Time,
-        /// Fleet VM id.
-        fleet_vm_id: usize,
-        /// The share booked on the destination.
-        demand: f64,
-        /// Destination node; `None` when admission rejected the VM.
-        node: Option<usize>,
-        /// Release-retry passes the placement needed.
-        retries: u32,
-        /// Largest spare capacity any node could offer.
-        best_spare: f64,
+        /// The unit admitted or rejected.
+        unit: Unit,
+        /// The placer's own decision: destination, booked demand and
+        /// release-retry passes, or the rejection witness.
+        outcome: PlacementOutcome,
     },
     /// A churned task's lease expires: the node kills it at this instant.
     Kill {
@@ -82,26 +68,13 @@ pub enum FleetEvent {
     /// inputs (demand signal, hysteresis state, clamp reason) and the
     /// host supervisor's arithmetic.
     ShareGrant {
-        /// When the control step ran.
-        at: Time,
         /// Node hosting the VM.
         node: usize,
         /// Fleet VM id.
         fleet_vm_id: usize,
-        /// Smoothed demand estimate behind the request.
-        demand: f64,
-        /// The hysteresis-adopted target requested.
-        target: f64,
-        /// The share the host supervisor granted.
-        granted: f64,
-        /// Whether the supervisor curbed the request.
-        compressed: bool,
-        /// Which controller bound clipped the candidate.
-        clamp: ClampReason,
-        /// Unconfirmed hysteresis change after the step, if any.
-        pending: Option<(f64, u32)>,
-        /// Host bandwidth the request competed for.
-        available: f64,
+        /// The platform's own record of the grant, dated at its control
+        /// step.
+        grant: ShareGrant,
     },
     /// One node's supervisor compressions over one epoch (only nodes with
     /// a non-zero count are journalled).
@@ -162,23 +135,8 @@ pub enum FleetEvent {
         /// Position in the epoch's decision order — replay applies moves
         /// in exactly this order.
         seq: u32,
-        /// Fleet task id (or fleet VM id when `vm`).
-        fleet_id: usize,
-        /// Whether a whole virtual platform moved.
-        vm: bool,
-        /// Source node (pressured).
-        from: usize,
-        /// Destination node.
-        to: usize,
-        /// What the pass booked on the destination (starvation-inflated
-        /// live booking for tasks, granted share for VMs).
-        demand: f64,
-        /// Destination booking right after this move.
-        dest_reserved_after: f64,
-        /// Warm-start hand-over for a task victim.
-        warm: Option<WarmStart>,
-        /// Warm-start hand-overs for a VM victim's guests, by fleet id.
-        guest_warm: Vec<(usize, WarmStart)>,
+        /// The rebalancer's own decision, as its workers apply it.
+        migration: Migration,
     },
 }
 
@@ -186,26 +144,31 @@ impl FleetEvent {
     /// The instant the decision is dated at.
     pub fn at(&self) -> Time {
         match self {
-            FleetEvent::TaskAdmission { at, .. }
-            | FleetEvent::VmAdmission { at, .. }
+            FleetEvent::Admission { at, .. }
             | FleetEvent::Kill { at, .. }
-            | FleetEvent::ShareGrant { at, .. }
             | FleetEvent::Compression { at, .. }
             | FleetEvent::NodeRebound { at, .. }
             | FleetEvent::Rebalance { at, .. }
             | FleetEvent::Migration { at, .. } => *at,
+            FleetEvent::ShareGrant { grant, .. } => grant.at,
         }
     }
 
-    /// Rank of the event class at equal instants: admissions before
-    /// kills, epoch bookkeeping (compressions, then node re-bounds, then
-    /// the rebalance pass, then its migrations) before the share grants
-    /// of the next epoch. The ranks are in-memory ordering keys only —
+    /// Rank of the event class at equal instants: admissions (VMs before
+    /// tasks, the reverse of [`Unit`]'s own order) before kills, epoch
+    /// bookkeeping (compressions, then node re-bounds, then the rebalance
+    /// pass, then its migrations) before the share grants of the next
+    /// epoch. The ranks are in-memory ordering keys only —
     /// they are never serialised, so inserting a class renumbers freely.
     fn class(&self) -> u8 {
         match self {
-            FleetEvent::VmAdmission { .. } => 0,
-            FleetEvent::TaskAdmission { .. } => 1,
+            FleetEvent::Admission {
+                unit: Unit::Vm(_), ..
+            } => 0,
+            FleetEvent::Admission {
+                unit: Unit::Task(_),
+                ..
+            } => 1,
             FleetEvent::Kill { .. } => 2,
             FleetEvent::Compression { .. } => 3,
             FleetEvent::NodeRebound { .. } => 4,
@@ -229,12 +192,10 @@ impl FleetEvent {
     /// `same_instant_kills_from_recycled_slots_order_totally`).
     fn tie(&self) -> (usize, usize) {
         match self {
-            FleetEvent::TaskAdmission { fleet_id, node, .. } => {
-                (node.unwrap_or(usize::MAX), *fleet_id)
+            FleetEvent::Admission { unit, outcome, .. } => {
+                let (Unit::Task(id) | Unit::Vm(id)) = *unit;
+                (outcome.node().unwrap_or(usize::MAX), id)
             }
-            FleetEvent::VmAdmission {
-                fleet_vm_id, node, ..
-            } => (node.unwrap_or(usize::MAX), *fleet_vm_id),
             FleetEvent::Kill { node, fleet_id, .. } => (*node, *fleet_id),
             FleetEvent::ShareGrant {
                 node, fleet_vm_id, ..
@@ -339,14 +300,15 @@ mod tests {
             at: Time::ZERO + selftune_simcore::time::Dur::ms(5),
             epoch: 0,
             seq: 0,
-            fleet_id: 9,
-            vm: false,
-            from: 1,
-            to: 0,
-            demand: 0.2,
-            dest_reserved_after: 0.2,
-            warm: None,
-            guest_warm: Vec::new(),
+            migration: Migration {
+                unit: Unit::Task(9),
+                from: 1,
+                to: 0,
+                demand: 0.2,
+                dest_reserved_after: 0.2,
+                warm: None,
+                guest_warm: Vec::new(),
+            },
         };
         let rebound = FleetEvent::NodeRebound {
             at: Time::ZERO + selftune_simcore::time::Dur::ms(5),
@@ -372,6 +334,29 @@ mod tests {
         assert_eq!(events[2], rebound, "re-bounds precede the rebalance pass");
         assert_eq!(events[3], reb);
         assert_eq!(events[4], mig);
+    }
+
+    #[test]
+    fn a_vm_admission_sorts_before_a_task_admission_at_the_same_instant() {
+        let at = Time::ZERO + selftune_simcore::time::Dur::ms(3);
+        let admitted = |node| PlacementOutcome::Admitted {
+            node,
+            demand: 0.1,
+            migrations: 0,
+        };
+        let rejected = PlacementOutcome::Rejected {
+            demand: 0.4,
+            best_spare: 0.2,
+        };
+        let admission = |unit, outcome| FleetEvent::Admission { at, unit, outcome };
+        // The task has the lower node and the lower id; the VMs come first
+        // anyway, admitted or rejected, and only then `(node, id)` ranks.
+        let task = admission(Unit::Task(0), admitted(0));
+        let vm_placed = admission(Unit::Vm(9), admitted(5));
+        let vm_refused = admission(Unit::Vm(1), rejected);
+        let mut events = vec![task.clone(), vm_refused.clone(), vm_placed.clone()];
+        sort_events(&mut events);
+        assert_eq!(events, [vm_placed, vm_refused, task]);
     }
 
     #[test]

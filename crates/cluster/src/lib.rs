@@ -98,11 +98,14 @@ pub use events::{sort_events, FleetEvent, JournalSink, NodeSnap};
 pub use index::HeadroomIndex;
 pub use mem::churn_mem_report;
 pub use node::{Lease, Node, NodeFeedback, NodeTask, NodeVm, WarmStart};
-pub use placer::{Migration, PlacementOutcome, Placer, PolicyKind};
+pub use placer::{Migration, PlacementOutcome, Placer, PolicyKind, Unit};
 pub use runner::{
     plan_fleet, plan_fleet_pinned, ClusterRunner, EpochDecision, EpochPin, FleetPlan, PinSource,
     PinnedMoves, PinnedPlan,
 };
+// The grant `FleetEvent::ShareGrant` embeds: re-exported so that a
+// consumer of the event (the journal codec) needs no `selftune-virt`.
+pub use selftune_virt::ShareGrant;
 pub use sketch::StreamSketch;
 pub use spec::{
     ArrivalSchedule, Churn, NodeFilter, NodeShareSpec, OverloadWindow, RebalanceSpec, ScenarioSpec,
@@ -114,7 +117,7 @@ pub mod prelude {
     pub use crate::aggregate::{AdmissionStats, AggregateMetrics, NodeReport};
     pub use crate::events::{sort_events, FleetEvent, JournalSink, NodeSnap};
     pub use crate::node::{NodeFeedback, WarmStart};
-    pub use crate::placer::{Migration, PlacementOutcome, Placer, PolicyKind};
+    pub use crate::placer::{Migration, PlacementOutcome, Placer, PolicyKind, Unit};
     pub use crate::runner::{
         plan_fleet, plan_fleet_pinned, ClusterRunner, EpochDecision, FleetPlan, PinnedMoves,
         PinnedPlan,

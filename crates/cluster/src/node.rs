@@ -876,7 +876,8 @@ impl Node {
     }
 
     /// Drains the platform's executed elastic share re-grants into fleet
-    /// decision events, mapping kernel VM ids back to fleet VM ids.
+    /// decision events, each grant embedded as-is beside its fleet VM id
+    /// (mapped back from the kernel VM id).
     /// Grants of a VM that was since extracted are dropped — its fleet
     /// identity now lives (re-granted afresh) on the destination node.
     pub(crate) fn drain_share_events(&mut self) -> Vec<FleetEvent> {
@@ -886,19 +887,12 @@ impl Node {
             .platform
             .drain_share_grants()
             .into_iter()
-            .filter_map(|e| {
-                let rt = vms.iter().find(|rt| rt.vm == e.vm && !rt.released)?;
+            .filter_map(|(vm, grant)| {
+                let rt = vms.iter().find(|rt| rt.vm == vm && !rt.released)?;
                 Some(FleetEvent::ShareGrant {
-                    at: e.at,
                     node: id,
                     fleet_vm_id: rt.plan.fleet_vm_id,
-                    demand: e.demand,
-                    target: e.target,
-                    granted: e.granted,
-                    compressed: e.compressed,
-                    clamp: e.clamp,
-                    pending: e.pending,
-                    available: e.available,
+                    grant,
                 })
             })
             .collect()

@@ -72,8 +72,9 @@ impl PolicyKind {
     }
 }
 
-/// Outcome of one placement decision.
-#[derive(Clone, Copy, Debug)]
+/// Outcome of one placement decision — the value an admission record
+/// carries as-is.
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum PlacementOutcome {
     /// Admitted onto a node.
     Admitted {
@@ -94,6 +95,16 @@ pub enum PlacementOutcome {
         /// the witness that rejection was necessary.
         best_spare: f64,
     },
+}
+
+impl PlacementOutcome {
+    /// The node that took the unit; `None` for a rejection.
+    pub(crate) fn node(&self) -> Option<usize> {
+        match *self {
+            PlacementOutcome::Admitted { node, .. } => Some(node),
+            PlacementOutcome::Rejected { .. } => None,
+        }
+    }
 }
 
 /// The fleet's live per-node load, as reported by the nodes themselves at
@@ -206,13 +217,23 @@ pub struct LiveVmUnit {
     pub guest_grants: Vec<(usize, WarmStart)>,
 }
 
-/// One migration decision from a rebalance pass.
-#[derive(Clone, Debug)]
+/// One placement unit: a flat task or a whole virtual platform, by its
+/// fleet id. The derived order (tasks before VMs, then the lower id) is
+/// the rebalancer's victim tie-break.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Unit {
+    /// A flat task, by fleet task id.
+    Task(usize),
+    /// A virtual platform, by fleet VM id.
+    Vm(usize),
+}
+
+/// One migration decision from a rebalance pass — the value the journal,
+/// the pin tables and the run statistics carry as-is.
+#[derive(Clone, Debug, PartialEq)]
 pub struct Migration {
-    /// Fleet id of the unit to move (task id, or VM id when `vm`).
-    pub fleet_id: usize,
-    /// Whether the unit is a whole virtual platform.
-    pub vm: bool,
+    /// The unit to move.
+    pub unit: Unit,
     /// Source node (extract here).
     pub from: usize,
     /// Destination node (re-admit here).
@@ -545,8 +566,7 @@ impl Placer {
         let mut out = RebalanceOutcome::default();
         struct Victim {
             demand: f64,
-            vm: bool,
-            fleet_id: usize,
+            unit: Unit,
             warm: Option<WarmStart>,
             guest_warm: Vec<(usize, WarmStart)>,
         }
@@ -579,8 +599,7 @@ impl Placer {
                 .map(|g| WarmStart::demand_sized(g.budget, g.period, demand));
             buckets[k].push(Victim {
                 demand,
-                vm: false,
-                fleet_id: t.fleet_id,
+                unit: Unit::Task(t.fleet_id),
                 warm,
                 guest_warm: Vec::new(),
             });
@@ -598,8 +617,7 @@ impl Placer {
             }
             buckets[k].push(Victim {
                 demand: v.share,
-                vm: true,
-                fleet_id: v.fleet_vm_id,
+                unit: Unit::Vm(v.fleet_vm_id),
                 warm: None,
                 guest_warm: v.guest_grants.clone(),
             });
@@ -616,8 +634,7 @@ impl Placer {
                 b.demand
                     .partial_cmp(&a.demand)
                     .expect("NaN demand")
-                    .then(a.vm.cmp(&b.vm))
-                    .then(a.fleet_id.cmp(&b.fleet_id))
+                    .then(a.unit.cmp(&b.unit))
             });
             for v in victims {
                 if out.moves.len() as u32 >= cfg.max_moves {
@@ -628,8 +645,7 @@ impl Placer {
                         self.set_reserved(to, self.reserved[to] + v.demand);
                         self.set_reserved(from, (self.reserved[from] - v.demand).max(0.0));
                         out.moves.push(Migration {
-                            fleet_id: v.fleet_id,
-                            vm: v.vm,
+                            unit: v.unit,
                             from,
                             to,
                             demand: v.demand,
@@ -900,6 +916,38 @@ mod tests {
         assert_eq!(out.moves.len(), 1);
         assert_eq!(out.moves[0].from, 0);
         assert_eq!(out.moves[0].to, 1);
+    }
+
+    #[test]
+    fn victims_of_equal_demand_move_tasks_before_vms_whatever_their_ids() {
+        let mut p = Placer::new(2, 0.9, 1.0, PolicyKind::WorstFit);
+        p.sync_reserved(&[0.8, 0.0]);
+        let nominal = task(20.0, 100.0);
+        let live = [LiveTask {
+            fleet_id: 7,
+            node: 0,
+            nominal,
+            measured_bw: 0.0,
+            movable: true,
+            granted: None,
+        }];
+        // Booked at exactly the task's demand: only the unit kind and the
+        // id are left to break the tie, and the VM has the lower id.
+        let vm = LiveVmUnit {
+            fleet_vm_id: 3,
+            node: 0,
+            share: p.demand_of(nominal),
+            movable: true,
+            elastic: false,
+            guest_grants: Vec::new(),
+        };
+        let view = with_live(view(&[0.5, 0.0], &[0.9, 0.1]), &live, &[vm]);
+        let units = |max_moves| {
+            let out = p.clone().rebalance(&view, &cfg(0.05, max_moves));
+            out.moves.iter().map(|m| m.unit).collect::<Vec<_>>()
+        };
+        assert_eq!(units(1), [Unit::Task(7)]);
+        assert_eq!(units(2), [Unit::Task(7), Unit::Vm(3)]);
     }
 
     #[test]

@@ -16,7 +16,7 @@ use selftune_simcore::time::{Dur, Time};
 use crate::aggregate::AdmissionStats;
 use crate::events::FleetEvent;
 use crate::node::{NodeTask, NodeVm};
-use crate::placer::{PlacementOutcome, Placer};
+use crate::placer::{PlacementOutcome, Placer, Unit};
 use crate::spec::{ArrivalSchedule, ScenarioSpec, TaskKind};
 
 /// Derives the workload seed of fleet task `task_id` from the base seed.
@@ -36,8 +36,6 @@ pub struct PlannedTask {
     pub task: NodeTask,
     /// Node the task was placed on; `None` if admission rejected it.
     pub node: Option<usize>,
-    /// Whether it went through reservation admission (vs. best-effort).
-    pub realtime: bool,
     /// The admission decision with its inputs (journal material). `None`
     /// for best-effort tasks and for pinned plans, where no live decision
     /// was taken.
@@ -96,17 +94,15 @@ impl PinnedPlan {
         let mut task_nodes = vec![None; spec.flat_tasks()];
         let mut vm_nodes = vec![None; spec.vms.len()];
         for e in events {
-            let (slot, node) = match e {
-                FleetEvent::TaskAdmission { fleet_id, node, .. } => {
-                    (task_nodes.get_mut(*fleet_id), node)
-                }
-                FleetEvent::VmAdmission {
-                    fleet_vm_id, node, ..
-                } => (vm_nodes.get_mut(*fleet_vm_id), node),
-                _ => continue,
+            let FleetEvent::Admission { unit, outcome, .. } = e else {
+                continue;
+            };
+            let slot = match *unit {
+                Unit::Task(id) => task_nodes.get_mut(id),
+                Unit::Vm(id) => vm_nodes.get_mut(id),
             };
             if let Some(slot) = slot {
-                *slot = *node;
+                *slot = outcome.node();
             }
         }
         PinnedPlan {
@@ -348,7 +344,6 @@ impl Planning<'_> {
                     warm: None,
                 },
                 node,
-                realtime: draw.kind.is_realtime(),
                 outcome,
             });
         }
@@ -385,35 +380,27 @@ impl Planning<'_> {
     }
 }
 
-/// The plan-derived decision events of a run: admissions (with the
-/// placer's inputs) and the churn kills the leases will execute.
-pub(crate) fn plan_events(spec: &ScenarioSpec, plan: &FleetPlan) -> Vec<FleetEvent> {
+/// The plan-derived decision events of a run: one admission per unit that
+/// walked the placer (in a live plan, the VMs and the real-time tasks;
+/// only live plans are logged), carrying its outcome as-is, and the churn
+/// kills the leases will execute.
+pub(crate) fn plan_events(plan: &FleetPlan) -> Vec<FleetEvent> {
     let mut events = Vec::new();
     for p in &plan.vms {
-        let (demand, retries, best_spare) = admission_inputs(p.outcome, || {
-            spec.vms
-                .get(p.vm.fleet_vm_id)
-                .map_or(0.0, |vm_spec| vm_spec.share())
-        });
-        events.push(FleetEvent::VmAdmission {
-            at: Time::ZERO,
-            fleet_vm_id: p.vm.fleet_vm_id,
-            demand,
-            node: p.node,
-            retries,
-            best_spare,
-        });
+        if let Some(outcome) = p.outcome {
+            events.push(FleetEvent::Admission {
+                at: Time::ZERO,
+                unit: Unit::Vm(p.vm.fleet_vm_id),
+                outcome,
+            });
+        }
     }
     for p in &plan.tasks {
-        if p.realtime {
-            let (demand, retries, best_spare) = admission_inputs(p.outcome, || 0.0);
-            events.push(FleetEvent::TaskAdmission {
+        if let Some(outcome) = p.outcome {
+            events.push(FleetEvent::Admission {
                 at: p.task.arrival,
-                fleet_id: p.task.fleet_id,
-                demand,
-                node: p.node,
-                retries,
-                best_spare,
+                unit: Unit::Task(p.task.fleet_id),
+                outcome,
             });
         }
         // The lease kills the task wherever it lives; the planned node is
@@ -427,20 +414,6 @@ pub(crate) fn plan_events(spec: &ScenarioSpec, plan: &FleetPlan) -> Vec<FleetEve
         }
     }
     events
-}
-
-/// `(demand, retries, best_spare)` of one admission decision.
-fn admission_inputs(
-    outcome: Option<PlacementOutcome>,
-    fallback_demand: impl FnOnce() -> f64,
-) -> (f64, u32, f64) {
-    match outcome {
-        Some(PlacementOutcome::Admitted {
-            demand, migrations, ..
-        }) => (demand, migrations, 0.0),
-        Some(PlacementOutcome::Rejected { demand, best_spare }) => (demand, 0, best_spare),
-        None => (fallback_demand(), 0, 0.0),
-    }
 }
 
 /// Domain separator between the planning RNG stream and workload streams.

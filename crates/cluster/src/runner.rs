@@ -38,7 +38,7 @@ use selftune_simcore::time::Time;
 
 use crate::aggregate::{AdmissionStats, AggregateMetrics};
 use crate::events::{sort_events, FleetEvent, JournalSink};
-use crate::placer::{FeedbackView, Migration};
+use crate::placer::FeedbackView;
 use crate::plan::plan_events;
 pub use crate::plan::{
     plan_fleet, plan_fleet_pinned, FleetPlan, PinnedPlan, PlannedTask, PlannedVm,
@@ -85,30 +85,12 @@ impl PinnedMoves {
                     }
                 }
                 FleetEvent::Migration {
-                    epoch,
-                    fleet_id,
-                    vm,
-                    from,
-                    to,
-                    demand,
-                    dest_reserved_after,
-                    warm,
-                    guest_warm,
-                    ..
+                    epoch, migration, ..
                 } => {
                     if let Some(slot) = epochs.get_mut(*epoch) {
                         slot.get_or_insert_with(EpochDecision::default)
                             .moves
-                            .push(Migration {
-                                fleet_id: *fleet_id,
-                                vm: *vm,
-                                from: *from,
-                                to: *to,
-                                demand: *demand,
-                                dest_reserved_after: *dest_reserved_after,
-                                warm: *warm,
-                                guest_warm: guest_warm.clone(),
-                            });
+                            .push(migration.clone());
                     }
                 }
                 _ => {}
@@ -382,7 +364,7 @@ impl ClusterRunner {
         // whole batch before simulation starts gives a streaming consumer
         // a complete placement pin table at any later cut point.
         if let Some(s) = sink {
-            let mut events = plan_events(spec, plan);
+            let mut events = plan_events(plan);
             sort_events(&mut events);
             s.on_plan(&plan.admission, &events);
         }
@@ -932,7 +914,7 @@ mod tests {
         assert!(
             events
                 .iter()
-                .any(|e| matches!(e, FleetEvent::TaskAdmission { .. })),
+                .any(|e| matches!(e, FleetEvent::Admission { .. })),
             "admissions journalled"
         );
         assert!(

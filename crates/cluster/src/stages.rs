@@ -20,10 +20,10 @@ use std::sync::Arc;
 use selftune_core::share::{DemandSignal, ShareController, ShareControllerConfig, ShareDecision};
 use selftune_simcore::time::Time;
 
-use crate::aggregate::{AggregateMetrics, MigrationRecord, NodeReport, RebalanceStats};
+use crate::aggregate::{AggregateMetrics, NodeReport, RebalanceStats};
 use crate::events::{sort_events, FleetEvent, NodeSnap};
 use crate::node::{Node, NodeFeedback, NodeTask, NodeVm, WarmStart};
-use crate::placer::{FeedbackView, Migration, Placer};
+use crate::placer::{FeedbackView, Migration, Placer, Unit};
 use crate::plan::{derive_task_seed, FleetPlan, SEED_MIGRATION_SALT};
 use crate::runner::{EpochDecision, EpochPin, PinSource};
 use crate::spec::ScenarioSpec;
@@ -375,31 +375,16 @@ pub(crate) fn decide(
     state.stats.moves += decision.moves.len() as u64;
     state.stats.failed += decision.failed;
     let mut drained = vec![false; spec.nodes];
-    // Each move is booked three ways: its statistics record, its journal
-    // record (logged runs) and — the `Migration` itself — its worker order.
+    // Each move is one `Migration` value: the workers apply it, and the
+    // run statistics and (logged runs) the journal record carry a copy.
     for (seq, m) in decision.moves.iter().enumerate() {
-        state.stats.records.push(MigrationRecord {
-            epoch: ei as u64,
-            fleet_id: m.fleet_id,
-            vm: m.vm,
-            from: m.from,
-            to: m.to,
-            demand: m.demand,
-            dest_reserved_after: m.dest_reserved_after,
-        });
+        state.stats.records.push((ei as u64, m.clone()));
         if run.log {
             records.push(FleetEvent::Migration {
                 at: run.ends[ei],
                 epoch: ei,
                 seq: seq as u32,
-                fleet_id: m.fleet_id,
-                vm: m.vm,
-                from: m.from,
-                to: m.to,
-                demand: m.demand,
-                dest_reserved_after: m.dest_reserved_after,
-                warm: m.warm,
-                guest_warm: m.guest_warm.clone(),
+                migration: m.clone(),
             });
         }
         // A drained node sheds its pressure history with its load;
@@ -571,41 +556,47 @@ pub(crate) fn apply(run: &Run, ws: &mut WorkerState, orders: &EpochOrders, ei: u
     }
     for m in &orders.moves {
         if let Some(i) = local(m.from) {
-            if m.vm {
-                ws.owned[i].extract_vm(m.fleet_id);
-            } else {
-                ws.owned[i].extract_task(m.fleet_id);
+            match m.unit {
+                Unit::Vm(id) => {
+                    ws.owned[i].extract_vm(id);
+                }
+                Unit::Task(id) => {
+                    ws.owned[i].extract_task(id);
+                }
             }
         }
         // A move onto its own source extracts only.
         let Some(i) = local(m.to).filter(|_| m.to != m.from) else {
             continue;
         };
-        if m.vm {
-            let base = &run.plan.vms[m.fleet_id].vm;
-            // `guest_warm` is already gated at the producer: nodes only
-            // build grants when rebalance runs with warm_start.
-            let warm = |g: &NodeTask| {
-                let carried = m.guest_warm.iter().find(|&&(id, _)| id == g.fleet_id);
-                carried.map(|&(_, w)| w)
-            };
-            let guests = base.guests.iter();
-            ws.owned[i].add_vm(NodeVm {
-                fleet_vm_id: base.fleet_vm_id,
-                label: format!("{}e{ei}", base.label),
-                budget: base.budget,
-                period: base.period,
-                guests: guests
-                    .map(|g| migrated_incarnation(run, g, ei, warm(g)))
-                    .collect(),
-                arrival: run.ends[ei],
-                migrated: true,
-                elastic: base.elastic,
-            });
-        } else {
-            let base = &run.plan.tasks[m.fleet_id].task;
-            let warm = m.warm.filter(|_| run.spec.rebalance.warm_start);
-            ws.owned[i].add_task(migrated_incarnation(run, base, ei, warm));
+        match m.unit {
+            Unit::Vm(id) => {
+                let base = &run.plan.vms[id].vm;
+                // `guest_warm` is already gated at the producer: nodes only
+                // build grants when rebalance runs with warm_start.
+                let warm = |g: &NodeTask| {
+                    let carried = m.guest_warm.iter().find(|&&(guest, _)| guest == g.fleet_id);
+                    carried.map(|&(_, w)| w)
+                };
+                let guests = base.guests.iter();
+                ws.owned[i].add_vm(NodeVm {
+                    fleet_vm_id: base.fleet_vm_id,
+                    label: format!("{}e{ei}", base.label),
+                    budget: base.budget,
+                    period: base.period,
+                    guests: guests
+                        .map(|g| migrated_incarnation(run, g, ei, warm(g)))
+                        .collect(),
+                    arrival: run.ends[ei],
+                    migrated: true,
+                    elastic: base.elastic,
+                });
+            }
+            Unit::Task(id) => {
+                let base = &run.plan.tasks[id].task;
+                let warm = m.warm.filter(|_| run.spec.rebalance.warm_start);
+                ws.owned[i].add_task(migrated_incarnation(run, base, ei, warm));
+            }
         }
     }
 }
@@ -642,6 +633,7 @@ mod tests {
     };
     use selftune_core::share::ClampReason;
     use selftune_simcore::time::Dur;
+    use selftune_virt::ShareGrant;
 
     /// A logged run of `plan` on `workers` workers, ready for any stage.
     fn run_of<'a>(spec: &'a ScenarioSpec, plan: &'a FleetPlan, workers: usize) -> Run<'a> {
@@ -789,8 +781,7 @@ mod tests {
 
     fn task_move(fleet_id: usize, from: usize, to: usize) -> Migration {
         Migration {
-            fleet_id,
-            vm: false,
+            unit: Unit::Task(fleet_id),
             from,
             to,
             demand: 0.2,
@@ -828,12 +819,12 @@ mod tests {
         assert_eq!(orders.failed, 1);
         let stats = &state.stats;
         assert_eq!((stats.epochs, stats.moves, stats.failed), (1, 2, 1));
-        let booked: Vec<(u64, usize, usize)> = stats
+        let booked: Vec<(u64, Unit, usize)> = stats
             .records
             .iter()
-            .map(|r| (r.epoch, r.fleet_id, r.to))
+            .map(|(epoch, m)| (*epoch, m.unit, m.to))
             .collect();
-        assert_eq!(booked, [(1, 0, 1), (1, 1, 2)]);
+        assert_eq!(booked, [(1, Unit::Task(0), 1), (1, Unit::Task(1), 2)]);
         // EWMA at α = 0.5; eviction saw the un-halved value, and node 0 —
         // drained twice — is halved once.
         let folded: Vec<f64> = raw.iter().map(|r| 0.5 * r + 0.5 * 0.2).collect();
@@ -920,16 +911,18 @@ mod tests {
 
     fn grant(at: Time) -> FleetEvent {
         FleetEvent::ShareGrant {
-            at,
             node: 2,
             fleet_vm_id: 0,
-            demand: 0.3,
-            target: 0.3,
-            granted: 0.3,
-            compressed: false,
-            clamp: ClampReason::None,
-            pending: None,
-            available: 0.9,
+            grant: ShareGrant {
+                at,
+                demand: 0.3,
+                target: 0.3,
+                granted: 0.3,
+                compressed: false,
+                clamp: ClampReason::None,
+                pending: None,
+                available: 0.9,
+            },
         }
     }
 
@@ -973,9 +966,11 @@ mod tests {
                     FleetEvent::Compression { node: 1, count: 3, epoch: 1, .. },
                     FleetEvent::NodeRebound { .. },
                     FleetEvent::Rebalance { moves: 1, failed: 2, epoch: 1, snapshot, .. },
-                    FleetEvent::Migration { seq: 0, fleet_id: 0, .. },
+                    FleetEvent::Migration { seq: 0, migration, .. },
                     FleetEvent::ShareGrant { .. },
-                ] if snapshot.len() == 3 && snapshot[0].pressure == view.pressure(0)
+                ] if snapshot.len() == 3
+                    && snapshot[0].pressure == view.pressure(0)
+                    && migration.unit == Unit::Task(0)
             ),
             "{batch:?}"
         );

@@ -236,7 +236,8 @@ proptest! {
         let baseline = ClusterRunner::new(1).run(&spec, seed);
         prop_assert!(baseline.admission.vms_admitted >= 1);
         // Elastic VMs are never rebalance victims.
-        prop_assert!(baseline.rebalance.records.iter().all(|r| !r.vm));
+        let moved = &baseline.rebalance.records;
+        prop_assert!(moved.iter().all(|(_, m)| matches!(m.unit, Unit::Task(_))));
         for threads in [2usize, 3, 8] {
             let m = ClusterRunner::new(threads).run(&spec, seed);
             prop_assert_eq!(baseline.summary_csv(), m.summary_csv(), "{} threads", threads);
@@ -388,7 +389,7 @@ proptest! {
         let spec = rebalance_spec(4, tasks, 0.15, 4);
         let m = ClusterRunner::new(2).run(&spec, seed);
         prop_assert!(m.rebalance.epochs > 0);
-        for r in &m.rebalance.records {
+        for (_, r) in &m.rebalance.records {
             // The booked demand is at least the nominal minbudget demand
             // (the admission floor the initial placement would have used)…
             let nominal = PeriodicTask::new(2.0, 40.0);

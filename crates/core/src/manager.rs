@@ -232,8 +232,11 @@ impl SelfTuningManager {
         budget: Dur,
         period: Dur,
     ) {
-        if period.is_zero() || budget.is_zero() {
-            // Degenerate hand-over state: fall back to cold-start.
+        let held = ctl_cfg.min_period..=ctl_cfg.max_period;
+        if budget.is_zero() || !held.contains(&period) {
+            // Degenerate hand-over state — no grant the controller could
+            // hold (a live grant's period is a range-checked estimate):
+            // fall back to cold-start.
             self.manage(task, label, ctl_cfg);
             return;
         }

@@ -559,12 +559,10 @@ impl Follower {
         }
         // Placements pinned the mirror's plan when the Plan frame started
         // it; an admission arriving later could never take effect.
-        if records.iter().any(|r| {
-            matches!(
-                r,
-                FleetEvent::TaskAdmission { .. } | FleetEvent::VmAdmission { .. }
-            )
-        }) {
+        if records
+            .iter()
+            .any(|r| matches!(r, FleetEvent::Admission { .. }))
+        {
             return Err("an admission record outside the Plan frame".into());
         }
         let pin = self.batch_pin(Some(epoch), &records)?;

@@ -10,7 +10,8 @@
 //!
 //! The corpus is the three checked-in fixtures plus a checkpoint recorded
 //! off a composed stream. A case replaces one integer field of one header
-//! or record line with an arbitrary `u64` (the embedded scenario and
+//! or record line — a whole value, or one integer inside a warm grant's
+//! `budget:period` body — with an arbitrary `u64` (the embedded scenario and
 //! summary blocks are left alone: the scenario loader has its own error
 //! tests, and a summary edit is just a divergence), or truncates the text
 //! at an arbitrary line.
@@ -84,20 +85,39 @@ fn corpus() -> &'static [(bool, String)] {
     })
 }
 
-/// Byte ranges of the whole-integer fields of one line: `key = 7`,
-/// `admission = 1 2 3`, `… epoch=3 from=2 …`.
+/// Byte ranges of the integer fields of one line: `key = 7`,
+/// `admission = 1 2 3`, `… epoch=3 from=2 …`, and each integer of a
+/// `:`/`;`-separated body — `warm=2000000:40000000`,
+/// `guest_warm=31:2000000:40000000;32:…`, a pending count.
 fn int_fields(line: &str) -> Vec<Range<usize>> {
     let mut fields = Vec::new();
     let mut pos = 0;
     for tok in line.split(' ') {
-        let start = pos + tok.rfind('=').map_or(0, |i| i + 1);
-        let end = pos + tok.len();
-        if start < end && line[start..end].bytes().all(|b| b.is_ascii_digit()) {
-            fields.push(start..end);
+        let mut start = pos + tok.rfind('=').map_or(0, |i| i + 1);
+        for part in line[start..pos + tok.len()].split([':', ';']) {
+            let end = start + part.len();
+            if start < end && part.bytes().all(|b| b.is_ascii_digit()) {
+                fields.push(start..end);
+            }
+            start = end + 1;
         }
-        pos = end + 1;
+        pos += tok.len() + 1;
     }
     fields
+}
+
+#[test]
+fn int_fields_reach_into_warm_bodies() {
+    let line = "migration = at=5 epoch=0 seq=1 id=4 vm=1 from=0 to=2 demand=0.14 dest=0.55 \
+                warm=2000000:40000000 guest_warm=31:7:8;32:9:10";
+    let found: Vec<&str> = int_fields(line).into_iter().map(|r| &line[r]).collect();
+    assert_eq!(
+        found,
+        [
+            "5", "0", "1", "4", "1", "0", "2", "2000000", "40000000", "31", "7", "8", "32", "9",
+            "10"
+        ]
+    );
 }
 
 /// `text` with the `field_pick`-th integer field of its `line_pick`-th

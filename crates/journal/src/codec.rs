@@ -30,6 +30,14 @@
 //! migration = at=750000000 epoch=0 seq=0 id=4 vm=0 from=0 to=1 demand=0.14 dest=0.55 warm=2000000:40000000 guest_warm=-
 //! ```
 //!
+//! Each record line writes the decider's embedded value field by field:
+//! an admission's `PlacementOutcome` keeps one shape for both outcomes
+//! (an admitted unit has `spare=0`, a rejected one `node=-` and
+//! `retries=0`, and decoding refuses any other combination), a
+//! migration's `Migration` names its `Unit` as `id` + `vm`, and a share
+//! grant's `ShareGrant` supplies the line's `at`. A migration's
+//! `guest_warm` ids must be VM guests of the scenario.
+//!
 //! Instants and durations are written as whole nanoseconds (exact),
 //! floats with the shortest round-tripping decimal form, and absent
 //! values as `-`. The embedded scenario and summary blocks are verbatim;
@@ -39,7 +47,10 @@
 use std::str::FromStr;
 
 use selftune_cluster::node::WarmStart;
-use selftune_cluster::{AdmissionStats, ClusterRunner, FleetEvent, NodeSnap, ScenarioSpec};
+use selftune_cluster::{
+    AdmissionStats, ClusterRunner, FleetEvent, Migration, NodeSnap, PlacementOutcome, ScenarioSpec,
+    ShareGrant, Unit,
+};
 use selftune_core::share::ClampReason;
 use selftune_simcore::time::{Dur, Time};
 
@@ -187,52 +198,45 @@ fn warm_body(w: &WarmStart) -> String {
 /// carry.
 pub(crate) fn record_line(r: &FleetEvent) -> String {
     match r {
-        FleetEvent::TaskAdmission {
-            at,
-            fleet_id: id,
-            demand,
-            node,
-            retries,
-            best_spare,
+        FleetEvent::Admission { at, unit, outcome } => {
+            let (kind, id) = match unit {
+                Unit::Task(id) => ("task_admission", id),
+                Unit::Vm(id) => ("vm_admission", id),
+            };
+            // The text keeps one shape for both outcomes: an admission
+            // writes `spare=0`, a rejection `node=-` and `retries=0`.
+            let (demand, node, retries, spare) = match *outcome {
+                PlacementOutcome::Admitted {
+                    node,
+                    demand,
+                    migrations,
+                } => (demand, Some(node), migrations, 0.0),
+                PlacementOutcome::Rejected { demand, best_spare } => (demand, None, 0, best_spare),
+            };
+            format!(
+                "{kind} = at={} id={id} demand={demand} node={} retries={retries} spare={spare}",
+                at.as_ns(),
+                opt(&node, usize::to_string),
+            )
         }
-        | FleetEvent::VmAdmission {
-            at,
-            fleet_vm_id: id,
-            demand,
-            node,
-            retries,
-            best_spare,
-        } => format!(
-            "{} = at={} id={id} demand={demand} node={} retries={retries} spare={best_spare}",
-            if matches!(r, FleetEvent::VmAdmission { .. }) {
-                "vm_admission"
-            } else {
-                "task_admission"
-            },
-            at.as_ns(),
-            opt(node, usize::to_string),
-        ),
         FleetEvent::Kill { at, node, fleet_id } => {
             format!("kill = at={} node={node} id={fleet_id}", at.as_ns())
         }
         FleetEvent::ShareGrant {
-            at,
             node,
             fleet_vm_id,
-            demand,
-            target,
-            granted,
-            compressed,
-            clamp,
-            pending,
-            available,
+            grant: g,
         } => format!(
-            "share_grant = at={} node={node} vm={fleet_vm_id} demand={demand} target={target} \
-             granted={granted} compressed={} clamp={} pending={} avail={available}",
-            at.as_ns(),
-            u8::from(*compressed),
-            clamp.name(),
-            opt(pending, |(share, count)| format!("{share}:{count}")),
+            "share_grant = at={} node={node} vm={fleet_vm_id} demand={} target={} granted={} \
+             compressed={} clamp={} pending={} avail={}",
+            g.at.as_ns(),
+            g.demand,
+            g.target,
+            g.granted,
+            u8::from(g.compressed),
+            g.clamp.name(),
+            opt(&g.pending, |(share, count)| format!("{share}:{count}")),
+            g.available,
         ),
         FleetEvent::NodeRebound {
             at,
@@ -276,22 +280,27 @@ pub(crate) fn record_line(r: &FleetEvent) -> String {
             at,
             epoch,
             seq,
-            fleet_id,
-            vm,
-            from,
-            to,
-            demand,
-            dest_reserved_after,
-            warm,
-            guest_warm,
-        } => format!(
-            "migration = at={} epoch={epoch} seq={seq} id={fleet_id} vm={} from={from} to={to} \
-             demand={demand} dest={dest_reserved_after} warm={} guest_warm={}",
-            at.as_ns(),
-            u8::from(*vm),
-            opt(warm, warm_body),
-            list(guest_warm, ";", |(id, w)| format!("{id}:{}", warm_body(w))),
-        ),
+            migration: m,
+        } => {
+            let (id, vm) = match m.unit {
+                Unit::Task(id) => (id, 0),
+                Unit::Vm(id) => (id, 1),
+            };
+            let guest_warm = list(&m.guest_warm, ";", |(id, w)| {
+                format!("{id}:{}", warm_body(w))
+            });
+            format!(
+                "migration = at={} epoch={epoch} seq={seq} id={id} vm={vm} from={} to={} \
+                 demand={} dest={} warm={} guest_warm={}",
+                at.as_ns(),
+                m.from,
+                m.to,
+                m.demand,
+                m.dest_reserved_after,
+                opt(&m.warm, warm_body),
+                guest_warm,
+            )
+        }
     }
 }
 
@@ -303,18 +312,35 @@ pub struct IdBounds {
     nodes: usize,
     tasks: usize,
     vms: usize,
+    guests: usize,
     epochs: usize,
 }
 
 impl IdBounds {
     /// The ranges `spec` admits: node ids, flat fleet task ids, fleet VM
-    /// ids and decision-epoch indices.
+    /// ids, VM guest task ids (numbered after the flat tasks) and
+    /// decision-epoch indices.
     pub fn of(spec: &ScenarioSpec) -> IdBounds {
         IdBounds {
             nodes: spec.nodes,
             tasks: spec.flat_tasks(),
             vms: spec.vms.len(),
+            guests: spec.vms.iter().map(|vm| vm.guest_count()).sum(),
             epochs: ClusterRunner::epoch_ends(spec).len() - 1,
+        }
+    }
+
+    /// A VM guest's fleet task id, which must lie in
+    /// `[flat tasks, flat tasks + guests)`.
+    fn guest(&self, s: &str) -> Result<usize, String> {
+        let id: usize = parse_int(s, "guest id")?;
+        match id.checked_sub(self.tasks) {
+            Some(g) if g < self.guests => Ok(id),
+            _ => Err(format!(
+                "guest id {id} out of range (the scenario's guests are {}..{})",
+                self.tasks,
+                self.tasks + self.guests
+            )),
         }
     }
 
@@ -426,31 +452,30 @@ fn decode(line: &str, ids: &IdBounds) -> Result<FleetEvent, String> {
     let at = parse_at(f.take("at")?)?;
     let rec = match kind.trim() {
         kind @ ("task_admission" | "vm_admission") => {
-            let vm = kind == "vm_admission";
-            let id = f.take("id")?;
+            let unit = if kind == "vm_admission" {
+                Unit::Vm(bounded(f.take("id")?, "vm id", ids.vms)?)
+            } else {
+                Unit::Task(bounded(f.take("id")?, "task id", ids.tasks)?)
+            };
             let demand = parse_f64(f.take("demand")?, "demand")?;
             let node = parse_opt(f.take("node")?, |s| bounded(s, "node", ids.nodes))?;
             let retries = parse_int(f.take("retries")?, "retries")?;
             let best_spare = parse_f64(f.take("spare")?, "spare")?;
-            if vm {
-                FleetEvent::VmAdmission {
-                    at,
-                    fleet_vm_id: bounded(id, "vm id", ids.vms)?,
-                    demand,
-                    node,
-                    retries,
-                    best_spare,
+            let outcome = match node {
+                Some(_) if best_spare.to_bits() != 0 => {
+                    return Err(format!("an admitted unit has spare=0, not {best_spare}"))
                 }
-            } else {
-                FleetEvent::TaskAdmission {
-                    at,
-                    fleet_id: bounded(id, "task id", ids.tasks)?,
-                    demand,
+                Some(node) => PlacementOutcome::Admitted {
                     node,
-                    retries,
-                    best_spare,
+                    demand,
+                    migrations: retries,
+                },
+                None if retries != 0 => {
+                    return Err(format!("a rejected unit has retries=0, not {retries}"))
                 }
-            }
+                None => PlacementOutcome::Rejected { demand, best_spare },
+            };
+            FleetEvent::Admission { at, unit, outcome }
         }
         "kill" => FleetEvent::Kill {
             at,
@@ -458,27 +483,30 @@ fn decode(line: &str, ids: &IdBounds) -> Result<FleetEvent, String> {
             fleet_id: bounded(f.take("id")?, "task id", ids.tasks)?,
         },
         "share_grant" => FleetEvent::ShareGrant {
-            at,
             node: bounded(f.take("node")?, "node", ids.nodes)?,
             fleet_vm_id: bounded(f.take("vm")?, "vm id", ids.vms)?,
-            demand: parse_f64(f.take("demand")?, "demand")?,
-            target: parse_f64(f.take("target")?, "target")?,
-            granted: parse_f64(f.take("granted")?, "granted")?,
-            compressed: parse_bool01(f.take("compressed")?, "compressed")?,
-            clamp: {
-                let s = f.take("clamp")?;
-                ClampReason::from_name(s).ok_or_else(|| format!("unknown clamp reason: {s:?}"))?
+            grant: ShareGrant {
+                at,
+                demand: parse_f64(f.take("demand")?, "demand")?,
+                target: parse_f64(f.take("target")?, "target")?,
+                granted: parse_f64(f.take("granted")?, "granted")?,
+                compressed: parse_bool01(f.take("compressed")?, "compressed")?,
+                clamp: {
+                    let s = f.take("clamp")?;
+                    ClampReason::from_name(s)
+                        .ok_or_else(|| format!("unknown clamp reason: {s:?}"))?
+                },
+                pending: parse_opt(f.take("pending")?, |s| {
+                    let (share, count) = s
+                        .split_once(':')
+                        .ok_or_else(|| format!("bad pending (want share:count): {s:?}"))?;
+                    Ok((
+                        parse_f64(share, "pending share")?,
+                        parse_int(count, "pending count")?,
+                    ))
+                })?,
+                available: parse_f64(f.take("avail")?, "avail")?,
             },
-            pending: parse_opt(f.take("pending")?, |s| {
-                let (share, count) = s
-                    .split_once(':')
-                    .ok_or_else(|| format!("bad pending (want share:count): {s:?}"))?;
-                Ok((
-                    parse_f64(share, "pending share")?,
-                    parse_int(count, "pending count")?,
-                ))
-            })?,
-            available: parse_f64(f.take("avail")?, "avail")?,
         },
         "node_rebound" => FleetEvent::NodeRebound {
             at,
@@ -522,33 +550,36 @@ fn decode(line: &str, ids: &IdBounds) -> Result<FleetEvent, String> {
             .unwrap_or_default(),
         },
         "migration" => {
-            let vm = parse_bool01(f.take("vm")?, "vm flag")?;
+            let unit = if parse_bool01(f.take("vm")?, "vm flag")? {
+                Unit::Vm(bounded(f.take("id")?, "vm id", ids.vms)?)
+            } else {
+                Unit::Task(bounded(f.take("id")?, "task id", ids.tasks)?)
+            };
             FleetEvent::Migration {
                 at,
                 epoch: bounded(f.take("epoch")?, "epoch", ids.epochs)?,
                 seq: parse_int(f.take("seq")?, "seq")?,
-                fleet_id: if vm {
-                    bounded(f.take("id")?, "vm id", ids.vms)?
-                } else {
-                    bounded(f.take("id")?, "task id", ids.tasks)?
+                migration: Migration {
+                    unit,
+                    from: bounded(f.take("from")?, "source node", ids.nodes)?,
+                    to: bounded(f.take("to")?, "destination node", ids.nodes)?,
+                    demand: parse_f64(f.take("demand")?, "demand")?,
+                    dest_reserved_after: parse_f64(f.take("dest")?, "dest booking")?,
+                    warm: parse_opt(f.take("warm")?, parse_warm_body)?,
+                    guest_warm: parse_opt(f.take("guest_warm")?, |s| {
+                        s.split(';')
+                            .map(|entry| {
+                                let (id, grant) = entry.split_once(':').ok_or_else(|| {
+                                    format!(
+                                        "bad guest warm entry (want id:budget:period): {entry:?}"
+                                    )
+                                })?;
+                                Ok((ids.guest(id)?, parse_warm_body(grant)?))
+                            })
+                            .collect()
+                    })?
+                    .unwrap_or_default(),
                 },
-                vm,
-                from: bounded(f.take("from")?, "source node", ids.nodes)?,
-                to: bounded(f.take("to")?, "destination node", ids.nodes)?,
-                demand: parse_f64(f.take("demand")?, "demand")?,
-                dest_reserved_after: parse_f64(f.take("dest")?, "dest booking")?,
-                warm: parse_opt(f.take("warm")?, parse_warm_body)?,
-                guest_warm: parse_opt(f.take("guest_warm")?, |s| {
-                    s.split(';')
-                        .map(|entry| {
-                            let (id, grant) = entry.split_once(':').ok_or_else(|| {
-                                format!("bad guest warm entry (want id:budget:period): {entry:?}")
-                            })?;
-                            Ok((parse_int(id, "guest id")?, parse_warm_body(grant)?))
-                        })
-                        .collect()
-                })?
-                .unwrap_or_default(),
             }
         }
         other => return Err(format!("unknown record kind: {other:?}")),
@@ -624,6 +655,7 @@ impl Journal {
 mod tests {
     use selftune_cluster::ScenarioSpec;
 
+    use super::{record_from_line, record_line, IdBounds};
     use crate::record::Journal;
 
     fn demo_journal() -> Journal {
@@ -716,6 +748,49 @@ mod tests {
                 Journal::from_text(&corrupt).is_err(),
                 "accepted corrupt record line: {bad:?}"
             );
+        }
+    }
+
+    #[test]
+    fn unrepresentable_admissions_and_foreign_guest_ids_are_named_errors() {
+        let spec =
+            ScenarioSpec::diurnal_demo(4, 8).with_rebalance(ScenarioSpec::diurnal_rebalance());
+        let ids = IdBounds::of(&spec);
+        let flat = spec.flat_tasks();
+        let guests: usize = spec.vms.iter().map(|vm| vm.guest_count()).sum();
+        assert!(guests > 0, "the scenario runs VM guests");
+        let admission = |node: &str, retries: u32, spare: &str| {
+            format!(
+                "vm_admission = at=0 id=0 demand=0.3 node={node} retries={retries} spare={spare}"
+            )
+        };
+        let migration = |guest: usize| {
+            format!(
+                "migration = at=0 epoch=0 seq=0 id=0 vm=1 from=0 to=1 demand=0.3 dest=0.5 \
+                 warm=- guest_warm={guest}:2000000:40000000"
+            )
+        };
+        // What `PlacementOutcome` and the guest range hold decodes…
+        for line in [
+            admission("1", 2, "0"),
+            admission("-", 0, "0.25"),
+            migration(flat),
+            migration(flat + guests - 1),
+        ] {
+            let rec = record_from_line(&line, &ids).unwrap_or_else(|e| panic!("{e}"));
+            assert_eq!(record_line(&rec), line, "round trip");
+        }
+        // …and nothing else does: each refusal names its offence and
+        // quotes the line.
+        for (line, offence) in [
+            (admission("1", 0, "0.25"), "admitted unit has spare=0"),
+            (admission("-", 3, "0.25"), "rejected unit has retries=0"),
+            (migration(flat - 1), "guest id"),
+            (migration(flat + guests), "guest id"),
+        ] {
+            let err = record_from_line(&line, &ids).expect_err("unrepresentable");
+            assert!(err.contains(offence), "{err}");
+            assert!(err.contains(&format!("{line:?}")), "{err}");
         }
     }
 

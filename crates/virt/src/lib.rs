@@ -58,14 +58,14 @@ pub mod platform;
 pub mod sched;
 
 pub use elastic::VmElasticConfig;
-pub use platform::{GuestPolicy, Scope, ShareGrantEvent, VirtPlatform, VmAdmissionError, VmConfig};
+pub use platform::{GuestPolicy, Scope, ShareGrant, VirtPlatform, VmAdmissionError, VmConfig};
 pub use sched::{GuestSched, VirtScheduler, VmId};
 
 /// One-stop imports for virtual-platform experiments.
 pub mod prelude {
     pub use crate::elastic::VmElasticConfig;
     pub use crate::platform::{
-        GuestPolicy, Scope, ShareGrantEvent, VirtPlatform, VmAdmissionError, VmConfig,
+        GuestPolicy, Scope, ShareGrant, VirtPlatform, VmAdmissionError, VmConfig,
     };
     pub use crate::sched::{GuestSched, VirtScheduler, VmId};
 }

@@ -111,14 +111,12 @@ impl core::fmt::Display for VmAdmissionError {
 }
 
 /// One *executed* elastic share re-request, with the controller inputs
-/// that pinned it — buffered by the platform for a decision journal to
-/// drain via [`VirtPlatform::drain_share_grants`].
+/// that pinned it — buffered by the platform, beside the VM it moved, for
+/// a decision journal to drain via [`VirtPlatform::drain_share_grants`].
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub struct ShareGrantEvent {
+pub struct ShareGrant {
     /// When the control step ran.
     pub at: Time,
-    /// The VM whose share moved.
-    pub vm: VmId,
     /// The controller's smoothed demand estimate after this fold.
     pub demand: f64,
     /// The hysteresis-adopted target the platform requested.
@@ -248,7 +246,7 @@ pub struct VirtPlatform {
     route: Rc<RefCell<Vec<u16>>>,
     hooks: Rc<RefCell<Vec<TracerHook>>>,
     /// Executed elastic re-grants since the last drain (journal feed).
-    share_events: Vec<ShareGrantEvent>,
+    share_events: Vec<(VmId, ShareGrant)>,
 }
 
 impl VirtPlatform {
@@ -489,17 +487,19 @@ impl VirtPlatform {
                 let budget = period.mul_f64(target).max(floor).min(period);
                 let (granted, compressed, available) = self.request_vm_share(vm, budget, period);
                 self.rebound_guest(vm, granted, period);
-                self.share_events.push(ShareGrantEvent {
-                    at: now,
+                self.share_events.push((
                     vm,
-                    demand: trace.demand,
-                    target,
-                    granted,
-                    compressed,
-                    clamp: trace.clamp,
-                    pending: trace.pending,
-                    available,
-                });
+                    ShareGrant {
+                        at: now,
+                        demand: trace.demand,
+                        target,
+                        granted,
+                        compressed,
+                        clamp: trace.clamp,
+                        pending: trace.pending,
+                        available,
+                    },
+                ));
             }
             let share = self.vm_share(vm);
             let key = match el.share_key {
@@ -557,9 +557,10 @@ impl VirtPlatform {
     }
 
     /// Drains the executed elastic re-grants buffered since the previous
-    /// drain, in simulation order. A fleet runner converts these into
-    /// journal records; callers that never drain pay one growing `Vec`.
-    pub fn drain_share_grants(&mut self) -> Vec<ShareGrantEvent> {
+    /// drain, in simulation order, each beside the VM it moved. A fleet
+    /// runner embeds these in journal records; callers that never drain
+    /// pay one growing `Vec`.
+    pub fn drain_share_grants(&mut self) -> Vec<(VmId, ShareGrant)> {
         std::mem::take(&mut self.share_events)
     }
 

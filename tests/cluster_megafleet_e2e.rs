@@ -63,7 +63,7 @@ fn megafleet_rebalancer_cuts_misses_at_ten_thousand_nodes() {
         feedback.completions() > frozen.completions(),
         "healing the packed prefix must raise throughput"
     );
-    for r in &feedback.rebalance.records {
+    for (_, r) in &feedback.rebalance.records {
         assert!(
             r.dest_reserved_after <= 0.9 + 1e-9,
             "migration overbooked node {}: {}",

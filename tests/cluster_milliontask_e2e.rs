@@ -105,7 +105,7 @@ fn milliontask_keeps_the_population_live_and_wins_on_misses() {
             frozen.miss_ratio()
         );
     }
-    for r in &feedback.rebalance.records {
+    for (_, r) in &feedback.rebalance.records {
         assert!(
             r.dest_reserved_after <= 0.9 + 1e-9,
             "migration overbooked node {}: {}",

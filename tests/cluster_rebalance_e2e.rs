@@ -66,7 +66,7 @@ fn feedback_replacement_cuts_fleet_misses_under_skewed_overload() {
     );
 
     // Every applied migration respected the destination admission bound.
-    for r in &feedback.rebalance.records {
+    for (_, r) in &feedback.rebalance.records {
         assert!(
             r.dest_reserved_after <= 0.9 + 1e-9,
             "migration overbooked node {}: {}",
@@ -150,11 +150,18 @@ fn migrated_vm_guests_warm_start_inside_the_readmitted_vm() {
     // A whole VM actually moved in both runs (the hand-over comparison is
     // about the same migration, warm vs cold).
     assert!(
-        warm.rebalance.records.iter().any(|r| r.vm),
+        warm.rebalance
+            .records
+            .iter()
+            .any(|(_, m)| matches!(m.unit, Unit::Vm(_))),
         "expected a VM migration, got {:?}",
         warm.rebalance.records
     );
-    assert!(cold.rebalance.records.iter().any(|r| r.vm));
+    assert!(cold
+        .rebalance
+        .records
+        .iter()
+        .any(|(_, m)| matches!(m.unit, Unit::Vm(_))));
 
     // Per-guest warm start: the re-admitted guests attach the instant the
     // VM lands — the hand-over gap collapses to zero...

@@ -99,3 +99,25 @@ fn records_naming_unknown_nodes_or_tasks_are_load_errors_not_panics() {
         }
     }
 }
+
+#[test]
+fn a_carried_warm_grant_the_controller_would_never_hold_replays_to_an_error() {
+    // The first migration hands over `warm=8546885:41666667`. A period
+    // below the supervisor's budget floor, or one past any clock, is no
+    // grant a live controller holds: the destination cold-starts the
+    // task instead, the replay diverges from the recorded aggregates,
+    // and verification names it — no worker panics.
+    let text = fixture_text();
+    let good = "warm=8546885:41666667";
+    assert!(text.contains(good), "fixture's first warm hand-over");
+    for bad in ["warm=8546885:9999", "warm=8546885:18446744073709551615"] {
+        let corrupt = text.replacen(good, bad, 1);
+        let journal = Journal::from_text(&corrupt).expect("a well-formed line loads");
+        for threads in [1usize, 2] {
+            let err = Replayer::new(threads)
+                .verify(&journal)
+                .expect_err("the edited hand-over diverges");
+            assert!(err.contains("diverge"), "unnamed error for {bad}: {err}");
+        }
+    }
+}
