@@ -99,8 +99,15 @@ enum Feedback {
 }
 
 /// The per-task controller.
+///
+/// One exists per managed task, so it keeps only what its steps read of
+/// the [`ControllerConfig`] it was built from — whether to detect, and the
+/// accepted period range — not the config itself. A test pins the size.
 pub struct TaskController {
-    cfg: ControllerConfig,
+    /// `false` when the config fixed the period (detection is skipped).
+    detect: bool,
+    min_period: Dur,
+    max_period: Dur,
     analyser: PeriodAnalyser,
     feedback: Feedback,
     period: Option<Dur>,
@@ -120,7 +127,9 @@ impl TaskController {
         let period = cfg.fixed_period;
         let hysteresis = Hysteresis::new(cfg.period_hysteresis, cfg.period_confirmations);
         TaskController {
-            cfg,
+            detect: cfg.fixed_period.is_none(),
+            min_period: cfg.min_period,
+            max_period: cfg.max_period,
             analyser,
             feedback,
             period,
@@ -157,7 +166,7 @@ impl TaskController {
             return;
         };
         let p = Dur::from_secs_f64(est.period);
-        if p < self.cfg.min_period || p > self.cfg.max_period {
+        if p < self.min_period || p > self.max_period {
             return;
         }
         // Deadband + confirmation counting live in the shared state
@@ -170,7 +179,7 @@ impl TaskController {
 
     /// One sampling step.
     pub fn step(&mut self, input: &ControllerInput<'_>) -> Decision {
-        if self.cfg.fixed_period.is_none() {
+        if self.detect {
             self.update_period(input.events_secs);
         }
         let Some(period) = self.period else {
@@ -201,6 +210,16 @@ mod tests {
             exhausted: false,
             attached,
         }
+    }
+
+    #[test]
+    fn controller_keeps_no_copy_of_its_config() {
+        assert!(
+            core::mem::size_of::<TaskController>() <= 352,
+            "TaskController grew to {} bytes: one exists per managed task, so it keeps \
+             only the config fields its steps read",
+            core::mem::size_of::<TaskController>()
+        );
     }
 
     #[test]

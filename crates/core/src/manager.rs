@@ -52,29 +52,45 @@ struct TaskKeys {
     bw: MetricKey,
 }
 
+/// Where a task's metric keys stand: its label until the first step
+/// interns the `{label}.*` names against the kernel's metric store (the
+/// kernel is not in scope at `manage` time), then the keys alone — the
+/// store holds the one copy of each name.
+enum Keys {
+    Pending(Box<str>),
+    Interned(TaskKeys),
+}
+
 struct ManagedTask {
     task: TaskId,
-    label: String,
-    /// Interned `{label}.*` keys, resolved against the kernel's metric
-    /// store on the first step (the kernel is not in scope at `manage`
-    /// time) and reused by every later one.
-    keys: Option<TaskKeys>,
+    keys: Keys,
     ctl: TaskController,
     server: Option<ServerId>,
     last_step: Option<Time>,
 }
 
 impl ManagedTask {
+    fn new(task: TaskId, label: &str, ctl: TaskController, server: Option<ServerId>) -> Self {
+        ManagedTask {
+            task,
+            keys: Keys::Pending(label.into()),
+            ctl,
+            server,
+            last_step: None,
+        }
+    }
+
+    /// Interns the keys on the first call, freeing the label.
     fn keys(&mut self, metrics: &mut Metrics) -> TaskKeys {
-        match self.keys {
-            Some(k) => k,
-            None => {
+        match &self.keys {
+            Keys::Interned(k) => *k,
+            Keys::Pending(label) => {
                 let keys = TaskKeys {
-                    period_est: metrics.key(&format!("{}.period_est_ms", self.label)),
-                    attached: metrics.key(&format!("{}.attached", self.label)),
-                    bw: metrics.key(&format!("{}.bw", self.label)),
+                    period_est: metrics.key(&format!("{label}.period_est_ms")),
+                    attached: metrics.key(&format!("{label}.attached")),
+                    bw: metrics.key(&format!("{label}.bw")),
                 };
-                self.keys = Some(keys);
+                self.keys = Keys::Interned(keys);
                 keys
             }
         }
@@ -154,14 +170,12 @@ impl SelfTuningManager {
 
     /// Puts a legacy task under management.
     pub fn manage(&mut self, task: TaskId, label: &str, ctl_cfg: ControllerConfig) {
-        self.tasks.push(ManagedTask {
+        self.tasks.push(ManagedTask::new(
             task,
-            label: label.to_owned(),
-            keys: None,
-            ctl: TaskController::new(ctl_cfg),
-            server: None,
-            last_step: None,
-        });
+            label,
+            TaskController::new(ctl_cfg),
+            None,
+        ));
     }
 
     /// The reservation serving a managed task, if attached yet.
@@ -260,14 +274,12 @@ impl SelfTuningManager {
             self.compressed_grants += 1;
         }
         k.metrics_mut().mark(&format!("{label}.attached"), now);
-        self.tasks.push(ManagedTask {
+        self.tasks.push(ManagedTask::new(
             task,
-            label: label.to_owned(),
-            keys: None,
-            ctl: TaskController::with_initial_period(ctl_cfg, period),
-            server: Some(sid),
-            last_step: None,
-        });
+            label,
+            TaskController::with_initial_period(ctl_cfg, period),
+            Some(sid),
+        ));
     }
 
     /// One sampling step against the kernel.
@@ -383,7 +395,9 @@ impl SelfTuningManager {
             let (_, &index) = asked
                 .find(|(r, _)| r.server == g.server)
                 .expect("every grant answers a request");
-            let keys = self.tasks[index].keys.expect("granted task has stepped");
+            let Keys::Interned(keys) = self.tasks[index].keys else {
+                unreachable!("a granted task has stepped, which interned its keys");
+            };
             k.metrics_mut().record_k(keys.bw, now, g.bandwidth());
         }
     }

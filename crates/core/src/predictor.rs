@@ -40,7 +40,9 @@ impl QuantileEstimator {
         assert!(p > 0.0 && p <= 1.0, "quantile p={p} outside (0, 1]");
         let j = ((1.0 - p) * n as f64).round() as usize;
         QuantileEstimator {
-            window: VecDeque::with_capacity(n),
+            // Grown on demand, so a task that never completes a job
+            // reserves nothing; `observe` never holds more than `n`.
+            window: VecDeque::new(),
             n,
             from_top: j.min(n - 1),
         }

@@ -97,7 +97,6 @@ impl Pending {
 }
 
 struct Tcb {
-    name: String,
     workload: Box<dyn Workload>,
     state: TaskState,
     pending: Option<Pending>,
@@ -192,20 +191,25 @@ impl<S: Scheduler> Kernel<S> {
     }
 
     /// Spawns a task that becomes ready immediately.
+    ///
+    /// `name` is the caller's label for the task (its metric keys, its
+    /// report rows); the kernel knows the task by the returned [`TaskId`]
+    /// alone and keeps no copy of the label.
     pub fn spawn(&mut self, name: &str, workload: Box<dyn Workload>) -> TaskId {
         self.spawn_at(name, workload, self.now)
     }
 
-    /// Spawns a task that becomes ready at instant `start`.
+    /// Spawns a task that becomes ready at instant `start`. `_name` is the
+    /// caller's label, which the kernel does not keep (see
+    /// [`Kernel::spawn`]).
     ///
     /// # Panics
     ///
     /// Panics if `start` is in the past.
-    pub fn spawn_at(&mut self, name: &str, workload: Box<dyn Workload>, start: Time) -> TaskId {
+    pub fn spawn_at(&mut self, _name: &str, workload: Box<dyn Workload>, start: Time) -> TaskId {
         assert!(start >= self.now, "spawn_at in the past");
         let id = TaskId(self.tasks.len() as u32);
         self.tasks.push(Tcb {
-            name: name.to_owned(),
             workload,
             state: TaskState::NotStarted,
             pending: None,
@@ -513,8 +517,7 @@ impl<S: Scheduler> Kernel<S> {
             }
         }
         panic!(
-            "workload '{}' yielded {ACTION_FETCH_LIMIT} zero-length actions at {}",
-            self.tasks[tid.index()].name,
+            "workload of {tid} yielded {ACTION_FETCH_LIMIT} zero-length actions at {}",
             self.now
         );
     }
@@ -649,6 +652,26 @@ mod tests {
         assert_eq!(k.task_state(b), TaskState::Exited);
         assert_eq!(k.thread_time(a), Dur::ms(20));
         assert_eq!(k.thread_time(b), Dur::ms(20));
+    }
+
+    #[test]
+    #[should_panic(expected = "workload of task1 yielded 10000 zero-length actions")]
+    fn zero_length_actions_forever_panic_naming_the_task() {
+        let mut k = Kernel::new(rr());
+        k.spawn(
+            "bystander",
+            Box::new(Script::once(vec![
+                Action::Compute(Dur::ms(1)),
+                Action::Exit,
+            ])),
+        );
+        k.spawn(
+            "spinner",
+            Box::new(FnWorkload(|_ctx: &mut TaskCtx<'_>| {
+                Action::Compute(Dur::ZERO)
+            })),
+        );
+        k.run_until(t(10));
     }
 
     #[test]

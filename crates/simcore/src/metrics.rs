@@ -76,10 +76,9 @@ impl LazyKey {
 /// In-memory measurement store.
 #[derive(Debug, Default)]
 pub struct Metrics {
-    /// Name → key registry (sorted, so name iteration stays deterministic).
-    index: BTreeMap<String, MetricKey>,
-    /// Key → name (for reverse lookups and name iteration by key).
-    names: Vec<String>,
+    /// Name → key registry (sorted, so name iteration stays deterministic),
+    /// the one copy of each interned name.
+    index: BTreeMap<Box<str>, MetricKey>,
     marks: Vec<Vec<Time>>,
     series: Vec<Vec<(Time, f64)>>,
     counters: Vec<u64>,
@@ -97,9 +96,8 @@ impl Metrics {
         if let Some(&k) = self.index.get(name) {
             return k;
         }
-        let k = MetricKey(u32::try_from(self.names.len()).expect("metric key space exhausted"));
-        self.index.insert(name.to_owned(), k);
-        self.names.push(name.to_owned());
+        let k = MetricKey(u32::try_from(self.counters.len()).expect("metric key space exhausted"));
+        self.index.insert(name.into(), k);
         self.marks.push(Vec::new());
         self.series.push(Vec::new());
         self.counters.push(0);
@@ -210,7 +208,7 @@ impl Metrics {
         self.index
             .iter()
             .filter(|(_, k)| !self.marks[k.index()].is_empty())
-            .map(|(name, _)| name.as_str())
+            .map(|(name, _)| &**name)
     }
 
     /// Clears all recorded data. Interned keys survive (the registry is

@@ -80,7 +80,9 @@ enum Verdict {
 /// it holds anything) and no second copy of the estimate (a periodic
 /// verdict on an unchanged window *is* `last`). A test pins the size.
 pub struct PeriodAnalyser {
-    cfg: AnalyserConfig,
+    /// The heuristic's part of the config; the grid and the horizon live
+    /// in `dft` alone.
+    peaks: PeakConfig,
     dft: WindowedDft,
     last: PeriodEstimate,
     seen: bool,
@@ -93,7 +95,7 @@ impl PeriodAnalyser {
     /// Creates an analyser.
     pub fn new(cfg: AnalyserConfig) -> PeriodAnalyser {
         PeriodAnalyser {
-            cfg,
+            peaks: cfg.peaks,
             dft: WindowedDft::new(cfg.spectrum, cfg.horizon.0),
             last: PeriodEstimate {
                 frequency: 0.0,
@@ -106,11 +108,6 @@ impl PeriodAnalyser {
             estimates: 0,
             aperiodic_verdicts: 0,
         }
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &AnalyserConfig {
-        &self.cfg
     }
 
     /// Feeds a batch of event timestamps (seconds, time-ordered).
@@ -150,7 +147,7 @@ impl PeriodAnalyser {
         if self.verdict == Verdict::Stale {
             let detection = ESTIMATE_SPECTRUM.with_borrow_mut(|spectrum| {
                 self.dft.spectrum_into(spectrum);
-                detect(spectrum, &self.cfg.peaks).detection
+                detect(spectrum, &self.peaks).detection
             });
             self.verdict = match detection {
                 Detection::Periodic {
@@ -255,9 +252,10 @@ mod tests {
     #[test]
     fn analyser_is_no_larger_than_before_it_remembered_its_verdict() {
         assert!(
-            core::mem::size_of::<PeriodAnalyser>() <= 240,
+            core::mem::size_of::<PeriodAnalyser>() <= 184,
             "PeriodAnalyser grew to {} bytes: one exists per managed task, 50 k to 1 M \
-             per fleet run, so the remembered verdict has to stay in the struct's padding",
+             per fleet run, so the remembered verdict has to stay in the struct's padding \
+             and no part of the config may be held twice",
             core::mem::size_of::<PeriodAnalyser>()
         );
     }

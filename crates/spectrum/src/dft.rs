@@ -46,8 +46,7 @@ thread_local! {
     /// call. One per thread, like the analyser's estimate spectrum: a node
     /// reads thousands of short windows in turn, and holding a pair each is
     /// what the deferred accumulators exist to avoid.
-    static FOLD_SCRATCH: RefCell<(Vec<f64>, Vec<f64>)> =
-        const { RefCell::new((Vec::new(), Vec::new())) };
+    static FOLD_SCRATCH: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Frequency-grid configuration, in Hz.
@@ -334,8 +333,8 @@ pub fn amplitude_spectrum(events_secs: &[f64], config: SpectrumConfig) -> Spectr
 /// - **History.** No event has been evicted since construction or the
 ///   last [`WindowedDft::clear`], and the window holds at most `BLOCK`
 ///   (8) events. The window *is* the whole history, so the accumulators are
-///   the fold of its adds in push order and are not kept: `re` and `im`
-///   are empty, [`WindowedDft::extend`] only appends, and
+///   the fold of its adds in push order and are not kept: `acc` is
+///   empty, [`WindowedDft::extend`] only appends, and
 ///   `WindowedDft::spectrum_into` folds the window into a per-thread
 ///   pair. Most analysers of a dense fleet never leave this state, and
 ///   hold a few words where a grid pair costs `bins × 16` bytes.
@@ -355,9 +354,10 @@ pub fn amplitude_spectrum(events_secs: &[f64], config: SpectrumConfig) -> Spectr
 pub struct WindowedDft {
     config: SpectrumConfig,
     horizon: f64,
-    /// Empty in the history state, `bins` long in the running state.
-    re: Vec<f64>,
-    im: Vec<f64>,
+    /// The accumulator pair in one allocation, real parts then imaginary
+    /// ones ([`split`]): empty in the history state, `2 × bins` long in
+    /// the running state.
+    acc: Vec<f64>,
     window: VecDeque<f64>,
     ops: u64,
 }
@@ -374,8 +374,7 @@ impl WindowedDft {
         WindowedDft {
             config,
             horizon,
-            re: Vec::new(),
-            im: Vec::new(),
+            acc: Vec::new(),
             window: VecDeque::new(),
             ops: 0,
         }
@@ -417,7 +416,7 @@ impl WindowedDft {
     /// Panics if an event precedes the newest one already in the window.
     pub fn extend(&mut self, events_secs: &[f64]) {
         let bins = self.config.bins() as u64;
-        if self.re.is_empty() {
+        if self.acc.is_empty() {
             if self.keeps_history(events_secs) {
                 for &t in events_secs {
                     append(&mut self.window, t);
@@ -425,16 +424,16 @@ impl WindowedDft {
                 self.ops += bins * events_secs.len() as u64;
                 return;
             }
-            fold_window(&self.config, &self.window, &mut self.re, &mut self.im);
+            fold_window(&self.config, &self.window, &mut self.acc);
         }
         let WindowedDft {
             config,
             horizon,
-            re,
-            im,
+            acc,
             window,
             ops,
         } = self;
+        let (re, im) = split(acc);
         let mut arrivals = events_secs.iter();
         // The arrival whose evictions are still being emitted.
         let mut newest: Option<f64> = None;
@@ -488,13 +487,15 @@ impl WindowedDft {
     /// amplitude buffer.
     pub(crate) fn spectrum_into(&self, out: &mut Spectrum) {
         out.config = self.config;
-        if self.re.is_empty() {
-            FOLD_SCRATCH.with_borrow_mut(|(re, im)| {
-                fold_window(&self.config, &self.window, re, im);
+        if self.acc.is_empty() {
+            FOLD_SCRATCH.with_borrow_mut(|acc| {
+                fold_window(&self.config, &self.window, acc);
+                let (re, im) = split(acc);
                 amplitudes_into(re, im, &mut out.amplitudes);
             });
         } else {
-            amplitudes_into(&self.re, &self.im, &mut out.amplitudes);
+            let (re, im) = self.acc.split_at(self.acc.len() / 2);
+            amplitudes_into(re, im, &mut out.amplitudes);
         }
         out.events = self.window.len();
         out.ops = self.ops;
@@ -508,8 +509,7 @@ impl WindowedDft {
     /// Drops all state (events and accumulators): the window is its whole
     /// history again, and holds no grid pair.
     pub fn clear(&mut self) {
-        self.re = Vec::new();
-        self.im = Vec::new();
+        self.acc = Vec::new();
         self.window.clear();
     }
 }
@@ -532,19 +532,19 @@ fn append(window: &mut VecDeque<f64>, t: f64) {
     window.push_back(t);
 }
 
-/// Overwrites `re` / `im` with the accumulators of a window that is its
+/// Overwrites `acc` with the accumulator pair of a window that is its
 /// whole history: zero, then its adds in push order.
-fn fold_window(
-    config: &SpectrumConfig,
-    window: &VecDeque<f64>,
-    re: &mut Vec<f64>,
-    im: &mut Vec<f64>,
-) {
-    for acc in [&mut *re, &mut *im] {
-        acc.clear();
-        acc.resize(config.bins(), 0.0);
-    }
+fn fold_window(config: &SpectrumConfig, window: &VecDeque<f64>, acc: &mut Vec<f64>) {
+    acc.clear();
+    acc.resize(2 * config.bins(), 0.0);
+    let (re, im) = split(acc);
     accumulate_ops(config, window.iter().map(|&t| (t, 1.0)), re, im);
+}
+
+/// The real and imaginary halves of an accumulator pair.
+fn split(acc: &mut [f64]) -> (&mut [f64], &mut [f64]) {
+    let bins = acc.len() / 2;
+    acc.split_at_mut(bins)
 }
 
 /// Generates a perfectly periodic burst train for tests and benchmarks:
@@ -658,12 +658,12 @@ mod tests {
     /// The accumulators `w` stands for: its own pair in the running
     /// state, the fold of its window while that is its whole history.
     fn folded(w: &WindowedDft) -> (Vec<f64>, Vec<f64>) {
-        if !w.re.is_empty() {
-            return (w.re.clone(), w.im.clone());
+        let mut acc = w.acc.clone();
+        if acc.is_empty() {
+            fold_window(&w.config, &w.window, &mut acc);
         }
-        let (mut re, mut im) = (Vec::new(), Vec::new());
-        fold_window(&w.config, &w.window, &mut re, &mut im);
-        (re, im)
+        let im = acc.split_off(acc.len() / 2);
+        (acc, im)
     }
 
     /// Accumulators (folded where `w` defers them), window and operation
@@ -795,9 +795,9 @@ mod tests {
                     state == 'R',
                     "{name}: the oracle disagrees with {state}"
                 );
-                assert_eq!(!w.re.is_empty(), running, "{name}: wrong state");
+                assert_eq!(!w.acc.is_empty(), running, "{name}: wrong state");
                 if !running {
-                    assert_eq!((w.re.capacity(), w.im.capacity()), (0, 0), "{name}");
+                    assert_eq!(w.acc.capacity(), 0, "{name}");
                 }
             }
         }
@@ -815,16 +815,16 @@ mod tests {
             assert_same_state(w, reference);
         };
         feed(&mut w, &mut reference, &train[..20]);
-        assert!(!w.re.is_empty());
+        assert!(!w.acc.is_empty());
         w.clear();
         assert!(w.is_empty());
-        assert_eq!((w.re.capacity(), w.im.capacity()), (0, 0));
+        assert_eq!(w.acc.capacity(), 0);
         // The refill starts from zero, as the scalar loop's does.
         reference.clear();
         feed(&mut w, &mut reference, &train[20..23]);
-        assert_eq!(w.re.capacity(), 0);
+        assert_eq!(w.acc.capacity(), 0);
         feed(&mut w, &mut reference, &train[23..]);
-        assert!(!w.re.is_empty());
+        assert!(!w.acc.is_empty());
     }
 
     #[test]
@@ -843,7 +843,7 @@ mod tests {
         batched.spectrum_into(&mut out);
         for w in [&pushed, &batched] {
             assert_eq!(w.len(), BLOCK);
-            assert_eq!((w.re.capacity(), w.im.capacity()), (0, 0));
+            assert_eq!(w.acc.capacity(), 0);
             assert_eq!(w.ops(), (c.bins() * BLOCK) as u64);
         }
         assert_eq!(
