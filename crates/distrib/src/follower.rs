@@ -2,14 +2,18 @@
 //! leader's state, verify checkpoints byte for byte, and take over on
 //! leader death.
 //!
-//! A [`Follower`] applies frames strictly in sequence. Every stream
-//! fault is a *named* error — [`StreamError::Gap`] for lost chunks,
-//! [`StreamError::Duplicate`] for re-deliveries, frame-level errors for
-//! truncation and corruption, [`StreamError::Divergence`] when a
-//! checkpoint mirror stops matching the leader's bytes. A faulted feed
-//! leaves the follower's state untouched, so the leader can simply
-//! retransmit from the follower's last good position
-//! (`Shipper::frames_from`).
+//! A [`Follower`] applies frames strictly in sequence, through one table
+//! `stage × frame kind → stage | StreamError` (`Stage::step`): AwaitHello
+//! –Hello→ Attached –Plan→ Following –Records, Checkpoint→ Following
+//! –Finish→ Finished. Every stream fault is a *named* error —
+//! [`StreamError::Gap`] for lost chunks, [`StreamError::Duplicate`] for
+//! re-deliveries, frame-level errors for truncation and corruption,
+//! [`StreamError::Protocol`] for any other pair of the table (a second
+//! Plan, a batch before the plan, any frame after Finish),
+//! [`StreamError::Divergence`] when a checkpoint mirror stops matching
+//! the leader's bytes. A faulted feed leaves the follower's state
+//! untouched, so the leader can simply retransmit from the follower's
+//! last good position (`Shipper::frames_from`).
 //!
 //! The replica is *live*: when the Plan frame is applied the follower
 //! starts one pinned run of the scenario at its own thread count (the
@@ -66,7 +70,8 @@ pub enum StreamError {
         expected: u64,
     },
     /// The frame arrived intact but violates the protocol state machine
-    /// (e.g. records before the plan, a checkpoint at the wrong cursor).
+    /// (e.g. records before the plan, a checkpoint at the wrong cursor,
+    /// anything after Finish).
     Protocol(String),
     /// The mirrored state stopped matching the leader's bytes; the
     /// message names the first mismatching summary line — or the mirror
@@ -117,8 +122,8 @@ pub enum Applied {
     Finish,
 }
 
-/// Stream counters — applied/dropped/retried chunks, faults by kind,
-/// and replica progress.
+/// Stream counters — applied/dropped/retried chunks, faults by kind and
+/// verified checkpoints (replica progress is [`Follower::lag`]'s).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FollowerStats {
     /// Chunks applied in sequence.
@@ -133,10 +138,6 @@ pub struct FollowerStats {
     pub retried: u64,
     /// Checkpoint mirrors that failed the byte comparison.
     pub divergences: u64,
-    /// Decision records applied.
-    pub records: u64,
-    /// Epoch batches applied.
-    pub epochs: usize,
     /// Checkpoints verified.
     pub checkpoints: usize,
 }
@@ -153,24 +154,44 @@ pub struct Lag {
     pub frames: u64,
 }
 
+/// The leader's journal as far as the stream has delivered it, and the
+/// scenario's epoch boundaries (`ClusterRunner::epoch_ends`) and the id
+/// ranges a record may name, derived once when the scenario arrives.
+struct Prefix {
+    /// Scenario, seed and threads from the Hello; admission (default till
+    /// then) and records, in arrival order, from the Plan on. Its summary
+    /// is empty: [`Prefix::journal`] fills one in.
+    journal: Journal,
+    ends: Vec<Time>,
+    ids: IdBounds,
+}
+
+/// The replica from the Plan frame (or the attach checkpoint) on.
+struct Replica {
+    prefix: Prefix,
+    /// The live pinned run; its released boundaries are the epoch cursor.
+    mirror: Mirror,
+    last_checkpoint: Option<Checkpoint>,
+}
+
+/// Where the follower stands in the stream protocol.
+enum Stage {
+    /// Nothing applied yet.
+    AwaitHello,
+    /// The Hello applied: the run is known, its plan is not.
+    Attached(Prefix),
+    /// The Plan applied: the mirror follows the stream.
+    Following(Replica),
+    /// The Finish verified, with the finale; no frame follows.
+    Finished(Replica, Box<AggregateMetrics>),
+}
+
 /// A hot-standby replica of a leader's fleet run.
 pub struct Follower {
     threads: usize,
     expected_seq: u64,
     gap_at: Option<u64>,
-    scenario: Option<ScenarioSpec>,
-    /// The scenario's epoch boundaries (`ClusterRunner::epoch_ends`).
-    ends: Vec<Time>,
-    seed: u64,
-    leader_threads: usize,
-    admission: Option<AdmissionStats>,
-    records: Vec<FleetEvent>,
-    next_epoch: usize,
-    /// The live pinned run, from the Plan frame (or the attach
-    /// checkpoint) on.
-    mirror: Option<Mirror>,
-    last_checkpoint: Option<Checkpoint>,
-    finale: Option<AggregateMetrics>,
+    stage: Stage,
     stats: FollowerStats,
     k_lag_epochs: LazyKey,
     k_lag_records: LazyKey,
@@ -188,16 +209,7 @@ impl Follower {
             threads: threads.max(1),
             expected_seq: 0,
             gap_at: None,
-            scenario: None,
-            ends: Vec::new(),
-            seed: 0,
-            leader_threads: 0,
-            admission: None,
-            records: Vec::new(),
-            next_epoch: 0,
-            mirror: None,
-            last_checkpoint: None,
-            finale: None,
+            stage: Stage::AwaitHello,
             stats: FollowerStats::default(),
             k_lag_epochs: LazyKey::new("distrib.lag.epochs"),
             k_lag_records: LazyKey::new("distrib.lag.records"),
@@ -220,37 +232,20 @@ impl Follower {
     /// cursor's instant, or the first differing summary line.
     pub fn from_checkpoint(ckpt: &Checkpoint, threads: usize) -> Result<Follower, String> {
         ckpt.check_hash()?;
-        let journal = &ckpt.journal;
+        let prefix = Prefix::new(ckpt.journal.clone());
+        interim_boundary(&prefix.ends, ckpt.cursor, Some(ckpt.at))?;
         let mut f = Follower::new(threads);
-        f.ends = ClusterRunner::epoch_ends(&journal.scenario);
-        interim_boundary(&f.ends, ckpt.cursor, Some(ckpt.at))?;
-        f.expected_seq = ckpt.next_seq;
-        f.scenario = Some(journal.scenario.clone());
-        f.seed = journal.seed;
-        f.leader_threads = journal.threads;
-        f.admission = Some(journal.admission);
-        f.records = journal.records.clone();
-        f.next_epoch = ckpt.cursor;
-        f.stats.records = journal.records.len() as u64;
-        f.stats.epochs = ckpt.cursor;
-        let mirror = f.start_mirror();
-        for pin in journal.pinned_moves(Some(ckpt.cursor)).epochs {
-            mirror.release(pin.map_or(EpochPin::Live, EpochPin::Pinned));
+        let mut replica = Replica::start(prefix, f.threads);
+        for pin in ckpt.journal.pinned_moves(Some(ckpt.cursor)).epochs {
+            let pin = pin.map_or(EpochPin::Live, EpochPin::Pinned);
+            replica.mirror.release(pin);
         }
-        matches_mirror(ckpt, mirror)?;
-        f.last_checkpoint = Some(ckpt.clone());
+        matches_mirror(ckpt, &replica.mirror)?;
+        replica.last_checkpoint = Some(ckpt.clone());
+        f.expected_seq = ckpt.next_seq;
         f.stats.checkpoints = 1;
+        f.stage = Stage::Following(replica);
         Ok(f)
-    }
-
-    /// Starts the live mirror from the scenario, seed, admission
-    /// statistics and plan-time records adopted so far.
-    fn start_mirror(&mut self) -> &Mirror {
-        let spec = self.scenario.clone().expect("scenario known");
-        let placements =
-            PinnedPlan::from_events(&spec, self.admission.expect("plan applied"), &self.records);
-        self.mirror
-            .insert(Mirror::start(spec, self.seed, placements, self.threads))
     }
 
     /// Stream counters.
@@ -266,25 +261,29 @@ impl Follower {
     /// Epoch batches applied so far — the live mirror's epoch cursor: the
     /// boundaries whose decisions it has been released.
     pub fn epochs_applied(&self) -> usize {
-        self.mirror.as_ref().map_or(0, Mirror::released)
+        self.replica().map_or(0, |r| r.mirror.released())
     }
 
     /// The follower's durable resume point, if a checkpoint has verified.
     pub fn last_checkpoint(&self) -> Option<&Checkpoint> {
-        self.last_checkpoint.as_ref()
+        self.replica()?.last_checkpoint.as_ref()
     }
 
     /// The verified final aggregates, once [`Applied::Finish`] has been
     /// returned.
     pub fn finale(&self) -> Option<&AggregateMetrics> {
-        self.finale.as_ref()
+        match &self.stage {
+            Stage::Finished(_, finale) => Some(finale.as_ref()),
+            _ => None,
+        }
     }
 
     /// How far this follower trails `leader`'s stream position.
     pub fn lag(&self, leader: &ShipperProgress) -> Lag {
+        let records = self.replica().map_or(0, |r| r.prefix.journal.records.len());
         Lag {
-            epochs: leader.epochs.saturating_sub(self.stats.epochs),
-            records: leader.records.saturating_sub(self.stats.records),
+            epochs: leader.epochs.saturating_sub(self.epochs_applied()),
+            records: leader.records.saturating_sub(records as u64),
             // Against the stream position, not the applied count: a late
             // joiner starts mid-stream and never applies the prefix.
             frames: leader.frames.saturating_sub(self.expected_seq),
@@ -317,42 +316,51 @@ impl Follower {
     ///
     /// [`StreamError`] naming the fault: frame-level corruption, a gap,
     /// a duplicate, a protocol violation (any chunk after
-    /// [`Follower::promote`] is one), or replica divergence.
+    /// [`Follower::promote`] is one, and so is any in-sequence frame after
+    /// Finish), or replica divergence.
     pub fn feed(&mut self, chunk: &[u8]) -> Result<Applied, StreamError> {
-        if self.mirror.as_ref().is_some_and(Mirror::is_live) {
-            return Err(
-                self.protocol("the replica was promoted and follows no stream any more".to_owned())
-            );
+        let fed = self.sequence(chunk);
+        match &fed {
+            Ok(_) => self.stats.applied += 1,
+            Err(StreamError::Divergence(_)) => self.stats.divergences += 1,
+            Err(_) => self.stats.dropped += 1,
         }
-        let frame = Frame::decode(chunk).map_err(|e| {
-            self.stats.dropped += 1;
-            StreamError::Frame(e)
-        })?;
-        if frame.seq != self.expected_seq {
-            self.stats.dropped += 1;
-            return Err(if frame.seq < self.expected_seq {
-                self.stats.duplicates += 1;
-                StreamError::Duplicate {
-                    seq: frame.seq,
-                    expected: self.expected_seq,
-                }
-            } else {
-                self.stats.gaps += 1;
-                self.gap_at = Some(self.expected_seq);
-                StreamError::Gap {
-                    expected: self.expected_seq,
-                    got: frame.seq,
-                }
-            });
+        fed
+    }
+
+    /// Decodes `chunk` and steps the stage with it if it is next in sequence.
+    fn sequence(&mut self, chunk: &[u8]) -> Result<Applied, StreamError> {
+        if self.replica().is_some_and(|r| r.mirror.is_live()) {
+            let why = "the replica was promoted and follows no stream any more";
+            return Err(StreamError::Protocol(why.to_owned()));
         }
-        let applied = self.apply(&frame)?;
-        if self.gap_at == Some(frame.seq) {
-            self.stats.retried += 1;
-            self.gap_at = None;
+        let frame = Frame::decode(chunk).map_err(StreamError::Frame)?;
+        let (seq, expected) = (frame.seq, self.expected_seq);
+        if seq < expected {
+            self.stats.duplicates += 1;
+            return Err(StreamError::Duplicate { seq, expected });
         }
-        self.expected_seq = frame.seq + 1;
-        self.stats.applied += 1;
+        if seq > expected {
+            self.stats.gaps += 1;
+            self.gap_at = Some(expected);
+            return Err(StreamError::Gap { expected, got: seq });
+        }
+        let stage = std::mem::replace(&mut self.stage, Stage::AwaitHello);
+        let (applied, stage) = stage.step(&frame, self.threads);
+        self.stage = stage;
+        let applied = applied?;
+        self.stats.retried += u64::from(self.gap_at.take_if(|at| *at == expected).is_some());
+        self.stats.checkpoints += usize::from(matches!(applied, Applied::Checkpoint { .. }));
+        self.expected_seq += 1;
         Ok(applied)
+    }
+
+    /// The replica, from the Plan frame on.
+    fn replica(&self) -> Option<&Replica> {
+        match &self.stage {
+            Stage::Following(replica) | Stage::Finished(replica, _) => Some(replica),
+            Stage::AwaitHello | Stage::Attached(_) => None,
+        }
     }
 
     /// Continues the run *without* the leader: the live mirror keeps every
@@ -370,13 +378,11 @@ impl Follower {
     /// been applied (the follower has nothing to continue from), or the
     /// mirror run ended without aggregates (`mirror stopped: …`).
     pub fn promote(&self) -> Result<AggregateMetrics, String> {
-        if self.scenario.is_none() {
-            return Err("cannot promote: no Hello frame applied (scenario unknown)".into());
+        match &self.stage {
+            Stage::AwaitHello => Err("cannot promote: no Hello frame applied".into()),
+            Stage::Attached(_) => Err("cannot promote: no Plan frame applied".into()),
+            Stage::Following(replica) | Stage::Finished(replica, _) => replica.mirror.outcome(true),
         }
-        let Some(mirror) = &self.mirror else {
-            return Err("cannot promote: no Plan frame applied (placements unknown)".into());
-        };
-        mirror.outcome(true)
     }
 
     /// The replica's journal: scenario, seed, admission statistics and
@@ -385,64 +391,64 @@ impl Follower {
     /// unfinished replica carries an empty summary). `None` before the
     /// Plan frame has been applied.
     pub fn journal(&self) -> Option<Journal> {
-        if self.scenario.is_none() || self.admission.is_none() {
-            return None;
+        let summary = self.finale().map(AggregateMetrics::summary_csv);
+        Some(self.replica()?.prefix.journal(summary.unwrap_or_default()))
+    }
+}
+
+impl Stage {
+    /// The protocol table: what an in-sequence `frame` does in this stage,
+    /// and the stage after it. A refused frame leaves the stage as it was.
+    fn step(self, frame: &Frame, threads: usize) -> (Result<Applied, StreamError>, Stage) {
+        let (kind, payload) = (frame.kind, frame.payload.as_str());
+        let protocol = |e: String| StreamError::Protocol(format!("{kind:?}: {e}"));
+        let refuse = |s, why: &str| (Err(StreamError::Protocol(format!("{kind:?} {why}"))), s);
+        match (self, kind) {
+            (Stage::AwaitHello, FrameKind::Hello) => match Prefix::from_hello(payload) {
+                Ok(prefix) => (Ok(Applied::Hello), Stage::Attached(prefix)),
+                Err(e) => (Err(protocol(e)), Stage::AwaitHello),
+            },
+            (stage @ Stage::AwaitHello, _) => refuse(stage, "before Hello"),
+            (Stage::Attached(mut prefix), FrameKind::Plan) => match prefix.plan(payload) {
+                Ok(records) => {
+                    let replica = Replica::start(prefix, threads);
+                    (Ok(Applied::Plan { records }), Stage::Following(replica))
+                }
+                Err(e) => (Err(protocol(e)), Stage::Attached(prefix)),
+            },
+            (stage @ Stage::Attached(_), FrameKind::Hello) => {
+                refuse(stage, "on an attached stream")
+            }
+            (stage @ Stage::Attached(_), _) => refuse(stage, "before Plan"),
+            (Stage::Following(mut r), FrameKind::Records) => {
+                (r.records(payload).map_err(protocol), Stage::Following(r))
+            }
+            (Stage::Following(mut r), FrameKind::Checkpoint) => {
+                (r.checkpoint(frame), Stage::Following(r))
+            }
+            (Stage::Following(r), FrameKind::Finish) => match r.finish(payload) {
+                Ok(finale) => (Ok(Applied::Finish), Stage::Finished(r, Box::new(finale))),
+                Err(e) => (Err(e), Stage::Following(r)),
+            },
+            (stage @ Stage::Following(_), _) => refuse(stage, "on an attached stream"),
+            (stage @ Stage::Finished(..), _) => refuse(stage, "after Finish: the stream is done"),
         }
-        let summary = self
-            .finale
-            .as_ref()
-            .map(|m| m.summary_csv())
-            .unwrap_or_default();
-        Some(self.replica_journal(summary))
     }
+}
 
-    /// The replica's journal prefix in canonical record order, with
-    /// `summary` substituted (checkpoints store the leader's interim
-    /// summary there).
-    fn replica_journal(&self, summary: String) -> Journal {
-        let mut records = self.records.clone();
-        sort_events(&mut records);
-        Journal {
-            scenario: self.scenario.clone().expect("scenario known"),
-            seed: self.seed,
-            threads: self.leader_threads,
-            admission: self.admission.expect("plan applied"),
-            summary,
-            records,
+impl Prefix {
+    fn new(mut journal: Journal) -> Prefix {
+        journal.summary.clear();
+        Prefix {
+            ends: ClusterRunner::epoch_ends(&journal.scenario),
+            ids: IdBounds::of(&journal.scenario),
+            journal,
         }
     }
 
-    fn protocol(&mut self, msg: String) -> StreamError {
-        self.stats.dropped += 1;
-        StreamError::Protocol(msg)
-    }
-
-    fn apply(&mut self, frame: &Frame) -> Result<Applied, StreamError> {
-        // The protocol state machine: one Hello, then one Plan, then the rest.
-        let kind = frame.kind;
-        let (attached, planned) = (self.scenario.is_some(), self.admission.is_some());
-        let fault = match kind {
-            FrameKind::Hello if attached => Some("second Hello on an attached stream".to_owned()),
-            FrameKind::Plan if !attached => Some("Plan before Hello".to_owned()),
-            FrameKind::Plan if planned => Some("second Plan on an attached stream".to_owned()),
-            FrameKind::Hello | FrameKind::Plan => None,
-            _ if !planned => Some(format!("{kind:?} before Plan")),
-            _ => None,
-        };
-        if let Some(fault) = fault {
-            return Err(self.protocol(fault));
-        }
-        let applied = match kind {
-            FrameKind::Hello => self.apply_hello(&frame.payload),
-            FrameKind::Plan => self.apply_plan(&frame.payload),
-            FrameKind::Records => self.apply_records(&frame.payload),
-            FrameKind::Checkpoint => return self.apply_checkpoint(frame),
-            FrameKind::Finish => return self.apply_finish(&frame.payload),
-        };
-        applied.map_err(|e| self.protocol(format!("{kind:?}: {e}")))
-    }
-
-    fn apply_hello(&mut self, payload: &str) -> Result<Applied, String> {
+    /// The Hello payload: version, seed, the leader's threads, its
+    /// checkpoint cadence and the scenario text.
+    fn from_hello(payload: &str) -> Result<Prefix, String> {
         let (mut version, mut seed, mut threads, mut scenario) = (None, None, None, None);
         let mut cadence = false;
         for entry in codec::entries(payload) {
@@ -472,35 +478,32 @@ impl Follower {
         else {
             return Err("missing seed/threads/checkpoint_every/scenario".into());
         };
-        self.seed = seed;
-        self.leader_threads = threads;
-        self.ends = ClusterRunner::epoch_ends(&scenario);
-        self.scenario = Some(scenario);
-        Ok(Applied::Hello)
+        Ok(Prefix::new(Journal {
+            scenario,
+            seed,
+            threads,
+            admission: AdmissionStats::default(),
+            summary: String::new(),
+            records: Vec::new(),
+        }))
     }
 
-    /// The id ranges a record of the attached stream may name.
-    fn id_bounds(&self) -> IdBounds {
-        IdBounds::of(self.scenario.as_ref().expect("scenario known"))
-    }
-
-    fn apply_plan(&mut self, payload: &str) -> Result<Applied, String> {
-        let ids = self.id_bounds();
+    /// The Plan payload — the admission statistics and the plan-time
+    /// records — adopted whole or not at all; returns the record count.
+    fn plan(&mut self, payload: &str) -> Result<usize, String> {
         let mut admission = None;
         let mut records = Vec::new();
         for entry in codec::entries(payload) {
             match entry? {
                 Entry::Pair("admission", v, _) => admission = Some(codec::parse_admission(v)?),
-                Entry::Pair(_, _, line) => records.push(codec::record_from_line(line, &ids)?),
+                Entry::Pair(_, _, line) => records.push(codec::record_from_line(line, &self.ids)?),
                 other => return Err(other.unexpected("Plan")),
             }
         }
         let admission = admission.ok_or("missing admission line")?;
         self.batch_pin(None, &records)?;
-        self.admission = Some(admission);
-        let records = self.adopt(records);
-        self.start_mirror();
-        Ok(Applied::Plan { records })
+        (self.journal.admission, self.journal.records) = (admission, records);
+        Ok(self.journal.records.len())
     }
 
     /// The pin a batch of records holds for boundary `epoch` (`None`: the
@@ -508,8 +511,7 @@ impl Follower {
     /// applied by the live mirror *at* its boundary, so one that arrives
     /// in any other frame is refused rather than silently never applied.
     fn batch_pin(&self, epoch: Option<usize>, records: &[FleetEvent]) -> Result<EpochPin, String> {
-        let spec = self.scenario.as_ref().expect("scenario known");
-        let mut epochs = PinnedMoves::from_events(spec, records, None).epochs;
+        let mut epochs = PinnedMoves::from_events(&self.journal.scenario, records, None).epochs;
         let own = epoch.and_then(|e| epochs.get_mut(e)?.take());
         match epochs.iter().position(Option::is_some) {
             Some(stray) => Err(format!(
@@ -519,8 +521,32 @@ impl Follower {
         }
     }
 
-    fn apply_records(&mut self, payload: &str) -> Result<Applied, String> {
-        let ids = self.id_bounds();
+    /// The prefix in canonical record order, carrying `summary`
+    /// (checkpoints store the leader's interim summary there).
+    fn journal(&self, summary: String) -> Journal {
+        let mut journal = self.journal.clone();
+        journal.summary = summary;
+        sort_events(&mut journal.records);
+        journal
+    }
+}
+
+impl Replica {
+    /// Starts the live mirror pinned to `prefix`'s admission and records.
+    fn start(prefix: Prefix, threads: usize) -> Replica {
+        let run = &prefix.journal;
+        let placements = PinnedPlan::from_events(&run.scenario, run.admission, &run.records);
+        let mirror = Mirror::start(run.scenario.clone(), run.seed, placements, threads);
+        Replica {
+            prefix,
+            mirror,
+            last_checkpoint: None,
+        }
+    }
+
+    /// A Records frame: the batch of the epoch at the mirror's cursor,
+    /// dated at its boundary, released to the mirror and appended.
+    fn records(&mut self, payload: &str) -> Result<Applied, String> {
         let mut entries = codec::entries(payload);
         let epoch: usize = match entries.next().transpose()? {
             Some(Entry::Pair("epoch", v, _)) => codec::parse_int(v, "epoch")?,
@@ -530,27 +556,27 @@ impl Follower {
             Some(Entry::Pair("at", v, _)) => codec::parse_at(v)?,
             _ => return Err("missing at header".into()),
         };
-        if epoch != self.next_epoch {
+        let cursor = self.mirror.released();
+        if epoch != cursor {
             return Err(format!(
-                "epoch {epoch} arrived while the replica expects epoch {}",
-                self.next_epoch
+                "epoch {epoch} arrived while the replica expects epoch {cursor}"
             ));
         }
         // The horizon boundary carries the last batch; nothing lies past it.
-        if epoch >= ids.boundaries() {
+        let Some(&end) = self.prefix.ends.get(epoch) else {
             return Err(format!(
                 "epoch {epoch} is past the scenario's epoch grid ({} boundaries)",
-                ids.boundaries()
+                self.prefix.ends.len()
             ));
-        }
-        if at != self.ends[epoch] {
+        };
+        if at != end {
             return Err(format!(
                 "epoch {epoch} is dated {} ns, but the scenario's boundary {epoch} is at {} ns",
                 at.as_ns(),
-                self.ends[epoch].as_ns()
+                end.as_ns()
             ));
         }
-        let mut records = Vec::new();
+        let (ids, mut records) = (self.prefix.ids, Vec::new());
         for entry in entries {
             match entry? {
                 Entry::Pair(_, _, line) => records.push(codec::record_from_line(line, &ids)?),
@@ -559,42 +585,30 @@ impl Follower {
         }
         // Placements pinned the mirror's plan when the Plan frame started
         // it; an admission arriving later could never take effect.
-        if records
-            .iter()
-            .any(|r| matches!(r, FleetEvent::Admission { .. }))
-        {
+        let admission = |r: &FleetEvent| matches!(r, FleetEvent::Admission { .. });
+        if records.iter().any(admission) {
             return Err("an admission record outside the Plan frame".into());
         }
-        let pin = self.batch_pin(Some(epoch), &records)?;
-        self.mirror.as_ref().expect("plan applied").release(pin);
-        self.next_epoch += 1;
-        self.stats.epochs += 1;
-        Ok(Applied::Epoch {
-            epoch,
-            records: self.adopt(records),
-        })
-    }
-
-    /// Appends one frame's decoded records to the replica.
-    fn adopt(&mut self, records: Vec<FleetEvent>) -> usize {
+        self.mirror
+            .release(self.prefix.batch_pin(Some(epoch), &records)?);
         let n = records.len();
-        self.stats.records += n as u64;
-        self.records.extend(records);
-        n
+        self.prefix.journal.records.extend(records);
+        Ok(Applied::Epoch { epoch, records: n })
     }
 
-    fn apply_checkpoint(&mut self, frame: &Frame) -> Result<Applied, StreamError> {
-        let (cursor, at, hash, summary) = parse_checkpoint_payload(&frame.payload)
-            .map_err(|e| self.protocol(format!("Checkpoint: {e}")))?;
-        if cursor != self.next_epoch {
-            return Err(self.protocol(format!(
-                "Checkpoint: cursor {cursor} arrived while the replica stands at epoch {}",
-                self.next_epoch
+    /// A Checkpoint frame at the mirror's cursor: the leader's interim
+    /// summary, hash-checked and byte-compared with the mirror's.
+    fn checkpoint(&mut self, frame: &Frame) -> Result<Applied, StreamError> {
+        let protocol = |e: String| StreamError::Protocol(format!("Checkpoint: {e}"));
+        let (cursor, at, hash, summary) =
+            parse_checkpoint_payload(&frame.payload).map_err(protocol)?;
+        let released = self.mirror.released();
+        if cursor != released {
+            return Err(protocol(format!(
+                "cursor {cursor} arrived while the replica stands at epoch {released}"
             )));
         }
-        if let Err(e) = interim_boundary(&self.ends, cursor, Some(at)) {
-            return Err(self.protocol(format!("Checkpoint: {e}")));
-        }
+        interim_boundary(&self.prefix.ends, cursor, Some(at)).map_err(protocol)?;
         // The mirror is parked at `cursor` (or on its way there): demand
         // byte identity between the interim it reduces on our own thread
         // count and the leader's. A mirror that diverged stays diverged —
@@ -604,48 +618,32 @@ impl Follower {
             at,
             hash,
             next_seq: frame.seq + 1,
-            journal: self.replica_journal(summary),
+            journal: self.prefix.journal(summary),
         };
-        let mirror = self.mirror.as_ref().expect("plan applied");
-        if let Err(e) = ckpt
-            .check_hash()
-            .and_then(|()| matches_mirror(&ckpt, mirror))
-        {
-            self.stats.divergences += 1;
-            return Err(StreamError::Divergence(e));
-        }
+        ckpt.check_hash()
+            .and_then(|()| matches_mirror(&ckpt, &self.mirror))
+            .map_err(StreamError::Divergence)?;
         self.last_checkpoint = Some(ckpt);
-        self.stats.checkpoints += 1;
         Ok(Applied::Checkpoint { cursor })
     }
 
-    fn apply_finish(&mut self, payload: &str) -> Result<Applied, StreamError> {
-        let summary =
-            parse_summary_block(payload).map_err(|e| self.protocol(format!("Finish: {e}")))?;
-        // Every boundary's batch released, the mirror runs to the horizon;
-        // short of that it would park for a frame that is not coming.
-        if self.next_epoch != self.ends.len() {
-            return Err(self.protocol(format!(
-                "Finish: arrived after {} of the scenario's {} epoch batches",
-                self.next_epoch,
-                self.ends.len()
+    /// A Finish frame: with every boundary's batch released, the mirror's
+    /// finale, byte-compared with the leader's.
+    fn finish(&self, payload: &str) -> Result<AggregateMetrics, StreamError> {
+        let protocol = |e: String| StreamError::Protocol(format!("Finish: {e}"));
+        let summary = parse_summary_block(payload).map_err(protocol)?;
+        // Short of every batch the mirror would park for a frame that is
+        // not coming.
+        let (released, batches) = (self.mirror.released(), self.prefix.ends.len());
+        if released != batches {
+            return Err(protocol(format!(
+                "arrived after {released} of the scenario's {batches} epoch batches"
             )));
         }
-        let mirror = self.mirror.as_ref().expect("plan applied");
-        let verdict = mirror.outcome(false).and_then(|metrics| {
-            divergence("replay", &summary, &metrics.summary_csv())?;
-            Ok(metrics)
-        });
-        match verdict {
-            Ok(metrics) => {
-                self.finale = Some(metrics);
-                Ok(Applied::Finish)
-            }
-            Err(e) => {
-                self.stats.divergences += 1;
-                Err(StreamError::Divergence(format!("at finish: {e}")))
-            }
-        }
+        let diverged = |e: String| StreamError::Divergence(format!("at finish: {e}"));
+        let metrics = self.mirror.outcome(false).map_err(diverged)?;
+        divergence("replay", &summary, &metrics.summary_csv()).map_err(diverged)?;
+        Ok(metrics)
     }
 }
 
@@ -658,19 +656,6 @@ fn matches_mirror(ckpt: &Checkpoint, mirror: &Mirror) -> Result<(), String> {
         &ckpt.journal.summary,
         &ours,
     )
-}
-
-#[cfg(test)]
-impl Follower {
-    /// Swaps the live mirror for a run that panics with `why` at the first
-    /// boundary released to it.
-    pub(crate) fn doom_mirror(&mut self, why: &'static str) {
-        use selftune_cluster::runner::PinSource;
-        self.mirror = Some(Mirror::spawn(move |pins| {
-            pins.pin(0);
-            panic!("{why}");
-        }));
-    }
 }
 
 /// The Finish payload: one summary block and nothing else.
@@ -699,4 +684,19 @@ fn parse_checkpoint_payload(payload: &str) -> Result<(usize, Time, u64, String),
     }
     let (cursor, at, hash) = mark.finish()?;
     Ok((cursor, at, hash, summary.ok_or("missing summary block")?))
+}
+
+#[cfg(test)]
+impl Follower {
+    /// Swaps the live mirror for a run that panics with `why` at the first
+    /// boundary released to it.
+    pub(crate) fn doom_mirror(&mut self, why: &'static str) {
+        use selftune_cluster::runner::PinSource;
+        if let Stage::Following(replica) = &mut self.stage {
+            replica.mirror = Mirror::spawn(move |pins| {
+                pins.pin(0);
+                panic!("{why}");
+            });
+        }
+    }
 }

@@ -18,6 +18,10 @@
 //!        │         Checkpoint / Finish
 //!        └─ retained frames ──► frames_from(seq)  (retransmission)
 //!
+//!   follower stages, one `stage × frame kind → stage | StreamError` table:
+//!     AwaitHello ─Hello→ Attached ─Plan→ Following ─Finish→ Finished
+//!     (Records and Checkpoint keep Following; every other pair is a named
+//!     Protocol error — a frame after Finish included)
 //!   follower at Plan:
 //!     one live mirror — plan_fleet_pinned + the ordinary epoch loop on a
 //!     thread the follower owns, parked at the first boundary whose frame
@@ -51,10 +55,10 @@
 //! * [`ship`] — the leader side: a [`JournalSink`](selftune_cluster::JournalSink)
 //!   that frames each epoch's decision batch as it happens and retains
 //!   sent frames for reconnect replay.
-//! * [`follower`] — the standby: strict in-sequence apply, named
-//!   [`StreamError`]s for every fault (a dead mirror included), the live
-//!   mirror byte-compared against the leader's interim summaries and
-//!   finale, lag metrics, and [`Follower::promote`].
+//! * [`follower`] — the standby: strict in-sequence apply through the
+//!   stage table, named [`StreamError`]s for every fault (a dead mirror
+//!   included), the live mirror byte-compared against the leader's
+//!   interim summaries and finale, lag metrics, and [`Follower::promote`].
 //! * [`checkpoint`] — durable [`Checkpoint`] text files a late joiner
 //!   attaches from, checked against a fresh mirror before any state is
 //!   adopted.
@@ -476,6 +480,57 @@ mod tests {
         }
         assert_eq!(follower.stats().applied, applied);
         assert_eq!(follower.expected_seq(), 6);
+    }
+
+    #[test]
+    fn every_frame_after_finish_is_refused_by_name() {
+        let spec = composed_spec();
+        let (leader, _, chunks) = ship_run(&spec, 42, 2, Some(2));
+        let mut follower = Follower::new(2);
+        for chunk in &chunks {
+            follower.feed(chunk).expect("clean stream");
+        }
+        let before = follower.stats();
+        let seq = follower.expected_seq();
+        // In sequence after the finale: the Finish again, a Finish with one
+        // summary byte forged, and a Hello.
+        let finish = Frame::decode(chunks.last().expect("non-empty")).expect("clean chunk");
+        let begin = finish.payload.find("summary_begin").expect("summary block");
+        let digit = begin
+            + finish.payload[begin..]
+                .find(|c: char| c.is_ascii_digit())
+                .expect("a number in the summary");
+        let mut forged = finish.payload.clone();
+        let flipped = if &forged[digit..=digit] == "1" {
+            "2"
+        } else {
+            "1"
+        };
+        forged.replace_range(digit..=digit, flipped);
+        let hello = Frame::decode(&chunks[0]).expect("clean chunk");
+        for (kind, payload) in [
+            (FrameKind::Finish, finish.payload.clone()),
+            (FrameKind::Finish, forged),
+            (FrameKind::Hello, hello.payload),
+        ] {
+            match follower.feed(&Frame { seq, kind, payload }.encode()) {
+                Err(StreamError::Protocol(msg)) => {
+                    assert!(msg.contains(&format!("{kind:?} after Finish")), "{msg}")
+                }
+                other => panic!("expected a protocol error, got {other:?}"),
+            }
+        }
+        let stats = follower.stats();
+        assert_eq!(stats.dropped, before.dropped + 3);
+        assert_eq!(stats.applied, before.applied);
+        assert_eq!(stats.divergences, before.divergences);
+        assert_eq!(follower.expected_seq(), seq);
+        assert_eq!(
+            follower.finale().expect("finished").summary_csv(),
+            leader.summary_csv()
+        );
+        let promoted = follower.promote().expect("a finished replica promotes");
+        assert_eq!(promoted.summary_csv(), leader.summary_csv());
     }
 
     #[test]

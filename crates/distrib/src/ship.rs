@@ -48,7 +48,8 @@ pub struct Shipper<T: Transport> {
     checkpoint_every: Option<usize>,
     /// Every encoded frame, in seq order — the retransmission buffer.
     sent: Vec<Vec<u8>>,
-    progress: ShipperProgress,
+    /// [`Shipper::progress`] but `frames` (left 0): that is `sent.len()`.
+    tally: ShipperProgress,
 }
 
 impl<T: Transport> Shipper<T> {
@@ -74,7 +75,7 @@ impl<T: Transport> Shipper<T> {
             transport,
             checkpoint_every,
             sent: Vec::new(),
-            progress: ShipperProgress::default(),
+            tally: ShipperProgress::default(),
         };
         shipper.ship(FrameKind::Hello, hello);
         shipper
@@ -82,7 +83,10 @@ impl<T: Transport> Shipper<T> {
 
     /// Where the stream stands.
     pub fn progress(&self) -> ShipperProgress {
-        self.progress
+        ShipperProgress {
+            frames: self.sent.len() as u64,
+            ..self.tally
+        }
     }
 
     /// The encoded frames from sequence number `seq` onwards — what a
@@ -92,15 +96,10 @@ impl<T: Transport> Shipper<T> {
     }
 
     fn ship(&mut self, kind: FrameKind, payload: String) {
-        let frame = Frame {
-            seq: self.progress.frames,
-            kind,
-            payload,
-        };
-        let chunk = frame.encode();
-        self.sent.push(chunk.clone());
-        self.transport.send(chunk);
-        self.progress.frames += 1;
+        let seq = self.sent.len() as u64;
+        let chunk = Frame { seq, kind, payload }.encode();
+        self.transport.send(chunk.clone());
+        self.sent.push(chunk);
     }
 }
 
@@ -113,7 +112,7 @@ impl<T: Transport> JournalSink for Shipper<T> {
         let mut payload = String::new();
         codec::push_admission(&mut payload, admission);
         codec::push_records(&mut payload, events);
-        self.progress.records += events.len() as u64;
+        self.tally.records += events.len() as u64;
         self.ship(FrameKind::Plan, payload);
     }
 
@@ -122,22 +121,22 @@ impl<T: Transport> JournalSink for Shipper<T> {
         let mut payload = String::new();
         Mark::push(&mut payload, cursor, at, fnv1a64(summary.as_bytes()));
         codec::push_block(&mut payload, "summary", &summary);
-        self.progress.checkpoints += 1;
+        self.tally.checkpoints += 1;
         self.ship(FrameKind::Checkpoint, payload);
     }
 
     fn on_epoch(&mut self, epoch: usize, at: Time, events: &[FleetEvent]) {
         let mut payload = format!("epoch = {epoch}\nat = {}\n", at.as_ns());
         codec::push_records(&mut payload, events);
-        self.progress.records += events.len() as u64;
-        self.progress.epochs += 1;
+        self.tally.records += events.len() as u64;
+        self.tally.epochs += 1;
         self.ship(FrameKind::Records, payload);
     }
 
     fn on_finish(&mut self, finale: &AggregateMetrics) {
         let mut payload = String::new();
         codec::push_block(&mut payload, "summary", &finale.summary_csv());
-        self.progress.finished = true;
+        self.tally.finished = true;
         self.ship(FrameKind::Finish, payload);
     }
 }

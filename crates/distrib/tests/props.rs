@@ -13,10 +13,13 @@
 //!   from whatever checkpoint the faulty pass managed to verify, fed the
 //!   retained frames from that point, converges to the same bytes.
 //!
-//! * **A faulted feed moves nothing** — the follower's journal and its
-//!   live mirror's epoch cursor agree after every single `feed` call,
-//!   advance together by exactly one on an accepted epoch batch, and
-//!   stand still on everything else, faults included.
+//! * **A faulted feed moves nothing; an accepted one ranks down** — the
+//!   live mirror's epoch cursor and the rebalance passes in the
+//!   follower's journal agree after every single `feed` call and advance
+//!   together by exactly one on an accepted epoch batch. Lag against the
+//!   leader is the ranking function of catch-up: every accepted frame
+//!   lowers its frame count by exactly one and raises neither its epochs
+//!   nor its records; a faulted feed leaves all three where they stood.
 //!
 //! The leader run is fault-independent, so it is executed once and
 //! shared across cases; each case only varies the fault pattern.
@@ -151,19 +154,18 @@ proptest! {
         threads in 1usize..4,
     ) {
         let run = leader();
+        let progress = run.shipper.progress();
         let decisions = ClusterRunner::epoch_ends(&composed_spec()).len() - 1;
-        // Where the replica stands, three ways: the mirror's released
-        // boundaries, the follower's own count, and the rebalance passes
-        // in its journal (one per decision epoch; the horizon's batch
-        // carries none).
-        let cursors = |f: &Follower| {
-            let passes = f.journal().map_or(0, |j| {
+        // Where the replica stands, by its two owners: the mirror's
+        // released boundaries and the rebalance passes in its journal (one
+        // per decision epoch; the horizon's batch carries none).
+        let passes = |f: &Follower| {
+            f.journal().map_or(0, |j| {
                 j.records
                     .iter()
                     .filter(|r| matches!(r, FleetEvent::Rebalance { .. }))
                     .count()
-            });
-            (f.epochs_applied(), f.stats().epochs, passes)
+            })
         };
         let mut follower = Follower::new(threads);
         let faulty = faulted_stream(seed, drop_rate, dup_rate, swap_rate, cut_rate);
@@ -175,12 +177,19 @@ proptest! {
                 Some(chunk) => chunk,
                 None => &run.shipper.frames_from(follower.expected_seq())[0],
             };
-            let (before, _, _) = cursors(&follower);
-            let advanced = matches!(follower.feed(chunk), Ok(Applied::Epoch { .. }));
-            let (mirror, counted, passes) = cursors(&follower);
-            prop_assert_eq!(mirror, before + usize::from(advanced));
-            prop_assert_eq!(mirror, counted, "mirror and follower disagree");
-            prop_assert_eq!(passes, mirror.min(decisions), "mirror and journal disagree");
+            let (cursor, before) = (follower.epochs_applied(), follower.lag(&progress));
+            let fed = follower.feed(chunk);
+            let (mirror, after) = (follower.epochs_applied(), follower.lag(&progress));
+            let advanced = matches!(fed, Ok(Applied::Epoch { .. }));
+            prop_assert_eq!(mirror, cursor + usize::from(advanced));
+            prop_assert_eq!(passes(&follower), mirror.min(decisions), "mirror and journal disagree");
+            if fed.is_ok() {
+                prop_assert_eq!(after.frames + 1, before.frames, "an accepted frame ranks down by one");
+                prop_assert!(after.epochs <= before.epochs, "accepted frame raised epoch lag");
+                prop_assert!(after.records <= before.records, "accepted frame raised record lag");
+            } else {
+                prop_assert_eq!(after, before, "a faulted feed moved the lag");
+            }
         }
         prop_assert_eq!(
             &follower.finale().expect("loop exit").summary_csv(),

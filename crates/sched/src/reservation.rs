@@ -42,11 +42,9 @@ pub enum Place {
 /// inputs (server deadlines, runnability, pending replenishments) only
 /// change on wake/block/depletion/replenish/parameter events. Every
 /// mutating entry point invalidates the caches; plain budget decrements
-/// do not (see [`Server::charge`]). The pre-cache full-scan dispatcher is
-/// the caches' reference: the unit test `cached_and_scan_dispatch_agree`
-/// switches one of two twin schedulers to it (`use_scan_dispatch`, a
-/// test-only method) and holds them to identical answers. Nothing layered
-/// on this scheduler offers or reads the choice.
+/// do not (see [`Server::charge`]). The caches' reference is a full
+/// rescan of the servers that lives in the unit tests:
+/// `cached_and_scan_dispatch_agree` holds every cached answer to it.
 pub struct ReservationScheduler {
     servers: Vec<Server>,
     /// Dense task placement, indexed by `TaskId` (default fair). Dense
@@ -59,9 +57,6 @@ pub struct ReservationScheduler {
     /// Cached earliest replenishment (`None` = dirty). A `Cell` because
     /// [`Scheduler::next_timer`] takes `&self`.
     timer_cache: Cell<Option<Option<Time>>>,
-    /// Differential-test reference: bypass the caches and rescan on every
-    /// query.
-    scan_dispatch: bool,
     /// Reused EDF-order buffer for [`ReservationScheduler::pick_with`]:
     /// one allocation serves every nested dispatch.
     order_scratch: Vec<(Time, u32)>,
@@ -92,21 +87,10 @@ impl ReservationScheduler {
             fair: RoundRobin::new(slice),
             edf_cache: None,
             timer_cache: Cell::new(None),
-            scan_dispatch: false,
             order_scratch: Vec::new(),
             epoch: 0,
             order_epoch: None,
         }
-    }
-
-    /// Disables the dispatch caches: every `pick`/`next_timer` rescans all
-    /// servers (the pre-cache implementation). The reference side of
-    /// `cached_and_scan_dispatch_agree` below. Test-only — no kernel,
-    /// layered scheduler or experiment can ask for it.
-    #[cfg(test)]
-    fn use_scan_dispatch(&mut self) {
-        self.scan_dispatch = true;
-        self.touch();
     }
 
     /// Invalidates the cached dispatch decision and timer.
@@ -215,9 +199,6 @@ impl ReservationScheduler {
 
     /// The EDF-minimal runnable server, through the dispatch cache.
     fn edf_winner(&mut self) -> Option<ServerId> {
-        if self.scan_dispatch {
-            return self.edf_pick();
-        }
         match self.edf_cache {
             Some(cached) => cached,
             None => {
@@ -256,7 +237,7 @@ impl ReservationScheduler {
         // re-grant); between transitions the sorted order is reused —
         // only the guests' willingness to dispatch is re-queried.
         let mut order = core::mem::take(&mut self.order_scratch);
-        if self.scan_dispatch || self.order_epoch != Some(self.epoch) {
+        if self.order_epoch != Some(self.epoch) {
             order.clear();
             order.extend(
                 self.servers
@@ -344,9 +325,6 @@ impl Scheduler for ReservationScheduler {
     }
 
     fn next_timer(&self, _now: Time) -> Option<Time> {
-        if self.scan_dispatch {
-            return self.servers.iter().filter_map(Server::replenish_at).min();
-        }
         if let Some(cached) = self.timer_cache.get() {
             return cached;
         }
@@ -606,11 +584,8 @@ mod tests {
         ]
     }
 
-    fn build(scan: bool, soft_third: bool) -> ReservationScheduler {
+    fn build(soft_third: bool) -> ReservationScheduler {
         let mut s = ReservationScheduler::new();
-        if scan {
-            s.use_scan_dispatch();
-        }
         for i in 0..3u64 {
             let mode = if soft_third && i == 2 {
                 CbsMode::Soft
@@ -627,21 +602,34 @@ mod tests {
         s
     }
 
+    /// The caches' reference, from scratch over `s`'s servers: the task of
+    /// the EDF-minimal runnable server (lowest index on a deadline tie) and
+    /// the earliest pending replenishment. (The property's tasks are all
+    /// server tasks, so no FIFO or fair task is ever ready.)
+    fn rescan(s: &ReservationScheduler) -> (Option<TaskId>, Option<Time>) {
+        let mut winner: Option<&Server> = None;
+        for server in s.servers.iter().filter(|server| server.runnable()) {
+            if winner.is_none_or(|w| server.deadline() < w.deadline()) {
+                winner = Some(server);
+            }
+        }
+        let timer = s.servers.iter().filter_map(Server::replenish_at).min();
+        (winner.and_then(Server::front_task), timer)
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// The dispatch caches against the pre-cache full-scan dispatcher:
-        /// a cached scheduler and a scan-dispatch scheduler fed the same
-        /// random event stream must agree on every `pick`, `next_timer`
-        /// and `pick_with`. Any missed invalidation shows up as a
-        /// divergence here.
+        /// The dispatch caches against a from-scratch scan: fed a random
+        /// event stream, the scheduler's every `pick`, `next_timer` and
+        /// `pick_with` must agree with `rescan` over its servers.
+        /// Any missed invalidation shows up as a divergence here.
         #[test]
         fn cached_and_scan_dispatch_agree(
             ops in prop::collection::vec(op_strategy(), 1..200),
             soft_third in any::<bool>(),
         ) {
-            let mut cached = build(false, soft_third);
-            let mut scan = build(true, soft_third);
+            let mut s = build(soft_third);
             let mut now = Time::ZERO;
             // Which tasks are currently ready (kernel contract: one on_ready
             // per wake, removal on block).
@@ -652,55 +640,48 @@ mod tests {
                         let t = t as usize % 6;
                         if !ready[t] {
                             ready[t] = true;
-                            cached.on_ready(TaskId(t as u32), now);
-                            scan.on_ready(TaskId(t as u32), now);
+                            s.on_ready(TaskId(t as u32), now);
                         }
                     }
                     Op::Block(t) => {
                         let t = t as usize % 6;
                         if ready[t] {
                             ready[t] = false;
-                            cached.on_block(TaskId(t as u32), now);
-                            scan.on_block(TaskId(t as u32), now);
+                            s.on_block(TaskId(t as u32), now);
                         }
                     }
                     Op::Charge(us) => {
-                        let a = cached.pick(now);
-                        let b = scan.pick(now);
-                        prop_assert_eq!(a, b, "pick diverged before charge");
-                        if let Some(t) = a {
+                        let picked = s.pick(now);
+                        prop_assert_eq!(picked, rescan(&s).0, "pick diverged before charge");
+                        if let Some(t) = picked {
                             now += Dur::us(u64::from(us));
-                            cached.charge(t, Dur::us(u64::from(us)), now);
-                            scan.charge(t, Dur::us(u64::from(us)), now);
+                            s.charge(t, Dur::us(u64::from(us)), now);
                         }
                     }
                     Op::Timer => {
-                        let ta = cached.next_timer(now);
-                        let tb = scan.next_timer(now);
-                        prop_assert_eq!(ta, tb, "next_timer diverged");
-                        if let Some(t) = ta {
+                        let timer = s.next_timer(now);
+                        prop_assert_eq!(timer, rescan(&s).1, "next_timer diverged");
+                        if let Some(t) = timer {
                             now = now.max(t);
-                            cached.on_timer(now);
-                            scan.on_timer(now);
+                            s.on_timer(now);
                         }
                     }
                     Op::SetParams(srv, budget_us) => {
                         let sid = ServerId(u32::from(srv) % 3);
-                        let period = cached.server(sid).config().period;
+                        let period = s.server(sid).config().period;
                         let budget = Dur::us(u64::from(budget_us)).min(period);
-                        cached.server_mut(sid).set_params(budget, period);
-                        scan.server_mut(sid).set_params(budget, period);
+                        s.server_mut(sid).set_params(budget, period);
                     }
                     Op::Advance(us) => now += Dur::us(u64::from(us)),
                 }
-                prop_assert_eq!(cached.pick(now), scan.pick(now));
-                prop_assert_eq!(cached.next_timer(now), scan.next_timer(now));
+                let (task, timer) = rescan(&s);
+                prop_assert_eq!(s.pick(now), task);
+                prop_assert_eq!(s.next_timer(now), timer);
                 // The nested-dispatch path caches the sorted EDF order across
                 // unchanged states; with every server choosing its own front
-                // task it must agree with the always-rescanning scheduler.
-                let via_hook = cached.pick_with(now, |_, srv| srv.front_task());
-                let via_scan = scan.pick_with(now, |_, srv| srv.front_task());
-                prop_assert_eq!(via_hook, via_scan, "pick_with diverged");
+                // task it must pick what the rescan picks.
+                let via_hook = s.pick_with(now, |_, srv| srv.front_task());
+                prop_assert_eq!(via_hook, task, "pick_with diverged");
             }
         }
     }
