@@ -3,7 +3,7 @@
 //! machinery attached.
 //!
 //! The runner emits these from exactly three places — the fleet plan
-//! (admissions and churn kills), the barrier leader (per-epoch
+//! (admissions and churn kills), the meeting's leader (per-epoch
 //! compressions, rebalance passes and migrations) and the nodes
 //! themselves (executed elastic share re-grants) — and merges them into
 //! one deterministic stream via [`sort_events`]. [`FleetEvent`] is the
@@ -213,12 +213,12 @@ impl FleetEvent {
 /// [`ClusterRunner::run_logged_with`](crate::runner::ClusterRunner::run_logged_with)
 /// drives a sink instead of materialising the full event vector: the
 /// plan-derived decisions arrive first in one batch, then every epoch
-/// boundary delivers its decision batch as soon as the barrier leader has
+/// boundary delivers its decision batch as soon as the meeting's leader has
 /// taken it, and the final aggregates close the stream. Each batch is
 /// canonically sorted internally ([`sort_events`]); concatenating the
 /// batches and re-sorting yields exactly the stream `run_logged` returns.
 ///
-/// All callbacks run on a runner thread (the barrier leader or the
+/// All callbacks run on a runner thread (the meeting's leader or the
 /// calling thread), serialised by the runner — implementations never see
 /// concurrent calls. Default method bodies ignore the data, so a sink
 /// implements only what it consumes.

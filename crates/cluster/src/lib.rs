@@ -21,7 +21,7 @@
 //!        │   ▲                                   │
 //!        │   │  migrations                       │ NodeFeedback
 //!        │   └───── Placer::rebalance ◄──────────┘ (measured util,
-//!        │          (barrier leader,               miss rate,
+//!        │          (meeting leader,               miss rate,
 //!        ▼           every epoch)                  live tasks + bw)
 //!   AggregateMetrics: miss CDF, utilisation histogram, admission
 //!                     counters, migration records, CSV export

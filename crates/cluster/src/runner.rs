@@ -9,8 +9,9 @@
 //! pin source, sink and stop boundary are data on it — for one private
 //! `execute`, whose epoch loop only sequences the stages of `stages.rs`
 //! (see there for the boundary protocol) and owns what they must not:
-//! the threads, the two barrier waits and the two mutexes. A mutex here
-//! is only ever held to move a finished value in or out.
+//! the threads and the one meeting per decision boundary, a mutex and a
+//! condvar. The lock is held to post, to leave, and by the last worker to
+//! arrive while it leads — when every sibling is parked anyway.
 //!
 //! Decision journalling and replay: [`ClusterRunner::run_logged`] runs a
 //! scenario while emitting the merged, canonically ordered
@@ -21,7 +22,7 @@
 //! per-epoch migration decisions substituted for the live ones, so a
 //! replay reproduces the recorded aggregates byte-identically — and a
 //! what-if replay can pin history up to a cut epoch and let a *swapped*
-//! policy decide from there. The decisions reach the barrier leader
+//! policy decide from there. The decisions reach the meeting's leader
 //! through one seam, [`PinSource`]: a [`PinnedMoves`] table answers at
 //! once, while a replication follower's stream-fed source blocks until
 //! the boundary's frame has arrived (pinned / live / stop) and may ask
@@ -31,7 +32,7 @@
 
 #![deny(clippy::too_many_lines)]
 
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread;
 
 use selftune_simcore::time::Time;
@@ -45,8 +46,8 @@ pub use crate::plan::{
 };
 use crate::spec::ScenarioSpec;
 use crate::stages::{
-    admit_and_simulate, apply, deal, decide, emit, publish, reduce, EpochBoard, LeaderState,
-    Published, Run, WorkerState,
+    admit_and_simulate, apply, deal, decide, emit, merge, publish, reduce, EpochOrders,
+    LeaderState, Published, Run, WorkerState,
 };
 
 /// One journalled rebalance epoch — the migrations the leader published,
@@ -100,7 +101,7 @@ impl PinnedMoves {
     }
 }
 
-/// What a [`PinSource`] tells the barrier leader at one epoch boundary.
+/// What a [`PinSource`] tells the meeting's leader at one epoch boundary.
 #[derive(Clone, Debug)]
 pub enum EpochPin {
     /// Apply this recorded decision verbatim.
@@ -119,9 +120,9 @@ pub enum EpochPin {
 pub trait PinSource: Sync {
     /// Whether the run reduces interim aggregates at (non-horizon)
     /// boundary `epoch` and hands them to [`PinSource::on_interim`] before
-    /// asking for the boundary's [`EpochPin`]. Every worker asks before the
-    /// boundary's first barrier, so all callers of one `epoch` must get
-    /// the same answer.
+    /// asking for the boundary's [`EpochPin`]. Every worker asks before it
+    /// arrives at the boundary's meeting, so all callers of one `epoch`
+    /// must get the same answer.
     fn wants_interim(&self, epoch: usize) -> bool {
         let _ = epoch;
         false
@@ -134,7 +135,7 @@ pub trait PinSource: Sync {
         let _ = (epoch, interim);
     }
 
-    /// The decision at boundary `epoch`; asked once, by the barrier
+    /// The decision at boundary `epoch`; asked once, by the meeting's
     /// leader.
     fn pin(&self, epoch: usize) -> EpochPin;
 }
@@ -254,7 +255,7 @@ impl ClusterRunner {
 
     /// Runs the scenario while streaming the decision-event batches into
     /// `sink` (see [`JournalSink`]) instead of buffering them: the plan
-    /// batch up front, one batch per epoch boundary as the barrier leader
+    /// batch up front, one batch per epoch boundary as the meeting's leader
     /// takes the decisions, interim aggregates at the sink's checkpoint
     /// cadence, and the final aggregates at the horizon. Nothing is
     /// retained runner-side beyond the batch in flight.
@@ -368,109 +369,135 @@ impl ClusterRunner {
             sort_events(&mut events);
             s.on_plan(&plan.admission, &events);
         }
-        let leader = Leader {
-            state: LeaderState::new(spec),
-            sink: request.sink,
-            stopped: None,
-        };
-        let crew = Crew {
-            barrier: Gate::new(workers),
-            board: Mutex::new(EpochBoard::new(workers)),
-            leader: Mutex::new(leader),
-        };
-        // Every worker reads the same orders, so all of them stop or none
-        // does.
-        let finished = thread::scope(|scope| {
-            let (run, crew) = (&run, &crew);
-            let spawn = |w| scope.spawn(move || work(run, crew, w));
+        let meeting = Meeting::new(workers, spec, request.sink);
+        let posts: Vec<Option<Published>> = thread::scope(|scope| {
+            let (run, meeting) = (&run, &meeting);
+            let spawn = |w| scope.spawn(move || work(run, meeting, w));
             let handles: Vec<_> = (0..workers).map(spawn).collect();
             // Join every worker before looking at any: a panic's siblings
-            // return early through the poisoned gate, and the first panic
-            // resumes here under its own message — the caller sees the
-            // cause, not that the run stopped.
+            // return early through the poisoned meeting, and the first
+            // panic resumes here under its own message — the caller sees
+            // the cause, not that the run stopped.
             let joined: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
-            let mut finished = true;
-            for ran in joined {
-                finished &= ran.unwrap_or_else(|cause| std::panic::resume_unwind(cause));
-            }
-            finished
+            let resume = |cause| std::panic::resume_unwind(cause);
+            joined
+                .into_iter()
+                .map(|ran| ran.unwrap_or_else(resume))
+                .collect()
         });
-        let leader = crew.leader.into_inner().expect("leader state lock");
-        if !finished {
-            return leader.stopped;
+        let leader = meeting.into_leader();
+        // Every worker reads the same orders, so all of them stop or none
+        // does.
+        match posts.into_iter().collect::<Option<Vec<_>>>() {
+            Some(posts) => Some(finish(&run, merge(posts), leader)),
+            None => leader.stopped,
         }
-        let mut board = crew.board.into_inner().expect("epoch board lock");
-        Some(finish(&run, board.take(), leader))
     }
 }
 
-/// What the workers of one run share: the barrier they meet at, the board
-/// they exchange finished values on, and the leader's seat.
-struct Crew<'a> {
-    barrier: Gate,
-    board: Mutex<EpochBoard>,
-    leader: Mutex<Leader<'a>>,
-}
-
-/// A barrier that a panicking worker poisons, so that its siblings return
-/// instead of waiting forever for a thread that will never arrive.
-struct Gate {
+/// Where the workers of one run meet at each decision boundary: one lock
+/// over everything that crosses the boundary, and one condvar to park on.
+/// A meeting either completes — every worker posted, the last to arrive
+/// led, everyone leaves with the orders — or, once a worker has panicked,
+/// lets every worker go.
+struct Meeting<'a> {
     workers: usize,
-    state: Mutex<GateState>,
+    table: Mutex<Table<'a>>,
     turned: Condvar,
 }
 
-#[derive(Default)]
-struct GateState {
-    arrived: usize,
-    /// How many times every worker has arrived.
+/// What the meeting's lock guards. After `poisoned` is set nothing else
+/// here is read: `execute` resumes the first panic before it looks.
+struct Table<'a> {
+    /// How many meetings have completed.
     round: u64,
     poisoned: bool,
+    /// This meeting's publications so far, in arrival order.
+    posts: Vec<(usize, Published)>,
+    /// What the last completed meeting's leader decided.
+    orders: Arc<EpochOrders>,
+    leader: Leader<'a>,
 }
 
-impl Gate {
-    fn new(workers: usize) -> Gate {
-        Gate {
+impl<'a> Meeting<'a> {
+    fn new(
+        workers: usize,
+        spec: &ScenarioSpec,
+        sink: Option<&'a mut dyn JournalSink>,
+    ) -> Meeting<'a> {
+        let table = Table {
+            round: 0,
+            poisoned: false,
+            posts: Vec::with_capacity(workers),
+            orders: Arc::default(),
+            leader: Leader {
+                state: LeaderState::new(spec),
+                sink,
+                stopped: None,
+            },
+        };
+        Meeting {
             workers,
-            state: Mutex::new(GateState::default()),
+            table: Mutex::new(table),
             turned: Condvar::new(),
         }
     }
 
-    /// Blocks until every worker has arrived: `Some(true)` for exactly one
-    /// of them (the last to arrive, the round's leader), `Some(false)` for
-    /// the rest, and `None` for every waiter once the gate is poisoned.
-    fn wait(&self) -> Option<bool> {
-        let mut s = self.state.lock().expect("gate lock");
-        if s.poisoned {
+    /// The std mutex's poisoning is recovered: the table's own `poisoned`
+    /// flag says what a panic means. A holder can panic only inside
+    /// `lead`, before it bumps `round`, so a waiter that wakes in between
+    /// sees its meeting unfinished and parks again until the flag is set.
+    fn lock(&self) -> MutexGuard<'_, Table<'a>> {
+        self.table.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn into_leader(self) -> Leader<'a> {
+        let table = self.table.into_inner();
+        table.unwrap_or_else(PoisonError::into_inner).leader
+    }
+
+    /// Worker `w` arrives with what it published. The last to arrive runs
+    /// `lead` over every post of the meeting, merged in worker order, while
+    /// the others are parked; then each leaves with the orders it returned.
+    /// `None` for every worker once a worker has panicked.
+    fn meet(
+        &self,
+        w: usize,
+        published: Published,
+        lead: impl FnOnce(&mut Leader<'a>, Published) -> EpochOrders,
+    ) -> Option<Arc<EpochOrders>> {
+        let mut table = self.lock();
+        if table.poisoned {
             return None;
         }
-        s.arrived += 1;
-        if s.arrived == self.workers {
-            s.arrived = 0;
-            s.round += 1;
+        table.posts.push((w, published));
+        if table.posts.len() == self.workers {
+            let t = &mut *table;
+            t.posts.sort_unstable_by_key(|&(w, _)| w);
+            let posted = merge(t.posts.drain(..).map(|(_, p)| p));
+            t.orders = Arc::new(lead(&mut t.leader, posted));
+            t.round += 1;
             self.turned.notify_all();
-            return Some(true);
+            return Some(Arc::clone(&t.orders));
         }
-        let round = s.round;
-        while s.round == round && !s.poisoned {
-            s = self.turned.wait(s).expect("gate lock");
-        }
-        (!s.poisoned).then_some(false)
+        let round = table.round;
+        let parked = |t: &mut Table| t.round == round && !t.poisoned;
+        let table = self.turned.wait_while(table, parked);
+        let table = table.unwrap_or_else(PoisonError::into_inner);
+        (!table.poisoned).then(|| Arc::clone(&table.orders))
     }
 
     /// Called while unwinding, so it must not panic itself.
     fn poison(&self) {
-        let mut s = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-        s.poisoned = true;
+        self.lock().poisoned = true;
         self.turned.notify_all();
     }
 }
 
-/// Poisons the gate when the worker holding it unwinds.
-struct PoisonOnPanic<'a>(&'a Gate);
+/// Poisons the meeting when the worker holding it unwinds.
+struct PoisonOnPanic<'m, 'a>(&'m Meeting<'a>);
 
-impl Drop for PoisonOnPanic<'_> {
+impl Drop for PoisonOnPanic<'_, '_> {
     fn drop(&mut self) {
         if thread::panicking() {
             self.0.poison();
@@ -478,8 +505,8 @@ impl Drop for PoisonOnPanic<'_> {
     }
 }
 
-/// What only the barrier leader touches — a different thread each epoch,
-/// hence the mutex.
+/// What only the leader of a meeting touches — a different thread each
+/// epoch, hence behind the meeting's lock.
 struct Leader<'a> {
     state: LeaderState,
     sink: Option<&'a mut dyn JournalSink>,
@@ -491,8 +518,8 @@ struct Leader<'a> {
 /// boundary, at the sink's cadence (not at boundary 0, where nothing has
 /// been decided yet), or where the pin source asks — a stream-fed source
 /// parks every worker here until the stream says. Never at the horizon,
-/// which has the finale instead. Every worker asks, before the boundary's
-/// first barrier.
+/// which has the finale instead. Every worker asks, before it arrives at
+/// the boundary's meeting.
 fn wants_interim(run: &Run, ei: usize) -> bool {
     !run.at_horizon(ei)
         && (run.stop == Some(ei)
@@ -500,55 +527,46 @@ fn wants_interim(run: &Run, ei: usize) -> bool {
             || run.pins.wants_interim(ei))
 }
 
-/// One worker's epoch loop: the stages in order, around the two barrier
-/// waits. `false` when the run was stopped before the horizon, or when a
-/// sibling panicked.
-fn work(run: &Run, crew: &Crew, w: usize) -> bool {
-    let _poison = PoisonOnPanic(&crew.barrier);
+/// One worker's epoch loop: the stages in order, one meeting per
+/// decision boundary. The horizon's publication, or `None` when the run
+/// was stopped before the horizon or a sibling panicked.
+fn work(run: &Run, meeting: &Meeting, w: usize) -> Option<Published> {
+    let _poison = PoisonOnPanic(meeting);
     let mut ws = WorkerState {
         w,
         ..WorkerState::default()
-    };
-    let post = |published| {
-        let mut board = crew.board.lock().expect("epoch board lock");
-        board.posted[w] = Some(published);
     };
     let horizon = run.ends.len() - 1;
     for ei in 0..horizon {
         admit_and_simulate(run, &mut ws, ei);
         let interim = wants_interim(run, ei);
-        post(publish(run, &mut ws, ei, interim));
+        let published = publish(run, &mut ws, ei, interim);
         // Exactly one thread decides for the whole fleet.
-        let Some(leader) = crew.barrier.wait() else {
-            return false;
-        };
-        if leader {
-            lead(run, crew, ei, interim);
-        }
-        if crew.barrier.wait().is_none() {
-            return false;
-        }
-        let orders = Arc::clone(&crew.board.lock().expect("epoch board lock").orders);
+        let orders = meeting.meet(w, published, |leader, posted| {
+            lead(run, leader, posted, ei, interim)
+        })?;
         if orders.stop {
-            return false;
+            return None;
         }
         apply(run, &mut ws, &orders, ei);
     }
-    // Nothing is decided at the horizon, hence no barrier: the calling
-    // thread takes the board once every worker is joined.
+    // Nothing is decided at the horizon, hence no meeting: the calling
+    // thread merges what the joined workers return.
     admit_and_simulate(run, &mut ws, horizon);
-    post(publish(run, &mut ws, horizon, false));
-    true
+    Some(publish(run, &mut ws, horizon, false))
 }
 
-/// The barrier leader's turn at boundary `ei`: reduce the interim if one
-/// is wanted — *before* deciding, so it carries the rebalance statistics
-/// of earlier boundaries only — then decide, emit and leave the orders on
-/// the board.
-fn lead(run: &Run, crew: &Crew, ei: usize, interim: bool) {
-    let posted = crew.board.lock().expect("epoch board lock").take();
-    let mut leader = crew.leader.lock().expect("leader state lock");
-    let leader = &mut *leader;
+/// The meeting leader's turn at boundary `ei`, over every worker's
+/// publication: reduce the interim if one is wanted — *before* deciding,
+/// so it carries the rebalance statistics of earlier boundaries only —
+/// then decide, emit, and return the orders.
+fn lead(
+    run: &Run,
+    leader: &mut Leader,
+    posted: Published,
+    ei: usize,
+    interim: bool,
+) -> EpochOrders {
     let stopping = run.stop == Some(ei);
     if interim {
         let stats = leader.state.stats.clone();
@@ -578,7 +596,7 @@ fn lead(run: &Run, crew: &Crew, ei: usize, interim: bool) {
         let batch = emit(run, ei, &view, &orders, posted.grants, records);
         s.on_epoch(ei, run.ends[ei], &batch);
     }
-    crew.board.lock().expect("epoch board lock").orders = Arc::new(orders);
+    orders
 }
 
 /// The horizon, on the calling thread: reduce the final aggregates from
@@ -802,11 +820,14 @@ mod tests {
         );
     }
 
-    /// Runs `pins` over a four-worker fleet with three decision boundaries
-    /// on a thread of its own, and returns the message of the panic the
-    /// caller saw. A run that does not return within 60 s fails the test:
-    /// that is what a worker stranded at a barrier looks like.
-    fn panic_message_of_run(pins: impl PinSource + Send + 'static) -> String {
+    /// Runs `run` on a four-worker runner over a four-node fleet with
+    /// three decision boundaries, on a thread of its own, and returns the
+    /// message of the panic the caller saw. A run that does not return
+    /// within 60 s fails the test: that is what a worker stranded at a
+    /// meeting looks like.
+    fn panic_message_of_run(
+        run: impl FnOnce(&ClusterRunner, &ScenarioSpec) + Send + 'static,
+    ) -> String {
         let spec = ScenarioSpec::new("faulty", 4, 8, Dur::ms(1200))
             .with_mix(TaskMix::rt_only())
             .with_rebalance(RebalanceSpec {
@@ -818,8 +839,7 @@ mod tests {
         let caller = thread::spawn(move || {
             // Dropped however the run ends, which wakes the wait below.
             let _done = done;
-            let plan = plan_fleet(&spec, 3);
-            ClusterRunner::new(4).run_pinned(&spec, 3, &plan, &pins, None)
+            run(&ClusterRunner::new(4), &spec);
         });
         let waited = ended.recv_timeout(Duration::from_secs(60));
         assert!(
@@ -835,8 +855,17 @@ mod tests {
             .expect("a formatted panic")
     }
 
-    /// Fails the barrier leader at boundary 1, between that boundary's two
-    /// waits, while every sibling is parked at the second.
+    /// Runs `pins` live over the faulty fleet (see `panic_message_of_run`).
+    fn panic_message_of_pins(pins: impl PinSource + Send + 'static) -> String {
+        panic_message_of_run(move |runner, spec| {
+            let plan = plan_fleet(spec, 3);
+            runner.run_pinned(spec, 3, &plan, &pins, None);
+        })
+    }
+
+    /// Fails the meeting's leader at boundary 1, as it asks for the pin:
+    /// inside `lead`, with the meeting's lock held and every sibling
+    /// parked in the meeting.
     struct PanicsAtPinOne;
 
     impl PinSource for PanicsAtPinOne {
@@ -848,8 +877,8 @@ mod tests {
         }
     }
 
-    /// Fails the first worker to ask, before boundary 0's first wait; the
-    /// siblings go on into that wait.
+    /// Fails the first worker to ask, before it arrives at boundary 0's
+    /// meeting; the siblings go on into that meeting.
     #[derive(Default)]
     struct PanicsOnFirstInterimQuestion(AtomicBool);
 
@@ -866,16 +895,89 @@ mod tests {
         }
     }
 
+    /// Fails the sink as it takes boundary 1's batch: after the decision,
+    /// still inside `lead` with the meeting's lock held.
+    struct PanicsOnEpochOne;
+
+    impl JournalSink for PanicsOnEpochOne {
+        fn on_epoch(&mut self, epoch: usize, _at: Time, _events: &[FleetEvent]) {
+            if epoch == 1 {
+                panic!("injected fault in on_epoch({epoch})");
+            }
+        }
+    }
+
     #[test]
     fn a_leader_panic_between_the_waits_does_not_strand_its_siblings() {
-        let message = panic_message_of_run(PanicsAtPinOne);
+        let message = panic_message_of_pins(PanicsAtPinOne);
         assert_eq!(message, "injected fault at pin(1)");
     }
 
     #[test]
     fn a_worker_panic_before_the_first_wait_does_not_strand_its_siblings() {
-        let message = panic_message_of_run(PanicsOnFirstInterimQuestion::default());
+        let message = panic_message_of_pins(PanicsOnFirstInterimQuestion::default());
         assert_eq!(message, "injected fault in wants_interim(0)");
+    }
+
+    #[test]
+    fn a_sink_panic_under_the_meeting_does_not_strand_its_siblings() {
+        let message = panic_message_of_run(|runner, spec| {
+            runner.run_logged_with(spec, 3, &mut PanicsOnEpochOne);
+        });
+        assert_eq!(message, "injected fault in on_epoch(1)");
+    }
+
+    /// What worker `w` posts at `round`, in the slot `merge` keeps in
+    /// worker order.
+    fn tag(round: u64, w: usize) -> FleetEvent {
+        FleetEvent::Compression {
+            at: Time::ZERO,
+            epoch: round as usize,
+            node: w,
+            count: 1,
+        }
+    }
+
+    #[test]
+    fn a_meeting_leads_once_per_round_over_that_rounds_posts_in_worker_order() {
+        const ROUNDS: u64 = 20;
+        let spec = small_spec();
+        for workers in [1usize, 2, 4, 8] {
+            let meeting = Meeting::new(workers, &spec, None);
+            thread::scope(|scope| {
+                for w in 0..workers {
+                    let meeting = &meeting;
+                    scope.spawn(move || {
+                        // A failed check under the lock releases the
+                        // siblings, so the test fails instead of hanging.
+                        let _poison = PoisonOnPanic(meeting);
+                        for round in 0..ROUNDS {
+                            // A different arrival order every round.
+                            let yields = (w as u64 * 7 + round * 3) % (workers as u64 + 3);
+                            (0..yields).for_each(|_| thread::yield_now());
+                            let published = Published {
+                                grants: vec![tag(round, w)],
+                                ..Published::default()
+                            };
+                            let orders = meeting.meet(w, published, |leader, posted| {
+                                // The leader seat counts the leads.
+                                leader.state.stats.epochs += 1;
+                                let want: Vec<_> = (0..workers).map(|w| tag(round, w)).collect();
+                                assert_eq!(posted.grants, want, "round {round}");
+                                EpochOrders {
+                                    failed: round,
+                                    ..EpochOrders::default()
+                                }
+                            });
+                            let orders = orders.expect("no worker panicked");
+                            assert_eq!(orders.failed, round, "worker {w}");
+                        }
+                    });
+                }
+            });
+            let leads = meeting.into_leader().state.stats.epochs;
+            assert_eq!(leads, ROUNDS, "{workers} workers");
+        }
     }
 
     #[test]

@@ -1,21 +1,19 @@
 //! The stages of one fleet epoch, and the state they work over.
 //!
 //! A run is [`deal`]t once. Then, per epoch boundary: every worker runs
-//! [`admit_and_simulate`] and [`publish`] — outside any lock — posts the
-//! result on the [`EpochBoard`] and parks on a barrier; exactly one
-//! thread, the leader, takes it all and runs [`reduce`] (where an interim
-//! is wanted), [`decide`] and [`emit`], leaving the epoch's orders on the
-//! board; after a second barrier every worker runs [`apply`] on the nodes
-//! it owns. Each stage is a plain function over explicit state
-//! ([`WorkerState`] per thread, [`LeaderState`] across boundaries) and
-//! none of them spawns a thread, takes a lock or waits — that is the
-//! epoch loop's job (`runner.rs`) — so each is testable from its interface
-//! alone. Decisions and their application depend only on `(spec, seed)`
-//! and virtual time, never on which thread ran what.
+//! [`admit_and_simulate`] and [`publish`] — outside any lock — and arrives
+//! at the boundary's meeting with the result; the last to arrive, the
+//! leader, [`merge`]s every worker's publication and runs [`reduce`]
+//! (where an interim is wanted), [`decide`] and [`emit`] while the others
+//! are parked; then every worker leaves with the epoch's orders and runs
+//! [`apply`] on the nodes it owns. Each stage is a plain function over
+//! explicit state ([`WorkerState`] per thread, [`LeaderState`] across
+//! boundaries) and none of them spawns a thread, takes a lock or waits —
+//! that is the epoch loop's job (`runner.rs`) — so each is testable from
+//! its interface alone. Decisions and their application depend only on
+//! `(spec, seed)` and virtual time, never on which thread ran what.
 
 #![deny(clippy::too_many_lines)]
-
-use std::sync::Arc;
 
 use selftune_core::share::{DemandSignal, ShareController, ShareControllerConfig, ShareDecision};
 use selftune_simcore::time::Time;
@@ -228,39 +226,17 @@ pub(crate) fn publish(run: &Run, ws: &mut WorkerState, ei: usize, interim: bool)
     out
 }
 
-/// Everything that crosses an epoch barrier: each worker posts what it
-/// published before the first wait; the leader takes the lot, decides,
-/// and leaves `orders` for every worker to read after the second.
-pub(crate) struct EpochBoard {
-    /// One slot per worker.
-    pub posted: Vec<Option<Published>>,
-    /// What the leader decided at the boundary just passed.
-    pub orders: Arc<EpochOrders>,
-}
-
-impl EpochBoard {
-    pub(crate) fn new(workers: usize) -> EpochBoard {
-        EpochBoard {
-            posted: (0..workers).map(|_| None).collect(),
-            orders: Arc::default(),
-        }
+/// One boundary's publications, given in worker order, merged into one:
+/// grants and reports in worker order, feedback in node-id order.
+pub(crate) fn merge(posts: impl IntoIterator<Item = Published>) -> Published {
+    let mut all = Published::default();
+    for p in posts {
+        all.grants.extend(p.grants);
+        all.reports.extend(p.reports);
+        all.feedback.extend(p.feedback);
     }
-
-    /// The boundary's publications merged in worker order, feedback in
-    /// node-id order. Taken, not cloned: a worker that failed to post is
-    /// a named panic, never last epoch's snapshot.
-    pub(crate) fn take(&mut self) -> Published {
-        let mut all = Published::default();
-        for (w, slot) in self.posted.iter_mut().enumerate() {
-            let p = slot.take();
-            let p = p.unwrap_or_else(|| panic!("worker {w} posted nothing at this boundary"));
-            all.grants.extend(p.grants);
-            all.reports.extend(p.reports);
-            all.feedback.extend(p.feedback);
-        }
-        all.feedback.sort_unstable_by_key(|fb| fb.node);
-        all
-    }
+    all.feedback.sort_unstable_by_key(|fb| fb.node);
+    all
 }
 
 /// Fleet aggregates out of one boundary's reports (any order) — an
@@ -277,7 +253,7 @@ pub(crate) fn reduce(
     AggregateMetrics::new(name, run.seed, admission, reports).with_rebalance(stats)
 }
 
-/// State only the barrier leader reads and writes, carried from one epoch
+/// State only the meeting's leader reads and writes, carried from one epoch
 /// boundary to the next.
 pub(crate) struct LeaderState {
     /// Cumulative rebalance statistics.
@@ -317,7 +293,7 @@ impl LeaderState {
     }
 }
 
-/// What the barrier leader decided at one epoch boundary, for every worker
+/// What the meeting's leader decided at one epoch boundary, for every worker
 /// to apply to the nodes it owns.
 #[derive(Default)]
 pub(crate) struct EpochOrders {
@@ -1033,37 +1009,22 @@ mod tests {
         let spec = three_nodes();
         let plan = plan_fleet(&spec, 7);
         let run = run_of(&spec, &plan, 2);
-        let mut board = EpochBoard::new(2);
-        for w in [1, 0] {
+        let published = |w| {
             let mut ws = WorkerState {
                 w,
                 ..WorkerState::default()
             };
             admit_and_simulate(&run, &mut ws, 0);
-            board.posted[w] = Some(publish(&run, &mut ws, 0, true));
-        }
-        let all = board.take();
+            publish(&run, &mut ws, 0, true)
+        };
+        assert_eq!(run.deal.owners, [vec![0, 2], vec![1]]);
+        let all = merge([published(0), published(1)]);
         let nodes: Vec<usize> = all.feedback.iter().map(|fb| fb.node).collect();
         assert_eq!(nodes, [0, 1, 2]);
-        assert_eq!(all.reports.len(), 3);
+        let nodes: Vec<usize> = all.reports.iter().map(|r| r.node).collect();
+        assert_eq!(nodes, [0, 2, 1], "reports stay in worker order");
         let interim = reduce(&run, all.reports, RebalanceStats::default());
         let nodes: Vec<usize> = interim.nodes.iter().map(|n| n.node).collect();
         assert_eq!(nodes, [0, 1, 2]);
-    }
-
-    #[test]
-    #[should_panic(expected = "worker 1 posted nothing at this boundary")]
-    fn a_worker_that_fails_to_post_is_a_named_panic_not_a_stale_snapshot() {
-        let mut board = EpochBoard::new(2);
-        let published = |node| Published {
-            feedback: vec![feedback(node, 0, 0, 0)],
-            ..Published::default()
-        };
-        board.posted[0] = Some(published(0));
-        board.posted[1] = Some(published(1));
-        assert_eq!(board.take().feedback.len(), 2);
-        // Next boundary: worker 1 never posts.
-        board.posted[0] = Some(published(0));
-        board.take();
     }
 }

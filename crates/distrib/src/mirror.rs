@@ -73,7 +73,7 @@ impl PinSource for Shared {
     /// The frame after `Records(epoch − 1)` is `Checkpoint(epoch)` or
     /// `Records(epoch)`: park until either has arrived. The answer for one
     /// `epoch` cannot change between callers — a checkpoint feed returns
-    /// only after every worker has passed the boundary's barrier.
+    /// only after every worker has passed the boundary's meeting.
     fn wants_interim(&self, epoch: usize) -> bool {
         let mut st = self.lock();
         loop {

@@ -7,6 +7,8 @@
 
 use selftune_cluster::prelude::*;
 use selftune_distrib::prelude::*;
+use std::thread;
+use std::time::{Duration, Instant};
 
 /// Threads of this process, from `/proc/self/status`.
 fn process_threads() -> usize {
@@ -28,12 +30,14 @@ fn fifty_followers_dropped_mid_stream_leave_no_thread_behind() {
     for vm in &mut spec.vms {
         vm.elastic = true;
     }
+    // Counted before the leader's run: its workers, once joined, can
+    // linger in the count for a moment.
+    let before = process_threads();
     let (tx, mut rx) = ChannelTransport::pair();
     let mut shipper = Shipper::new(tx, &spec, 42, 2, Some(2));
     ClusterRunner::new(2).run_logged_with(&spec, 42, &mut shipper);
     let chunks: Vec<Vec<u8>> = std::iter::from_fn(|| rx.recv()).collect();
 
-    let before = process_threads();
     for i in 0..50 {
         // Mirrors on 1, 2 and 3 workers, parked at a mid-stream
         // checkpoint with half the run still ahead of them.
@@ -53,9 +57,16 @@ fn fifty_followers_dropped_mid_stream_leave_no_thread_behind() {
             assert!(Follower::from_checkpoint(&stale, 2).is_err());
         }
     }
+    // A joined thread can still be counted until it has left the
+    // process, so the count is polled; a leaked mirror never leaves.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let mut after = process_threads();
+    while after != before && Instant::now() < deadline {
+        thread::sleep(Duration::from_millis(10));
+        after = process_threads();
+    }
     assert_eq!(
-        process_threads(),
-        before,
-        "every dropped follower stopped and joined its mirror"
+        after, before,
+        "every dropped follower stopped and joined its mirror: {after} threads after, {before} before"
     );
 }
