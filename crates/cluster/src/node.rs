@@ -20,6 +20,7 @@ use selftune_simcore::rng::Rng;
 use selftune_simcore::task::{Action, TaskCtx, TaskId, Workload};
 use selftune_simcore::time::{Dur, Time};
 use selftune_virt::{GuestPolicy, Scope, VirtPlatform, VmConfig, VmElasticConfig, VmId};
+use std::collections::HashMap;
 
 use crate::aggregate::{NodeReport, NodeSketches, NodeTotals};
 use crate::events::FleetEvent;
@@ -190,13 +191,15 @@ impl ArenaMemStats {
 /// field, plus an index list over the real-time slots the per-sampling-step
 /// liveness scan still has to visit. At fleet scale that scan is the inner
 /// loop — walking a compact `tids` column for the live slots beats chasing
-/// one heap struct per task, and retiring a task shrinks the scan instead
-/// of leaving a tombstone it re-checks forever.
+/// one heap struct per task. The list's entries are indexed by fleet id, so
+/// an extraction or a retirement finds its entry in O(1). Retiring leaves
+/// a hole there; the scan compacts the list once holes are the majority,
+/// so it never re-checks a hole for long.
 ///
 /// Under churn the arena recycles: a retired slot's report-relevant state
-/// is frozen into a compact [`RetiredTask`], the slot's generation is
-/// bumped so stale references can never resurrect the departed task, and
-/// the slot joins a free list the next admission pops. Report order is
+/// is frozen into a compact [`RetiredTask`], its fleet id leaves the
+/// index so no lookup can resurrect the departed task, and the slot joins
+/// a free list the next admission pops. Report order is
 /// recovered from per-occupant admission sequence numbers, so the output
 /// bytes are identical to the grow-forever arena's slot walk.
 struct TaskArena {
@@ -217,13 +220,16 @@ struct TaskArena {
     /// each epoch only walks the marks it has not seen yet.
     fb_mark_pos: Vec<usize>,
     /// Slots of real-time, not-yet-retired tasks in admission order — the
-    /// only slots the per-step liveness scan touches.
-    active_rt: Vec<usize>,
+    /// only slots the per-step liveness scan touches — with a [`HOLE`]
+    /// where one retired since the last compaction.
+    active_rt: Vec<u32>,
+    /// Holes in `active_rt`.
+    holes: usize,
+    /// The index in `active_rt` of each task there, by fleet id — how an
+    /// extraction finds its target without walking the list.
+    rt_pos: HashMap<u32, u32>,
     /// Admission sequence number of each slot's current occupant.
     seqs: Vec<u32>,
-    /// Slot generation, bumped at every retirement — the tag that makes a
-    /// recycled slot a *different* identity from its departed occupant.
-    gens: Vec<u32>,
     /// Next admission sequence number (== tasks ever admitted).
     next_seq: u32,
     /// Retired slots awaiting reuse (only popped when `recycle` is on).
@@ -246,8 +252,9 @@ impl Default for TaskArena {
             periods_ms: Vec::new(),
             fb_mark_pos: Vec::new(),
             active_rt: Vec::new(),
+            holes: 0,
+            rt_pos: HashMap::new(),
             seqs: Vec::new(),
-            gens: Vec::new(),
             next_seq: 0,
             free: Vec::new(),
             retired: Vec::new(),
@@ -263,6 +270,7 @@ impl TaskArena {
         let seq = self.next_seq;
         self.next_seq += 1;
         let realtime = plan.kind.is_realtime();
+        let key = fleet_key(plan.fleet_id);
         let period_ms = plan.kind.nominal().map(|t| t.period);
         let recycled = if self.recycle { self.free.pop() } else { None };
         let slot = match recycled {
@@ -288,28 +296,64 @@ impl TaskArena {
                 self.periods_ms.push(period_ms);
                 self.fb_mark_pos.push(0);
                 self.seqs.push(seq);
-                self.gens.push(0);
                 slot
             }
         };
         // Appended at the end: active_rt stays in *admission* order (the
-        // order the old grow-forever arena scanned), not slot order.
+        // order the old grow-forever arena scanned), not slot order. Slot
+        // and position counts are bounded by the u32 admission counter. A
+        // task lives on one node at a time, so its fleet id is new here.
         if realtime {
-            self.active_rt.push(slot);
+            let before = self.rt_pos.insert(key, self.active_rt.len() as u32);
+            debug_assert!(before.is_none(), "fleet id {key} admitted twice");
+            self.active_rt.push(slot as u32);
         }
         slot
     }
 
+    /// The slot at position `i` of `active_rt`, unless it is a hole.
+    fn active(&self, i: usize) -> Option<usize> {
+        let slot = self.active_rt[i];
+        (slot != HOLE).then_some(slot as usize)
+    }
+
+    /// Drops the holes from `active_rt` once they are the majority,
+    /// keeping the live slots' order, and re-indexes their positions.
+    fn compact(&mut self) {
+        if self.holes * 2 <= self.active_rt.len() {
+            return;
+        }
+        self.active_rt.retain(|&slot| slot != HOLE);
+        self.holes = 0;
+        for (pos, &slot) in self.active_rt.iter().enumerate() {
+            let key = fleet_key(self.plans[slot as usize].fleet_id);
+            self.rt_pos.insert(key, pos as u32);
+        }
+    }
+
+    /// The position in `active_rt` and the slot of the live real-time task
+    /// `fleet_id`, if this arena holds one.
+    fn rt_entry(&self, fleet_id: usize) -> Option<(usize, usize)> {
+        let pos = *self.rt_pos.get(&fleet_key(fleet_id))? as usize;
+        let slot = self.active(pos)?;
+        (self.plans[slot].fleet_id == fleet_id).then_some((pos, slot))
+    }
+
     /// Retires a slot: freezes its compact [`RetiredTask`] record, frees
-    /// the plan's label, bumps the slot generation, drops it from the
-    /// active scan list and (when recycling) returns the slot to the free
-    /// list. `dropped` and `attach_delay_ms` are the metric reads a dead
-    /// task can no longer change.
+    /// the plan's label, drops it from the active scan list and its index
+    /// and (when recycling) returns the slot to the free list. `dropped`
+    /// and `attach_delay_ms` are the metric reads a dead task can no
+    /// longer change.
     fn retire(&mut self, slot: usize, dropped: u32, attach_delay_ms: Option<f64>) {
         debug_assert!(!self.released[slot], "double retirement");
         self.released[slot] = true;
-        if let Some(pos) = self.active_rt.iter().position(|&s| s == slot) {
-            self.active_rt.remove(pos);
+        let fleet_id = self.plans[slot].fleet_id;
+        // Only this slot's own entry goes: a fleet id can come back to a
+        // node it once left, and its newer entry stays.
+        if let Some((pos, _)) = self.rt_entry(fleet_id).filter(|&(_, s)| s == slot) {
+            self.active_rt[pos] = HOLE;
+            self.holes += 1;
+            self.rt_pos.remove(&fleet_key(fleet_id));
         }
         let plan = &mut self.plans[slot];
         plan.label = String::new();
@@ -322,7 +366,6 @@ impl TaskArena {
             realtime: plan.kind.is_realtime(),
             migrated: plan.migrated,
         });
-        self.gens[slot] = self.gens[slot].wrapping_add(1);
         if self.recycle {
             self.free.push(slot);
         }
@@ -362,8 +405,8 @@ impl TaskArena {
             + self.mark_keys.capacity() * size_of::<Option<MetricKey>>()
             + self.periods_ms.capacity() * size_of::<Option<f64>>()
             + self.fb_mark_pos.capacity() * size_of::<usize>()
-            + self.active_rt.capacity() * size_of::<usize>()
-            + (self.seqs.capacity() + self.gens.capacity()) * size_of::<u32>()
+            + (self.active_rt.capacity() + self.seqs.capacity()) * size_of::<u32>()
+            + self.rt_pos.capacity() * (size_of::<(u32, u32)>() + 1)
             + self.free.capacity() * size_of::<usize>()
             + self.retired.capacity() * size_of::<RetiredTask>();
         for p in &self.plans {
@@ -378,6 +421,16 @@ impl TaskArena {
             bytes,
         }
     }
+}
+
+/// A hole in [`TaskArena::active_rt`]: a slot retired since the last
+/// compaction.
+const HOLE: u32 = u32::MAX;
+
+/// A fleet id as an index key. Fleet ids fit in `u32`; a wider one would
+/// only alias, and [`TaskArena::rt_entry`] re-checks the plan's id.
+fn fleet_key(fleet_id: usize) -> u32 {
+    fleet_id as u32
 }
 
 struct VmRt {
@@ -517,15 +570,16 @@ impl Stack {
     /// (leases, application `Exit`), so this stays a scan over the live
     /// set rather than a departure-schedule cursor.
     fn reap(&mut self, scope: Scope, arena: &mut TaskArena) {
-        let mut i = 0;
-        while let Some(&slot) = arena.active_rt.get(i) {
+        arena.compact();
+        for i in 0..arena.active_rt.len() {
+            let Some(slot) = arena.active(i) else {
+                continue;
+            };
             let tid = arena.tids[slot];
             if self.platform.kernel().task_state(tid) == TaskState::Exited {
                 self.platform.unmanage(scope, tid);
                 self.platform.kernel_mut().reclaim(tid);
                 self.retire(arena, slot);
-            } else {
-                i += 1;
             }
         }
     }
@@ -696,8 +750,10 @@ impl Node {
         self.stack.platform.set_host_ulub(ulub);
     }
 
-    /// Adds a planned flat task, managed in the host scope (see
-    /// [`Stack::admit`]).
+    /// Adds a planned flat task: spawns its workload at the arrival
+    /// instant (under a [`Lease`] when it departs) and puts a real-time
+    /// kind under the host manager, warm-started when the plan carries
+    /// controller state.
     pub fn add_task(&mut self, plan: NodeTask) {
         self.stack.admit(Scope::Host, &mut self.tasks, plan);
     }
@@ -771,8 +827,8 @@ impl Node {
     }
 
     /// Runs to the horizon, stepping every manager every sampling period
-    /// and releasing the reservations of departed tasks along the way
-    /// (see [`Stack::reap`]).
+    /// and releasing the reservations of departed tasks along the way:
+    /// each step's liveness scan walks only the live real-time tasks.
     pub fn run_to_horizon(&mut self, horizon: Time) {
         let stack = &mut self.stack;
         while stack.platform.now() < horizon {
@@ -790,8 +846,9 @@ impl Node {
     /// re-arms the epoch counters: measured utilisation, deadline-miss
     /// rate and supervisor compressions *since the previous snapshot*,
     /// plus the live real-time task set and the live VM set. An epoch
-    /// boundary costs O(new marks), not O(marks since t = 0) (see
-    /// [`Stack::measure`]).
+    /// boundary costs O(new marks), not O(marks since t = 0): each task
+    /// remembers how many of its marks earlier snapshots consumed, and its
+    /// grant is looked up by task id in O(1).
     pub fn feedback(&mut self, now: Time) -> NodeFeedback {
         let platform = &self.stack.platform;
         let busy = platform.kernel().busy_time();
@@ -807,7 +864,9 @@ impl Node {
         let stack = &self.stack;
         let mut live_rt = Vec::new();
         for i in 0..self.tasks.active_rt.len() {
-            let slot = self.tasks.active_rt[i];
+            let Some(slot) = self.tasks.active(i) else {
+                continue;
+            };
             let m = stack.measure(Scope::Host, &mut self.tasks, slot, epoch, true, &mut tally);
             let Some((measured_bw, granted)) = m else {
                 continue;
@@ -833,7 +892,9 @@ impl Node {
             let carry = self.guest_warm_carry && !rt.plan.elastic && !rt.released;
             let (scope, mut guest_grants) = (Scope::Vm(rt.vm), Vec::new());
             for i in 0..rt.guests.active_rt.len() {
-                let slot = rt.guests.active_rt[i];
+                let Some(slot) = rt.guests.active(i) else {
+                    continue;
+                };
                 let m = stack.measure(scope, &mut rt.guests, slot, epoch, carry, &mut tally);
                 if let Some((bw, Some(g))) = m {
                     // The source's grant may have been compressed inside
@@ -909,12 +970,11 @@ impl Node {
     /// already extracted — the migration is then dropped.
     pub(crate) fn extract_task(&mut self, fleet_id: usize) -> Option<Option<WarmStart>> {
         // Migration decisions are made from `live_rt` feedback, so the
-        // target is always a live real-time task — the active list *is*
-        // the search space: a departed task left it at the sampling step
-        // that reaped it, and it is generation-safe (a retired slot
-        // recycled to a new task left the list under the old identity).
-        let mut active = self.tasks.active_rt.iter().copied();
-        let slot = active.find(|&s| self.tasks.plans[s].fleet_id == fleet_id)?;
+        // target is always a live real-time task, indexed by fleet id: a
+        // departed task left the index at the sampling step that reaped
+        // it, and a retired slot recycled to a new task answers only for
+        // the new fleet id.
+        let (_, slot) = self.tasks.rt_entry(fleet_id)?;
         let (stack, tid) = (&mut self.stack, self.tasks.tids[slot]);
         let warm = stack.granted(Scope::Host, tid);
         stack.platform.unmanage(Scope::Host, tid);
@@ -1242,6 +1302,74 @@ mod tests {
         assert!(report.totals.completions > 0, "pre-extraction work kept");
         let last = *marks(&node, "t000.job").last().expect("jobs ran");
         assert!(last <= e1, "no job completed after extraction: {last}");
+    }
+
+    /// Fleet id 5 goes A → B → A. Its first slot on A is recycled to
+    /// another task meanwhile, so it comes back to a new slot: extraction
+    /// takes that current slot, and the recycled one never answers for 5.
+    #[test]
+    fn a_returning_fleet_id_is_extracted_from_its_current_slot() {
+        let spec = tiny_spec();
+        let (mut a, mut b) = (Node::new(0, &spec), Node::new(1, &spec));
+        a.add_task(rt_task(5, "t005"));
+        a.add_task(rt_task(6, "t006"));
+        let (e1, e2, e3) = (
+            Time::ZERO + Dur::ms(1_000),
+            Time::ZERO + Dur::ms(2_000),
+            Time::ZERO + Dur::ms(3_000),
+        );
+        let at = |fleet_id, label: &str, arrival, warm| NodeTask {
+            arrival,
+            migrated: true,
+            warm,
+            ..rt_task(fleet_id, label)
+        };
+        a.run_to_horizon(e1);
+        let warm = a.extract_task(5).expect("5 is live on A");
+        b.add_task(at(5, "t005b", e1, warm));
+        // Task 7 takes 5's retired slot on A.
+        a.add_task(at(7, "t007", e1, None));
+        assert_eq!(a.tasks.tids.len(), 2, "slot 0 was recycled");
+        assert!(
+            a.extract_task(5).is_none(),
+            "a recycled slot answers for 7 only"
+        );
+        a.run_to_horizon(e2);
+        b.run_to_horizon(e2);
+        let warm = b.extract_task(5).expect("5 is live on B");
+        a.add_task(at(5, "t005c", e2, warm));
+        assert_eq!(a.tasks.rt_entry(5).map(|(_, slot)| slot), Some(2));
+        a.run_to_horizon(e3);
+
+        let (old, current) = (a.tasks.tids[0], a.tasks.tids[2]);
+        assert!(a.extract_task(5).is_some(), "the returned 5 extracts");
+        assert_eq!(
+            a.stack.platform.kernel().task_state(current),
+            TaskState::Exited
+        );
+        assert_ne!(
+            a.stack.platform.kernel().task_state(old),
+            TaskState::Exited,
+            "7 runs on"
+        );
+        assert!(a.extract_task(5).is_none(), "second extraction no-ops");
+        let live: Vec<usize> = a.feedback(e3).live_rt.iter().map(|t| t.fleet_id).collect();
+        assert_eq!(live, [6, 7]);
+
+        // Compaction re-indexes the survivors, and a fleet id re-admitted
+        // into a recycled slot is found there.
+        let mut arena = TaskArena::default();
+        for (i, id) in [1, 2, 3].into_iter().enumerate() {
+            arena.push(rt_task(id, "t"), TaskId(i as u32), None);
+        }
+        arena.retire(0, 0, None);
+        arena.retire(1, 0, None);
+        arena.compact();
+        assert_eq!((arena.active_rt.as_slice(), arena.holes), (&[2][..], 0));
+        assert_eq!(arena.rt_entry(3), Some((0, 2)));
+        assert_eq!((arena.rt_entry(1), arena.rt_entry(2)), (None, None));
+        arena.push(rt_task(1, "t"), TaskId(3), None);
+        assert_eq!(arena.rt_entry(1), Some((1, 1)));
     }
 
     #[test]

@@ -20,6 +20,9 @@ use selftune_simcore::task::TaskId;
 use selftune_simcore::time::{Dur, Time};
 use selftune_tracer::{EntryDemux, TraceReader};
 
+/// No slot: the task is not under management.
+const NO_SLOT: u32 = u32::MAX;
+
 /// Manager configuration.
 #[derive(Clone, Debug)]
 pub struct ManagerConfig {
@@ -101,16 +104,24 @@ impl ManagedTask {
 pub struct SelfTuningManager {
     cfg: ManagerConfig,
     reader: TraceReader,
-    tasks: Vec<ManagedTask>,
+    /// Managed tasks in admission order — the order each step visits
+    /// them, and so the supervisor's request order. An unmanaged task
+    /// leaves a `None` hole until the next step compacts the list.
+    tasks: Vec<Option<ManagedTask>>,
+    /// Index in `tasks` of each managed task, dense by task id
+    /// ([`NO_SLOT`] for a task not under management).
+    slot_of: Vec<u32>,
+    /// `None` holes in `tasks`.
+    holes: usize,
     /// Reused event batch: one allocation serves every sampling step.
     scratch: Vec<selftune_tracer::TraceEvent>,
     /// The batch split into one entry-time train per managed task, once
     /// per step.
     demux: EntryDemux,
-    /// Reused request batch of one step, and for each request the index
-    /// in `tasks` of the task that made it.
+    /// Reused request batch of one step, and for each request the
+    /// `"<label>.bw"` key of the task that made it.
     requests: Vec<BwRequest>,
-    requesters: Vec<usize>,
+    requesters: Vec<MetricKey>,
     /// Grants the supervisor curbed below their request, cumulatively —
     /// the node-level saturation signal the fleet layer feeds back on.
     compressed_grants: u64,
@@ -123,6 +134,8 @@ impl SelfTuningManager {
             cfg,
             reader,
             tasks: Vec::new(),
+            slot_of: Vec::new(),
+            holes: 0,
             scratch: Vec::new(),
             demux: EntryDemux::default(),
             requests: Vec::new(),
@@ -150,6 +163,7 @@ impl SelfTuningManager {
     pub fn booked_bandwidth(&self, res: &ReservationScheduler) -> f64 {
         self.tasks
             .iter()
+            .flatten()
             .filter_map(|t| t.server)
             .map(|sid| res.server(sid).config().bandwidth())
             .sum()
@@ -168,9 +182,10 @@ impl SelfTuningManager {
         self.cfg.supervisor.ulub = ulub;
     }
 
-    /// Puts a legacy task under management.
+    /// Puts a legacy task under management. A task is managed at most
+    /// once at a time: unmanage it before managing it again.
     pub fn manage(&mut self, task: TaskId, label: &str, ctl_cfg: ControllerConfig) {
-        self.tasks.push(ManagedTask::new(
+        self.admit(ManagedTask::new(
             task,
             label,
             TaskController::new(ctl_cfg),
@@ -178,17 +193,39 @@ impl SelfTuningManager {
         ));
     }
 
+    /// Appends a task to the step order and indexes its slot.
+    fn admit(&mut self, mt: ManagedTask) {
+        let id = mt.task.index();
+        if self.slot_of.len() <= id {
+            self.slot_of.resize(id + 1, NO_SLOT);
+        }
+        debug_assert_eq!(self.slot_of[id], NO_SLOT, "{} managed twice", mt.task);
+        // Fits: 2^32 entries of ~400 bytes each would not fit in memory.
+        self.slot_of[id] = self.tasks.len() as u32;
+        self.tasks.push(Some(mt));
+    }
+
+    /// The slot of a managed task in `tasks`.
+    fn slot(&self, task: TaskId) -> Option<usize> {
+        match self.slot_of.get(task.index()) {
+            Some(&slot) if slot != NO_SLOT => Some(slot as usize),
+            _ => None,
+        }
+    }
+
+    /// The state of `task`, if it is under management.
+    fn managed(&self, task: TaskId) -> Option<&ManagedTask> {
+        self.tasks[self.slot(task)?].as_ref()
+    }
+
     /// The reservation serving a managed task, if attached yet.
     pub fn server_of(&self, task: TaskId) -> Option<ServerId> {
-        self.tasks
-            .iter()
-            .find(|t| t.task == task)
-            .and_then(|t| t.server)
+        self.managed(task)?.server
     }
 
     /// The controller of a managed task (spectrum inspection etc.).
     pub fn controller_of(&self, task: TaskId) -> Option<&TaskController> {
-        self.tasks.iter().find(|t| t.task == task).map(|t| &t.ctl)
+        self.managed(task).map(|t| &t.ctl)
     }
 
     /// Stops managing a task: drops its controller and, if it was
@@ -208,11 +245,14 @@ impl SelfTuningManager {
         mut res: impl FnMut(&mut S) -> &mut ReservationScheduler,
         task: TaskId,
     ) -> bool {
-        let Some(pos) = self.tasks.iter().position(|t| t.task == task) else {
+        let Some(slot) = self.slot(task) else {
             return false;
         };
-        let mt = self.tasks.remove(pos);
-        if let Some(sid) = mt.server {
+        // A hole keeps every later task's slot (and the step order) as it
+        // is; the next step compacts once holes are the majority.
+        self.slot_of[task.index()] = NO_SLOT;
+        self.holes += 1;
+        if let Some(sid) = self.tasks[slot].take().and_then(|mt| mt.server) {
             let now = k.now();
             match k.task_state(task) {
                 TaskState::Ready => res(k.sched_mut()).place_ready(task, Place::Fair, now),
@@ -274,7 +314,7 @@ impl SelfTuningManager {
             self.compressed_grants += 1;
         }
         k.metrics_mut().mark(&format!("{label}.attached"), now);
-        self.tasks.push(ManagedTask::new(
+        self.admit(ManagedTask::new(
             task,
             label,
             TaskController::with_initial_period(ctl_cfg, period),
@@ -304,14 +344,15 @@ impl SelfTuningManager {
         mut res: impl FnMut(&mut S) -> &mut ReservationScheduler,
     ) {
         let now = k.now();
+        self.compact();
         // One batch buffer serves every step (disjoint field borrows let
         // the task loop read it directly).
         self.reader.drain_into(&mut self.scratch);
         self.demux
-            .split(&self.scratch, self.tasks.iter().map(|t| t.task));
+            .split(&self.scratch, self.tasks.iter().flatten().map(|t| t.task));
         self.requests.clear();
         self.requesters.clear();
-        for (index, mt) in self.tasks.iter_mut().enumerate() {
+        for mt in self.tasks.iter_mut().flatten() {
             if k.task_state(mt.task) == TaskState::Exited {
                 continue;
             }
@@ -368,7 +409,7 @@ impl SelfTuningManager {
                         budget: req.budget,
                         period: req.period,
                     });
-                    self.requesters.push(index);
+                    self.requesters.push(keys.bw);
                 }
                 Decision::Adjust(req) => {
                     let sid = mt.server.expect("Adjust implies an attached server");
@@ -377,7 +418,7 @@ impl SelfTuningManager {
                         budget: req.budget,
                         period: req.period,
                     });
-                    self.requesters.push(index);
+                    self.requesters.push(keys.bw);
                 }
             }
         }
@@ -392,13 +433,23 @@ impl SelfTuningManager {
             if g.compressed {
                 self.compressed_grants += 1;
             }
-            let (_, &index) = asked
+            let (_, &bw) = asked
                 .find(|(r, _)| r.server == g.server)
                 .expect("every grant answers a request");
-            let Keys::Interned(keys) = self.tasks[index].keys else {
-                unreachable!("a granted task has stepped, which interned its keys");
-            };
-            k.metrics_mut().record_k(keys.bw, now, g.bandwidth());
+            k.metrics_mut().record_k(bw, now, g.bandwidth());
+        }
+    }
+
+    /// Drops the holes from `tasks` once they are the majority, keeping
+    /// the live tasks' order, and re-indexes their slots.
+    fn compact(&mut self) {
+        if self.holes * 2 <= self.tasks.len() {
+            return;
+        }
+        self.tasks.retain(Option::is_some);
+        self.holes = 0;
+        for (slot, mt) in self.tasks.iter().flatten().enumerate() {
+            self.slot_of[mt.task.index()] = slot as u32;
         }
     }
 
@@ -623,6 +674,104 @@ mod tests {
             let bits = |s: &[f64]| s.iter().map(|a| a.to_bits()).collect::<Vec<u64>>();
             assert_eq!(bits(&ours.amplitudes), bits(&theirs.amplitudes), "{tid}");
         }
+    }
+
+    /// The lookup the slot table replaces: a linear scan of the live
+    /// tasks for the first one that is `task`.
+    fn scan(mgr: &SelfTuningManager, task: TaskId) -> Option<&ManagedTask> {
+        mgr.tasks.iter().flatten().find(|t| t.task == task)
+    }
+
+    /// The model's `unmanage`: drops `task` from the admission-order list
+    /// by a linear scan; `true` if it was there.
+    fn model_unmanage(model: &mut Vec<TaskId>, task: TaskId) -> bool {
+        let Some(pos) = model.iter().position(|&t| t == task) else {
+            return false;
+        };
+        model.remove(pos);
+        true
+    }
+
+    /// Random `manage` / `manage_warm_in` / `unmanage_in` / `step_in`
+    /// sequences, unmanages heavy enough that steps compact the list many
+    /// times: after every operation each lookup answers what a linear scan
+    /// would, `unmanage_in` reports what the model's scan reports, and the
+    /// live tasks stand in the model's admission order — the step order
+    /// that sets the supervisor's request order.
+    #[test]
+    fn slot_lookups_and_step_order_match_a_linear_scan_model() {
+        let mut k = Kernel::new(ReservationScheduler::new());
+        let (hook, reader) = Tracer::create(TracerConfig::default());
+        k.install_hook(Box::new(hook));
+        let mut rng = Rng::new(40);
+        let pool: Vec<TaskId> = (0..16)
+            .map(|i| {
+                let period = Dur::ms(20 + 10 * (i % 4));
+                let rt = PeriodicRt::new("rt", Dur::ms(1), period, 0.1, rng.fork());
+                k.spawn(&format!("t{i}"), Box::new(rt))
+            })
+            .collect();
+        let mut mgr = SelfTuningManager::new(
+            ManagerConfig {
+                sampling: Dur::ms(100),
+                ..ManagerConfig::default()
+            },
+            reader,
+        );
+        let mut model: Vec<TaskId> = Vec::new();
+        let (mut steps, mut compactions) = (0, 0);
+        for op in 0..1_200 {
+            let task = pool[rng.index(pool.len())];
+            let label = format!("t{}", task.index());
+            match rng.index(8) {
+                0..=1 if !model.contains(&task) => {
+                    mgr.manage(task, &label, ControllerConfig::default());
+                    model.push(task);
+                }
+                2 if !model.contains(&task) => {
+                    let budget = Dur::ms(1 + rng.index(6) as u64);
+                    let cfg = ControllerConfig::default();
+                    mgr.manage_warm_in(&mut k, |s| s, task, &label, cfg, budget, Dur::ms(40));
+                    model.push(task);
+                }
+                0..=4 => {
+                    let expected = model_unmanage(&mut model, task);
+                    assert_eq!(mgr.unmanage_in(&mut k, |s| s, task), expected, "op {op}");
+                }
+                _ => {
+                    let holes = mgr.holes;
+                    k.run_until(k.now() + Dur::ms(20));
+                    mgr.step_in(&mut k, |s| s);
+                    steps += 1;
+                    compactions += usize::from(holes > 0 && mgr.holes == 0);
+                    assert!(
+                        mgr.holes * 2 <= mgr.tasks.len(),
+                        "op {op}: left uncompacted"
+                    );
+                }
+            }
+            let live: Vec<TaskId> = mgr.tasks.iter().flatten().map(|t| t.task).collect();
+            assert_eq!(live, model, "op {op}: admission order");
+            assert_eq!(mgr.holes, mgr.tasks.len() - live.len(), "op {op}");
+            for &t in &pool {
+                let (fast, slow) = (mgr.controller_of(t), scan(&mgr, t).map(|m| &m.ctl));
+                assert!(
+                    fast.map(std::ptr::from_ref) == slow.map(std::ptr::from_ref),
+                    "op {op}"
+                );
+                assert_eq!(
+                    mgr.server_of(t),
+                    scan(&mgr, t).and_then(|m| m.server),
+                    "op {op}"
+                );
+            }
+        }
+        assert!(
+            steps > 200 && compactions > 20,
+            "{steps} steps, {compactions} compactions"
+        );
+        let attached = pool.iter().filter(|&&t| mgr.server_of(t).is_some()).count();
+        assert!(attached > 0, "no lookup ever answered a server");
     }
 
     #[test]

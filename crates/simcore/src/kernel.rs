@@ -250,10 +250,10 @@ impl<S: Scheduler> Kernel<S> {
     }
 
     /// Drops an exited task's workload closure, replacing it with a
-    /// zero-sized tombstone. The kernel keeps one [`Tcb`] per spawned task
-    /// forever (ids are indices); on churn-heavy fleets the retained
-    /// workload boxes — RNG state, script vectors, lease wrappers — are
-    /// the dominant per-dead-task cost. An exited task is never
+    /// zero-sized tombstone. The kernel keeps one control block per
+    /// spawned task forever (ids are indices); on churn-heavy fleets the
+    /// retained workload boxes — RNG state, script vectors, lease
+    /// wrappers — are the dominant per-dead-task cost. An exited task is never
     /// dispatched again (stray start/wake events are ignored), so the
     /// swap is unobservable. Returns `false` unless the task has exited.
     pub fn reclaim(&mut self, task: TaskId) -> bool {
