@@ -305,17 +305,18 @@ impl MediaPlayer {
 
 impl Workload for MediaPlayer {
     fn next(&mut self, ctx: &mut TaskCtx<'_>) -> Action {
-        if let Some(a) = self.plan.pop_front() {
-            return a;
+        loop {
+            if let Some(a) = self.plan.pop_front() {
+                return a;
+            }
+            if self.mark_pending {
+                // The previous frame's display syscall just completed.
+                let k = self.frame_key.get(ctx.metrics);
+                ctx.metrics.mark_k(k, ctx.now);
+                self.mark_pending = false;
+            }
+            self.build_frame(ctx);
         }
-        if self.mark_pending {
-            // The previous frame's display syscall just completed.
-            let k = self.frame_key.get(ctx.metrics);
-            ctx.metrics.mark_k(k, ctx.now);
-            self.mark_pending = false;
-        }
-        self.build_frame(ctx);
-        self.plan.pop_front().expect("frame plan is never empty")
     }
 }
 

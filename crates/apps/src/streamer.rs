@@ -79,50 +79,51 @@ impl Streamer {
 
 impl Workload for Streamer {
     fn next(&mut self, ctx: &mut TaskCtx<'_>) -> Action {
-        if let Some(a) = self.plan.pop_front() {
-            return a;
+        loop {
+            if let Some(a) = self.plan.pop_front() {
+                return a;
+            }
+            if self.mark_pending {
+                let k = self.frame_key.get(ctx.metrics);
+                ctx.metrics.mark_k(k, ctx.now);
+                self.mark_pending = false;
+            }
+            let period = self.cfg.period();
+            // The packet arrival grid is the sender's clock (stable), each
+            // arrival jittered around its grid point.
+            let nominal = match self.next_nominal {
+                None => ctx.now,
+                Some(t) => t + period,
+            };
+            self.next_nominal = Some(nominal);
+            let jitter = self
+                .rng
+                .normal(0.0, self.cfg.jitter_frac * period.as_secs_f64())
+                .abs();
+            let arrival = nominal + Dur::from_secs_f64(jitter);
+            if arrival > ctx.now {
+                // Blocked in recvfrom until the packet lands.
+                self.plan.push_back(Action::Syscall {
+                    nr: SyscallNr::Recvfrom,
+                    kernel: SyscallNr::Recvfrom.default_cost(),
+                    block: Blocking::Until(arrival),
+                });
+            } else {
+                // Packet already queued: non-blocking receive.
+                self.plan.push_back(Action::syscall(SyscallNr::Recvfrom));
+            }
+            for _ in 0..self.cfg.burst {
+                self.plan.push_back(Action::syscall(SyscallNr::Ioctl));
+            }
+            let cost = self.rng.normal_dur(
+                self.cfg.decode,
+                self.cfg.decode.mul_f64(self.cfg.decode_noise),
+                Dur::us(50),
+            );
+            self.plan.push_back(Action::Compute(cost));
+            self.plan.push_back(Action::syscall(SyscallNr::Writev));
+            self.mark_pending = true;
         }
-        if self.mark_pending {
-            let k = self.frame_key.get(ctx.metrics);
-            ctx.metrics.mark_k(k, ctx.now);
-            self.mark_pending = false;
-        }
-        let period = self.cfg.period();
-        // The packet arrival grid is the sender's clock (stable), each
-        // arrival jittered around its grid point.
-        let nominal = match self.next_nominal {
-            None => ctx.now,
-            Some(t) => t + period,
-        };
-        self.next_nominal = Some(nominal);
-        let jitter = self
-            .rng
-            .normal(0.0, self.cfg.jitter_frac * period.as_secs_f64())
-            .abs();
-        let arrival = nominal + Dur::from_secs_f64(jitter);
-        if arrival > ctx.now {
-            // Blocked in recvfrom until the packet lands.
-            self.plan.push_back(Action::Syscall {
-                nr: SyscallNr::Recvfrom,
-                kernel: SyscallNr::Recvfrom.default_cost(),
-                block: Blocking::Until(arrival),
-            });
-        } else {
-            // Packet already queued: non-blocking receive.
-            self.plan.push_back(Action::syscall(SyscallNr::Recvfrom));
-        }
-        for _ in 0..self.cfg.burst {
-            self.plan.push_back(Action::syscall(SyscallNr::Ioctl));
-        }
-        let cost = self.rng.normal_dur(
-            self.cfg.decode,
-            self.cfg.decode.mul_f64(self.cfg.decode_noise),
-            Dur::us(50),
-        );
-        self.plan.push_back(Action::Compute(cost));
-        self.plan.push_back(Action::syscall(SyscallNr::Writev));
-        self.mark_pending = true;
-        self.plan.pop_front().expect("plan is never empty")
     }
 }
 

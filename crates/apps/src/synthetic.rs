@@ -61,45 +61,46 @@ impl PeriodicRt {
 
 impl Workload for PeriodicRt {
     fn next(&mut self, ctx: &mut TaskCtx<'_>) -> Action {
-        if let Some(a) = self.plan.pop_front() {
-            return a;
-        }
-        if self.mark_pending {
-            let k = self.label_key.get(ctx.metrics);
-            ctx.metrics.mark_k(k, ctx.now);
-            self.mark_pending = false;
-        }
-        let release = match self.next_release {
-            None => ctx.now,
-            Some(r) => {
-                let mut r = r + self.period;
-                // Skip releases we are hopelessly behind on (overload).
-                while r + self.period <= ctx.now {
-                    r += self.period;
-                }
-                r
+        loop {
+            if let Some(a) = self.plan.pop_front() {
+                return a;
             }
-        };
-        self.next_release = Some(release);
-        if release > ctx.now {
-            self.plan.push_back(Action::syscall_blocking(
-                SyscallNr::ClockNanosleep,
-                Blocking::Until(release),
-            ));
+            if self.mark_pending {
+                let k = self.label_key.get(ctx.metrics);
+                ctx.metrics.mark_k(k, ctx.now);
+                self.mark_pending = false;
+            }
+            let release = match self.next_release {
+                None => ctx.now,
+                Some(r) => {
+                    let mut r = r + self.period;
+                    // Skip releases we are hopelessly behind on (overload).
+                    while r + self.period <= ctx.now {
+                        r += self.period;
+                    }
+                    r
+                }
+            };
+            self.next_release = Some(release);
+            if release > ctx.now {
+                self.plan.push_back(Action::syscall_blocking(
+                    SyscallNr::ClockNanosleep,
+                    Blocking::Until(release),
+                ));
+            }
+            // Job-boundary I/O issued regardless of lateness (a real RT app
+            // reads its clock and writes its output even when backlogged) —
+            // this is what keeps the task observable to the tracer under
+            // overload.
+            self.plan
+                .push_back(Action::syscall(SyscallNr::ClockGettime));
+            let cost =
+                self.rng
+                    .normal_dur(self.wcet, self.wcet.mul_f64(self.noise_frac), Dur::us(10));
+            self.plan.push_back(Action::Compute(cost));
+            self.plan.push_back(Action::syscall(SyscallNr::Write));
+            self.mark_pending = true;
         }
-        // Job-boundary I/O issued regardless of lateness (a real RT app
-        // reads its clock and writes its output even when backlogged) —
-        // this is what keeps the task observable to the tracer under
-        // overload.
-        self.plan
-            .push_back(Action::syscall(SyscallNr::ClockGettime));
-        let cost = self
-            .rng
-            .normal_dur(self.wcet, self.wcet.mul_f64(self.noise_frac), Dur::us(10));
-        self.plan.push_back(Action::Compute(cost));
-        self.plan.push_back(Action::syscall(SyscallNr::Write));
-        self.mark_pending = true;
-        self.plan.pop_front().expect("plan is never empty")
     }
 }
 
@@ -154,17 +155,18 @@ impl Aperiodic {
 
 impl Workload for Aperiodic {
     fn next(&mut self, _ctx: &mut TaskCtx<'_>) -> Action {
-        if let Some(a) = self.plan.pop_front() {
-            return a;
+        loop {
+            if let Some(a) = self.plan.pop_front() {
+                return a;
+            }
+            let gap = Dur::from_secs_f64(self.rng.exp(1.0 / self.mean_gap.as_secs_f64()));
+            self.plan.push_back(Action::SleepFor(gap.max(Dur::us(1))));
+            for _ in 0..self.burst {
+                self.plan.push_back(Action::syscall(SyscallNr::Read));
+            }
+            let work = Dur::from_secs_f64(self.rng.exp(1.0 / self.mean_work.as_secs_f64()));
+            self.plan.push_back(Action::Compute(work.max(Dur::us(10))));
         }
-        let gap = Dur::from_secs_f64(self.rng.exp(1.0 / self.mean_gap.as_secs_f64()));
-        self.plan.push_back(Action::SleepFor(gap.max(Dur::us(1))));
-        for _ in 0..self.burst {
-            self.plan.push_back(Action::syscall(SyscallNr::Read));
-        }
-        let work = Dur::from_secs_f64(self.rng.exp(1.0 / self.mean_work.as_secs_f64()));
-        self.plan.push_back(Action::Compute(work.max(Dur::us(10))));
-        self.plan.pop_front().expect("plan is never empty")
     }
 }
 

@@ -92,20 +92,21 @@ impl Transcoder {
 
 impl Workload for Transcoder {
     fn next(&mut self, ctx: &mut TaskCtx<'_>) -> Action {
-        if let Some(a) = self.plan.pop_front() {
-            return a;
-        }
-        if self.frames_left == 0 {
-            if !self.finished {
-                self.finished = true;
-                let k = self.done_key.get(ctx.metrics);
-                ctx.metrics.mark_k(k, ctx.now);
+        loop {
+            if let Some(a) = self.plan.pop_front() {
+                return a;
             }
-            return Action::Exit;
+            if self.frames_left == 0 {
+                if !self.finished {
+                    self.finished = true;
+                    let k = self.done_key.get(ctx.metrics);
+                    ctx.metrics.mark_k(k, ctx.now);
+                }
+                return Action::Exit;
+            }
+            self.frames_left -= 1;
+            self.build_frame();
         }
-        self.frames_left -= 1;
-        self.build_frame();
-        self.plan.pop_front().expect("frame plan is never empty")
     }
 }
 

@@ -243,9 +243,9 @@ pub trait JournalSink: Send {
     /// Interim fleet aggregates at epoch boundary `cursor`: the state at
     /// instant `at` with the decisions of epochs `< cursor` applied,
     /// captured *before* the boundary's own decision batch is emitted. A
-    /// pinned re-execution over the same decisions, stopped at `cursor`,
-    /// reproduces these aggregates byte for byte
-    /// ([`ClusterRunner::run_pinned`](crate::runner::ClusterRunner::run_pinned)).
+    /// pinned re-execution over the same decisions, stopped at `cursor` by
+    /// its pin table, reproduces these aggregates byte for byte
+    /// ([`PinnedMoves::interim_at`](crate::runner::PinnedMoves::interim_at)).
     fn on_checkpoint(&mut self, cursor: usize, at: Time, interim: &AggregateMetrics) {
         let _ = (cursor, at, interim);
     }

@@ -1,7 +1,7 @@
 //! Node-headroom index: O(log n) placement queries over the fleet.
 //!
-//! The linear-scan [`crate::placer::Placer`] walks every node per decision
-//! (`candidate_order` even sorts them), which is fine at 8 nodes and ruinous
+//! A linear-scan placer walks every node per decision (and sorts them into
+//! the policy's candidate order first), which is fine at 8 nodes and ruinous
 //! at 10 000. This index keeps two views of the per-node reserved
 //! bandwidth, both updated in O(log n) per booking:
 //!
@@ -21,8 +21,9 @@
 //!
 //! 1. For non-negative finite `f64`, `to_bits()` is strictly monotone, so
 //!    the BTreeSet order *is* the reserved order with node-id ties —
-//!    exactly the order `candidate_order` sorts into. Reserved bandwidth
-//!    is never negative (every subtraction is clamped) and never NaN.
+//!    exactly the order the scan's candidate walk sorts into. Reserved
+//!    bandwidth is never negative (every subtraction is clamped) and never
+//!    NaN.
 //! 2. IEEE-754 addition is weakly monotone, so the scan's admission test
 //!    `reserved + demand <= ulub + 1e-9` is equivalent to
 //!    `reserved <= t` for the exact threshold
@@ -33,10 +34,10 @@
 //!    `ulub - min_i reserved_i` — one BTreeSet lookup.
 //!
 //! Two differential tests in `placer.rs` hold the index to that contract
-//! against the scan path, decision by decision and rebalance pass by
-//! rebalance pass. The scan is reachable from those tests alone: the
-//! placer consults it in one function, `fit`, and nothing above the
-//! placer forwards the choice.
+//! against the scan, decision by decision and rebalance pass by rebalance
+//! pass. The scan is a free function of that file's test module
+//! (`scan_fit`), run over the placer's own bookings: there is no scan mode
+//! on the placer, so the tests check the very `fit` a fleet runs.
 
 use std::collections::BTreeSet;
 use std::ops::Bound;
@@ -219,13 +220,6 @@ impl HeadroomIndex {
             i /= 2;
             self.seg[i] = self.seg[2 * i].min(self.seg[2 * i + 1]);
         }
-    }
-
-    /// Whether `node` is out of the query views: how the scan reference
-    /// learns about a ban.
-    #[cfg(test)]
-    pub(crate) fn is_suspended(&self, node: usize) -> bool {
-        self.suspended[node]
     }
 }
 

@@ -6,10 +6,10 @@
 //! bytes_per_task` row of `BENCH_cluster.json`): admissions far exceed
 //! peak live tasks (tasks churn through and depart), so a recycling arena
 //! holds ~peak-live full slots plus lean retired records, while the
-//! pre-free-list arena keeps one full slot per task ever admitted. The
-//! report always recycles, as a fleet does; only this module's test
-//! freezes an arena (through the test-only `Node::set_recycle`) to price
-//! what recycling saves.
+//! pre-free-list arena keeps one full slot per task ever admitted. An
+//! arena always recycles, as a fleet's does; `node.rs`'s test
+//! `recycling_reclaims_churned_slots` prices what that saves against a
+//! twin whose free list it empties before every admission.
 
 use crate::node::{ArenaMemStats, Node, NodeTask};
 use crate::spec::{ScenarioSpec, TaskKind};
@@ -48,25 +48,25 @@ pub fn churn_mem_report(waves: usize, per_wave: usize, seed: u64) -> ChurnMemRep
     churn(waves, per_wave, seed, |_| {})
 }
 
-/// [`churn_mem_report`] with `setup` applied to the node before the first
-/// wave.
-fn churn(
+/// [`churn_mem_report`] with `before_admit` applied to the node before
+/// each admission.
+pub(crate) fn churn(
     waves: usize,
     per_wave: usize,
     seed: u64,
-    setup: impl FnOnce(&mut Node),
+    mut before_admit: impl FnMut(&mut Node),
 ) -> ChurnMemReport {
     assert!(waves >= 1 && per_wave >= 1);
     let wave_ms = 400u64;
     let spec = ScenarioSpec::new("mem-churn", 1, 0, Dur::ms(waves as u64 * wave_ms));
     let mut node = Node::new(0, &spec);
-    setup(&mut node);
     let mut peak_live = 0usize;
     let mut fleet_id = 0usize;
     for w in 0..waves {
         let start = Time::ZERO + Dur::ms(w as u64 * wave_ms);
         let last = w + 1 == waves;
         for _ in 0..per_wave {
+            before_admit(&mut node);
             node.add_task(NodeTask {
                 fleet_id,
                 label: format!("m{fleet_id:06}"),
@@ -105,29 +105,5 @@ mod tests {
         assert_eq!(r.stats.live, 40);
         assert!(r.peak_live >= 40);
         assert!(r.bytes_per_task() > 0.0);
-    }
-
-    #[test]
-    fn recycling_reclaims_churned_slots() {
-        let on = churn_mem_report(10, 40, 7);
-        let off = churn(10, 40, 7, |node| node.set_recycle(false));
-        // Same workload either way.
-        assert_eq!(on.stats.admitted, off.stats.admitted);
-        assert_eq!(on.stats.live, off.stats.live);
-        // The frozen arena keeps a full slot per admission; the recycling
-        // arena holds ~peak-live slots plus lean retired records.
-        assert_eq!(off.stats.slots as u64, off.stats.admitted);
-        assert!(
-            on.stats.slots < off.stats.slots / 2,
-            "recycling kept {} slots vs {} frozen",
-            on.stats.slots,
-            off.stats.slots
-        );
-        assert!(
-            off.bytes_per_task() >= 2.0 * on.bytes_per_task(),
-            "expected ≥2x bytes/task win: on={:.1} off={:.1}",
-            on.bytes_per_task(),
-            off.bytes_per_task()
-        );
     }
 }

@@ -202,6 +202,7 @@ impl ArenaMemStats {
 /// a free list the next admission pops. Report order is
 /// recovered from per-occupant admission sequence numbers, so the output
 /// bytes are identical to the grow-forever arena's slot walk.
+#[derive(Default)]
 struct TaskArena {
     /// Cold plan data (label, kind, arrival, …), one entry per slot.
     plans: Vec<NodeTask>,
@@ -218,7 +219,7 @@ struct TaskArena {
     periods_ms: Vec<Option<f64>>,
     /// Completion marks already consumed by previous feedback snapshots —
     /// each epoch only walks the marks it has not seen yet.
-    fb_mark_pos: Vec<usize>,
+    fb_mark_pos: Vec<u32>,
     /// Slots of real-time, not-yet-retired tasks in admission order — the
     /// only slots the per-step liveness scan touches — with a [`HOLE`]
     /// where one retired since the last compaction.
@@ -232,49 +233,24 @@ struct TaskArena {
     seqs: Vec<u32>,
     /// Next admission sequence number (== tasks ever admitted).
     next_seq: u32,
-    /// Retired slots awaiting reuse (only popped when `recycle` is on).
-    free: Vec<usize>,
+    /// Retired slots awaiting reuse; the next admission pops one.
+    free: Vec<u32>,
     /// Frozen records of every departed occupant, in retirement order.
     retired: Vec<RetiredTask>,
-    /// Whether retired slots are recycled (always on outside the tests of
-    /// `Node::set_recycle`).
-    recycle: bool,
-}
-
-impl Default for TaskArena {
-    fn default() -> TaskArena {
-        TaskArena {
-            plans: Vec::new(),
-            tids: Vec::new(),
-            released: Vec::new(),
-            fb_consumed: Vec::new(),
-            mark_keys: Vec::new(),
-            periods_ms: Vec::new(),
-            fb_mark_pos: Vec::new(),
-            active_rt: Vec::new(),
-            holes: 0,
-            rt_pos: HashMap::new(),
-            seqs: Vec::new(),
-            next_seq: 0,
-            free: Vec::new(),
-            retired: Vec::new(),
-            recycle: true,
-        }
-    }
 }
 
 impl TaskArena {
-    /// Admits a plan into a recycled slot when one is free (and recycling
-    /// is on), else a fresh one. Returns the slot index.
+    /// Admits a plan into a recycled slot when one is free, else a fresh
+    /// one. Returns the slot index.
     fn push(&mut self, plan: NodeTask, tid: TaskId, mark: Option<MetricKey>) -> usize {
         let seq = self.next_seq;
         self.next_seq += 1;
         let realtime = plan.kind.is_realtime();
         let key = fleet_key(plan.fleet_id);
         let period_ms = plan.kind.nominal().map(|t| t.period);
-        let recycled = if self.recycle { self.free.pop() } else { None };
-        let slot = match recycled {
+        let slot = match self.free.pop() {
             Some(slot) => {
+                let slot = slot as usize;
                 debug_assert!(self.released[slot], "free list held a live slot");
                 self.plans[slot] = plan;
                 self.tids[slot] = tid;
@@ -341,9 +317,9 @@ impl TaskArena {
 
     /// Retires a slot: freezes its compact [`RetiredTask`] record, frees
     /// the plan's label, drops it from the active scan list and its index
-    /// and (when recycling) returns the slot to the free list. `dropped`
-    /// and `attach_delay_ms` are the metric reads a dead task can no
-    /// longer change.
+    /// and returns the slot to the free list. `dropped` and
+    /// `attach_delay_ms` are the metric reads a dead task can no longer
+    /// change.
     fn retire(&mut self, slot: usize, dropped: u32, attach_delay_ms: Option<f64>) {
         debug_assert!(!self.released[slot], "double retirement");
         self.released[slot] = true;
@@ -366,9 +342,7 @@ impl TaskArena {
             realtime: plan.kind.is_realtime(),
             migrated: plan.migrated,
         });
-        if self.recycle {
-            self.free.push(slot);
-        }
+        self.free.push(slot as u32);
     }
 
     /// Every task ever admitted, as `(index, is_retired)` pairs in
@@ -404,10 +378,12 @@ impl TaskArena {
             + self.fb_consumed.capacity() * size_of::<Dur>()
             + self.mark_keys.capacity() * size_of::<Option<MetricKey>>()
             + self.periods_ms.capacity() * size_of::<Option<f64>>()
-            + self.fb_mark_pos.capacity() * size_of::<usize>()
-            + (self.active_rt.capacity() + self.seqs.capacity()) * size_of::<u32>()
+            + (self.active_rt.capacity()
+                + self.seqs.capacity()
+                + self.fb_mark_pos.capacity()
+                + self.free.capacity())
+                * size_of::<u32>()
             + self.rt_pos.capacity() * (size_of::<(u32, u32)>() + 1)
-            + self.free.capacity() * size_of::<usize>()
             + self.retired.capacity() * size_of::<RetiredTask>();
         for p in &self.plans {
             bytes += p.label.capacity();
@@ -593,15 +569,18 @@ impl Stack {
     ) {
         if let (Some(key), Some(period_ms)) = (arena.mark_keys[slot], arena.periods_ms[slot]) {
             let marks = platform.kernel().metrics().marks_k(key);
-            let pos = &mut arena.fb_mark_pos[slot];
-            while *pos + 1 < marks.len() {
-                let gap_ms = (marks[*pos + 1] - marks[*pos]).as_ms_f64();
+            let mut pos = arena.fb_mark_pos[slot] as usize;
+            while pos + 1 < marks.len() {
+                let gap_ms = (marks[pos + 1] - marks[pos]).as_ms_f64();
                 tally.gaps += 1;
                 if gap_ms / period_ms > NodeReport::MISS_FACTOR {
                     tally.misses += 1;
                 }
-                *pos += 1;
+                pos += 1;
             }
+            // A task's completion count fits the column's u32: one
+            // completion a millisecond takes 49 simulated days to overflow.
+            arena.fb_mark_pos[slot] = pos as u32;
         }
     }
 
@@ -681,8 +660,6 @@ pub struct Node {
     tasks: TaskArena,
     vms: Vec<VmRt>,
     fb_mark: FeedbackMark,
-    /// Slot-recycling toggle copied into every new arena.
-    recycle: bool,
 }
 
 impl Node {
@@ -707,22 +684,6 @@ impl Node {
             tasks: TaskArena::default(),
             vms: Vec::new(),
             fb_mark: FeedbackMark::default(),
-            recycle: true,
-        }
-    }
-
-    /// Turns arena slot recycling on or off (on by default) for the flat
-    /// arena and every guest arena created afterwards. `off` is the
-    /// grow-forever reference: `slot_recycling_never_resurrects_a_departed_task`
-    /// below holds a frozen twin node to byte-identical reports, and
-    /// `crate::mem`'s test measures the bytes it costs. Test-only — a
-    /// fleet always recycles.
-    #[cfg(test)]
-    pub(crate) fn set_recycle(&mut self, on: bool) {
-        self.recycle = on;
-        self.tasks.recycle = on;
-        for rt in &mut self.vms {
-            rt.guests.recycle = on;
         }
     }
 
@@ -793,10 +754,7 @@ impl Node {
                 },
             );
         }
-        let mut guests = TaskArena {
-            recycle: self.recycle,
-            ..TaskArena::default()
-        };
+        let mut guests = TaskArena::default();
         for g in &plan.guests {
             self.stack.admit(Scope::Vm(vm), &mut guests, g.clone());
         }
@@ -994,8 +952,9 @@ impl Node {
             return false;
         };
         rt.released = true;
-        // Retire every still-live guest in slot order (guest arenas never
-        // recycle after construction, so slot order is admission order).
+        // Retire every still-live guest in slot order (a guest arena admits
+        // only in `add_vm`, so it never pops its free list and slot order
+        // is admission order).
         for slot in 0..rt.guests.plans.len() {
             if !rt.guests.released[slot] {
                 self.stack.retire(&mut rt.guests, slot);
@@ -1014,15 +973,11 @@ impl Node {
     /// nominal period `P` misses when a completion-to-completion gap
     /// exceeds [`NodeReport::MISS_FACTOR`]` × P`. Guest tasks report after
     /// the node's flat tasks, in (VM, spawn) order.
-    pub fn report(&self, horizon: Time) -> NodeReport {
-        self.report_mode(horizon, true)
-    }
-
-    /// [`Node::report`] with the sketch kind explicit: each task is
-    /// folded into [`NodeTotals`] counters and [`NodeSketches`] as it is
-    /// visited. `detailed` sketches are lossless (the small-fleet
-    /// default); otherwise they are binned histograms — O(bins) retained
-    /// state per node, the fleet-scale mode behind
+    ///
+    /// Each task is folded into [`NodeTotals`] counters and
+    /// [`NodeSketches`] as it is visited. `detailed` sketches are lossless
+    /// (the small-fleet default); otherwise they are binned histograms —
+    /// O(bins) retained state per node, the fleet-scale mode behind
     /// `ClusterRunner::with_sketch_aggregates`.
     pub fn report_mode(&self, horizon: Time, detailed: bool) -> NodeReport {
         let platform = &self.stack.platform;
@@ -1171,7 +1126,7 @@ mod tests {
         });
         let horizon = Time::ZERO + spec.horizon;
         node.run_to_horizon(horizon);
-        let report = node.report(horizon);
+        let report = node.report_mode(horizon, true);
         assert_eq!(report.node, 0);
         assert_eq!(report.totals.tasks, 1);
         let attached = marks(&node, "t000.attached");
@@ -1195,7 +1150,7 @@ mod tests {
         });
         let horizon = Time::ZERO + spec.horizon;
         node.run_to_horizon(horizon);
-        let report = node.report(horizon);
+        let report = node.report_mode(horizon, true);
         // The task left; its reservation was shrunk to the floor.
         assert!(report.reserved_bw < 0.05, "residual {}", report.reserved_bw);
         let done = report.totals.completions;
@@ -1217,7 +1172,7 @@ mod tests {
         });
         let horizon = Time::ZERO + spec.horizon;
         node.run_to_horizon(horizon);
-        let report = node.report(horizon);
+        let report = node.report_mode(horizon, true);
         // The hog burns CPU only inside its window (~1s of the 3s run).
         assert!(
             report.utilisation > 0.25 && report.utilisation < 0.5,
@@ -1240,7 +1195,7 @@ mod tests {
         let horizon = Time::ZERO + spec.horizon;
         node.run_to_horizon(horizon);
         // Node 3 is outside First(2): no hog ran, the node stayed idle.
-        assert!(node.report(horizon).utilisation < 0.01);
+        assert!(node.report_mode(horizon, true).utilisation < 0.01);
     }
 
     #[test]
@@ -1297,7 +1252,7 @@ mod tests {
         assert!(fb.live_rt.is_empty(), "extracted task left the live set");
         assert_eq!(fb.gaps, 0, "no completions after extraction");
         // The reservation was shrunk back to (almost) nothing.
-        let report = node.report(e2);
+        let report = node.report_mode(e2, true);
         assert!(report.reserved_bw < 0.05, "residual {}", report.reserved_bw);
         assert!(report.totals.completions > 0, "pre-extraction work kept");
         let last = *marks(&node, "t000.job").last().expect("jobs ran");
@@ -1386,7 +1341,7 @@ mod tests {
         });
         let horizon = Time::ZERO + Dur::ms(1500);
         node.run_to_horizon(horizon);
-        let report = node.report(horizon);
+        let report = node.report_mode(horizon, true);
         let attached = marks(&node, "t000m.attached");
         assert_eq!(attached.first(), Some(&Time::ZERO), "no hand-over gap");
         let done = report.totals.completions;
@@ -1420,7 +1375,7 @@ mod tests {
         node.add_vm(vm_plan(0));
         let horizon = Time::ZERO + spec.horizon;
         node.run_to_horizon(horizon);
-        let report = node.report(horizon);
+        let report = node.report_mode(horizon, true);
         assert_eq!(report.totals.tasks, 2, "flat task + guest task");
         let guest_attached = marks(&node, "v00g0.attached");
         assert!(!guest_attached.is_empty(), "guest attached inside the VM");
@@ -1519,7 +1474,7 @@ mod tests {
         let fb = node.feedback(e2);
         assert!(fb.live_vms.is_empty());
         assert_eq!(fb.gaps, 0, "no guest completions after extraction");
-        let report = node.report(e2);
+        let report = node.report_mode(e2, true);
         assert!(report.reserved_bw < 0.05, "residual {}", report.reserved_bw);
         assert_eq!(report.totals.tasks, 1, "the retired guest still reports");
         assert!(report.totals.completions > 0, "pre-extraction work kept");
@@ -1543,11 +1498,11 @@ mod tests {
             // stay out of every later feedback snapshot, extraction finds
             // nothing to move, and the final report holds each admitted id
             // exactly once. Recycling itself must be unobservable: a twin
-            // node with the free-list disabled emits the identical bytes.
+            // node whose free list is emptied before every admission — the
+            // grow-forever arena — emits the identical bytes.
             let spec = ScenarioSpec::new("prop-recycle", 1, 0, Dur::secs(10));
             let mut node = Node::new(0, &spec);
             let mut frozen = Node::new(0, &spec);
-            frozen.set_recycle(false);
             let wave_ms = 400u64;
             let (mut admitted, mut departed) = (Vec::new(), Vec::new());
             let (mut free, mut recycled) = (0usize, 0usize);
@@ -1573,6 +1528,7 @@ mod tests {
                         warm: None,
                     };
                     node.add_task(plan.clone());
+                    frozen.tasks.free.clear();
                     frozen.add_task(plan);
                     if free > 0 {
                         free -= 1;
@@ -1621,5 +1577,30 @@ mod tests {
                 prop_assert!(node.extract_task(d).is_none(), "extracted departed task {}", d);
             }
         }
+    }
+
+    #[test]
+    fn recycling_reclaims_churned_slots() {
+        let on = crate::mem::churn_mem_report(10, 40, 7);
+        // The grow-forever twin: nothing is ever popped off its free list.
+        let off = crate::mem::churn(10, 40, 7, |node| node.tasks.free.clear());
+        // Same workload either way.
+        assert_eq!(on.stats.admitted, off.stats.admitted);
+        assert_eq!(on.stats.live, off.stats.live);
+        // The frozen arena keeps a full slot per admission; the recycling
+        // arena holds ~peak-live slots plus lean retired records.
+        assert_eq!(off.stats.slots as u64, off.stats.admitted);
+        assert!(
+            on.stats.slots < off.stats.slots / 2,
+            "recycling kept {} slots vs {} frozen",
+            on.stats.slots,
+            off.stats.slots
+        );
+        assert!(
+            off.bytes_per_task() >= 2.0 * on.bytes_per_task(),
+            "expected ≥2x bytes/task win: on={:.1} off={:.1}",
+            on.bytes_per_task(),
+            off.bytes_per_task()
+        );
     }
 }

@@ -41,35 +41,6 @@ impl PolicyKind {
             PolicyKind::BandwidthAware => "bandwidth-aware",
         }
     }
-
-    /// Candidate node order given current per-node reserved bandwidth.
-    /// Ties break on the lower node id, keeping the order fully
-    /// deterministic; the admission loop skips candidates that do not fit.
-    pub fn candidate_order(self, reserved: &[f64]) -> Vec<usize> {
-        let mut order: Vec<usize> = (0..reserved.len()).collect();
-        match self {
-            PolicyKind::FirstFit => {}
-            PolicyKind::WorstFit => {
-                order.sort_by(|&a, &b| {
-                    reserved[a]
-                        .partial_cmp(&reserved[b])
-                        .expect("NaN reserved bandwidth")
-                        .then(a.cmp(&b))
-                });
-            }
-            PolicyKind::BandwidthAware => {
-                // Fullest node first (tightest fit): dense packing keeps
-                // whole nodes free for future large reservations.
-                order.sort_by(|&a, &b| {
-                    reserved[b]
-                        .partial_cmp(&reserved[a])
-                        .expect("NaN reserved bandwidth")
-                        .then(a.cmp(&b))
-                });
-            }
-        }
-        order
-    }
 }
 
 /// Outcome of one placement decision — the value an admission record
@@ -279,12 +250,6 @@ pub struct Placer {
     /// O(log n) query views over `reserved`; suspension is how a ban
     /// reaches them.
     index: HeadroomIndex,
-    /// Reference mode, settable by this file's tests only: `fit` walks the
-    /// original linear scan instead of the index, and the best-effort pick
-    /// scans the counts; the differential tests at the bottom hold the
-    /// index to it decision by decision.
-    #[cfg(test)]
-    scan: bool,
 }
 
 impl Placer {
@@ -306,18 +271,7 @@ impl Placer {
             be_order: (0..nodes).map(|i| (0u64, i)).collect(),
             releases: Vec::new(),
             index: HeadroomIndex::new(&vec![0.0; nodes]),
-            #[cfg(test)]
-            scan: false,
         }
-    }
-
-    /// Switches every placement decision back to the original linear-scan
-    /// path: the reference side of `index_and_scan_agree_on_every_decision`
-    /// and `index_and_scan_rebalance_identically` below. Test-only — no
-    /// planner, runner or experiment can ask for it.
-    #[cfg(test)]
-    fn use_scan_placement(&mut self) {
-        self.scan = true;
     }
 
     /// Currently booked bandwidth per node.
@@ -423,17 +377,9 @@ impl Placer {
     /// The node `demand` fits on under the policy, among the nodes not
     /// suspended, plus how many candidates the policy's order tried before
     /// it (the `migrations` count of an unbanned admission). Books nothing.
+    /// Its reference is the linear walk of the policy's candidate order,
+    /// `scan_fit` in this file's tests.
     fn fit(&self, demand: f64) -> Option<(usize, u32)> {
-        #[cfg(test)]
-        if self.scan {
-            let order = self.policy.candidate_order(&self.reserved);
-            return order
-                .into_iter()
-                .filter(|&node| !self.index.is_suspended(node))
-                .enumerate()
-                .find(|&(_, node)| self.reserved[node] + demand <= self.ulub + 1e-9)
-                .map(|(bounced, node)| (node, bounced as u32));
-        }
         let t = fit_threshold(self.ulub, demand)?;
         let idx = &self.index;
         match self.policy {
@@ -458,7 +404,7 @@ impl Placer {
     /// Takes the `banned` nodes out of the index's query views (`on`) or
     /// puts them back. Suspension removes a node from the load order
     /// without disturbing the others' ties, so `fit` then finds the winner
-    /// the scan finds after skipping banned ids.
+    /// the reference scan finds after skipping banned ids.
     fn suspend(&mut self, banned: &[bool], on: bool) {
         for node in (0..banned.len()).filter(|&node| banned[node]) {
             if on {
@@ -473,14 +419,6 @@ impl Placer {
     /// ties to the lower id. Best-effort work is never rejected.
     pub(crate) fn place_best_effort(&mut self) -> usize {
         let &(_, node) = self.be_order.first().expect("at least one node");
-        #[cfg(test)]
-        let node = if self.scan {
-            (0..self.best_effort.len())
-                .min_by_key(|&i| (self.best_effort[i], i))
-                .expect("at least one node")
-        } else {
-            node
-        };
         let count = self.best_effort[node];
         self.be_order.remove(&(count, node));
         self.be_order.insert((count + 1, node));
@@ -666,6 +604,7 @@ impl Placer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn task(wcet: f64, period: f64) -> PeriodicTask {
         PeriodicTask::new(wcet, period)
@@ -1039,41 +978,129 @@ mod tests {
         PolicyKind::BandwidthAware,
     ];
 
-    /// One admission outcome, checked against what the scan saw: never a
-    /// banned node, and a rejection's witness is the fold of `ulub -
-    /// reserved` over the candidates (0 with none). Returns the outcome's
-    /// text for the index/scan comparison.
-    fn checked(p: &Placer, outcome: PlacementOutcome, banned: &[bool]) -> String {
-        match outcome {
-            PlacementOutcome::Admitted { node, .. } => assert!(!banned[node], "banned {node}"),
-            PlacementOutcome::Rejected { best_spare, .. } => {
-                let fold = p
-                    .reserved()
+    /// The policy's candidate node order over `reserved`: ties break on
+    /// the lower node id, so the order is fully deterministic.
+    fn candidate_order(policy: PolicyKind, reserved: &[f64]) -> Vec<usize> {
+        let mut order: Vec<usize> = (0..reserved.len()).collect();
+        match policy {
+            PolicyKind::FirstFit => {}
+            PolicyKind::WorstFit => {
+                order.sort_by(|&a, &b| {
+                    reserved[a]
+                        .partial_cmp(&reserved[b])
+                        .expect("NaN reserved bandwidth")
+                        .then(a.cmp(&b))
+                });
+            }
+            // Fullest node first (tightest fit).
+            PolicyKind::BandwidthAware => {
+                order.sort_by(|&a, &b| {
+                    reserved[b]
+                        .partial_cmp(&reserved[a])
+                        .expect("NaN reserved bandwidth")
+                        .then(a.cmp(&b))
+                });
+            }
+        }
+        order
+    }
+
+    /// The reference for `Placer::fit`: walk the policy's candidate order,
+    /// skip the banned nodes, and take the first whose booking stays under
+    /// `ulub`, with how many candidates were tried before it.
+    fn scan_fit(
+        policy: PolicyKind,
+        reserved: &[f64],
+        ulub: f64,
+        demand: f64,
+        banned: &[bool],
+    ) -> Option<(usize, u32)> {
+        candidate_order(policy, reserved)
+            .into_iter()
+            .filter(|&node| !banned[node])
+            .enumerate()
+            .find(|&(_, node)| reserved[node] + demand <= ulub + 1e-9)
+            .map(|(bounced, node)| (node, bounced as u32))
+    }
+
+    /// The reference for `Placer::place_best_effort`: the least best-effort
+    /// count, ties to the lower id.
+    fn scan_best_effort(best_effort: &[u64]) -> usize {
+        (0..best_effort.len())
+            .min_by_key(|&i| (best_effort[i], i))
+            .expect("at least one node")
+    }
+
+    /// What `Placer::admit` must answer on `reserved` (releases already
+    /// due): the scan's winner, `migrations` 0 under a ban, and for a
+    /// rejection the fold of `ulub - reserved` over the candidates (0 with
+    /// none).
+    fn scan_admit(
+        policy: PolicyKind,
+        reserved: &[f64],
+        ulub: f64,
+        demand: f64,
+        ban: Option<&[bool]>,
+    ) -> PlacementOutcome {
+        let none = vec![false; reserved.len()];
+        let banned = ban.unwrap_or(&none);
+        match scan_fit(policy, reserved, ulub, demand, banned) {
+            Some((node, bounced)) => PlacementOutcome::Admitted {
+                node,
+                demand,
+                migrations: if ban.is_some() { 0 } else { bounced },
+            },
+            None => PlacementOutcome::Rejected {
+                demand,
+                best_spare: reserved
                     .iter()
                     .zip(banned)
                     .filter(|&(_, &b)| !b)
-                    .map(|(r, _)| p.ulub - r)
+                    .map(|(r, _)| ulub - r)
                     .reduce(f64::max)
-                    .unwrap_or(0.0);
-                assert_eq!(best_spare.to_bits(), fold.to_bits(), "witness");
+                    .unwrap_or(0.0),
+            },
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn candidate_order_is_a_permutation(
+            reserved in prop::collection::vec(0.0f64..1.0, 1..12),
+            policy in prop_oneof![
+                Just(PolicyKind::FirstFit),
+                Just(PolicyKind::WorstFit),
+                Just(PolicyKind::BandwidthAware),
+            ],
+        ) {
+            let order = candidate_order(policy, &reserved);
+            let mut sorted = order.clone();
+            sorted.sort_unstable();
+            prop_assert_eq!(sorted, (0..reserved.len()).collect::<Vec<_>>());
+            if policy == PolicyKind::WorstFit {
+                for w in order.windows(2) {
+                    prop_assert!(reserved[w[0]] <= reserved[w[1]] + 1e-12);
+                }
+            }
+            if policy == PolicyKind::BandwidthAware {
+                for w in order.windows(2) {
+                    prop_assert!(reserved[w[0]] >= reserved[w[1]] - 1e-12);
+                }
             }
         }
-        format!("{outcome:?}")
     }
 
     #[test]
     fn index_and_scan_agree_on_every_decision() {
-        // Drive an indexed placer and a scan placer through the same long
-        // random operation sequence; every outcome — winner, migrations
-        // count, rejection witness, best-effort pick, booked state — must
-        // be bit-identical at each step, for every policy, with no ban, a
-        // random ban mask and every node banned.
+        // Drive a placer through a long random operation sequence and hold
+        // each decision — winner, migrations count, rejection witness,
+        // best-effort pick, booked state — bit for bit to the scan over the
+        // placer's own bookings, for every policy, with no ban, a random
+        // ban mask and every node banned.
         for policy in ALL_POLICIES {
             for nodes in [1usize, 3, 7, 32] {
                 let mut rng = 0x9E37_79B9_7F4A_7C15u64 ^ nodes as u64;
-                let mut indexed = Placer::new(nodes, 0.9, 1.2, policy);
-                let mut scan = Placer::new(nodes, 0.9, 1.2, policy);
-                scan.use_scan_placement();
+                let mut p = Placer::new(nodes, 0.9, 1.2, policy);
                 let mut now = 0u64;
                 for _ in 0..400 {
                     now += xorshift(&mut rng) % 50_000;
@@ -1089,25 +1116,32 @@ mod tests {
                             .map(|_| op >= 88 || (op >= 70 && xorshift(&mut rng).is_multiple_of(4)))
                             .collect();
                         let ban = (op >= 70).then_some(banned.as_slice());
-                        let a = indexed.admit(demand, now, departs, ban);
-                        let b = scan.admit(demand, now, departs, ban);
+                        // `admit` releases what is due first; the scan sees
+                        // the bookings after that.
+                        p.release_due(now);
+                        let mut want = p.reserved().to_vec();
+                        let expected = scan_admit(policy, &want, p.ulub, demand, ban);
+                        let got = p.admit(demand, now, departs, ban);
                         assert_eq!(
-                            checked(&indexed, a, &banned),
-                            checked(&scan, b, &banned),
+                            format!("{got:?}"),
+                            format!("{expected:?}"),
                             "policy {policy:?}"
                         );
+                        if let Some(node) = got.node() {
+                            want[node] += demand;
+                        }
+                        assert_eq!(p.reserved(), want, "policy {policy:?}");
                     } else if op < 70 {
-                        assert_eq!(indexed.place_best_effort(), scan.place_best_effort());
+                        let expected = scan_best_effort(&p.best_effort);
+                        assert_eq!(p.place_best_effort(), expected, "policy {policy:?}");
                     } else {
                         // The epoch rebuild: arbitrary live bookings, which
                         // may exceed ulub and even 1.0.
                         let rs: Vec<f64> = (0..nodes)
                             .map(|_| (xorshift(&mut rng) % 1300) as f64 / 1000.0)
                             .collect();
-                        indexed.sync_reserved(&rs);
-                        scan.sync_reserved(&rs);
+                        p.sync_reserved(&rs);
                     }
-                    assert_eq!(indexed.reserved(), scan.reserved(), "policy {policy:?}");
                 }
             }
         }
@@ -1115,21 +1149,19 @@ mod tests {
 
     #[test]
     fn index_and_scan_rebalance_identically() {
-        // Random pressured fleets with flat tasks and VM units: the drain
-        // must produce identical move lists (sources, destinations,
-        // demands, warm payloads) and identical failure counts.
+        // Random pressured fleets with flat tasks and VM units: replayed in
+        // order from the pre-pass bookings, under the pass's ban mask, each
+        // returned move must be the scan's choice for its demand, and the
+        // bookings it leaves must be the placer's.
         for policy in ALL_POLICIES {
             let mut rng = 0xD1B5_4A32_D192_ED03u64;
             for round in 0..40 {
                 let nodes = 2 + (xorshift(&mut rng) % 7) as usize;
-                let mut indexed = Placer::new(nodes, 0.9, 1.1, policy);
-                let mut scan = Placer::new(nodes, 0.9, 1.1, policy);
-                scan.use_scan_placement();
+                let mut p = Placer::new(nodes, 0.9, 1.1, policy);
                 let rs: Vec<f64> = (0..nodes)
                     .map(|_| (xorshift(&mut rng) % 1000) as f64 / 1000.0)
                     .collect();
-                indexed.sync_reserved(&rs);
-                scan.sync_reserved(&rs);
+                p.sync_reserved(&rs);
                 let fb = FeedbackView {
                     nodes: (0..nodes)
                         .map(|i| NodeFeedback {
@@ -1176,15 +1208,27 @@ mod tests {
                     .collect();
                 let cfg = cfg(0.15, 1 + (xorshift(&mut rng) % 6) as u32);
                 let fb = with_live(fb, &live, &vms);
-                let a = indexed.rebalance(&fb, &cfg);
-                let b = scan.rebalance(&fb, &cfg);
-                assert_eq!(
-                    format!("{:?}", a.moves),
-                    format!("{:?}", b.moves),
-                    "policy {policy:?} round {round}"
-                );
-                assert_eq!(a.failed, b.failed, "policy {policy:?} round {round}");
-                assert_eq!(indexed.reserved(), scan.reserved());
+                let out = p.rebalance(&fb, &cfg);
+                // The pass's own ban: pressured sources and saturated nodes.
+                let banned: Vec<bool> = (0..nodes)
+                    .map(|n| {
+                        fb.pressure(n) > cfg.pressure
+                            || fb.utilisation(n) > FeedbackView::DEST_UTIL_CAP
+                    })
+                    .collect();
+                let mut want = rs.clone();
+                for (k, m) in out.moves.iter().enumerate() {
+                    let scan = scan_fit(policy, &want, p.ulub, m.demand, &banned);
+                    assert_eq!(
+                        scan.map(|(to, _)| to),
+                        Some(m.to),
+                        "policy {policy:?} round {round} move {k}"
+                    );
+                    want[m.to] += m.demand;
+                    want[m.from] = (want[m.from] - m.demand).max(0.0);
+                    assert_eq!(m.dest_reserved_after.to_bits(), want[m.to].to_bits());
+                }
+                assert_eq!(p.reserved(), want, "policy {policy:?} round {round}");
             }
         }
     }

@@ -6,7 +6,7 @@
 //! slice of them, so 1 or N threads yield byte-identical aggregates.
 //!
 //! One pipeline: every public `run*` method builds a `RunRequest` — plan,
-//! pin source, sink and stop boundary are data on it — for one private
+//! pin source and sink are data on it — for one private
 //! `execute`, whose epoch loop only sequences the stages of `stages.rs`
 //! (see there for the boundary protocol) and owns what they must not:
 //! the threads and the one meeting per decision boundary, a mutex and a
@@ -32,7 +32,7 @@
 
 #![deny(clippy::too_many_lines)]
 
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread;
 
 use selftune_simcore::time::Time;
@@ -98,6 +98,65 @@ impl PinnedMoves {
             }
         }
         PinnedMoves { epochs }
+    }
+
+    /// The interim aggregates a re-execution of `plan` on `runner`, with
+    /// this table's decisions, reduces at epoch boundary `cursor`: the
+    /// decisions of epochs `< cursor` applied, none taken *at* it, no
+    /// straggler flush — the same bytes a logged run hands
+    /// [`JournalSink::on_checkpoint`] and a run passing through hands
+    /// [`PinSource::on_interim`] there. The run ends at the cursor: the
+    /// table answers [`EpochPin::Stop`] there.
+    ///
+    /// # Errors
+    ///
+    /// When `cursor` is no [`interim_boundary`] of the scenario — the
+    /// horizon, or past the epoch grid — before anything runs.
+    pub fn interim_at(
+        &self,
+        runner: &ClusterRunner,
+        spec: &ScenarioSpec,
+        seed: u64,
+        plan: &FleetPlan,
+        cursor: usize,
+    ) -> Result<AggregateMetrics, String> {
+        interim_boundary(&ClusterRunner::epoch_ends(spec), cursor, None)?;
+        let stop = StopAt {
+            moves: self,
+            cursor,
+            interim: OnceLock::new(),
+        };
+        runner.run_pinned(spec, seed, plan, &stop);
+        stop.interim
+            .into_inner()
+            .ok_or_else(|| format!("the run never reached boundary {cursor}"))
+    }
+}
+
+/// A [`PinnedMoves`] table that ends the run at `cursor` and keeps the
+/// interim reduced there.
+struct StopAt<'a> {
+    moves: &'a PinnedMoves,
+    cursor: usize,
+    interim: OnceLock<AggregateMetrics>,
+}
+
+impl PinSource for StopAt<'_> {
+    fn wants_interim(&self, epoch: usize) -> bool {
+        epoch == self.cursor
+    }
+
+    /// Only the cursor's interim is asked for: a pinned run has no sink.
+    fn on_interim(&self, _epoch: usize, interim: AggregateMetrics) {
+        let _ = self.interim.set(interim);
+    }
+
+    fn pin(&self, epoch: usize) -> EpochPin {
+        if epoch == self.cursor {
+            EpochPin::Stop
+        } else {
+            self.moves.pin(epoch)
+        }
     }
 }
 
@@ -167,9 +226,6 @@ struct RunRequest<'a> {
     /// Who receives the decision stream ([`ClusterRunner::run_logged_with`],
     /// and `run_logged` with a buffer); `None` builds no events at all.
     sink: Option<&'a mut dyn JournalSink>,
-    /// End the run at this epoch boundary and return the interim
-    /// aggregates there (`run_pinned`); `None` runs to the horizon.
-    stop: Option<usize>,
 }
 
 impl<'a> RunRequest<'a> {
@@ -180,7 +236,6 @@ impl<'a> RunRequest<'a> {
             plan,
             pins: &LIVE,
             sink: None,
-            stop: None,
         }
     }
 }
@@ -278,29 +333,18 @@ impl ClusterRunner {
     /// table, or a follower's stream-fed source: pinned epochs apply the
     /// recorded migrations verbatim (the leader still folds the pressure
     /// EWMA, so post-cut live decisions see the correct hysteresis
-    /// state); the rest are decided live. `None` only when the source
-    /// answered [`EpochPin::Stop`], which a `PinnedMoves` never does.
-    ///
-    /// `stop = Some(cursor)` ends the run at epoch boundary `cursor` —
-    /// the decisions of epochs `< cursor` applied, none taken *at* it, no
-    /// straggler flush — and returns the aggregates reduced there, the
-    /// same bytes a logged run hands [`JournalSink::on_checkpoint`] and a
-    /// run passing through hands [`PinSource::on_interim`] at that cursor.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `stop` is no [`interim_boundary`] of the scenario.
+    /// state); the rest are decided live. `None` if and only if the
+    /// source answered [`EpochPin::Stop`], which a `PinnedMoves` table
+    /// does only at the cursor of [`PinnedMoves::interim_at`].
     pub fn run_pinned(
         &self,
         spec: &ScenarioSpec,
         seed: u64,
         plan: &FleetPlan,
         pins: &dyn PinSource,
-        stop: Option<usize>,
     ) -> Option<AggregateMetrics> {
         self.execute(RunRequest {
             pins,
-            stop,
             ..RunRequest::new(spec, seed, plan)
         })
     }
@@ -344,9 +388,6 @@ impl ClusterRunner {
     fn execute(&self, mut request: RunRequest<'_>) -> Option<AggregateMetrics> {
         let (spec, seed, plan) = (request.spec, request.seed, request.plan);
         let ends = ClusterRunner::epoch_ends(spec);
-        if let Some(cursor) = request.stop {
-            interim_boundary(&ends, cursor, None).unwrap_or_else(|e| panic!("cannot stop: {e}"));
-        }
         let workers = self.threads.min(spec.nodes).max(1);
         let sink = &mut request.sink;
         let run = Run {
@@ -355,7 +396,6 @@ impl ClusterRunner {
             plan,
             pins: request.pins,
             interval: sink.as_ref().and_then(|s| s.checkpoint_interval()),
-            stop: request.stop,
             log: sink.is_some(),
             sketch: self.sketch,
             ends,
@@ -385,13 +425,10 @@ impl ClusterRunner {
                 .map(|ran| ran.unwrap_or_else(resume))
                 .collect()
         });
-        let leader = meeting.into_leader();
         // Every worker reads the same orders, so all of them stop or none
         // does.
-        match posts.into_iter().collect::<Option<Vec<_>>>() {
-            Some(posts) => Some(finish(&run, merge(posts), leader)),
-            None => leader.stopped,
-        }
+        let posts = posts.into_iter().collect::<Option<Vec<_>>>()?;
+        Some(finish(&run, merge(posts), meeting.into_leader()))
     }
 }
 
@@ -433,7 +470,6 @@ impl<'a> Meeting<'a> {
             leader: Leader {
                 state: LeaderState::new(spec),
                 sink,
-                stopped: None,
             },
         };
         Meeting {
@@ -510,26 +546,23 @@ impl Drop for PoisonOnPanic<'_, '_> {
 struct Leader<'a> {
     state: LeaderState,
     sink: Option<&'a mut dyn JournalSink>,
-    /// The interim at the request's stop boundary: the run's result.
-    stopped: Option<AggregateMetrics>,
 }
 
-/// Whether an interim is reduced at boundary `ei`: at the request's stop
-/// boundary, at the sink's cadence (not at boundary 0, where nothing has
-/// been decided yet), or where the pin source asks — a stream-fed source
+/// Whether an interim is reduced at boundary `ei`: at the sink's cadence
+/// (not at boundary 0, where nothing has been decided yet), or where the
+/// pin source asks — a stop table at its cursor, and a stream-fed source
 /// parks every worker here until the stream says. Never at the horizon,
 /// which has the finale instead. Every worker asks, before it arrives at
 /// the boundary's meeting.
 fn wants_interim(run: &Run, ei: usize) -> bool {
     !run.at_horizon(ei)
-        && (run.stop == Some(ei)
-            || matches!(run.interval, Some(n) if ei > 0 && ei.is_multiple_of(n))
+        && (matches!(run.interval, Some(n) if ei > 0 && ei.is_multiple_of(n))
             || run.pins.wants_interim(ei))
 }
 
 /// One worker's epoch loop: the stages in order, one meeting per
-/// decision boundary. The horizon's publication, or `None` when the run
-/// was stopped before the horizon or a sibling panicked.
+/// decision boundary. The horizon's publication, or `None` when the pin
+/// source stopped the run before the horizon or a sibling panicked.
 fn work(run: &Run, meeting: &Meeting, w: usize) -> Option<Published> {
     let _poison = PoisonOnPanic(meeting);
     let mut ws = WorkerState {
@@ -567,26 +600,17 @@ fn lead(
     ei: usize,
     interim: bool,
 ) -> EpochOrders {
-    let stopping = run.stop == Some(ei);
     if interim {
         let stats = leader.state.stats.clone();
         let interim = reduce(run, posted.reports, stats);
         if let Some(s) = &mut leader.sink {
             s.on_checkpoint(ei, run.ends[ei], &interim);
         }
-        if stopping {
-            leader.stopped = Some(interim);
-        } else {
-            run.pins.on_interim(ei, interim);
-        }
+        run.pins.on_interim(ei, interim);
     }
     // A stream-fed source blocks here until the boundary's batch has
     // arrived.
-    let pin = if stopping {
-        EpochPin::Stop
-    } else {
-        run.pins.pin(ei)
-    };
+    let pin = run.pins.pin(ei);
     let mut view = FeedbackView {
         nodes: posted.feedback,
         smoothed: None,
@@ -617,7 +641,7 @@ fn finish(run: &Run, mut posted: Published, leader: Leader) -> AggregateMetrics 
 /// ([`ClusterRunner::epoch_ends`]) where an interim exists — the horizon
 /// has the finale instead — and, if the caller holds one, that `at` is
 /// its instant. The one grid check behind every checkpoint verifier and
-/// [`ClusterRunner::run_pinned`]'s stop boundary.
+/// the cursor of [`PinnedMoves::interim_at`].
 ///
 /// # Errors
 ///
@@ -859,7 +883,7 @@ mod tests {
     fn panic_message_of_pins(pins: impl PinSource + Send + 'static) -> String {
         panic_message_of_run(move |runner, spec| {
             let plan = plan_fleet(spec, 3);
-            runner.run_pinned(spec, 3, &plan, &pins, None);
+            runner.run_pinned(spec, 3, &plan, &pins);
         })
     }
 
@@ -1102,15 +1126,45 @@ mod tests {
         let plan = plan_fleet(&spec, 42);
         let moves = PinnedMoves::from_events(&spec, &events, None);
         for (cursor, summary) in &sink.checkpoints {
-            let mirror = ClusterRunner::new(3)
-                .run_pinned(&spec, 42, &plan, &moves, Some(*cursor))
-                .expect("a pin table never stops the run");
+            let mirror = moves
+                .interim_at(&ClusterRunner::new(3), &spec, 42, &plan, *cursor)
+                .expect("a checkpoint's cursor has an interim");
             assert_eq!(
                 &mirror.summary_csv(),
                 summary,
                 "stopped run diverged at cursor {cursor}"
             );
         }
+    }
+
+    #[test]
+    fn a_stop_at_the_horizon_or_past_the_grid_is_a_named_error() {
+        // A stop cursor is checked where the stop is asked for, before
+        // anything runs: the horizon has no interim, and past the grid
+        // there is no boundary. Neither panics nor runs to the horizon.
+        let spec = small_spec().with_rebalance(RebalanceSpec {
+            period: Dur::ms(500),
+            ..ScenarioSpec::demo_rebalance()
+        });
+        let ends = ClusterRunner::epoch_ends(&spec);
+        assert_eq!(ends.len(), 3);
+        let plan = plan_fleet(&spec, 3);
+        let runner = ClusterRunner::new(2);
+        let moves = PinnedMoves::default();
+        for (cursor, named) in [(2, "is the horizon"), (3, "is past"), (9, "is past")] {
+            let why = moves
+                .interim_at(&runner, &spec, 3, &plan, cursor)
+                .expect_err("no interim exists there");
+            assert!(why.contains(named), "cursor {cursor}: {why}");
+            assert_eq!(Err(why), interim_boundary(&ends, cursor, None));
+        }
+        // A boundary inside the grid stops there: fewer completions than
+        // the run to the horizon.
+        let interim = moves
+            .interim_at(&runner, &spec, 3, &plan, 1)
+            .expect("boundary 1");
+        let finale = runner.run_planned(&spec, 3, &plan);
+        assert!(interim.completions() < finale.completions());
     }
 
     #[test]
@@ -1143,7 +1197,7 @@ mod tests {
         let plan = plan_fleet_pinned(&spec, 42, &pinned);
         let moves = PinnedMoves::from_events(&spec, &events, None);
         let replay = ClusterRunner::new(2)
-            .run_pinned(&spec, 42, &plan, &moves, None)
+            .run_pinned(&spec, 42, &plan, &moves)
             .expect("a pin table never stops the run");
         assert_eq!(live.summary_csv(), replay.summary_csv());
     }

@@ -4,7 +4,7 @@
 //! A *lossless* [`StreamSketch`] keeps every value. Its quantiles are
 //! `stats::quantile_sorted` over the sorted values, its mean the
 //! sequential sum in record-then-merge order: exact, and the small-fleet
-//! default (`Node::report`). A *binned* one keeps a fixed grid of `u64`
+//! default (`Node::report_mode(_, true)`). A *binned* one keeps a fixed grid of `u64`
 //! bin counters instead: O(1) per value, O(bins) memory per node and
 //! integer-add merging — what a 10k-node / 1M-task fleet, whose gap
 //! population runs into the tens of millions, can afford

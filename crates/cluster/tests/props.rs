@@ -369,9 +369,9 @@ proptest! {
         let moves = PinnedMoves::from_events(&spec, &probe.events, None);
         for (cursor, interim) in &probe.interims {
             for threads in [1usize, 2, 3, 8] {
-                let stopped = ClusterRunner::new(threads)
-                    .run_pinned(&spec, seed, &plan, &moves, Some(*cursor))
-                    .expect("a pin table never stops the run");
+                let stopped = moves
+                    .interim_at(&ClusterRunner::new(threads), &spec, seed, &plan, *cursor)
+                    .expect("a checkpoint's cursor has an interim");
                 prop_assert_eq!(
                     &stopped.summary_csv(), interim,
                     "cursor {} at {} threads", cursor, threads
@@ -577,27 +577,6 @@ proptest! {
             // The bound holds on every node after every decision.
             for &r in placer.reserved() {
                 prop_assert!(r <= ulub + 1e-9, "node over bound: {r} > {ulub}");
-            }
-        }
-    }
-
-    #[test]
-    fn candidate_order_is_a_permutation(
-        reserved in prop::collection::vec(0.0f64..1.0, 1..12),
-        policy in policy_strategy(),
-    ) {
-        let order = policy.candidate_order(&reserved);
-        let mut sorted = order.clone();
-        sorted.sort_unstable();
-        prop_assert_eq!(sorted, (0..reserved.len()).collect::<Vec<_>>());
-        if policy == PolicyKind::WorstFit {
-            for w in order.windows(2) {
-                prop_assert!(reserved[w[0]] <= reserved[w[1]] + 1e-12);
-            }
-        }
-        if policy == PolicyKind::BandwidthAware {
-            for w in order.windows(2) {
-                prop_assert!(reserved[w[0]] >= reserved[w[1]] - 1e-12);
             }
         }
     }

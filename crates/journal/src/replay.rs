@@ -7,7 +7,7 @@
 //! in the same words ([`divergence`]), and its differential tests hold it
 //! to these functions' bytes.
 
-use selftune_cluster::runner::{interim_boundary, plan_fleet_pinned};
+use selftune_cluster::runner::plan_fleet_pinned;
 use selftune_cluster::{AggregateMetrics, ClusterRunner, ScenarioSpec};
 
 use crate::record::Journal;
@@ -25,7 +25,8 @@ impl Journal {
     /// # Errors
     ///
     /// When `cursor` is not a boundary of the scenario's epoch grid where
-    /// an interim exists ([`interim_boundary`]).
+    /// an interim exists
+    /// ([`interim_boundary`](selftune_cluster::runner::interim_boundary)).
     pub fn reexecute(
         &self,
         threads: usize,
@@ -34,14 +35,15 @@ impl Journal {
         cursor: Option<usize>,
     ) -> Result<AggregateMetrics, String> {
         let spec = spec.unwrap_or(&self.scenario);
-        if let Some(cursor) = cursor {
-            interim_boundary(&ClusterRunner::epoch_ends(spec), cursor, None)?;
-        }
         let plan = plan_fleet_pinned(spec, self.seed, &self.pinned_plan());
         let moves = self.pinned_moves(cut);
-        Ok(ClusterRunner::new(threads)
-            .run_pinned(spec, self.seed, &plan, &moves, cursor)
-            .expect("a pin table never stops the run"))
+        let runner = ClusterRunner::new(threads);
+        match cursor {
+            Some(cursor) => moves.interim_at(&runner, spec, self.seed, &plan, cursor),
+            None => Ok(runner
+                .run_pinned(spec, self.seed, &plan, &moves)
+                .expect("a pin table never stops the run")),
+        }
     }
 
     /// Re-executes fully pinned (to `cursor`, or to the horizon) and
