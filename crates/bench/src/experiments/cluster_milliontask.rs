@@ -11,8 +11,9 @@
 //! * the fleet aggregate is one fold of the nodes' sketches in node-id
 //!   order (`AggregateMetrics::new`), whichever worker reported them,
 //!   asserted byte-identical across worker counts;
-//! * node task arenas recycle departed slots behind generation tags
-//!   (the one-node `mem_report` table below reports their footprint);
+//! * a node's task arena keeps one lean entry per admitted task and
+//!   hands a departed task's live state back to the allocator (the
+//!   one-node `mem_report` table below reports its footprint);
 //! * sketch aggregates keep per-node report state O(bins), so fleet CDFs
 //!   never materialise a million gap vectors.
 //!
@@ -60,7 +61,7 @@ fn mem_sizes(args: &Args) -> (usize, usize) {
 /// spec ([`fleet::scenario_override`]) and the improvement/live-population
 /// assertions are skipped.
 pub fn run(args: &Args) -> Vec<Table> {
-    println!("== Cluster milliontask: 1M live tasks, recycled arenas, node-order fold ==");
+    println!("== Cluster milliontask: 1M live tasks, churn-proof arenas, node-order fold ==");
     let (frozen_spec, feedback_spec, builtin) =
         match fleet::scenario_override(args, |s| s.rebalance.enabled = false) {
             Some((frozen, feedback)) => (frozen, feedback, false),
@@ -128,7 +129,6 @@ pub fn run(args: &Args) -> Vec<Table> {
             plain("nodes"),
             plain("tasks"),
             plain("placement"),
-            plain("recycling"),
             plain("completions"),
             plain("misses"),
             plain("miss_ratio"),
@@ -143,9 +143,6 @@ pub fn run(args: &Args) -> Vec<Table> {
             nodes.to_string(),
             tasks.to_string(),
             mode.to_owned(),
-            // A fleet run always recycles; the column stays so the CSV
-            // keeps its shape (the mem table below has the `off` row).
-            "on".to_owned(),
             m.completions().to_string(),
             m.misses().to_string(),
             fmt(m.miss_ratio(), 5),
@@ -168,8 +165,8 @@ pub fn run(args: &Args) -> Vec<Table> {
     push_row("feedback", &feedback, t_feedback);
 
     // Arena accounting on the churn workload: admissions ≫ peak live, so
-    // the free-list holds bytes/task near the steady-state floor (what a
-    // frozen arena would cost instead is `cluster::mem`'s unit test).
+    // bytes/task sit near one retired entry's size (`cluster::node`'s unit
+    // test holds the churn figure under 70 B).
     let (waves, per_wave) = mem_sizes(args);
     let r = churn_mem_report(waves, per_wave, args.seed);
     let mut mem = Table::new(
@@ -177,14 +174,13 @@ pub fn run(args: &Args) -> Vec<Table> {
         [
             plain("admitted"),
             plain("peak_live"),
-            plain("slots"),
             plain("retired"),
             plain("bytes"),
             plain("bytes_per_task"),
         ],
     )
     .heading(format!(
-        "mem_report: recycling arena, churn workload, {waves} waves x {per_wave} tasks"
+        "mem_report: task arena, churn workload, {waves} waves x {per_wave} tasks"
     ))
     .note(format!(
         "(assertions passed: {tasks} live tasks at horizon; byte-identical across \
@@ -194,7 +190,6 @@ pub fn run(args: &Args) -> Vec<Table> {
     mem.row(vec![
         r.stats.admitted.to_string(),
         r.peak_live.to_string(),
-        r.stats.slots.to_string(),
         r.stats.retired.to_string(),
         r.stats.bytes.to_string(),
         fmt(r.bytes_per_task(), 1),

@@ -181,14 +181,13 @@ impl FleetEvent {
     /// Tie-break key inside one class at one instant. Migrations order by
     /// their decision sequence; everything else by `(node, unit id)`.
     ///
-    /// Slot-recycling audit: arena slots are node-local and never appear
-    /// in events — the unit ids used here are *fleet* ids, which the
-    /// planner assigns uniquely across the whole run and never reuses (a
-    /// migrated incarnation keeps its fleet id; a recycled slot's new
-    /// occupant brings its own). Two same-
-    /// instant departures whose tasks lived in the same recycled slot
-    /// therefore still carry distinct `(node, fleet_id)` keys, and the
-    /// order stays total without slots in the key (regression test:
+    /// Arena positions are node-local and never appear in events — the
+    /// unit ids used here are *fleet* ids, which the planner assigns
+    /// uniquely across the whole run and never reuses (a migrated
+    /// incarnation keeps its fleet id). Two same-instant departures on
+    /// one node therefore still carry distinct `(node, fleet_id)` keys,
+    /// and the order stays total without an arena position in the key
+    /// (regression test:
     /// `same_instant_kills_from_recycled_slots_order_totally`).
     fn tie(&self) -> (usize, usize) {
         match self {
@@ -370,12 +369,12 @@ mod tests {
 
     #[test]
     fn same_instant_kills_from_recycled_slots_order_totally() {
-        // Churn scenario: tasks 4 and 11 lived (sequentially) in the same
-        // recycled arena slot on node 2, and the planner scheduled other
-        // departures at the very same instant on the same and other
-        // nodes. The tie key is `(node, fleet_id)` — fleet ids are
-        // planner-unique and never recycled, so the order is total and
-        // permutation-invariant with no slot in the key.
+        // Churn scenario: tasks 4 and 11 lived (sequentially) on node 2,
+        // and the planner scheduled other departures at the very same
+        // instant on the same and other nodes. The tie key is `(node,
+        // fleet_id)` — fleet ids are planner-unique and never reused, so
+        // the order is total and permutation-invariant with no arena
+        // position in the key.
         let same_instant = [
             kill(7, 2, 11),
             kill(7, 2, 4),

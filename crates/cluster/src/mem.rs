@@ -4,12 +4,11 @@
 //! This is the accounting behind the `mem_report` table printed by the
 //! million-task experiment (and the closed `cluster/milliontask/
 //! bytes_per_task` row of `BENCH_cluster.json`): admissions far exceed
-//! peak live tasks (tasks churn through and depart), so a recycling arena
-//! holds ~peak-live full slots plus lean retired records, while the
-//! pre-free-list arena keeps one full slot per task ever admitted. An
-//! arena always recycles, as a fleet's does; `node.rs`'s test
-//! `recycling_reclaims_churned_slots` prices what that saves against a
-//! twin whose free list it empties before every admission.
+//! peak live tasks (tasks churn through and depart), so an arena holds one
+//! lean entry per task ever admitted plus a live box per task still
+//! running — a retired entry's box goes back to the allocator. `node.rs`'s
+//! test `a_churned_arena_holds_at_most_70_bytes_per_admitted_task` holds
+//! that footprint.
 
 use crate::node::{ArenaMemStats, Node, NodeTask};
 use crate::spec::{ScenarioSpec, TaskKind};
@@ -24,7 +23,7 @@ pub struct ChurnMemReport {
     pub per_wave: usize,
     /// Largest live-task count observed at any wave boundary.
     pub peak_live: usize,
-    /// Final arena accounting (slots, live, retired, bytes).
+    /// Final arena accounting (admitted, live, retired, bytes).
     pub stats: ArenaMemStats,
 }
 
@@ -43,19 +42,8 @@ impl ChurnMemReport {
 /// by the next wave) except the final wave, which stays live — the
 /// steady-state population. Total admissions are therefore `waves ×
 /// per_wave` against a peak live population of roughly `per_wave`; the
-/// gap between the two is what slot recycling reclaims.
+/// gap between the two is what retirement hands back to the allocator.
 pub fn churn_mem_report(waves: usize, per_wave: usize, seed: u64) -> ChurnMemReport {
-    churn(waves, per_wave, seed, |_| {})
-}
-
-/// [`churn_mem_report`] with `before_admit` applied to the node before
-/// each admission.
-pub(crate) fn churn(
-    waves: usize,
-    per_wave: usize,
-    seed: u64,
-    mut before_admit: impl FnMut(&mut Node),
-) -> ChurnMemReport {
     assert!(waves >= 1 && per_wave >= 1);
     let wave_ms = 400u64;
     let spec = ScenarioSpec::new("mem-churn", 1, 0, Dur::ms(waves as u64 * wave_ms));
@@ -66,7 +54,6 @@ pub(crate) fn churn(
         let start = Time::ZERO + Dur::ms(w as u64 * wave_ms);
         let last = w + 1 == waves;
         for _ in 0..per_wave {
-            before_admit(&mut node);
             node.add_task(NodeTask {
                 fleet_id,
                 label: format!("m{fleet_id:06}"),

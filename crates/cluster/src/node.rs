@@ -120,31 +120,10 @@ pub struct NodeVm {
     pub elastic: bool,
 }
 
-/// The frozen remains of a departed task: what its node report reads, in
-/// ~56 bytes instead of a full arena slot. Completion counts and gaps are
-/// *not* frozen — marks persist in the kernel metrics store after the
-/// task dies, so report time recomputes them from the interned mark key;
-/// only what a dead task can no longer produce (its drop counter, a
-/// migrated incarnation's first attach) is captured at retirement.
-struct RetiredTask {
-    /// Arena-wide admission sequence number (report order).
-    seq: u32,
-    /// Drop counter frozen at retirement (a dead task drops no more).
-    dropped: u32,
-    /// Interned completion-mark key (None for kinds without marks).
-    mark: Option<MetricKey>,
-    /// Nominal period in milliseconds, for miss classification.
-    period_ms: Option<f64>,
-    /// First-attach delay frozen at retirement (migrated incarnations only).
-    attach_delay_ms: Option<f64>,
-    realtime: bool,
-    migrated: bool,
-}
-
-/// Completion marks scanned out of slots at retirement, parked until the
-/// next feedback snapshot drains them into its epoch counters — retiring
-/// a slot mid-epoch must not lose the gaps it produced since the last
-/// snapshot.
+/// Completion marks scanned out of entries at retirement, parked until
+/// the next feedback snapshot drains them into its epoch counters —
+/// retiring a task mid-epoch must not lose the gaps it produced since the
+/// last snapshot.
 #[derive(Clone, Copy, Debug, Default)]
 struct PendingMarks {
     gaps: u64,
@@ -155,13 +134,11 @@ struct PendingMarks {
 /// flat arena and every guest arena (see [`Node::mem_stats`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct ArenaMemStats {
-    /// Tasks ever admitted (fresh and recycled slots alike).
+    /// Tasks ever admitted: one entry each.
     pub admitted: u64,
-    /// Physical arena slots currently allocated.
-    pub slots: usize,
-    /// Slots currently occupied by a live task.
+    /// Entries of tasks not yet retired.
     pub live: usize,
-    /// Retired-task records held for report reconstruction.
+    /// Entries of departed or extracted tasks, held for the report.
     pub retired: usize,
     /// Approximate resident bytes of all task bookkeeping.
     pub bytes: usize,
@@ -170,7 +147,6 @@ pub struct ArenaMemStats {
 impl ArenaMemStats {
     fn absorb(&mut self, other: ArenaMemStats) {
         self.admitted += other.admitted;
-        self.slots += other.slots;
         self.live += other.live;
         self.retired += other.retired;
         self.bytes += other.bytes;
@@ -187,221 +163,203 @@ impl ArenaMemStats {
     }
 }
 
-/// Managed-task state in struct-of-arrays layout: one parallel column per
-/// field, plus an index list over the real-time slots the per-sampling-step
-/// liveness scan still has to visit. At fleet scale that scan is the inner
-/// loop — walking a compact `tids` column for the live slots beats chasing
-/// one heap struct per task. The list's entries are indexed by fleet id, so
-/// an extraction or a retirement finds its entry in O(1). Retiring leaves
-/// a hole there; the scan compacts the list once holes are the majority,
-/// so it never re-checks a hole for long.
-///
-/// Under churn the arena recycles: a retired slot's report-relevant state
-/// is frozen into a compact [`RetiredTask`], its fleet id leaves the
-/// index so no lookup can resurrect the departed task, and the slot joins
-/// a free list the next admission pops. Report order is
-/// recovered from per-occupant admission sequence numbers, so the output
-/// bytes are identical to the grow-forever arena's slot walk.
-#[derive(Default)]
-struct TaskArena {
-    /// Cold plan data (label, kind, arrival, …), one entry per slot.
-    plans: Vec<NodeTask>,
-    /// Kernel task ids (hot column).
-    tids: Vec<TaskId>,
-    /// Reservation released / task retired (hot column).
-    released: Vec<bool>,
+/// One admitted task: the facts its node report reads, kept to the end of
+/// the run, and its live state until it retires. Completion counts and
+/// gaps are never frozen — marks persist in the kernel metrics store after
+/// the task dies, so a report recomputes them from the interned mark key;
+/// only what a dead task can no longer produce (its drop counter, a
+/// migrated incarnation's first attach) is frozen at retirement.
+struct Entry {
+    /// Interned completion-mark key (None for kinds without marks), so
+    /// neither the per-epoch scan nor the report formats or hashes names.
+    mark: Option<MetricKey>,
+    /// Nominal period in milliseconds, for miss classification.
+    period_ms: Option<f64>,
+    realtime: bool,
+    migrated: bool,
+    state: State,
+}
+
+enum State {
+    Live(Box<Live>),
+    /// The metric reads frozen at retirement.
+    Retired {
+        dropped: u32,
+        /// First-attach delay (migrated incarnations only).
+        attach_delay_ms: Option<f64>,
+    },
+}
+
+/// What a task holds while it runs; dropped when it retires.
+struct Live {
+    /// The part of its plan read after admission.
+    plan: Running,
+    tid: TaskId,
     /// CPU consumed up to the last feedback snapshot (for epoch deltas).
-    fb_consumed: Vec<Dur>,
-    /// Interned completion-mark keys (None for kinds without marks), so
-    /// the per-epoch scan neither formats nor hashes strings.
-    mark_keys: Vec<Option<MetricKey>>,
-    /// Cached nominal periods in milliseconds, for miss classification.
-    periods_ms: Vec<Option<f64>>,
+    fb_consumed: Dur,
     /// Completion marks already consumed by previous feedback snapshots —
     /// each epoch only walks the marks it has not seen yet.
-    fb_mark_pos: Vec<u32>,
-    /// Slots of real-time, not-yet-retired tasks in admission order — the
-    /// only slots the per-step liveness scan touches — with a [`HOLE`]
-    /// where one retired since the last compaction.
-    active_rt: Vec<u32>,
-    /// Holes in `active_rt`.
-    holes: usize,
-    /// The index in `active_rt` of each task there, by fleet id — how an
+    fb_mark_pos: u32,
+}
+
+/// The fields of a [`NodeTask`] that outlive its admission: a running
+/// task's seed, departure and warm start are spent once it is spawned.
+struct Running {
+    fleet_id: usize,
+    label: String,
+    kind: TaskKind,
+    arrival: Time,
+}
+
+impl Entry {
+    fn live(&self) -> Option<&Live> {
+        match &self.state {
+            State::Live(live) => Some(live),
+            State::Retired { .. } => None,
+        }
+    }
+
+    /// The two metric reads a report takes of this task, its drop counter
+    /// and its first-attach delay: read now while it lives, frozen once it
+    /// has retired. Only a migrated incarnation's delay is looked up, so a
+    /// task that never moved costs no `.attached` lookup.
+    fn reads(&self, metrics: &Metrics, scratch: &mut String) -> (u64, Option<f64>) {
+        match &self.state {
+            State::Live(live) => {
+                let dropped = metric_name(scratch, &live.plan.label, ".dropped");
+                let dropped = metrics.counter(dropped);
+                let delay = attach_delay_ms(metrics, scratch, self.migrated, &live.plan);
+                (dropped, delay)
+            }
+            &State::Retired {
+                dropped,
+                attach_delay_ms,
+            } => (dropped.into(), attach_delay_ms),
+        }
+    }
+
+    /// Streams the task's period-normalised completion gaps straight into
+    /// the node's counters and sketches, live or retired alike.
+    fn fold(
+        &self,
+        in_vm: bool,
+        metrics: &Metrics,
+        scratch: &mut String,
+        totals: &mut NodeTotals,
+        sk: &mut NodeSketches,
+    ) {
+        let (dropped, attach_delay_ms) = self.reads(metrics, scratch);
+        let (marks, p) = match (self.mark, self.period_ms) {
+            (Some(key), Some(p)) => (metrics.marks_k(key), p),
+            _ => (&[][..], 1.0),
+        };
+        totals.tasks += 1;
+        totals.rt_tasks += usize::from(self.realtime);
+        totals.dropped += dropped;
+        totals.completions += marks.len() as u64;
+        totals.gaps += marks.len().saturating_sub(1) as u64;
+        for w in marks.windows(2) {
+            let g = (w[1] - w[0]).as_ms_f64() / p;
+            totals.misses += u64::from(g > NodeReport::MISS_FACTOR);
+            sk.gaps.record(g);
+            if self.migrated {
+                sk.post_migration.record(g);
+            }
+        }
+        if let Some(d) = attach_delay_ms {
+            let sketch = if in_vm {
+                &mut sk.vm_attach
+            } else {
+                &mut sk.attach
+            };
+            sketch.record(d);
+        }
+    }
+}
+
+/// Every task a node (or one of its VMs) admitted: one [`Entry`] each, in
+/// admission order, which is the report order. A retired entry drops its
+/// live box, so memory is recycled by the allocator and no slot is ever
+/// handed to a second task: a departed task has no way back.
+///
+/// The per-sampling-step liveness scan is the fleet's inner loop, so it
+/// walks `active_rt`, a compact list of the real-time entries not yet
+/// reaped with their kernel ids, and reads no live box. An extraction only
+/// retires its entry; the next scan drops it from the list.
+#[derive(Default)]
+struct TaskArena {
+    entries: Vec<Entry>,
+    /// `(entry, kernel id)` of each real-time task not yet reaped, in
+    /// admission order.
+    active_rt: Vec<(u32, TaskId)>,
+    /// The entry of each live real-time task, by fleet id — how an
     /// extraction finds its target without walking the list.
-    rt_pos: HashMap<u32, u32>,
-    /// Admission sequence number of each slot's current occupant.
-    seqs: Vec<u32>,
-    /// Next admission sequence number (== tasks ever admitted).
-    next_seq: u32,
-    /// Retired slots awaiting reuse; the next admission pops one.
-    free: Vec<u32>,
-    /// Frozen records of every departed occupant, in retirement order.
-    retired: Vec<RetiredTask>,
+    rt_index: HashMap<u32, u32>,
 }
 
 impl TaskArena {
-    /// Admits a plan into a recycled slot when one is free, else a fresh
-    /// one. Returns the slot index.
-    fn push(&mut self, plan: NodeTask, tid: TaskId, mark: Option<MetricKey>) -> usize {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let realtime = plan.kind.is_realtime();
-        let key = fleet_key(plan.fleet_id);
-        let period_ms = plan.kind.nominal().map(|t| t.period);
-        let slot = match self.free.pop() {
-            Some(slot) => {
-                let slot = slot as usize;
-                debug_assert!(self.released[slot], "free list held a live slot");
-                self.plans[slot] = plan;
-                self.tids[slot] = tid;
-                self.released[slot] = false;
-                self.fb_consumed[slot] = Dur::ZERO;
-                self.mark_keys[slot] = mark;
-                self.periods_ms[slot] = period_ms;
-                self.fb_mark_pos[slot] = 0;
-                self.seqs[slot] = seq;
-                slot
-            }
-            None => {
-                let slot = self.plans.len();
-                self.plans.push(plan);
-                self.tids.push(tid);
-                self.released.push(false);
-                self.fb_consumed.push(Dur::ZERO);
-                self.mark_keys.push(mark);
-                self.periods_ms.push(period_ms);
-                self.fb_mark_pos.push(0);
-                self.seqs.push(seq);
-                slot
-            }
-        };
-        // Appended at the end: active_rt stays in *admission* order (the
-        // order the old grow-forever arena scanned), not slot order. Slot
-        // and position counts are bounded by the u32 admission counter. A
-        // task lives on one node at a time, so its fleet id is new here.
+    /// Appends a freshly admitted task's entry. Entry counts are bounded
+    /// by `u32`, like the kernel's task ids.
+    fn push(&mut self, plan: NodeTask, tid: TaskId, mark: Option<MetricKey>) {
+        let (e, realtime) = (self.entries.len() as u32, plan.kind.is_realtime());
         if realtime {
-            let before = self.rt_pos.insert(key, self.active_rt.len() as u32);
+            // A task lives on one node at a time, so its fleet id is new
+            // here (or came back after its last entry here retired).
+            let key = fleet_key(plan.fleet_id);
+            let before = self.rt_index.insert(key, e);
             debug_assert!(before.is_none(), "fleet id {key} admitted twice");
-            self.active_rt.push(slot as u32);
+            self.active_rt.push((e, tid));
         }
-        slot
-    }
-
-    /// The slot at position `i` of `active_rt`, unless it is a hole.
-    fn active(&self, i: usize) -> Option<usize> {
-        let slot = self.active_rt[i];
-        (slot != HOLE).then_some(slot as usize)
-    }
-
-    /// Drops the holes from `active_rt` once they are the majority,
-    /// keeping the live slots' order, and re-indexes their positions.
-    fn compact(&mut self) {
-        if self.holes * 2 <= self.active_rt.len() {
-            return;
-        }
-        self.active_rt.retain(|&slot| slot != HOLE);
-        self.holes = 0;
-        for (pos, &slot) in self.active_rt.iter().enumerate() {
-            let key = fleet_key(self.plans[slot as usize].fleet_id);
-            self.rt_pos.insert(key, pos as u32);
-        }
-    }
-
-    /// The position in `active_rt` and the slot of the live real-time task
-    /// `fleet_id`, if this arena holds one.
-    fn rt_entry(&self, fleet_id: usize) -> Option<(usize, usize)> {
-        let pos = *self.rt_pos.get(&fleet_key(fleet_id))? as usize;
-        let slot = self.active(pos)?;
-        (self.plans[slot].fleet_id == fleet_id).then_some((pos, slot))
-    }
-
-    /// Retires a slot: freezes its compact [`RetiredTask`] record, frees
-    /// the plan's label, drops it from the active scan list and its index
-    /// and returns the slot to the free list. `dropped` and
-    /// `attach_delay_ms` are the metric reads a dead task can no longer
-    /// change.
-    fn retire(&mut self, slot: usize, dropped: u32, attach_delay_ms: Option<f64>) {
-        debug_assert!(!self.released[slot], "double retirement");
-        self.released[slot] = true;
-        let fleet_id = self.plans[slot].fleet_id;
-        // Only this slot's own entry goes: a fleet id can come back to a
-        // node it once left, and its newer entry stays.
-        if let Some((pos, _)) = self.rt_entry(fleet_id).filter(|&(_, s)| s == slot) {
-            self.active_rt[pos] = HOLE;
-            self.holes += 1;
-            self.rt_pos.remove(&fleet_key(fleet_id));
-        }
-        let plan = &mut self.plans[slot];
-        plan.label = String::new();
-        self.retired.push(RetiredTask {
-            seq: self.seqs[slot],
-            dropped,
-            mark: self.mark_keys[slot],
-            period_ms: self.periods_ms[slot],
-            attach_delay_ms,
-            realtime: plan.kind.is_realtime(),
+        self.entries.push(Entry {
+            mark,
+            period_ms: plan.kind.nominal().map(|t| t.period),
+            realtime,
             migrated: plan.migrated,
+            state: State::Live(Box::new(Live {
+                plan: Running {
+                    fleet_id: plan.fleet_id,
+                    label: plan.label,
+                    kind: plan.kind,
+                    arrival: plan.arrival,
+                },
+                tid,
+                fb_consumed: Dur::ZERO,
+                fb_mark_pos: 0,
+            })),
         });
-        self.free.push(slot as u32);
     }
 
-    /// Every task ever admitted, as `(index, is_retired)` pairs in
-    /// admission order: `index` points into `retired` for departed tasks
-    /// and at a live slot otherwise. This is what keeps recycled-arena
-    /// reports byte-identical to the grow-forever slot walk — admission
-    /// sequence numbers recover the order that slot indices used to carry.
-    fn admission_order(&self) -> Vec<(usize, bool)> {
-        let mut order: Vec<(u32, usize, bool)> =
-            Vec::with_capacity(self.retired.len() + self.plans.len());
-        for (i, r) in self.retired.iter().enumerate() {
-            order.push((r.seq, i, true));
-        }
-        for slot in 0..self.plans.len() {
-            if !self.released[slot] {
-                order.push((self.seqs[slot], slot, false));
-            }
-        }
-        order.sort_unstable_by_key(|&(seq, _, _)| seq);
-        order
-            .into_iter()
-            .map(|(_, i, retired)| (i, retired))
-            .collect()
+    /// The entry and kernel id of the live real-time task `fleet_id`, if
+    /// this arena holds one.
+    fn rt_entry(&self, fleet_id: usize) -> Option<(usize, TaskId)> {
+        let e = *self.rt_index.get(&fleet_key(fleet_id))? as usize;
+        let live = self.entries[e].live()?;
+        (live.plan.fleet_id == fleet_id).then_some((e, live.tid))
     }
 
-    /// Resident-byte accounting over every column, label heap and retired
-    /// record of this arena.
+    /// Resident-byte accounting over the entries, the live boxes and their
+    /// labels, and the scan list and index of this arena.
     fn mem_stats(&self) -> ArenaMemStats {
         use std::mem::size_of;
-        let mut bytes = self.plans.capacity() * size_of::<NodeTask>()
-            + self.tids.capacity() * size_of::<TaskId>()
-            + self.released.capacity()
-            + self.fb_consumed.capacity() * size_of::<Dur>()
-            + self.mark_keys.capacity() * size_of::<Option<MetricKey>>()
-            + self.periods_ms.capacity() * size_of::<Option<f64>>()
-            + (self.active_rt.capacity()
-                + self.seqs.capacity()
-                + self.fb_mark_pos.capacity()
-                + self.free.capacity())
-                * size_of::<u32>()
-            + self.rt_pos.capacity() * (size_of::<(u32, u32)>() + 1)
-            + self.retired.capacity() * size_of::<RetiredTask>();
-        for p in &self.plans {
-            bytes += p.label.capacity();
+        let mut stats = ArenaMemStats {
+            admitted: self.entries.len() as u64,
+            bytes: self.entries.capacity() * size_of::<Entry>()
+                + self.active_rt.capacity() * size_of::<(u32, TaskId)>()
+                + self.rt_index.capacity() * (size_of::<(u32, u32)>() + 1),
+            ..ArenaMemStats::default()
+        };
+        for entry in &self.entries {
+            match entry.live() {
+                Some(live) => {
+                    stats.live += 1;
+                    stats.bytes += size_of::<Live>() + live.plan.label.capacity();
+                }
+                None => stats.retired += 1,
+            }
         }
-        let live = self.released.iter().filter(|&&r| !r).count();
-        ArenaMemStats {
-            admitted: u64::from(self.next_seq),
-            slots: self.plans.len(),
-            live,
-            retired: self.retired.len(),
-            bytes,
-        }
+        stats
     }
 }
-
-/// A hole in [`TaskArena::active_rt`]: a slot retired since the last
-/// compaction.
-const HOLE: u32 = u32::MAX;
 
 /// A fleet id as an index key. Fleet ids fit in `u32`; a wider one would
 /// only alias, and [`TaskArena::rt_entry`] re-checks the plan's id.
@@ -458,7 +416,7 @@ impl NodeFeedback {
 }
 
 /// Running totals behind the per-epoch deltas of [`NodeFeedback`] (the
-/// per-task gap positions live in each arena slot).
+/// per-task gap positions live in each arena entry).
 #[derive(Clone, Copy, Debug, Default)]
 struct FeedbackMark {
     busy: Dur,
@@ -476,10 +434,13 @@ fn metric_name<'a>(scratch: &'a mut String, label: &str, suffix: &str) -> &'a st
 
 /// How long after its arrival a migrated incarnation's manager first
 /// attached it (`None` for a task that never moved: no mean reads it).
-fn attach_delay_ms(metrics: &Metrics, scratch: &mut String, plan: &NodeTask) -> Option<f64> {
-    let name = plan
-        .migrated
-        .then(|| metric_name(scratch, &plan.label, ".attached"))?;
+fn attach_delay_ms(
+    metrics: &Metrics,
+    scratch: &mut String,
+    migrated: bool,
+    plan: &Running,
+) -> Option<f64> {
+    let name = migrated.then(|| metric_name(scratch, &plan.label, ".attached"))?;
     let first = metrics.marks(name).first()?;
     Some(first.saturating_since(plan.arrival).as_ms_f64())
 }
@@ -502,7 +463,7 @@ fn resident_bw(consumed: Dur, arrival: Time, (prev, now): (Time, Time)) -> f64 {
 /// guest: each is written once, over the arena's [`Scope`].
 struct Stack {
     platform: VirtPlatform,
-    /// Marks scanned out of retired slots, awaiting the next feedback.
+    /// Marks scanned out of retired entries, awaiting the next feedback.
     pending: PendingMarks,
     /// Reusable metric-name buffer (`"{label}.dropped"` and friends) —
     /// retirement formats into this instead of allocating per task.
@@ -539,63 +500,71 @@ impl Stack {
     }
 
     /// The per-sampling-step liveness scan: releases the reservation of
-    /// every task in `arena` that exited and retires its slot. Walks only
-    /// the active real-time slots — a released or best-effort task costs
+    /// every task in `arena` that exited and retires its entry. Walks only
+    /// the active real-time list — a retired or best-effort task costs
     /// nothing here, which is what keeps the step affordable on nodes that
-    /// have churned through many tasks. Workloads can exit on their own
-    /// (leases, application `Exit`), so this stays a scan over the live
-    /// set rather than a departure-schedule cursor.
+    /// have churned through many tasks — and drops every exited task from
+    /// it, keeping the rest in admission order. Workloads can exit on
+    /// their own (leases, application `Exit`), so this stays a scan over
+    /// the live set rather than a departure-schedule cursor.
     fn reap(&mut self, scope: Scope, arena: &mut TaskArena) {
-        arena.compact();
-        for i in 0..arena.active_rt.len() {
-            let Some(slot) = arena.active(i) else {
-                continue;
-            };
-            let tid = arena.tids[slot];
-            if self.platform.kernel().task_state(tid) == TaskState::Exited {
+        let mut active = std::mem::take(&mut arena.active_rt);
+        active.retain(|&(e, tid)| {
+            if self.platform.kernel().task_state(tid) != TaskState::Exited {
+                return true;
+            }
+            // An extraction kills its task and retires the entry at once,
+            // so only a task that left on its own is still live here.
+            if arena.entries[e as usize].live().is_some() {
                 self.platform.unmanage(scope, tid);
                 self.platform.kernel_mut().reclaim(tid);
-                self.retire(arena, slot);
+                self.retire(arena, e as usize);
             }
-        }
+            false
+        });
+        arena.active_rt = active;
     }
 
-    /// Walks a slot's fresh completion marks into `tally`.
-    fn scan_marks(
-        platform: &VirtPlatform,
-        arena: &mut TaskArena,
-        slot: usize,
-        tally: &mut PendingMarks,
-    ) {
-        if let (Some(key), Some(period_ms)) = (arena.mark_keys[slot], arena.periods_ms[slot]) {
-            let marks = platform.kernel().metrics().marks_k(key);
-            let mut pos = arena.fb_mark_pos[slot] as usize;
-            while pos + 1 < marks.len() {
-                let gap_ms = (marks[pos + 1] - marks[pos]).as_ms_f64();
-                tally.gaps += 1;
-                if gap_ms / period_ms > NodeReport::MISS_FACTOR {
-                    tally.misses += 1;
-                }
-                pos += 1;
+    /// Walks a live entry's fresh completion marks into `tally`.
+    fn scan_marks(platform: &VirtPlatform, entry: &mut Entry, tally: &mut PendingMarks) {
+        let (Some(key), Some(period_ms), State::Live(live)) =
+            (entry.mark, entry.period_ms, &mut entry.state)
+        else {
+            return;
+        };
+        let marks = platform.kernel().metrics().marks_k(key);
+        let mut pos = live.fb_mark_pos as usize;
+        while pos + 1 < marks.len() {
+            let gap_ms = (marks[pos + 1] - marks[pos]).as_ms_f64();
+            tally.gaps += 1;
+            if gap_ms / period_ms > NodeReport::MISS_FACTOR {
+                tally.misses += 1;
             }
-            // A task's completion count fits the column's u32: one
-            // completion a millisecond takes 49 simulated days to overflow.
-            arena.fb_mark_pos[slot] = pos as u32;
+            pos += 1;
         }
+        // A task's completion count fits the field's u32: one completion
+        // a millisecond takes 49 simulated days to overflow.
+        live.fb_mark_pos = pos as u32;
     }
 
-    /// Retires an arena slot: takes the departed task's final mark scan
+    /// Retires a live entry: takes the departed task's final mark scan
     /// into the pending epoch counters, freezes the metric reads a dead
-    /// task can no longer change, and hands the slot to the arena's free
-    /// list.
-    fn retire(&mut self, arena: &mut TaskArena, slot: usize) {
-        Stack::scan_marks(&self.platform, arena, slot, &mut self.pending);
+    /// task can no longer change, drops its live box and takes it out of
+    /// the fleet-id index.
+    fn retire(&mut self, arena: &mut TaskArena, e: usize) {
+        let entry = &mut arena.entries[e];
+        Stack::scan_marks(&self.platform, entry, &mut self.pending);
         let metrics = self.platform.kernel().metrics();
-        let plan = &arena.plans[slot];
-        let dropped = metric_name(&mut self.scratch, &plan.label, ".dropped");
-        let dropped = metrics.counter(dropped) as u32;
-        let attach_delay_ms = attach_delay_ms(metrics, &mut self.scratch, plan);
-        arena.retire(slot, dropped, attach_delay_ms);
+        let (dropped, attach_delay_ms) = entry.reads(metrics, &mut self.scratch);
+        let frozen = State::Retired {
+            dropped: dropped as u32,
+            attach_delay_ms,
+        };
+        if let State::Live(live) = std::mem::replace(&mut entry.state, frozen) {
+            if entry.realtime {
+                arena.rt_index.remove(&fleet_key(live.plan.fleet_id));
+            }
+        }
     }
 
     /// The reservation a task currently holds in its scope, if its
@@ -606,38 +575,40 @@ impl Stack {
         Some(WarmStart { budget, period })
     }
 
-    /// One active slot's epoch `(prev, now]`. Its fresh completion marks
-    /// always go into `tally` — the scan is incremental, each slot
+    /// One active entry's epoch `(prev, now]`. Its fresh completion marks
+    /// always go into `tally` — the scan is incremental, each entry
     /// remembers how many marks previous snapshots consumed. When `sized`
     /// and the task is live (started, not exited), also returns the CPU
     /// bandwidth it *measurably* consumed over its residency in the epoch
     /// — what feedback-informed placement books instead of the nominal
-    /// claim — and its granted reservation.
-    fn measure(
+    /// claim — its granted reservation and its plan.
+    fn measure<'e>(
         &self,
         scope: Scope,
-        arena: &mut TaskArena,
-        slot: usize,
+        entry: &'e mut Entry,
         epoch: (Time, Time),
         sized: bool,
         tally: &mut PendingMarks,
-    ) -> Option<(f64, Option<WarmStart>)> {
-        Stack::scan_marks(&self.platform, arena, slot, tally);
-        let (kernel, tid) = (self.platform.kernel(), arena.tids[slot]);
-        let live = || {
+    ) -> Option<(f64, Option<WarmStart>, &'e Running)> {
+        Stack::scan_marks(&self.platform, entry, tally);
+        let State::Live(live) = &mut entry.state else {
+            return None;
+        };
+        let (kernel, tid) = (self.platform.kernel(), live.tid);
+        let live_task = || {
             matches!(
                 kernel.task_state(tid),
                 TaskState::Ready | TaskState::Blocked
             )
         };
-        if !sized || !live() {
+        if !sized || !live_task() {
             return None;
         }
         let consumed = kernel.thread_time(tid);
-        let delta = consumed.saturating_sub(arena.fb_consumed[slot]);
-        arena.fb_consumed[slot] = consumed;
-        let bw = resident_bw(delta, arena.plans[slot].arrival, epoch);
-        Some((bw, self.granted(scope, tid)))
+        let delta = consumed.saturating_sub(live.fb_consumed);
+        live.fb_consumed = consumed;
+        let bw = resident_bw(delta, live.plan.arrival, epoch);
+        Some((bw, self.granted(scope, tid), &live.plan))
     }
 }
 
@@ -816,20 +787,17 @@ impl Node {
         let compressions: u64 = compressions.sum();
         let prev = self.fb_mark.at.unwrap_or(Time::ZERO);
         let epoch = (prev, now);
-        // Slots retired since the previous snapshot already contributed
+        // Entries retired since the previous snapshot already contributed
         // their final marks at retirement; start from that parked tally.
         let mut tally = std::mem::take(&mut self.stack.pending);
         let stack = &self.stack;
         let mut live_rt = Vec::new();
-        for i in 0..self.tasks.active_rt.len() {
-            let Some(slot) = self.tasks.active(i) else {
+        for &(e, _) in &self.tasks.active_rt {
+            let entry = &mut self.tasks.entries[e as usize];
+            let m = stack.measure(Scope::Host, entry, epoch, true, &mut tally);
+            let Some((measured_bw, granted, plan)) = m else {
                 continue;
             };
-            let m = stack.measure(Scope::Host, &mut self.tasks, slot, epoch, true, &mut tally);
-            let Some((measured_bw, granted)) = m else {
-                continue;
-            };
-            let plan = &self.tasks.plans[slot];
             let nominal = plan.kind.nominal();
             live_rt.push(LiveTask {
                 fleet_id: plan.fleet_id,
@@ -849,18 +817,16 @@ impl Node {
             // (those are never eviction victims) nor a released one.
             let carry = self.guest_warm_carry && !rt.plan.elastic && !rt.released;
             let (scope, mut guest_grants) = (Scope::Vm(rt.vm), Vec::new());
-            for i in 0..rt.guests.active_rt.len() {
-                let Some(slot) = rt.guests.active(i) else {
-                    continue;
-                };
-                let m = stack.measure(scope, &mut rt.guests, slot, epoch, carry, &mut tally);
-                if let Some((bw, Some(g))) = m {
+            for &(e, _) in &rt.guests.active_rt {
+                let entry = &mut rt.guests.entries[e as usize];
+                let m = stack.measure(scope, entry, epoch, carry, &mut tally);
+                if let Some((bw, Some(g), plan)) = m {
                     // The source's grant may have been compressed inside
                     // the tenant; floor the carried budget at the measured
                     // demand plus headroom (see `WarmStart::demand_sized`).
                     let demand = (bw * self.headroom).min(1.0);
                     let warm = WarmStart::demand_sized(g.budget, g.period, demand);
-                    guest_grants.push((rt.guests.plans[slot].fleet_id, warm));
+                    guest_grants.push((plan.fleet_id, warm));
                 }
             }
             if rt.released {
@@ -929,16 +895,15 @@ impl Node {
     pub(crate) fn extract_task(&mut self, fleet_id: usize) -> Option<Option<WarmStart>> {
         // Migration decisions are made from `live_rt` feedback, so the
         // target is always a live real-time task, indexed by fleet id: a
-        // departed task left the index at the sampling step that reaped
-        // it, and a retired slot recycled to a new task answers only for
-        // the new fleet id.
-        let (_, slot) = self.tasks.rt_entry(fleet_id)?;
-        let (stack, tid) = (&mut self.stack, self.tasks.tids[slot]);
+        // departed or extracted task left the index when it retired, and
+        // its entry is never handed to another task.
+        let (e, tid) = self.tasks.rt_entry(fleet_id)?;
+        let stack = &mut self.stack;
         let warm = stack.granted(Scope::Host, tid);
         stack.platform.unmanage(Scope::Host, tid);
         stack.platform.kernel_mut().kill(tid);
         stack.platform.kernel_mut().reclaim(tid);
-        stack.retire(&mut self.tasks, slot);
+        stack.retire(&mut self.tasks, e);
         Some(warm)
     }
 
@@ -952,16 +917,17 @@ impl Node {
             return false;
         };
         rt.released = true;
-        // Retire every still-live guest in slot order (a guest arena admits
-        // only in `add_vm`, so it never pops its free list and slot order
-        // is admission order).
-        for slot in 0..rt.guests.plans.len() {
-            if !rt.guests.released[slot] {
-                self.stack.retire(&mut rt.guests, slot);
+        // Retire every still-live guest in admission order; the guests
+        // reaped earlier were reclaimed then.
+        let mut tids = Vec::new();
+        for e in 0..rt.guests.entries.len() {
+            if let Some(live) = rt.guests.entries[e].live() {
+                tids.push(live.tid);
+                self.stack.retire(&mut rt.guests, e);
             }
         }
         let killed = self.stack.platform.kill_vm(rt.vm);
-        for &tid in &rt.guests.tids {
+        for tid in tids {
             self.stack.platform.kernel_mut().reclaim(tid);
         }
         killed
@@ -987,99 +953,16 @@ impl Node {
         let ctx_switches = platform.kernel().context_switches();
         let metrics = platform.kernel().metrics();
         let (mut totals, mut sk) = (NodeTotals::default(), NodeSketches::new(detailed));
-        self.each_task(|seen| seen.fold(metrics, &mut totals, &mut sk));
-        NodeReport::new(self.id, totals, sk, utilisation, reserved_bw, ctx_switches)
-    }
-
-    /// Shows `sink` every task ever admitted to this node, live and
-    /// retired alike: flat tasks, then guests per VM, each arena in
-    /// admission order — sketch float sums are order-sensitive, and
-    /// byte-identity with the pre-recycling slot walk demands the same
-    /// sequence. Only migrated incarnations' attach delays are read, so a
-    /// live task that never moved costs no `.attached` lookup.
-    fn each_task(&self, mut sink: impl FnMut(Seen)) {
-        let metrics = self.stack.platform.kernel().metrics();
+        // Flat tasks, then guests per VM, each arena in admission order:
+        // sketch float sums are order-sensitive.
         let mut scratch = String::new();
-        let guests = self.vms.iter().map(|rt| (Scope::Vm(rt.vm), &rt.guests));
-        for (scope, arena) in std::iter::once((Scope::Host, &self.tasks)).chain(guests) {
-            let in_vm = scope != Scope::Host;
-            for (idx, is_retired) in arena.admission_order() {
-                sink(if is_retired {
-                    let r = &arena.retired[idx];
-                    Seen {
-                        realtime: r.realtime,
-                        migrated: r.migrated,
-                        in_vm,
-                        mark: r.mark,
-                        period_ms: r.period_ms,
-                        dropped: r.dropped.into(),
-                        attach_delay_ms: r.attach_delay_ms,
-                    }
-                } else {
-                    let plan = &arena.plans[idx];
-                    let dropped = metric_name(&mut scratch, &plan.label, ".dropped");
-                    let dropped = metrics.counter(dropped);
-                    Seen {
-                        realtime: plan.kind.is_realtime(),
-                        migrated: plan.migrated,
-                        in_vm,
-                        mark: arena.mark_keys[idx],
-                        period_ms: arena.periods_ms[idx],
-                        dropped,
-                        attach_delay_ms: attach_delay_ms(metrics, &mut scratch, plan),
-                    }
-                });
+        let guests = self.vms.iter().map(|rt| (&rt.guests, true));
+        for (arena, in_vm) in std::iter::once((&self.tasks, false)).chain(guests) {
+            for entry in &arena.entries {
+                entry.fold(in_vm, metrics, &mut scratch, &mut totals, &mut sk);
             }
         }
-    }
-}
-
-/// One ever-admitted task as the report fold sees it: live or retired is
-/// already resolved, and nothing is owned.
-struct Seen {
-    realtime: bool,
-    migrated: bool,
-    in_vm: bool,
-    /// Interned completion-mark key (None for kinds without marks).
-    mark: Option<MetricKey>,
-    /// Nominal period in milliseconds, for miss classification.
-    period_ms: Option<f64>,
-    dropped: u64,
-    /// First-attach delay (migrated incarnations only).
-    attach_delay_ms: Option<f64>,
-}
-
-impl Seen {
-    /// Streams the task's period-normalised completion gaps straight into
-    /// the node's counters and sketches. Marks persist in the kernel
-    /// metrics store after a task dies, so a retired task reports what
-    /// its slot would have, never recycled.
-    fn fold(&self, metrics: &Metrics, totals: &mut NodeTotals, sk: &mut NodeSketches) {
-        let (marks, p) = match (self.mark, self.period_ms) {
-            (Some(key), Some(p)) => (metrics.marks_k(key), p),
-            _ => (&[][..], 1.0),
-        };
-        totals.tasks += 1;
-        totals.rt_tasks += usize::from(self.realtime);
-        totals.dropped += self.dropped;
-        totals.completions += marks.len() as u64;
-        totals.gaps += marks.len().saturating_sub(1) as u64;
-        for w in marks.windows(2) {
-            let g = (w[1] - w[0]).as_ms_f64() / p;
-            totals.misses += u64::from(g > NodeReport::MISS_FACTOR);
-            sk.gaps.record(g);
-            if self.migrated {
-                sk.post_migration.record(g);
-            }
-        }
-        if let Some(d) = self.attach_delay_ms {
-            let sketch = if self.in_vm {
-                &mut sk.vm_attach
-            } else {
-                &mut sk.attach
-            };
-            sketch.record(d);
-        }
+        NodeReport::new(self.id, totals, sk, utilisation, reserved_bw, ctx_switches)
     }
 }
 
@@ -1259,9 +1142,9 @@ mod tests {
         assert!(last <= e1, "no job completed after extraction: {last}");
     }
 
-    /// Fleet id 5 goes A → B → A. Its first slot on A is recycled to
-    /// another task meanwhile, so it comes back to a new slot: extraction
-    /// takes that current slot, and the recycled one never answers for 5.
+    /// Fleet id 5 goes A → B → A. It comes back to a new entry on A:
+    /// extraction takes that current entry, and its first, retired one
+    /// never answers for 5 again.
     #[test]
     fn a_returning_fleet_id_is_extracted_from_its_current_slot() {
         let spec = tiny_spec();
@@ -1282,28 +1165,29 @@ mod tests {
         a.run_to_horizon(e1);
         let warm = a.extract_task(5).expect("5 is live on A");
         b.add_task(at(5, "t005b", e1, warm));
-        // Task 7 takes 5's retired slot on A.
+        // Task 7 arrives on A meanwhile, at an entry of its own.
         a.add_task(at(7, "t007", e1, None));
-        assert_eq!(a.tasks.tids.len(), 2, "slot 0 was recycled");
+        assert_eq!(a.tasks.entries.len(), 3, "one entry per admission");
         assert!(
             a.extract_task(5).is_none(),
-            "a recycled slot answers for 7 only"
+            "a retired entry answers for nobody"
         );
         a.run_to_horizon(e2);
         b.run_to_horizon(e2);
         let warm = b.extract_task(5).expect("5 is live on B");
         a.add_task(at(5, "t005c", e2, warm));
-        assert_eq!(a.tasks.rt_entry(5).map(|(_, slot)| slot), Some(2));
+        let entry = |node: &Node, id| node.tasks.rt_entry(id).expect("live here");
+        assert_eq!(entry(&a, 5).0, 3);
         a.run_to_horizon(e3);
 
-        let (old, current) = (a.tasks.tids[0], a.tasks.tids[2]);
+        let (seven, current) = (entry(&a, 7).1, entry(&a, 5).1);
         assert!(a.extract_task(5).is_some(), "the returned 5 extracts");
         assert_eq!(
             a.stack.platform.kernel().task_state(current),
             TaskState::Exited
         );
         assert_ne!(
-            a.stack.platform.kernel().task_state(old),
+            a.stack.platform.kernel().task_state(seven),
             TaskState::Exited,
             "7 runs on"
         );
@@ -1311,20 +1195,14 @@ mod tests {
         let live: Vec<usize> = a.feedback(e3).live_rt.iter().map(|t| t.fleet_id).collect();
         assert_eq!(live, [6, 7]);
 
-        // Compaction re-indexes the survivors, and a fleet id re-admitted
-        // into a recycled slot is found there.
-        let mut arena = TaskArena::default();
-        for (i, id) in [1, 2, 3].into_iter().enumerate() {
-            arena.push(rt_task(id, "t"), TaskId(i as u32), None);
-        }
-        arena.retire(0, 0, None);
-        arena.retire(1, 0, None);
-        arena.compact();
-        assert_eq!((arena.active_rt.as_slice(), arena.holes), (&[2][..], 0));
-        assert_eq!(arena.rt_entry(3), Some((0, 2)));
-        assert_eq!((arena.rt_entry(1), arena.rt_entry(2)), (None, None));
-        arena.push(rt_task(1, "t"), TaskId(3), None);
-        assert_eq!(arena.rt_entry(1), Some((1, 1)));
+        // The extracted entry leaves the scan list at the next step; the
+        // survivors keep their admission order.
+        let listed = |node: &Node| node.tasks.active_rt.iter().map(|p| p.0).collect::<Vec<_>>();
+        assert_eq!(listed(&a), [1, 2, 3]);
+        a.run_to_horizon(e3 + spec.sampling);
+        assert_eq!(listed(&a), [1, 2]);
+        let stats = a.mem_stats();
+        assert_eq!((stats.admitted, stats.live, stats.retired), (4, 2, 2));
     }
 
     #[test]
@@ -1493,19 +1371,15 @@ mod tests {
                 2..5,
             ),
         ) {
-            // Churned arenas recycle retired slots; a recycled slot must
-            // never bring its previous occupant back. Departed fleet ids
+            // A departed task must never come back. Departed fleet ids
             // stay out of every later feedback snapshot, extraction finds
             // nothing to move, and the final report holds each admitted id
-            // exactly once. Recycling itself must be unobservable: a twin
-            // node whose free list is emptied before every admission — the
-            // grow-forever arena — emits the identical bytes.
+            // exactly once, with every one of its completions and none of
+            // another's.
             let spec = ScenarioSpec::new("prop-recycle", 1, 0, Dur::secs(10));
             let mut node = Node::new(0, &spec);
-            let mut frozen = Node::new(0, &spec);
             let wave_ms = 400u64;
             let (mut admitted, mut departed) = (Vec::new(), Vec::new());
-            let (mut free, mut recycled) = (0usize, 0usize);
             let mut now = Time::ZERO;
             for (w, tasks) in waves.iter().enumerate() {
                 let start = Time::ZERO + Dur::ms(w as u64 * wave_ms);
@@ -1527,13 +1401,7 @@ mod tests {
                         migrated: false,
                         warm: None,
                     };
-                    node.add_task(plan.clone());
-                    frozen.tasks.free.clear();
-                    frozen.add_task(plan);
-                    if free > 0 {
-                        free -= 1;
-                        recycled += 1;
-                    }
+                    node.add_task(plan);
                     admitted.push(fleet_id);
                     if departs {
                         departed.push(fleet_id);
@@ -1541,37 +1409,26 @@ mod tests {
                 }
                 now = start + Dur::ms(wave_ms);
                 node.run_to_horizon(now);
-                frozen.run_to_horizon(now);
                 let fb = node.feedback(now);
-                frozen.feedback(now);
                 for lr in &fb.live_rt {
                     prop_assert!(
                         !departed.contains(&lr.fleet_id),
                         "departed task {} resurfaced in live_rt", lr.fleet_id
                     );
                 }
-                // Slots freed by this wave's departures become reusable only
-                // after the retirement scan, i.e. for the *next* wave.
-                free += tasks.iter().filter(|t| t.2).count();
             }
-            // Slot audit: every recycled admission consumed a freed slot,
-            // while the frozen twin's arena grew monotonically.
-            prop_assert_eq!(node.mem_stats().slots, admitted.len() - recycled);
-            prop_assert_eq!(frozen.mem_stats().slots, admitted.len());
-            // Each admitted task reports exactly once, recycled slot or
-            // not — every one of its completions, none of another's — and
-            // the free-list is invisible in the aggregate bytes.
+            // Every departure retired its entry; no entry went to a second task.
+            let stats = node.mem_stats();
+            prop_assert_eq!(stats.admitted, admitted.len() as u64);
+            prop_assert_eq!(stats.retired, departed.len());
             let a = AggregateMetrics::new("prop-recycle", seed, AdmissionStats::default(),
                 vec![node.report_mode(now, true)]);
-            let b = AggregateMetrics::new("prop-recycle", seed, AdmissionStats::default(),
-                vec![frozen.report_mode(now, true)]);
             prop_assert_eq!(a.nodes[0].totals.tasks, admitted.len());
             let jobs: usize = admitted
                 .iter()
                 .map(|id| marks(&node, &format!("t{id:03}.job")).len())
                 .sum();
             prop_assert_eq!(a.completions(), jobs as u64);
-            prop_assert_eq!(a.summary_csv(), b.summary_csv());
             // A departed id is gone for good: extraction cannot revive it.
             for &d in &departed {
                 prop_assert!(node.extract_task(d).is_none(), "extracted departed task {}", d);
@@ -1580,27 +1437,14 @@ mod tests {
     }
 
     #[test]
-    fn recycling_reclaims_churned_slots() {
-        let on = crate::mem::churn_mem_report(10, 40, 7);
-        // The grow-forever twin: nothing is ever popped off its free list.
-        let off = crate::mem::churn(10, 40, 7, |node| node.tasks.free.clear());
-        // Same workload either way.
-        assert_eq!(on.stats.admitted, off.stats.admitted);
-        assert_eq!(on.stats.live, off.stats.live);
-        // The frozen arena keeps a full slot per admission; the recycling
-        // arena holds ~peak-live slots plus lean retired records.
-        assert_eq!(off.stats.slots as u64, off.stats.admitted);
-        assert!(
-            on.stats.slots < off.stats.slots / 2,
-            "recycling kept {} slots vs {} frozen",
-            on.stats.slots,
-            off.stats.slots
-        );
-        assert!(
-            off.bytes_per_task() >= 2.0 * on.bytes_per_task(),
-            "expected ≥2x bytes/task win: on={:.1} off={:.1}",
-            on.bytes_per_task(),
-            off.bytes_per_task()
-        );
+    fn a_churned_arena_holds_at_most_70_bytes_per_admitted_task() {
+        // 2 000 admissions, 40 of them live at the end: a retired entry
+        // keeps only what the report reads, and its live box goes back to
+        // the allocator when it retires.
+        let r = crate::mem::churn_mem_report(50, 40, 7);
+        let s = r.stats;
+        assert_eq!((s.admitted, s.live, s.retired), (2_000, 40, 1_960));
+        let per_task = r.bytes_per_task();
+        assert!(per_task <= 70.0, "{per_task:.1} B per admitted task");
     }
 }

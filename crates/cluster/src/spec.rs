@@ -893,7 +893,7 @@ impl ScenarioSpec {
     /// misses, and the prefix lights up the rebalancer's pressure signal
     /// while the honest sea stays healthy. The wave leases end inside the
     /// horizon, so the run also retires tens of thousands of tasks
-    /// mid-flight — the churn path the slot-recycling arena exists for.
+    /// mid-flight — the churn path a node's task arena retires through.
     ///
     /// Chain [`ScenarioSpec::with_rebalance`]`(`
     /// [`ScenarioSpec::milliontask_rebalance`]`(horizon))` for the

@@ -17,6 +17,7 @@
 
 use selftune_core::share::{DemandSignal, ShareController, ShareControllerConfig, ShareDecision};
 use selftune_simcore::time::Time;
+use std::collections::HashMap;
 
 use crate::aggregate::{AggregateMetrics, NodeReport, RebalanceStats};
 use crate::events::{sort_events, FleetEvent, NodeSnap};
@@ -225,7 +226,8 @@ pub(crate) fn publish(run: &Run, ws: &mut WorkerState, ei: usize, interim: bool)
 }
 
 /// One boundary's publications, given in worker order, merged into one:
-/// grants and reports in worker order, feedback in node-id order.
+/// grants and reports in worker order, feedback in node-id order. A debug
+/// build checks [`one_node_per_unit`] on the merged feedback.
 pub(crate) fn merge(posts: impl IntoIterator<Item = Published>) -> Published {
     let mut all = Published::default();
     for p in posts {
@@ -234,7 +236,34 @@ pub(crate) fn merge(posts: impl IntoIterator<Item = Published>) -> Published {
         all.feedback.extend(p.feedback);
     }
     all.feedback.sort_unstable_by_key(|fb| fb.node);
+    debug_assert_eq!(one_node_per_unit(&all.feedback), Ok(()));
     all
+}
+
+/// The contract that no retired fleet id is resurrected, over one
+/// boundary's feedback: a task or VM lives on one node at a time, so a
+/// fleet task id in two `live_rt` lists, or a fleet VM id in two
+/// `live_vms` lists, names a unit that came back where it had left.
+pub(crate) fn one_node_per_unit(feedback: &[NodeFeedback]) -> Result<(), String> {
+    fn once(what: &str, ids: impl Iterator<Item = (usize, usize)>) -> Result<(), String> {
+        let mut seen = HashMap::new();
+        for (id, node) in ids {
+            if let Some(first) = seen.insert(id, node) {
+                return Err(format!(
+                    "fleet {what} {id} live on nodes {first} and {node}"
+                ));
+            }
+        }
+        Ok(())
+    }
+    let tasks = feedback
+        .iter()
+        .flat_map(|fb| fb.live_rt.iter().map(|t| (t.fleet_id, t.node)));
+    once("task", tasks)?;
+    let vms = feedback
+        .iter()
+        .flat_map(|fb| fb.live_vms.iter().map(|v| (v.fleet_vm_id, v.node)));
+    once("VM", vms)
 }
 
 /// Fleet aggregates out of one boundary's reports (any order) — an
@@ -622,6 +651,37 @@ mod tests {
             ends: ClusterRunner::epoch_ends(spec),
             deal: deal(spec, plan, workers),
         }
+    }
+
+    #[test]
+    fn a_fleet_id_live_on_two_nodes_is_a_named_error() {
+        use crate::placer::{LiveTask, LiveVmUnit};
+        use selftune_analysis::PeriodicTask;
+        let fb = |node: usize, task: usize, vm: usize| NodeFeedback {
+            node,
+            live_rt: vec![LiveTask {
+                fleet_id: task,
+                node,
+                nominal: PeriodicTask::new(4.0, 40.0),
+                measured_bw: 0.1,
+                movable: true,
+                granted: None,
+            }],
+            live_vms: vec![LiveVmUnit {
+                fleet_vm_id: vm,
+                node,
+                share: 0.3,
+                movable: true,
+                elastic: false,
+                guest_grants: Vec::new(),
+            }],
+            ..NodeFeedback::default()
+        };
+        assert_eq!(one_node_per_unit(&[fb(0, 4, 1), fb(2, 5, 2)]), Ok(()));
+        let task = one_node_per_unit(&[fb(0, 4, 1), fb(2, 4, 2)]);
+        assert_eq!(task, Err("fleet task 4 live on nodes 0 and 2".into()));
+        let vm = one_node_per_unit(&[fb(0, 4, 1), fb(3, 5, 1)]);
+        assert_eq!(vm, Err("fleet VM 1 live on nodes 0 and 3".into()));
     }
 
     /// Two nodes, eight tasks arriving 100 ms apart: the last one (700 ms)

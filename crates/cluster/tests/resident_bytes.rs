@@ -12,8 +12,8 @@
 //! name, a config held twice) fails here before it shows in a fleet's
 //! peak RSS:
 //!
-//! - the bytes after admission: the arena slot, the kernel's task, the
-//!   workload and the manager's controller;
+//! - the bytes after admission: the arena entry and its live box, the
+//!   kernel's task, the workload and the manager's controller;
 //! - the bytes after the first step;
 //! - what the first step added: the metric keys the manager interns then,
 //!   the samples and the analysers' windows.

@@ -6,10 +6,10 @@
 //! honest population live to the horizon, the feedback rebalancer still
 //! cuts fleet misses with a sea of bystanders in the arenas, aggregates
 //! cannot observe the worker-thread count (the aggregate folds node
-//! sketches in node-id order, whichever worker reported them). That
-//! task-arena slot recycling is invisible in the bytes is pinned on the
-//! node itself, against a frozen twin, by `crates/cluster/tests/props.rs::
-//! slot_recycling_never_resurrects_a_departed_task`.
+//! sketches in node-id order, whichever worker reported them). That a
+//! departed task never comes back is pinned on the node itself by
+//! `crates/cluster/src/node.rs`'s
+//! `slot_recycling_never_resurrects_a_departed_task`.
 //!
 //! Profile-adaptive sizing: the debug test profile runs the same
 //! scenario shape at 500 nodes / 20k tasks; the release profile runs the
@@ -117,9 +117,9 @@ fn milliontask_keeps_the_population_live_and_wins_on_misses() {
 
 #[test]
 fn milliontask_aggregates_ignore_thread_count_and_slot_recycling() {
-    // Recycling is live in every run here (departed liar slots are reused
-    // mid-flight); what a *frozen* arena would have reported is compared
-    // on the node itself, in `slot_recycling_never_resurrects_a_departed_task`.
+    // Departed liars retire mid-flight in every run here; that none of
+    // them comes back is checked on the node itself, in
+    // `slot_recycling_never_resurrects_a_departed_task`.
     let spec = scenario(true);
     let serial = runner(1).run(&spec, SEED);
     let two = runner(2).run(&spec, SEED);

@@ -6,7 +6,7 @@
 //! liar wave, feedback rebalancer on — because a journal of the full
 //! million-task fleet would be gigabytes. The scenario shape (staggered
 //! de-synchronised arrivals, prefix-filling liar wave, mid-flight lease
-//! retirements through the recycling arena) is identical. Generated
+//! retirements through the task arena) is identical. Generated
 //! with:
 //!
 //! ```bash
@@ -15,7 +15,7 @@
 //! ```
 //!
 //! It pins this PR's hot path — balanced-tree aggregate reduction,
-//! free-list slot recycling, the narrowed task report state — to bytes
+//! task-arena retirement, the narrowed task report state — to bytes
 //! recorded before any future refactor: if replay of the fixture ever
 //! diverges, either the simulation's determinism or its decision logic
 //! changed.
