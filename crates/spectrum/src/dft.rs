@@ -20,22 +20,43 @@
 //! `(t, ±1)`: add an event, or subtract one that left the window. One
 //! operation walks the grid with a phase rotator (a serial
 //! multiply → add chain per bin), so a core evaluating operations one at
-//! a time waits on that chain. The kernel (`accumulate_block`) carries
-//! eight independent rotators through the bin loop instead and adds their
-//! contributions to each bin *in operation order*: every `re[i]` / `im[i]`
-//! sees exactly the additions, in exactly the order, that one-at-a-time
-//! evaluation performs (Rust never contracts `a * b + c` into a fused
-//! multiply-add), so the accumulators are bit-identical while the
-//! recurrences overlap. That argument is local to the kernel and holds for
-//! every width, so the operations left over after the last full block go
-//! through the same function once more, in one pass: at their own width,
-//! or as a full block padded with operations of sign zero where that is
-//! cheaper (the table on `BLOCK`). Width 1 — the serial chain again —
-//! is reached only by a tail of exactly one operation.
+//! a time waits on that chain. The kernel (`accumulate_block`) carries up
+//! to eight independent rotators through the bin loop instead and adds
+//! their contributions to each bin *in operation order*: every `re[i]` /
+//! `im[i]` sees exactly the additions, in exactly the order, that
+//! one-at-a-time evaluation performs (Rust never contracts `a * b + c`
+//! into a fused multiply-add), so the accumulators are bit-identical while
+//! the recurrences overlap. The argument is about one bin at a time, so it
+//! holds for every width and for both ways the kernel walks the grid:
+//!
+//! - *Serially* (`accumulate_serial`): bin by bin, each bin summing its
+//!   `W` contributions in a chain of `W` dependent adds; the chains of
+//!   different bins overlap.
+//! - *In lanes* (`accumulate_lanes`, compiled for AVX2): the rotators
+//!   advance four bins and stage their values, then the four bins take
+//!   operations `0..W` as vertical adds, one instruction per operation for
+//!   all four. A lane is one bin's own accumulator, so no addition moves
+//!   between bins or changes its place in a bin's order, and the staged
+//!   rotator values come from the same recurrence: the same bits again.
+//!
+//! `accumulate_block` takes the lanes where the CPU has AVX2 (detected at
+//! run time) and `W ≥ 4`. Below that the pass is bound by the rotator
+//! recurrence itself — one multiply → add of latency per bin, which
+//! neither way shortens — and the staging only adds work: lanes measured
+//! slower at widths 1–3 (the table on `BLOCK`). A CPU without AVX2 runs
+//! the serial kernel at every width.
+//!
+//! The operations left over after the last full block go through one more
+//! pass: at their own width, or as a full block padded with operations of
+//! sign zero where that is cheaper (the table on `BLOCK`, measured for
+//! each kernel). Width 1 — the serial chain again — is reached only by a
+//! tail of exactly one operation.
 //!
 //! The same argument lets a [`WindowedDft`] defer its accumulators: until
-//! its first eviction they are the adds of its window in push order, and
-//! folding the window from zero replays exactly those additions.
+//! its first eviction they are the adds of its window in push order, so
+//! the window can be folded from zero at any time, and on leaving that
+//! state its adds run at the head of the operations that end it, in the
+//! same pass.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -47,6 +68,11 @@ thread_local! {
     /// reads thousands of short windows in turn, and holding a pair each is
     /// what the deferred accumulators exist to avoid.
     static FOLD_SCRATCH: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
+    /// Calls of `accumulate_ops` on this thread. A sequence of `n`
+    /// operations walks the grid `⌈n / BLOCK⌉` times, so a fold that
+    /// joins the sequence after it costs no walk of its own.
+    #[cfg(test)]
+    static SEQUENCES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 /// Frequency-grid configuration, in Hz.
@@ -162,73 +188,83 @@ impl Spectrum {
 /// and 16 both measured ~20 % slower per operation.
 ///
 /// A tail of `r < BLOCK` operations is routed by measurement
-/// ([`accumulate_tail`]). Microseconds per `extend` of `r` arrivals with
-/// no eviction on the default 821-bin grid, median of 21 interleaved
-/// rounds on a 2.1 GHz Xeon (runs drift ±15 % on this machine; the order
-/// within a row held in all four):
+/// ([`accumulate_tail`]), for each kernel. Microseconds per pass over the
+/// default 821-bin grid (one kernel call; per-cell median of three runs,
+/// each the median of 21 interleaved rounds of 3 000 calls) on a 2-vCPU
+/// Xeon with AVX2. The serial columns are the code a CPU without AVX2
+/// runs; **bold** is the route taken:
 ///
-/// | `r` | `r` passes at width 1 | one pass at width `r` | one padded full block |
-/// |---|---|---|---|
-/// | 1 | 1.88 | **1.88** | 4.38 |
-/// | 2 | 3.15 | **1.98** | 4.28 |
-/// | 3 | 5.61 | **2.52** | 4.49 |
-/// | 4 | 7.73 | **2.97** | 4.71 |
-/// | 5 | 9.33 | **3.91** | 4.43 |
-/// | 6 | 10.50 | 5.30 | **4.28** |
-/// | 7 | 13.02 | 5.20 | **4.52** |
+/// | `r` | serial, width `r` | serial, padded block | lanes, width `r` | lanes, padded block |
+/// |---|---|---|---|---|
+/// | 1 | **2.63** | 5.42 | 2.94 | 4.30 |
+/// | 2 | **2.76** | 5.32 | 3.01 | 4.27 |
+/// | 3 | **3.15** | 5.35 | 3.40 | 4.25 |
+/// | 4 | **3.46** | 5.48 | **2.84** | 4.39 |
+/// | 5 | **4.68** | 5.54 | **3.74** | 4.41 |
+/// | 6 | 6.96 | **5.57** | 6.78 | **4.50** |
+/// | 7 | 6.47 | **5.66** | 7.80 | **4.48** |
 ///
-/// (a full block of eight: 3.6.) Widths 6 and 7 lose to the block they
-/// almost fill, so they are padded up to it; up to 5 the tail's own width
-/// wins.
+/// (A full block of eight: 5.55 serial, 4.48 in lanes.) Both kernels route
+/// alike: up to 5 the tail's own width wins, and 6 and 7 lose to the block
+/// they almost fill, so they are padded up to it. On a CPU with AVX2,
+/// widths 1–3 run serially: the lanes lose there (the module docs).
 const BLOCK: usize = 8;
 
-/// Accumulates `signₖ · e^{-j2π·freq_of(i)·tₖ}` into `(re[i], im[i])` for
-/// the `W` operations `(tₖ, signₖ)` of `ops`, operation 0 first.
-///
-/// Instead of a `sin`/`cos` pair per (event, bin), the bin phases form an
-/// arithmetic progression `θᵢ = 2π(f_min + i·δf)t`, so the complex
-/// exponentials follow the angle-addition recurrence
-/// `e^{-jθᵢ₊₁} = e^{-jθᵢ} · e^{-j2πδf·t}`: one `sin_cos` pair per event
-/// (plus one for the rotator) and four multiply-adds per bin. The rotator
-/// stays on the unit circle to machine precision over the grid sizes used
-/// here (≤ a few thousand bins), keeping the result within 1e-9 of the
-/// naive evaluation — a property test asserts this.
-///
-/// The `W` rotators are independent, so their recurrences overlap in the
-/// pipeline; the additions into one bin are not reordered, so the result
-/// is the same to the bit for every `W` (see the module docs).
-///
-/// The sign is folded into the rotator once, before the bin loop, instead
-/// of multiplying every contribution by it. That is exact: negating both
-/// operands of a product, sum or difference negates the rounded result,
-/// so the signed rotator is the negated unsigned one at every bin. The
-/// one exception is the sign of an exact zero (`x − x` is `+0` either
-/// way), and a zero contributes the same whatever its sign, because an
-/// accumulator is never `−0`: it starts at `+0`, and a sum that cancels
-/// exactly is `+0`.
-fn accumulate_block<const W: usize>(
-    config: &SpectrumConfig,
-    ops: &[(f64, f64); W],
-    re: &mut [f64],
-    im: &mut [f64],
-) {
-    let tau = core::f64::consts::TAU;
-    let (mut c, mut s) = ([0.0_f64; W], [0.0_f64; W]);
-    let (mut cd, mut sd) = ([0.0_f64; W], [0.0_f64; W]);
-    for (k, &(t, sign)) in ops.iter().enumerate() {
-        let (s0, c0) = (tau * config.f_min * t).sin_cos();
-        (c[k], s[k]) = (sign * c0, sign * s0);
-        (sd[k], cd[k]) = (tau * config.df * t).sin_cos();
-    }
-    for (r, m) in re.iter_mut().zip(im.iter_mut()) {
-        // e^{-jωt} = cos(ωt) − j·sin(ωt).
-        let (mut acc_r, mut acc_m) = (*r, *m);
-        for k in 0..W {
-            acc_r += c[k];
-            acc_m -= s[k];
+/// Bins the lane kernel ([`accumulate_lanes`]) adds to at once: one AVX2
+/// register of `f64`s.
+#[cfg(target_arch = "x86_64")]
+const LANES: usize = 4;
+
+/// The phase rotators of `W` operations at the current bin: `c`, `s` the
+/// signed cosine and sine, `cd`, `sd` the per-bin step.
+struct Rotators<const W: usize> {
+    c: [f64; W],
+    s: [f64; W],
+    cd: [f64; W],
+    sd: [f64; W],
+}
+
+impl<const W: usize> Rotators<W> {
+    /// The rotators of `ops` at bin 0.
+    ///
+    /// Instead of a `sin`/`cos` pair per (event, bin), the bin phases form
+    /// an arithmetic progression `θᵢ = 2π(f_min + i·δf)t`, so the complex
+    /// exponentials follow the angle-addition recurrence
+    /// `e^{-jθᵢ₊₁} = e^{-jθᵢ} · e^{-j2πδf·t}`: one `sin_cos` pair per event
+    /// (plus one for the rotator) and four multiply-adds per bin. The
+    /// rotator stays on the unit circle to machine precision over the grid
+    /// sizes used here (≤ a few thousand bins), keeping the result within
+    /// 1e-9 of the naive evaluation — a property test asserts this.
+    ///
+    /// The sign is folded into the rotator once, before the bin loop,
+    /// instead of multiplying every contribution by it. That is exact:
+    /// negating both operands of a product, sum or difference negates the
+    /// rounded result, so the signed rotator is the negated unsigned one at
+    /// every bin. The one exception is the sign of an exact zero (`x − x`
+    /// is `+0` either way), and a zero contributes the same whatever its
+    /// sign, because an accumulator is never `−0`: it starts at `+0`, and a
+    /// sum that cancels exactly is `+0`.
+    #[inline(always)]
+    fn new(config: &SpectrumConfig, ops: &[(f64, f64); W]) -> Rotators<W> {
+        let tau = core::f64::consts::TAU;
+        let mut r = Rotators {
+            c: [0.0; W],
+            s: [0.0; W],
+            cd: [0.0; W],
+            sd: [0.0; W],
+        };
+        for (k, &(t, sign)) in ops.iter().enumerate() {
+            let (s0, c0) = (tau * config.f_min * t).sin_cos();
+            (r.c[k], r.s[k]) = (sign * c0, sign * s0);
+            (r.sd[k], r.cd[k]) = (tau * config.df * t).sin_cos();
         }
-        *r = acc_r;
-        *m = acc_m;
+        r
+    }
+
+    /// Moves every rotator on to the next bin.
+    #[inline(always)]
+    fn advance(&mut self) {
+        let Rotators { c, s, cd, sd } = self;
         for k in 0..W {
             let next_c = c[k] * cd[k] - s[k] * sd[k];
             let next_s = s[k] * cd[k] + c[k] * sd[k];
@@ -236,6 +272,112 @@ fn accumulate_block<const W: usize>(
             s[k] = next_s;
         }
     }
+
+    /// Adds the `W` contributions to each bin of `re` / `im` in operation
+    /// order, one bin at a time, starting at the current bin.
+    #[inline(always)]
+    fn add_serially(&mut self, re: &mut [f64], im: &mut [f64]) {
+        for (r, m) in re.iter_mut().zip(im.iter_mut()) {
+            // e^{-jωt} = cos(ωt) − j·sin(ωt).
+            let (mut acc_r, mut acc_m) = (*r, *m);
+            for k in 0..W {
+                acc_r += self.c[k];
+                acc_m -= self.s[k];
+            }
+            *r = acc_r;
+            *m = acc_m;
+            self.advance();
+        }
+    }
+}
+
+/// Accumulates `signₖ · e^{-j2π·freq_of(i)·tₖ}` into `(re[i], im[i])` for
+/// the `W` operations `(tₖ, signₖ)` of `ops`, operation 0 first, through
+/// the kernel that serves `W` on this CPU: the lane kernel where AVX2 is
+/// present and `W ≥ 4`, the serial one otherwise (the module docs). Both
+/// leave the same bits.
+#[inline]
+fn accumulate_block<const W: usize>(
+    config: &SpectrumConfig,
+    ops: &[(f64, f64); W],
+    re: &mut [f64],
+    im: &mut [f64],
+) {
+    #[cfg(target_arch = "x86_64")]
+    if W >= 4 && std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: `accumulate_lanes_avx2` needs only AVX2, and the CPU
+        // was just detected to support it.
+        return unsafe { accumulate_lanes_avx2(config, ops, re, im) };
+    }
+    accumulate_serial(config, ops, re, im);
+}
+
+/// The serial kernel: the `W` rotators walk the grid together, and each
+/// bin receives their contributions in operation order. The rotators are
+/// independent, so their recurrences overlap in the pipeline; the
+/// additions into one bin are not reordered, so the result is the same to
+/// the bit for every `W`.
+#[inline]
+fn accumulate_serial<const W: usize>(
+    config: &SpectrumConfig,
+    ops: &[(f64, f64); W],
+    re: &mut [f64],
+    im: &mut [f64],
+) {
+    Rotators::new(config, ops).add_serially(re, im);
+}
+
+/// [`accumulate_lanes`] compiled for AVX2: four bins per vector add.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn accumulate_lanes_avx2<const W: usize>(
+    config: &SpectrumConfig,
+    ops: &[(f64, f64); W],
+    re: &mut [f64],
+    im: &mut [f64],
+) {
+    accumulate_lanes(config, ops, re, im);
+}
+
+/// The lane kernel: the rotators advance [`LANES`] bins and stage their
+/// values as `cv[k][j]` / `sv[k][j]` (operation `k`, bin `j` of the
+/// group); then each of the group's bins receives operations `0..W` in
+/// order, as vertical adds across the group. Every bin sees the additions
+/// of [`accumulate_serial`] in the same order, and every rotator value is
+/// the same recurrence, so the bits are the same; the bins past the last
+/// full group go through the serial loop.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+fn accumulate_lanes<const W: usize>(
+    config: &SpectrumConfig,
+    ops: &[(f64, f64); W],
+    re: &mut [f64],
+    im: &mut [f64],
+) {
+    let mut rot = Rotators::new(config, ops);
+    let mut re_groups = re.chunks_exact_mut(LANES);
+    let mut im_groups = im.chunks_exact_mut(LANES);
+    for (r, m) in (&mut re_groups).zip(&mut im_groups) {
+        let (mut cv, mut sv) = ([[0.0_f64; LANES]; W], [[0.0_f64; LANES]; W]);
+        for j in 0..LANES {
+            for k in 0..W {
+                (cv[k][j], sv[k][j]) = (rot.c[k], rot.s[k]);
+            }
+            rot.advance();
+        }
+        let mut acc_r: [f64; LANES] = core::array::from_fn(|j| r[j]);
+        let mut acc_m: [f64; LANES] = core::array::from_fn(|j| m[j]);
+        for k in 0..W {
+            for j in 0..LANES {
+                // e^{-jωt} = cos(ωt) − j·sin(ωt).
+                acc_r[j] += cv[k][j];
+                acc_m[j] -= sv[k][j];
+            }
+        }
+        r.copy_from_slice(&acc_r);
+        m.copy_from_slice(&acc_m);
+    }
+    rot.add_serially(re_groups.into_remainder(), im_groups.into_remainder());
 }
 
 /// Streams the operations `(t, sign)` of `ops` through the kernel in
@@ -247,6 +389,8 @@ fn accumulate_ops(
     re: &mut [f64],
     im: &mut [f64],
 ) -> u64 {
+    #[cfg(test)]
+    SEQUENCES.set(SEQUENCES.get() + 1);
     let mut block = [NO_OP; BLOCK];
     let (mut filled, mut count) = (0, 0_u64);
     for op in ops {
@@ -265,12 +409,13 @@ fn accumulate_ops(
 /// An operation that leaves every accumulator as it found it: a zero sign
 /// makes the rotator `±0` at every bin, and adding or subtracting a zero
 /// of either sign changes nothing, because an accumulator is never `−0`
-/// (the argument of the folded sign in [`accumulate_block`]).
+/// (the argument of the folded sign in [`Rotators::new`]).
 const NO_OP: (f64, f64) = (0.0, 0.0);
 
 /// Evaluates the `filled < BLOCK` operations left in `block` in one pass
-/// over the grid, at the width the table on [`BLOCK`] routes them to:
-/// their own, or a full block whose unused slots are [`NO_OP`]s.
+/// over the grid, at the width the table on [`BLOCK`] routes them to (the
+/// same for both kernels): their own, or a full block whose unused slots
+/// are [`NO_OP`]s.
 fn accumulate_tail(
     config: &SpectrumConfig,
     block: &mut [(f64, f64); BLOCK],
@@ -339,17 +484,18 @@ pub fn amplitude_spectrum(events_secs: &[f64], config: SpectrumConfig) -> Spectr
 ///   pair. Most analysers of a dense fleet never leave this state, and
 ///   hold a few words where a grid pair costs `bins × 16` bytes.
 /// - **Running.** The first `extend` that would evict, or would grow the
-///   window past `BLOCK`, allocates the pair, folds the window's adds
-///   into it and then evaluates its own operations as before.
+///   window past `BLOCK`, allocates the zeroed pair and streams the
+///   window's adds followed by its own operations through the kernel as
+///   one sequence, so the fold shares their passes over the grid.
 ///
 /// Both are bit-identical to accumulating every operation as it comes:
 /// the fold performs the same additions in the same order (the module
 /// docs' argument, which holds at every kernel width). `BLOCK` is the
-/// threshold because it is the kernel's own width — a window that fits
-/// one block is folded in one pass over the grid, the pass an
-/// incremental tail would have cost anyway. [`WindowedDft::ops`] counts
-/// the paper's Equation (3) operations in either state, not the passes
-/// a fold repeats.
+/// threshold because it is the kernel's own width: a window that fits one
+/// block is folded in one pass, and the window it leaves behind fits the
+/// stack copy `extend` folds from. [`WindowedDft::ops`] counts the paper's
+/// Equation (3) operations in either state, not the passes a fold
+/// repeats.
 #[derive(Debug)]
 pub struct WindowedDft {
     config: SpectrumConfig,
@@ -416,6 +562,7 @@ impl WindowedDft {
     /// Panics if an event precedes the newest one already in the window.
     pub fn extend(&mut self, events_secs: &[f64]) {
         let bins = self.config.bins() as u64;
+        let (mut history, mut folded) = ([0.0; BLOCK], 0);
         if self.acc.is_empty() {
             if self.keeps_history(events_secs) {
                 for &t in events_secs {
@@ -424,7 +571,15 @@ impl WindowedDft {
                 self.ops += bins * events_secs.len() as u64;
                 return;
             }
-            fold_window(&self.config, &self.window, &mut self.acc);
+            // Leaving the history state: the window's adds open the
+            // operation sequence, so they share its passes over the grid.
+            // The window holds at most `BLOCK` events; it is copied because
+            // the sequence below pops and appends to it.
+            for (slot, &t) in history.iter_mut().zip(&self.window) {
+                *slot = t;
+            }
+            folded = self.window.len();
+            self.acc = vec![0.0; 2 * self.config.bins()];
         }
         let WindowedDft {
             config,
@@ -437,7 +592,7 @@ impl WindowedDft {
         let mut arrivals = events_secs.iter();
         // The arrival whose evictions are still being emitted.
         let mut newest: Option<f64> = None;
-        let sequence = core::iter::from_fn(|| {
+        let arrivals_and_evictions = core::iter::from_fn(|| {
             if let Some(t) = newest {
                 match window.front() {
                     Some(&old) if evicts(*horizon, old, t) => {
@@ -452,8 +607,10 @@ impl WindowedDft {
             newest = Some(t);
             Some((t, 1.0))
         });
-        let count = accumulate_ops(config, sequence, re, im);
-        *ops += bins * count;
+        let fold = history[..folded].iter().map(|&t| (t, 1.0));
+        let count = accumulate_ops(config, fold.chain(arrivals_and_evictions), re, im);
+        // Equation (3) counts the window's adds once, when they came.
+        *ops += bins * (count - folded as u64);
     }
 
     /// Whether the window stays its whole history after appending
@@ -786,7 +943,9 @@ mod tests {
             let mut w = WindowedDft::new(c, h);
             let mut reference = ScalarWindow::new(c, h);
             for (batch, state) in batches.iter().zip(states.chars()) {
+                let before = SEQUENCES.get();
                 w.extend(batch);
+                let sequences = SEQUENCES.get() - before;
                 batch.iter().for_each(|&t| reference.push(t));
                 assert_same_state(&w, &reference);
                 let running = reference.signs.contains(&-1.0) || w.len() > BLOCK;
@@ -799,8 +958,87 @@ mod tests {
                 if !running {
                     assert_eq!(w.acc.capacity(), 0, "{name}");
                 }
+                // A history batch walks no grid; a transition folds the
+                // window in the same sequence as the batch's operations.
+                assert_eq!(
+                    sequences,
+                    u64::from(running),
+                    "{name}: {sequences} sequences"
+                );
             }
         }
+    }
+
+    /// Kernel inputs for one width: adds at small `t`, alternating signs
+    /// near `t = 200 s`, and exact zeros (`t = 0`) between subtractions
+    /// and [`NO_OP`] padding.
+    fn op_sets<const W: usize>() -> [[(f64, f64); W]; 3] {
+        let sign = |k: usize| if k.is_multiple_of(2) { 1.0 } else { -1.0 };
+        [
+            core::array::from_fn(|k| (0.013 * (k + 1) as f64, 1.0)),
+            core::array::from_fn(|k| (199.987 + 0.0071 * k as f64, sign(k))),
+            core::array::from_fn(|k| match k % 3 {
+                0 => (0.0, sign(k / 3)),
+                1 => (199.9 + 0.0123 * k as f64, -1.0),
+                _ => NO_OP,
+            }),
+        ]
+    }
+
+    /// Whether this CPU runs the lane kernel.
+    fn has_avx2() -> bool {
+        #[cfg(target_arch = "x86_64")]
+        return std::arch::is_x86_feature_detected!("avx2");
+        #[cfg(not(target_arch = "x86_64"))]
+        false
+    }
+
+    /// Both kernel instantiations of width `W` leave the scalar
+    /// evaluator's bits, on grids of every size modulo four lanes (and
+    /// smaller than a group), starting from non-zero accumulators.
+    fn kernels_match_at<const W: usize>() {
+        for bins in [2, 3, 4, 5, 7, 64, 821] {
+            let config = SpectrumConfig::new(10.0, 10.0 + 0.5 * (bins - 1) as f64, 0.5);
+            assert_eq!(config.bins(), bins);
+            let start_re: Vec<f64> = (0..bins).map(|i| (i as f64 * 0.37).sin() * 3.0).collect();
+            let start_im: Vec<f64> = (0..bins).map(|i| (i as f64 * 0.41).cos() * 2.0).collect();
+            for ops in op_sets::<W>() {
+                let (mut re, mut im) = (start_re.clone(), start_im.clone());
+                for &(t, sign) in &ops {
+                    accumulate_event(&config, t, sign, &mut re, &mut im);
+                }
+                let (mut serial_re, mut serial_im) = (start_re.clone(), start_im.clone());
+                accumulate_serial(&config, &ops, &mut serial_re, &mut serial_im);
+                assert_eq!(bits(&serial_re), bits(&re), "serial W={W}, {bins} bins");
+                assert_eq!(bits(&serial_im), bits(&im), "serial W={W}, {bins} bins");
+                #[cfg(target_arch = "x86_64")]
+                if has_avx2() {
+                    let (mut lanes_re, mut lanes_im) = (start_re.clone(), start_im.clone());
+                    // SAFETY: this CPU has AVX2, just checked.
+                    unsafe { accumulate_lanes_avx2(&config, &ops, &mut lanes_re, &mut lanes_im) };
+                    assert_eq!(bits(&lanes_re), bits(&re), "AVX2 W={W}, {bins} bins");
+                    assert_eq!(bits(&lanes_im), bits(&im), "AVX2 W={W}, {bins} bins");
+                }
+            }
+        }
+    }
+
+    /// Routing is by width and CPU, so on an AVX2 host the window
+    /// differentials never reach the serial kernel at `W ≥ 4`, nor the
+    /// lane kernel below it; this test calls both at every width.
+    #[test]
+    fn avx2_and_portable_kernels_match_the_scalar_evaluator_at_every_width() {
+        if !has_avx2() {
+            println!("no AVX2 on this CPU: only the serial kernel is compared");
+        }
+        kernels_match_at::<1>();
+        kernels_match_at::<2>();
+        kernels_match_at::<3>();
+        kernels_match_at::<4>();
+        kernels_match_at::<5>();
+        kernels_match_at::<6>();
+        kernels_match_at::<7>();
+        kernels_match_at::<8>();
     }
 
     #[test]
