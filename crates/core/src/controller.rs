@@ -66,12 +66,11 @@ impl Default for ControllerConfig {
     }
 }
 
-/// Observations handed to one controller step.
+/// Observations handed to one controller step. The step's trace events
+/// go to the period analyser before it, through
+/// [`TaskController::observe`].
 #[derive(Debug)]
-pub struct ControllerInput<'a> {
-    /// Entry-edge timestamps (seconds) of this task's traced syscalls since
-    /// the previous step.
-    pub events_secs: &'a [f64],
+pub(crate) struct ControllerInput {
     /// Cumulative CPU time consumed by the task (thread-time sensor).
     pub consumed: Dur,
     /// Wall time since the previous step (`S`).
@@ -84,7 +83,7 @@ pub struct ControllerInput<'a> {
 
 /// A controller decision for the manager to execute.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Decision {
+pub(crate) enum Decision {
     /// Nothing to do yet (still detecting, or no new information).
     None,
     /// Create a reservation with these parameters and attach the task.
@@ -160,8 +159,20 @@ impl TaskController {
         &self.analyser
     }
 
-    fn update_period(&mut self, events_secs: &[f64]) {
+    /// Feeds the entry-edge timestamps (seconds) of this task's traced
+    /// syscalls since the previous step to the period analyser, and
+    /// returns the analyser, for [`PeriodAnalyser::refresh`] to settle
+    /// with those of the other tasks before [`TaskController::step`]
+    /// reads it. `None`, and nothing fed, when the period is fixed.
+    pub(crate) fn observe(&mut self, events_secs: &[f64]) -> Option<&mut PeriodAnalyser> {
+        if !self.detect {
+            return None;
+        }
         self.analyser.feed(events_secs);
+        Some(&mut self.analyser)
+    }
+
+    fn update_period(&mut self) {
         let Some(est) = self.analyser.estimate() else {
             return;
         };
@@ -177,10 +188,11 @@ impl TaskController {
         }
     }
 
-    /// One sampling step.
-    pub fn step(&mut self, input: &ControllerInput<'_>) -> Decision {
+    /// One sampling step, after [`TaskController::observe`] has fed the
+    /// step's events.
+    pub(crate) fn step(&mut self, input: &ControllerInput) -> Decision {
         if self.detect {
-            self.update_period(input.events_secs);
+            self.update_period();
         }
         let Some(period) = self.period else {
             return Decision::None;
@@ -202,14 +214,15 @@ mod tests {
     use super::*;
     use selftune_spectrum::synthetic_burst_train;
 
-    fn input<'a>(events: &'a [f64], consumed_ms: u64, attached: bool) -> ControllerInput<'a> {
-        ControllerInput {
-            events_secs: events,
+    /// One step with `events` observed first, as the manager runs it.
+    fn step(c: &mut TaskController, events: &[f64], consumed_ms: u64, attached: bool) -> Decision {
+        let _ = c.observe(events);
+        c.step(&ControllerInput {
             consumed: Dur::ms(consumed_ms),
             elapsed: Dur::secs(1),
             exhausted: false,
             attached,
-        }
+        })
     }
 
     #[test]
@@ -227,7 +240,7 @@ mod tests {
         let mut c = TaskController::new(ControllerConfig::default());
         // Aperiodic-ish sparse events: analyser may or may not estimate;
         // with no events at all it certainly cannot.
-        let d = c.step(&input(&[], 10, false));
+        let d = step(&mut c, &[], 10, false);
         assert_eq!(d, Decision::None);
         assert_eq!(c.period(), None);
     }
@@ -237,12 +250,12 @@ mod tests {
         let mut c = TaskController::new(ControllerConfig::default());
         let events = synthetic_burst_train(0.04, 50, 6, 0.005);
         // First step: period detected, LFS++ baseline stored, no request.
-        let d1 = c.step(&input(&events, 100, false));
+        let d1 = step(&mut c, &events, 100, false);
         assert_eq!(d1, Decision::None);
         let p = c.period().expect("period detected");
         assert!((p.as_ms_f64() - 40.0).abs() < 1.0, "{p}");
         // Second step: a consumption increment exists → attach.
-        let d2 = c.step(&input(&[], 350, false));
+        let d2 = step(&mut c, &[], 350, false);
         match d2 {
             Decision::Attach(r) => {
                 assert_eq!(r.period, p);
@@ -259,8 +272,8 @@ mod tests {
             fixed_period: Some(Dur::ms(40)),
             ..ControllerConfig::default()
         });
-        let _ = c.step(&input(&[], 100, true));
-        let d = c.step(&input(&[], 350, true));
+        let _ = step(&mut c, &[], 100, true);
+        let d = step(&mut c, &[], 350, true);
         assert!(matches!(d, Decision::Adjust(_)), "{d:?}");
     }
 
@@ -272,7 +285,7 @@ mod tests {
             ..ControllerConfig::default()
         });
         // LFS decides from step one, even with zero events.
-        let d = c.step(&input(&[], 0, false));
+        let d = step(&mut c, &[], 0, false);
         match d {
             Decision::Attach(r) => assert_eq!(r.period, Dur::ms(40)),
             other => panic!("expected attach, got {other:?}"),
@@ -283,14 +296,14 @@ mod tests {
     fn hysteresis_suppresses_small_period_changes() {
         let mut c = TaskController::new(ControllerConfig::default());
         let events = synthetic_burst_train(0.04, 50, 6, 0.005);
-        let _ = c.step(&input(&events, 100, false));
+        let _ = step(&mut c, &events, 100, false);
         let p1 = c.period().unwrap();
         // Feed a slightly different rate (within 5%): period unchanged.
         let events2: Vec<f64> = synthetic_burst_train(0.0405, 50, 6, 0.005)
             .iter()
             .map(|t| t + 2.5)
             .collect();
-        let _ = c.step(&input(&events2, 200, false));
+        let _ = step(&mut c, &events2, 200, false);
         assert_eq!(c.period(), Some(p1));
     }
 
@@ -303,7 +316,7 @@ mod tests {
         });
         // 10ms period (100 Hz) is outside [35, 50] ms: rejected.
         let events = synthetic_burst_train(0.01, 200, 4, 0.002);
-        let _ = c.step(&input(&events, 100, false));
+        let _ = step(&mut c, &events, 100, false);
         assert_eq!(c.period(), None);
     }
 
@@ -315,23 +328,24 @@ mod tests {
         let cfg = ControllerConfig::default();
         let k = cfg.period_confirmations;
         let mut c = TaskController::new(cfg);
-        let _ = c.step(&input(
+        let _ = step(
+            &mut c,
             &synthetic_burst_train(0.04, 50, 6, 0.005),
             100,
             false,
-        ));
+        );
         let old = c.period().expect("period detected");
         // One batch, 10 s later, at 20 ms: it evicts the whole old window.
         let faster: Vec<f64> = synthetic_burst_train(0.02, 100, 6, 0.005)
             .iter()
             .map(|t| t + 10.0)
             .collect();
-        let _ = c.step(&input(&faster, 200, false));
-        for step in 2..k {
-            let _ = c.step(&input(&[], 200, false));
-            assert_eq!(c.period(), Some(old), "adopted after only {step} steps");
+        let _ = step(&mut c, &faster, 200, false);
+        for steps in 2..k {
+            let _ = step(&mut c, &[], 200, false);
+            assert_eq!(c.period(), Some(old), "adopted after only {steps} steps");
         }
-        let _ = c.step(&input(&[], 200, false));
+        let _ = step(&mut c, &[], 200, false);
         let new = c.period().expect("still known");
         assert!(
             (new.as_ms_f64() - 20.0).abs() < 0.5,

@@ -25,7 +25,7 @@ pub mod manager;
 pub mod predictor;
 pub mod share;
 
-pub use controller::{ControllerConfig, ControllerInput, Decision, FeedbackKind, TaskController};
+pub use controller::{ControllerConfig, FeedbackKind, TaskController};
 pub use lfs::{Lfs, LfsConfig};
 pub use lfspp::{BudgetRequest, LfsPlusPlus, LfsPpConfig};
 pub use manager::{ManagerConfig, SelfTuningManager};

@@ -18,6 +18,7 @@ use selftune_simcore::metrics::{MetricKey, Metrics};
 use selftune_simcore::scheduler::Scheduler;
 use selftune_simcore::task::TaskId;
 use selftune_simcore::time::{Dur, Time};
+use selftune_spectrum::PeriodAnalyser;
 use selftune_tracer::{EntryDemux, TraceReader};
 
 /// No slot: the task is not under management.
@@ -80,6 +81,15 @@ impl ManagedTask {
             ctl,
             server,
             last_step: None,
+        }
+    }
+
+    /// Wall time since this task's previous step, or `sampling` before
+    /// its first: a step that reads zero skips the task.
+    fn elapsed(&self, now: Time, sampling: Dur) -> Dur {
+        match self.last_step {
+            Some(t) => now.saturating_since(t),
+            None => sampling,
         }
     }
 
@@ -352,6 +362,19 @@ impl SelfTuningManager {
             .split(&self.scratch, self.tasks.iter().flatten().map(|t| t.task));
         self.requests.clear();
         self.requesters.clear();
+        // Every task the loop below steps is fed its train first, and the
+        // analysers are settled together: short windows share their
+        // passes over the grid, and each step's estimate reads its
+        // analyser's settled verdict.
+        let (demux, sampling) = (&self.demux, self.cfg.sampling);
+        PeriodAnalyser::refresh(self.tasks.iter_mut().flatten().filter_map(|mt| {
+            let skipped =
+                k.task_state(mt.task) == TaskState::Exited || mt.elapsed(now, sampling).is_zero();
+            if skipped {
+                return None;
+            }
+            mt.ctl.observe(demux.entries(mt.task))
+        }));
         for mt in self.tasks.iter_mut().flatten() {
             if k.task_state(mt.task) == TaskState::Exited {
                 continue;
@@ -362,16 +385,12 @@ impl SelfTuningManager {
                 .server
                 .map(|sid| res(k.sched_mut()).server_mut(sid).take_exhausted_flag())
                 .unwrap_or(false);
-            let elapsed = match mt.last_step {
-                Some(t) => now.saturating_since(t),
-                None => self.cfg.sampling,
-            };
+            let elapsed = mt.elapsed(now, self.cfg.sampling);
             mt.last_step = Some(now);
             if elapsed.is_zero() {
                 continue;
             }
             let decision = mt.ctl.step(&ControllerInput {
-                events_secs: self.demux.entries(mt.task),
                 consumed,
                 elapsed,
                 exhausted,
@@ -471,7 +490,6 @@ mod tests {
     use selftune_simcore::stats::mean_std_of;
     use selftune_simcore::syscall::SyscallNr;
     use selftune_simcore::task::{Action, Script};
-    use selftune_spectrum::PeriodAnalyser;
     use selftune_tracer::{entry_times_secs, Tracer, TracerConfig};
 
     /// End-to-end: an unmanaged mplayer is detected, attached to a
@@ -601,12 +619,25 @@ mod tests {
         }
     }
 
-    /// The one-pass demux hands every controller the train a per-task
-    /// scan of the batch would: mirror analysers fed
-    /// `entry_times_secs(&batch, task)` from a second ring end up with the
-    /// same spectrum, to the bit, as the managed ones — across an
-    /// interleaved batch with wake edges, an unmanaged task's events, a
-    /// task that exits mid-run and a zero-`elapsed` step.
+    /// The per-task model of a sampling step: each controller observes
+    /// `entry_times_secs(&batch, task)` from a second ring and is stepped
+    /// on its own, under the skips the manager applies (an exited task, a
+    /// zero `elapsed`, a fixed period), with no batched refresh.
+    struct Model {
+        tid: TaskId,
+        ctl: TaskController,
+        last_step: Option<Time>,
+        periods: Vec<(Time, f64)>,
+    }
+
+    /// The one pre-pass feeds every controller the train a per-task scan
+    /// of the batch would, once, and the batched refresh changes nothing
+    /// a controller concludes: across an interleaved batch with wake
+    /// edges, an unmanaged task's events, a task that exits mid-run, a
+    /// zero-`elapsed` step and a fixed-period task, every task's analyser
+    /// ends with the model's spectrum (to the bit, `ops` included) and
+    /// estimate count, and its period series is the model's. No skipped
+    /// task is fed or estimated.
     #[test]
     fn step_feeds_each_task_what_a_per_task_scan_of_the_batch_would() {
         let traced = || TracerConfig {
@@ -621,6 +652,7 @@ mod tests {
         let mut rng = Rng::new(11);
         let video = MediaPlayer::new(MediaConfig::mplayer_video_25fps(), rng.fork());
         let periodic = PeriodicRt::new("rt", Dur::ms(2), Dur::ms(50), 0.1, rng.fork());
+        let fixed = PeriodicRt::new("fixed", Dur::ms(1), Dur::ms(20), 0.1, rng.fork());
         let noise = Aperiodic::new(Dur::ms(15), Dur::from_ms_f64(1.5), 2, rng.fork());
         // Forty reads 20 ms apart, then gone: exited from the third step.
         let mut burst = Vec::new();
@@ -629,50 +661,141 @@ mod tests {
             burst.push(Action::SleepFor(Dur::ms(20)));
         }
         burst.push(Action::Exit);
+        // Three short reads: a window that stays its whole history.
+        let mut sparse = Vec::new();
+        for _ in 0..3 {
+            sparse.push(Action::syscall(SyscallNr::Read));
+            sparse.push(Action::SleepFor(Dur::ms(900)));
+        }
         let managed = [
             k.spawn("video", Box::new(video)),
             k.spawn("rt", Box::new(periodic)),
             k.spawn("short", Box::new(Script::once(burst))),
+            k.spawn("fixed", Box::new(fixed)),
+            k.spawn("sparse", Box::new(Script::once(sparse))),
         ];
+        let (exiting, fixed) = (managed[2], managed[3]);
         k.spawn("noise", Box::new(noise));
 
-        let mut mgr = SelfTuningManager::new(ManagerConfig::default(), reader);
-        let ctl_cfg = ControllerConfig::default();
-        let mut mirrors = Vec::new();
+        let cfg = ManagerConfig::default();
+        let sampling = cfg.sampling;
+        let mut mgr = SelfTuningManager::new(cfg, reader);
+        let mut models = Vec::new();
         for (i, &tid) in managed.iter().enumerate() {
+            let ctl_cfg = ControllerConfig {
+                fixed_period: (tid == fixed).then(|| Dur::ms(20)),
+                ..ControllerConfig::default()
+            };
             mgr.manage(tid, &format!("t{i}"), ctl_cfg.clone());
-            mirrors.push(PeriodAnalyser::new(ctl_cfg.analyser));
+            models.push(Model {
+                tid,
+                ctl: TaskController::new(ctl_cfg),
+                last_step: None,
+                periods: Vec::new(),
+            });
         }
 
         let mut batch = Vec::new();
-        let mut mirror_step = |k: &Kernel<ReservationScheduler>, zero_elapsed: bool| {
+        let mut model_step = |k: &Kernel<ReservationScheduler>, models: &mut Vec<Model>| {
+            let now = k.now();
             mirror.drain_into(&mut batch);
-            for (&tid, analyser) in managed.iter().zip(&mut mirrors) {
-                if k.task_state(tid) != TaskState::Exited && !zero_elapsed {
-                    analyser.feed(&entry_times_secs(&batch, tid));
+            for m in models.iter_mut() {
+                if k.task_state(m.tid) == TaskState::Exited {
+                    continue;
+                }
+                let elapsed = m.last_step.map_or(sampling, |t| now.saturating_since(t));
+                m.last_step = Some(now);
+                if elapsed.is_zero() {
+                    continue;
+                }
+                let _ = m.ctl.observe(&entry_times_secs(&batch, m.tid));
+                let _ = m.ctl.step(&ControllerInput {
+                    consumed: Dur::ZERO,
+                    elapsed,
+                    exhausted: false,
+                    attached: false,
+                });
+                if let Some(p) = m.ctl.period() {
+                    m.periods.push((now, p.as_ms_f64()));
                 }
             }
         };
+        fn analyser(mgr: &SelfTuningManager, tid: TaskId) -> &PeriodAnalyser {
+            mgr.controller_of(tid).unwrap().analyser()
+        }
+        let mut exited_at = None;
         for step in 1..=8 {
             k.run_until(Time::ZERO + Dur::ms(500 * step));
             mgr.step(&mut k);
-            mirror_step(&k, false);
+            model_step(&k, &mut models);
             if step == 4 {
-                // Same instant again: every task sees a zero `elapsed`.
+                // Same instant again: every task sees a zero `elapsed`,
+                // so none is fed or estimated.
+                let counts = |mgr: &SelfTuningManager| {
+                    managed
+                        .iter()
+                        .map(|&t| {
+                            (
+                                analyser(mgr, t).verdict_counts(),
+                                analyser(mgr, t).spectrum().ops,
+                            )
+                        })
+                        .collect::<Vec<_>>()
+                };
+                let before = counts(&mgr);
                 mgr.step(&mut k);
-                mirror_step(&k, true);
+                model_step(&k, &mut models);
+                assert_eq!(counts(&mgr), before, "a zero-elapsed step fed or estimated");
+            }
+            // Once exited, a task is neither fed nor estimated again.
+            let exiting_state = (
+                analyser(&mgr, exiting).verdict_counts(),
+                analyser(&mgr, exiting).spectrum().ops,
+            );
+            if k.task_state(exiting) == TaskState::Exited {
+                assert_eq!(
+                    *exited_at.get_or_insert(exiting_state),
+                    exiting_state,
+                    "step {step}"
+                );
             }
         }
 
-        assert_eq!(k.task_state(managed[2]), TaskState::Exited);
-        for (&tid, analyser) in managed.iter().zip(&mirrors) {
-            let ours = mgr.controller_of(tid).unwrap().analyser().spectrum();
-            let theirs = analyser.spectrum();
-            assert!(theirs.events > 0, "{tid} was never fed");
-            assert_eq!(ours.events, theirs.events, "{tid}");
-            assert_eq!(ours.ops, theirs.ops, "{tid}");
-            let bits = |s: &[f64]| s.iter().map(|a| a.to_bits()).collect::<Vec<u64>>();
-            assert_eq!(bits(&ours.amplitudes), bits(&theirs.amplitudes), "{tid}");
+        assert!(exited_at.is_some(), "the short task never exited");
+        let fixed_analyser = analyser(&mgr, fixed);
+        assert_eq!(
+            fixed_analyser.window_len(),
+            0,
+            "a fixed-period task was fed"
+        );
+        assert_eq!(
+            fixed_analyser.verdict_counts(),
+            (0, 0),
+            "a fixed-period task was estimated"
+        );
+        assert_eq!(fixed_analyser.spectrum().ops, 0);
+        let bits = |s: &[f64]| s.iter().map(|a| a.to_bits()).collect::<Vec<u64>>();
+        for (i, m) in models.iter().enumerate() {
+            let tid = m.tid;
+            let (ours, theirs) = (analyser(&mgr, tid), m.ctl.analyser());
+            if tid != fixed {
+                assert!(theirs.spectrum().events > 0, "{tid} was never fed");
+            }
+            let (s_ours, s_theirs) = (ours.spectrum(), theirs.spectrum());
+            assert_eq!(s_ours.events, s_theirs.events, "{tid}");
+            assert_eq!(s_ours.ops, s_theirs.ops, "{tid}");
+            assert_eq!(
+                bits(&s_ours.amplitudes),
+                bits(&s_theirs.amplitudes),
+                "{tid}"
+            );
+            assert_eq!(ours.verdict_counts(), theirs.verdict_counts(), "{tid}");
+            let series = k.metrics().series(&format!("t{i}.period_est_ms"));
+            assert_eq!(series, m.periods.as_slice(), "{tid}");
+            assert!(
+                !series.is_empty() || tid == exiting,
+                "{tid} never had a period"
+            );
         }
     }
 

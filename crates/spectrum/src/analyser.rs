@@ -5,16 +5,17 @@
 //! estimated activation period of the task, which the feedback controller
 //! then uses as the reservation period.
 
-use crate::dft::{Spectrum, SpectrumConfig, WindowedDft};
+use crate::dft::{spectra, Spectrum, SpectrumConfig, WindowedDft};
 use crate::peaks::{detect, Detection, PeakConfig};
 use std::cell::RefCell;
 
 thread_local! {
-    /// The spectrum [`PeriodAnalyser::estimate`] runs the heuristic on,
-    /// overwritten in full by every call. One per thread rather than one
-    /// per analyser: a node steps thousands of analysers in turn, and a
-    /// private `bins × 8` byte buffer each would add a quarter to a dense
-    /// fleet's resident memory to save one allocation per estimate.
+    /// The spectrum [`PeriodAnalyser::refresh`] runs the heuristic on,
+    /// overwritten in full for every analyser it settles. One per thread
+    /// rather than one per analyser: a node steps thousands of analysers
+    /// in turn, and a private `bins × 8` byte buffer each would add a
+    /// quarter to a dense fleet's resident memory to save one allocation
+    /// per estimate.
     static ESTIMATE_SPECTRUM: RefCell<Spectrum> = RefCell::new(Spectrum {
         config: SpectrumConfig::default(),
         amplitudes: Vec::new(),
@@ -145,25 +146,7 @@ impl PeriodAnalyser {
             return None;
         }
         if self.verdict == Verdict::Stale {
-            let detection = ESTIMATE_SPECTRUM.with_borrow_mut(|spectrum| {
-                self.dft.spectrum_into(spectrum);
-                detect(spectrum, &self.peaks).detection
-            });
-            self.verdict = match detection {
-                Detection::Periodic {
-                    frequency, score, ..
-                } => {
-                    self.last = PeriodEstimate {
-                        frequency,
-                        period: 1.0 / frequency,
-                        score,
-                        events: self.dft.len(),
-                    };
-                    self.seen = true;
-                    Verdict::Periodic
-                }
-                Detection::Aperiodic => Verdict::Aperiodic,
-            };
+            PeriodAnalyser::refresh([&mut *self]);
         }
         self.estimates += 1;
         if self.verdict == Verdict::Periodic {
@@ -172,6 +155,51 @@ impl PeriodAnalyser {
             self.aperiodic_verdicts += 1;
             None
         }
+    }
+
+    /// Settles the verdict of every analyser in `analysers` whose window
+    /// changed since its last [`PeriodAnalyser::estimate`], so that the
+    /// next `estimate` of each returns it without computing anything.
+    /// Nothing else changes: no estimate is counted, and what the next
+    /// `estimate` returns is what it would have returned alone.
+    ///
+    /// The windows still in the history state — most of a dense fleet's —
+    /// are folded a few at a time, each in its own lane of one pass over
+    /// the grid ([`crate::dft`], "Task lanes"); the others are read from
+    /// their own accumulators, one by one.
+    pub fn refresh<'a>(analysers: impl IntoIterator<Item = &'a mut PeriodAnalyser>) {
+        let stale = analysers
+            .into_iter()
+            .filter(|a| a.verdict == Verdict::Stale && !a.dft.is_empty());
+        ESTIMATE_SPECTRUM.with_borrow_mut(|out| {
+            spectra(
+                stale,
+                |a| &a.dft,
+                out,
+                |a, spectrum| {
+                    a.conclude(detect(spectrum, &a.peaks).detection);
+                },
+            );
+        });
+    }
+
+    /// Records what the heuristic concluded about the current window.
+    fn conclude(&mut self, detection: Detection) {
+        self.verdict = match detection {
+            Detection::Periodic {
+                frequency, score, ..
+            } => {
+                self.last = PeriodEstimate {
+                    frequency,
+                    period: 1.0 / frequency,
+                    score,
+                    events: self.dft.len(),
+                };
+                self.seen = true;
+                Verdict::Periodic
+            }
+            Detection::Aperiodic => Verdict::Aperiodic,
+        };
     }
 
     /// The most recent successful estimate, if any.
@@ -199,7 +227,7 @@ impl PeriodAnalyser {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dft::synthetic_burst_train;
+    use crate::dft::{synthetic_burst_train, GROUP, GROUP_PASSES};
 
     #[test]
     fn estimates_fundamental_from_stream() {
@@ -247,6 +275,59 @@ mod tests {
         a.feed(&synthetic_burst_train(0.04, 50, 6, 0.005));
         let _ = a.estimate();
         assert_eq!(a.verdict_counts(), (1, 0));
+    }
+
+    /// An analyser whose window is one width-3 history window.
+    fn history_analyser(i: usize) -> PeriodAnalyser {
+        let mut a = PeriodAnalyser::new(AnalyserConfig::default());
+        let start = 0.5 * i as f64;
+        a.feed(&[start, start + 0.04, start + 0.08 + 0.001 * i as f64]);
+        a
+    }
+
+    #[test]
+    fn refresh_folds_n_history_windows_of_one_width_in_n_over_group_passes() {
+        for n in 0..=3 * GROUP + 1 {
+            let mut batch: Vec<PeriodAnalyser> = (0..n).map(history_analyser).collect();
+            let mut alone: Vec<PeriodAnalyser> = (0..n).map(history_analyser).collect();
+            let before = GROUP_PASSES.get();
+            PeriodAnalyser::refresh(batch.iter_mut());
+            assert_eq!(
+                GROUP_PASSES.get() - before,
+                n.div_ceil(GROUP) as u64,
+                "{n} windows"
+            );
+            // Settled: the estimates read the verdicts, and cost no pass.
+            let before = GROUP_PASSES.get();
+            let estimates: Vec<_> = batch.iter_mut().map(PeriodAnalyser::estimate).collect();
+            assert_eq!(GROUP_PASSES.get(), before, "{n} windows");
+            // Alone, each estimate is a group of one.
+            let expected: Vec<_> = alone.iter_mut().map(PeriodAnalyser::estimate).collect();
+            assert_eq!(GROUP_PASSES.get() - before, n as u64, "{n} windows");
+            assert_eq!(estimates, expected, "{n} windows");
+            // Nothing is stale any more: a second refresh does nothing.
+            let before = GROUP_PASSES.get();
+            PeriodAnalyser::refresh(batch.iter_mut());
+            assert_eq!(GROUP_PASSES.get(), before, "{n} windows");
+        }
+    }
+
+    #[test]
+    fn refresh_reads_running_and_empty_windows_without_a_group_pass() {
+        let mut running = PeriodAnalyser::new(AnalyserConfig::default());
+        running.feed(&synthetic_burst_train(0.04, 50, 6, 0.005));
+        let mut empty = PeriodAnalyser::new(AnalyserConfig::default());
+        let before = GROUP_PASSES.get();
+        PeriodAnalyser::refresh([&mut running, &mut empty]);
+        assert_eq!(GROUP_PASSES.get(), before);
+        assert_eq!(running.verdict, Verdict::Periodic);
+        assert_eq!(empty.verdict, Verdict::Stale);
+        assert_eq!(
+            running.verdict_counts(),
+            (0, 0),
+            "refresh counts no estimate"
+        );
+        assert_eq!(empty.estimate(), None);
     }
 
     #[test]

@@ -164,4 +164,73 @@ proptest! {
             prop_assert_eq!(estimate_bits(a.last_estimate()), estimate_bits(last));
         }
     }
+
+    /// `refresh` only settles what the next `estimate` would compute. A
+    /// fleet of analysers — windows still their whole history, running
+    /// ones, empty ones, ones fed an empty batch and ones already
+    /// estimated since their last feed — goes through a few rounds of
+    /// feeds. One copy is refreshed together and then estimated, the
+    /// other estimated one by one: every estimate, `verdict_counts`,
+    /// `last_estimate` and spectrum (its `ops` and amplitudes) agree to
+    /// the bit after every round.
+    #[test]
+    fn refresh_then_estimate_equals_estimating_one_by_one(
+        plans in prop::collection::vec((0u8..6, 1usize..12, 1u32..60_000, any::<bool>()), 0..24),
+        rounds in 1usize..4,
+    ) {
+        let cfg = AnalyserConfig {
+            spectrum: SpectrumConfig::new(18.0, 100.0, 0.5),
+            horizon: Horizon(0.5),
+            ..AnalyserConfig::default()
+        };
+        let mut batched: Vec<PeriodAnalyser> = plans.iter().map(|_| PeriodAnalyser::new(cfg)).collect();
+        let mut alone: Vec<PeriodAnalyser> = plans.iter().map(|_| PeriodAnalyser::new(cfg)).collect();
+        let mut clocks = vec![0.0_f64; plans.len()];
+        for round in 0..rounds {
+            for (i, &(kind, n, gap_us, fresh)) in plans.iter().enumerate() {
+                let gap = f64::from(gap_us) / 1e6;
+                // History-sized batches, running-sized ones, an evicting
+                // gap, an empty batch, nothing, or a reset.
+                let (count, lead) = match (kind + round as u8) % 6 {
+                    0 => (n.min(3), 0.0),
+                    1 => (n + 8, 0.0),
+                    2 => (n.min(4), 1.0),
+                    3 => (0, 0.0),
+                    4 => (usize::MAX, 0.0),
+                    _ => (n % 5, 0.0),
+                };
+                for a in [&mut batched[i], &mut alone[i]] {
+                    if count == usize::MAX {
+                        a.reset_window();
+                        continue;
+                    }
+                    let mut now = clocks[i] + lead;
+                    let batch: Vec<f64> = (0..count)
+                        .map(|_| {
+                            now += gap;
+                            now
+                        })
+                        .collect();
+                    a.feed(&batch);
+                    if fresh {
+                        let _ = a.estimate();
+                    }
+                }
+                if count != usize::MAX {
+                    clocks[i] += lead + gap * count as f64;
+                }
+            }
+            PeriodAnalyser::refresh(batched.iter_mut());
+            for (i, (b, a)) in batched.iter_mut().zip(&mut alone).enumerate() {
+                prop_assert_eq!(estimate_bits(b.estimate()), estimate_bits(a.estimate()), "analyser {}", i);
+                prop_assert_eq!(b.verdict_counts(), a.verdict_counts(), "analyser {}", i);
+                prop_assert_eq!(estimate_bits(b.last_estimate()), estimate_bits(a.last_estimate()), "analyser {}", i);
+                let (sb, sa) = (b.spectrum(), a.spectrum());
+                prop_assert_eq!(sb.ops, sa.ops, "analyser {}", i);
+                prop_assert_eq!(sb.events, sa.events, "analyser {}", i);
+                let bits = |s: &[f64]| s.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+                prop_assert_eq!(bits(&sb.amplitudes), bits(&sa.amplitudes), "analyser {}", i);
+            }
+        }
+    }
 }
