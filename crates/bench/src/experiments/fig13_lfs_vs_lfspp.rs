@@ -10,7 +10,7 @@
 
 use crate::setups::{video_run, VideoRunOutcome};
 use crate::{col, fmt, Args, Show, Table};
-use selftune_core::{ControllerConfig, FeedbackKind, LfsConfig, LfsPpConfig, ManagerConfig};
+use selftune_core::{ControllerConfig, FeedbackKind, LfsPpConfig, ManagerConfig};
 use selftune_simcore::stats::{mean, std_dev};
 use selftune_simcore::time::Dur;
 
@@ -35,7 +35,7 @@ fn video(feedback: FeedbackKind, args: &Args) -> VideoRunOutcome {
 /// The `(LFS, LFS++)` runs, shared with Figure 14.
 pub fn runs(args: &Args) -> (VideoRunOutcome, VideoRunOutcome) {
     (
-        video(FeedbackKind::Lfs(LfsConfig::default()), args),
+        video(FeedbackKind::Lfs, args),
         video(FeedbackKind::LfsPp(LfsPpConfig::default()), args),
     )
 }

@@ -637,7 +637,10 @@ impl ScenarioSpec {
             return Err(format!("ulub {} out of (0, 1]", self.ulub));
         }
         if !(self.headroom >= 1.0 && self.headroom.is_finite()) {
-            return Err(format!("headroom {} below 1", self.headroom));
+            return Err(format!(
+                "headroom {} must be finite and at least 1",
+                self.headroom
+            ));
         }
         rule(!self.sampling.is_zero(), "sampling period must be positive")?;
         clock_span("sampling period", self.sampling)?;
@@ -651,7 +654,7 @@ impl ScenarioSpec {
         }
         if !(r.pressure >= 0.0 && r.pressure.is_finite()) {
             return Err(format!(
-                "rebalance pressure {} must be non-negative",
+                "rebalance pressure {} must be finite and non-negative",
                 r.pressure
             ));
         }

@@ -713,6 +713,32 @@ mod tests {
         }
     }
 
+    #[test]
+    fn non_finite_headroom_and_pressure_name_the_finite_rule() {
+        let head = "name=x\nnodes=2\ntasks=1\nhorizon_ms=100\n";
+        for (line, rule) in [
+            (
+                "headroom = inf",
+                "headroom inf must be finite and at least 1",
+            ),
+            (
+                "headroom = NaN",
+                "headroom NaN must be finite and at least 1",
+            ),
+            (
+                "rebalance = on 500 inf 2",
+                "rebalance pressure inf must be finite and non-negative",
+            ),
+            (
+                "rebalance = on 500 NaN 2",
+                "rebalance pressure NaN must be finite and non-negative",
+            ),
+        ] {
+            let err = ScenarioSpec::from_text(&format!("{head}{line}\n")).expect_err(line);
+            assert_eq!(err, rule, "{line}");
+        }
+    }
+
     /// What `from_text` says about the four-line scenario plus `line`,
     /// after checking that `build` — the same scenario through the
     /// builders — panics with exactly that text.

@@ -7,7 +7,7 @@
 //! Keeping kernel access out of this type makes the control laws unit
 //! testable in isolation.
 
-use crate::lfs::{Lfs, LfsConfig};
+use crate::lfs::Lfs;
 use crate::lfspp::{BudgetRequest, LfsPlusPlus, LfsPpConfig};
 use crate::share::Hysteresis;
 use selftune_simcore::time::Dur;
@@ -18,8 +18,9 @@ use selftune_spectrum::{AnalyserConfig, PeriodAnalyser};
 pub enum FeedbackKind {
     /// The paper's LFS++ (consumed-time sensor + quantile predictor).
     LfsPp(LfsPpConfig),
-    /// The original LFS baseline (binary budget-exhaustion sensor).
-    Lfs(LfsConfig),
+    /// The original LFS baseline (binary budget-exhaustion sensor), at
+    /// its constants (see [`crate::lfs`]).
+    Lfs,
 }
 
 impl Default for FeedbackKind {
@@ -29,6 +30,12 @@ impl Default for FeedbackKind {
 }
 
 /// Controller configuration.
+///
+/// The four period filters (`period_hysteresis`, `period_confirmations`,
+/// `min_period`, `max_period`) are extensions beyond the paper that guard
+/// the reservation against estimator jitter. They stay fields, not
+/// constants, so that a paper-faithful configuration can switch them off;
+/// today only the unit tests set a second value (the period bounds).
 #[derive(Clone, Debug)]
 pub struct ControllerConfig {
     /// Period analyser parameters.
@@ -121,7 +128,7 @@ impl TaskController {
         let analyser = PeriodAnalyser::new(cfg.analyser);
         let feedback = match &cfg.feedback {
             FeedbackKind::LfsPp(c) => Feedback::LfsPp(LfsPlusPlus::new(c.clone())),
-            FeedbackKind::Lfs(c) => Feedback::Lfs(Lfs::new(c.clone())),
+            FeedbackKind::Lfs => Feedback::Lfs(Lfs::default()),
         };
         let period = cfg.fixed_period;
         let hysteresis = Hysteresis::new(cfg.period_hysteresis, cfg.period_confirmations);
@@ -228,7 +235,7 @@ mod tests {
     #[test]
     fn controller_keeps_no_copy_of_its_config() {
         assert!(
-            core::mem::size_of::<TaskController>() <= 352,
+            core::mem::size_of::<TaskController>() <= 336,
             "TaskController grew to {} bytes: one exists per managed task, so it keeps \
              only the config fields its steps read",
             core::mem::size_of::<TaskController>()
@@ -281,7 +288,7 @@ mod tests {
     fn fixed_period_skips_detection() {
         let mut c = TaskController::new(ControllerConfig {
             fixed_period: Some(Dur::ms(40)),
-            feedback: FeedbackKind::Lfs(LfsConfig::default()),
+            feedback: FeedbackKind::Lfs,
             ..ControllerConfig::default()
         });
         // LFS decides from step one, even with zero events.

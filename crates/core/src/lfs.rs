@@ -7,80 +7,54 @@
 //! decrease otherwise, which is why it needs over a hundred frames to ramp
 //! the reserved CPU up to demand in the paper's Figure 13, while LFS++
 //! (with its finer-grained sensor) adapts almost immediately.
+//!
+//! The law's numbers are constants, not options, because every caller ran
+//! it at the same values: it starts at 10 % (`INITIAL_BW`), multiplies by
+//! 1.05 on starvation (`UP`) and by 0.99 otherwise (`DOWN`), and stays
+//! within [`MIN_BW`] = 1 % and [`MAX_BW`] = 95 %. The ramp is the paper's
+//! shape; the clamps are extensions that keep the reservation alive and
+//! under the supervisor's default bound.
 
 use crate::lfspp::BudgetRequest;
 use selftune_simcore::time::Dur;
 
-/// LFS parameters.
-#[derive(Clone, Debug)]
-pub struct LfsConfig {
-    /// Initial bandwidth assigned before any feedback.
-    pub initial_bw: f64,
-    /// Multiplicative increase when the budget was exhausted.
-    pub up: f64,
-    /// Multiplicative decrease when it was not.
-    pub down: f64,
-    /// Lower clamp for the controlled bandwidth.
-    pub min_bw: f64,
-    /// Upper clamp for the controlled bandwidth.
-    pub max_bw: f64,
-}
+/// Bandwidth assigned before any feedback: 10 %. The paper's Figure 13
+/// shows LFS starting low and ramping; the value is this model's.
+const INITIAL_BW: f64 = 0.10;
 
-impl Default for LfsConfig {
-    fn default() -> Self {
-        LfsConfig {
-            initial_bw: 0.10,
-            up: 1.05,
-            down: 0.99,
-            min_bw: 0.01,
-            max_bw: 0.95,
-        }
-    }
-}
+/// Multiplicative increase when the budget was exhausted: ×1.05, the gentle
+/// ramp behind Figure 13's >100-frame convergence (the paper's shape, not a
+/// number it states).
+const UP: f64 = 1.05;
+
+/// Multiplicative decrease when it was not: ×0.99 (as for `UP`).
+const DOWN: f64 = 0.99;
+
+/// Lower clamp of the controlled bandwidth: 1 %. An extension beyond the
+/// paper that keeps a starved task's reservation alive.
+pub const MIN_BW: f64 = 0.01;
+
+/// Upper clamp of the controlled bandwidth: 95 %, the default supervisor
+/// bound `U_lub`. An extension beyond the paper.
+pub const MAX_BW: f64 = 0.95;
 
 /// The binary-sensor feedback controller.
 #[derive(Debug)]
 pub struct Lfs {
-    cfg: LfsConfig,
     bw: f64,
-    steps: u64,
+}
+
+impl Default for Lfs {
+    /// A controller at its initial bandwidth.
+    fn default() -> Lfs {
+        Lfs { bw: INITIAL_BW }
+    }
 }
 
 impl Lfs {
-    /// Creates a controller at its initial bandwidth.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration is inconsistent (`up < 1`, `down > 1`,
-    /// clamps out of order, or the initial bandwidth outside the clamps).
-    pub fn new(cfg: LfsConfig) -> Lfs {
-        assert!(cfg.up >= 1.0, "up factor must be >= 1");
-        assert!(cfg.down > 0.0 && cfg.down <= 1.0, "down factor in (0, 1]");
-        assert!(
-            0.0 < cfg.min_bw && cfg.min_bw <= cfg.max_bw && cfg.max_bw <= 1.0,
-            "clamps out of order"
-        );
-        assert!(
-            (cfg.min_bw..=cfg.max_bw).contains(&cfg.initial_bw),
-            "initial bandwidth outside clamps"
-        );
-        let bw = cfg.initial_bw;
-        Lfs { cfg, bw, steps: 0 }
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &LfsConfig {
-        &self.cfg
-    }
-
     /// Current controlled bandwidth.
     pub fn bandwidth(&self) -> f64 {
         self.bw
-    }
-
-    /// Number of feedback steps performed.
-    pub fn steps(&self) -> u64 {
-        self.steps
     }
 
     /// One feedback step: `exhausted` is the binary sensor reading, and
@@ -92,11 +66,10 @@ impl Lfs {
     /// Panics if `period` is zero.
     pub fn step(&mut self, exhausted: bool, period: Dur) -> BudgetRequest {
         assert!(!period.is_zero(), "period must be positive");
-        self.steps += 1;
         self.bw = if exhausted {
-            (self.bw * self.cfg.up).min(self.cfg.max_bw)
+            (self.bw * UP).min(MAX_BW)
         } else {
-            (self.bw * self.cfg.down).max(self.cfg.min_bw)
+            (self.bw * DOWN).max(MIN_BW)
         };
         BudgetRequest {
             budget: period.mul_f64(self.bw),
@@ -111,19 +84,19 @@ mod tests {
 
     #[test]
     fn starts_at_initial_bandwidth() {
-        let l = Lfs::new(LfsConfig::default());
-        assert!((l.bandwidth() - 0.10).abs() < 1e-12);
+        let l = Lfs::default();
+        assert_eq!(l.bandwidth(), INITIAL_BW);
     }
 
     #[test]
     fn ramps_up_under_starvation() {
-        let mut l = Lfs::new(LfsConfig::default());
+        let mut l = Lfs::default();
         let p = Dur::ms(40);
         for _ in 0..20 {
             let _ = l.step(true, p);
         }
         // 0.10 · 1.05^20 ≈ 0.265.
-        assert!((l.bandwidth() - 0.10 * 1.05_f64.powi(20)).abs() < 1e-9);
+        assert!((l.bandwidth() - INITIAL_BW * UP.powi(20)).abs() < 1e-9);
     }
 
     #[test]
@@ -131,7 +104,7 @@ mod tests {
         // To go from 10% to 30% takes ≈ 23 steps at 5% growth — this is
         // the >100-frame convergence of Figure 13 when sampled every few
         // frames.
-        let mut l = Lfs::new(LfsConfig::default());
+        let mut l = Lfs::default();
         let mut steps = 0;
         while l.bandwidth() < 0.30 {
             let _ = l.step(true, Dur::ms(40));
@@ -142,7 +115,7 @@ mod tests {
 
     #[test]
     fn decays_when_satisfied() {
-        let mut l = Lfs::new(LfsConfig::default());
+        let mut l = Lfs::default();
         for _ in 0..10 {
             let _ = l.step(true, Dur::ms(40));
         }
@@ -155,32 +128,22 @@ mod tests {
 
     #[test]
     fn clamps_hold() {
-        let mut l = Lfs::new(LfsConfig::default());
+        let mut l = Lfs::default();
         for _ in 0..500 {
             let _ = l.step(true, Dur::ms(40));
         }
-        assert!((l.bandwidth() - 0.95).abs() < 1e-12);
+        assert_eq!(l.bandwidth(), MAX_BW);
         for _ in 0..5_000 {
             let _ = l.step(false, Dur::ms(40));
         }
-        assert!((l.bandwidth() - 0.01).abs() < 1e-12);
+        assert_eq!(l.bandwidth(), MIN_BW);
     }
 
     #[test]
     fn request_scales_with_period() {
-        let mut l = Lfs::new(LfsConfig::default());
+        let mut l = Lfs::default();
         let r = l.step(false, Dur::ms(100));
         assert_eq!(r.period, Dur::ms(100));
         assert!((r.bandwidth() - l.bandwidth()).abs() < 1e-6);
-    }
-
-    #[test]
-    #[should_panic(expected = "clamps")]
-    fn bad_clamps_panic() {
-        let _ = Lfs::new(LfsConfig {
-            min_bw: 0.5,
-            max_bw: 0.2,
-            ..LfsConfig::default()
-        });
     }
 }

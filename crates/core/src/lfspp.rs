@@ -10,19 +10,24 @@
 //! ```
 //!
 //! where `x` is the *spread factor* (10–20%) that buys robustness against
-//! prediction error and responsiveness to workload increases.
+//! prediction error and responsiveness to workload increases. The window
+//! `N` is the constant [`WINDOW`]; `x` and `p` stay options, because the
+//! property tests and the predictor ablation set them.
 
-use crate::predictor::{Predictor, QuantileEstimator};
+use crate::predictor::QuantileEstimator;
 use selftune_simcore::time::Dur;
+
+/// The predictor's window `N`: the last 16 per-job cost samples, the
+/// paper's value (Section 4.4).
+pub const WINDOW: usize = 16;
 
 /// LFS++ parameters.
 #[derive(Clone, Debug)]
 pub struct LfsPpConfig {
     /// Spread factor `x` (the paper uses 10–20%).
     pub spread: f64,
-    /// Predictor window length `N`.
-    pub window: usize,
-    /// Predictor quantile `p` (the paper's default: second max of 16).
+    /// Predictor quantile `p` over the last [`WINDOW`] samples (the
+    /// paper's default: the second maximum of 16).
     pub quantile: f64,
 }
 
@@ -30,7 +35,6 @@ impl Default for LfsPpConfig {
     fn default() -> Self {
         LfsPpConfig {
             spread: 0.15,
-            window: 16,
             quantile: 0.9375,
         }
     }
@@ -55,7 +59,8 @@ impl BudgetRequest {
 /// The LFS++ controller state.
 #[derive(Debug)]
 pub struct LfsPlusPlus {
-    cfg: LfsPpConfig,
+    /// The spread factor `x` (the quantile lives in the predictor).
+    spread: f64,
     predictor: QuantileEstimator,
     last_reading: Option<Dur>,
 }
@@ -63,17 +68,11 @@ pub struct LfsPlusPlus {
 impl LfsPlusPlus {
     /// Creates a controller.
     pub fn new(cfg: LfsPpConfig) -> LfsPlusPlus {
-        let predictor = QuantileEstimator::new(cfg.window, cfg.quantile);
         LfsPlusPlus {
-            cfg,
-            predictor,
+            spread: cfg.spread,
+            predictor: QuantileEstimator::new(WINDOW, cfg.quantile),
             last_reading: None,
         }
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &LfsPpConfig {
-        &self.cfg
     }
 
     /// One feedback step.
@@ -109,7 +108,7 @@ impl LfsPlusPlus {
         let per_job = dw.mul_f64(period.ratio(elapsed));
         self.predictor.observe(per_job);
         let predicted = self.predictor.predict()?;
-        let budget = predicted.mul_f64(1.0 + self.cfg.spread).min(period);
+        let budget = predicted.mul_f64(1.0 + self.spread).min(period);
         Some(BudgetRequest { budget, period })
     }
 
@@ -152,16 +151,16 @@ mod tests {
 
     #[test]
     fn quantile_tracks_bursty_jobs() {
-        // Alternating cheap/expensive sampling intervals: the quantile
-        // predictor picks (near) the expensive one.
+        // Alternating cheap/expensive sampling intervals, for long enough
+        // that the window slides: the quantile predictor picks (near) the
+        // expensive one.
         let mut c = LfsPlusPlus::new(LfsPpConfig {
             spread: 0.0,
-            window: 8,
             quantile: 1.0,
         });
         let mut total = Dur::ZERO;
         let mut last = None;
-        for i in 0..10 {
+        for i in 0..=2 * WINDOW {
             total += if i % 2 == 0 {
                 Dur::ms(100)
             } else {

@@ -26,10 +26,10 @@ pub mod predictor;
 pub mod share;
 
 pub use controller::{ControllerConfig, FeedbackKind, TaskController};
-pub use lfs::{Lfs, LfsConfig};
+pub use lfs::Lfs;
 pub use lfspp::{BudgetRequest, LfsPlusPlus, LfsPpConfig};
 pub use manager::{ManagerConfig, SelfTuningManager};
-pub use predictor::{Predictor, QuantileEstimator};
+pub use predictor::QuantileEstimator;
 pub use share::{
     ClampReason, DemandSignal, PeriodAdapter, ShareController, ShareControllerConfig,
     ShareDecision, ShareTrace,

@@ -1,4 +1,4 @@
-//! Computation-time predictors for the feedback controller.
+//! The computation-time predictor of the feedback controller.
 //!
 //! LFS++ feeds per-job cost samples into a predictor `P(·)` and reserves
 //! `(1 + x)·P(window)` (Section 4.4). The paper proposes a *quantile
@@ -8,16 +8,6 @@
 
 use selftune_simcore::time::Dur;
 use std::collections::VecDeque;
-
-/// A streaming predictor of per-job computation time.
-pub trait Predictor {
-    /// Feeds one observed per-job cost.
-    fn observe(&mut self, sample: Dur);
-    /// Current prediction, once enough samples were observed.
-    fn predict(&self) -> Option<Dur>;
-    /// Drops all state.
-    fn reset(&mut self);
-}
 
 /// The paper's quantile estimator over a sliding window of `N` samples.
 #[derive(Debug, Clone)]
@@ -51,7 +41,7 @@ impl QuantileEstimator {
     /// The paper's default: second maximum over 16 samples (`p = 0.9375`).
     #[cfg(test)]
     fn paper_default() -> QuantileEstimator {
-        QuantileEstimator::new(16, 0.9375)
+        QuantileEstimator::new(crate::lfspp::WINDOW, 0.9375)
     }
 
     /// A pure maximum estimator (`p = 1`).
@@ -60,26 +50,16 @@ impl QuantileEstimator {
         QuantileEstimator::new(n, 1.0)
     }
 
-    /// Number of samples currently in the window.
-    pub fn len(&self) -> usize {
-        self.window.len()
-    }
-
-    /// Returns `true` if no samples were observed yet.
-    pub fn is_empty(&self) -> bool {
-        self.window.is_empty()
-    }
-}
-
-impl Predictor for QuantileEstimator {
-    fn observe(&mut self, sample: Dur) {
+    /// Feeds one observed per-job cost.
+    pub fn observe(&mut self, sample: Dur) {
         if self.window.len() == self.n {
             self.window.pop_front();
         }
         self.window.push_back(sample);
     }
 
-    fn predict(&self) -> Option<Dur> {
+    /// The current prediction, once a sample was observed.
+    pub fn predict(&self) -> Option<Dur> {
         if self.window.is_empty() {
             return None;
         }
@@ -89,7 +69,8 @@ impl Predictor for QuantileEstimator {
         Some(sorted[idx])
     }
 
-    fn reset(&mut self) {
+    /// Drops every sample.
+    pub(crate) fn reset(&mut self) {
         self.window.clear();
     }
 }
@@ -134,7 +115,6 @@ mod tests {
     fn empty_predicts_none() {
         let q = QuantileEstimator::paper_default();
         assert_eq!(q.predict(), None);
-        assert!(q.is_empty());
     }
 
     #[test]

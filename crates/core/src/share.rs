@@ -118,14 +118,28 @@ pub struct DemandSignal {
     pub compressions: u64,
 }
 
-/// Configuration of a [`ShareController`].
+/// Relative deadband of a [`ShareController`]'s target adoption, and of
+/// the VM level's share-period adaptation: 10 %. An extension beyond the
+/// paper, whose loop adapts tasks only.
+pub const HYSTERESIS: f64 = 0.1;
+
+/// Saturated-growth factor of a [`ShareController`]: ×1.5. While the
+/// consumer reports compressions its true demand is unobservable (the grant
+/// clips it), so the raw sample reads as at least `GROWTH ×` the current
+/// grant, and the controller probes upward until compression stops or the
+/// cap binds. An extension beyond the paper.
+const GROWTH: f64 = 1.5;
+
+/// Configuration of a [`ShareController`]: the values its callers set
+/// differently. The VM and node levels pick their own bounds and
+/// confirmations, and the virt property test sweeps the margin and the
+/// EWMA weight; the deadband ([`HYSTERESIS`]) and the saturated-growth
+/// factor (×1.5) are constants.
 #[derive(Clone, Copy, Debug)]
 pub struct ShareControllerConfig {
     /// Headroom requested above the estimated demand (the LFS++ margin
     /// `x`: request `(1 + x) ×` the estimate).
     pub margin: f64,
-    /// Relative deadband of target adoption (see `Hysteresis`).
-    pub hysteresis: f64,
     /// Consecutive out-of-band estimates before the target moves.
     pub confirmations: u32,
     /// Never request below this share (keeps a starved consumer's
@@ -137,23 +151,16 @@ pub struct ShareControllerConfig {
     pub max_share: f64,
     /// EWMA weight of the newest demand sample in `(0, 1]`.
     pub ewma_alpha: f64,
-    /// Saturated-growth factor: while the consumer reports compressions,
-    /// its true demand is unobservable (the grant clips it), so the raw
-    /// sample reads as at least `growth ×` the current grant — the
-    /// controller probes upward until compression stops or the cap binds.
-    pub growth: f64,
 }
 
 impl Default for ShareControllerConfig {
     fn default() -> Self {
         ShareControllerConfig {
             margin: 0.15,
-            hysteresis: 0.1,
             confirmations: 2,
             min_share: 0.01,
             max_share: 1.0,
             ewma_alpha: 0.5,
-            growth: 1.5,
         }
     }
 }
@@ -313,18 +320,13 @@ impl ShareController {
             "ewma_alpha {} out of (0, 1]",
             cfg.ewma_alpha
         );
-        let hyst = Hysteresis::new(cfg.hysteresis, cfg.confirmations);
+        let hyst = Hysteresis::new(HYSTERESIS, cfg.confirmations);
         ShareController {
             cfg,
             hyst,
             demand: None,
             target: None,
         }
-    }
-
-    /// The configuration in force.
-    pub fn config(&self) -> &ShareControllerConfig {
-        &self.cfg
     }
 
     /// The smoothed demand estimate, if any sample arrived yet.
@@ -345,7 +347,7 @@ impl ShareController {
         let saturated = sig.compressions > 0;
         if saturated {
             // Saturated: the observable samples are clipped at the grant.
-            raw = raw.max(sig.granted_bw * self.cfg.growth);
+            raw = raw.max(sig.granted_bw * GROWTH);
         }
         let alpha = self.cfg.ewma_alpha;
         let demand = match self.demand {
@@ -504,7 +506,7 @@ mod tests {
         }
         let t = last_request.expect("idle consumer must shed its share");
         assert!(t < 0.1, "shrunk to {t}");
-        assert!(t >= c.config().min_share);
+        assert!(t >= ShareControllerConfig::default().min_share);
     }
 
     #[test]

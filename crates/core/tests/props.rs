@@ -1,7 +1,9 @@
 //! Property-based tests for the predictors and feedback laws.
 
 use proptest::prelude::*;
-use selftune_core::{Lfs, LfsConfig, LfsPlusPlus, LfsPpConfig, Predictor, QuantileEstimator};
+use selftune_core::lfs::{MAX_BW, MIN_BW};
+use selftune_core::lfspp::WINDOW;
+use selftune_core::{Lfs, LfsPlusPlus, LfsPpConfig, QuantileEstimator};
 use selftune_simcore::time::Dur;
 
 /// Naive reference: the (j+1)-th largest of the last n samples.
@@ -39,14 +41,13 @@ proptest! {
     /// is monotone in the sensor (more starvation ⇒ no less bandwidth).
     #[test]
     fn lfs_stays_clamped(flags in prop::collection::vec(any::<bool>(), 1..300)) {
-        let cfg = LfsConfig::default();
-        let mut lfs = Lfs::new(cfg.clone());
-        let mut starving = Lfs::new(cfg.clone());
+        let mut lfs = Lfs::default();
+        let mut starving = Lfs::default();
         for &f in &flags {
             let _ = lfs.step(f, Dur::ms(40));
             let _ = starving.step(true, Dur::ms(40));
-            prop_assert!(lfs.bandwidth() >= cfg.min_bw - 1e-12);
-            prop_assert!(lfs.bandwidth() <= cfg.max_bw + 1e-12);
+            prop_assert!(lfs.bandwidth() >= MIN_BW - 1e-12);
+            prop_assert!(lfs.bandwidth() <= MAX_BW + 1e-12);
             prop_assert!(starving.bandwidth() >= lfs.bandwidth() - 1e-12);
         }
     }
@@ -61,7 +62,7 @@ proptest! {
     ) {
         let period = Dur::ms(period_ms);
         let elapsed = Dur::secs(1);
-        let cfg = LfsPpConfig { spread, window: 16, quantile: 0.9375 };
+        let cfg = LfsPpConfig { spread, quantile: 0.9375 };
         let mut ctl = LfsPlusPlus::new(cfg);
         let mut naive_samples: Vec<u64> = Vec::new();
         let mut total = Dur::ZERO;
@@ -77,7 +78,7 @@ proptest! {
             // Per-job cost sample c = P·ΔW/S.
             let c = Dur::us(inc).mul_f64(period.ratio(elapsed));
             naive_samples.push(c.as_ns());
-            let want = naive_quantile(&naive_samples, 16, 0.9375)
+            let want = naive_quantile(&naive_samples, WINDOW, 0.9375)
                 .map(|ns| Dur::ns(ns).mul_f64(1.0 + spread).min(period));
             let got = req.map(|r| r.budget);
             prop_assert_eq!(got, want);

@@ -5,6 +5,12 @@
 //! with U_lub ≤ 1 leaving headroom for non-reserved activity). Requests that
 //! fit are granted verbatim; otherwise they are *curbed* to fit the bound,
 //! using one of the compression policies described for AQuoSA (\[23\]).
+//!
+//! No compressed grant falls below [`MIN_BUDGET`] = 200 µs (or its period,
+//! if that is shorter). It is a constant rather than an option because
+//! every caller used that value: an extension beyond the paper that keeps
+//! a starving server alive, so that its controller can still observe
+//! progress.
 
 use crate::cbs::ServerId;
 use crate::reservation::ReservationScheduler;
@@ -66,6 +72,11 @@ pub struct ApplyReport {
     pub compressed: u32,
 }
 
+/// Floor below which no grant is compressed: 200 µs. It keeps starving
+/// servers alive so their controllers can still observe progress. An
+/// extension beyond the paper.
+pub const MIN_BUDGET: Dur = Dur::us(200);
+
 /// Supervisor configuration and entry point.
 #[derive(Copy, Clone, Debug)]
 pub struct Supervisor {
@@ -73,9 +84,6 @@ pub struct Supervisor {
     pub ulub: f64,
     /// Compression policy under saturation.
     pub policy: Compression,
-    /// Floor below which no grant is compressed (keeps starving servers
-    /// alive so their controllers can still observe progress).
-    pub min_budget: Dur,
 }
 
 impl Default for Supervisor {
@@ -83,7 +91,6 @@ impl Default for Supervisor {
         Supervisor {
             ulub: 0.95,
             policy: Compression::Proportional,
-            min_budget: Dur::us(200),
         }
     }
 }
@@ -108,7 +115,7 @@ impl Supervisor {
     /// every creation path — task reservations, VM shares, elastic
     /// re-grants — so the floor rule cannot diverge between layers.
     pub fn budget_floor(&self, period: Dur) -> Dur {
-        self.min_budget.min(period).max(Dur::us(10))
+        MIN_BUDGET.min(period).max(Dur::us(10))
     }
 
     /// Would admitting a brand-new reservation `(budget, period)` keep the
@@ -180,7 +187,7 @@ impl Supervisor {
                     };
                     reqs.iter()
                         .map(|r| {
-                            let b = r.budget.mul_f64(factor).max(self.min_budget).min(r.period);
+                            let b = r.budget.mul_f64(factor).max(MIN_BUDGET).min(r.period);
                             Grant {
                                 server: r.server,
                                 budget: b,
@@ -196,7 +203,7 @@ impl Supervisor {
                         .map(|r| {
                             let req_bw = r.budget.ratio(r.period);
                             let bw = req_bw.min(share);
-                            let b = r.period.mul_f64(bw).max(self.min_budget).min(r.period);
+                            let b = r.period.mul_f64(bw).max(MIN_BUDGET).min(r.period);
                             Grant {
                                 server: r.server,
                                 budget: b,

@@ -2,6 +2,7 @@
 //! the supervisor.
 
 use proptest::prelude::*;
+use selftune_sched::supervisor::MIN_BUDGET;
 use selftune_sched::{
     BwRequest, ReservationScheduler, Server, ServerConfig, ServerState, Supervisor,
 };
@@ -102,12 +103,12 @@ proptest! {
         // tiny-period cases; allow the floor slack.
         let slack: f64 = batch
             .iter()
-            .map(|r| sup.min_budget.ratio(r.period))
+            .map(|r| MIN_BUDGET.ratio(r.period))
             .sum();
         prop_assert!(total <= ulub + slack + 1e-6, "total {total} > ulub {ulub}");
         for (g, r) in grants.iter().zip(&batch) {
             prop_assert!(
-                g.budget <= r.budget.max(sup.min_budget),
+                g.budget <= r.budget.max(MIN_BUDGET),
                 "grant above request"
             );
             prop_assert_eq!(g.period, r.period);

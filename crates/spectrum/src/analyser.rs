@@ -33,7 +33,9 @@ pub struct AnalyserConfig {
     pub peaks: PeakConfig,
     /// Observation horizon H in seconds (events older than this behind the
     /// newest are forgotten). Defaults to 2 s, the paper's sweet spot
-    /// (Figures 10–11 show periodicity "indisputable" from 1 s).
+    /// (Figures 10–11 show periodicity "indisputable" from 1 s). A field,
+    /// not a constant: the property tests set 0.5 s and the benchmark
+    /// reads it.
     pub horizon: Horizon,
 }
 

@@ -10,6 +10,11 @@
 //!    (`Σᵢ = Σ_{h, |f − h·fᵢ| ≤ ε} |S(f)|`);
 //! 5. returns the candidate with the largest `Σᵢ` as the fundamental.
 //!
+//! The estimate is the winning bin's grid frequency, as in the paper: there
+//! is no sub-bin refinement. `α`, `ε`, `k_max` and the sub-harmonic guard
+//! stay fields of [`PeakConfig`], because Figures 8 and 9 and Table 2 sweep
+//! or switch them.
+//!
 //! The scanned-bin counter reproduces the complexity bound of
 //! Equation (5), which Figure 8 validates empirically.
 //!
@@ -83,12 +88,6 @@ pub struct PeakConfig {
     /// issue by analysing `[30, 100]` Hz, above `f₀/2` of its workloads;
     /// set this to `0.0` for the strictly paper-faithful behaviour.
     pub min_rel_amplitude: f64,
-    /// Extension beyond the paper: refine the winning frequency by
-    /// parabolic interpolation through the peak bin and its neighbours,
-    /// recovering sub-bin resolution on coarse grids (δf = 0.5 Hz detects
-    /// within ≈ 0.05 Hz instead of ±0.25 Hz). Off by default for
-    /// paper-faithful grid-aligned estimates.
-    pub refine: bool,
 }
 
 impl Default for PeakConfig {
@@ -98,7 +97,6 @@ impl Default for PeakConfig {
             epsilon: 0.5,
             k_max: 10,
             min_rel_amplitude: 0.05,
-            refine: false,
         }
     }
 }
@@ -330,21 +328,6 @@ impl HarmonicPlan {
 /// Candidates whose harmonic sums run side by side.
 const LANES: usize = 4;
 
-/// Sub-bin refinement: fits a parabola through the peak bin and its
-/// neighbours and returns the vertex frequency (clamped to ±half a bin).
-fn refine_parabolic(amps: &[f64], i: usize, grid: &SpectrumConfig) -> f64 {
-    if i == 0 || i + 1 >= amps.len() {
-        return grid.freq_of(i);
-    }
-    let (a, b, c) = (amps[i - 1], amps[i], amps[i + 1]);
-    let denom = a - 2.0 * b + c;
-    if denom.abs() < 1e-12 {
-        return grid.freq_of(i);
-    }
-    let delta = (0.5 * (a - c) / denom).clamp(-0.5, 0.5);
-    grid.freq_of(i) + delta * grid.df
-}
-
 /// Runs the peak-detection heuristic on a sampled spectrum.
 pub fn detect(spectrum: &Spectrum, cfg: &PeakConfig) -> PeakAnalysis {
     BUFFERS.with_borrow_mut(|buffers| {
@@ -393,15 +376,9 @@ pub fn detect(spectrum: &Spectrum, cfg: &PeakConfig) -> PeakAnalysis {
         }
 
         let (wi, score) = best.expect("candidates is non-empty");
-        let wi = wi as usize;
-        let frequency = if cfg.refine {
-            refine_parabolic(amps, wi, &grid)
-        } else {
-            grid.freq_of(wi)
-        };
         PeakAnalysis {
             detection: Detection::Periodic {
-                frequency,
+                frequency: grid.freq_of(wi as usize),
                 score,
                 candidates,
                 peak_to_mean: if mean > 0.0 { max / mean } else { 0.0 },
@@ -497,14 +474,9 @@ mod tests {
         }
 
         let (wi, score) = best.expect("candidates is non-empty");
-        let frequency = if cfg.refine {
-            refine_parabolic(amps, wi, &grid)
-        } else {
-            grid.freq_of(wi)
-        };
         PeakAnalysis {
             detection: Detection::Periodic {
-                frequency,
+                frequency: grid.freq_of(wi),
                 score,
                 candidates: candidates.len(),
                 peak_to_mean: if mean > 0.0 { global_max / mean } else { 0.0 },
@@ -631,12 +603,11 @@ mod tests {
                 0.02f64..2.0,
                 prop_oneof![Just(None), (1usize..1001).prop_map(Some)],
             ),
-            (alpha, epsilon, k_max, min_rel, refine) in (
+            (alpha, epsilon, k_max, min_rel) in (
                 prop_oneof![Just(0.0), 0.0f64..3.0],
                 prop_oneof![Just(0.0), 0.0f64..0.1, 0.0f64..3.0],
                 prop_oneof![Just(0u32), 0u32..13],
                 prop_oneof![Just(0.0), Just(0.05), 0.0f64..0.5],
-                any::<bool>(),
             ),
         ) {
             let amplitudes = amplitudes(len, shape, levels, specials, seed);
@@ -644,7 +615,7 @@ mod tests {
             let bins = grid_len.unwrap_or(len.max(1));
             let config = SpectrumConfig::new(f_min, f_min + (bins as f64 - 0.5) * df, df);
             let spectrum = Spectrum { config, amplitudes, events: 0, ops: 0 };
-            let peaks = PeakConfig { alpha, epsilon, k_max, min_rel_amplitude: min_rel, refine };
+            let peaks = PeakConfig { alpha, epsilon, k_max, min_rel_amplitude: min_rel };
             assert_matches_reference(&spectrum, &peaks);
         }
 
@@ -827,57 +798,6 @@ mod tests {
             },
         );
         assert_eq!(r.detection, Detection::Aperiodic);
-    }
-
-    #[test]
-    fn parabolic_refinement_beats_the_grid() {
-        // True rate 26.3 Hz on a coarse 0.5 Hz grid: the raw estimate is
-        // off by up to half a bin (0.25 Hz); the parabolic fit through the
-        // sinc main lobe roughly halves that error.
-        let events = synthetic_burst_train(1.0 / 26.3, 60, 8, 0.004);
-        let coarse = SpectrumConfig::new(18.0, 100.0, 0.5);
-        let s = amplitude_spectrum(&events, coarse);
-        let raw = detect(&s, &PeakConfig::default())
-            .detection
-            .frequency()
-            .unwrap();
-        let refined = detect(
-            &s,
-            &PeakConfig {
-                refine: true,
-                ..PeakConfig::default()
-            },
-        )
-        .detection
-        .frequency()
-        .unwrap();
-        assert!((raw - 26.3).abs() <= 0.25 + 1e-9, "raw {raw}");
-        assert!(
-            (refined - 26.3).abs() < (raw - 26.3).abs(),
-            "refined {refined} not better than raw {raw}"
-        );
-        assert!((refined - 26.3).abs() < 0.15, "refined {refined}");
-    }
-
-    #[test]
-    fn refinement_stays_within_half_a_bin() {
-        let events = synthetic_burst_train(0.04, 50, 8, 0.006);
-        let s = amplitude_spectrum(&events, cfg());
-        let raw = detect(&s, &PeakConfig::default())
-            .detection
-            .frequency()
-            .unwrap();
-        let refined = detect(
-            &s,
-            &PeakConfig {
-                refine: true,
-                ..PeakConfig::default()
-            },
-        )
-        .detection
-        .frequency()
-        .unwrap();
-        assert!((raw - refined).abs() <= 0.05 + 1e-9, "{raw} vs {refined}");
     }
 
     #[test]

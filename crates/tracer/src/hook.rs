@@ -9,7 +9,7 @@
 //! events" do not pollute the analyser (Section 4.1).
 
 use crate::event::{Edge, TraceEvent};
-use crate::overhead::{OverheadParams, TracerKind};
+use crate::overhead::TracerKind;
 use crate::ring::RingBuffer;
 use selftune_simcore::kernel::SyscallHook;
 use selftune_simcore::syscall::SyscallNr;
@@ -59,8 +59,6 @@ pub struct TracerConfig {
     pub capacity: usize,
     /// Initial filter.
     pub filter: TraceFilter,
-    /// Machine cost parameters.
-    pub overhead: OverheadParams,
     /// Also record blocked→ready scheduler transitions (`sched_wakeup`),
     /// the paper's Section 6 alternative to syscall tracing. Wake records
     /// carry [`Edge::Wake`] with `nr = SchedYield` as a placeholder.
@@ -73,7 +71,6 @@ impl Default for TracerConfig {
             kind: TracerKind::QTrace,
             capacity: 1 << 16,
             filter: TraceFilter::all(),
-            overhead: OverheadParams::default(),
             trace_sched_events: false,
         }
     }
@@ -84,7 +81,6 @@ struct Shared {
     buffer: RingBuffer<TraceEvent>,
     filter: TraceFilter,
     kind: TracerKind,
-    overhead: OverheadParams,
     enabled: bool,
     trace_sched_events: bool,
 }
@@ -100,7 +96,6 @@ impl Tracer {
             buffer: RingBuffer::new(cfg.capacity),
             filter: cfg.filter,
             kind: cfg.kind,
-            overhead: cfg.overhead,
             enabled: true,
             trace_sched_events: cfg.trace_sched_events,
         }));
@@ -136,7 +131,7 @@ impl TracerHook {
             edge,
             at: now,
         });
-        s.overhead.per_edge(s.kind)
+        s.kind.per_edge()
     }
 }
 
@@ -230,10 +225,9 @@ mod tests {
             kind: TracerKind::Strace,
             ..TracerConfig::default()
         };
-        let per_edge = cfg.overhead.per_edge(TracerKind::Strace);
         let (mut hook, _reader) = Tracer::create(cfg);
         let ov = hook.on_enter(TaskId(1), SyscallNr::Read, t(1));
-        assert_eq!(ov, per_edge);
+        assert_eq!(ov, TracerKind::Strace.per_edge());
     }
 
     #[test]

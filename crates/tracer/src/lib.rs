@@ -21,5 +21,5 @@ pub mod ring;
 pub use demux::EntryDemux;
 pub use event::{counts_by_call, entry_times_secs, wake_times_secs, Edge, TraceEvent};
 pub use hook::{TraceFilter, TraceReader, Tracer, TracerConfig, TracerHook};
-pub use overhead::{OverheadParams, TracerKind};
+pub use overhead::TracerKind;
 pub use ring::RingBuffer;

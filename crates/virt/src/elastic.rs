@@ -34,12 +34,15 @@ pub(crate) const ADAPTED_PERIOD_MAX: f64 = 0.5;
 pub struct VmElasticConfig {
     /// The share feedback law. `max_share` is additionally clamped to the
     /// host supervisor's bound at attach time, so an elastic VM can never
-    /// request its way past what the node could grant anyone.
+    /// request its way past what the node could grant anyone. A field, not
+    /// a constant: the virt property test sweeps its margin, EWMA weight
+    /// and confirmations.
     pub controller: ShareControllerConfig,
     /// Share-*period* adaptation (the paper's `T^s = P` rule one level
     /// up): when enabled, the share period tracks the dominant detected
     /// guest period through a [`selftune_core::share::PeriodAdapter`]
-    /// sharing the controller's deadband/confirmation settings, so outer
+    /// with the controller's deadband
+    /// ([`selftune_core::share::HYSTERESIS`]) and confirmations, so outer
     /// replenishment aligns with inner deadlines instead of beating
     /// against them. Off by default — re-parameterising the host server
     /// is a behaviour change existing fleets must opt into.

@@ -25,7 +25,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use selftune_core::share::{
-    ClampReason, DemandSignal, PeriodAdapter, ShareController, ShareDecision,
+    ClampReason, DemandSignal, PeriodAdapter, ShareController, ShareDecision, HYSTERESIS,
 };
 use selftune_core::{ControllerConfig, ManagerConfig, SelfTuningManager};
 use selftune_sched::{
@@ -381,7 +381,7 @@ impl VirtPlatform {
         law.min_share = law.min_share.min(law.max_share);
         let periods = cfg.adapt_period.then(|| {
             PeriodAdapter::new(
-                law.hysteresis,
+                HYSTERESIS,
                 law.confirmations,
                 ADAPTED_PERIOD_MIN,
                 ADAPTED_PERIOD_MAX,

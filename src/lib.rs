@@ -76,7 +76,7 @@ pub mod prelude {
         TranscodeConfig, Transcoder,
     };
     pub use selftune_core::{
-        ControllerConfig, FeedbackKind, LfsConfig, LfsPpConfig, ManagerConfig, SelfTuningManager,
+        ControllerConfig, FeedbackKind, LfsPpConfig, ManagerConfig, SelfTuningManager,
     };
     pub use selftune_sched::{
         CbsMode, Place, ReservationScheduler, ServerConfig, ServerId, Supervisor,
